@@ -63,9 +63,9 @@ chaos:
 scale:
 	scripts/scalesmoke.sh
 
-# The tracked benchmark set (full crawl, parallel re-analysis,
-# streaming-vs-batch engine), archived as BENCH_pr6.json for cross-run
-# comparison.
+# The tracked benchmark set (full crawl, parallel re-analysis, the
+# streaming engine at two pool sizes), archived as BENCH_pr6.json for
+# cross-run comparison.
 bench:
 	scripts/bench.sh
 

@@ -763,55 +763,35 @@ func BenchmarkLimitationRefererSmuggling(b *testing.B) {
 
 // --- Streaming execution engine ----------------------------------------------
 
-// BenchmarkExecuteStreaming compares the streaming engine (walks flow
-// into analysis as they finish) against the batch path (crawl fully,
-// then analyze) on the same seed at worker-pool sizes 1 and 4. Both
-// produce byte-identical metrics (see TestStreamingMatchesBatch); the
-// streaming variant should come in at or below batch wall-clock at
-// parallelism ≥ 4 by absorbing the serial post-crawl analysis tail
-// into the crawl, with peak live residency at or below batch's (both
-// engines end holding the same fully-materialized Run).
-//
-// Each engine runs as its own sub-benchmark (stream/batch), so ns/op,
-// B/op and allocs/op are attributable to one engine — the previous
-// shape ran both engines inside every iteration, and the headline
-// ns/op double-counted while the memory columns summed two engines.
-// Peak live residency is still reported per engine as a metric;
-// scripts/bench.sh archives the series in BENCH_*.json.
+// BenchmarkExecuteStreaming times the full pipeline — the crawl with
+// every finished walk flowing into the analysis engine — on the same
+// seed at worker-pool sizes 1 and 4, and reports peak live residency
+// per pool size as a metric; scripts/bench.sh archives the series in
+// BENCH_*.json.
 func BenchmarkExecuteStreaming(b *testing.B) {
 	base := crumbcruncher.SmallConfig()
 	base.Walks = 120
-	engines := []struct {
-		name  string
-		batch bool
-	}{
-		{"stream", false},
-		{"batch", true},
-	}
 	for _, par := range []int{1, 4} {
-		for _, eng := range engines {
-			b.Run(fmt.Sprintf("parallelism-%d/%s", par, eng.name), func(b *testing.B) {
-				cfg := base
-				cfg.Parallelism = par
-				cfg.BatchAnalysis = eng.batch
-				var peak float64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					runtime.GC()
-					w := newHeapWatermark()
-					b.StartTimer()
-					if _, err := crumbcruncher.NewRunner(cfg).Run(context.Background()); err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					peak += w.stop()
-					b.StartTimer()
+		b.Run(fmt.Sprintf("parallelism-%d/stream", par), func(b *testing.B) {
+			cfg := base
+			cfg.Parallelism = par
+			var peak float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				w := newHeapWatermark()
+				b.StartTimer()
+				if _, err := crumbcruncher.NewRunner(cfg).Run(context.Background()); err != nil {
+					b.Fatal(err)
 				}
 				b.StopTimer()
-				b.ReportMetric(peak/float64(b.N), "peak-heap-MB")
-			})
-		}
+				peak += w.stop()
+				b.StartTimer()
+			}
+			b.StopTimer()
+			b.ReportMetric(peak/float64(b.N), "peak-heap-MB")
+		})
 	}
 }
 

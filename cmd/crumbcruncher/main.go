@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crumbcruncher [-seed N] [-sites N] [-walks N] [-steps N] [-parallel N]
-//	              [-machines N] [-small] [-lazy] [-batch] [-save crawl.json]
+//	              [-machines N] [-small] [-lazy] [-save crawl.json]
 //	              [-out report.txt] [-trace trace.jsonl] [-progress]
 //	              [-pprof localhost:6060] [-retries N] [-breaker N]
 //	              [-deadline D] [-resume ckpt.jsonl] [-fsync POLICY]
@@ -52,7 +52,6 @@ func main() {
 		machines  = flag.Int("machines", 0, "simulated crawl machines walks are spread across (0: config default)")
 		small     = flag.Bool("small", false, "use the small demo configuration")
 		lazy      = flag.Bool("lazy", false, "generate sites on first visit instead of upfront (identical results; million-domain worlds in laptop memory)")
-		batch     = flag.Bool("batch", false, "run analysis as a separate batch phase after the crawl instead of streaming")
 		savePath  = flag.String("save", "", "save the crawl to this path (.crumbs: sharded gzip segment store; otherwise one line file)")
 		outPath   = flag.String("out", "", "write the report here instead of stdout")
 		metrics   = flag.Bool("metrics", false, "emit machine-readable JSON metrics instead of the text report")
@@ -93,7 +92,6 @@ func main() {
 		cfg.Machines = *machines
 	}
 	cfg.World.Lazy = *lazy
-	cfg.BatchAnalysis = *batch
 	var opts []crumbcruncher.Option
 	if *retries > 0 {
 		rp := crumbcruncher.DefaultRetryPolicy()

@@ -134,17 +134,18 @@ func (r *Runner) Config() Config { return r.cfg }
 // are recorded as skipped — and ctx's error is returned. Pair with
 // WithCheckpoint to resume later.
 //
-// By default the analysis streams alongside the crawl; set
-// Config.BatchAnalysis to run the two phases sequentially instead.
-// Both modes produce bit-identical results.
+// The analysis streams alongside the crawl: each finished walk is
+// analyzed while later walks are still being crawled.
 func (r *Runner) Run(ctx context.Context) (*Run, error) {
 	return core.ExecuteContext(ctx, r.cfg)
 }
 
-// Reanalyze re-runs the post-crawl pipeline over run's recorded dataset
-// under the Runner's configuration. The crawl is not repeated.
+// Reanalyze re-runs the post-crawl pipeline over run's recorded walks —
+// its dataset, or the store it was loaded from — under the Runner's
+// configuration, through the same engine Run uses. The crawl is not
+// repeated.
 func (r *Runner) Reanalyze(ctx context.Context, run *Run) (*Run, error) {
-	return core.AnalyzeContext(ctx, r.cfg, run.World, run.Dataset)
+	return ReanalyzeContext(ctx, r.cfg, run)
 }
 
 // Execute builds the synthetic web, runs the four-crawler crawl and the
@@ -211,16 +212,12 @@ func Reanalyze(cfg Config, r *Run) (*Run, error) {
 	return ReanalyzeContext(context.Background(), cfg, r)
 }
 
-// ReanalyzeContext is Reanalyze bounded by ctx: cancellation stops
-// every analysis stage's shard pool from taking new work and returns
-// ctx's error.
+// ReanalyzeContext is Reanalyze bounded by ctx: cancellation stops the
+// walk feed and returns ctx's error. The walks come from the run's
+// analysis source — the resident dataset, or a replay of the store a
+// store-loaded run was analyzed from.
 func ReanalyzeContext(ctx context.Context, cfg Config, r *Run) (*Run, error) {
-	if r.Dataset == nil {
-		// A store-loaded run has no decoded dataset; replay the walks
-		// through its analysis source instead.
-		return core.AnalyzeSource(ctx, cfg, r.World, r.Analysis.Source())
-	}
-	return core.AnalyzeContext(ctx, cfg, r.World, r.Dataset)
+	return core.AnalyzeSource(ctx, cfg, r.World, r.Analysis.Source())
 }
 
 // WriteReport renders the full evaluation report — every table and figure
@@ -337,19 +334,9 @@ func SaveRunStore(path string, r *Run) error {
 	if err != nil {
 		return err
 	}
-	var werr error
-	if r.Dataset != nil {
-		for _, w := range r.Dataset.Walks {
-			if werr = st.Append(w); werr != nil {
-				break
-			}
-		}
-	} else {
-		// A store-analyzed run holds no dataset: replay the walks from
-		// the analysis source (i.e. the store it was loaded from).
-		werr = r.Analysis.Source().ForEachWalk(st.Append)
-	}
-	if werr != nil {
+	// The analysis source is the run's dataset or, for a store-analyzed
+	// run, the store it was loaded from.
+	if werr := r.Analysis.Source().ForEachWalk(st.Append); werr != nil {
 		st.Close()
 		return werr
 	}

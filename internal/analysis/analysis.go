@@ -71,7 +71,8 @@ type redirectorAgg struct {
 
 // New builds the analysis indexes sequentially.
 func New(ds *crawler.Dataset, paths []*tokens.Path, cases []*uid.Case) *Analysis {
-	return NewParallel(ds, paths, cases, 1)
+	a, _ := NewFromSource(context.Background(), ds, paths, cases, 1, nil)
+	return a
 }
 
 // pathPartial is one chunk's contribution to the unique-URL-path index:
@@ -90,27 +91,7 @@ type redirPartial struct {
 	aggs  map[string]*redirectorAgg
 }
 
-// NewParallel builds the analysis indexes with the path and redirector
-// aggregations sharded across a bounded worker pool. Chunks are mapped
-// concurrently and reduced in chunk order; the result is bit-identical
-// to New for any parallelism.
-func NewParallel(ds *crawler.Dataset, paths []*tokens.Path, cases []*uid.Case, parallelism int) *Analysis {
-	return NewInstrumented(ds, paths, cases, parallelism, nil)
-}
-
-// NewInstrumented is NewParallel with optional telemetry: per-chunk wall
-// times of the two aggregation stages land in the
-// analysis.path_shard_us and analysis.redirector_shard_us histograms,
-// and index sizes in analysis.* counters. A nil Telemetry records
-// nothing and skips per-shard timing entirely.
-func NewInstrumented(ds *crawler.Dataset, paths []*tokens.Path, cases []*uid.Case, parallelism int, tel *telemetry.Telemetry) *Analysis {
-	a, _ := NewContext(context.Background(), ds, paths, cases, parallelism, tel)
-	return a
-}
-
-// NewContext is NewInstrumented bounded by ctx: cancellation stops the
-// aggregation pools from taking new chunks and returns ctx's error with
-// a nil Analysis.
+// NewContext is NewFromSource over an in-memory dataset.
 func NewContext(ctx context.Context, ds *crawler.Dataset, paths []*tokens.Path, cases []*uid.Case, parallelism int, tel *telemetry.Telemetry) (*Analysis, error) {
 	return NewFromSource(ctx, ds, paths, cases, parallelism, tel)
 }
@@ -119,6 +100,15 @@ func NewContext(ctx context.Context, ds *crawler.Dataset, paths []*tokens.Path, 
 // dataset or a run store replayed by cursor — so 100k-walk runs can be
 // analysed without the decoded dataset ever being resident at once.
 // Output is byte-identical to the dataset path for the same walks.
+//
+// The path and redirector aggregations are sharded across a bounded
+// worker pool: chunks are mapped concurrently and reduced in chunk
+// order, so the result is bit-identical to New for any parallelism.
+// Per-chunk wall times land in the analysis.path_shard_us and
+// analysis.redirector_shard_us histograms and index sizes in
+// analysis.* counters; a nil Telemetry records nothing. Cancellation
+// stops the aggregation pools from taking new chunks and returns ctx's
+// error with a nil Analysis.
 func NewFromSource(ctx context.Context, src WalkSource, paths []*tokens.Path, cases []*uid.Case, parallelism int, tel *telemetry.Telemetry) (*Analysis, error) {
 	reg := tel.Registry()
 	a := &Analysis{

@@ -74,18 +74,11 @@ type Config struct {
 	// allocation source. Off by default; turn it on to exercise the
 	// deployment shape the paper describes (§3.1).
 	ControllerHTTP bool `json:"controller_http,omitempty"`
-	// BatchAnalysis restores the pre-streaming two-phase execution:
-	// crawl the complete dataset first, then run the post-crawl stages
-	// over it. The default (false) streams each walk through token
-	// extraction and UID grouping as it finishes; both modes produce
-	// bit-identical results (see TestStreamingMatchesBatch), so this is
-	// a scheduling knob, not a semantic one.
-	BatchAnalysis bool `json:"batch_analysis,omitempty"`
 	// Checkpoint, when non-nil, records completed walks incrementally
 	// and resumes an interrupted crawl without redoing finished walks.
-	// Under the streaming engine the per-walk analysis state is
-	// persisted alongside it (in "<path>.analysis"), so resumed walks
-	// skip re-analysis too. Runtime wiring, not configuration.
+	// The per-walk analysis state is persisted alongside it (in
+	// "<path>.analysis"), so resumed walks skip re-analysis too.
+	// Runtime wiring, not configuration.
 	Checkpoint *crawler.Checkpoint `json:"-"`
 	// OnProgress, when non-nil, receives a progress snapshot every time
 	// a walk completes or is analyzed. Called from crawl and analysis
@@ -109,9 +102,9 @@ type Config struct {
 // fragment the world cache or make two reruns of the same study look
 // like different studies.
 //
-// BatchAnalysis and ControllerHTTP, though also bit-identical modes,
-// stay in the digest: they select genuinely different execution shapes
-// and keeping them visible makes provenance blocks more useful.
+// ControllerHTTP, though also a bit-identical mode, stays in the
+// digest: it selects a genuinely different execution shape and keeping
+// it visible makes provenance blocks more useful.
 func (cfg Config) Hash() string {
 	cfg.Parallelism = 0
 	cfg.Telemetry = nil
@@ -167,11 +160,9 @@ func Execute(cfg Config) (*Run, error) {
 // when one is attached) and returns ctx's error; the analysis stages are
 // skipped for interrupted crawls.
 //
-// By default execution streams: completed walks flow straight into
-// token extraction and UID grouping while the crawl is still running,
-// and only the final merge waits for the last walk. Set
-// Config.BatchAnalysis to run the crawl and the analysis as two
-// sequential phases instead; results are bit-identical either way.
+// Execution streams: completed walks flow straight into token
+// extraction and UID grouping while the crawl is still running, and
+// only the final merge waits for the last walk.
 func ExecuteContext(ctx context.Context, cfg Config) (*Run, error) {
 	sp := cfg.Telemetry.StartSpan("core", "build_world")
 	world := web.BuildWorld(cfg.World)
@@ -200,7 +191,9 @@ func ExecuteInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, er
 }
 
 // executeInWorld wires telemetry and deadlines into the world's network
-// and runs the streaming or batch pipeline over it.
+// and runs the analysis engine fed by a live crawl of it: the crawler's
+// WalkSink delivers each walk as it finishes, and the crawled Dataset is
+// the source the figures aggregate over.
 func executeInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, error) {
 	// Binds the run's registry (and the virtual clock) to the network;
 	// a nil Telemetry leaves the network on its private registry.
@@ -208,29 +201,27 @@ func executeInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, er
 	if cfg.RequestDeadline > 0 {
 		world.Network().SetRequestDeadline(cfg.RequestDeadline)
 	}
-	if !cfg.BatchAnalysis {
-		return executeStreaming(ctx, cfg, world)
-	}
-	notify := newProgressNotifier(cfg.OnProgress, cfg.walkCount(world))
-	ccfg := cfg.crawlConfig(world)
-	if cfg.OnProgress != nil {
-		ccfg.WalkSink = func(*crawler.Walk) {
-			notify.update(func(p *Progress) { p.WalksDone++ })
-		}
-	}
-	csp := cfg.Telemetry.StartSpan("core", "crawl")
-	ds, err := crawler.CrawlContext(ctx, ccfg)
-	if err != nil {
-		csp.EndErr(err)
-		return nil, fmt.Errorf("core: crawl: %w", err)
-	}
-	csp.End()
-	r, err := AnalyzeContext(ctx, cfg, world, ds)
+	rs, err := openResumeState(cfg)
 	if err != nil {
 		return nil, err
 	}
-	notify.update(func(p *Progress) { p.WalksAnalyzed = len(ds.Walks) })
-	return r, nil
+	if rs.sidecar != nil {
+		defer rs.sidecar.Close()
+	}
+	return analyzeWalks(ctx, cfg, world, cfg.walkCount(world), rs, func(send func(*crawler.Walk)) (analysis.WalkSource, error) {
+		ccfg := cfg.crawlConfig(world)
+		ccfg.WalkSink = send
+		csp := cfg.Telemetry.StartSpan("core", "crawl")
+		// CrawlContext only returns once every walk goroutine — and with
+		// it every WalkSink call — has finished.
+		ds, err := crawler.CrawlContext(ctx, ccfg)
+		if err != nil {
+			csp.EndErr(err)
+			return nil, fmt.Errorf("core: crawl: %w", err)
+		}
+		csp.End()
+		return ds, nil
+	})
 }
 
 // walkCount resolves the effective number of walks (0 means one per
@@ -269,76 +260,17 @@ func (cfg Config) crawlConfig(world *web.World) crawler.Config {
 
 // Analyze runs the post-crawl pipeline over an existing dataset (used by
 // cmd/crumbreport to re-analyse saved crawls and by ablations to re-run
-// identification with different options). Every stage is sharded over
-// cfg.Parallelism workers with deterministic merging, so the output is
-// bit-identical to a sequential pass.
+// identification with different options).
 func Analyze(cfg Config, world *web.World, ds *crawler.Dataset) (*Run, error) {
 	return AnalyzeContext(context.Background(), cfg, world, ds)
 }
 
-// AnalyzeContext is Analyze bounded by ctx: cancellation stops every
-// stage's shard pool from taking new work and returns ctx's error.
+// AnalyzeContext is Analyze bounded by ctx: the dataset's walks feed the
+// engine a live crawl uses, at cfg.Parallelism workers, so the output is
+// bit-identical to the crawl's own analysis. Cancellation stops the feed
+// between walks and returns ctx's error.
 func AnalyzeContext(ctx context.Context, cfg Config, world *web.World, ds *crawler.Dataset) (*Run, error) {
-	tel := cfg.Telemetry
-	par := cfg.analysisParallelism()
-
-	sp := tel.StartSpan("analysis", "paths")
-	paths, err := tokens.PathsFromDatasetCtx(ctx, ds, par, tel)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("core: paths: %w", err)
-	}
-	sp.End()
-
-	sp = tel.StartSpan("analysis", "candidates")
-	cands, err := tokens.AllCandidatesCtx(ctx, paths, par, tel)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("core: candidates: %w", err)
-	}
-	sp.End()
-
-	sp = tel.StartSpan("analysis", "lifetimes")
-	lifetimes := uid.BuildLifetimeIndex(ds)
-	sp.End()
-
-	opt := cfg.Identify
-	if opt.LifetimeOf == nil {
-		opt.LifetimeOf = lifetimes.Lifetime
-	}
-	if opt.Parallelism == 0 {
-		opt.Parallelism = par
-	}
-	if opt.Telemetry == nil {
-		opt.Telemetry = tel
-	}
-	sp = tel.StartSpan("analysis", "identify")
-	cases, stats, err := uid.IdentifyCtx(ctx, cands, opt)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("core: identify: %w", err)
-	}
-	sp.End()
-
-	sp = tel.StartSpan("analysis", "aggregate")
-	agg, err := analysis.NewContext(ctx, ds, paths, cases, par, tel)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("core: aggregate: %w", err)
-	}
-	sp.End()
-
-	return &Run{
-		Config:     cfg,
-		World:      world,
-		Dataset:    ds,
-		Paths:      paths,
-		Candidates: cands,
-		Cases:      cases,
-		Stats:      stats,
-		Analysis:   agg,
-		Lifetimes:  lifetimes,
-	}, nil
+	return AnalyzeSource(ctx, cfg, world, ds)
 }
 
 // Reidentify re-runs UID identification with different options over the
@@ -352,11 +284,7 @@ func (r *Run) Reidentify(opt uid.Options) ([]*uid.Case, uid.Stats, *analysis.Ana
 		opt.Parallelism = par
 	}
 	cases, stats := uid.Identify(r.Candidates, opt)
-	var src analysis.WalkSource = r.Dataset
-	if r.Dataset == nil {
-		src = r.Analysis.Source() // store-backed run: replay from the store
-	}
-	agg, _ := analysis.NewFromSource(context.Background(), src, r.Paths, cases, par, nil)
+	agg, _ := analysis.NewFromSource(context.Background(), r.Analysis.Source(), r.Paths, cases, par, nil)
 	return cases, stats, agg
 }
 
@@ -431,11 +359,8 @@ func (r *Run) EvaluateTruth() TruthEval {
 // evaluation-only code.
 func (r *Run) MissedRefererTransfers() int {
 	truth := r.World.Truth()
-	if r.Dataset != nil {
-		return CountRefererTransfers(r.Dataset, truth.IsUIDParam)
-	}
-	// A store-backed run (AnalyzeStore) has no resident dataset: replay
-	// the walks through the analysis source instead. The per-walk count
+	// The analysis source is the resident dataset or, for a store-backed
+	// run (AnalyzeStore), a replay of the store. The per-walk count
 	// dedups on keys embedding the walk index, so replay order cannot
 	// change the total.
 	seen := map[string]bool{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -45,6 +46,32 @@ func TestPipelineFindsSmuggling(t *testing.T) {
 	}
 	t.Logf("candidates=%d cases=%d rate=%.2f%% stats=%+v",
 		len(r.Candidates), len(r.Cases), 100*rate, r.Stats)
+}
+
+// TestAnalyzeRejectsMisindexedWalks pins the analysis engine's slot
+// guard: a walk source whose walks do not map one to one onto
+// [0, WalkCount) fails the run with an error instead of panicking or
+// merging two walks into one slot.
+func TestAnalyzeRejectsMisindexedWalks(t *testing.T) {
+	r := sharedRun(t)
+	w0 := r.Dataset.Walks[0]
+	cases := []struct {
+		name  string
+		walks []*crawler.Walk
+	}{
+		{"out of range", []*crawler.Walk{w0, {Index: 7}}},
+		{"delivered twice", []*crawler.Walk{w0, w0}},
+		{"nil walk", []*crawler.Walk{w0, nil}},
+	}
+	cfg := r.Config
+	cfg.Parallelism = 2
+	for _, tc := range cases {
+		ds := &crawler.Dataset{Seed: r.Dataset.Seed, Crawlers: r.Dataset.Crawlers, Walks: tc.walks}
+		run, err := AnalyzeContext(context.Background(), cfg, r.World, ds)
+		if err == nil || run != nil {
+			t.Errorf("%s: AnalyzeContext returned run %t, err %v; want only an error", tc.name, run != nil, err)
+		}
+	}
 }
 
 func TestPipelinePrecisionAgainstTruth(t *testing.T) {

@@ -46,6 +46,25 @@ func TestConfigHashIgnoresSchedulingKnobs(t *testing.T) {
 	}
 }
 
+// TestConfigHashPinned pins the stock configurations' hashes. The hash
+// keys the serve layer's world cache and every saved run's provenance,
+// so removing a Config field, or changing how one serializes, must
+// leave these values alone unless the change means to re-key them.
+func TestConfigHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"SmallConfig", SmallConfig(), "bc8f41fe4e0dead13467abb81b3e79beac8d3c77b26f83eea3704911ed366381"},
+		{"DefaultConfig", DefaultConfig(), "ebbf58b971f60b42c9f8ac6c10d0ad3968fdb094ad02114c79877feeff5a28ab"},
+	} {
+		if got := tc.cfg.Hash(); got != tc.want {
+			t.Errorf("%s.Hash() = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestProvenanceUsesConfigHash pins that run provenance routes through
 // the same canonical hash as the world cache (via telemetry.Hasher), so
 // a saved run and the server agree on a configuration's identity.

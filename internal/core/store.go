@@ -3,14 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 
 	"crumbcruncher/internal/analysis"
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runstore"
-	"crumbcruncher/internal/tokens"
-	"crumbcruncher/internal/uid"
 	"crumbcruncher/internal/web"
 )
 
@@ -65,103 +62,24 @@ func (s *storeSource) observe(w *crawler.Walk) {
 }
 
 // AnalyzeStore runs the post-crawl pipeline over a stored run by
-// cursor: each walk streams through token extraction, lifetime
-// scanning and UID grouping exactly as the live streaming engine does,
-// and the figure aggregation replays the store on demand. The decoded
-// dataset is never resident all at once — memory is O(paths +
-// candidates + one segment) — so 100k-walk stores analyse within a
-// laptop-class budget. Results are byte-identical to loading the whole
-// run and calling Analyze, because both paths fold the same walks in
-// the same index order through the same accumulators.
+// cursor: the walks feed the same engine a live crawl does, and the
+// figure aggregation replays the store on demand. The decoded dataset
+// is never resident all at once — memory is O(paths + candidates + one
+// segment) — so 100k-walk stores analyse within a laptop-class budget.
+// Results are byte-identical to the crawl that wrote the store.
 //
 // The returned Run has a nil Dataset; every consumer in the tree
 // (metrics, report, Reidentify, MissedRefererTransfers) reads walk
 // statistics through Run.Analysis instead.
 func AnalyzeStore(ctx context.Context, cfg Config, world *web.World, st runstore.Store) (*Run, error) {
 	src := &storeSource{st: st, outcomes: map[crawler.StepOutcome]int{}}
-	return analyzeFeed(ctx, cfg, world, src, st.Walks(), func(fn func(*crawler.Walk) error) error {
-		cur := st.Iter()
-		defer cur.Close()
-		for {
-			w, err := cur.Next()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
-				return err
-			}
-			src.observe(w)
-			if err := fn(w); err != nil {
-				return err
-			}
-		}
-	})
+	return analyzeWalks(ctx, cfg, world, st.Walks(), resumeState{}, replay(ctx, src, src.observe))
 }
 
-// AnalyzeSource is AnalyzeStore for a walk source that already knows
-// its walk count — a Dataset, or the cached source of a previously
-// analyzed store-backed run. ReanalyzeContext uses it to re-run the
-// pipeline with altered settings when no decoded dataset exists.
+// AnalyzeSource re-runs the post-crawl pipeline over any walk source
+// that already knows its walk count: a Dataset, or the source of a
+// previously analyzed run (Run.Analysis.Source). The returned Run holds
+// the Dataset when src is one.
 func AnalyzeSource(ctx context.Context, cfg Config, world *web.World, src analysis.WalkSource) (*Run, error) {
-	return analyzeFeed(ctx, cfg, world, src, src.WalkCount(), src.ForEachWalk)
-}
-
-// analyzeFeed streams walks from iter through the same accumulators the
-// live streaming engine uses, then aggregates figures over src — so
-// results are byte-identical to Analyze over the decoded dataset.
-func analyzeFeed(ctx context.Context, cfg Config, world *web.World, src analysis.WalkSource, total int,
-	iter func(func(*crawler.Walk) error) error) (*Run, error) {
-	tel := cfg.Telemetry
-	par := cfg.analysisParallelism()
-
-	acc := tokens.NewAccumulator(cfg.World.Seed, total, crawler.AllCrawlers, tel)
-	lifeAcc := uid.NewLifetimeAccumulator(total)
-	opt := cfg.Identify
-	if opt.Parallelism == 0 {
-		opt.Parallelism = par
-	}
-	if opt.Telemetry == nil {
-		opt.Telemetry = tel
-	}
-	ident := uid.NewStreamIdentifier(total, opt)
-
-	sp := tel.StartSpan("core", "analyze_store")
-	ierr := iter(func(w *crawler.Walk) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		lifeAcc.AddWalk(w)
-		wt := acc.AddWalk(w)
-		ident.AddWalk(w.Index, wt.Candidates)
-		return nil
-	})
-	if ierr != nil {
-		sp.EndErr(ierr)
-		return nil, fmt.Errorf("core: analyze store: %w", ierr)
-	}
-
-	paths, cands := acc.Drain()
-	lifetimes := lifeAcc.Drain()
-	cases, stats, err := ident.Drain(ctx, lifetimes)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("core: identify: %w", err)
-	}
-	agg, err := analysis.NewFromSource(ctx, src, paths, cases, par, tel)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("core: aggregate: %w", err)
-	}
-	sp.End()
-
-	return &Run{
-		Config:     cfg,
-		World:      world,
-		Paths:      paths,
-		Candidates: cands,
-		Cases:      cases,
-		Stats:      stats,
-		Analysis:   agg,
-		Lifetimes:  lifetimes,
-	}, nil
+	return analyzeWalks(ctx, cfg, world, src.WalkCount(), resumeState{}, replay(ctx, src, nil))
 }

@@ -17,9 +17,10 @@ import (
 )
 
 // Progress is a snapshot of a run's advancement, delivered to
-// Config.OnProgress. WalksAnalyzed trails WalksDone by the walks
-// sitting in the streaming queue (QueueDepth); in batch mode it jumps
-// from 0 to WalksTotal when the analysis phase completes.
+// Config.OnProgress. WalksDone counts the walks the run's source has
+// delivered — crawled or resumed in a live run, read back in a
+// re-analysis — and WalksAnalyzed trails it by the walks sitting in the
+// analysis queue (QueueDepth).
 type Progress struct {
 	WalksTotal    int
 	WalksDone     int
@@ -64,67 +65,85 @@ func analysisHeader(seed int64) runio.Header {
 	return runio.Header{Format: runio.AnalysisFormat, Version: analysisStateVersion, Seed: seed}
 }
 
-// executeStreaming runs the crawl and the per-walk analysis stages
-// concurrently: every finished walk is handed through a bounded channel
-// to a pool of analysis workers that extract its paths, find its
-// candidates, scan its cookie lifetimes and group its tokens, while the
-// crawl keeps producing. Only the cross-walk stages (lifetime-index
-// merge, deferred classification, ordered reduce, aggregation) wait for
-// the last walk.
+// resumeState carries per-walk analysis across an interrupted live
+// crawl: the token extraction of walks the checkpoint will resume, and
+// the sidecar that persists newly analyzed walks. The zero value — any
+// run without a checkpoint — restores and persists nothing.
+type resumeState struct {
+	sidecar  *runio.LineFile
+	restored map[int]tokens.WalkTokens
+}
+
+// openResumeState opens the checkpoint's analysis sidecar and adopts the
+// state of every walk the checkpoint will resume rather than re-crawl.
+// The checkpoint is read before the crawl starts, so the two sets match
+// exactly. Close the returned sidecar once the engine has drained.
+func openResumeState(cfg Config) (resumeState, error) {
+	cp := cfg.Checkpoint
+	if cp == nil || cp.Path() == "" {
+		return resumeState{}, nil
+	}
+	resumable := map[int]bool{}
+	for _, i := range cp.CompletedIndices() {
+		resumable[i] = true
+	}
+	path := cp.Path() + ".analysis"
+	opts := runio.OpenOptions{Tel: cfg.Telemetry}
+	lf, lines, err := runio.OpenLineFileOpts(path, analysisHeader(cfg.World.Seed), opts)
+	if errors.Is(err, runio.ErrCorrupt) {
+		// The sidecar is a pure cache of per-walk analysis state: with
+		// the corrupt file quarantined, start a fresh one and recompute
+		// the tokens from the checkpointed walks. The run stays
+		// byte-identical — only the restore fast path is lost.
+		cfg.Telemetry.Registry().Counter("core.stream_sidecar_errors").Inc()
+		lf, lines, err = runio.OpenLineFileOpts(path, analysisHeader(cfg.World.Seed), opts)
+	}
+	if err != nil {
+		return resumeState{}, fmt.Errorf("core: analysis state: %w", err)
+	}
+	rs := resumeState{sidecar: lf, restored: map[int]tokens.WalkTokens{}}
+	for _, line := range lines {
+		var e analysisEntry
+		if json.Unmarshal(line, &e) != nil {
+			break // schema mismatch in the tail: stop, like a torn write
+		}
+		if resumable[e.Index] {
+			rs.restored[e.Index] = e.Tokens // last entry wins
+		}
+	}
+	return rs, nil
+}
+
+// walkFeed delivers a walk source to the engine: it calls send once per
+// walk — in any order, from any number of goroutines — returns only
+// after its last send, and returns the source the figures aggregate
+// over.
+type walkFeed func(send func(*crawler.Walk)) (analysis.WalkSource, error)
+
+// analyzeWalks is the pipeline's one analysis engine. Walks from feed go
+// through a bounded channel to Parallelism workers that extract each
+// walk's paths, find its candidates, scan its cookie lifetimes and group
+// its tokens into walk-indexed slots. Only the cross-walk stages
+// (lifetime-index merge, deferred classification, ordered reduce,
+// aggregation) wait for the last walk. The feed is a live crawl
+// (executeInWorld), a stored run's cursor (AnalyzeStore) or any other
+// walk source (AnalyzeSource); total sizes the slots.
 //
-// Determinism: every per-walk product lands in a pre-sized,
-// walk-indexed slot and every drain merges those slots in walk-index
-// order, so the result is bit-identical to the batch path at any
-// parallelism (the same contract as the parallel package).
-func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, error) {
+// Determinism: every per-walk product lands in its walk's slot and the
+// drain merges the slots in walk-index order, so the result is
+// bit-identical at any parallelism and for any delivery order (the same
+// contract as the parallel package). A walk without a free slot — nil,
+// out of range or delivered twice — is dropped and fails the run once
+// the feed returns.
+func analyzeWalks(ctx context.Context, cfg Config, world *web.World, total int, rs resumeState, feed walkFeed) (*Run, error) {
 	tel := cfg.Telemetry
 	reg := tel.Registry()
 	par := cfg.analysisParallelism()
-	walks := cfg.walkCount(world)
 
 	esp := tel.StartSpan("core", "stream")
 
-	// Resume: adopt per-walk analysis state persisted by a previous,
-	// interrupted streaming run. Only walks the checkpoint will actually
-	// resume (rather than re-crawl) are eligible — the snapshot is taken
-	// before the crawl starts, so the two sets match exactly.
-	var sidecar *runio.LineFile
-	restored := map[int]tokens.WalkTokens{}
-	if cp := cfg.Checkpoint; cp != nil && cp.Path() != "" {
-		resumable := map[int]bool{}
-		for _, i := range cp.CompletedIndices() {
-			resumable[i] = true
-		}
-		scPath := cp.Path() + ".analysis"
-		scOpts := runio.OpenOptions{Tel: tel}
-		lf, lines, err := runio.OpenLineFileOpts(scPath, analysisHeader(cfg.World.Seed), scOpts)
-		if errors.Is(err, runio.ErrCorrupt) {
-			// The sidecar is a pure cache of per-walk analysis state: with
-			// the corrupt file quarantined, start a fresh one and recompute
-			// the tokens from the checkpointed walks. The run stays
-			// byte-identical — only the restore fast path is lost.
-			reg.Counter("core.stream_sidecar_errors").Inc()
-			lf, lines, err = runio.OpenLineFileOpts(scPath, analysisHeader(cfg.World.Seed), scOpts)
-		}
-		if err != nil {
-			esp.EndErr(err)
-			return nil, fmt.Errorf("core: analysis state: %w", err)
-		}
-		sidecar = lf
-		defer sidecar.Close()
-		for _, line := range lines {
-			var e analysisEntry
-			if json.Unmarshal(line, &e) != nil {
-				break // schema mismatch in the tail: stop, like a torn write
-			}
-			if resumable[e.Index] {
-				restored[e.Index] = e.Tokens // last entry wins
-			}
-		}
-	}
-
-	acc := tokens.NewAccumulator(cfg.World.Seed, walks, crawler.AllCrawlers, tel)
-	lifeAcc := uid.NewLifetimeAccumulator(walks)
+	acc := tokens.NewAccumulator(cfg.World.Seed, total, crawler.AllCrawlers, tel)
+	lifeAcc := uid.NewLifetimeAccumulator(total)
 	opt := cfg.Identify
 	if opt.Parallelism == 0 {
 		opt.Parallelism = par
@@ -132,15 +151,17 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 	if opt.Telemetry == nil {
 		opt.Telemetry = tel
 	}
-	ident := uid.NewStreamIdentifier(walks, opt)
+	ident := uid.NewStreamIdentifier(total, opt)
 
-	notify := newProgressNotifier(cfg.OnProgress, walks)
+	notify := newProgressNotifier(cfg.OnProgress, total)
 	queueDepth := reg.Gauge("core.stream_queue_depth")
 	workers := reg.Gauge("core.stream_workers")
 	analyzed := reg.Counter("core.stream_walks_analyzed")
 	restoredCtr := reg.Counter("core.stream_walks_restored")
 	sidecarErrs := reg.Counter("core.stream_sidecar_errors")
 
+	// Bounded at Parallelism: a slow analysis backpressures the feed
+	// instead of buffering the walks a second time.
 	walkCh := make(chan *crawler.Walk, par)
 	var wwg sync.WaitGroup
 	for k := 0; k < par; k++ {
@@ -154,15 +175,15 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 				sp := tel.StartSpan("analysis", "stream_walk").
 					Attr("walk", strconv.Itoa(w.Index))
 				lifeAcc.AddWalk(w)
-				wt, ok := restored[w.Index]
+				wt, ok := rs.restored[w.Index]
 				if ok {
 					acc.Restore(w.Index, wt)
 					restoredCtr.Inc()
 					sp.Attr("restored", "true")
 				} else {
 					wt = acc.AddWalk(w)
-					if sidecar != nil && !w.Skipped {
-						if err := sidecar.Append(analysisEntry{Index: w.Index, Tokens: wt}); err != nil {
+					if rs.sidecar != nil && !w.Skipped {
+						if err := rs.sidecar.Append(analysisEntry{Index: w.Index, Tokens: wt}); err != nil {
 							sidecarErrs.Inc()
 						}
 					}
@@ -178,8 +199,22 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 		}()
 	}
 
-	ccfg := cfg.crawlConfig(world)
-	ccfg.WalkSink = func(w *crawler.Walk) {
+	var (
+		slotMu  sync.Mutex
+		claimed = make([]bool, total)
+		badWalk error
+	)
+	send := func(w *crawler.Walk) {
+		slotMu.Lock()
+		if w == nil || w.Index < 0 || w.Index >= total || claimed[w.Index] {
+			if badWalk == nil {
+				badWalk = badWalkError(w, total)
+			}
+			slotMu.Unlock()
+			return
+		}
+		claimed[w.Index] = true
+		slotMu.Unlock()
 		queueDepth.Add(1)
 		notify.update(func(p *Progress) {
 			p.WalksDone++
@@ -188,20 +223,19 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 		walkCh <- w
 	}
 
-	csp := tel.StartSpan("core", "crawl")
-	ds, crawlErr := crawler.CrawlContext(ctx, ccfg)
-	// CrawlContext only returns once every walk goroutine — and with it
-	// every WalkSink call — has finished, so the channel can close now.
-	// The workers are drained even on crawl failure: a cancelled run
+	src, err := feed(send)
+	// The feed has made its last send, so the channel can close now. The
+	// workers are drained even when the feed failed: a cancelled run
 	// must not leak analysis goroutines.
 	close(walkCh)
 	wwg.Wait()
-	if crawlErr != nil {
-		csp.EndErr(crawlErr)
-		esp.EndErr(crawlErr)
-		return nil, fmt.Errorf("core: crawl: %w", crawlErr)
+	if err == nil {
+		err = badWalk
 	}
-	csp.End()
+	if err != nil {
+		esp.EndErr(err)
+		return nil, err
+	}
 
 	// Drain: merge every per-walk product in walk-index order and run
 	// the cross-walk stages.
@@ -214,7 +248,7 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 		esp.EndErr(err)
 		return nil, fmt.Errorf("core: identify: %w", err)
 	}
-	agg, err := analysis.NewContext(ctx, ds, paths, cases, par, tel)
+	agg, err := analysis.NewFromSource(ctx, src, paths, cases, par, tel)
 	if err != nil {
 		dsp.EndErr(err)
 		esp.EndErr(err)
@@ -223,6 +257,9 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 	dsp.End()
 	esp.End()
 
+	// A live crawl or an in-memory dataset stays resident on the Run; a
+	// store-fed run keeps reading its walks through Run.Analysis.
+	ds, _ := src.(*crawler.Dataset)
 	return &Run{
 		Config:     cfg,
 		World:      world,
@@ -234,4 +271,37 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 		Analysis:   agg,
 		Lifetimes:  lifetimes,
 	}, nil
+}
+
+// badWalkError describes a walk the engine has no free slot for.
+func badWalkError(w *crawler.Walk, total int) error {
+	if w == nil {
+		return errors.New("core: walk source delivered a nil walk")
+	}
+	if w.Index < 0 || w.Index >= total {
+		return fmt.Errorf("core: walk index %d outside the source's %d walks", w.Index, total)
+	}
+	return fmt.Errorf("core: walk %d delivered twice", w.Index)
+}
+
+// replay is the feed of a recorded walk source: its walks in index
+// order, with ctx checked between walks. observe, when non-nil, sees
+// each walk before the engine does.
+func replay(ctx context.Context, src analysis.WalkSource, observe func(*crawler.Walk)) walkFeed {
+	return func(send func(*crawler.Walk)) (analysis.WalkSource, error) {
+		err := src.ForEachWalk(func(w *crawler.Walk) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if observe != nil {
+				observe(w)
+			}
+			send(w)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: read walks: %w", err)
+		}
+		return src, nil
+	}
 }

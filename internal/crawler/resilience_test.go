@@ -401,12 +401,21 @@ func TestCheckpointRejectsWrongSeed(t *testing.T) {
 // seeder with retries and a breaker: the first sequences trip the
 // breaker, later walks are rejected without consuming retry attempts,
 // and the rejections are visible in the netsim.breaker_open counter.
+//
+// Walk 0's crawlers start their seed sequences concurrently and the
+// breaker only sees whole-sequence outcomes, so how many of them retry
+// before it opens depends on the interleaving. The test pins what holds
+// under every interleaving instead of one retry count.
 func TestCircuitBreakerFailsFast(t *testing.T) {
 	tel := telemetry.New(nil, 256)
 	n := deadNetwork(7)
 	// Bind the network's counters (breaker_open et al.) to the registry;
 	// core.Execute does this wiring, Crawl alone does not.
 	n.SetTelemetry(tel)
+	reg := tel.Registry()
+	// At Parallelism 1 walks run one after another, so the counter read
+	// as each walk completes splits the retries by walk.
+	var retriesAfter []int64
 	ds, err := Crawl(Config{
 		Seed:             7,
 		Network:          n,
@@ -418,6 +427,9 @@ func TestCircuitBreakerFailsFast(t *testing.T) {
 		Telemetry:        tel,
 		Retry:            resilience.Policy{MaxAttempts: 3, BaseDelay: time.Second},
 		Breaker:          resilience.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
+		OnWalkComplete: func(*Walk) {
+			retriesAfter = append(retriesAfter, reg.Counter("resilience.retries").Value())
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -425,17 +437,30 @@ func TestCircuitBreakerFailsFast(t *testing.T) {
 	if st := n.Breakers().State("dead.example.com"); st != resilience.BreakerOpen {
 		t.Fatalf("breaker state = %v, want open", st)
 	}
-	reg := tel.Registry()
 	if v := reg.Counter("netsim.breaker_opened").Value(); v != 1 {
 		t.Errorf("breaker_opened = %d, want exactly 1", v)
 	}
 	if v := reg.Counter("netsim.breaker_open").Value(); v == 0 {
 		t.Error("no fail-fast rejections counted in netsim.breaker_open")
 	}
-	// Retries stop once the breaker is open: with threshold 2 and 3
-	// attempts per sequence, only the first two sequences may retry.
-	if v := reg.Counter("resilience.retries").Value(); v != 4 {
-		t.Errorf("retries = %d, want 4 (2 tripping sequences x 2 retries; breaker-open is permanent)", v)
+	if len(retriesAfter) != len(ds.Walks) {
+		t.Fatalf("OnWalkComplete ran %d times for %d walks", len(retriesAfter), len(ds.Walks))
+	}
+	// Retries come only from walk 0, whose seed sequences — one per
+	// crawler with a seed record — ran before the breaker opened. With
+	// threshold 2 and 3 attempts per sequence, the two sequences that
+	// tripped it retried twice each; any other walk-0 sequence retries
+	// at most twice.
+	seqs := int64(len(ds.Walks[0].SeedLoad))
+	if r0 := retriesAfter[0]; r0 < 4 || r0 > 2*seqs {
+		t.Errorf("walk 0 retries = %d, want 4..%d (2 per tripping sequence, at most 2 per each of %d sequences)",
+			r0, 2*seqs, seqs)
+	}
+	// Breaker-open is permanent here, so later walks fail fast.
+	for i, v := range retriesAfter[1:] {
+		if v != retriesAfter[0] {
+			t.Errorf("walk %d added %d retries after the breaker opened", i+1, v-retriesAfter[0])
+		}
 	}
 	// Every walk still fails — fast, but recorded.
 	for _, w := range ds.Walks {

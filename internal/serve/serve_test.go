@@ -233,15 +233,21 @@ func TestDrain(t *testing.T) {
 	running := postJob(t, ts.URL, `{"small":true,"seed":3,"walks":2000,"parallelism":2}`)
 	queued := postJob(t, ts.URL, `{"small":true,"seed":4,"walks":5}`)
 
+	// Drain only once a walk has been reported done: "running" alone can
+	// mean the job is still building its world, and a drain landing then
+	// leaves nothing to checkpoint. The crawler checkpoints a walk before
+	// it reports the walk done, so from here on the checkpoint is
+	// non-empty.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var st Status
 		getJSON(t, ts.URL+"/jobs/"+running.ID, &st)
-		if st.State == StateRunning {
+		if st.State == StateRunning && st.Progress.WalksDone >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s never started (state %s)", running.ID, st.State)
+			t.Fatalf("job %s never completed a walk (state %s, %d walks done)",
+				running.ID, st.State, st.Progress.WalksDone)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -110,30 +110,18 @@ func regDomain(host string) string {
 // (§3.3: "We still include data from this unsynchronized step in our
 // analyses").
 func PathsFromDataset(ds *crawler.Dataset) []*Path {
-	return PathsFromDatasetParallel(ds, 1)
-}
-
-// PathsFromDatasetParallel is PathsFromDataset sharded across walks over
-// a bounded worker pool. Each walk's paths are reconstructed
-// independently and concatenated in walk-slice order, so the output is
-// identical to the sequential pass for any parallelism.
-func PathsFromDatasetParallel(ds *crawler.Dataset, parallelism int) []*Path {
-	return PathsFromDatasetInstrumented(ds, parallelism, nil)
-}
-
-// PathsFromDatasetInstrumented is PathsFromDatasetParallel with optional
-// telemetry: per-walk shard wall times land in the
-// tokens.path_shard_us histogram and the path total in the tokens.paths
-// counter. A nil Telemetry records nothing and skips per-shard timing
-// entirely.
-func PathsFromDatasetInstrumented(ds *crawler.Dataset, parallelism int, tel *telemetry.Telemetry) []*Path {
-	out, _ := PathsFromDatasetCtx(context.Background(), ds, parallelism, tel)
+	out, _ := PathsFromDatasetCtx(context.Background(), ds, 1, nil)
 	return out
 }
 
-// PathsFromDatasetCtx is PathsFromDatasetInstrumented bounded by ctx:
-// cancellation stops the shard pool from taking new walks and returns
-// ctx's error with a partial (unusable) result.
+// PathsFromDatasetCtx is PathsFromDataset sharded across walks over a
+// bounded worker pool and bounded by ctx. Each walk's paths are
+// reconstructed independently and concatenated in walk-slice order, so
+// the output is identical to the sequential pass for any parallelism.
+// Per-walk shard wall times land in the tokens.path_shard_us histogram
+// and the path total in the tokens.paths counter; a nil Telemetry
+// records nothing. Cancellation stops the shard pool from taking new
+// walks and returns ctx's error with a partial (unusable) result.
 func PathsFromDatasetCtx(ctx context.Context, ds *crawler.Dataset, parallelism int, tel *telemetry.Telemetry) ([]*Path, error) {
 	names := ds.Crawlers
 	if len(names) == 0 {
@@ -275,29 +263,19 @@ func FindCandidates(p *Path) []*Candidate {
 
 // AllCandidates runs FindCandidates over every path.
 func AllCandidates(paths []*Path) []*Candidate {
-	return AllCandidatesParallel(paths, 1)
-}
-
-// AllCandidatesParallel runs FindCandidates over every path with a
-// bounded worker pool, merging per-path results in path order — the
-// output is identical to AllCandidates for any parallelism.
-func AllCandidatesParallel(paths []*Path, parallelism int) []*Candidate {
-	return AllCandidatesInstrumented(paths, parallelism, nil)
-}
-
-// AllCandidatesInstrumented is AllCandidatesParallel with optional
-// telemetry: per-path candidate counts land in the
-// tokens.candidates_per_path histogram (a deterministic distribution),
-// shard wall times in tokens.candidate_shard_us, and the candidate total
-// in the tokens.candidates counter.
-func AllCandidatesInstrumented(paths []*Path, parallelism int, tel *telemetry.Telemetry) []*Candidate {
-	out, _ := AllCandidatesCtx(context.Background(), paths, parallelism, tel)
+	out, _ := AllCandidatesCtx(context.Background(), paths, 1, nil)
 	return out
 }
 
-// AllCandidatesCtx is AllCandidatesInstrumented bounded by ctx:
-// cancellation stops the shard pool from taking new paths and returns
-// ctx's error with a partial (unusable) result.
+// AllCandidatesCtx is AllCandidates over a bounded worker pool, bounded
+// by ctx. Per-path results merge in path order, so the output is
+// identical to the sequential pass for any parallelism. Per-path
+// candidate counts land in the tokens.candidates_per_path histogram (a
+// deterministic distribution), shard wall times in
+// tokens.candidate_shard_us, and the candidate total in the
+// tokens.candidates counter. Cancellation stops the shard pool from
+// taking new paths and returns ctx's error with a partial (unusable)
+// result.
 func AllCandidatesCtx(ctx context.Context, paths []*Path, parallelism int, tel *telemetry.Telemetry) ([]*Candidate, error) {
 	reg := tel.Registry()
 	perPathHist := reg.Histogram("tokens.candidates_per_path")

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Runs the tracked benchmark set — the end-to-end crawl (BenchmarkCrawl),
 # the parallel post-crawl re-analysis (BenchmarkAnalyzeParallel) and the
-# streaming-vs-batch engine comparison (BenchmarkExecuteStreaming) — and
-# archives the results as JSON for cross-run comparison.
+# streaming engine at pool sizes 1 and 4 (BenchmarkExecuteStreaming) —
+# and archives the results as JSON for cross-run comparison.
 #
 # Usage: scripts/bench.sh [output.json]
 # BENCHTIME overrides the per-benchmark iteration budget (default 1x:

@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"crumbcruncher"
+	"crumbcruncher/internal/analysis"
+	"crumbcruncher/internal/tokens"
+	"crumbcruncher/internal/uid"
 )
 
 func metricsBytes(t *testing.T, run *crumbcruncher.Run) []byte {
@@ -20,40 +23,101 @@ func metricsBytes(t *testing.T, run *crumbcruncher.Run) []byte {
 	return b.Bytes()
 }
 
-// TestStreamingMatchesBatch is the tentpole's determinism contract: the
-// streaming engine must produce byte-identical metrics JSON to the batch
-// path for the same seed, at every parallelism.
-func TestStreamingMatchesBatch(t *testing.T) {
+// referenceMetrics re-analyses run's dataset stage by stage — every
+// path, then every candidate, the lifetime index, identification and
+// aggregation, each over the whole dataset — without the analysis
+// engine, and renders the metrics. It is the independent path the
+// engine's output is checked against.
+func referenceMetrics(t *testing.T, run *crumbcruncher.Run, par int) []byte {
+	t.Helper()
+	ctx := context.Background()
+	ds := run.Dataset
+	paths, err := tokens.PathsFromDatasetCtx(ctx, ds, par, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := tokens.AllCandidatesCtx(ctx, paths, par, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifetimes := uid.BuildLifetimeIndex(ds)
+	opt := run.Config.Identify
+	opt.LifetimeOf = lifetimes.Lifetime
+	opt.Parallelism = par
+	cases, stats, err := uid.IdentifyCtx(ctx, cands, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := analysis.NewContext(ctx, ds, paths, cases, par, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return metricsBytes(t, &crumbcruncher.Run{
+		Config: run.Config, World: run.World, Dataset: ds,
+		Paths: paths, Candidates: cands, Cases: cases, Stats: stats,
+		Analysis: agg, Lifetimes: lifetimes,
+	})
+}
+
+// TestEngineMatchesReference is the analysis engine's determinism
+// contract: whatever feeds it — a live crawl (Run), the run's resident
+// dataset (Reanalyze) or a segment store of the run (AnalyzeStore) — it
+// must produce byte-identical metrics JSON to the stage-by-stage
+// reference, at every parallelism, and the same bytes at every
+// parallelism.
+func TestEngineMatchesReference(t *testing.T) {
 	base := crumbcruncher.SmallConfig()
 	base.World.Seed = 2
 	base.Walks = 40
 
-	var ref []byte
+	ctx := context.Background()
+	var first []byte
 	for _, par := range []int{1, 4, 16} {
 		cfg := base
 		cfg.Parallelism = par
 
-		run, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
+		run, err := crumbcruncher.NewRunner(cfg).Run(ctx)
 		if err != nil {
-			t.Fatalf("parallelism %d: streaming: %v", par, err)
+			t.Fatalf("parallelism %d: run: %v", par, err)
 		}
-		stream := metricsBytes(t, run)
+		want := referenceMetrics(t, run, par)
+		if first == nil {
+			first = want
+		} else if !bytes.Equal(want, first) {
+			t.Errorf("parallelism %d: reference metrics differ from parallelism 1", par)
+		}
+		if !bytes.Equal(metricsBytes(t, run), want) {
+			t.Errorf("parallelism %d: Run metrics differ from the reference", par)
+		}
 
-		bcfg := cfg
-		bcfg.BatchAnalysis = true
-		brun, err := crumbcruncher.NewRunner(bcfg).Run(context.Background())
+		rerun, err := crumbcruncher.NewRunner(cfg).Reanalyze(ctx, run)
 		if err != nil {
-			t.Fatalf("parallelism %d: batch: %v", par, err)
+			t.Fatalf("parallelism %d: reanalyze: %v", par, err)
 		}
-		batch := metricsBytes(t, brun)
+		if !bytes.Equal(metricsBytes(t, rerun), want) {
+			t.Errorf("parallelism %d: Reanalyze metrics differ from the reference", par)
+		}
 
-		if !bytes.Equal(stream, batch) {
-			t.Errorf("parallelism %d: streaming metrics differ from batch", par)
+		// The store records the run's config, Parallelism included, so
+		// AnalyzeStore feeds its walks to par workers too.
+		path := filepath.Join(t.TempDir(), "run.crumbs")
+		if err := crumbcruncher.SaveRunStore(path, run); err != nil {
+			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = stream
-		} else if !bytes.Equal(stream, ref) {
-			t.Errorf("parallelism %d: streaming metrics differ from parallelism 1", par)
+		st, err := crumbcruncher.OpenRunStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srun, err := crumbcruncher.AnalyzeStore(ctx, st)
+		if err != nil {
+			st.Close()
+			t.Fatalf("parallelism %d: analyze store: %v", par, err)
+		}
+		if !bytes.Equal(metricsBytes(t, srun), want) {
+			t.Errorf("parallelism %d: AnalyzeStore metrics differ from the reference", par)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -195,8 +259,7 @@ func TestRunnerOptions(t *testing.T) {
 
 // TestWorkStealingCrawlDeterminism pins the crawl's work-stealing
 // dispatch (a fixed worker pool claiming walk indices from a shared
-// counter): batch-mode runs — no streaming machinery between the crawl
-// and the metrics — must produce byte-identical metrics JSON at
+// counter): runs must produce byte-identical metrics JSON at
 // parallelism 1, 4 and 16. The paper-faithful loopback HTTP controller
 // transport is a deployment shape, not a semantic choice, so flipping
 // it on must not change the bytes either.
@@ -204,7 +267,6 @@ func TestWorkStealingCrawlDeterminism(t *testing.T) {
 	base := crumbcruncher.SmallConfig()
 	base.World.Seed = 5
 	base.Walks = 36
-	base.BatchAnalysis = true
 
 	var ref []byte
 	for _, par := range []int{1, 4, 16} {

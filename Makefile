@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the gate every change must
 # pass: it builds everything, vets, runs crumblint (the project's own
 # determinism/telemetry/resource-discipline analyzers, via the same
-# cached standalone driver CI uses),
+# cached driver CI uses),
 # runs the full test suite with the race detector on — which exercises
 # the parallel analysis pipeline's determinism tests (Parallelism
 # 1/4/16) under -race — and finishes with the chaos smoke (kill,
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-vet lint-sarif test race bench bench-all chaos scale
+.PHONY: check build vet lint lint-sarif test race bench bench-all chaos scale
 
 check: build vet lint race chaos
 
@@ -19,20 +19,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# crumblint: wallclock, seededrand, maporder, spanend, noentry,
-# fsyncpolicy, plus the interprocedural resource-discipline suite
-# (mustclose, poolreset, ctxflow, sharedwrite). The standalone driver
-# runs analyzers in parallel per package with content-hash result
-# caching under bin/.lintcache and suppresses findings recorded in the
-# checked-in baseline; anything new fails the build.
+# crumblint: wallclock, seededrand, maporder, spanend, fsyncpolicy,
+# plus the interprocedural resource-discipline suite (mustclose,
+# poolreset, ctxflow, sharedwrite). The driver runs analyzers in
+# parallel per package with content-hash result caching under
+# bin/.lintcache and suppresses findings recorded in the checked-in
+# baseline; anything new fails the build.
 lint: bin/crumblint
 	./bin/crumblint -cache bin/.lintcache -baseline .crumblint-baseline.json ./...
-
-# The same suite through `go vet -vettool` (the unitchecker protocol).
-# Kept as a separate target so the two drivers can be diffed; the
-# TestStandaloneAgreesWithVet test asserts they agree.
-lint-vet: bin/crumblint
-	$(GO) vet -vettool=$(CURDIR)/bin/crumblint ./...
 
 # SARIF export for code-scanning upload (CI attaches this as an
 # artifact). The baseline is not applied: the report carries every

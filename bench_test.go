@@ -489,11 +489,10 @@ func BenchmarkCrawlWalk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := crawler.Crawl(crawler.Config{
-			Seed:             cfg.Seed,
-			Network:          w.Network(),
-			Seeders:          w.Seeders(),
-			Walks:            1,
-			DirectController: true,
+			Seed:    cfg.Seed,
+			Network: w.Network(),
+			Seeders: w.Seeders(),
+			Walks:   1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -551,12 +550,11 @@ func syncFailureRate(b *testing.B, h crawler.Heuristics) float64 {
 	cfg := web.SmallConfig()
 	w := web.BuildWorld(cfg)
 	ds, err := crawler.Crawl(crawler.Config{
-		Seed:             cfg.Seed,
-		Network:          w.Network(),
-		Seeders:          w.Seeders(),
-		Walks:            60,
-		Heuristics:       h,
-		DirectController: true,
+		Seed:       cfg.Seed,
+		Network:    w.Network(),
+		Seeders:    w.Seeders(),
+		Walks:      60,
+		Heuristics: h,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -712,11 +710,10 @@ func BenchmarkAblationSequentialBaseline(b *testing.B) {
 		cfg.NumSites = 120
 		world := web.BuildWorld(cfg)
 		ccfg := crawler.Config{
-			Seed:             cfg.Seed,
-			Network:          world.Network(),
-			Seeders:          world.Seeders(),
-			Walks:            80,
-			DirectController: true,
+			Seed:    cfg.Seed,
+			Network: world.Network(),
+			Seeders: world.Seeders(),
+			Walks:   80,
 		}
 		seqDS, err := crawler.SequentialCrawl(ccfg, 3)
 		if err != nil {

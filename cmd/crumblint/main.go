@@ -1,16 +1,11 @@
 // Crumblint machine-checks the invariants crumbcruncher's determinism
 // guarantee rests on: no wall-clock reads outside annotated sites, no
 // unseeded randomness, no order-dependent emission from map iteration,
-// no leaked telemetry spans, and no deprecated entry points.
+// no leaked telemetry spans, and no leaked or mis-pooled resources.
 //
-// Run it standalone:
+// Run it over the tree (test files included):
 //
 //	go run ./cmd/crumblint ./...
-//
-// or as a vet tool, which also covers test compilation units:
-//
-//	go build -o bin/crumblint ./cmd/crumblint
-//	go vet -vettool=bin/crumblint ./...
 //
 // A finding can be waived, visibly, with a //crumb:allow directive; see
 // internal/lint/directive and DESIGN.md §9.

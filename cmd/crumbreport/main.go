@@ -34,7 +34,7 @@ func main() {
 	log.SetPrefix("crumbreport: ")
 
 	var (
-		in       = flag.String("in", "", "saved crawl: line file, .crumbs segment dir, or legacy document (required)")
+		in       = flag.String("in", "", "saved crawl: line file or .crumbs segment dir (required)")
 		metrics  = flag.Bool("metrics", false, "emit metrics JSON instead of the text report")
 		walkIdx  = flag.Int("walk", -1, "dump walk N as JSON and exit (no analysis)")
 		limit    = flag.Int("limit", 0, "with -walk: dump N consecutive walks; alone: dump the first N walks")

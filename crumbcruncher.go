@@ -1,7 +1,7 @@
 // Package crumbcruncher is a from-scratch Go reproduction of
 // "Measuring UID Smuggling in the Wild" (Randall et al., IMC 2022): the
 // CrumbCruncher measurement system — four synchronized crawlers, a central
-// HTTP controller, and a token-analysis pipeline — together with the
+// controller, and a token-analysis pipeline — together with the
 // synthetic-web substrate it runs on (virtual network, simulated browser
 // with partitioned storage, generated tracker ecosystem).
 //
@@ -148,24 +148,6 @@ func (r *Runner) Reanalyze(ctx context.Context, run *Run) (*Run, error) {
 	return ReanalyzeContext(ctx, r.cfg, run)
 }
 
-// Execute builds the synthetic web, runs the four-crawler crawl and the
-// token pipeline, and returns the analysed run.
-//
-// Deprecated: use NewRunner(cfg).Run(context.Background()). Execute
-// remains as a thin wrapper and will keep working.
-func Execute(cfg Config) (*Run, error) { return NewRunner(cfg).Run(context.Background()) }
-
-// ExecuteContext is Execute with cancellation: when ctx is cancelled the
-// crawl drains gracefully — in-flight walks finish, unstarted walks are
-// recorded as skipped — and ctx's error is returned. Pair with
-// Config.Checkpoint to resume later.
-//
-// Deprecated: use NewRunner(cfg).Run(ctx). ExecuteContext remains as a
-// thin wrapper and will keep working.
-func ExecuteContext(ctx context.Context, cfg Config) (*Run, error) {
-	return NewRunner(cfg).Run(ctx)
-}
-
 // --- Resilience -------------------------------------------------------------
 
 // RetryPolicy bounds retry sequences for seed navigations and step
@@ -203,19 +185,15 @@ func OpenCheckpointTel(path string, seed int64, tel *Telemetry) (*Checkpoint, er
 	return crawler.OpenCheckpointOpts(path, seed, runio.OpenOptions{Tel: tel})
 }
 
-// Reanalyze re-runs the post-crawl analysis pipeline (path
-// reconstruction, candidate extraction, UID identification, aggregation)
-// over an existing run's recorded dataset under a new configuration —
-// e.g. a different Parallelism or identification options. The crawl is
-// not repeated; results are bit-identical for any Parallelism.
-func Reanalyze(cfg Config, r *Run) (*Run, error) {
-	return ReanalyzeContext(context.Background(), cfg, r)
-}
-
-// ReanalyzeContext is Reanalyze bounded by ctx: cancellation stops the
-// walk feed and returns ctx's error. The walks come from the run's
-// analysis source — the resident dataset, or a replay of the store a
-// store-loaded run was analyzed from.
+// ReanalyzeContext re-runs the post-crawl analysis pipeline (path
+// reconstruction, candidate extraction, UID identification,
+// aggregation) over an existing run's recorded walks under a new
+// configuration — e.g. a different Parallelism or identification
+// options. The crawl is not repeated; results are bit-identical for
+// any Parallelism. Cancelling ctx stops the walk feed and returns
+// ctx's error. The walks come from the run's analysis source — the
+// resident dataset, or a replay of the store a store-loaded run was
+// analyzed from.
 func ReanalyzeContext(ctx context.Context, cfg Config, r *Run) (*Run, error) {
 	return core.AnalyzeSource(ctx, cfg, r.World, r.Analysis.Source())
 }
@@ -242,7 +220,7 @@ type Provenance = telemetry.Provenance
 type TraceSummary = telemetry.TraceSummary
 
 // NewTelemetry returns a telemetry handle with the default span
-// capacity. The virtual clock attaches automatically when Execute wires
+// capacity. The virtual clock attaches automatically when a run wires
 // the handle to the network.
 func NewTelemetry() *Telemetry { return telemetry.New(nil, telemetry.DefaultSpanCapacity) }
 
@@ -251,15 +229,6 @@ func WriteTrace(path string, t *Telemetry) error {
 	return t.Tracer().WriteJSONLFile(path)
 }
 
-// RunFormat and RunVersion identify the saved-run document format. The
-// versioned header is shared with the checkpoint and analysis-state
-// files through the internal runio codec; pre-header files (written
-// before this versioning existed) still load.
-const (
-	RunFormat  = runio.RunFormat
-	RunVersion = runio.RunVersion
-)
-
 // --- Run storage (RunStore API) ----------------------------------------------
 
 // RunStore is one recorded crawl behind a pluggable storage backend:
@@ -267,8 +236,7 @@ const (
 // the whole run through a cursor without ever materialising the
 // decoded dataset in memory. Two backends ship — a single CRC-framed
 // line file and a sharded, gzip-compressed segment directory with a
-// sidecar index (see internal/runstore) — and legacy SaveRun documents
-// open read-only through the same interface.
+// sidecar index (see internal/runstore).
 type RunStore = runstore.Store
 
 // RunCursor iterates a RunStore's walks in ascending index order; Next
@@ -320,15 +288,13 @@ func CreateRunStore(path string, cfg Config) (RunStore, error) {
 	return runstore.Create(path, runstore.DetectBackend(path), m)
 }
 
-// OpenRunStore opens an existing run store, sniffing the backend: a
-// directory is a segment store, a file is a line store or a legacy
-// single-document run (the deprecated SaveRun format, served
-// read-only).
+// OpenRunStore opens an existing run store: a directory is a segment
+// store, anything else a line store.
 func OpenRunStore(path string) (RunStore, error) { return runstore.Open(path) }
 
 // SaveRunStore writes a completed run's crawl to a new store at path
-// and finalizes it. It replaces the deprecated SaveRun; pick the
-// segment backend (a ".crumbs" path) for large runs.
+// and finalizes it. Pick the segment backend (a ".crumbs" path) for
+// large runs.
 func SaveRunStore(path string, r *Run) error {
 	st, err := CreateRunStore(path, r.Config)
 	if err != nil {
@@ -354,8 +320,8 @@ func SaveRunStore(path string, r *Run) error {
 // resident all at once. The returned Run has a nil Dataset and keeps
 // reading from st lazily — close st only after the Run is no longer
 // used. The synthetic world is rebuilt lazily from the stored
-// configuration; results are byte-identical to LoadRun on the same
-// walks.
+// configuration; results are byte-identical to re-analysing the same
+// walks from a resident dataset.
 func AnalyzeStore(ctx context.Context, st RunStore) (*Run, error) {
 	m := st.Manifest()
 	var cfg Config
@@ -387,86 +353,6 @@ func LoadRunStore(path string) (*Run, error) {
 		return nil, err
 	}
 	return AnalyzeStore(context.Background(), st)
-}
-
-// --- Deprecated single-document run APIs -------------------------------------
-
-// SavedRun is the single-document on-disk form of a crawl: a versioned
-// format header, the configuration (to rebuild the deterministic
-// world), the recorded dataset, and a provenance block describing how
-// and by what the file was produced.
-//
-// Deprecated: the document format requires decoding the entire run to
-// read any of it. New code records through the RunStore API
-// (CreateRunStore / SaveRunStore); existing documents keep loading via
-// OpenRunStore and LoadRun.
-type SavedRun struct {
-	runio.Header
-	Config     Config      `json:"config"`
-	Provenance *Provenance `json:"provenance,omitempty"`
-	Dataset    *Dataset    `json:"dataset"`
-}
-
-// EncodeRun writes a run's crawl as a versioned JSON document. When the
-// run was executed with telemetry attached, the provenance block
-// includes its metrics snapshot.
-//
-// Deprecated: use SaveRunStore, which writes the streamable RunStore
-// formats. EncodeRun remains for producing the legacy single-document
-// form and will keep working.
-func EncodeRun(w io.Writer, r *Run) error {
-	prov := telemetry.NewProvenance(r.Config.World.Seed, r.Config, r.Config.Telemetry)
-	doc := SavedRun{
-		Header:     runio.Header{Format: RunFormat, Version: RunVersion, Seed: r.Config.World.Seed},
-		Config:     r.Config,
-		Provenance: &prov,
-		Dataset:    r.Dataset,
-	}
-	if err := runio.WriteDocument(w, doc); err != nil {
-		return fmt.Errorf("crumbcruncher: encode run: %w", err)
-	}
-	return nil
-}
-
-// DecodeRun reads a saved crawl from rd and re-runs the analysis
-// pipeline over it. The synthetic world is rebuilt deterministically
-// from the saved configuration. Documents from before the versioned
-// header are accepted.
-//
-// Deprecated: use OpenRunStore + AnalyzeStore (or LoadRunStore), which
-// stream the run by cursor instead of decoding it whole. DecodeRun
-// remains for in-memory readers of the legacy document form.
-func DecodeRun(rd io.Reader) (*Run, error) {
-	var saved SavedRun
-	want := runio.Header{Format: RunFormat, Version: RunVersion}
-	if err := runio.ReadDocument(rd, want, &saved); err != nil {
-		return nil, fmt.Errorf("crumbcruncher: decode run: %w", err)
-	}
-	world := web.BuildWorld(saved.Config.World)
-	return core.Analyze(saved.Config, world, saved.Dataset)
-}
-
-// SaveRun writes a run's crawl to a file for later re-analysis with
-// cmd/crumbreport. The file lands atomically — a crash mid-save leaves
-// the previous content (or nothing), never a torn run.
-//
-// Deprecated: use SaveRunStore. SaveRun is a thin shim over it and now
-// writes the line-backend RunStore format (readable by LoadRun,
-// OpenRunStore and every current tool, but not by pre-RunStore
-// builds); writers that need the legacy single-document form call
-// EncodeRun directly.
-func SaveRun(path string, r *Run) error {
-	return SaveRunStore(path, r)
-}
-
-// LoadRun reads a saved crawl and re-runs the analysis pipeline over
-// it. Every stored form loads: RunStore line files and segment
-// directories, and legacy single-document runs.
-//
-// Deprecated: use LoadRunStore (or OpenRunStore + AnalyzeStore to
-// manage the store handle). LoadRun is a thin shim over LoadRunStore.
-func LoadRun(path string) (*Run, error) {
-	return LoadRunStore(path)
 }
 
 // --- Countermeasures (§7) ---------------------------------------------------

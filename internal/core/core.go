@@ -65,15 +65,6 @@ type Config struct {
 	// RequestDeadline, when > 0, makes the virtual network time out any
 	// request whose latency (including injected spikes) would exceed it.
 	RequestDeadline time.Duration `json:"request_deadline,omitempty"`
-	// ControllerHTTP routes crawler↔controller rendezvous over the
-	// paper-faithful loopback HTTP server instead of direct in-process
-	// calls. The controller's decisions are a pure function of the
-	// submitted element lists either way, so results are bit-identical;
-	// the HTTP transport only adds a real TCP connection, JSON encode /
-	// decode and header churn per step, which profiles showed as a top
-	// allocation source. Off by default; turn it on to exercise the
-	// deployment shape the paper describes (§3.1).
-	ControllerHTTP bool `json:"controller_http,omitempty"`
 	// Checkpoint, when non-nil, records completed walks incrementally
 	// and resumes an interrupted crawl without redoing finished walks.
 	// The per-walk analysis state is persisted alongside it (in
@@ -101,10 +92,6 @@ type Config struct {
 // world cache and run provenance need: a scheduling knob must never
 // fragment the world cache or make two reruns of the same study look
 // like different studies.
-//
-// ControllerHTTP, though also a bit-identical mode, stays in the
-// digest: it selects a genuinely different execution shape and keeping
-// it visible makes provenance blocks more useful.
 func (cfg Config) Hash() string {
 	cfg.Parallelism = 0
 	cfg.Telemetry = nil
@@ -241,20 +228,19 @@ func (cfg Config) crawlConfig(world *web.World) crawler.Config {
 	// consults the first min(k, NumSites) seeders — at million-site
 	// scale the full Tranco-style list is never materialised.
 	return crawler.Config{
-		Seed:             cfg.World.Seed,
-		Network:          world.Network(),
-		Seeders:          world.SeedersN(cfg.walkCount(world)),
-		Walks:            cfg.Walks,
-		StepsPerWalk:     cfg.StepsPerWalk,
-		Parallelism:      cfg.Parallelism,
-		IframeBias:       cfg.IframeBias,
-		NoIframes:        cfg.NoIframes,
-		Machines:         cfg.Machines,
-		Telemetry:        cfg.Telemetry,
-		Retry:            cfg.Retry,
-		Breaker:          cfg.Breaker,
-		Checkpoint:       cfg.Checkpoint,
-		DirectController: !cfg.ControllerHTTP,
+		Seed:         cfg.World.Seed,
+		Network:      world.Network(),
+		Seeders:      world.SeedersN(cfg.walkCount(world)),
+		Walks:        cfg.Walks,
+		StepsPerWalk: cfg.StepsPerWalk,
+		Parallelism:  cfg.Parallelism,
+		IframeBias:   cfg.IframeBias,
+		NoIframes:    cfg.NoIframes,
+		Machines:     cfg.Machines,
+		Telemetry:    cfg.Telemetry,
+		Retry:        cfg.Retry,
+		Breaker:      cfg.Breaker,
+		Checkpoint:   cfg.Checkpoint,
 	}
 }
 

@@ -1,12 +1,8 @@
 package crawler
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -16,22 +12,14 @@ import (
 // Decision is the controller's answer to an element submission: which of
 // the crawler's own elements to click.
 type Decision struct {
-	Found bool   `json:"found"`
-	Index int    `json:"index"`
-	Kind  string `json:"kind,omitempty"`
+	Found bool
+	Index int
+	Kind  string
 }
 
 // LandingResult is the controller's answer to a landing-FQDN submission.
 type LandingResult struct {
-	Synchronized bool `json:"synchronized"`
-}
-
-// API is the controller surface crawlers talk to. The production
-// implementation is HTTP over loopback (the paper's "central controller (a
-// local HTTP server)"); tests may use the Controller directly.
-type API interface {
-	SubmitElements(walk, step int, crawler string, elements []Element) (Decision, error)
-	SubmitLanding(walk, step int, crawler, fqdn string) (LandingResult, error)
+	Synchronized bool
 }
 
 // ErrBarrierTimeout is returned when the other crawlers never arrive at a
@@ -40,7 +28,9 @@ var ErrBarrierTimeout = errors.New("crawler: controller barrier timeout")
 
 // Controller synchronizes the three parallel crawlers and picks the
 // element to click, preferring iframes (expected to contain ads) and
-// cross-domain anchors, per §3.1.
+// cross-domain anchors, per §3.1. The paper's controller is a local
+// HTTP server; here the crawlers call it in-process, which keeps the
+// same submit-and-rendezvous protocol without a socket.
 type Controller struct {
 	split      *stats.Splitter
 	heOn       Heuristics
@@ -105,7 +95,9 @@ func (c *Controller) rendezvous(key, crawler string, sub interface{}, need int,
 	}
 }
 
-// SubmitElements implements API.
+// SubmitElements submits a crawler's candidate elements for a step and
+// blocks until all three parallel crawlers have submitted; it returns
+// the crawler's own index of the element to click.
 func (c *Controller) SubmitElements(walk, step int, crawler string, elements []Element) (Decision, error) {
 	key := fmt.Sprintf("el/%d/%d", walk, step)
 	res, err := c.rendezvous(key, crawler, elements, len(ParallelCrawlers),
@@ -165,8 +157,9 @@ func (c *Controller) decide(walk, step int, lists map[string][]Element) map[stri
 	return out
 }
 
-// SubmitLanding implements API: all three landing FQDNs must agree for the
-// walk to continue (§3.3).
+// SubmitLanding submits a crawler's landing FQDN for a step and blocks
+// until all three parallel crawlers have submitted: all three must agree
+// for the walk to continue (§3.3).
 func (c *Controller) SubmitLanding(walk, step int, crawler, fqdn string) (LandingResult, error) {
 	key := fmt.Sprintf("land/%d/%d", walk, step)
 	res, err := c.rendezvous(key, crawler, fqdn, len(ParallelCrawlers),
@@ -195,116 +188,4 @@ func (c *Controller) SubmitLanding(walk, step int, crawler, fqdn string) (Landin
 		return LandingResult{}, err
 	}
 	return res.(LandingResult), nil
-}
-
-// --- HTTP transport -------------------------------------------------------
-
-// elementsRequest is the POST /elements body.
-type elementsRequest struct {
-	Walk     int       `json:"walk"`
-	Step     int       `json:"step"`
-	Crawler  string    `json:"crawler"`
-	Elements []Element `json:"elements"`
-}
-
-// landingRequest is the POST /landing body.
-type landingRequest struct {
-	Walk    int    `json:"walk"`
-	Step    int    `json:"step"`
-	Crawler string `json:"crawler"`
-	FQDN    string `json:"fqdn"`
-}
-
-// Handler exposes the controller over HTTP: POST /elements and POST
-// /landing with JSON bodies. Requests block until the step's rendezvous
-// completes, exactly like the paper's local controller server.
-func (c *Controller) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /elements", func(w http.ResponseWriter, r *http.Request) {
-		var req elementsRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		dec, err := c.SubmitElements(req.Walk, req.Step, req.Crawler, req.Elements)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusGatewayTimeout)
-			return
-		}
-		writeJSON(w, dec)
-	})
-	mux.HandleFunc("POST /landing", func(w http.ResponseWriter, r *http.Request) {
-		var req landingRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		res, err := c.SubmitLanding(req.Walk, req.Step, req.Crawler, req.FQDN)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusGatewayTimeout)
-			return
-		}
-		writeJSON(w, res)
-	})
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// Serve starts the controller on a loopback listener and returns its base
-// URL and a shutdown function.
-func (c *Controller) Serve() (baseURL string, shutdown func(), err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, fmt.Errorf("crawler: controller listen: %w", err)
-	}
-	srv := &http.Server{Handler: c.Handler()}
-	go srv.Serve(ln) //nolint:errcheck // closed via shutdown
-	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
-}
-
-// HTTPClient talks to a served controller.
-type HTTPClient struct {
-	Base string
-	HC   *http.Client
-}
-
-// NewHTTPClient returns a client for a controller base URL.
-func NewHTTPClient(base string) *HTTPClient {
-	return &HTTPClient{Base: base, HC: &http.Client{Timeout: 60 * time.Second}}
-}
-
-func (cl *HTTPClient) post(path string, req, out interface{}) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	resp, err := cl.HC.Post(cl.Base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("crawler: controller %s: status %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// SubmitElements implements API over HTTP.
-func (cl *HTTPClient) SubmitElements(walk, step int, crawler string, elements []Element) (Decision, error) {
-	var dec Decision
-	err := cl.post("/elements", elementsRequest{Walk: walk, Step: step, Crawler: crawler, Elements: elements}, &dec)
-	return dec, err
-}
-
-// SubmitLanding implements API over HTTP.
-func (cl *HTTPClient) SubmitLanding(walk, step int, crawler, fqdn string) (LandingResult, error) {
-	var res LandingResult
-	err := cl.post("/landing", landingRequest{Walk: walk, Step: step, Crawler: crawler, FQDN: fqdn}, &res)
-	return res, err
 }

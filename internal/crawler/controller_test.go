@@ -8,7 +8,7 @@ import (
 )
 
 // submitAll drives three crawlers through one element rendezvous.
-func submitAll(t *testing.T, api API, walk, step int, lists map[string][]Element) map[string]Decision {
+func submitAll(t *testing.T, c *Controller, walk, step int, lists map[string][]Element) map[string]Decision {
 	t.Helper()
 	var mu sync.Mutex
 	out := make(map[string]Decision)
@@ -18,7 +18,7 @@ func submitAll(t *testing.T, api API, walk, step int, lists map[string][]Element
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			d, err := api.SubmitElements(walk, step, name, lists[name])
+			d, err := c.SubmitElements(walk, step, name, lists[name])
 			if err != nil {
 				errs <- err
 				return
@@ -155,34 +155,6 @@ func TestLandingDivergence(t *testing.T) {
 			t.Fatal("different FQDNs must not synchronize")
 		}
 	}
-}
-
-func TestControllerOverHTTP(t *testing.T) {
-	c := NewController(1, AllHeuristics, 0.6)
-	base, shutdown, err := c.Serve()
-	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
-	}
-	defer shutdown()
-	client := NewHTTPClient(base)
-	decs := submitAll(t, client, 0, 1, threeSameLists())
-	for name, d := range decs {
-		if !d.Found {
-			t.Fatalf("%s over HTTP: not found", name)
-		}
-	}
-	// Landing round trip.
-	var wg sync.WaitGroup
-	for _, name := range ParallelCrawlers {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			if _, err := client.SubmitLanding(0, 1, name, "x.com"); err != nil {
-				t.Error(err)
-			}
-		}(name)
-	}
-	wg.Wait()
 }
 
 func TestLandingEmptyFQDNNotSynchronized(t *testing.T) {

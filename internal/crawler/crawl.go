@@ -52,10 +52,6 @@ type Config struct {
 	NoIframes bool
 	// Heuristics selects the element-matching heuristics (ablations).
 	Heuristics Heuristics
-	// DirectController bypasses the HTTP transport and calls the
-	// controller in-process (used by ablation benchmarks; the default
-	// crawl uses a real loopback HTTP server, like the paper).
-	DirectController bool
 	// Machine is the fingerprint surface shared by all four crawlers
 	// (they run "on one machine", §3.5).
 	Machine string
@@ -189,15 +185,6 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	}
 
 	ctrl := NewController(cfg.Seed, cfg.Heuristics, cfg.IframeBias)
-	var api API = ctrl
-	if !cfg.DirectController {
-		base, shutdown, err := ctrl.Serve()
-		if err != nil {
-			return nil, err
-		}
-		defer shutdown()
-		api = NewHTTPClient(base)
-	}
 
 	cm := newCrawlMetrics(cfg.Telemetry)
 	cfg.Telemetry.Registry().Gauge("crawler.walks_total").Set(int64(cfg.Walks))
@@ -282,7 +269,7 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				}
 				sp := cm.tel.StartSpan("crawler", "walk").
 					Attr("walk", strconv.Itoa(idx)).Attr("seeder", seeder)
-				w := runWalk(wcfg, api, idx, seeder, cm, rt)
+				w := runWalk(wcfg, ctrl, idx, seeder, cm, rt)
 				ds.Walks[idx] = w
 				if w.Ended != "" {
 					sp.Attr("ended", string(w.Ended))
@@ -494,7 +481,7 @@ func (ws *walkState) degrade(reason string) {
 
 // runWalk executes one walk: three synchronized crawler goroutines, with
 // Safari-1R trailing Safari-1 inside its goroutine.
-func runWalk(cfg Config, api API, idx int, seeder string, cm *crawlMetrics, rt *retrier) *Walk {
+func runWalk(cfg Config, ctrl *Controller, idx int, seeder string, cm *crawlMetrics, rt *retrier) *Walk {
 	w := &Walk{Index: idx, Seeder: seeder, SeedLoad: make(map[string]*CrawlerStep)}
 	ws := &walkState{walk: w}
 	rt = rt.forWalk(idx)
@@ -526,7 +513,7 @@ func runWalk(cfg Config, api API, idx int, seeder string, cm *crawlMetrics, rt *
 			}()
 			r := &walkRunner{
 				cfg:  cfg,
-				api:  api,
+				ctrl: ctrl,
 				ws:   ws,
 				walk: idx,
 				name: name,
@@ -620,7 +607,7 @@ func deriveOutcome(s *Step) StepOutcome {
 // walkRunner is one parallel crawler's walk execution.
 type walkRunner struct {
 	cfg     Config
-	api     API
+	ctrl    *Controller
 	ws      *walkState
 	walk    int
 	name    string
@@ -706,7 +693,7 @@ func (r *walkRunner) run(seeder string) {
 			rec.Fail = "connect: no live page"
 		}
 
-		dec, derr := r.api.SubmitElements(r.walk, step, r.name, els)
+		dec, derr := r.ctrl.SubmitElements(r.walk, step, r.name, els)
 		if derr != nil {
 			rec.Fail = "controller: " + derr.Error()
 			r.ws.putStep(step, r.name, rec)
@@ -772,7 +759,7 @@ func (r *walkRunner) run(seeder string) {
 			fqdn = next.URL.Hostname()
 		}
 
-		land, lerr := r.api.SubmitLanding(r.walk, step, r.name, fqdn)
+		land, lerr := r.ctrl.SubmitLanding(r.walk, step, r.name, fqdn)
 		if fqdn != "" {
 			sp.Attr("host", fqdn)
 		}

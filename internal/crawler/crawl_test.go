@@ -307,13 +307,12 @@ func TestWalksSpreadAcrossMachines(t *testing.T) {
 	cfg.ConnectFailRate = 0
 	w := web.BuildWorld(cfg)
 	ds, err := Crawl(Config{
-		Seed:             cfg.Seed,
-		Network:          w.Network(),
-		Seeders:          w.Seeders(),
-		Walks:            6,
-		StepsPerWalk:     1,
-		Machines:         3,
-		DirectController: true,
+		Seed:         cfg.Seed,
+		Network:      w.Network(),
+		Seeders:      w.Seeders(),
+		Walks:        6,
+		StepsPerWalk: 1,
+		Machines:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -357,12 +356,11 @@ func TestCrawlNoIframesReducesIframeClicks(t *testing.T) {
 		cfg.ConnectFailRate = 0
 		w := web.BuildWorld(cfg)
 		ds, err := Crawl(Config{
-			Seed:             cfg.Seed,
-			Network:          w.Network(),
-			Seeders:          w.Seeders(),
-			Walks:            40,
-			NoIframes:        noIframes,
-			DirectController: true,
+			Seed:      cfg.Seed,
+			Network:   w.Network(),
+			Seeders:   w.Seeders(),
+			Walks:     40,
+			NoIframes: noIframes,
 		})
 		if err != nil {
 			t.Fatal(err)

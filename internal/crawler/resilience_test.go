@@ -101,12 +101,11 @@ func deadNetwork(seed int64) *netsim.Network {
 // and carry a connect failure derived from that crawler's own state.
 func TestSeedFailureRecordsEveryCrawler(t *testing.T) {
 	ds, err := Crawl(Config{
-		Seed:             3,
-		Network:          deadNetwork(3),
-		Seeders:          []string{"dead.example.com"},
-		Walks:            1,
-		StepsPerWalk:     4,
-		DirectController: true,
+		Seed:         3,
+		Network:      deadNetwork(3),
+		Seeders:      []string{"dead.example.com"},
+		Walks:        1,
+		StepsPerWalk: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,14 +161,13 @@ func TestRetryRecoversTransientSeeder(t *testing.T) {
 	})
 	tel := telemetry.New(nil, 64)
 	ds, err := Crawl(Config{
-		Seed:             5,
-		Network:          n,
-		Seeders:          []string{"flaky.example.com"},
-		Walks:            1,
-		StepsPerWalk:     1,
-		DirectController: true,
-		Telemetry:        tel,
-		Retry:            resilience.DefaultPolicy(),
+		Seed:         5,
+		Network:      n,
+		Seeders:      []string{"flaky.example.com"},
+		Walks:        1,
+		StepsPerWalk: 1,
+		Telemetry:    tel,
+		Retry:        resilience.DefaultPolicy(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,12 +202,11 @@ func TestRetryRecoversTransientSeeder(t *testing.T) {
 		fmt.Fprint(w, "<html><body>hello</body></html>")
 	})
 	ds2, err := Crawl(Config{
-		Seed:             5,
-		Network:          n2,
-		Seeders:          []string{"flaky.example.com"},
-		Walks:            1,
-		StepsPerWalk:     1,
-		DirectController: true,
+		Seed:         5,
+		Network:      n2,
+		Seeders:      []string{"flaky.example.com"},
+		Walks:        1,
+		StepsPerWalk: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -417,16 +414,15 @@ func TestCircuitBreakerFailsFast(t *testing.T) {
 	// as each walk completes splits the retries by walk.
 	var retriesAfter []int64
 	ds, err := Crawl(Config{
-		Seed:             7,
-		Network:          n,
-		Seeders:          []string{"dead.example.com"},
-		Walks:            6,
-		StepsPerWalk:     1,
-		Parallelism:      1,
-		DirectController: true,
-		Telemetry:        tel,
-		Retry:            resilience.Policy{MaxAttempts: 3, BaseDelay: time.Second},
-		Breaker:          resilience.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
+		Seed:         7,
+		Network:      n,
+		Seeders:      []string{"dead.example.com"},
+		Walks:        6,
+		StepsPerWalk: 1,
+		Parallelism:  1,
+		Telemetry:    tel,
+		Retry:        resilience.Policy{MaxAttempts: 3, BaseDelay: time.Second},
+		Breaker:      resilience.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
 		OnWalkComplete: func(*Walk) {
 			retriesAfter = append(retriesAfter, reg.Counter("resilience.retries").Value())
 		},

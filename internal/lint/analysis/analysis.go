@@ -6,9 +6,8 @@
 // pipeline is standard library only), so rather than importing x/tools
 // this package defines the same shapes from scratch. Checkers written
 // against it look exactly like upstream analyzers — a Name, a Doc
-// string, and a Run function over a type-checked Pass — and the drivers
-// in internal/lint/driver speak both the standalone (go list) and the
-// `go vet -vettool` unitchecker protocols around them.
+// string, and a Run function over a type-checked Pass — and the driver
+// in internal/lint/driver loads packages through go list and runs them.
 //
 // Only the subset crumblint needs is implemented: no Requires-DAG, no
 // suggested fixes. Diagnostics are position-accurate (token.Pos into

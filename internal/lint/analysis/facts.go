@@ -17,9 +17,8 @@ import (
 // without seeing the callee's body, because the callee's package
 // exported the answer as a fact.
 //
-// Facts must be JSON-serializable (they travel alongside export data —
-// in the driver's result cache in standalone mode, in *.vetx files in
-// `go vet -vettool` mode) and must be pure functions of the declaring
+// Facts must be JSON-serializable (they travel alongside export data in
+// the driver's result cache) and must be pure functions of the declaring
 // package's source: the driver keys its cache on the serialized fact
 // set, so nondeterministic facts would defeat caching and, worse,
 // flip diagnostics between runs.
@@ -74,7 +73,7 @@ func ObjectPath(obj types.Object) string {
 
 // A FactSet holds the facts of one package, keyed by analyzer, object
 // path and fact type. Values live as raw JSON so a set can be moved
-// between processes (vetx files, the driver cache) without knowing the
+// between processes (through the driver cache) without knowing the
 // concrete fact types, and decoded lazily on import.
 type FactSet struct {
 	// facts maps "analyzer\x00objpath\x00factname" -> serialized fact.
@@ -140,9 +139,8 @@ func (s *FactSet) Encode() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// DecodeFactSet reads a set produced by Encode. Empty input (including
-// the zero-byte files pre-fact vetx writers produced) decodes to an
-// empty set.
+// DecodeFactSet reads a set produced by Encode. Empty input decodes to
+// an empty set.
 func DecodeFactSet(data []byte) (*FactSet, error) {
 	s := NewFactSet()
 	if len(data) == 0 {

@@ -86,7 +86,7 @@ func (c *lintCache) key(u unit, factsFor func(string) *analysis.FactSet) (string
 	h := sha256.New()
 	fmt.Fprintln(h, c.configHash)
 	fmt.Fprintln(h, u.id)
-	fmt.Fprintln(h, u.goVersion, u.compiler)
+	fmt.Fprintln(h, u.goVersion)
 	for _, name := range u.goFiles {
 		data, err := os.ReadFile(name)
 		if err != nil {

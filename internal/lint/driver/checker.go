@@ -1,16 +1,9 @@
-// Package driver runs crumblint analyzers over type-checked packages.
-// It speaks two protocols with nothing beyond the standard library:
-//
-//   - standalone: load packages named by `./...`-style patterns through
-//     `go list -export`, type-check them against the build cache's
-//     export data, and analyze every unit (including test files);
-//
-//   - unitchecker: the `go vet -vettool` contract — answer -V=full and
-//     -flags for the build tool, then analyze the single compilation
-//     unit described by a JSON .cfg file vet hands us.
-//
-// Both paths funnel into checkUnit, so a diagnostic means the same
-// thing no matter how the tool was invoked.
+// Package driver runs crumblint analyzers over type-checked packages
+// with nothing beyond the standard library: it loads the packages named
+// by `./...`-style patterns through `go list -export`, type-checks them
+// against the build cache's export data, and analyzes every unit
+// (including test files) in dependency waves, handing each unit's facts
+// to its dependents in memory.
 package driver
 
 import (
@@ -36,9 +29,8 @@ type unit struct {
 	importPath string // canonical path, test-variant suffix stripped
 	id         string // display identity (may carry " [pkg.test]")
 	goFiles    []string
-	goVersion  string // e.g. "go1.22"; empty means the toolchain default
-	compiler   string // "gc" unless the build tool says otherwise
-	deps       []string // module-internal dependency import paths (standalone)
+	goVersion  string   // e.g. "go1.22"; empty means the toolchain default
+	deps       []string // module-internal dependency import paths
 
 	// resolve maps a source-level import path to the export-data file
 	// of the package it denotes in this unit's build.
@@ -46,9 +38,8 @@ type unit struct {
 
 	// depFacts returns the fact set a dependency package exported, or
 	// nil when none is available. Facts only flow inside the module
-	// (the fact domain): both drivers gate on the import path's first
-	// segment so standalone and vet-tool mode see the same facts and
-	// agree on diagnostics.
+	// (the fact domain): checkUnit gates on the import path's first
+	// segment.
 	depFacts func(path string) *analysis.FactSet
 }
 
@@ -75,8 +66,7 @@ type finding struct {
 // checkUnit parses, type-checks and analyzes one unit, returning
 // directive-filtered findings sorted by position plus the facts the
 // analyzers exported about the unit's own package. A parse or type
-// error is returned as-is (callers decide whether that is fatal: vet's
-// SucceedOnTypecheckFailure tolerates it, standalone mode does not).
+// error is returned as-is.
 func checkUnit(fset *token.FileSet, u unit, analyzers []*analysis.Analyzer) ([]finding, *analysis.FactSet, error) {
 	var files []*ast.File
 	for _, name := range u.goFiles {
@@ -87,11 +77,7 @@ func checkUnit(fset *token.FileSet, u unit, analyzers []*analysis.Analyzer) ([]f
 		files = append(files, f)
 	}
 
-	compiler := u.compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, err := u.resolve(path)
 		if err != nil {
 			return nil, err

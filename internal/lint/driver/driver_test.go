@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -292,142 +291,6 @@ func TestJSONAndSARIFOutput(t *testing.T) {
 	}
 	if len(sarif.Runs[0].Results) != 1 || sarif.Runs[0].Results[0].RuleID != "mustclose" {
 		t.Fatalf("unexpected SARIF results: %s", buf.String())
-	}
-}
-
-// TestUnitcheckerFactRoundTrip drives the vet .cfg protocol directly:
-// analyze the dep unit (writing its vetx facts file), then analyze the
-// root unit with PackageVetx pointing at it, and assert the fact-driven
-// finding appears — and disappears when the facts are withheld.
-func TestUnitcheckerFactRoundTrip(t *testing.T) {
-	dir := writeTestModule(t)
-	t.Chdir(dir)
-
-	// Export data for type-checking both units comes from go list.
-	type listEntry struct {
-		ImportPath string
-		Export     string
-		Dir        string
-		GoFiles    []string
-	}
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Export,Dir,GoFiles", "./...")
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	packageFile := map[string]string{}
-	units := map[string]listEntry{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for dec.More() {
-		var e listEntry
-		if err := dec.Decode(&e); err != nil {
-			t.Fatal(err)
-		}
-		if e.Export != "" {
-			packageFile[e.ImportPath] = e.Export
-		}
-		units[e.ImportPath] = e
-	}
-
-	writeCfg := func(importPath, vetxOut string, packageVetx map[string]string) string {
-		e := units[importPath]
-		files := make([]string, len(e.GoFiles))
-		for i, f := range e.GoFiles {
-			files[i] = filepath.Join(e.Dir, f)
-		}
-		cfg := vetConfig{
-			ID:          importPath,
-			Compiler:    "gc",
-			ImportPath:  importPath,
-			GoFiles:     files,
-			ImportMap:   map[string]string{},
-			PackageFile: packageFile,
-			PackageVetx: packageVetx,
-			VetxOutput:  vetxOut,
-		}
-		data, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, strings.ReplaceAll(importPath, "/", "_")+".cfg")
-		if err := os.WriteFile(path, data, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	analyzers := []*analysis.Analyzer{lint.MustClose}
-	depVetx := filepath.Join(dir, "dep.vetx")
-	depCfg := writeCfg("cachemod/internal/runstore", depVetx, nil)
-	if _, findings, err := execUnitchecker(depCfg, analyzers); err != nil {
-		t.Fatalf("unitchecker on dep: %v", err)
-	} else if len(findings) != 0 {
-		t.Fatalf("dep should be clean, got %v", findings)
-	}
-	raw, err := os.ReadFile(depVetx)
-	if err != nil {
-		t.Fatalf("dep vetx not written: %v", err)
-	}
-	fs, err := analysis.DecodeFactSet(raw)
-	if err != nil {
-		t.Fatalf("dep vetx does not decode: %v", err)
-	}
-	if fs.Len() == 0 {
-		t.Fatal("dep vetx carries no facts; expected mustclose dispositions for Count/Drain")
-	}
-
-	mainVetx := filepath.Join(dir, "main.vetx")
-	mainCfg := writeCfg("cachemod", mainVetx, map[string]string{
-		"cachemod/internal/runstore": depVetx,
-	})
-	_, withFacts, err := execUnitchecker(mainCfg, analyzers)
-	if err != nil {
-		t.Fatalf("unitchecker on main: %v", err)
-	}
-	if len(withFacts) != 1 || !strings.Contains(withFacts[0].message, "cursor cur") {
-		t.Fatalf("with facts: want the cursor leak, got %v", withFacts)
-	}
-
-	// Withholding the facts makes the engine conservative: the call to
-	// Count transfers ownership and the leak goes silent.
-	noFactsCfg := writeCfg("cachemod", filepath.Join(dir, "nofacts.vetx"), nil)
-	_, without, err := execUnitchecker(noFactsCfg, analyzers)
-	if err != nil {
-		t.Fatalf("unitchecker without facts: %v", err)
-	}
-	if len(without) != 0 {
-		t.Fatalf("without facts the leak should be invisible, got %v", without)
-	}
-}
-
-// TestStandaloneAgreesWithVet builds the real crumblint binary and runs
-// it both ways over the test module, asserting the same diagnostics.
-func TestStandaloneAgreesWithVet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds cmd/crumblint and shells out to go vet")
-	}
-	dir := writeTestModule(t)
-
-	tool := filepath.Join(t.TempDir(), "crumblint")
-	build := exec.Command("go", "build", "-o", tool, "crumbcruncher/cmd/crumblint")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building crumblint: %v\n%s", err, out)
-	}
-
-	t.Chdir(dir)
-	res := runIn(t, dir, Options{})
-
-	vet := exec.Command("go", "vet", "-vettool="+tool, "-mustclose", "./...")
-	vetOut, _ := vet.CombinedOutput() // exits 1 with findings; output is what matters
-	for _, f := range res.Findings {
-		if !strings.Contains(string(vetOut), f.Message) {
-			t.Errorf("standalone finding missing from go vet output:\n  %s\nvet output:\n%s", f.Message, vetOut)
-		}
-	}
-	// And nothing extra: vet should report exactly as many mustclose
-	// diagnostics as standalone found.
-	if got, want := strings.Count(string(vetOut), "[mustclose]"), len(res.Findings); got != want {
-		t.Errorf("go vet reported %d mustclose findings, standalone %d\nvet output:\n%s", got, want, vetOut)
 	}
 }
 

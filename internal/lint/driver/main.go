@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"crumbcruncher/internal/lint/analysis"
 )
 
-// Main is the entry point shared by cmd/crumblint: it dispatches
-// between the build-tool handshakes (-V=full, -flags), unitchecker mode
-// (a single *.cfg argument from `go vet -vettool`), and standalone mode
-// (package patterns resolved through `go list`).
+// Main is cmd/crumblint's entry point: it parses the command line and
+// analyzes the packages named by its patterns, resolved through
+// `go list`.
 func Main(analyzers ...*analysis.Analyzer) {
 	log.SetFlags(0)
 	log.SetPrefix(progname() + ": ")
@@ -21,15 +21,13 @@ func Main(analyzers ...*analysis.Analyzer) {
 		log.Fatal(err)
 	}
 
-	versionFlag := flag.String("V", "", "print version and exit (-V=full is the go command's handshake)")
-	flagsFlag := flag.Bool("flags", false, "print analyzer flags in JSON (for the go command)")
-	testsFlag := flag.Bool("tests", true, "standalone mode: also analyze test files")
-	jsonFlag := flag.Bool("json", false, "standalone mode: emit findings as a JSON array")
-	sarifFlag := flag.Bool("sarif", false, "standalone mode: emit findings as SARIF 2.1.0")
-	baselineFlag := flag.String("baseline", "", "standalone mode: suppress findings listed in this baseline file")
-	writeBaselineFlag := flag.String("write-baseline", "", "standalone mode: write current findings to this baseline file and exit 0")
-	cacheFlag := flag.String("cache", "", "standalone mode: directory for the content-hash result cache (e.g. bin/.lintcache)")
-	parallelFlag := flag.Int("parallel", 0, "standalone mode: max concurrent units (0 = GOMAXPROCS)")
+	testsFlag := flag.Bool("tests", true, "also analyze test files")
+	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array")
+	sarifFlag := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
+	baselineFlag := flag.String("baseline", "", "suppress findings listed in this baseline file")
+	writeBaselineFlag := flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
+	cacheFlag := flag.String("cache", "", "directory for the content-hash result cache (e.g. bin/.lintcache)")
+	parallelFlag := flag.Int("parallel", 0, "max concurrent units (0 = GOMAXPROCS)")
 	selected := make(map[string]*bool, len(analyzers))
 	for _, a := range analyzers {
 		usage := a.Doc
@@ -42,8 +40,7 @@ func Main(analyzers ...*analysis.Analyzer) {
 		fmt.Fprintf(os.Stderr, `%[1]s machine-checks crumbcruncher's determinism, clock and telemetry invariants.
 
 Usage:
-	%[1]s [-NAME...] package...	# standalone, e.g. %[1]s ./...
-	go vet -vettool=$(which %[1]s) ./...	# as a vet tool (covers test files)
+	%[1]s [flags] [-NAME...] package...	# e.g. %[1]s ./...
 
 Analyzers (all run by default; -NAME selects a subset):
 `, progname())
@@ -58,17 +55,8 @@ Analyzers (all run by default; -NAME selects a subset):
 	}
 	flag.Parse()
 
-	if *versionFlag != "" {
-		printVersion()
-		return
-	}
-	if *flagsFlag {
-		printFlags(analyzers)
-		return
-	}
-
 	// Explicitly enabled analyzers narrow the run to just those; with no
-	// selection flags every analyzer runs (vet semantics).
+	// selection flags every analyzer runs.
 	var enabled []*analysis.Analyzer
 	for _, a := range analyzers {
 		if *selected[a.Name] {
@@ -80,10 +68,6 @@ Analyzers (all run by default; -NAME selects a subset):
 	}
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnitchecker(args[0], enabled)
-		return
-	}
 	if len(args) == 0 {
 		flag.Usage()
 	}
@@ -105,3 +89,5 @@ Analyzers (all run by default; -NAME selects a subset):
 		Parallel:          *parallelFlag,
 	})
 }
+
+func progname() string { return filepath.Base(os.Args[0]) }

@@ -119,7 +119,7 @@ func loadPackages(patterns []string, includeTests bool) ([]unit, error) {
 			// cgo units cannot be type-checked without the generated
 			// sources; the repository has none, but fail loudly rather
 			// than silently skipping if one ever appears.
-			return nil, fmt.Errorf("%s: cgo packages are not supported by crumblint's standalone mode; use go vet -vettool", p.ImportPath)
+			return nil, fmt.Errorf("%s: cgo packages are not supported by crumblint", p.ImportPath)
 		}
 		if len(p.GoFiles) == 0 {
 			continue
@@ -149,7 +149,6 @@ func loadPackages(patterns []string, includeTests bool) ([]unit, error) {
 			id:         p.ImportPath,
 			goFiles:    files,
 			goVersion:  goVersion,
-			compiler:   "gc",
 			deps:       deps,
 			resolve: func(path string) (string, error) {
 				if mapped, ok := importMap[path]; ok {

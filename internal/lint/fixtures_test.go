@@ -27,10 +27,6 @@ func TestSpanEnd(t *testing.T) {
 	linttest.Run(t, "testdata", lint.SpanEnd, "spanend")
 }
 
-func TestNoEntry(t *testing.T) {
-	linttest.Run(t, "testdata", lint.NoEntry, "noentry", "crumbcruncher")
-}
-
 func TestFsyncpolicy(t *testing.T) {
 	linttest.Run(t, "testdata", lint.Fsyncpolicy, "fsyncpolicy", "fsyncpolicy/internal/runio")
 }

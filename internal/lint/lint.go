@@ -19,7 +19,6 @@ func All() []*analysis.Analyzer {
 		SeededRand,
 		MapOrder,
 		SpanEnd,
-		NoEntry,
 		Fsyncpolicy,
 		MustClose,
 		PoolReset,

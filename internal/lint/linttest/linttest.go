@@ -302,7 +302,7 @@ func (l *loader) depFacts(a *analysis.Analyzer, dep string) *analysis.FactSet {
 		l.t.Fatalf("%s on fact dependency %s: %v", a.Name, dep, err)
 	}
 	// Round-trip through the wire format so a fact that would not
-	// survive the vetx/cache encoding fails loudly here.
+	// survive the driver cache's encoding fails loudly here.
 	enc, err := facts.Encode()
 	if err != nil {
 		l.t.Fatalf("encoding facts of %s: %v", dep, err)

@@ -12,7 +12,7 @@ import (
 
 // TestSelfLint runs every analyzer over the whole repository, tests
 // included. The tree must stay clean: a violation fails here before it
-// ever reaches CI's vet-tool run.
+// ever reaches CI's lint job.
 func TestSelfLint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go list -export over the whole module")

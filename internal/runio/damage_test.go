@@ -55,7 +55,9 @@ func seedFile(t *testing.T, dir, format string, n int) (string, []int64) {
 // every artifact format and every frame boundary: truncations inside
 // the final record recover (torn tail), truncations that amputate whole
 // records plus a partial one recover to the last whole record, and bit
-// flips anywhere quarantine (corrupt) with the damaged record pinned.
+// flips anywhere quarantine (corrupt) with the damaged record pinned. A
+// pre-framing v1 file (bare JSONL) is corrupt from its header on: it is
+// quarantined whole, never truncated.
 func TestDamageMatrix(t *testing.T) {
 	formats := []string{RunFormat, CheckpointFormat, AnalysisFormat, IndexFormat}
 	const entries = 4
@@ -136,6 +138,20 @@ func TestDamageMatrix(t *testing.T) {
 			wantEntries: -1,
 			wantRecord:  3,
 		},
+		{
+			name: "bare-JSONL v1 file",
+			damage: func(d []byte, off []int64) []byte {
+				var out []byte
+				for _, line := range bytes.SplitAfter(d, []byte("\n")) {
+					if len(line) > framePrefixLen {
+						out = append(out, line[framePrefixLen:]...)
+					}
+				}
+				return out
+			},
+			wantEntries: -1,
+			wantRecord:  0,
+		},
 	}
 
 	for _, format := range formats {
@@ -147,7 +163,8 @@ func TestDamageMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, tc.damage(data, offsets), 0o644); err != nil {
+				damaged := tc.damage(data, offsets)
+				if err := os.WriteFile(path, damaged, 0o644); err != nil {
 					t.Fatal(err)
 				}
 
@@ -181,8 +198,10 @@ func TestDamageMatrix(t *testing.T) {
 				if dmg.Offset != offsets[tc.wantRecord] {
 					t.Fatalf("damage pinned to offset %d, want %d", dmg.Offset, offsets[tc.wantRecord])
 				}
-				if _, err := os.Stat(dmg.Quarantined); err != nil {
+				if q, err := os.ReadFile(dmg.Quarantined); err != nil {
 					t.Fatalf("quarantine file: %v", err)
+				} else if !bytes.Equal(q, damaged) {
+					t.Fatalf("quarantined %d bytes, want the damaged file's %d untouched", len(q), len(damaged))
 				}
 				if _, err := os.Stat(path); !os.IsNotExist(err) {
 					t.Fatal("damaged file left in place")
@@ -195,8 +214,8 @@ func TestDamageMatrix(t *testing.T) {
 	}
 }
 
-// TestDocumentDamage covers the single-document artifact (a saved run):
-// truncation is torn, a flipped byte is corrupt, both typed.
+// TestDocumentDamage covers the single-document artifact: truncation is
+// torn, a flipped byte or a missing frame is corrupt, all typed.
 func TestDocumentDamage(t *testing.T) {
 	var buf bytes.Buffer
 	doc := struct {
@@ -225,6 +244,12 @@ func TestDocumentDamage(t *testing.T) {
 	err = ReadDocument(bytes.NewReader(flipped), want, &out)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flipped document: %v, want ErrCorrupt", err)
+	}
+
+	unframed := intact[framePrefixLen:]
+	err = ReadDocument(bytes.NewReader(unframed), want, &out)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unframed document: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -10,12 +10,12 @@ import "hash/crc32"
 //
 // where crc32 is the IEEE checksum of the payload bytes and length is
 // the payload's byte count. The '!' marker cannot open a JSON value, so
-// a reader distinguishes framed (v2) from legacy (v1, plain JSONL)
-// files by the first byte alone. The length prefix tells a truncated
-// payload (torn write: the line is shorter than the frame declares)
-// from a complete-but-mangled one (corruption: the declared length is
-// all there, but the checksum disagrees); DESIGN.md §12 records the
-// resulting classification matrix.
+// an unframed line (such as a pre-framing v1 plain-JSONL record) never
+// parses as a frame and reads as corrupt. The length prefix tells a
+// truncated payload (torn write: the line is shorter than the frame
+// declares) from a complete-but-mangled one (corruption: the declared
+// length is all there, but the checksum disagrees); DESIGN.md §12
+// records the resulting classification matrix.
 const (
 	frameMark      = '!'
 	framePrefixLen = 19 // '!' + 8 + '!' + 8 + '!'

@@ -13,18 +13,16 @@ import (
 )
 
 // LineFile is an append-only JSONL artifact whose first line is a
-// validated Header. New files are written framed (format v2: every
-// record CRC32-checksummed and length-prefixed); files created before
-// the framing remain readable and are appended to in their own legacy
-// format. Opening an existing file replays its entry lines, recovering
-// from a torn tail (truncate back to the last complete record) and
-// quarantining mid-file corruption. Append is safe for concurrent use.
+// validated Header. Every record is framed (format v2: CRC32-checksummed
+// and length-prefixed). Opening an existing file replays its entry
+// lines, recovering from a torn tail (truncate back to the last
+// complete record) and quarantining mid-file corruption. Append is safe
+// for concurrent use.
 type LineFile struct {
 	mu     sync.Mutex
 	f      *os.File
 	path   string
 	format string
-	framed bool
 	policy SyncPolicy
 
 	seq      uint64 // records written through this handle (header = 0)
@@ -129,7 +127,6 @@ func OpenLineFileOpts(path string, want Header, opts OpenOptions) (*LineFile, []
 		f:      f,
 		path:   path,
 		format: want.Format,
-		framed: sc.framed,
 		policy: opts.Sync.resolve(),
 	}
 	if sc.damage != nil {
@@ -143,7 +140,6 @@ func OpenLineFileOpts(path string, want Header, opts OpenOptions) (*LineFile, []
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return fail(fmt.Errorf("runio: %s %s: %w", want.Format, path, err))
 		}
-		lf.framed = true
 		if err := lf.appendValue(want); err != nil {
 			return fail(fmt.Errorf("runio: %s %s: %w", want.Format, path, err))
 		}
@@ -156,16 +152,15 @@ func OpenLineFileOpts(path string, want Header, opts OpenOptions) (*LineFile, []
 // scanResult is one pass over a line file's bytes.
 type scanResult struct {
 	entries [][]byte
-	framed  bool
 	goodEnd int64 // byte offset just past the last intact record
 	damage  *DamageError
 }
 
-// scanLines walks the file's lines, validating each record against the
-// framing (v2) or plain-JSON (legacy) rules and classifying the first
-// damage it meets: torn (only possible at the tail) or corrupt.
+// scanLines walks the file's lines, validating each record's frame and
+// classifying the first damage it meets: torn (only possible at the
+// tail) or corrupt. An unframed line is corrupt wherever it appears.
 func scanLines(data []byte, want Header) scanResult {
-	res := scanResult{framed: true}
+	var res scanResult
 	off := int64(0)
 	rec := 0
 	for int(off) < len(data) {
@@ -180,15 +175,7 @@ func scanLines(data []byte, want Header) scanResult {
 		}
 		last := int(end) == len(data)
 
-		if rec == 0 {
-			res.framed = len(line) > 0 && line[0] == frameMark
-		}
-		payload, kind := line, frameOK
-		if res.framed {
-			payload, kind = parseFrame(line)
-		} else if !json.Valid(line) {
-			kind = frameShort // legacy files cannot tell a tear from a flip
-		}
+		payload, kind := parseFrame(line)
 		if kind == frameOK && nl < 0 {
 			// A record without its trailing newline parsed whole, but
 			// the terminator a complete append always writes is gone:
@@ -244,10 +231,9 @@ func (lf *LineFile) Recovery() Recovery {
 	return lf.recovery
 }
 
-// Append encodes v as one record line — framed with a CRC32 checksum
-// and length prefix on v2 files. Depending on the sync policy the
-// append may fsync before returning. Safe for concurrent use and on a
-// nil receiver.
+// Append encodes v as one record line, framed with a CRC32 checksum
+// and length prefix. Depending on the sync policy the append may fsync
+// before returning. Safe for concurrent use and on a nil receiver.
 func (lf *LineFile) Append(v any) error {
 	if lf == nil {
 		return nil
@@ -270,12 +256,7 @@ func (lf *LineFile) appendValue(v any) error {
 	if err != nil {
 		return fmt.Errorf("runio: %s: encode record: %w", lf.format, err)
 	}
-	var line []byte
-	if lf.framed {
-		line = buildFrame(payload)
-	} else {
-		line = append(payload, '\n')
-	}
+	line := buildFrame(payload)
 
 	var crash error
 	if fault := currentFault(); fault != nil {
@@ -375,8 +356,8 @@ func (lf *LineFile) Close() error {
 }
 
 // Records parses an in-memory line-file image — a header line followed
-// by entry records, framed or legacy — validating every frame and the
-// header against want, and returns the raw entry payloads in order.
+// by entry records — validating every frame and the header against
+// want, and returns the raw entry payloads in order.
 // Unlike OpenLineFile there is no file to repair, so any damage —
 // including a torn tail — surfaces as a *DamageError; callers holding
 // a sealed artifact (e.g. a compressed run segment) treat every kind as
@@ -420,7 +401,6 @@ func SalvageLineFile(path string, want Header) (entries [][]byte, dropped int, e
 	}
 	off := 0
 	rec := 0
-	framed := len(data) > 0 && data[0] == frameMark
 	for off < len(data) {
 		nl := bytes.IndexByte(data[off:], '\n')
 		var line []byte
@@ -429,12 +409,7 @@ func SalvageLineFile(path string, want Header) (entries [][]byte, dropped int, e
 		} else {
 			line, off = data[off:off+nl], off+nl+1
 		}
-		payload, kind := line, frameOK
-		if framed {
-			payload, kind = parseFrame(line)
-		} else if !json.Valid(line) {
-			kind = frameBad
-		}
+		payload, kind := parseFrame(line)
 		if rec == 0 {
 			rec++
 			if kind != frameOK {

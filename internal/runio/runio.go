@@ -14,8 +14,8 @@
 // complete record) from *mid-file corruption* (bit rot or an overwrite
 // — the file is quarantined to "<path>.corrupt" and a typed error
 // carrying the damaged offset and record index is surfaced; damage is
-// never silently skipped). Files written before the framing existed
-// (v1: plain JSONL) remain fully readable and appendable. Writers
+// never silently skipped). An unframed file (the pre-framing v1 plain
+// JSONL) is corrupt and quarantined like any other. Writers
 // carry an fsync policy (SyncNever / SyncInterval / SyncEveryRecord),
 // and finalized documents land via temp-file + atomic rename
 // (WriteFileAtomic), so a saved run is either completely present or
@@ -32,7 +32,8 @@ import (
 
 // Artifact format identifiers.
 const (
-	// RunFormat is a saved crawl (SaveRun / EncodeRun).
+	// RunFormat is a stored run's configuration and provenance as one
+	// document (the serve layer's GET /runs/{id}).
 	RunFormat = "crumbcruncher/run"
 	// CheckpointFormat is an incremental walk checkpoint.
 	CheckpointFormat = "crumbcruncher/checkpoint"
@@ -52,7 +53,7 @@ const (
 	SegmentIndexFormat = "crumbcruncher/run-segment-index"
 )
 
-// RunVersion is bumped when the saved-run document layout changes.
+// RunVersion is bumped when the RunFormat document layout changes.
 const RunVersion = 1
 
 // Header is the versioned identity every persisted artifact starts
@@ -65,20 +66,11 @@ type Header struct {
 	Seed    int64  `json:"seed"`
 }
 
-// legacy reports whether h predates versioned headers entirely (a file
-// written before this package existed: no format, no version).
-func (h Header) legacy() bool { return h.Format == "" && h.Version == 0 }
-
-// Check validates h against the expected header. Artifacts written
-// before the format field existed (empty Format) are tolerated, as are
-// fully pre-versioning documents (no header fields at all). A zero
-// want.Seed skips the seed comparison — used when the seed is not known
-// until the document is decoded.
+// Check validates h against the expected header: format and version
+// must match exactly. A zero want.Seed skips the seed comparison — used
+// when the seed is not known until the document is decoded.
 func (h Header) Check(want Header) error {
-	if h.legacy() {
-		return nil
-	}
-	if h.Format != "" && h.Format != want.Format {
+	if h.Format != want.Format {
 		return fmt.Errorf("runio: format %q, want %q", h.Format, want.Format)
 	}
 	if h.Version != want.Version {
@@ -165,11 +157,10 @@ func WriteDocument(w io.Writer, v any) error {
 }
 
 // ReadDocument reads one whole JSON document from r, validates its
-// framing (when present) and its top-level header fields against want,
-// and unmarshals the document into v. Unframed documents (written
-// before format v2) and pre-versioning documents (no header fields)
-// pass validation. A truncated framed document returns a DamageError
-// wrapping ErrTorn; a checksum mismatch one wrapping ErrCorrupt.
+// framing and its top-level header fields against want, and unmarshals
+// the document into v. A truncated document returns a DamageError
+// wrapping ErrTorn; a checksum mismatch or a missing frame one
+// wrapping ErrCorrupt.
 func ReadDocument(r io.Reader, want Header, v any) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -193,13 +184,9 @@ func ReadDocument(r io.Reader, want Header, v any) error {
 }
 
 // DocumentPayload unwraps a document's frame, verifying length and
-// checksum, and returns the raw JSON payload. Unframed (pre-v2)
-// documents pass through unchanged. The format names the artifact in
-// damage errors.
+// checksum, and returns the raw JSON payload. An unframed document is
+// corrupt. The format names the artifact in damage errors.
 func DocumentPayload(data []byte, format string) ([]byte, error) {
-	if len(data) == 0 || data[0] != frameMark {
-		return data, nil // pre-framing document: raw JSON
-	}
 	line := data
 	if n := len(line); n > 0 && line[n-1] == '\n' {
 		line = line[:n-1]

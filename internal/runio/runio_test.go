@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -16,8 +15,8 @@ func TestHeaderCheck(t *testing.T) {
 		ok   bool
 	}{
 		{"exact", Header{Format: CheckpointFormat, Version: 1, Seed: 7}, true},
-		{"pre-format", Header{Version: 1, Seed: 7}, true},
-		{"pre-versioning", Header{}, true},
+		{"no format", Header{Version: 1, Seed: 7}, false},
+		{"no header fields", Header{}, false},
 		{"wrong format", Header{Format: RunFormat, Version: 1, Seed: 7}, false},
 		{"wrong version", Header{Format: CheckpointFormat, Version: 2, Seed: 7}, false},
 		{"wrong seed", Header{Format: CheckpointFormat, Version: 1, Seed: 8}, false},
@@ -61,14 +60,15 @@ func TestDocumentRoundTrip(t *testing.T) {
 		t.Fatal("version mismatch not rejected")
 	}
 
-	// A pre-versioning document (no header fields) still decodes.
-	legacy := strings.NewReader(`{"payload":"old"}`)
-	out = doc{}
-	if err := ReadDocument(legacy, Header{Format: RunFormat, Version: RunVersion}, &out); err != nil {
-		t.Fatalf("legacy document rejected: %v", err)
+	// A document without header fields is not the artifact asked for.
+	buf.Reset()
+	if err := WriteDocument(&buf, struct {
+		Payload string `json:"payload"`
+	}{"old"}); err != nil {
+		t.Fatal(err)
 	}
-	if out.Payload != "old" {
-		t.Fatalf("legacy payload = %q", out.Payload)
+	if err := ReadDocument(&buf, Header{Format: RunFormat, Version: RunVersion}, &out); err == nil {
+		t.Fatal("headerless document not rejected")
 	}
 }
 

@@ -9,23 +9,19 @@
 // Two backends ship (DESIGN.md §13):
 //
 //   - line: a single CRC-framed JSONL file (the runio.LineFile format
-//     the checkpoint layer already uses). Simple, greppable, and the
-//     natural migration target for the old single-document SaveRun
-//     files. Random access decodes from an in-memory raw-record table,
-//     so memory is O(compressed file), not O(decoded dataset).
+//     the checkpoint layer already uses). Simple and greppable. Random
+//     access decodes from an in-memory raw-record table, so memory is
+//     O(compressed file), not O(decoded dataset).
 //   - segment: a directory of fixed-size walk segments, gzip-compressed
 //     as they seal, with a sidecar index for random access and an
 //     atomically rewritten manifest. Memory is O(one segment); this is
 //     the backend for 100k-walk datasets.
 //
-// Legacy single-document SaveRun files open read-only through the same
-// interface, so every reader in the tree speaks runstore regardless of
-// how a run was written. The package depends only on crawler and runio;
-// analysis layers sit above it.
+// The package depends only on crawler and runio; analysis layers sit
+// above it.
 package runstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -129,10 +125,8 @@ func Create(path string, backend Backend, m Manifest) (Store, error) {
 	}
 }
 
-// Open opens an existing store at path, sniffing the backend: a
-// directory is a segment store; a file is a line store or — for runs
-// written by the deprecated SaveRun — a legacy single-document run,
-// served read-only through the same interface.
+// Open opens an existing store at path: a directory is a segment
+// store, anything else a line store.
 func Open(path string) (Store, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -141,46 +135,7 @@ func Open(path string) (Store, error) {
 	if fi.IsDir() {
 		return openSegment(path)
 	}
-	kind, err := sniffFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if kind == fileLegacy {
-		return openLegacy(path)
-	}
 	return openLine(path)
-}
-
-// fileKind classifies a run file on disk.
-type fileKind int
-
-const (
-	fileLine fileKind = iota
-	fileLegacy
-)
-
-// sniffFile distinguishes a line-backend walk file from a legacy
-// single-document SaveRun file without decoding either: a line store's
-// first frame carries the WalksFormat header; everything else — framed
-// run documents and pre-framing raw JSON — is legacy.
-func sniffFile(path string) (fileKind, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("runstore: open %s: %w", path, err)
-	}
-	defer f.Close()
-	buf := make([]byte, 4096)
-	n, _ := f.Read(buf)
-	head := buf[:n]
-	if i := bytes.IndexByte(head, '\n'); i >= 0 {
-		head = head[:i]
-	}
-	// Cheap containment check on the first line is enough: the header
-	// record is tiny and carries its format string verbatim.
-	if bytes.Contains(head, []byte(runio.WalksFormat)) {
-		return fileLine, nil
-	}
-	return fileLegacy, nil
 }
 
 // Copy streams every walk of src into dst and finalizes dst. It is the

@@ -246,18 +246,20 @@ func TestCrossBackendCopy(t *testing.T) {
 	back.Close()
 }
 
-func TestOpenLegacyDocument(t *testing.T) {
-	// A legacy single-document run (the deprecated SaveRun format) reads
-	// through the same Store interface.
-	path := filepath.Join(t.TempDir(), "legacy.json")
-	ds := &crawler.Dataset{Seed: 21, Crawlers: []string{"safari1"}}
-	for i := 0; i < 4; i++ {
-		ds.Walks = append(ds.Walks, testWalk(i))
-	}
-	doc := legacyDoc{
+func TestOpenSingleDocumentRejected(t *testing.T) {
+	// A single-document run (one framed RunFormat document) is not a
+	// store: Open fails the line backend's header check, and the file is
+	// a caller mistake, not damage — it is neither quarantined nor
+	// rewritten.
+	path := filepath.Join(t.TempDir(), "run.json")
+	doc := struct {
+		runio.Header
+		Config  json.RawMessage  `json:"config"`
+		Dataset *crawler.Dataset `json:"dataset"`
+	}{
 		Header:  runio.Header{Format: runio.RunFormat, Version: runio.RunVersion, Seed: 21},
-		Config:  json.RawMessage(`{"walks":4}`),
-		Dataset: ds,
+		Config:  json.RawMessage(`{"walks":1}`),
+		Dataset: &crawler.Dataset{Seed: 21, Walks: []*crawler.Walk{testWalk(0)}},
 	}
 	err := runio.WriteFileAtomic(path, func(w io.Writer) error {
 		return runio.WriteDocument(w, doc)
@@ -265,19 +267,29 @@ func TestOpenLegacyDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(path)
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if m := st.Manifest(); m.Seed != 21 || m.Walks != 4 {
-		t.Fatalf("legacy manifest: %+v", m)
+	st, err := Open(path)
+	if err == nil {
+		st.Close()
+		t.Fatal("single-document run opened as a store")
 	}
-	if got := drain(t, st); len(got) != 4 {
-		t.Fatalf("legacy walks = %d, want 4", len(got))
+	want := runio.Header{Format: runio.WalksFormat, Version: lineWalksVersion}
+	if herr := doc.Header.Check(want); herr == nil || err.Error() != herr.Error() {
+		t.Fatalf("Open error = %v, want the header-check error %v", err, herr)
 	}
-	if err := st.Append(testWalk(5)); err == nil {
-		t.Fatal("legacy store accepted an append")
+	var dmg *runio.DamageError
+	if errors.As(err, &dmg) {
+		t.Fatalf("header mismatch reported as damage: %v", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("document moved: %v", err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("document rewritten by a failed Open")
 	}
 }
 

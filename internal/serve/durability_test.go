@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -125,8 +126,8 @@ func TestJobTimeout(t *testing.T) {
 
 // TestStoreBootRepair: a server booting on a damaged store heals it —
 // a corrupt index is quarantined and rebuilt from salvageable records,
-// entries whose run files are gone are dropped, and the surviving runs
-// stay listable and reanalyzable.
+// entries whose run files are gone or are not run stores are dropped,
+// and the surviving runs stay listable and reanalyzable.
 func TestStoreBootRepair(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := New(Options{Workers: 1, StoreDir: dir})
@@ -144,6 +145,7 @@ func TestStoreBootRepair(t *testing.T) {
 	keep := seedRun(1)
 	corrupted := seedRun(2)
 	missing := seedRun(3)
+	single := seedRun(4)
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +154,15 @@ func TestStoreBootRepair(t *testing.T) {
 	// Damage: flip a byte inside one run's index entry (mid-file
 	// corruption) and delete another run's document outright.
 	if err := os.Remove(filepath.Join(dir, "run-"+missing.ID+".json")); err != nil {
+		t.Fatal(err)
+	}
+	// A single-document run (the pre-RunStore file shape) is not a run
+	// store: its entry is dropped, and the file is left where it is.
+	singlePath := filepath.Join(dir, "run-"+single.ID+".json")
+	err = runio.WriteFileAtomic(singlePath, func(w io.Writer) error {
+		return runio.WriteDocument(w, runio.Header{Format: runio.RunFormat, Version: runio.RunVersion, Seed: 4})
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	idxPath := filepath.Join(dir, "index.jsonl")
@@ -198,8 +209,11 @@ func TestStoreBootRepair(t *testing.T) {
 	if reg.Counters["runio.quarantined_files"] == 0 {
 		t.Fatal("quarantine not counted in telemetry")
 	}
-	if reg.Counters["serve.store_dropped_runs"] == 0 {
-		t.Fatal("dropped run not counted in telemetry")
+	if n := reg.Counters["serve.store_dropped_runs"]; n != 2 {
+		t.Fatalf("serve.store_dropped_runs = %d, want 2 (missing and single-document runs)", n)
+	}
+	if _, err := os.Stat(singlePath); err != nil {
+		t.Fatalf("single-document run file moved: %v", err)
 	}
 
 	// The surviving run still reanalyzes: its document verifies.

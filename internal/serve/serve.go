@@ -547,8 +547,8 @@ func (s *Server) handleRunFetch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown run")
 		return
 	}
-	// Stored runs live behind the RunStore codec (line, segment or
-	// legacy backend); clients get one checksum-verified JSON document
+	// Stored runs live behind the RunStore codec (line or segment
+	// backend); clients get one checksum-verified JSON document
 	// in the stable single-document shape regardless of the backend.
 	st, err := crumbcruncher.OpenRunStore(s.store.RunPath(entry))
 	if err != nil {

@@ -117,8 +117,9 @@ func OpenStore(dir string, tel *telemetry.Telemetry) (*Store, error) {
 
 // verifyRun checks that an index entry still points at a readable run
 // store: the file opens through the runstore codec, which re-verifies
-// every record's checksum (legacy single-document runs verify their
-// framed checksum the same way).
+// every record's checksum. A file that is not a run store — such as a
+// single-document run saved before the RunStore format — fails the
+// check and its entry is dropped.
 func (s *Store) verifyRun(e RunEntry) error {
 	st, err := runstore.Open(s.RunPath(e))
 	if err != nil {

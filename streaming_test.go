@@ -260,9 +260,7 @@ func TestRunnerOptions(t *testing.T) {
 // TestWorkStealingCrawlDeterminism pins the crawl's work-stealing
 // dispatch (a fixed worker pool claiming walk indices from a shared
 // counter): runs must produce byte-identical metrics JSON at
-// parallelism 1, 4 and 16. The paper-faithful loopback HTTP controller
-// transport is a deployment shape, not a semantic choice, so flipping
-// it on must not change the bytes either.
+// parallelism 1, 4 and 16.
 func TestWorkStealingCrawlDeterminism(t *testing.T) {
 	base := crumbcruncher.SmallConfig()
 	base.World.Seed = 5
@@ -282,16 +280,5 @@ func TestWorkStealingCrawlDeterminism(t *testing.T) {
 		} else if !bytes.Equal(got, ref) {
 			t.Errorf("parallelism %d: metrics differ from parallelism 1", par)
 		}
-	}
-
-	httpCfg := base
-	httpCfg.Parallelism = 4
-	httpCfg.ControllerHTTP = true
-	run, err := crumbcruncher.NewRunner(httpCfg).Run(context.Background())
-	if err != nil {
-		t.Fatalf("http controller transport: %v", err)
-	}
-	if !bytes.Equal(metricsBytes(t, run), ref) {
-		t.Error("HTTP controller transport changed the metrics bytes")
 	}
 }

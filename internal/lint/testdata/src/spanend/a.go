@@ -86,3 +86,43 @@ func allowedLeak(tel *telemetry.Telemetry) {
 	sp := tel.StartSpan("layer", "waived") //crumb:allow spanend fixture: span intentionally kept open
 	sp.Attr("k", "v")
 }
+
+func okNilGuard(tel *telemetry.Telemetry) {
+	sp := tel.StartSpan("layer", "guard")
+	if sp != nil { // comparing the handle transfers it: no report
+		sp.End()
+	}
+}
+
+func okAppendReturn(tel *telemetry.Telemetry, list []*telemetry.Active) []*telemetry.Active {
+	sp := tel.StartSpan("layer", "append")
+	return append(list, sp)
+}
+
+func okMapKey(tel *telemetry.Telemetry, m map[*telemetry.Active]bool) {
+	sp := tel.StartSpan("layer", "key")
+	m[sp] = true
+}
+
+func overwritten(tel *telemetry.Telemetry) {
+	sp := tel.StartSpan("layer", "nil")
+	sp = nil // want `span sp overwritten before End/EndErr`
+	sp.End()
+}
+
+func leakSwitch(tel *telemetry.Telemetry, k int) {
+	sp := tel.StartSpan("layer", "switch") // want `span sp is not ended before the function returns`
+	switch k {
+	case 1:
+		sp.End()
+	case 2:
+		work()
+	}
+}
+
+func leakLoop(tel *telemetry.Telemetry, n int) {
+	sp := tel.StartSpan("layer", "loop") // want `span sp is not ended before the function returns`
+	for i := 0; i < n; i++ {
+		sp.End()
+	}
+}

@@ -22,11 +22,10 @@ import (
 // across package boundaries, so a caller-side pass knows that a callee
 // closes (or retains) the resource it is handed.
 //
-// The walk is deliberately the same shape as PR 5's spanend walker,
-// which this engine generalizes: states merge at branch joins
-// pessimistically (any falling path that still holds a live resource
-// keeps the obligation alive), loops merge entry with body-exit, and
-// break/continue/goto give up on the path conservatively.
+// States merge at branch joins pessimistically (any falling path that
+// still holds a live resource keeps the obligation alive), loops merge
+// entry with body-exit, and break/continue/goto give up on the path
+// conservatively.
 
 // effect says what passing a tracked value to a call does to the
 // caller's obligation.
@@ -61,8 +60,11 @@ type resourceClass struct {
 	chainMethods map[string]bool
 
 	// borrow: method calls and field reads on the tracked value that
-	// are not releases leave it tracked. false reproduces spanend's
-	// strict legacy rule: any non-release use transfers ownership.
+	// are not releases leave it tracked, as do uses that cannot move
+	// it (builtin and conversion arguments, indexing, ranging,
+	// comparisons). false: any use other than a release or chain
+	// method call, a reassignment or a deferred-closure capture
+	// transfers ownership.
 	borrow bool
 
 	// releaseArg reports an intrinsic argument-position release — e.g.
@@ -161,6 +163,24 @@ func runAcqRel(pass *analysis.Pass, cfg engineConfig) (interface{}, error) {
 		}
 	}
 	return nil, nil
+}
+
+// functionBodies lists every function body in the file: declarations
+// and literals, each analyzed as its own scope.
+func functionBodies(f *ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				out = append(out, n.Body)
+			}
+		case *ast.FuncLit:
+			out = append(out, n.Body)
+		}
+		return true
+	})
+	return out
 }
 
 // --- fact computation -------------------------------------------------------
@@ -399,6 +419,38 @@ func (e *engine) checkBody(body *ast.BlockStmt) {
 	}
 }
 
+// inspectShallow walks the body without descending into nested function
+// literals.
+func inspectShallow(body *ast.BlockStmt, fn func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			fn(n)
+		}
+		return true
+	})
+}
+
+// parentMap records each node's parent within body.
+func parentMap(body *ast.BlockStmt) map[ast.Node]ast.Node {
+	parents := map[ast.Node]ast.Node{}
+	var stack []ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if len(stack) > 0 {
+			parents[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return parents
+}
+
 // eachAcquire matches resource acquisitions in an assignment shape,
 // including the two-valued `v, err := Acquire()` form, and invokes fn
 // with the receiving expression, the class, and the source expression.
@@ -549,16 +601,17 @@ func (e *engine) escapes(body *ast.BlockStmt, obj types.Object, class *resourceC
 				escapes = true // calling the handle itself
 				return false
 			}
-			if e.argEffect(class, p, argIndex(p, id)) == effTransfer {
+			switch e.argEffect(class, p, argIndex(p, id)) {
+			case effTransfer:
 				escapes = true
+			case effKeep:
+				escapes = !class.borrow
 			}
-		case *ast.IndexExpr:
-			// Element reads/writes (m[k], s[i]) and using the handle as
-			// a key do not move ownership of the handle itself.
-		case *ast.RangeStmt:
-			// Iterating the handle's elements borrows it.
-		case *ast.BinaryExpr:
-			// Comparisons (v == nil) do not move ownership.
+		case *ast.IndexExpr, *ast.RangeStmt, *ast.BinaryExpr:
+			// Element reads/writes (m[k], s[i]), using the handle as a
+			// key, iterating its elements and comparisons (v == nil)
+			// borrow it.
+			escapes = !class.borrow
 		default:
 			escapes = true
 		}
@@ -1073,6 +1126,40 @@ func mergeAcqPaths(paths []acqPath) (acqState, bool) {
 		}
 	}
 	return out, false
+}
+
+// isTerminalCall matches calls that never return: panic, os.Exit,
+// log.Fatal*, runtime.Goexit and testing's Fatal/Fatalf/Skip (via any
+// receiver, conservatively by name).
+func isTerminalCall(info *types.Info, e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	if id, ok := call.Fun.(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
+			return true
+		}
+		return false
+	}
+	if path, name, ok := pkgFunc(info, call.Fun); ok {
+		switch {
+		case path == "os" && name == "Exit":
+			return true
+		case path == "log" && (name == "Fatal" || name == "Fatalf" || name == "Fatalln"):
+			return true
+		case path == "runtime" && name == "Goexit":
+			return true
+		}
+		return false
+	}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		switch sel.Sel.Name {
+		case "Fatal", "Fatalf", "FailNow", "Skip", "Skipf", "SkipNow":
+			return true
+		}
+	}
+	return false
 }
 
 // --- error-guard pruning ----------------------------------------------------

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -14,52 +15,59 @@ import (
 // tracer ring: the walk it described vanishes from exported traces and
 // crumbtrace's layer accounting drifts from the counters.
 //
-// The analysis is a conservative branch-merging walk (no full CFG):
+// It is the span class on the acquire/release engine (acqrel.go), with
+// the engine's strict ownership rule (borrow: false):
 //
 //   - `defer sp.End()` / `defer sp.EndErr(err)` ends the value sp holds
 //     at defer time; a deferred closure that ends sp covers whatever sp
 //     holds at function exit;
 //   - reassigning sp while the previous span is un-ended is reported;
 //   - a handle whose call result is discarded is reported;
-//   - passing the handle to another function, storing it in a field, or
-//     capturing it in a non-deferred closure transfers ownership and
+//   - any other use — passing the handle to a function (builtins
+//     included), storing it, comparing it, indexing with it, or
+//     capturing it in a non-deferred closure — transfers ownership and
 //     ends the analysis for that variable (no report).
 //
 // Paths that exit via panic, os.Exit or t.Fatal are not required to end
-// spans.
+// spans. Spans carry no disposition facts, and test files are analyzed
+// too.
 var SpanEnd = &analysis.Analyzer{
 	Name: "spanend",
 	Doc: "require telemetry spans to be ended on all paths (defer or all-return coverage)\n\n" +
 		"Un-ended spans never reach the tracer ring, so traces silently lose\n" +
 		"the work they were supposed to account for.",
-	Run: runSpanEnd,
+	Version: "v1",
+	Run: func(pass *analysis.Pass) (interface{}, error) {
+		return runAcqRel(pass, engineConfig{classes: []*resourceClass{spanClass}})
+	},
 }
 
-func runSpanEnd(pass *analysis.Pass) (interface{}, error) {
-	for _, f := range pass.Files {
-		for _, body := range functionBodies(f) {
-			checkSpanBody(pass, body)
+// spanClass is the telemetry span discipline: StartSpan acquires, End
+// and EndErr release, and Attr returns its receiver.
+var spanClass = &resourceClass{
+	noun: "span",
+	sourceResults: func(pass *analysis.Pass, call *ast.CallExpr) []int {
+		if isSpanSource(pass.TypesInfo, call) {
+			return []int{0}
 		}
-	}
-	return nil, nil
-}
-
-// functionBodies lists every function body in the file: declarations
-// and literals, each analyzed as its own scope.
-func functionBodies(f *ast.File) []*ast.BlockStmt {
-	var out []*ast.BlockStmt
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				out = append(out, n.Body)
-			}
-		case *ast.FuncLit:
-			out = append(out, n.Body)
-		}
-		return true
-	})
-	return out
+		return nil
+	},
+	releaseMethods: map[string]bool{"End": true, "EndErr": true},
+	chainMethods:   map[string]bool{"Attr": true},
+	msgDiscard:     "span handle discarded; End will never run and the span never reaches the tracer",
+	msgLeakReturn: func(name string, acq token.Position) string {
+		return fmt.Sprintf("span %s started at %s is not ended on this return path", name, acq)
+	},
+	msgLeakEnd: func(name string) string {
+		return fmt.Sprintf("span %s is not ended before the function returns; "+
+			"add defer %s.End() or end it on every path", name, name)
+	},
+	msgReassign: func(name string, acq token.Position) string {
+		return fmt.Sprintf("span %s reassigned before End/EndErr; the span started at %s is lost", name, acq)
+	},
+	msgOverwrite: func(name string, acq token.Position) string {
+		return fmt.Sprintf("span %s overwritten before End/EndErr; the span started at %s is lost", name, acq)
+	},
 }
 
 // isSpanSource reports whether e evaluates to a freshly started span:
@@ -78,458 +86,6 @@ func isSpanSource(info *types.Info, e ast.Expr) bool {
 		return fromTelemetry(receiverNamed(info, sel.X))
 	case "Attr":
 		return isSpanSource(info, sel.X)
-	}
-	return false
-}
-
-// checkSpanBody analyzes one function body: finds span acquisitions
-// directly inside it (nested function literals are their own scopes)
-// and verifies each named handle is ended on all paths.
-func checkSpanBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	var spanVars []types.Object
-	seen := map[types.Object]bool{}
-	inspectShallow(body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) || !isSpanSource(pass.TypesInfo, rhs) {
-					continue
-				}
-				id, ok := n.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue // field/index targets: ownership escapes
-				}
-				if id.Name == "_" {
-					pass.Reportf(rhs.Pos(), "span handle discarded; End will never run and the span never reaches the tracer")
-					continue
-				}
-				obj := pass.TypesInfo.ObjectOf(id)
-				if obj != nil && !seen[obj] {
-					seen[obj] = true
-					spanVars = append(spanVars, obj)
-				}
-			}
-		case *ast.ExprStmt:
-			if isSpanSource(pass.TypesInfo, n.X) {
-				pass.Reportf(n.X.Pos(), "span handle discarded; End will never run and the span never reaches the tracer")
-			}
-		}
-	})
-
-	if len(spanVars) == 0 {
-		return
-	}
-	parents := parentMap(body)
-	for _, obj := range spanVars {
-		if spanEscapes(pass, body, obj, parents) {
-			continue
-		}
-		w := &spanWalker{pass: pass, obj: obj}
-		st, terminated := w.walk(body.List, spanState{})
-		if !terminated && st.active && !st.closureDef {
-			pass.Reportf(st.acqPos, "span %s is not ended before the function returns; add defer %s.End() or end it on every path",
-				obj.Name(), obj.Name())
-		}
-	}
-}
-
-// inspectShallow walks the body without descending into nested function
-// literals.
-func inspectShallow(body *ast.BlockStmt, fn func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			fn(n)
-		}
-		return true
-	})
-}
-
-// parentMap records each node's parent within body.
-func parentMap(body *ast.BlockStmt) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
-}
-
-// spanEscapes reports whether the handle's ownership leaves the
-// function: any use that is not an End/EndErr/Attr method call, a
-// reassignment, or a deferred-closure capture.
-func spanEscapes(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object, parents map[ast.Node]ast.Node) bool {
-	escapes := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if escapes {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if pass.TypesInfo.Uses[id] != obj && pass.TypesInfo.Defs[id] != obj {
-			return true
-		}
-		// Crossing into a function literal is fine only for the
-		// canonical deferred-cleanup closure.
-		for p := parents[ast.Node(id)]; p != nil; p = parents[p] {
-			fl, ok := p.(*ast.FuncLit)
-			if !ok {
-				continue
-			}
-			call, ok := parents[fl].(*ast.CallExpr)
-			if !ok || call.Fun != ast.Expr(fl) {
-				escapes = true
-				return false
-			}
-			if _, ok := parents[ast.Node(call)].(*ast.DeferStmt); !ok {
-				escapes = true
-				return false
-			}
-		}
-		switch p := parents[ast.Node(id)].(type) {
-		case *ast.SelectorExpr:
-			if p.X == ast.Expr(id) && (p.Sel.Name == "End" || p.Sel.Name == "EndErr" || p.Sel.Name == "Attr") {
-				if call, ok := parents[ast.Node(p)].(*ast.CallExpr); ok && call.Fun == ast.Expr(p) {
-					return true
-				}
-			}
-			escapes = true
-		case *ast.AssignStmt:
-			for _, l := range p.Lhs {
-				if l == ast.Expr(id) {
-					return true
-				}
-			}
-			escapes = true
-		case *ast.ValueSpec:
-			for _, name := range p.Names {
-				if name == id {
-					return true
-				}
-			}
-			escapes = true
-		default:
-			escapes = true
-		}
-		return !escapes
-	})
-	return escapes
-}
-
-// spanState is the walker's per-path state for one handle variable.
-type spanState struct {
-	active     bool      // variable holds a span that still needs End
-	closureDef bool      // a deferred closure ends the variable's final value
-	acqPos     token.Pos // most recent acquisition, for reporting
-}
-
-// spanWalker performs the branch-merging statement walk.
-type spanWalker struct {
-	pass *analysis.Pass
-	obj  types.Object
-}
-
-// walk executes stmts from state st, reporting un-ended returns.
-// terminated means control cannot fall past the list.
-func (w *spanWalker) walk(stmts []ast.Stmt, st spanState) (spanState, bool) {
-	for _, s := range stmts {
-		var terminated bool
-		st, terminated = w.stmt(s, st)
-		if terminated {
-			return st, true
-		}
-	}
-	return st, false
-}
-
-// stmt executes one statement.
-func (w *spanWalker) stmt(s ast.Stmt, st spanState) (spanState, bool) {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		return w.assign(s, st), false
-
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, v := range vs.Values {
-					if i < len(vs.Names) && isSpanSource(w.pass.TypesInfo, v) && w.isObj(vs.Names[i]) {
-						st = w.acquire(st, v.Pos())
-					}
-				}
-			}
-		}
-		return st, false
-
-	case *ast.ExprStmt:
-		if w.isEndCall(s.X) {
-			st.active = false
-		}
-		if isTerminalCall(w.pass.TypesInfo, s.X) {
-			return st, true
-		}
-		return st, false
-
-	case *ast.DeferStmt:
-		if w.isEndCall(s.Call) {
-			// defer sp.End(): ends the value sp holds right now.
-			st.active = false
-			return st, false
-		}
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok && w.closureEnds(fl) {
-			st.active = false
-			st.closureDef = true
-		}
-		return st, false
-
-	case *ast.ReturnStmt:
-		if st.active && !st.closureDef {
-			w.pass.Reportf(s.Pos(), "span %s started at %s is not ended on this return path",
-				w.obj.Name(), w.pass.Fset.Position(st.acqPos))
-		}
-		return st, true
-
-	case *ast.BranchStmt:
-		// break/continue/goto: give up on this path conservatively.
-		return st, true
-
-	case *ast.BlockStmt:
-		return w.walk(s.List, st)
-
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		thenSt, thenTerm := w.walk(s.Body.List, st)
-		elseSt, elseTerm := st, false
-		if s.Else != nil {
-			elseSt, elseTerm = w.stmt(s.Else, st)
-		}
-		return mergePaths([]pathResult{{thenSt, thenTerm}, {elseSt, elseTerm}})
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		bodySt, _ := w.walk(s.Body.List, st)
-		// The body may run zero times; merge entry and body-exit.
-		return mergePaths([]pathResult{{st, false}, {bodySt, false}})
-
-	case *ast.RangeStmt:
-		bodySt, _ := w.walk(s.Body.List, st)
-		return mergePaths([]pathResult{{st, false}, {bodySt, false}})
-
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return w.switchLike(s, st)
-
-	case *ast.GoStmt:
-		return st, false
-
-	default:
-		return st, false
-	}
-}
-
-// assign processes acquisitions and overwrites of the handle.
-func (w *spanWalker) assign(s *ast.AssignStmt, st spanState) spanState {
-	for i, lhs := range s.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || !w.isObj(id) {
-			continue
-		}
-		if i < len(s.Rhs) && len(s.Lhs) == len(s.Rhs) && isSpanSource(w.pass.TypesInfo, s.Rhs[i]) {
-			st = w.acquire(st, s.Rhs[i].Pos())
-		} else if st.active && !st.closureDef {
-			w.pass.Reportf(lhs.Pos(), "span %s overwritten before End/EndErr; the span started at %s is lost",
-				w.obj.Name(), w.pass.Fset.Position(st.acqPos))
-			st.active = false
-		}
-	}
-	return st
-}
-
-// acquire transitions the variable to holding a fresh span.
-func (w *spanWalker) acquire(st spanState, pos token.Pos) spanState {
-	if st.closureDef {
-		// The deferred closure ends whatever the variable holds last.
-		return st
-	}
-	if st.active {
-		w.pass.Reportf(pos, "span %s reassigned before End/EndErr; the span started at %s is lost",
-			w.obj.Name(), w.pass.Fset.Position(st.acqPos))
-	}
-	st.active = true
-	st.acqPos = pos
-	return st
-}
-
-// switchLike merges all clause bodies of a switch/type-switch/select.
-func (w *spanWalker) switchLike(s ast.Stmt, st spanState) (spanState, bool) {
-	var init ast.Stmt
-	var body *ast.BlockStmt
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		init, body = s.Init, s.Body
-	case *ast.TypeSwitchStmt:
-		init, body = s.Init, s.Body
-	case *ast.SelectStmt:
-		body = s.Body
-	}
-	if init != nil {
-		st, _ = w.stmt(init, st)
-	}
-	var paths []pathResult
-	hasDefault := false
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			stmts = c.Body
-			if c.List == nil {
-				hasDefault = true
-			}
-		case *ast.CommClause:
-			stmts = c.Body
-			if c.Comm == nil {
-				hasDefault = true
-			}
-		}
-		cs, ct := w.walk(stmts, st)
-		paths = append(paths, pathResult{cs, ct})
-	}
-	if !hasDefault || len(paths) == 0 {
-		// Control may skip every clause (or block forever; be lenient).
-		paths = append(paths, pathResult{st, false})
-	}
-	return mergePaths(paths)
-}
-
-// isObj reports whether the identifier denotes the tracked variable.
-func (w *spanWalker) isObj(id *ast.Ident) bool {
-	return w.pass.TypesInfo.Uses[id] == w.obj || w.pass.TypesInfo.Defs[id] == w.obj
-}
-
-// isEndCall matches sp.End(...) / sp.EndErr(...) on the tracked
-// variable, including through a chain of Attr calls
-// (sp.Attr(...).EndErr(err) ends sp: Attr returns its receiver).
-func (w *spanWalker) isEndCall(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "End" && sel.Sel.Name != "EndErr") {
-		return false
-	}
-	return w.rootIsObj(sel.X)
-}
-
-// rootIsObj unwraps Attr chains to the receiver variable.
-func (w *spanWalker) rootIsObj(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return w.isObj(x)
-	case *ast.CallExpr:
-		if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Attr" {
-			return w.rootIsObj(sel.X)
-		}
-	}
-	return false
-}
-
-// closureEnds reports whether the deferred literal ends the variable.
-func (w *spanWalker) closureEnds(fl *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		if e, ok := n.(*ast.CallExpr); ok && w.isEndCall(e) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// pathResult is one branch outcome during merging.
-type pathResult struct {
-	state      spanState
-	terminated bool
-}
-
-// mergePaths combines branch outcomes: the merged fall-through state is
-// pessimistic about liveness (any falling path with an active span
-// keeps it active) and about deferred-closure coverage (all falling
-// paths must have it).
-func mergePaths(paths []pathResult) (spanState, bool) {
-	var falling []spanState
-	for _, p := range paths {
-		if !p.terminated {
-			falling = append(falling, p.state)
-		}
-	}
-	if len(falling) == 0 {
-		return spanState{}, true
-	}
-	out := spanState{closureDef: true}
-	for _, s := range falling {
-		if s.active && !out.active {
-			out.active = true
-			out.acqPos = s.acqPos
-		}
-		if !s.closureDef {
-			out.closureDef = false
-		}
-	}
-	return out, false
-}
-
-// isTerminalCall matches calls that never return: panic, os.Exit,
-// log.Fatal*, runtime.Goexit and testing's Fatal/Fatalf/Skip (via any
-// receiver, conservatively by name).
-func isTerminalCall(info *types.Info, e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-			return true
-		}
-		return false
-	}
-	if path, name, ok := pkgFunc(info, call.Fun); ok {
-		switch {
-		case path == "os" && name == "Exit":
-			return true
-		case path == "log" && (name == "Fatal" || name == "Fatalf" || name == "Fatalln"):
-			return true
-		case path == "runtime" && name == "Goexit":
-			return true
-		}
-		return false
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		switch sel.Sel.Name {
-		case "Fatal", "Fatalf", "FailNow", "Skip", "Skipf", "SkipNow":
-			return true
-		}
 	}
 	return false
 }

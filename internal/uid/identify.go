@@ -219,9 +219,6 @@ func IdentifyCtx(ctx context.Context, cands []*tokens.Candidate, opt Options) ([
 	stats.Groups = len(groups)
 
 	reg := opt.Telemetry.Registry()
-	reg.Counter("uid.candidates").Add(int64(stats.Candidates))
-	reg.Counter("uid.groups").Add(int64(stats.Groups))
-
 	verdicts := make([]groupVerdict, len(groups))
 	err := parallel.ForEachTimedCtx(ctx, len(groups), opt.Parallelism, func(i int) {
 		verdicts[i] = classifyGroup(groups[i], opt, include)
@@ -238,8 +235,11 @@ func IdentifyCtx(ctx context.Context, cands []*tokens.Candidate, opt Options) ([
 // cases accumulate in group order, exactly as a sequential loop would.
 // Verdict counters live here rather than in classifyGroup so they
 // increment in deterministic order too. Shared by the batch entry
-// points and the streaming identifier's drain.
+// points and the streaming identifier's drain; both set
+// stats.Candidates and stats.Groups before calling it.
 func reduceVerdicts(verdicts []groupVerdict, stats *Stats, reg *telemetry.Registry) []*Case {
+	reg.Counter("uid.candidates").Add(int64(stats.Candidates))
+	reg.Counter("uid.groups").Add(int64(stats.Groups))
 	var cases []*Case
 	for _, v := range verdicts {
 		switch v.kind {

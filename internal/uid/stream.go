@@ -116,10 +116,6 @@ func (s *StreamIdentifier) Drain(ctx context.Context, lifetimes *LifetimeIndex) 
 	}
 	stats.Groups = totalGroups
 
-	reg := s.opt.Telemetry.Registry()
-	reg.Counter("uid.candidates").Add(int64(stats.Candidates))
-	reg.Counter("uid.groups").Add(int64(totalGroups))
-
 	verdicts := make([]groupVerdict, 0, totalGroups)
 	if s.eager {
 		for _, wg := range s.perWalk {
@@ -143,6 +139,6 @@ func (s *StreamIdentifier) Drain(ctx context.Context, lifetimes *LifetimeIndex) 
 		}
 	}
 
-	cases := reduceVerdicts(verdicts, &stats, reg)
+	cases := reduceVerdicts(verdicts, &stats, s.opt.Telemetry.Registry())
 	return cases, stats, nil
 }

@@ -1,10 +1,14 @@
 package uid
 
 import (
+	"context"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"crumbcruncher/internal/crawler"
+	"crumbcruncher/internal/telemetry"
 	"crumbcruncher/internal/tokens"
 )
 
@@ -341,5 +345,83 @@ func TestIdentifyOrderInvariant(t *testing.T) {
 		if got := fingerprint(shuffled); got != want {
 			t.Fatalf("rotation %d changed result:\n got %q\nwant %q", rot, got, want)
 		}
+	}
+}
+
+// The batch and streaming identifiers emit the same uid counters: one
+// reduce (reduceVerdicts) owns them, whether classification ran eagerly
+// per walk or was deferred to Drain for the lifetime heuristic.
+func TestStreamCountersMatchBatch(t *testing.T) {
+	walks := [][]*tokens.Candidate{
+		fullStaticGroup("p1"),
+		{
+			cand(1, 1, crawler.Safari1, "fpid", "samevalue11112222"),
+			cand(1, 1, crawler.Safari2, "fpid", "samevalue11112222"),
+			cand(1, 2, crawler.Safari1, "sid", "sessvalue11112222"),
+			cand(1, 2, crawler.Safari1R, "sid", "sessvalue33334444"),
+		},
+		{
+			cand(2, 1, crawler.Safari1, "t", "1646092800"),
+			cand(2, 2, crawler.Safari1, "topic", "Dental_internal_whitepaper_topic"),
+			cand(2, 3, crawler.Safari1, "ttl", "shortlivedvalue1"),
+		},
+	}
+	var all []*tokens.Candidate
+	for _, w := range walks {
+		all = append(all, w...)
+	}
+	lifetimes := &LifetimeIndex{byValue: map[string]time.Duration{
+		"shortlivedvalue1": 30 * 24 * time.Hour,
+	}}
+	uidCounters := func(tel *telemetry.Telemetry) map[string]int64 {
+		out := map[string]int64{}
+		for name, v := range tel.Registry().Snapshot().Counters {
+			if strings.HasPrefix(name, "uid.") {
+				out[name] = v
+			}
+		}
+		return out
+	}
+
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"eager", Options{}},
+		{"deferred", Options{LifetimeThreshold: 90 * 24 * time.Hour}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batchTel := telemetry.New(nil, 0)
+			batchOpt := tc.opt
+			batchOpt.Telemetry = batchTel
+			if batchOpt.LifetimeThreshold > 0 {
+				batchOpt.LifetimeOf = lifetimes.Lifetime
+			}
+			if _, _, err := IdentifyCtx(context.Background(), all, batchOpt); err != nil {
+				t.Fatal(err)
+			}
+
+			streamTel := telemetry.New(nil, 0)
+			streamOpt := tc.opt
+			streamOpt.Telemetry = streamTel
+			ident := NewStreamIdentifier(len(walks), streamOpt)
+			for i, w := range walks {
+				ident.AddWalk(i, w)
+			}
+			if _, _, err := ident.Drain(context.Background(), lifetimes); err != nil {
+				t.Fatal(err)
+			}
+
+			batch, stream := uidCounters(batchTel), uidCounters(streamTel)
+			if batch["uid.candidates"] != int64(len(all)) || batch["uid.groups"] != 6 {
+				t.Fatalf("batch counters = %v, want %d candidates in 6 groups", batch, len(all))
+			}
+			if tc.opt.LifetimeThreshold > 0 && batch["uid.verdict_session_by_ttl"] != 1 {
+				t.Fatalf("deferred counters = %v, want one lifetime verdict", batch)
+			}
+			if !reflect.DeepEqual(batch, stream) {
+				t.Fatalf("counters differ:\n batch  %v\n stream %v", batch, stream)
+			}
+		})
 	}
 }

@@ -365,23 +365,6 @@ func Run(w io.Writer, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// RunStandalone analyzes the packages matched by patterns and writes
-// findings to w in the plain format. It returns the number of findings;
-// a non-nil error means the analysis itself could not run (load or
-// type-check failure). It is the compatibility wrapper over Run that
-// the self-lint test and older callers use — no cache, no baseline.
-func RunStandalone(w io.Writer, patterns []string, includeTests bool, analyzers []*analysis.Analyzer) (int, error) {
-	res, err := Run(w, Options{
-		Patterns:     patterns,
-		IncludeTests: includeTests,
-		Analyzers:    analyzers,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return len(res.Findings), nil
-}
-
 // runStandaloneMain is Run with command-line semantics.
 func runStandaloneMain(w io.Writer, opts Options) {
 	res, err := Run(w, opts)

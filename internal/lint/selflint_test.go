@@ -18,12 +18,16 @@ func TestSelfLint(t *testing.T) {
 		t.Skip("runs go list -export over the whole module")
 	}
 	var buf bytes.Buffer
-	n, err := driver.RunStandalone(&buf, []string{"crumbcruncher/..."}, true, lint.All())
+	res, err := driver.Run(&buf, driver.Options{
+		Patterns:     []string{"crumbcruncher/..."},
+		IncludeTests: true,
+		Analyzers:    lint.All(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Errorf("crumblint found %d findings in the repository:\n%s", n, buf.String())
+	if len(res.Findings) != 0 {
+		t.Errorf("crumblint found %d findings in the repository:\n%s", len(res.Findings), buf.String())
 	}
 }
 

@@ -16,8 +16,13 @@ check: build vet lint race chaos
 build:
 	$(GO) build ./...
 
+# vet also fails on gofmt drift. The lint fixtures under
+# internal/lint/testdata keep their `// want` column layout, so that
+# tree is exempt.
 vet:
 	$(GO) vet ./...
+	@drift=$$(gofmt -l . | grep -v '^internal/lint/testdata/'); \
+	if [ -n "$$drift" ]; then echo "gofmt -l reports unformatted files:"; echo "$$drift"; exit 1; fi
 
 # crumblint: wallclock, seededrand, maporder, spanend, fsyncpolicy,
 # plus the interprocedural resource-discipline suite (mustclose,

@@ -84,8 +84,8 @@ func writeSARIF(w io.Writer, analyzers []*analysis.Analyzer, fs []Finding) error
 		Text string `json:"text"`
 	}
 	type sarifRule struct {
-		ID   string `json:"id"`
-		Name string `json:"name"`
+		ID   string       `json:"id"`
+		Name string       `json:"name"`
 		Help sarifMessage `json:"shortDescription"`
 	}
 	type sarifArtifact struct {

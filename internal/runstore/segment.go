@@ -71,10 +71,10 @@ type segmentStore struct {
 
 	// active is the open, unsealed segment (nil until the first append
 	// after open or a seal).
-	active     *runio.LineFile
-	activeSeg  int
-	activeIdx  []int          // indices in append order
-	activeRaw  map[int][]byte // raw payloads of the active segment
+	active    *runio.LineFile
+	activeSeg int
+	activeIdx []int          // indices in append order
+	activeRaw map[int][]byte // raw payloads of the active segment
 	nextSeg   int
 	finalized bool
 	// cache holds the most recently decoded sealed segments. Two slots:

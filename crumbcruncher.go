@@ -313,13 +313,14 @@ func SaveRunStore(path string, r *Run) error {
 	return st.Close()
 }
 
-// AnalyzeStore re-runs the analysis pipeline over a stored run by
-// cursor: walks stream through token extraction, lifetime scanning and
-// UID identification in index order, and the figure aggregation
-// replays the store on demand, so the decoded dataset is never
-// resident all at once. The returned Run has a nil Dataset and keeps
-// reading from st lazily — close st only after the Run is no longer
-// used. The synthetic world is rebuilt lazily from the stored
+// AnalyzeStore re-runs the analysis pipeline over a stored run in one
+// pass: walks are fetched with st.Get from Parallelism goroutines and
+// stream through token extraction, lifetime scanning, UID
+// identification and the walk tally, so the decoded dataset is never
+// resident all at once and metrics need no second read of the store.
+// The returned Run has a nil Dataset and keeps reading from st lazily
+// for the report figures that need walk records — close st only after
+// the Run is no longer used. The synthetic world is rebuilt lazily from the stored
 // configuration; results are byte-identical to re-analysing the same
 // walks from a resident dataset.
 func AnalyzeStore(ctx context.Context, st RunStore) (*Run, error) {
@@ -343,7 +344,7 @@ func AnalyzeStore(ctx context.Context, st RunStore) (*Run, error) {
 }
 
 // LoadRunStore opens the store at path and re-runs the analysis over
-// it by cursor. The returned Run reads walk records from the store
+// it (see AnalyzeStore). The returned Run reads walk records from the store
 // lazily for the figures that need them; the store is closed when the
 // process exits (use OpenRunStore + AnalyzeStore to manage the handle
 // explicitly).

@@ -11,6 +11,7 @@ package analysis
 import (
 	"context"
 	"sort"
+	"sync"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/parallel"
@@ -20,15 +21,14 @@ import (
 )
 
 // WalkSource abstracts where walk records come from: an in-memory
-// crawler.Dataset or a store cursor replaying them from disk. Every
-// figure that scans walks goes through this interface, so a
-// store-backed analysis produces byte-identical output to an in-memory
-// one by construction. ForEachWalk must deliver walks in ascending
-// index order; Walk returns nil for an unknown index.
+// crawler.Dataset or a run store read back from disk. The figures that
+// need walk records beyond the Tally — third-party receivers, UID
+// provenance, and the evaluation-only referer count — go through this
+// interface, so a store-backed analysis produces byte-identical output
+// to an in-memory one by construction. ForEachWalk must deliver walks
+// in ascending index order; Walk returns nil for an unknown index.
 type WalkSource interface {
 	WalkCount() int
-	StepCount() int
-	OutcomeCounts() map[crawler.StepOutcome]int
 	ForEachWalk(fn func(*crawler.Walk) error) error
 	Walk(idx int) *crawler.Walk
 }
@@ -53,6 +53,11 @@ type Analysis struct {
 	redirectors map[string]*redirectorAgg
 	// dedicated caches the classification.
 	dedicated map[string]bool
+
+	// tally is the per-walk scan; tallyOnce fills it from src when the
+	// constructor was not handed one.
+	tally     *Tally
+	tallyOnce sync.Once
 }
 
 // pathAgg aggregates one unique URL path.
@@ -97,9 +102,11 @@ func NewContext(ctx context.Context, ds *crawler.Dataset, paths []*tokens.Path, 
 }
 
 // NewFromSource builds the analysis over any WalkSource — an in-memory
-// dataset or a run store replayed by cursor — so 100k-walk runs can be
-// analysed without the decoded dataset ever being resident at once.
-// Output is byte-identical to the dataset path for the same walks.
+// dataset or a run store — so 100k-walk runs can be analysed without
+// the decoded dataset ever being resident at once. Output is
+// byte-identical to the dataset path for the same walks. The walk Tally
+// is scanned from src on first use; NewFromTally takes one the caller
+// already has.
 //
 // The path and redirector aggregations are sharded across a bounded
 // worker pool: chunks are mapped concurrently and reduced in chunk
@@ -110,9 +117,18 @@ func NewContext(ctx context.Context, ds *crawler.Dataset, paths []*tokens.Path, 
 // stops the aggregation pools from taking new chunks and returns ctx's
 // error with a nil Analysis.
 func NewFromSource(ctx context.Context, src WalkSource, paths []*tokens.Path, cases []*uid.Case, parallelism int, tel *telemetry.Telemetry) (*Analysis, error) {
+	return NewFromTally(ctx, src, nil, paths, cases, parallelism, tel)
+}
+
+// NewFromTally is NewFromSource with the walk Tally of src supplied —
+// the analysis engine's, filled while the walks streamed through it —
+// so no figure re-reads src for it. A nil tally is scanned from src on
+// first use.
+func NewFromTally(ctx context.Context, src WalkSource, tally *Tally, paths []*tokens.Path, cases []*uid.Case, parallelism int, tel *telemetry.Telemetry) (*Analysis, error) {
 	reg := tel.Registry()
 	a := &Analysis{
 		src:            src,
+		tally:          tally,
 		paths:          paths,
 		cases:          cases,
 		urlPaths:       map[string]*pathAgg{},
@@ -250,12 +266,32 @@ func (a *Analysis) Cases() []*uid.Case { return a.cases }
 // Source returns the walk source the analysis was built over.
 func (a *Analysis) Source() WalkSource { return a.src }
 
+// Tally returns the per-walk scan the walk-counting figures read,
+// scanning the source once if the analysis was built without one.
+func (a *Analysis) Tally() *Tally {
+	a.tallyOnce.Do(func() {
+		if a.tally != nil {
+			return
+		}
+		t := NewTally()
+		a.src.ForEachWalk(func(w *crawler.Walk) error {
+			t.Add(w)
+			return nil
+		})
+		a.tally = t
+	})
+	return a.tally
+}
+
 // WalkCount returns the number of walks in the analysed crawl.
-func (a *Analysis) WalkCount() int { return a.src.WalkCount() }
+func (a *Analysis) WalkCount() int { return a.Tally().walks }
 
 // StepCount returns the number of attempted steps in the analysed
 // crawl.
-func (a *Analysis) StepCount() int { return a.src.StepCount() }
+func (a *Analysis) StepCount() int {
+	n, _ := a.Tally().steps()
+	return n
+}
 
 // Summary is the paper's Table 2.
 type Summary struct {

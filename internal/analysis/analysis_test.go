@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"context"
+	"fmt"
 	"net/url"
 	"testing"
 
@@ -340,6 +342,54 @@ func TestStorageSourceBreakdownUnit(t *testing.T) {
 	}
 	if a.Cases()[0] != cases[0] {
 		t.Fatal("Cases accessor broken")
+	}
+}
+
+// countingSource is a walk source that counts single-walk fetches.
+type countingSource struct {
+	*crawler.Dataset
+	fetches int
+}
+
+func (s *countingSource) Walk(idx int) *crawler.Walk {
+	s.fetches++
+	return s.Dataset.Walk(idx)
+}
+
+// TestStorageSourceBreakdownFetchesEachWalkOnce checks that the §3.6
+// breakdown fetches each walk its cases sit on once, not once per case:
+// for a store-backed source every fetch is a decode.
+func TestStorageSourceBreakdownFetchesEachWalkOnce(t *testing.T) {
+	ds := &crawler.Dataset{}
+	var paths []*tokens.Path
+	var cases []*uid.Case
+	// Cases arrive in walk order; walks 0, 2 and 3 carry several.
+	for i, walk := range []int{0, 0, 0, 2, 3, 3, 5} {
+		for len(ds.Walks) <= walk {
+			w := &crawler.Walk{Index: len(ds.Walks)}
+			for step := 1; step <= 2; step++ {
+				w.Steps = append(w.Steps, &crawler.Step{Walk: w.Index, Index: step,
+					Records: map[string]*crawler.CrawlerStep{crawler.Safari1: {
+						Before: crawler.Snapshot{Local: map[string]string{"id": fmt.Sprintf("val-w%d", w.Index)}},
+					}}})
+			}
+			ds.Walks = append(ds.Walks, w)
+		}
+		p := path(t, crawler.Safari1, walk, 1+i%2, "http://news-a.com/", "http://shop-a.com/land")
+		c := caseOn(p, fmt.Sprintf("w%d", walk), 1, 1, uid.BucketSingle)
+		paths, cases = append(paths, p), append(cases, c)
+	}
+	src := &countingSource{Dataset: ds}
+	a, err := NewFromSource(context.Background(), src, paths, cases, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := a.StorageSourceBreakdown()
+	if got[SourceLocalStorage] != len(cases) {
+		t.Fatalf("breakdown = %v, want all %d cases from localStorage", got, len(cases))
+	}
+	if src.fetches != 4 {
+		t.Fatalf("fetched %d walks for cases on 4 distinct walks", src.fetches)
 	}
 }
 

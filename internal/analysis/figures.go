@@ -333,8 +333,8 @@ type FailureRates struct {
 
 // FailureRates computes the §3.3 failure fractions.
 func (a *Analysis) FailureRates() FailureRates {
-	counts := a.src.OutcomeCounts()
-	total := a.src.StepCount()
+	t := a.Tally()
+	total, counts := t.steps()
 	if total == 0 {
 		return FailureRates{}
 	}
@@ -344,38 +344,9 @@ func (a *Analysis) FailureRates() FailureRates {
 
 	// Distinct sites attempted vs. failed. A site either always fails or
 	// never does (per-domain faults), so the two sets cannot overlap.
-	attempted := map[string]bool{}
-	failed := map[string]bool{}
-	visit := func(raw string, fail bool) {
-		d := regOf(raw)
-		if d == "" {
-			return
-		}
-		attempted[d] = true
-		if fail {
-			failed[d] = true
-		}
-	}
-	a.src.ForEachWalk(func(w *crawler.Walk) error {
-		if rec := w.SeedLoad[crawler.Safari1]; rec != nil {
-			visit(rec.StartURL, isConnectFail(rec.Fail))
-		}
-		for _, s := range w.Steps {
-			rec := s.Records[crawler.Safari1]
-			if rec == nil {
-				continue
-			}
-			if rec.LandedURL != "" {
-				visit(rec.LandedURL, false)
-			} else if isConnectFail(rec.Fail) && len(rec.NavChain) > 0 {
-				visit(rec.NavChain[len(rec.NavChain)-1].URL, true)
-			}
-		}
-		return nil
-	})
-	f.SitesAttempted = len(attempted)
-	if len(attempted) > 0 {
-		f.ConnectError = float64(len(failed)) / float64(len(attempted))
+	f.SitesAttempted = len(t.sitesAttempted)
+	if f.SitesAttempted > 0 {
+		f.ConnectError = float64(len(t.sitesFailed)) / float64(f.SitesAttempted)
 	}
 	return f
 }
@@ -414,42 +385,11 @@ func requestFailed(errStr string, status int) bool {
 // Resilience computes the transient-recovered vs permanently-unreachable
 // split across every crawler's request log.
 func (a *Analysis) Resilience() ResilienceStats {
-	var rs ResilienceStats
-	failed := map[string]bool{}
-	ok := map[string]bool{}
-	scan := func(rec *crawler.CrawlerStep) {
-		if rec == nil {
-			return
-		}
-		for _, req := range rec.Requests {
-			d := regOf(req.URL)
-			if d == "" {
-				continue
-			}
-			if req.Attempt > 0 {
-				rs.RetriedRequests++
-			}
-			if requestFailed(req.Err, req.Status) {
-				failed[d] = true
-			} else if req.Status > 0 {
-				ok[d] = true
-			}
-		}
-	}
-	a.src.ForEachWalk(func(w *crawler.Walk) error {
-		for _, rec := range w.SeedLoad {
-			scan(rec)
-		}
-		for _, s := range w.Steps {
-			for _, rec := range s.Records {
-				scan(rec)
-			}
-		}
-		return nil
-	})
-	attempted := len(ok)
-	for d := range failed {
-		if ok[d] {
+	t := a.Tally()
+	rs := ResilienceStats{RetriedRequests: t.retried}
+	attempted := len(t.domainsOK)
+	for d := range t.domainsFailed {
+		if _, ok := t.domainsOK[d]; ok {
 			rs.SitesRecovered++
 		} else {
 			rs.SitesUnreachable++

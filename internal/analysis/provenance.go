@@ -28,16 +28,23 @@ const (
 
 // StorageSourceBreakdown classifies each confirmed UID by originator-side
 // provenance, cross-referencing the crawl's pre-click storage snapshots.
+// Cases arrive in walk order and many share a walk, so the last fetched
+// walk is reused: a store-backed source decodes each walk once.
 func (a *Analysis) StorageSourceBreakdown() map[TokenSource]int {
 	out := map[TokenSource]int{}
+	var w *crawler.Walk
+	fetched := -1
 	for _, c := range a.cases {
-		out[a.sourceOfCase(c.Candidates[0])]++
+		cand := c.Candidates[0]
+		if cand.Walk != fetched {
+			w, fetched = a.src.Walk(cand.Walk), cand.Walk
+		}
+		out[sourceOfCase(recordFor(w, cand), cand)]++
 	}
 	return out
 }
 
-func (a *Analysis) sourceOfCase(cand *tokens.Candidate) TokenSource {
-	rec := a.recordFor(cand)
+func sourceOfCase(rec *crawler.CrawlerStep, cand *tokens.Candidate) TokenSource {
 	if rec == nil {
 		return SourceQueryOnly
 	}
@@ -54,9 +61,8 @@ func (a *Analysis) sourceOfCase(cand *tokens.Candidate) TokenSource {
 	return SourceQueryOnly
 }
 
-// recordFor finds the crawler record behind a candidate.
-func (a *Analysis) recordFor(cand *tokens.Candidate) *crawler.CrawlerStep {
-	w := a.src.Walk(cand.Walk)
+// recordFor finds the crawler record behind a candidate in its walk.
+func recordFor(w *crawler.Walk, cand *tokens.Candidate) *crawler.CrawlerStep {
 	if w == nil {
 		return nil
 	}
@@ -84,22 +90,11 @@ type StepFailureRow struct {
 // expects these "to be independent of the step of the random walk"
 // (§3.3); the calibration harness and tests verify no strong trend.
 func (a *Analysis) FailuresByStep() []StepFailureRow {
+	counts := a.Tally().stepOutcomes
 	maxStep := 0
-	counts := map[int]map[crawler.StepOutcome]int{}
-	a.src.ForEachWalk(func(w *crawler.Walk) error {
-		for _, s := range w.Steps {
-			if s.Index > maxStep {
-				maxStep = s.Index
-			}
-			m := counts[s.Index]
-			if m == nil {
-				m = map[crawler.StepOutcome]int{}
-				counts[s.Index] = m
-			}
-			m[s.Outcome]++
-		}
-		return nil
-	})
+	for i := range counts {
+		maxStep = max(maxStep, i)
+	}
 	out := make([]StepFailureRow, 0, maxStep)
 	for i := 1; i <= maxStep; i++ {
 		m := counts[i]

@@ -261,6 +261,8 @@ func AnalyzeContext(ctx context.Context, cfg Config, world *web.World, ds *crawl
 
 // Reidentify re-runs UID identification with different options over the
 // run's candidates (ablation benchmarks) and returns a fresh analysis.
+// The walks are unchanged, so the fresh analysis reuses the run's walk
+// tally instead of re-reading them.
 func (r *Run) Reidentify(opt uid.Options) ([]*uid.Case, uid.Stats, *analysis.Analysis) {
 	if opt.LifetimeOf == nil {
 		opt.LifetimeOf = r.Lifetimes.Lifetime
@@ -270,7 +272,7 @@ func (r *Run) Reidentify(opt uid.Options) ([]*uid.Case, uid.Stats, *analysis.Ana
 		opt.Parallelism = par
 	}
 	cases, stats := uid.Identify(r.Candidates, opt)
-	agg, _ := analysis.NewFromSource(context.Background(), r.Analysis.Source(), r.Paths, cases, par, nil)
+	agg, _ := analysis.NewFromTally(context.Background(), r.Analysis.Source(), r.Analysis.Tally(), r.Paths, cases, par, nil)
 	return cases, stats, agg
 }
 

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"crumbcruncher/internal/analysis"
 	"crumbcruncher/internal/crawler"
@@ -12,20 +15,16 @@ import (
 )
 
 // storeSource adapts a runstore.Store to the analysis.WalkSource
-// contract. Step totals and outcome counts are tallied once during the
-// feed pass — the one full-store scan AnalyzeStore performs anyway —
-// so the figure code never re-reads the store for counters.
+// contract. It keeps no counters: the walk-counting figures read the
+// analysis engine's walk tally, filled during the one pass AnalyzeStore
+// makes over the store, so only the figures that need walk records
+// (third-party receivers, UID provenance, referer transfers) read the
+// store again.
 type storeSource struct {
-	st       runstore.Store
-	walks    int
-	steps    int
-	outcomes map[crawler.StepOutcome]int
+	st runstore.Store
 }
 
-func (s *storeSource) WalkCount() int { return s.walks }
-func (s *storeSource) StepCount() int { return s.steps }
-
-func (s *storeSource) OutcomeCounts() map[crawler.StepOutcome]int { return s.outcomes }
+func (s *storeSource) WalkCount() int { return s.st.Walks() }
 
 func (s *storeSource) ForEachWalk(fn func(*crawler.Walk) error) error {
 	cur := s.st.Iter()
@@ -52,28 +51,71 @@ func (s *storeSource) Walk(idx int) *crawler.Walk {
 	return w
 }
 
-// observe folds one walk into the cached counters.
-func (s *storeSource) observe(w *crawler.Walk) {
-	s.walks++
-	s.steps += len(w.Steps)
-	for _, st := range w.Steps {
-		s.outcomes[st.Outcome]++
-	}
-}
-
-// AnalyzeStore runs the post-crawl pipeline over a stored run by
-// cursor: the walks feed the same engine a live crawl does, and the
-// figure aggregation replays the store on demand. The decoded dataset
-// is never resident all at once — memory is O(paths + candidates + one
-// segment) — so 100k-walk stores analyse within a laptop-class budget.
-// Results are byte-identical to the crawl that wrote the store.
+// AnalyzeStore runs the post-crawl pipeline over a stored run in one
+// pass: Parallelism goroutines fetch walks 0…Walks()-1 with Store.Get,
+// so records decode in parallel, and feed the same engine a live crawl
+// does. The engine's walk tally answers every walk-counting figure, so
+// AnalyzeStore plus WriteMetricsJSON decodes each stored walk exactly
+// once. The decoded dataset is never resident all at once — memory is
+// O(paths + candidates + one segment) — so 100k-walk stores analyse
+// within a laptop-class budget. Results are byte-identical to the crawl
+// that wrote the store.
 //
 // The returned Run has a nil Dataset; every consumer in the tree
 // (metrics, report, Reidentify, MissedRefererTransfers) reads walk
-// statistics through Run.Analysis instead.
+// statistics through Run.Analysis instead, and the few figures that
+// need walk records read them back from st.
 func AnalyzeStore(ctx context.Context, cfg Config, world *web.World, st runstore.Store) (*Run, error) {
-	src := &storeSource{st: st, outcomes: map[crawler.StepOutcome]int{}}
-	return analyzeWalks(ctx, cfg, world, st.Walks(), resumeState{}, replay(ctx, src, src.observe))
+	n := st.Walks()
+	return analyzeWalks(ctx, cfg, world, n, resumeState{}, fetchAll(ctx, st, n, cfg.analysisParallelism()))
+}
+
+// fetchAll is the feed of a run store: par goroutines claim indices
+// 0…n-1 one at a time from a shared counter, Get each walk and send it.
+// Claiming one index at a time keeps the goroutines within a few walks
+// of each other, so a segment store's two-slot cache gunzips each
+// segment once. The first error stops every goroutine and is returned.
+func fetchAll(ctx context.Context, st runstore.Store, n, par int) walkFeed {
+	return func(send func(*crawler.Walk)) (analysis.WalkSource, error) {
+		var (
+			next     atomic.Int64
+			stop     atomic.Bool
+			errOnce  sync.Once
+			firstErr error
+			wg       sync.WaitGroup
+		)
+		fail := func(err error) {
+			errOnce.Do(func() { firstErr = err })
+			stop.Store(true)
+		}
+		for k := 0; k < par; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					idx := int(next.Add(1) - 1)
+					if idx >= n {
+						return
+					}
+					if err := ctx.Err(); err != nil {
+						fail(err)
+						return
+					}
+					w, err := st.Get(idx)
+					if err != nil {
+						fail(fmt.Errorf("core: read walks: %w", err))
+						return
+					}
+					send(w)
+				}
+			}()
+		}
+		wg.Wait()
+		if firstErr != nil {
+			return nil, firstErr
+		}
+		return &storeSource{st: st}, nil
+	}
 }
 
 // AnalyzeSource re-runs the post-crawl pipeline over any walk source
@@ -81,5 +123,5 @@ func AnalyzeStore(ctx context.Context, cfg Config, world *web.World, st runstore
 // previously analyzed run (Run.Analysis.Source). The returned Run holds
 // the Dataset when src is one.
 func AnalyzeSource(ctx context.Context, cfg Config, world *web.World, src analysis.WalkSource) (*Run, error) {
-	return analyzeWalks(ctx, cfg, world, src.WalkCount(), resumeState{}, replay(ctx, src, nil))
+	return analyzeWalks(ctx, cfg, world, src.WalkCount(), resumeState{}, replay(ctx, src))
 }

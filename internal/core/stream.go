@@ -122,17 +122,19 @@ type walkFeed func(send func(*crawler.Walk)) (analysis.WalkSource, error)
 
 // analyzeWalks is the pipeline's one analysis engine. Walks from feed go
 // through a bounded channel to Parallelism workers that extract each
-// walk's paths, find its candidates, scan its cookie lifetimes and group
-// its tokens into walk-indexed slots. Only the cross-walk stages
-// (lifetime-index merge, deferred classification, ordered reduce,
+// walk's paths, find its candidates, scan its cookie lifetimes, group
+// its tokens into walk-indexed slots and fold it into the worker's walk
+// tally (analysis.Tally). Only the cross-walk stages (lifetime-index
+// merge, deferred classification, ordered reduce, tally merge,
 // aggregation) wait for the last walk. The feed is a live crawl
-// (executeInWorld), a stored run's cursor (AnalyzeStore) or any other
-// walk source (AnalyzeSource); total sizes the slots.
+// (executeInWorld), a stored run read by parallel Get (AnalyzeStore) or
+// any other walk source (AnalyzeSource); total sizes the slots.
 //
 // Determinism: every per-walk product lands in its walk's slot and the
 // drain merges the slots in walk-index order, so the result is
 // bit-identical at any parallelism and for any delivery order (the same
-// contract as the parallel package). A walk without a free slot — nil,
+// contract as the parallel package); the tally holds only counts and
+// sets, so its merge is order-free too. A walk without a free slot — nil,
 // out of range or delivered twice — is dropped and fails the run once
 // the feed returns.
 func analyzeWalks(ctx context.Context, cfg Config, world *web.World, total int, rs resumeState, feed walkFeed) (*Run, error) {
@@ -163,8 +165,12 @@ func analyzeWalks(ctx context.Context, cfg Config, world *web.World, total int, 
 	// Bounded at Parallelism: a slow analysis backpressures the feed
 	// instead of buffering the walks a second time.
 	walkCh := make(chan *crawler.Walk, par)
+	// One walk tally per worker, merged at the drain.
+	tallies := make([]*analysis.Tally, par)
 	var wwg sync.WaitGroup
 	for k := 0; k < par; k++ {
+		tally := analysis.NewTally()
+		tallies[k] = tally
 		wwg.Add(1)
 		workers.Add(1)
 		go func() {
@@ -174,6 +180,7 @@ func analyzeWalks(ctx context.Context, cfg Config, world *web.World, total int, 
 				queueDepth.Add(-1)
 				sp := tel.StartSpan("analysis", "stream_walk").
 					Attr("walk", strconv.Itoa(w.Index))
+				tally.Add(w)
 				lifeAcc.AddWalk(w)
 				wt, ok := rs.restored[w.Index]
 				if ok {
@@ -248,7 +255,11 @@ func analyzeWalks(ctx context.Context, cfg Config, world *web.World, total int, 
 		esp.EndErr(err)
 		return nil, fmt.Errorf("core: identify: %w", err)
 	}
-	agg, err := analysis.NewFromSource(ctx, src, paths, cases, par, tel)
+	tally := tallies[0]
+	for _, t := range tallies[1:] {
+		tally.Merge(t)
+	}
+	agg, err := analysis.NewFromTally(ctx, src, tally, paths, cases, par, tel)
 	if err != nil {
 		dsp.EndErr(err)
 		esp.EndErr(err)
@@ -285,16 +296,12 @@ func badWalkError(w *crawler.Walk, total int) error {
 }
 
 // replay is the feed of a recorded walk source: its walks in index
-// order, with ctx checked between walks. observe, when non-nil, sees
-// each walk before the engine does.
-func replay(ctx context.Context, src analysis.WalkSource, observe func(*crawler.Walk)) walkFeed {
+// order, with ctx checked between walks.
+func replay(ctx context.Context, src analysis.WalkSource) walkFeed {
 	return func(send func(*crawler.Walk)) (analysis.WalkSource, error) {
 		err := src.ForEachWalk(func(w *crawler.Walk) error {
 			if err := ctx.Err(); err != nil {
 				return err
-			}
-			if observe != nil {
-				observe(w)
 			}
 			send(w)
 			return nil

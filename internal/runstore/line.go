@@ -132,7 +132,7 @@ func (st *lineStore) Get(idx int) (*crawler.Walk, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: index %d", ErrNoWalk, idx)
 	}
-	return decodeWalk(raw)
+	return decodeWalk(raw, idx)
 }
 
 // sortedIndices returns the stored walk indices in ascending order.

@@ -59,7 +59,12 @@ type Store interface {
 	// index order.
 	Append(w *crawler.Walk) error
 	// Get returns the walk with the given index, decoding only what
-	// that lookup needs. A missing index returns ErrNoWalk.
+	// that lookup needs. A missing index returns ErrNoWalk, and a record
+	// that holds another walk than the one asked for an error wrapping
+	// runio.ErrCorrupt. Get is safe for concurrent use: it holds the
+	// store lock only to find (and, for a sealed segment, load) the raw
+	// record and decodes it after unlocking, so concurrent Gets decode
+	// in parallel.
 	Get(idx int) (*crawler.Walk, error)
 	// Iter returns a cursor over all walks in ascending index order.
 	Iter() Cursor
@@ -166,11 +171,15 @@ type walkRecord struct {
 	Walk  *crawler.Walk `json:"walk"`
 }
 
-// decodeWalk decodes one raw walk record payload.
-func decodeWalk(raw []byte) (*crawler.Walk, error) {
+// decodeWalk decodes the raw record of walk idx, failing with
+// runio.ErrCorrupt if the record holds another walk.
+func decodeWalk(raw []byte, idx int) (*crawler.Walk, error) {
 	var rec walkRecord
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return nil, fmt.Errorf("runstore: decode walk record: %w", err)
+	}
+	if rec.Index != idx {
+		return nil, fmt.Errorf("runstore: %w: record for walk %d holds walk %d", runio.ErrCorrupt, idx, rec.Index)
 	}
 	if rec.Walk == nil {
 		return nil, fmt.Errorf("runstore: walk record %d has no walk", rec.Index)

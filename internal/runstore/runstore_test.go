@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"crumbcruncher/internal/crawler"
@@ -334,6 +336,13 @@ func TestSegmentDamageMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"valid-gzip-record-dropped", func(t *testing.T, path string) {
+			// Every frame verifies, but the segment holds one record
+			// fewer than its index entry lists.
+			rewriteSegment(t, path, func(lines [][]byte) [][]byte {
+				return append(lines[:2:2], lines[3:]...) // header, walk 0, then walks 2…
+			})
+		}},
 		{"valid-gzip-corrupt-frames", func(t *testing.T, path string) {
 			// Re-gzip garbage: decompression succeeds, frame CRCs fail.
 			err := runio.WriteFileAtomic(path, func(w io.Writer) error {
@@ -370,6 +379,149 @@ func TestSegmentDamageMatrix(t *testing.T) {
 			// Undamaged segments stay readable.
 			if w, err := st.Get(5); err != nil || w.Index != 5 {
 				t.Fatalf("healthy segment unreadable after quarantine: %v", err)
+			}
+		})
+	}
+}
+
+// rewriteSegment re-gzips a sealed segment with its frame lines (the
+// header first) passed through edit. Every kept frame still verifies.
+func rewriteSegment(t *testing.T, path string, edit func(lines [][]byte) [][]byte) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gz, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := edit(bytes.SplitAfter(data, []byte("\n")))
+	err = runio.WriteFileAtomic(path, func(w io.Writer) error {
+		gz := gzip.NewWriter(w)
+		if _, werr := gz.Write(bytes.Join(lines, nil)); werr != nil {
+			return werr
+		}
+		return gz.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegmentSwappedRecords swaps two sealed records: every frame still
+// verifies and the count matches the index, but each record now sits
+// where the index puts the other walk. Get must refuse both.
+func TestSegmentSwappedRecords(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "swap.crumbs")
+	st, err := Create(dir, BackendSegment, testManifest(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.(*segmentStore).segWalks = 4
+	for i := 0; i < 4; i++ {
+		if err := st.Append(testWalk(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	rewriteSegment(t, segSealedPath(dir, 0), func(lines [][]byte) [][]byte {
+		lines[1], lines[2] = lines[2], lines[1] // walks 0 and 1
+		return lines
+	})
+
+	ro, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	for _, idx := range []int{0, 1} {
+		if _, err := ro.Get(idx); !errors.Is(err, runio.ErrCorrupt) {
+			t.Fatalf("Get(%d) over a swapped record = %v, want ErrCorrupt", idx, err)
+		}
+	}
+	if w, err := ro.Get(2); err != nil || w.Index != 2 {
+		t.Fatalf("Get(2) = %v, %v", w, err)
+	}
+}
+
+// TestConcurrentGet fetches every walk from 8 goroutines at once, each
+// in its own order, on both backends. The segment store holds 4 walks a
+// segment, so the goroutines cross segment boundaries and evict from
+// the two-slot cache while others decode. Every walk must come back
+// under its own index and re-encode to the bytes that were appended.
+func TestConcurrentGet(t *testing.T) {
+	const n, readers = 37, 8
+	for backend, path := range backends(t) {
+		t.Run(string(backend), func(t *testing.T) {
+			st, err := Create(path, backend, testManifest(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seg, ok := st.(*segmentStore); ok {
+				seg.segWalks = 4
+			}
+			want := make([][]byte, n)
+			for i := 0; i < n; i++ {
+				idx := (i * 7) % n // out of order, as a parallel crawl appends
+				w := testWalk(idx)
+				if want[idx], err = json.Marshal(w); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Append(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+
+			ro, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ro.Close()
+			var wg sync.WaitGroup
+			errs := make(chan error, readers*n)
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for k := 0; k < n; k++ {
+						idx := (g*5 + k*(g+1)) % n
+						if g%2 == 1 {
+							idx = n - 1 - k
+						}
+						w, err := ro.Get(idx)
+						if err != nil {
+							errs <- fmt.Errorf("Get(%d): %w", idx, err)
+							continue
+						}
+						got, err := json.Marshal(w)
+						if err != nil {
+							errs <- err
+							continue
+						}
+						if w.Index != idx || !bytes.Equal(got, want[idx]) {
+							errs <- fmt.Errorf("Get(%d) returned walk %d: %s", idx, w.Index, got)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
 			}
 		})
 	}

@@ -62,11 +62,13 @@ type segmentStore struct {
 	manifest Manifest
 	segWalks int
 
-	index *runio.LineFile // segments.idx, nil when opened read-only is impossible (always open)
+	index *runio.LineFile // segments.idx, open for appends for the store's lifetime
 
 	// walkSeg maps every known walk index to its segment number.
 	walkSeg map[int]int
-	// sealed maps segment number → its walk indices, in append order.
+	// sealed maps segment number → its walk indices, in append order —
+	// the order of the segment's records, so record k is walk
+	// sealed[seg][k].
 	sealed map[int][]int
 
 	// active is the open, unsealed segment (nil until the first append
@@ -83,6 +85,10 @@ type segmentStore struct {
 	// two adjacent segments at a time.
 	cache      map[int]map[int][]byte
 	cacheOrder []int // LRU, most recent last
+	// damaged holds the error of every sealed segment quarantined since
+	// open, so later reads of its walks fail the same way instead of
+	// finding the file gone.
+	damaged map[int]error
 }
 
 // segCacheSlots bounds the sealed-segment cache.
@@ -341,13 +347,21 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 		}
 		return walks, nil
 	}
+	if err := st.damaged[n]; err != nil {
+		return nil, err
+	}
 	path := segSealedPath(st.dir, n)
-	corrupt := func(err error) (map[int][]byte, error) {
+	corrupt := func() (map[int][]byte, error) {
 		q := path + ".corrupt"
 		if rerr := os.Rename(path, q); rerr != nil { //crumb:allow fsyncpolicy quarantine move of a damaged segment, mirroring runio's own quarantine; not an atomic-replace
 			q = ""
 		}
-		return nil, runio.NewCorruptError(runio.SegmentFormat, path, q)
+		derr := runio.NewCorruptError(runio.SegmentFormat, path, q)
+		if st.damaged == nil {
+			st.damaged = map[int]error{}
+		}
+		st.damaged[n] = derr
+		return nil, derr
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -356,12 +370,12 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 	defer f.Close()
 	gz, err := gzip.NewReader(f)
 	if err != nil {
-		return corrupt(err)
+		return corrupt()
 	}
 	defer gz.Close()
 	data, err := io.ReadAll(gz)
 	if err != nil {
-		return corrupt(err)
+		return corrupt()
 	}
 	entries, err := runio.Records(data, segHeader(st.manifest.Seed))
 	if err != nil {
@@ -369,19 +383,20 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 		// classification means the bytes were damaged afterwards.
 		var de *runio.DamageError
 		if errors.As(err, &de) {
-			return corrupt(err)
+			return corrupt()
 		}
 		return nil, err
 	}
+	// The index recorded the segment's walks in append order, which is
+	// its record order, so no record is parsed here: Get parses each one
+	// exactly once, and checks that it holds the walk asked for.
+	indices := st.sealed[n]
+	if len(entries) != len(indices) {
+		return corrupt()
+	}
 	walks := make(map[int][]byte, len(entries))
-	for _, raw := range entries {
-		var rec struct {
-			Index int `json:"index"`
-		}
-		if uerr := json.Unmarshal(raw, &rec); uerr != nil {
-			return corrupt(uerr)
-		}
-		walks[rec.Index] = raw
+	for k, raw := range entries {
+		walks[indices[k]] = raw
 	}
 	if st.cache == nil {
 		st.cache = map[int]map[int][]byte{}
@@ -397,6 +412,17 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 }
 
 func (st *segmentStore) Get(idx int) (*crawler.Walk, error) {
+	raw, err := st.rawRecord(idx)
+	if err != nil {
+		return nil, err
+	}
+	return decodeWalk(raw, idx)
+}
+
+// rawRecord returns walk idx's raw record, loading its sealed segment
+// if need be. It holds mu only while it looks; the returned bytes are
+// never written again, so the caller decodes them without the lock.
+func (st *segmentStore) rawRecord(idx int) ([]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	seg, ok := st.walkSeg[idx]
@@ -404,7 +430,7 @@ func (st *segmentStore) Get(idx int) (*crawler.Walk, error) {
 		return nil, fmt.Errorf("%w: index %d", ErrNoWalk, idx)
 	}
 	if st.active != nil && seg == st.activeSeg {
-		return decodeWalk(st.activeRaw[idx])
+		return st.activeRaw[idx], nil
 	}
 	walks, err := st.loadSealedLocked(seg)
 	if err != nil {
@@ -414,7 +440,7 @@ func (st *segmentStore) Get(idx int) (*crawler.Walk, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: index %d missing from segment %d", ErrNoWalk, idx, seg)
 	}
-	return decodeWalk(raw)
+	return raw, nil
 }
 
 func (st *segmentStore) sortedIndices() []int {
@@ -466,9 +492,9 @@ func (st *segmentStore) Close() error {
 	return err
 }
 
-// segmentCursor iterates in walk-index order, reusing the store's
-// one-segment cache; consecutive walks usually share a segment, so a
-// full scan gunzips each segment once.
+// segmentCursor iterates in walk-index order through Get, reusing the
+// store's two-slot segment cache; consecutive walks usually share a
+// segment, so a full scan gunzips each segment once.
 type segmentCursor struct {
 	st    *segmentStore
 	order []int

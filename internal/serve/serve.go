@@ -313,9 +313,9 @@ func (s *Server) execute(ctx context.Context, j *Job) (*core.Run, error) {
 	return run, err
 }
 
-// reanalyze re-runs the post-crawl pipeline over a stored run, walk by
-// walk through the store's cursor — the decoded dataset is never
-// resident all at once. The world is rebuilt (or fetched) through the
+// reanalyze re-runs the post-crawl pipeline over a stored run in one
+// pass of parallel Gets (core.AnalyzeStore) — the decoded dataset is
+// never resident all at once. The world is rebuilt (or fetched) through the
 // same cache the crawl used, keyed by the stored run's own
 // configuration hash.
 func (s *Server) reanalyze(ctx context.Context, j *Job, jt *telemetry.Telemetry) (*core.Run, error) {

@@ -1,13 +1,17 @@
 package crumbcruncher_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"crumbcruncher"
+	"crumbcruncher/internal/crawler"
 )
 
 // TestRunStoreMetricsIdentical pins the RunStore acceptance bar: a
@@ -110,5 +114,101 @@ func TestRunStoreWalkAccess(t *testing.T) {
 	}
 	if _, err := st.Get(99); err == nil {
 		t.Fatal("Get(99) on a 12-walk store succeeded")
+	}
+}
+
+// decodeCounter wraps a run store and counts, per walk index, the walks
+// decoded through it by cursor or by Get.
+type decodeCounter struct {
+	crumbcruncher.RunStore
+	mu      sync.Mutex
+	decodes map[int]int
+}
+
+func (s *decodeCounter) count(w *crawler.Walk) {
+	s.mu.Lock()
+	s.decodes[w.Index]++
+	s.mu.Unlock()
+}
+
+func (s *decodeCounter) Get(idx int) (*crawler.Walk, error) {
+	w, err := s.RunStore.Get(idx)
+	if err == nil {
+		s.count(w)
+	}
+	return w, err
+}
+
+func (s *decodeCounter) Iter() crumbcruncher.RunCursor {
+	return &countingCursor{RunCursor: s.RunStore.Iter(), s: s}
+}
+
+type countingCursor struct {
+	crumbcruncher.RunCursor
+	s *decodeCounter
+}
+
+func (c *countingCursor) Next() (*crawler.Walk, error) {
+	w, err := c.RunCursor.Next()
+	if err == nil {
+		c.s.count(w)
+	}
+	return w, err
+}
+
+// TestStoreReanalysisDecodesOnce pins the one-pass re-analysis:
+// AnalyzeStore followed by WriteMetricsJSON decodes every stored walk
+// exactly once, at analysis parallelism 1 and 4, and reproduces the
+// crawl's metrics; under a cancelled context it fails with the
+// context's error.
+func TestStoreReanalysisDecodesOnce(t *testing.T) {
+	cfg := crumbcruncher.SmallConfig()
+	cfg.World.Seed = 5
+	cfg.Walks = 40
+	base, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := metricsBytes(t, base)
+
+	for _, par := range []int{1, 4} {
+		// The store records the run's config, and AnalyzeStore runs at
+		// its Parallelism.
+		saved := *base
+		saved.Config.Parallelism = par
+		path := filepath.Join(t.TempDir(), "run.crumbs")
+		if err := crumbcruncher.SaveRunStore(path, &saved); err != nil {
+			t.Fatal(err)
+		}
+		st, err := crumbcruncher.OpenRunStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted := &decodeCounter{RunStore: st, decodes: map[int]int{}}
+		run, err := crumbcruncher.AnalyzeStore(context.Background(), counted)
+		if err != nil {
+			st.Close()
+			t.Fatalf("parallelism %d: analyze: %v", par, err)
+		}
+		if got := metricsBytes(t, run); !bytes.Equal(got, want) {
+			t.Errorf("parallelism %d: store metrics differ from the crawl's", par)
+		}
+		if len(counted.decodes) != cfg.Walks {
+			t.Errorf("parallelism %d: decoded %d distinct walks, want %d", par, len(counted.decodes), cfg.Walks)
+		}
+		for idx, n := range counted.decodes {
+			if n != 1 {
+				t.Errorf("parallelism %d: walk %d decoded %d times, want once", par, idx, n)
+			}
+		}
+		// A cancelled re-analysis stops its fetchers and reports why.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := crumbcruncher.AnalyzeStore(ctx, st); !errors.Is(err, context.Canceled) {
+			t.Errorf("parallelism %d: cancelled analyze = %v, want context.Canceled", par, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

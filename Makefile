@@ -62,11 +62,13 @@ chaos:
 scale:
 	scripts/scalesmoke.sh
 
-# The tracked benchmark set (full crawl, parallel re-analysis, the
-# streaming engine at two pool sizes), archived as BENCH_pr6.json for
-# cross-run comparison.
+# Paired perfbench comparison of the working tree against a base
+# revision (default HEAD~1), ABBA over five seeds, with a verdict per
+# end-to-end metric against BENCHMARK.json's bounds. Pass options
+# through BENCHFLAGS, e.g.
+#   make bench BENCHFLAGS="--workload lazy-archive --pairs 10"
 bench:
-	scripts/bench.sh
+	scripts/benchpair.sh $(BENCHFLAGS)
 
 # Paper-scale benchmarks: every table/figure plus the parallel-analysis
 # speedup benchmark (BenchmarkAnalyzeParallel).

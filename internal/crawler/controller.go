@@ -80,17 +80,25 @@ func (c *Controller) rendezvous(key, crawler string, sub interface{}, need int,
 		c.barriers[key] = b
 	}
 	b.subs[crawler] = sub
-	if len(b.subs) == b.need {
+	last := len(b.subs) == b.need
+	if last {
 		b.result = compute(b.subs)
 		close(b.done)
 		delete(c.barriers, key)
 	}
 	c.mu.Unlock()
+	if last {
+		return b.result, nil
+	}
 
+	// The guard timer is stopped as soon as the barrier resolves, so a
+	// long crawl does not pile up one pending timer per arrival.
+	guard := time.NewTimer(c.timeout) //crumb:allow wallclock real deadlock guard; never fires on the success path
+	defer guard.Stop()
 	select {
 	case <-b.done:
 		return b.result, nil
-	case <-time.After(c.timeout): //crumb:allow wallclock real deadlock guard; never fires on the success path
+	case <-guard.C:
 		return nil, ErrBarrierTimeout
 	}
 }

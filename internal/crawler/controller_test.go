@@ -1,8 +1,10 @@
 package crawler
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"crumbcruncher/internal/dom"
 )
@@ -201,6 +203,30 @@ func TestLandingEmptyFQDNNotSynchronized(t *testing.T) {
 	for r := range results2 {
 		if !r.Synchronized {
 			t.Fatal("identical (even empty) FQDNs should compare equal")
+		}
+	}
+}
+
+// TestBarrierTimeout: when a crawler never arrives, its peers give up
+// after the controller's timeout instead of blocking forever.
+func TestBarrierTimeout(t *testing.T) {
+	c := NewController(1, AllHeuristics, 0.6)
+	c.timeout = 50 * time.Millisecond
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for _, name := range ParallelCrawlers[:2] {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			_, err := c.SubmitLanding(0, 0, name, "a.example")
+			errs <- err
+		}(name)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if !errors.Is(err, ErrBarrierTimeout) {
+			t.Fatalf("SubmitLanding with a missing peer: err = %v, want ErrBarrierTimeout", err)
 		}
 	}
 }

@@ -64,6 +64,34 @@ func TestParseScriptRawText(t *testing.T) {
 	}
 }
 
+// TestParseRawTextCloser: the raw-text close tag is matched ASCII
+// case-insensitively, and the element's text is sliced from the
+// original bytes even when lower-casing would change their length.
+func TestParseRawTextCloser(t *testing.T) {
+	for _, tc := range []struct {
+		name, html, tag, text string
+		after                 bool // a <p> follows the raw-text element
+	}{
+		{"dotted capital I", "<script>İ</script><p>x</p>", "script", "İ", true},
+		{"kelvin sign", "<script>K</script><p>x</p>", "script", "K", true},
+		{"upper-case closer", "<script>a()</SCRIPT><p>x</p>", "script", "a()", true},
+		{"mixed-case closer with space", "<style>p{}</Style ><p>x</p>", "style", "p{}", true},
+		{"unterminated", "<script>var a = 1;", "script", "var a = 1;", false},
+	} {
+		doc := Parse(tc.html)
+		els := doc.ElementsByTag(tc.tag)
+		if len(els) != 1 || len(els[0].Children) != 1 {
+			t.Fatalf("%s: want one %s with one text child, got %d elements", tc.name, tc.tag, len(els))
+		}
+		if got := els[0].Children[0].Text; got != tc.text {
+			t.Errorf("%s: %s text = %q, want %q", tc.name, tc.tag, got, tc.text)
+		}
+		if got := len(doc.ElementsByTag("p")) == 1; got != tc.after {
+			t.Errorf("%s: content after the %s parsed = %v, want %v", tc.name, tc.tag, got, tc.after)
+		}
+	}
+}
+
 func TestParseVoidAndSelfClosing(t *testing.T) {
 	doc := Parse(`<div><img src="/a.png"><br/><input type="text"></div><p>sib</p>`)
 	div := doc.ElementsByTag("div")[0]

@@ -6,6 +6,12 @@
 // Everything in this package is pure computation: given the same inputs it
 // produces the same outputs, which is the foundation of CrumbCruncher's
 // end-to-end reproducibility.
+//
+// The random streams are math/rand's, bit for bit, but drawn from this
+// package's own source (source.go): re-seeding it is O(1), and it fills
+// its 607-word register lazily as draws reach each word. Most RNGs here
+// are seeded per page or per decision and draw only a few numbers, so
+// seeding has to cost less than drawing.
 package stats
 
 import (
@@ -16,7 +22,8 @@ import (
 
 // splitmix64 advances a SplitMix64 state and returns the next output.
 // SplitMix64 is used only for deriving independent sub-seeds; the actual
-// random streams are math/rand PCG-quality sources seeded from it.
+// random streams come from math/rand's lagged-Fibonacci generator
+// (source) seeded from it.
 func splitmix64(state uint64) (next uint64, out uint64) {
 	state += 0x9e3779b97f4a7c15
 	z := state
@@ -25,15 +32,16 @@ func splitmix64(state uint64) (next uint64, out uint64) {
 	return state, z ^ (z >> 31)
 }
 
-// rngPool recycles rand.Rand instances. The stock rand.NewSource
-// allocates a 607-word (~4.9KB) lagged-Fibonacci state per instance, and
-// CrumbCruncher creates RNGs by the hundred-thousand (two per page
-// render) — source construction was one of the largest allocation sites
-// in a crawl. Re-seeding a pooled source deterministically resets its
-// entire state, so a pooled RNG's stream is byte-identical to a fresh
-// NewRNG's: pooling changes allocation counts, never output.
+// rngPool recycles rand.Rand instances. Each owns a 607-word (~4.9KB)
+// lagged-Fibonacci register, and CrumbCruncher creates RNGs by the
+// hundred-thousand (two per page render), so reusing the register still
+// pays. Re-seeding a pooled source is O(1): it resets the source to its
+// seed and marks every register word unfilled, and each word is
+// recomputed from the seed on its first read. A pooled RNG's stream is
+// therefore byte-identical to a fresh NewRNG's: pooling changes
+// allocation counts, never output.
 var rngPool = sync.Pool{
-	New: func() any { return rand.New(rand.NewSource(0)) },
+	New: func() any { return rand.New(&source{}) },
 }
 
 // DeriveSeed deterministically mixes a parent seed with a label so that
@@ -83,9 +91,12 @@ type RNG struct {
 	r *rand.Rand
 }
 
-// NewRNG returns an RNG seeded with seed.
+// NewRNG returns an RNG seeded with seed. Its stream is identical to
+// rand.New(rand.NewSource(seed))'s.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	src := &source{}
+	src.Seed(seed)
+	return &RNG{r: rand.New(src)}
 }
 
 // AcquireRNG returns an RNG re-seeded from the pool, stream-identical to

@@ -88,11 +88,10 @@ type Config struct {
 // used by a single crawler goroutine; the request log is nevertheless
 // mutex-guarded so tests may inspect it concurrently.
 type Browser struct {
-	cfg    Config
-	store  *storage.Store
-	client *http.Client
-	clock  *netsim.VirtualClock
-	psl    *publicsuffix.List
+	cfg   Config
+	store *storage.Store
+	clock *netsim.VirtualClock
+	psl   *publicsuffix.List
 
 	mu       sync.Mutex
 	requests []RequestRecord
@@ -132,7 +131,6 @@ func New(cfg Config) *Browser {
 	return &Browser{
 		cfg:        cfg,
 		store:      storage.New(cfg.Policy),
-		client:     cfg.Network.Client(),
 		clock:      cfg.Network.Clock(),
 		psl:        publicsuffix.Default(),
 		tel:        cfg.Telemetry,
@@ -298,9 +296,15 @@ func (b *Browser) fetchCtx(u *url.URL, referer string, kind RequestKind, ctx sto
 		req.AddCookie(&http.Cookie{Name: c.Name, Value: c.Value})
 	}
 
-	resp, err := b.client.Do(req)
+	// The network is the transport itself: an http.Client would clone
+	// the headers per request and, for every 3xx, build a follow-up
+	// request only to discard it (the browser walks redirect chains
+	// hop by hop). Errors are wrapped exactly as http.Client wraps them,
+	// so the recorded error strings are the client's.
+	resp, err := b.cfg.Network.RoundTrip(req)
 	rec := RequestRecord{URL: u.String(), Kind: kind, Referer: referer, Attempt: b.attempt, Time: now}
 	if err != nil {
+		err = &url.Error{Op: "Get", URL: rec.URL, Err: err}
 		rec.Err = err.Error()
 		b.record(rec)
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"crumbcruncher/internal/ident"
 	"crumbcruncher/internal/netsim"
@@ -634,5 +635,73 @@ func TestGAFormatUID(t *testing.T) {
 	now := n.Clock().Now()
 	if c, ok := b1.Store().Cookie(storage.Context{FrameHost: "g.com", TopHost: "g.com"}, "_ga_like", now); !ok || c.Value != v1 {
 		t.Fatalf("cookie/link value mismatch: %+v vs %q", c, v1)
+	}
+}
+
+// TestClickURLReturnsFreshCopy: anchors are resolved once per page, and
+// ClickURL hands out a copy of that resolution, so a caller mutating one
+// result never changes the next.
+func TestClickURLReturnsFreshCopy(t *testing.T) {
+	b := newBrowser(t, fixture(t), "u1")
+	// news.com registers link decorators; the ad page has none, so its
+	// anchor's URL leaves ClickURL undecorated.
+	for _, page := range []string{"http://news.com/", "http://ads.com/slot"} {
+		p, err := b.Navigate(page, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := b.ClickURL(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first.String()
+		first.Host, first.Path, first.RawQuery = "mutated.example", "/x", "y=1"
+		second, err := b.ClickURL(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second == first || second.String() != want {
+			t.Fatalf("%s: second ClickURL = %s, want a fresh %s", page, second, want)
+		}
+	}
+}
+
+// TestFetchErrorStringsMatchHTTPClient: the browser calls the network's
+// RoundTrip directly, and its request log must record exactly the error
+// strings an http.Client over the same network reports.
+func TestFetchErrorStringsMatchHTTPClient(t *testing.T) {
+	for _, tc := range []struct {
+		name, url string
+		setup     func(*netsim.Network)
+	}{
+		{"unknown host", "http://nowhere.example/p?q=1", func(*netsim.Network) {}},
+		{"connect fault", "http://news.com/", func(n *netsim.Network) {
+			n.SetFaults(netsim.NewFaultInjector(1, 1.0))
+		}},
+		{"deadline", "http://news.com/a/b", func(n *netsim.Network) {
+			n.SetFaults(netsim.NewFaultInjectorConfig(4, netsim.FaultConfig{SpikeRate: 1, SpikeLatency: 30 * time.Second}))
+			n.SetRequestDeadline(5 * time.Second)
+		}},
+	} {
+		n := fixture(t)
+		tc.setup(n)
+		_, cerr := n.Client().Get(tc.url)
+		if cerr == nil {
+			t.Fatalf("%s: http.Client got no error", tc.name)
+		}
+		b := newBrowser(t, n, "u1")
+		if _, err := b.Navigate(tc.url, ""); err == nil {
+			t.Fatalf("%s: navigate succeeded", tc.name)
+		}
+		reqs := b.Requests()
+		if len(reqs) != 1 {
+			t.Fatalf("%s: %d requests logged", tc.name, len(reqs))
+		}
+		if got, want := reqs[0].Err, cerr.Error(); got != want {
+			t.Errorf("%s: recorded Err = %q, http.Client said %q", tc.name, got, want)
+		}
+		if prefix := `Get "` + tc.url + `": `; !strings.HasPrefix(reqs[0].Err, prefix) {
+			t.Errorf("%s: recorded Err = %q, want prefix %q", tc.name, reqs[0].Err, prefix)
+		}
 	}
 }

@@ -67,6 +67,10 @@ type Clickable struct {
 	XPath string
 
 	node *dom.Node
+	// target is an anchor's href resolved against the page URL, once,
+	// when the clickables are enumerated (nil for iframes). It is shared
+	// by every copy of the Clickable, so it is never handed out.
+	target *url.URL
 }
 
 // Clickables enumerates the page's candidate elements in document order.
@@ -77,29 +81,16 @@ func (b *Browser) Clickables(p *Page) []Clickable {
 		return p.clickables
 	}
 	var out []Clickable
-	add := func(kind string, n *dom.Node) {
-		c := Clickable{
-			Index:     len(out),
-			Kind:      kind,
-			AttrNames: n.AttrNames(),
-			Box:       n.Box,
-			XPath:     n.XPath(),
-			node:      n,
-		}
-		if kind == "a" {
-			c.Href = n.AttrOr("href", "")
-		}
-		out = append(out, c)
-	}
 	for _, n := range p.Doc.FindAll(func(e *dom.Node) bool { return e.Tag == "a" || e.Tag == "iframe" }) {
+		c := Clickable{Kind: n.Tag, node: n}
 		if n.Tag == "a" {
-			if resolveHref(p.URL, n.AttrOr("href", "")) == nil {
+			c.Href = n.AttrOr("href", "")
+			if c.target = resolveHref(p.URL, c.Href); c.target == nil {
 				continue
 			}
-			add("a", n)
-		} else {
-			add("iframe", n)
 		}
+		c.Index, c.AttrNames, c.Box, c.XPath = len(out), n.AttrNames(), n.Box, n.XPath()
+		out = append(out, c)
 	}
 	p.clickables, p.clickablesDone = out, true
 	return out
@@ -110,14 +101,7 @@ func (b *Browser) Clickables(p *Page) []Clickable {
 // unknown before the click, but the crawler still prefers them (ads live
 // in iframes).
 func (b *Browser) CrossDomain(p *Page, c Clickable) bool {
-	if c.Kind != "a" {
-		return false
-	}
-	u := resolveHref(p.URL, c.Href)
-	if u == nil {
-		return false
-	}
-	return !b.sameSite(p.URL, u)
+	return c.target != nil && !b.sameSite(p.URL, c.target)
 }
 
 // ErrNoTarget is returned by Click when the element cannot trigger a
@@ -137,11 +121,8 @@ func (b *Browser) ClickURL(p *Page, index int) (*url.URL, error) {
 	}
 	c := cs[index]
 	if c.Kind == "a" {
-		target := resolveHref(p.URL, c.node.AttrOr("href", ""))
-		if target == nil {
-			return nil, &ErrNoTarget{Reason: "unresolvable href"}
-		}
-		return b.decorate(p, c.node, target), nil
+		target := *c.target // a fresh copy: callers may modify the result
+		return b.decorate(p, c.node, &target), nil
 	}
 	frame := p.Frames[c.node]
 	if frame == nil || frame.Doc == nil {

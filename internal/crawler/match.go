@@ -73,26 +73,10 @@ func attrNamesEqual(a, b []string) bool {
 //     y-coordinate may differ, allowing for content above that rendered
 //     at a different height.
 //  3. Equal HTML attribute names and equal x-paths.
-func SameElement(a, b Element) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	// Heuristic 1.
-	if a.Kind == "a" && a.Href != "" && b.Href != "" &&
-		hrefSansQuery(a.Href) == hrefSansQuery(b.Href) {
-		return true
-	}
-	// Heuristic 2.
-	if attrNamesEqual(a.AttrNames, b.AttrNames) &&
-		a.Box.X == b.Box.X && a.Box.W == b.Box.W && a.Box.H == b.Box.H {
-		return true
-	}
-	// Heuristic 3.
-	if attrNamesEqual(a.AttrNames, b.AttrNames) && a.XPath == b.XPath {
-		return true
-	}
-	return false
-}
+//
+// Degenerate signals never match: heuristic 2 requires a laid-out
+// (non-zero) box and heuristic 3 a non-empty x-path.
+func SameElement(a, b Element) bool { return sameElementWith(a, b, AllHeuristics) }
 
 // Heuristics can be selectively disabled for the ablation benchmarks.
 type Heuristics struct {
@@ -104,15 +88,19 @@ type Heuristics struct {
 // AllHeuristics enables all three.
 var AllHeuristics = Heuristics{Href: true, Box: true, XPath: true}
 
-// sameElementWith is SameElement under a heuristic mask. Degenerate
-// signals never match: heuristic 2 requires a laid-out (non-zero) box and
-// heuristic 3 a non-empty x-path.
+// sameElementWith is SameElement under a heuristic mask.
 func sameElementWith(a, b Element, h Heuristics) bool {
+	return sameKeyed(a, b, hrefSansQuery(a.Href), hrefSansQuery(b.Href), h)
+}
+
+// sameKeyed is sameElementWith given both elements' heuristic-1 keys
+// (hrefSansQuery of their hrefs), so list matching parses each href
+// once rather than once per comparison.
+func sameKeyed(a, b Element, ka, kb string, h Heuristics) bool {
 	if a.Kind != b.Kind {
 		return false
 	}
-	if h.Href && a.Kind == "a" && a.Href != "" && b.Href != "" &&
-		hrefSansQuery(a.Href) == hrefSansQuery(b.Href) {
+	if h.Href && a.Kind == "a" && a.Href != "" && b.Href != "" && ka == kb {
 		return true
 	}
 	if h.Box && attrNamesEqual(a.AttrNames, b.AttrNames) &&
@@ -125,6 +113,15 @@ func sameElementWith(a, b Element, h Heuristics) bool {
 		return true
 	}
 	return false
+}
+
+// hrefKeys computes each element's heuristic-1 key once.
+func hrefKeys(list []Element) []string {
+	keys := make([]string, len(list))
+	for i, e := range list {
+		keys[i] = hrefSansQuery(e.Href)
+	}
+	return keys
 }
 
 // MatchTriple is one element present on all three synchronized crawlers,
@@ -141,15 +138,16 @@ type MatchTriple struct {
 // element in lists 2 and 3 matches at most once.
 func MatchElements(lists map[string][]Element, h Heuristics) []MatchTriple {
 	l1, l2, l3 := lists[Safari1], lists[Safari2], lists[Chrome3]
+	k1, k2, k3 := hrefKeys(l1), hrefKeys(l2), hrefKeys(l3)
 	used2 := make([]bool, len(l2))
 	used3 := make([]bool, len(l3))
 	var out []MatchTriple
-	for _, e1 := range l1 {
-		i2 := findMatch(e1, l2, used2, h)
+	for i, e1 := range l1 {
+		i2 := findMatch(e1, k1[i], l2, k2, used2, h)
 		if i2 < 0 {
 			continue
 		}
-		i3 := findMatch(e1, l3, used3, h)
+		i3 := findMatch(e1, k1[i], l3, k3, used3, h)
 		if i3 < 0 {
 			continue
 		}
@@ -175,10 +173,11 @@ func MatchElements(lists map[string][]Element, h Heuristics) []MatchTriple {
 // anchors at the same x are indistinguishable in isolation — document
 // order is what disambiguates them.
 func MatchPair(a, b []Element, h Heuristics) []int {
+	ka, kb := hrefKeys(a), hrefKeys(b)
 	used := make([]bool, len(b))
 	out := make([]int, len(a))
 	for i, e := range a {
-		out[i] = findMatch(e, b, used, h)
+		out[i] = findMatch(e, ka[i], b, kb, used, h)
 		if out[i] >= 0 {
 			used[out[i]] = true
 		}
@@ -186,12 +185,11 @@ func MatchPair(a, b []Element, h Heuristics) []int {
 	return out
 }
 
-func findMatch(e Element, list []Element, used []bool, h Heuristics) int {
+// findMatch returns the index of the first unused element of list that
+// matches e, whose key is key; keys are list's own.
+func findMatch(e Element, key string, list []Element, keys []string, used []bool, h Heuristics) int {
 	for i, cand := range list {
-		if used[i] {
-			continue
-		}
-		if sameElementWith(e, cand, h) {
+		if !used[i] && sameKeyed(e, cand, key, keys[i], h) {
 			return i
 		}
 	}

@@ -1,10 +1,13 @@
 package crawler
 
 import (
+	"fmt"
 	"net/url"
+	"reflect"
 	"testing"
 
 	"crumbcruncher/internal/dom"
+	"crumbcruncher/internal/stats"
 )
 
 func anchor(href string, box dom.Rect, xpath string) Element {
@@ -125,6 +128,79 @@ func TestHrefSansQuery(t *testing.T) {
 	for _, c := range cases {
 		if got := hrefSansQuery(c.in); got != c.want {
 			t.Errorf("hrefSansQuery(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+// TestListMatchingEqualsPairwise: MatchElements and MatchPair compute
+// each href key once per list; their results must equal the greedy
+// alignment computed with the pairwise sameElementWith, under every
+// heuristic mask, over generated lists whose signals collide often.
+func TestListMatchingEqualsPairwise(t *testing.T) {
+	rng := stats.NewRNG(3)
+	hrefs := []string{"", "http://a.com/x", "http://a.com/x?u=1", "http://a.com/x#f", "http://b.com/",
+		"/rel?q=2", "/rel", "?only=query", "#frag", "http://a.com/%zz", "http://b.com/?u=9"}
+	attrSets := [][]string{{"href"}, {"href", "class"}, {"src", "width", "height"}}
+	xpaths := []string{"", "/html[1]/body[1]/a[1]", "/html[1]/body[1]/a[2]"}
+	gen := func() []Element {
+		out := make([]Element, rng.Intn(9))
+		for i := range out {
+			e := Element{Index: i, Kind: "a", AttrNames: attrSets[rng.Intn(len(attrSets))],
+				Box:   dom.Rect{X: 10 * rng.Intn(2), Y: rng.Intn(100), W: 100 * rng.Intn(2), H: 20},
+				XPath: xpaths[rng.Intn(len(xpaths))], CrossDomain: rng.Intn(2) == 0}
+			if rng.Intn(4) == 0 {
+				e.Kind = "iframe"
+			} else {
+				e.Href = hrefs[rng.Intn(len(hrefs))]
+			}
+			out[i] = e
+		}
+		return out
+	}
+	pairwise := func(e Element, list []Element, used []bool, h Heuristics) int {
+		for i, cand := range list {
+			if !used[i] && sameElementWith(e, cand, h) {
+				return i
+			}
+		}
+		return -1
+	}
+	for round := 0; round < 400; round++ {
+		l1, l2, l3 := gen(), gen(), gen()
+		for mask := 0; mask < 8; mask++ {
+			h := Heuristics{Href: mask&1 != 0, Box: mask&2 != 0, XPath: mask&4 != 0}
+
+			used := make([]bool, len(l2))
+			var wantPair []int
+			for _, e := range l1 {
+				j := pairwise(e, l2, used, h)
+				if j >= 0 {
+					used[j] = true
+				}
+				wantPair = append(wantPair, j)
+			}
+			if got := MatchPair(l1, l2, h); fmt.Sprint(got) != fmt.Sprint(wantPair) {
+				t.Fatalf("round %d mask %03b: MatchPair = %v, pairwise %v", round, mask, got, wantPair)
+			}
+
+			used2, used3 := make([]bool, len(l2)), make([]bool, len(l3))
+			var wantTriples []MatchTriple
+			for _, e := range l1 {
+				i2, i3 := pairwise(e, l2, used2, h), pairwise(e, l3, used3, h)
+				if i2 < 0 || i3 < 0 {
+					continue
+				}
+				used2[i2], used3[i3] = true, true
+				wantTriples = append(wantTriples, MatchTriple{
+					Indices:     map[string]int{Safari1: e.Index, Safari2: l2[i2].Index, Chrome3: l3[i3].Index},
+					Kind:        e.Kind,
+					CrossDomain: e.CrossDomain,
+				})
+			}
+			got := MatchElements(map[string][]Element{Safari1: l1, Safari2: l2, Chrome3: l3}, h)
+			if !reflect.DeepEqual(got, wantTriples) {
+				t.Fatalf("round %d mask %03b: MatchElements = %+v, pairwise %+v", round, mask, got, wantTriples)
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package dom
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -136,6 +138,29 @@ func TestParseBooleanAttr(t *testing.T) {
 	}
 }
 
+// TestParseAttrsOwnBacking: attribute slices share one block per
+// document, so each must have cap == len — appending to one element's
+// Attrs must never overwrite its sibling's. Boolean attributes, which the
+// '=' count does not cover, spill into an overflow block.
+func TestParseAttrsOwnBacking(t *testing.T) {
+	doc := Parse(`<div><a href="/1" class="x">a</a><a href="/2" id="y">b</a>` +
+		`<input disabled checked readonly><input required autofocus></div>`)
+	for _, el := range doc.FindAll(func(*Node) bool { return true }) {
+		if cap(el.Attrs) != len(el.Attrs) {
+			t.Fatalf("<%s> Attrs len %d cap %d", el.Tag, len(el.Attrs), cap(el.Attrs))
+		}
+	}
+	anchors := doc.ElementsByTag("a")
+	anchors[0].Attrs = append(anchors[0].Attrs, Attr{Name: "rel", Value: "nofollow"})
+	if got := fmt.Sprint(anchors[1].Attrs); got != "[{href /2} {id y}]" {
+		t.Fatalf("sibling attrs after append = %s", got)
+	}
+	inputs := doc.ElementsByTag("input")
+	if got := fmt.Sprint(inputs[0].AttrNames(), inputs[1].AttrNames()); got != "[disabled checked readonly] [required autofocus]" {
+		t.Fatalf("boolean attrs = %s", got)
+	}
+}
+
 func TestXPath(t *testing.T) {
 	doc := Parse(`<html><body><div><a href="1">x</a><span></span><a href="2">y</a></div></body></html>`)
 	anchors := doc.ElementsByTag("a")
@@ -147,46 +172,18 @@ func TestXPath(t *testing.T) {
 	}
 }
 
-func TestSetAttrAndRoundTrip(t *testing.T) {
-	el := NewElement("a", "href", "/x")
-	el.SetAttr("href", "/y")
-	el.SetAttr("rel", "nofollow")
-	if got := el.AttrOr("href", ""); got != "/y" {
-		t.Fatalf("SetAttr replace failed: %q", got)
-	}
-	if got := el.AttrOr("rel", ""); got != "nofollow" {
-		t.Fatalf("SetAttr add failed: %q", got)
-	}
-}
-
 func TestRenderParseRoundTrip(t *testing.T) {
 	doc := Parse(samplePage)
-	rendered := Render(doc)
-	doc2 := Parse(rendered)
-	if len(doc.ElementsByTag("a")) != len(doc2.ElementsByTag("a")) {
-		t.Fatal("anchor count changed across round trip")
+	var sb strings.Builder
+	writeTree(NewWriter(&sb), &sb, doc)
+	doc2 := Parse(sb.String())
+	if err := sameTree(doc, doc2); err != nil {
+		t.Fatalf("tree changed across write and re-parse: %v\n%s", err, sb.String())
 	}
 	a1 := doc.ElementsByTag("a")[2]
 	a2 := doc2.ElementsByTag("a")[2]
-	if a1.AttrOr("href", "") != a2.AttrOr("href", "") {
-		t.Fatal("href changed across round trip")
-	}
 	if a1.XPath() != a2.XPath() {
 		t.Fatalf("xpath changed: %q vs %q", a1.XPath(), a2.XPath())
-	}
-}
-
-func TestRenderEscaping(t *testing.T) {
-	el := NewElement("a", "href", `/x?a=1&b="q"`)
-	el.AppendChild(NewText("5 < 6 & 7 > 2"))
-	html := Render(el)
-	doc := Parse(html)
-	a := doc.ElementsByTag("a")[0]
-	if got := a.AttrOr("href", ""); got != `/x?a=1&b="q"` {
-		t.Fatalf("attr round trip: %q", got)
-	}
-	if got := a.InnerText(); got != "5 < 6 & 7 > 2" {
-		t.Fatalf("text round trip: %q", got)
 	}
 }
 
@@ -207,8 +204,8 @@ func TestLayoutDynamicContentShiftsOnlyY(t *testing.T) {
 	// must keep x/w/h and differ only in y — the invariant behind matching
 	// heuristic 2.
 	page := func(bannerH int) *Node {
-		doc := Parse(`<html><body><div id="banner"></div><iframe id="ad" src="/s" width="300" height="250"></iframe></body></html>`)
-		doc.ByID("banner").SetAttr("height", itoa(bannerH))
+		doc := Parse(`<html><body><div id="banner" height="` + strconv.Itoa(bannerH) +
+			`"></div><iframe id="ad" src="/s" width="300" height="250"></iframe></body></html>`)
 		Layout(doc, 1280)
 		return doc
 	}
@@ -253,44 +250,38 @@ func TestLayoutZeroViewportDefaults(t *testing.T) {
 	}
 }
 
-// Property: Render then Parse preserves element count and tag multiset for
-// generator-shaped trees.
+// Property: writing a generator-shaped page and parsing it back yields
+// the anchors and iframes written, with their hrefs intact.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(hrefs []string, useIframe bool) bool {
-		body := NewElement("body")
-		for i, h := range hrefs {
-			if i > 10 {
-				break
-			}
-			a := NewElement("a", "href", h)
-			a.AppendChild(NewText("t"))
-			body.AppendChild(a)
+		if len(hrefs) > 11 {
+			hrefs = hrefs[:11]
+		}
+		var sb strings.Builder
+		w := NewWriter(&sb)
+		w.Open("html")
+		w.Open("body")
+		for _, h := range hrefs {
+			w.Elem("a", "t", "href", h)
 		}
 		if useIframe {
-			body.AppendChild(NewElement("iframe", "src", "/slot"))
+			w.Elem("iframe", "", "src", "/slot")
 		}
-		html := NewElement("html")
-		html.AppendChild(body)
-		doc2 := Parse(Render(html))
-		wantA := len(body.ElementsByTag("a"))
-		wantI := len(body.ElementsByTag("iframe"))
-		return len(doc2.ElementsByTag("a")) == wantA && len(doc2.ElementsByTag("iframe")) == wantI
+		w.Close()
+		w.Close()
+		doc := Parse(sb.String())
+		anchors := doc.ElementsByTag("a")
+		if len(anchors) != len(hrefs) {
+			return false
+		}
+		for i, a := range anchors {
+			if a.AttrOr("href", "") != hrefs[i] {
+				return false
+			}
+		}
+		return len(doc.ElementsByTag("iframe")) == map[bool]int{false: 0, true: 1}[useIframe]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

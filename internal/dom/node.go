@@ -1,7 +1,8 @@
 // Package dom implements the small HTML engine CrumbCruncher's simulated
-// browser runs on: a tokenizer and parser for the HTML subset the synthetic
-// web emits, an element tree with attributes, x-path computation, and a
-// deterministic block-layout pass that assigns bounding boxes.
+// browser runs on: a streaming writer the synthetic web generates pages
+// with, a tokenizer and parser for the HTML subset it emits, an element
+// tree with attributes, x-path computation, and a deterministic
+// block-layout pass that assigns bounding boxes.
 //
 // The paper's crawlers identify "the same" element across page instances by
 // href, by attribute names + bounding box, or by attribute names + x-path
@@ -72,17 +73,6 @@ func (n *Node) AttrOr(name, def string) string {
 		return v
 	}
 	return def
-}
-
-// SetAttr sets or replaces an attribute.
-func (n *Node) SetAttr(name, value string) {
-	for i, a := range n.Attrs {
-		if a.Name == name {
-			n.Attrs[i].Value = value
-			return
-		}
-	}
-	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
 }
 
 // AttrNames returns the attribute names in document order. Two elements
@@ -216,23 +206,3 @@ func (n *Node) XPath() string {
 	}
 	return string(out)
 }
-
-// NewElement constructs an element node with alternating attribute
-// name/value pairs. It panics on an odd number of pairs, which is always a
-// programming error in the generator.
-func NewElement(tag string, attrPairs ...string) *Node {
-	if len(attrPairs)%2 != 0 {
-		panic("dom: NewElement attrPairs must be name/value pairs")
-	}
-	n := &Node{Type: ElementNode, Tag: strings.ToLower(tag)}
-	if len(attrPairs) > 0 {
-		n.Attrs = make([]Attr, 0, len(attrPairs)/2)
-		for i := 0; i < len(attrPairs); i += 2 {
-			n.Attrs = append(n.Attrs, Attr{Name: attrPairs[i], Value: attrPairs[i+1]})
-		}
-	}
-	return n
-}
-
-// NewText constructs a text node.
-func NewText(text string) *Node { return &Node{Type: TextNode, Text: text} }

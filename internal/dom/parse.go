@@ -11,15 +11,21 @@ var voidElements = map[string]bool{
 	"source": true, "track": true, "wbr": true,
 }
 
-// nodeArena hands out tree nodes in blocks so parsing a page costs one
-// heap object per arenaBlock nodes instead of one per node (the parser
-// was the crawl's densest source of small allocations). Nodes in a
-// block share a backing array, so a single retained node keeps its
-// whole block alive — fine here, because the crawler discards pages
-// wholesale. The arena is per-Parse call, never pooled or shared:
-// trees built from it are identical to individually-allocated ones in
-// every observable way.
-type nodeArena struct{ blk []Node }
+// nodeArena hands out tree nodes and attribute slices in blocks, so
+// parsing a page costs one heap object per block of nodes instead of
+// one per node, and one attribute block per document instead of a
+// growing slice per element (the parser was the crawl's densest source
+// of small allocations). Nodes in a block share a backing array, so a
+// single retained node keeps its whole block alive — fine here, because
+// the crawler discards pages wholesale. Every attribute slice has cap ==
+// len, so appending to one element's Attrs reallocates instead of
+// overwriting its neighbour's. The arena is per-Parse call, never pooled
+// or shared: trees built from it are identical to individually-allocated
+// ones in every observable way.
+type nodeArena struct {
+	blk   []Node
+	attrs []Attr
+}
 
 // arenaOverflowBlock sizes the blocks handed out after the initial
 // estimate (see Parse) runs dry.
@@ -34,6 +40,21 @@ func (a *nodeArena) node() *Node {
 	return n
 }
 
+// attrList copies src into the attribute block and returns the copy.
+func (a *nodeArena) attrList(src []Attr) []Attr {
+	n := len(src)
+	if n == 0 {
+		return nil
+	}
+	if len(a.attrs) < n {
+		a.attrs = make([]Attr, max(n, arenaOverflowBlock))
+	}
+	out := a.attrs[:n:n]
+	a.attrs = a.attrs[n:]
+	copy(out, src)
+	return out
+}
+
 // Parse parses an HTML document into a tree rooted at a synthetic
 // #document node. The parser accepts the well-formed subset the synthetic
 // web emits and degrades gracefully on the rest: unknown entities pass
@@ -46,7 +67,13 @@ func Parse(html string) *Node {
 	// node, so the '<' count is a tight upper bound on the node count.
 	// One counting pass sizes the arena's first block so a typical
 	// document costs a single node allocation with little slack.
-	arena := nodeArena{blk: make([]Node, strings.Count(html, "<")+2)}
+	// Likewise every valued attribute holds an '=', so the '=' count
+	// bounds the attribute count (boolean attributes, which have none,
+	// spill into an overflow block).
+	arena := nodeArena{
+		blk:   make([]Node, strings.Count(html, "<")+2),
+		attrs: make([]Attr, strings.Count(html, "=")),
+	}
 	newText := func(text string) *Node {
 		n := arena.node()
 		n.Type, n.Text = TextNode, text
@@ -173,7 +200,8 @@ func indexCloser(s, tag string) int {
 }
 
 // parseTag parses "name attr=val attr2="v2" flag" into an element
-// allocated from the parse arena.
+// allocated from the parse arena. Attributes collect in a stack buffer
+// and move to the arena's attribute block once the tag is complete.
 func parseTag(raw string, a *nodeArena) *Node {
 	raw = strings.TrimSpace(raw)
 	if raw == "" {
@@ -185,6 +213,8 @@ func parseTag(raw string, a *nodeArena) *Node {
 	}
 	el := a.node()
 	el.Type, el.Tag = ElementNode, strings.ToLower(raw[:nameEnd])
+	var buf [16]Attr
+	attrs := buf[:0]
 	rest := raw[nameEnd:]
 	for {
 		rest = strings.TrimLeft(rest, " \t\r\n")
@@ -204,7 +234,7 @@ func parseTag(raw string, a *nodeArena) *Node {
 		rest = strings.TrimLeft(rest, " \t\r\n")
 		if !strings.HasPrefix(rest, "=") {
 			// Boolean attribute.
-			el.Attrs = append(el.Attrs, Attr{Name: name})
+			attrs = append(attrs, Attr{Name: name})
 			continue
 		}
 		rest = strings.TrimLeft(rest[1:], " \t\r\n")
@@ -231,8 +261,9 @@ func parseTag(raw string, a *nodeArena) *Node {
 			}
 			value, rest = rest[:j], rest[j:]
 		}
-		el.Attrs = append(el.Attrs, Attr{Name: name, Value: decodeEntities(value)})
+		attrs = append(attrs, Attr{Name: name, Value: decodeEntities(value)})
 	}
+	el.Attrs = a.attrList(attrs)
 	return el
 }
 
@@ -260,64 +291,4 @@ func decodeEntities(s string) string {
 		return s
 	}
 	return entityReplacer.Replace(s)
-}
-
-// EscapeText escapes text for safe inclusion in HTML content or attribute
-// values.
-func EscapeText(s string) string { return entityEscaper.Replace(s) }
-
-// Render serializes the tree back to HTML. Rendering a parsed document and
-// re-parsing it yields an equivalent tree (the round-trip property tested
-// in dom_test.go).
-func Render(n *Node) string {
-	var b strings.Builder
-	renderTo(&b, n)
-	return b.String()
-}
-
-func renderTo(b *strings.Builder, n *Node) {
-	switch n.Type {
-	case TextNode:
-		b.WriteString(EscapeText(n.Text))
-		return
-	case CommentNode:
-		b.WriteString("<!--")
-		b.WriteString(n.Text)
-		b.WriteString("-->")
-		return
-	}
-	if n.Tag == "#document" {
-		for _, c := range n.Children {
-			renderTo(b, c)
-		}
-		return
-	}
-	b.WriteByte('<')
-	b.WriteString(n.Tag)
-	for _, a := range n.Attrs {
-		b.WriteByte(' ')
-		b.WriteString(a.Name)
-		b.WriteString(`="`)
-		b.WriteString(EscapeText(a.Value))
-		b.WriteByte('"')
-	}
-	b.WriteByte('>')
-	if voidElements[n.Tag] {
-		return
-	}
-	if n.Tag == "script" || n.Tag == "style" {
-		// Raw text: no escaping.
-		for _, c := range n.Children {
-			if c.Type == TextNode {
-				b.WriteString(c.Text)
-			}
-		}
-	} else {
-		for _, c := range n.Children {
-			renderTo(b, c)
-		}
-	}
-	b.WriteString("</")
-	b.WriteString(n.Tag)
-	b.WriteByte('>')
 }

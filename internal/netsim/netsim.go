@@ -354,12 +354,13 @@ func (n *Network) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // recorderPool recycles the per-request response recorders. The body
-// buffer is the valuable part: handlers render multi-kilobyte pages into
+// buffer is the valuable part: handlers write multi-kilobyte pages into
 // it, and a recycled buffer reaches its high-water capacity once and
 // then serves every later request without growing. The reset contract
-// (DESIGN.md §10): response() copies the body out and detaches the
-// header map before the recorder returns to the pool, so a pooled
-// recorder is indistinguishable from a fresh one.
+// (DESIGN.md §10): response() turns the buffered bytes into the body
+// string — the one copy a response's bytes ever get — detaches the
+// header map and empties the buffer before the recorder returns to the
+// pool, so a pooled recorder is indistinguishable from a fresh one.
 var recorderPool = sync.Pool{New: func() any { return new(recorder) }}
 
 // recorder is a minimal in-process http.ResponseWriter. It replaces
@@ -398,9 +399,10 @@ func (r *recorder) WriteString(s string) (int, error) {
 }
 
 // response snapshots the recorded state into an *http.Response and
-// returns the recorder to the pool. The body is copied exactly once
-// (the pooled buffer must not escape); the header map moves to the
-// response uncloned, so the recorder forgets it.
+// returns the recorder to the pool. The body is copied exactly once,
+// into the string a stringBody reads from (the pooled buffer must not
+// escape); the header map moves to the response uncloned, so the
+// recorder forgets it.
 func (r *recorder) response(req *http.Request) *http.Response {
 	code := r.code
 	if code == 0 {
@@ -410,7 +412,7 @@ func (r *recorder) response(req *http.Request) *http.Response {
 	if h == nil {
 		h = make(http.Header)
 	}
-	body := append([]byte(nil), r.body.Bytes()...)
+	body := r.body.String()
 	r.code, r.header = 0, nil
 	r.body.Reset()
 	recorderPool.Put(r)
@@ -421,11 +423,28 @@ func (r *recorder) response(req *http.Request) *http.Response {
 		ProtoMajor:    1,
 		ProtoMinor:    1,
 		Header:        h,
-		Body:          io.NopCloser(bytes.NewReader(body)),
+		Body:          newStringBody(body),
 		ContentLength: int64(len(body)),
 		Request:       req,
 	}
 }
+
+// stringBody is the body of every response this network serves: a
+// reader over the recorded string. ReadBody recognises it and hands the
+// unread rest of the string over without copying it again.
+type stringBody struct {
+	strings.Reader
+	s string
+}
+
+func newStringBody(s string) *stringBody {
+	b := &stringBody{s: s}
+	b.Reset(s)
+	return b
+}
+
+// Close is a no-op: the body holds no resources.
+func (*stringBody) Close() error { return nil }
 
 // Client returns an *http.Client backed by this network that does NOT
 // follow redirects: the browser layer walks redirect chains itself so that
@@ -448,19 +467,19 @@ func hostOnly(hostport string) string {
 }
 
 // ReadBody fully reads and closes a response body. It is tolerant of nil
-// responses for use in error paths. Bodies from this network are
-// bytes.Readers, whose WriteTo hands io.Copy the whole payload in one
-// call — the builder allocates exactly once instead of io.ReadAll's
-// doubling chain plus a final string copy.
+// responses for use in error paths. A body this network served is
+// returned as the string it already is; any other body is copied out.
 func ReadBody(resp *http.Response) (string, error) {
 	if resp == nil || resp.Body == nil {
 		return "", nil
 	}
 	defer resp.Body.Close()
-	var sb strings.Builder
-	if resp.ContentLength > 0 {
-		sb.Grow(int(resp.ContentLength))
+	if b, ok := resp.Body.(*stringBody); ok {
+		rest := b.s[len(b.s)-b.Len():]
+		b.Reset("")
+		return rest, nil
 	}
+	var sb strings.Builder
 	_, err := io.Copy(&sb, resp.Body)
 	return sb.String(), err
 }

@@ -86,9 +86,8 @@ func (w *World) serveSite(s *Site, rw http.ResponseWriter, r *http.Request) {
 		w.serveAccount(s, rw, r)
 		return
 	}
-	page := w.buildPage(s, r.URL.Path, v)
 	rw.Header().Set("Content-Type", "text/html")
-	fmt.Fprint(rw, dom.Render(page))
+	w.writePage(s, r.URL.Path, v, dom.NewWriter(rw))
 }
 
 // serveAccount implements the §6 breakage experiment's login pages: how
@@ -105,38 +104,29 @@ func (w *World) serveAccount(s *Site, rw http.ResponseWriter, r *http.Request) {
 		http.SetCookie(rw, &http.Cookie{Name: "auth", Value: atok, MaxAge: 86400 * 180})
 	}
 
-	html := dom.NewElement("html")
-	head := dom.NewElement("head")
-	title := dom.NewElement("title")
-	title.AppendChild(dom.NewText("Account — " + s.Domain))
-	head.AppendChild(title)
-	html.AppendChild(head)
-	body := dom.NewElement("body")
-	html.AppendChild(body)
-
+	rw.Header().Set("Content-Type", "text/html")
+	dw := dom.NewWriter(rw)
+	dw.Open("html")
+	dw.Open("head")
+	dw.Elem("title", "Account — "+s.Domain)
+	dw.Close() // head
+	dw.Open("body")
 	if atok == "" && s.BreakageClass == 1 {
 		// Minor breakage: an extra 20px notice shifts the body down.
-		banner := dom.NewElement("div", "id", "notice", "height", "20")
-		banner.AppendChild(dom.NewText("please sign in"))
-		body.AppendChild(banner)
+		dw.Elem("div", "please sign in", "id", "notice", "height", "20")
 	}
-	h1 := dom.NewElement("h1")
-	h1.AppendChild(dom.NewText("Your account"))
-	body.AppendChild(h1)
-	form := dom.NewElement("form", "id", "profile")
-	email := dom.NewElement("input", "type", "text", "name", "email")
+	dw.Elem("h1", "Your account")
+	dw.Open("form", "id", "profile")
 	if s.BreakageClass == 2 && atok != "" {
 		// Autofill only works with the token.
-		email.SetAttr("value", "user@"+s.Domain)
+		dw.Open("input", "type", "text", "name", "email", "value", "user@"+s.Domain)
+	} else {
+		dw.Open("input", "type", "text", "name", "email")
 	}
-	form.AppendChild(email)
-	body.AppendChild(form)
-	a := dom.NewElement("a", "href", "/")
-	a.AppendChild(dom.NewText("home"))
-	body.AppendChild(a)
-
-	rw.Header().Set("Content-Type", "text/html")
-	fmt.Fprint(rw, dom.Render(html))
+	dw.Close() // form; input is void
+	dw.Elem("a", "home", "href", "/")
+	dw.Close() // body
+	dw.Close() // html
 }
 
 // serveSSO is the organisation's sign-in redirector: it mints (or
@@ -392,13 +382,13 @@ func (w *World) serveAdSlot(t *Tracker, rw http.ResponseWriter, r *http.Request)
 	}
 	click := clickChainURL(camp.Chain, "http://"+camp.Dest+"/land", aid, extras)
 
-	ad := dom.NewElement("html")
-	body := dom.NewElement("body")
-	ad.AppendChild(body)
-	a := dom.NewElement("a", "href", click, "class", "ad-click")
-	img := dom.NewElement("img", "src", "http://"+t.ServeHost+"/img/"+aid+".png", "alt", "ad")
-	a.AppendChild(img)
-	body.AppendChild(a)
 	rw.Header().Set("Content-Type", "text/html")
-	fmt.Fprint(rw, dom.Render(ad))
+	dw := dom.NewWriter(rw)
+	dw.Open("html")
+	dw.Open("body")
+	dw.Open("a", "href", click, "class", "ad-click")
+	dw.Open("img", "src", "http://"+t.ServeHost+"/img/"+aid+".png", "alt", "ad")
+	dw.Close() // a; img is void
+	dw.Close() // body
+	dw.Close() // html
 }

@@ -32,13 +32,14 @@ func visitorFrom(r *http.Request) visitor {
 // adSizes are standard display-ad dimensions for iframe slots.
 var adSizes = [][2]int{{300, 250}, {728, 90}, {160, 600}, {336, 280}}
 
-// buildPage synthesizes a site page. Static structure derives from (seed,
-// site, path); dynamic parts derive from (seed, site, path, client, load
-// count), so simultaneous loads by different crawlers agree on the static
-// skeleton and disagree on rotated content — the split that drives the
-// paper's static/dynamic smuggling distinction and its synchronization
-// failures.
-func (w *World) buildPage(s *Site, path string, v visitor) *dom.Node {
+// writePage synthesizes a site page straight into dw. Static structure
+// derives from (seed, site, path); dynamic parts derive from (seed, site,
+// path, client, load count), so simultaneous loads by different crawlers
+// agree on the static skeleton and disagree on rotated content — the
+// split that drives the paper's static/dynamic smuggling distinction and
+// its synchronization failures. The page is written in document order,
+// and every RNG draw happens in the order the served bytes pin.
+func (w *World) writePage(s *Site, path string, v visitor, dw *dom.Writer) {
 	srng := stats.AcquireRNG(w.split.Child("page").Child(s.Domain).Seed(path))
 	defer srng.Release()
 	loadN := w.visit(ident.Join("load", v.client, s.Domain, path))
@@ -48,65 +49,61 @@ func (w *World) buildPage(s *Site, path string, v visitor) *dom.Node {
 	volatile := srng.Bool(w.cfg.PVolatilePage)
 	sess := ident.SessionID(w.cfg.Seed, s.Domain, v.client, strconv.Itoa(loadN))
 
-	html := dom.NewElement("html")
-	head := dom.NewElement("head")
-	title := dom.NewElement("title")
-	title.AppendChild(dom.NewText(titleCase(s.Domain) + " — " + s.Category))
-	head.AppendChild(title)
-	html.AppendChild(head)
-	body := dom.NewElement("body")
-	html.AppendChild(body)
-
-	w.addScripts(s, body)
-
-	content := dom.NewElement("div", "class", "content", "id", "main")
-	h1 := dom.NewElement("h1")
-	h1.AppendChild(dom.NewText(slugFrom(srng, 2)))
-	content.AppendChild(h1)
+	dw.Open("html")
+	dw.Open("head")
+	dw.Elem("title", titleCase(s.Domain)+" — "+s.Category)
+	dw.Close() // head
+	dw.Open("body")
+	w.addScripts(s, dw)
+	// The heading comes after the navigation in the document but is
+	// drawn before it.
+	h1 := slugFrom(srng, 2)
 
 	if volatile {
 		// A fully dynamic page: even its navigation differs per load, so
 		// the controller finds no common element (the paper's 7.6%
 		// synchronization failures).
-		nav := dom.NewElement("nav", "id", "top")
+		dw.Open("nav", "id", "top")
 		for k := 0; k < 3; k++ {
-			a := dom.NewElement("a",
+			// Not Elem: the link text is drawn after the attributes.
+			dw.Open("a",
 				"href", fmt.Sprintf("/p/%d", drng.Intn(100000)),
 				"data-n"+strconv.Itoa(drng.Intn(50)), "1",
 			)
-			a.AppendChild(dom.NewText(slugFrom(drng, 1)))
-			nav.AppendChild(a)
+			dw.Text(slugFrom(drng, 1))
+			dw.Close()
 		}
-		body.AppendChild(nav)
-		body.AppendChild(content)
-		w.addVolatileContent(s, content, drng)
-		return html
+		dw.Close() // nav
+		dw.Open("div", "class", "content", "id", "main")
+		dw.Elem("h1", h1)
+		w.addVolatileContent(s, dw, drng)
+		dw.Close() // div
+		dw.Close() // body
+		dw.Close() // html
+		return
 	}
 
 	// Navigation: internal links, one optionally carrying a session ID.
-	nav := dom.NewElement("nav", "id", "top")
+	dw.Open("nav", "id", "top")
 	for k := 0; k < w.cfg.InternalLinkCount; k++ {
 		href := fmt.Sprintf("/p/%d", (k*7+len(path)*3)%30)
 		if k == 1 && srng.Bool(w.cfg.PSessionLink) {
 			href += "?sid=" + sess
 		}
-		a := dom.NewElement("a", "href", href)
-		a.AppendChild(dom.NewText(stats.Pick(srng, words.Common)))
-		nav.AppendChild(a)
+		dw.Elem("a", stats.Pick(srng, words.Common), "href", href)
 	}
-	body.AppendChild(nav)
-	body.AppendChild(content)
+	dw.Close() // nav
+	dw.Open("div", "class", "content", "id", "main")
+	dw.Elem("h1", h1)
 
 	// Static external links.
 	for i := 0; i < s.ExtLinks; i++ {
-		w.addExternalLink(s, content, srng, v, i, sess)
+		w.addExternalLink(s, dw, srng, v, i, sess)
 	}
 	// Org-sync sibling links (static, on some pages).
 	if s.SyncTracker != nil && len(s.Siblings) > 0 && srng.Bool(0.22) {
 		sib := s.Siblings[srng.Intn(len(s.Siblings))]
-		a := dom.NewElement("a", "href", "http://"+sib+"/", "class", "org-link")
-		a.AppendChild(dom.NewText("our " + stats.Pick(srng, words.Common) + " site"))
-		content.AppendChild(a)
+		dw.Elem("a", "our "+stats.Pick(srng, words.Common)+" site", "href", "http://"+sib+"/", "class", "org-link")
 	}
 	// SSO login link to a partner with an account page. Some links omit
 	// the return URL: the sign-in host is then visited as a destination,
@@ -116,49 +113,44 @@ func (w *World) buildPage(s *Site, path string, v visitor) *dom.Node {
 		if !srng.Bool(w.cfg.PSSOBareLogin) {
 			href += "?return=" + url.QueryEscape("http://"+p.domain+"/account")
 		}
-		a := dom.NewElement("a", "href", href, "class", "login")
-		a.AppendChild(dom.NewText("sign in"))
-		content.AppendChild(a)
+		dw.Elem("a", "sign in", "href", href, "class", "login")
 	}
 	// One dynamic "recommended" link: present on every load but pointing
 	// somewhere different per client, with a varying attribute set so the
 	// matching heuristics correctly reject it.
 	rec := w.gen.domainAt(drng.Intn(w.cfg.NumSites))
-	recA := dom.NewElement("a",
+	dw.Elem("a", "recommended",
 		"href", "http://"+rec+"/?ref="+slugFrom(drng, 2),
 		"class", "recommended",
 		"data-v"+strconv.Itoa(drng.Intn(50)), "1",
 	)
-	recA.AppendChild(dom.NewText("recommended"))
-	content.AppendChild(recA)
 
 	// Ad slots.
 	for k := 0; k < s.AdSlots && len(s.AdNetworks) > 0; k++ {
 		net := s.AdNetworks[k%len(s.AdNetworks)]
 		size := adSizes[srng.Intn(len(adSizes))]
-		iframe := dom.NewElement("iframe",
+		dw.Elem("iframe", "",
 			"src", fmt.Sprintf("http://%s/slot?pub=%s&sl=%d", net.ServeHost, s.Domain, k),
 			"width", strconv.Itoa(size[0]),
 			"height", strconv.Itoa(size[1]),
 			"class", "ad-slot",
 		)
-		content.AppendChild(iframe)
 	}
+	dw.Close() // div
 
-	footer := dom.NewElement("footer")
-	footer.AppendChild(dom.NewText("© " + s.Org))
-	body.AppendChild(footer)
-	return html
+	dw.Elem("footer", "© "+s.Org)
+	dw.Close() // body
+	dw.Close() // html
 }
 
-// addScripts emits the site's tracker script tags.
-func (w *World) addScripts(s *Site, body *dom.Node) {
+// addScripts writes the site's tracker script tags.
+func (w *World) addScripts(s *Site, dw *dom.Writer) {
 	for _, t := range s.Decorators {
 		directive := "link-decorator"
 		if t.RefererSmuggler {
 			directive = "referrer-decorator"
 		}
-		script := dom.NewElement("script",
+		attrs := append(make([]string, 0, 18),
 			"src", "http://"+t.ScriptHost+"/t.js",
 			"data-cc", directive,
 			"data-tracker", t.Domain,
@@ -168,50 +160,50 @@ func (w *World) addScripts(s *Site, body *dom.Node) {
 			"data-match-class", "aff-"+t.Name,
 		)
 		if t.UIDFormat != "" {
-			script.SetAttr("data-uid-format", t.UIDFormat)
+			attrs = append(attrs, "data-uid-format", t.UIDFormat)
 		}
 		if s.fpDecorator[t.Domain] {
-			script.SetAttr("data-fingerprint", "1")
+			attrs = append(attrs, "data-fingerprint", "1")
 		}
-		body.AppendChild(script)
+		dw.Elem("script", "", attrs...)
 	}
 	if s.SyncTracker != nil {
-		body.AppendChild(dom.NewElement("script",
+		dw.Elem("script", "",
 			"data-cc", "link-decorator",
 			"data-tracker", s.SyncTracker.Domain,
 			"data-param", s.SyncTracker.Param,
 			"data-cookie", s.SyncTracker.CookieName,
 			"data-ttl-days", strconv.Itoa(s.SyncTracker.TTLDays),
 			"data-match-class", "org-link",
-		))
+		)
 	}
 	for _, t := range s.Analytics {
-		body.AppendChild(dom.NewElement("script",
+		dw.Elem("script", "",
 			"src", "http://"+t.ScriptHost+"/a.js",
 			"data-cc", "beacon",
 			"data-endpoint", "http://"+t.ScriptHost+"/collect",
 			"data-include-url", "1",
 			"data-uid-param", "cid",
 			"data-tracker", t.Domain,
-		))
+		)
 	}
 	// Cookie syncing between co-located third parties (§8.2): same-page
 	// UID sharing that partitioned storage already contains. The pipeline
 	// must not confuse these beacons with navigational smuggling.
 	if len(s.Analytics) >= 2 {
 		a, b := s.Analytics[0], s.Analytics[1]
-		body.AppendChild(dom.NewElement("script",
+		dw.Elem("script", "",
 			"src", "http://"+a.ScriptHost+"/sync.js",
 			"data-cc", "cookie-sync",
 			"data-tracker", a.Domain,
 			"data-endpoint", "http://"+b.ScriptHost+"/sync",
-		))
+		)
 	}
 	for _, t := range s.Collectors {
 		// Destination-side collector: the tracker's own script harvests
 		// its smuggled parameters into first-party cookies with its own
 		// lifetime (step 3 of Fig. 2).
-		body.AppendChild(dom.NewElement("script",
+		dw.Elem("script", "",
 			"src", "http://"+t.ScriptHost+"/t.js",
 			"data-cc", "collector",
 			"data-tracker", t.Domain,
@@ -219,21 +211,21 @@ func (w *World) addScripts(s *Site, body *dom.Node) {
 			"data-cookie-prefix", "_in_",
 			"data-ttl-days", strconv.Itoa(t.TTLDays),
 			"data-beacon", "http://"+t.ScriptHost+"/collect",
-		))
+		)
 	}
 	if s.Fingerprinting {
 		// Marker for fingerprinting code (function carried by the
 		// decorators' data-fingerprint attribute).
-		body.AppendChild(dom.NewElement("script", "src", "http://"+s.Domain+"/fp.js", "class", "fingerprint"))
+		dw.Elem("script", "", "src", "http://"+s.Domain+"/fp.js", "class", "fingerprint")
 	}
 }
 
-// addExternalLink appends the i-th static external link, choosing its
+// addExternalLink writes the i-th static external link, choosing its
 // tracking flavour from the configured mix.
-func (w *World) addExternalLink(s *Site, content *dom.Node, srng *stats.RNG, v visitor, i int, sess string) {
+func (w *World) addExternalLink(s *Site, dw *dom.Writer, srng *stats.RNG, v visitor, i int, sess string) {
 	roll := srng.Float64()
 	cfg := w.cfg
-	var a *dom.Node
+	var href, class string
 	switch {
 	case roll < cfg.PDirectDecorated && len(s.Decorators) > 0:
 		// Affiliate link straight to the retailer; the decorator script
@@ -243,8 +235,7 @@ func (w *World) addExternalLink(s *Site, content *dom.Node, srng *stats.RNG, v v
 			break
 		}
 		dest := t.DestRetailers[srng.Intn(len(t.DestRetailers))]
-		a = dom.NewElement("a", "href", "http://"+dest+"/land?aid="+linkID(t, s, i),
-			"class", "aff-"+t.Name)
+		href, class = "http://"+dest+"/land?aid="+linkID(t, s, i), "aff-"+t.Name
 	case roll < cfg.PDirectDecorated+cfg.PViaSmuggler && len(s.Decorators) > 0:
 		// Affiliate link through the tracker's click-host chain.
 		t := s.Decorators[srng.Intn(len(s.Decorators))]
@@ -252,21 +243,19 @@ func (w *World) addExternalLink(s *Site, content *dom.Node, srng *stats.RNG, v v
 			break
 		}
 		dest := t.DestRetailers[srng.Intn(len(t.DestRetailers))]
-		chain := t.ClickHosts
-		href := clickChainURL(chain, "http://"+dest+"/land", linkID(t, s, i), nil)
-		a = dom.NewElement("a", "href", href, "class", "aff-"+t.Name)
+		href = clickChainURL(t.ClickHosts, "http://"+dest+"/land", linkID(t, s, i), nil)
+		class = "aff-" + t.Name
 	case roll < cfg.PDirectDecorated+cfg.PViaSmuggler+cfg.PViaBounce && len(w.bounces) > 0:
 		// Bounce-tracked link: redirector, no UID.
 		t := w.bounces[srng.Intn(len(w.bounces))]
 		dest := s.Partners[srng.Intn(len(s.Partners))]
-		a = dom.NewElement("a", "href",
-			"http://"+t.ClickHosts[0]+"/b?d="+url.QueryEscape("http://"+dest+"/"))
+		href = "http://" + t.ClickHosts[0] + "/b?d=" + url.QueryEscape("http://"+dest+"/")
 	default:
 		if len(s.Partners) == 0 {
 			break
 		}
 		dest := s.Partners[srng.Intn(len(s.Partners))]
-		href := "http://" + dest + "/"
+		href = "http://" + dest + "/"
 		if s.ShortenerHost != "" && srng.Bool(0.5) {
 			// Outbound links through the site's own shortener; when the
 			// org syncs UIDs, the shortener URL carries one
@@ -283,37 +272,39 @@ func (w *World) addExternalLink(s *Site, content *dom.Node, srng *stats.RNG, v v
 		} else if srng.Bool(cfg.PBenignParams) {
 			href += "?" + benignQuery(srng)
 		}
-		a = dom.NewElement("a", "href", href)
 	}
-	if a == nil {
-		return
+	switch {
+	case href == "":
+		// No link of the rolled flavour fits this site.
+	case class == "":
+		dw.Elem("a", slugFrom(srng, 1), "href", href)
+	default:
+		dw.Elem("a", slugFrom(srng, 1), "href", href, "class", class)
 	}
-	a.AppendChild(dom.NewText(slugFrom(srng, 1)))
-	content.AppendChild(a)
 }
 
 // addVolatileContent fills a fully dynamic page: every element differs per
 // client, so the central controller can never find a common element (the
 // paper's 7.6% synchronization failures).
-func (w *World) addVolatileContent(s *Site, content *dom.Node, drng *stats.RNG) {
+func (w *World) addVolatileContent(s *Site, dw *dom.Writer, drng *stats.RNG) {
 	nLinks := 2 + drng.Intn(3)
 	for i := 0; i < nLinks; i++ {
 		dest := w.gen.domainAt(drng.Intn(w.cfg.NumSites))
-		a := dom.NewElement("a",
+		dw.Open("a",
 			"href", fmt.Sprintf("http://%s/p/%d?ref=%s", dest, drng.Intn(10), slugFrom(drng, 2)),
 			"data-v"+strconv.Itoa(drng.Intn(50)), "1",
 		)
-		a.AppendChild(dom.NewText(slugFrom(drng, 1)))
-		content.AppendChild(a)
+		dw.Text(slugFrom(drng, 1))
+		dw.Close()
 	}
 	if len(s.AdNetworks) > 0 {
 		net := s.AdNetworks[0]
-		content.AppendChild(dom.NewElement("iframe",
+		dw.Elem("iframe", "",
 			"src", fmt.Sprintf("http://%s/slot?pub=%s&sl=0&cb=%d", net.ServeHost, s.Domain, drng.Intn(1<<30)),
 			"width", strconv.Itoa(200+drng.Intn(400)),
 			"height", strconv.Itoa(100+drng.Intn(300)),
 			"data-r"+strconv.Itoa(drng.Intn(50)), "1",
-		))
+		)
 	}
 }
 

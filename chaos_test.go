@@ -23,13 +23,14 @@ func chaosConfig() crumbcruncher.Config {
 	return cfg
 }
 
-// runToCrash executes a checkpointed streaming run with inj installed
-// at the write boundary, canceling the run the instant the injector's
-// crash point fires — the in-process equivalent of the process dying
-// mid-run. Returns once the run has unwound.
-func runToCrash(t *testing.T, cfg crumbcruncher.Config, ckptPath string, inj *chaos.Injector) {
+// runToCrash executes a streaming run that records to a fresh run
+// store at path, with inj installed at the write boundary, canceling the
+// run the instant the injector's crash point fires — the in-process
+// equivalent of the process dying mid-run. Returns once the run has
+// unwound.
+func runToCrash(t *testing.T, cfg crumbcruncher.Config, path string, inj *chaos.Injector) {
 	t.Helper()
-	ckpt, err := crumbcruncher.OpenCheckpoint(ckptPath, cfg.World.Seed)
+	st, err := crumbcruncher.OpenWalkLog(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func runToCrash(t *testing.T, cfg crumbcruncher.Config, ckptPath string, inj *ch
 		}
 	}()
 
-	if _, err := crumbcruncher.NewRunner(cfg, crumbcruncher.WithCheckpoint(ckpt)).Run(ctx); err == nil {
+	if _, err := crumbcruncher.NewRunner(cfg, crumbcruncher.WithRunStore(st)).Run(ctx); err == nil {
 		t.Fatal("crashed run returned no error")
 	}
 	select {
@@ -56,23 +57,23 @@ func runToCrash(t *testing.T, cfg crumbcruncher.Config, ckptPath string, inj *ch
 	default:
 		t.Fatal("run failed before the chaos point fired")
 	}
-	ckpt.Close() //nolint:errcheck // the "process" is dead; state is on disk
+	st.Close() //nolint:errcheck // the "process" is dead; state is on disk
 }
 
-// resumeAndVerify reopens the checkpoint (recovering whatever the crash
-// left), finishes the run, and asserts the metrics are byte-identical
-// to the uninterrupted reference.
-func resumeAndVerify(t *testing.T, cfg crumbcruncher.Config, ckptPath string, want []byte) {
+// resumeAndVerify reopens the store at path (recovering whatever the
+// crash left), finishes the run, and asserts the metrics are
+// byte-identical to the uninterrupted reference and the store
+// finalized.
+func resumeAndVerify(t *testing.T, cfg crumbcruncher.Config, path string, want []byte) {
 	t.Helper()
-	tel := crumbcruncher.NewTelemetry()
-	ckpt, err := crumbcruncher.OpenCheckpointTel(ckptPath, cfg.World.Seed, tel)
+	st, err := crumbcruncher.OpenWalkLog(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ckpt.Close()
+	defer st.Close()
 	run, err := crumbcruncher.NewRunner(cfg,
-		crumbcruncher.WithCheckpoint(ckpt),
-		crumbcruncher.WithTelemetry(tel),
+		crumbcruncher.WithRunStore(st),
+		crumbcruncher.WithTelemetry(crumbcruncher.NewTelemetry()),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +81,16 @@ func resumeAndVerify(t *testing.T, cfg crumbcruncher.Config, ckptPath string, wa
 	if got := metricsBytes(t, run); !bytes.Equal(got, want) {
 		t.Error("resumed run's metrics differ from the uninterrupted run")
 	}
+	if !st.Finalized() {
+		t.Error("a successful run left its store unfinalized")
+	}
 }
 
 // TestChaosCrashRecoverVerify kills a streaming run at seeded chaos
-// points — torn checkpoint appends of varying severity, a sidecar tear,
-// an fsync-time crash — then resumes from the surviving disk state and
-// requires metrics byte-identical to a clean run.
+// points in its run store — torn walk records of varying severity in a
+// line store and in a segment store's active segment, an fsync-time
+// crash — then resumes from the surviving disk state and requires
+// metrics byte-identical to a clean run.
 func TestChaosCrashRecoverVerify(t *testing.T) {
 	cfg := chaosConfig()
 	ref, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
@@ -96,18 +101,23 @@ func TestChaosCrashRecoverVerify(t *testing.T) {
 
 	points := []struct {
 		name string
-		cfg  chaos.Config
+		// store names the run store: a line file or a ".crumbs"
+		// segment directory.
+		store string
+		cfg   chaos.Config
 		// sync overrides the process fsync policy for the scenario
 		// (zero: leave the default interval policy).
 		sync runio.SyncPolicy
 	}{
-		{name: "torn checkpoint record, nothing lands", cfg: chaos.Config{Seed: 1, Target: runio.CheckpointFormat, CrashAtRecord: 4, TearBytes: 0}},
-		{name: "torn checkpoint record, partial frame", cfg: chaos.Config{Seed: 2, Target: runio.CheckpointFormat, CrashAtRecord: 6, TearBytes: 11}},
-		{name: "torn checkpoint record, partial payload", cfg: chaos.Config{Seed: 3, Target: runio.CheckpointFormat, CrashAtRecord: 3, TearBytes: 40}},
-		{name: "torn analysis sidecar record", cfg: chaos.Config{Seed: 4, Target: runio.AnalysisFormat, CrashAtRecord: 5, TearBytes: 25}},
+		{name: "torn walk record, nothing lands", store: "run.jsonl", cfg: chaos.Config{Seed: 1, Target: runio.WalksFormat, CrashAtRecord: 4, TearBytes: 0}},
+		{name: "torn walk record, partial frame", store: "run.jsonl", cfg: chaos.Config{Seed: 2, Target: runio.WalksFormat, CrashAtRecord: 6, TearBytes: 11}},
+		{name: "torn walk record, partial payload", store: "run.jsonl", cfg: chaos.Config{Seed: 3, Target: runio.WalksFormat, CrashAtRecord: 3, TearBytes: 40}},
+		// The active segment's header is its first append, so append 5
+		// is its fourth walk.
+		{name: "torn segment record", store: "run.crumbs", cfg: chaos.Config{Seed: 4, Target: runio.SegmentFormat, CrashAtRecord: 5, TearBytes: 25}},
 		// Under -fsync every-record each append syncs, so sync 2 is the
-		// first walk entry's fsync — a crash point mid-run.
-		{name: "crash at checkpoint fsync", cfg: chaos.Config{Seed: 5, Target: runio.CheckpointFormat, CrashAtSync: 2}, sync: runio.SyncEveryRecord},
+		// second walk record's fsync — a crash point mid-run.
+		{name: "crash at store fsync", store: "run.jsonl", cfg: chaos.Config{Seed: 5, Target: runio.WalksFormat, CrashAtSync: 2}, sync: runio.SyncEveryRecord},
 	}
 	for _, p := range points {
 		t.Run(p.name, func(t *testing.T) {
@@ -115,18 +125,18 @@ func TestChaosCrashRecoverVerify(t *testing.T) {
 				runio.SetDefaultSyncPolicy(p.sync)
 				defer runio.SetDefaultSyncPolicy(runio.SyncInterval)
 			}
-			ckptPath := filepath.Join(t.TempDir(), "ckpt.jsonl")
-			runToCrash(t, cfg, ckptPath, chaos.New(p.cfg))
-			resumeAndVerify(t, cfg, ckptPath, want)
+			path := filepath.Join(t.TempDir(), p.store)
+			runToCrash(t, cfg, path, chaos.New(p.cfg))
+			resumeAndVerify(t, cfg, path, want)
 		})
 	}
 }
 
-// TestChaosCorruptCheckpointQuarantined flips a bit in a recorded
-// checkpoint entry (latent damage: the interrupted run never notices),
-// then verifies the resume path refuses the corrupt walks — quarantine,
-// typed error, fresh restart — and still converges to clean metrics.
-func TestChaosCorruptCheckpointQuarantined(t *testing.T) {
+// TestChaosCorruptStoreQuarantined flips a bit in a recorded walk of a
+// run store (latent damage: the run never notices), then verifies that
+// reopening refuses the corrupt walks — quarantine, typed error — and
+// that a fresh start still converges to clean metrics.
+func TestChaosCorruptStoreQuarantined(t *testing.T) {
 	cfg := chaosConfig()
 	ref, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
 	if err != nil {
@@ -134,34 +144,32 @@ func TestChaosCorruptCheckpointQuarantined(t *testing.T) {
 	}
 	want := metricsBytes(t, ref)
 
-	ckptPath := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	inj := chaos.New(chaos.Config{Seed: 9, Target: runio.CheckpointFormat, FlipAtRecord: 3})
-	runio.SetFault(inj)
-	ckpt, err := crumbcruncher.OpenCheckpoint(ckptPath, cfg.World.Seed)
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	st, err := crumbcruncher.OpenWalkLog(path, cfg)
 	if err != nil {
-		runio.SetFault(nil)
 		t.Fatal(err)
 	}
+	runio.SetFault(chaos.New(chaos.Config{Seed: 9, Target: runio.WalksFormat, FlipAtRecord: 3}))
 	// The flip is latent: the run completes normally, with the damage
-	// sitting in the checkpoint file.
-	if _, err := crumbcruncher.NewRunner(cfg, crumbcruncher.WithCheckpoint(ckpt)).Run(context.Background()); err != nil {
-		runio.SetFault(nil)
+	// sitting in the store.
+	_, err = crumbcruncher.NewRunner(cfg, crumbcruncher.WithRunStore(st)).Run(context.Background())
+	runio.SetFault(nil)
+	st.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt.Close()
-	runio.SetFault(nil)
 
-	// Resume: never silently skip the corrupt record. The file is
+	// Reopen: never silently skip the corrupt record. The store is
 	// quarantined and the open reports exactly where the damage is.
-	_, err = crumbcruncher.OpenCheckpoint(ckptPath, cfg.World.Seed)
+	_, err = crumbcruncher.OpenWalkLog(path, cfg)
 	var dmg *runio.DamageError
 	if !errors.As(err, &dmg) || !errors.Is(err, runio.ErrCorrupt) {
-		t.Fatalf("corrupt checkpoint not classified: %v", err)
+		t.Fatalf("corrupt store not classified: %v", err)
 	}
 	if dmg.Quarantined == "" {
-		t.Fatal("corrupt checkpoint not quarantined")
+		t.Fatal("corrupt store not quarantined")
 	}
 
 	// A fresh start from the now-clean path reproduces the clean run.
-	resumeAndVerify(t, cfg, ckptPath, want)
+	resumeAndVerify(t, cfg, path, want)
 }

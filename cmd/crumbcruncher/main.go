@@ -5,20 +5,24 @@
 // Usage:
 //
 //	crumbcruncher [-seed N] [-sites N] [-walks N] [-steps N] [-parallel N]
-//	              [-machines N] [-small] [-lazy] [-save crawl.json]
+//	              [-machines N] [-small] [-lazy] [-save run.jsonl]
 //	              [-out report.txt] [-trace trace.jsonl] [-progress]
 //	              [-pprof localhost:6060] [-retries N] [-breaker N]
-//	              [-deadline D] [-resume ckpt.jsonl] [-fsync POLICY]
+//	              [-deadline D] [-fsync POLICY]
 //	              [-connect-fail R] [-transient-fail R] [-degrade R]
 //	              [-spike R]
 //
-// An interrupted run (Ctrl-C or a crash) drains gracefully; with
-// -resume it can be continued later from the same checkpoint file. A
-// checkpoint torn by a crash mid-write recovers automatically (the
-// partial record is dropped); a corrupt one is quarantined to
-// "<path>.corrupt" and the run restarts from scratch rather than trust
-// damaged walks. -fsync bounds how much a crash can lose: "never",
-// "interval" (default: every 32 records or 1 MiB) or "every-record".
+// -save names the run's store, which is also its walk log: the crawl
+// appends each walk to it as the walk finishes, and the store is
+// finalized when the run succeeds. An interrupted run (Ctrl-C or a
+// crash) leaves the store unfinalized, and re-running with the same
+// flags and -save path resumes it. A store torn by a crash mid-write
+// recovers automatically (the partial record is dropped); a corrupt one
+// is quarantined to "<path>.corrupt" and the run restarts from scratch
+// rather than trust damaged walks. A finalized store, or one recorded
+// with other flags, is refused before the crawl starts. -fsync bounds
+// how much a crash can lose: "never", "interval" (default: every 32
+// records or 1 MiB) or "every-record".
 package main
 
 import (
@@ -52,7 +56,7 @@ func main() {
 		machines  = flag.Int("machines", 0, "simulated crawl machines walks are spread across (0: config default)")
 		small     = flag.Bool("small", false, "use the small demo configuration")
 		lazy      = flag.Bool("lazy", false, "generate sites on first visit instead of upfront (identical results; million-domain worlds in laptop memory)")
-		savePath  = flag.String("save", "", "save the crawl to this path (.crumbs: sharded gzip segment store; otherwise one line file)")
+		savePath  = flag.String("save", "", "record the crawl to this run store as it runs, resuming it if an interrupted run left it (.crumbs: sharded gzip segment store; otherwise one line file)")
 		outPath   = flag.String("out", "", "write the report here instead of stdout")
 		metrics   = flag.Bool("metrics", false, "emit machine-readable JSON metrics instead of the text report")
 		traceOut  = flag.String("trace", "", "enable telemetry and export the span trace to this JSONL file (inspect with crumbtrace)")
@@ -62,8 +66,7 @@ func main() {
 		retries   = flag.Int("retries", 0, "max attempts per navigation/click with virtual-clock exponential backoff (0: no retries)")
 		breaker   = flag.Int("breaker", 0, "per-domain circuit breaker: open after N consecutive failed retry sequences (0: disabled)")
 		deadline  = flag.Duration("deadline", 0, "per-request virtual-clock deadline (0: none)")
-		resume    = flag.String("resume", "", "checkpoint file: record completed walks, and resume from it if it exists")
-		fsyncMode = flag.String("fsync", "interval", "fsync policy for checkpoints and sidecars: never, interval, every-record")
+		fsyncMode = flag.String("fsync", "interval", "fsync policy for the run store: never, interval, every-record")
 		connFail  = flag.Float64("connect-fail", -1, "fraction of domains refusing connections (-1: config default, paper 3.3%)")
 		transient = flag.Float64("transient-fail", 0, "fraction of domains whose first attempts fail then recover")
 		degrade   = flag.Float64("degrade", 0, "fraction of domains answering first attempts with 502/503 + Retry-After")
@@ -92,11 +95,9 @@ func main() {
 		cfg.Machines = *machines
 	}
 	cfg.World.Lazy = *lazy
-	var opts []crumbcruncher.Option
 	if *retries > 0 {
-		rp := crumbcruncher.DefaultRetryPolicy()
-		rp.MaxAttempts = *retries
-		opts = append(opts, crumbcruncher.WithRetryPolicy(rp))
+		cfg.Retry = crumbcruncher.DefaultRetryPolicy()
+		cfg.Retry.MaxAttempts = *retries
 	}
 	if *breaker > 0 {
 		cfg.Breaker.Threshold = *breaker
@@ -119,34 +120,30 @@ func main() {
 
 	// Telemetry is observation-only: results are identical with it on or
 	// off, so it is attached exactly when some flag consumes it.
+	var opts []crumbcruncher.Option
 	var tel *crumbcruncher.Telemetry
 	if *traceOut != "" || *progress {
 		tel = crumbcruncher.NewTelemetry()
 		opts = append(opts, crumbcruncher.WithTelemetry(tel))
 	}
 
-	var ckpt *crumbcruncher.Checkpoint
-	if *resume != "" {
+	var st crumbcruncher.RunStore
+	if *savePath != "" {
 		var err error
-		ckpt, err = crumbcruncher.OpenCheckpointTel(*resume, cfg.World.Seed, tel)
+		st, err = crumbcruncher.OpenWalkLog(*savePath, cfg)
 		if errors.Is(err, runio.ErrCorrupt) {
-			// The damaged checkpoint has been quarantined; crawl from
+			// The damaged store has been quarantined; crawl from
 			// scratch rather than resume from corrupt walks.
-			fmt.Fprintf(os.Stderr, "checkpoint damaged, starting fresh: %v\n", err)
-			ckpt, err = crumbcruncher.OpenCheckpointTel(*resume, cfg.World.Seed, tel)
+			fmt.Fprintf(os.Stderr, "run store damaged, starting fresh: %v\n", err)
+			st, err = crumbcruncher.OpenWalkLog(*savePath, cfg)
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer ckpt.Close()
-		if rec := ckpt.Recovery(); rec.DroppedTail {
-			fmt.Fprintf(os.Stderr, "checkpoint recovered: dropped a torn %d-byte tail, kept %d walks\n",
-				rec.TornBytes, rec.Records)
+		if n := st.Walks(); n > 0 {
+			fmt.Fprintf(os.Stderr, "resuming: %d walks already completed in %s\n", n, *savePath)
 		}
-		if n := ckpt.CompletedCount(); n > 0 {
-			fmt.Fprintf(os.Stderr, "resuming: %d walks already completed in %s\n", n, *resume)
-		}
-		opts = append(opts, crumbcruncher.WithCheckpoint(ckpt))
+		opts = append(opts, crumbcruncher.WithRunStore(st))
 	}
 	if *pprofAddr != "" {
 		// Bind synchronously so a bad address is a startup error, not a
@@ -173,14 +170,18 @@ func main() {
 	run, err := crumbcruncher.NewRunner(cfg, opts...).Run(ctx)
 	stopSignals()
 	stopProgress()
+	if st != nil {
+		if cerr := st.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "interrupted: crawl drained gracefully")
-		if *resume != "" {
-			fmt.Fprintf(os.Stderr, "re-run with -resume %s to continue\n", *resume)
+		if *savePath != "" {
+			fmt.Fprintf(os.Stderr, "re-run with -save %s to continue\n", *savePath)
 		} else {
-			fmt.Fprintln(os.Stderr, "hint: run with -resume ckpt.jsonl to make interrupted crawls resumable")
+			fmt.Fprintln(os.Stderr, "hint: run with -save run.jsonl to make interrupted crawls resumable")
 		}
-		ckpt.Close()
 		os.Exit(1)
 	}
 	if err != nil {
@@ -188,6 +189,9 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "crawl + analysis finished in %v: %d steps, %d candidate tokens, %d confirmed UIDs\n",
 		time.Since(start).Round(time.Millisecond), run.Dataset.StepCount(), len(run.Candidates), len(run.Cases)) //crumb:allow wallclock CLI progress line; stderr only, never in results
+	if *savePath != "" {
+		fmt.Fprintf(os.Stderr, "run saved to %s\n", *savePath)
+	}
 	if *traceOut != "" {
 		if err := crumbcruncher.WriteTrace(*traceOut, tel); err != nil {
 			log.Fatal(err)
@@ -210,13 +214,6 @@ func main() {
 		}
 	} else {
 		crumbcruncher.WriteReport(out, run)
-	}
-
-	if *savePath != "" {
-		if err := crumbcruncher.SaveRunStore(*savePath, run); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "dataset saved to %s\n", *savePath)
 	}
 }
 

@@ -17,9 +17,10 @@
 //	curl localhost:8080/jobs/job-000001/report
 //
 // On SIGTERM/SIGINT the server drains: new submissions get 503 +
-// Retry-After, queued jobs are canceled, in-flight jobs checkpoint
-// (resumable when a -store is configured) and the process exits 0 once
-// idle or after -drain-grace, whichever comes first.
+// Retry-After, queued jobs are canceled, in-flight jobs stop with their
+// walks so far in their run store (unfinalized, when a -store is
+// configured) and the process exits 0 once idle or after -drain-grace,
+// whichever comes first.
 package main
 
 import (
@@ -47,12 +48,12 @@ func main() {
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		workers    = flag.Int("workers", 2, "concurrent job executors")
 		queueCap   = flag.Int("queue", 64, "job queue capacity (-1: unbounded)")
-		storeDir   = flag.String("store", "", "persist completed runs and job checkpoints under this directory")
+		storeDir   = flag.String("store", "", "record each crawl job's run store under this directory and index completed runs")
 		rate       = flag.Float64("rate", 0, "token-bucket admission: jobs per second (0: unlimited)")
 		burst      = flag.Int("burst", 0, "token-bucket admission: burst size (0: unlimited)")
 		retryAfter = flag.Int("retry-after", 5, "Retry-After seconds on 503/429 responses")
 		spanCap    = flag.Int("span-cap", 0, "per-job span tracer capacity (0: default)")
-		fsyncMode  = flag.String("fsync", "interval", "fsync policy for checkpoints and the run index: never, interval, every-record")
+		fsyncMode  = flag.String("fsync", "interval", "fsync policy for run stores and the run index: never, interval, every-record")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "maximum time to wait for in-flight jobs to drain on shutdown")
 	)

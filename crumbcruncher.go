@@ -12,7 +12,7 @@
 //	crumbcruncher.WriteReport(os.Stdout, run)
 //
 // Options wire in the cross-cutting concerns — WithTelemetry,
-// WithRetryPolicy, WithCheckpoint, WithProgress — without touching the
+// WithRetryPolicy, WithRunStore, WithProgress — without touching the
 // Config literal. By default execution streams: finished walks flow
 // through token extraction and UID classification while the crawl is
 // still running (see DESIGN.md §8).
@@ -27,8 +27,10 @@ package crumbcruncher
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 
 	"crumbcruncher/internal/analysis"
 	"crumbcruncher/internal/core"
@@ -36,7 +38,6 @@ import (
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/report"
 	"crumbcruncher/internal/resilience"
-	"crumbcruncher/internal/runio"
 	"crumbcruncher/internal/runstore"
 	"crumbcruncher/internal/telemetry"
 	"crumbcruncher/internal/uid"
@@ -94,11 +95,12 @@ func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *Config) { c.Retry = p }
 }
 
-// WithCheckpoint attaches a checkpoint so an interrupted run resumes
-// without redoing finished walks (or, under the default streaming
-// engine, re-analysing them).
-func WithCheckpoint(cp *Checkpoint) Option {
-	return func(c *Config) { c.Checkpoint = cp }
+// WithRunStore makes st the run's walk log (Config.Store): the crawl
+// appends each walk to it as the walk finishes, a run over an
+// unfinalized store resumes the walks it holds, and a successful run
+// finalizes it. Open st with OpenWalkLog.
+func WithRunStore(st RunStore) Option {
+	return func(c *Config) { c.Store = st }
 }
 
 // WithProgress registers a callback invoked with a Progress snapshot as
@@ -132,7 +134,7 @@ func (r *Runner) Config() Config { return r.cfg }
 // token pipeline, and returns the analysed run. When ctx is cancelled
 // the crawl drains gracefully — in-flight walks finish, unstarted walks
 // are recorded as skipped — and ctx's error is returned. Pair with
-// WithCheckpoint to resume later.
+// WithRunStore to resume later.
 //
 // The analysis streams alongside the crawl: each finished walk is
 // analyzed while later walks are still being crawled.
@@ -162,28 +164,6 @@ type BreakerConfig = resilience.BreakerConfig
 // policy: 3 attempts, 500ms base, 8s cap, 2x multiplier, 20% jitter.
 // All waiting is virtual-clock time; no wall time is spent.
 func DefaultRetryPolicy() RetryPolicy { return resilience.DefaultPolicy() }
-
-// Checkpoint incrementally records completed walks so an interrupted
-// crawl can resume (Config.Checkpoint).
-type Checkpoint = crawler.Checkpoint
-
-// OpenCheckpoint opens (or creates) a checkpoint file for the given
-// seed. Completed walks already on disk are restored instead of
-// re-crawled; at Parallelism 1 a resumed dataset is byte-identical to an
-// uninterrupted run. A torn final record (a crash mid-write) is dropped
-// and recovered from automatically; a corrupt record quarantines the
-// file to "<path>.corrupt" and returns an error matching
-// errors.Is(err, runio.ErrCorrupt) — see OpenCheckpointTel.
-func OpenCheckpoint(path string, seed int64) (*Checkpoint, error) {
-	return crawler.OpenCheckpoint(path, seed)
-}
-
-// OpenCheckpointTel is OpenCheckpoint with telemetry attached: torn-tail
-// recoveries and quarantines are counted on runio.recovered_records and
-// runio.quarantined_files.
-func OpenCheckpointTel(path string, seed int64, tel *Telemetry) (*Checkpoint, error) {
-	return crawler.OpenCheckpointOpts(path, seed, runio.OpenOptions{Tel: tel})
-}
 
 // ReanalyzeContext re-runs the post-crawl analysis pipeline (path
 // reconstruction, candidate extraction, UID identification,
@@ -258,34 +238,46 @@ const (
 	BackendSegment = runstore.BackendSegment
 )
 
-// runManifestFor builds the manifest a fresh store for cfg carries.
-func runManifestFor(cfg Config) (RunManifest, error) {
-	blob, err := json.Marshal(cfg)
-	if err != nil {
-		return RunManifest{}, fmt.Errorf("crumbcruncher: encode config: %w", err)
-	}
-	prov := telemetry.NewProvenance(cfg.World.Seed, cfg, cfg.Telemetry)
-	pblob, err := json.Marshal(&prov)
-	if err != nil {
-		return RunManifest{}, fmt.Errorf("crumbcruncher: encode provenance: %w", err)
-	}
-	return RunManifest{
-		Header:     runio.Header{Seed: cfg.World.Seed},
-		Crawlers:   crawler.AllCrawlers,
-		Config:     blob,
-		Provenance: pblob,
-	}, nil
-}
-
 // CreateRunStore makes a new, empty run store at path for a crawl with
 // the given configuration. The backend follows the path: ".crumbs"
 // directories get the segment backend, plain files the line backend.
 func CreateRunStore(path string, cfg Config) (RunStore, error) {
-	m, err := runManifestFor(cfg)
+	m, err := core.StoreManifest(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return runstore.Create(path, runstore.DetectBackend(path), m)
+}
+
+// OpenWalkLog opens the walk log for a crawl with cfg: it creates a run
+// store at path, or reopens the unfinalized store an interrupted crawl
+// left there so that a run with WithRunStore resumes it (Walks reports
+// how many walks it already holds). A finalized store is refused, and so
+// is a store recorded under another configuration: its config hash must
+// be cfg.Hash(), which leaves Parallelism free to change. A torn final
+// record is dropped on open; a corrupt store is quarantined to
+// "<path>.corrupt" and an error matching errors.Is(err,
+// runio.ErrCorrupt) is returned, after which the path is free for a
+// fresh start.
+func OpenWalkLog(path string, cfg Config) (RunStore, error) {
+	st, err := runstore.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return CreateRunStore(path, cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if st.Finalized() {
+		st.Close()
+		return nil, fmt.Errorf("crumbcruncher: %s is a finalized run store, not a resumable walk log", path)
+	}
+	var prov Provenance // unreadable provenance leaves the hash empty: refused below
+	_ = json.Unmarshal(st.Manifest().Provenance, &prov)
+	if want := cfg.Hash(); prov.ConfigHash != want {
+		st.Close()
+		return nil, fmt.Errorf("crumbcruncher: %s was recorded with config hash %q, this run has %q", path, prov.ConfigHash, want)
+	}
+	return st, nil
 }
 
 // OpenRunStore opens an existing run store: a directory is a segment

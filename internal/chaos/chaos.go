@@ -31,7 +31,7 @@ type Config struct {
 	// bit a flip lands on). Independent from the run's world seed.
 	Seed int64
 	// Target restricts faults to files of one artifact format (e.g.
-	// runio.CheckpointFormat). Empty matches every format.
+	// runio.WalksFormat). Empty matches every format.
 	Target string
 	// CrashAtRecord, when > 0, crashes at the Nth matching append
 	// (1-based count across the process): the record's frame is cut to

@@ -33,7 +33,7 @@ func openFaulted(t *testing.T, path string, hdr runio.Header, cfg Config, append
 
 func TestCrashAtRecordTearsAndAbandons(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	hdr := runio.Header{Format: runio.CheckpointFormat, Version: 1, Seed: 3}
+	hdr := runio.Header{Format: runio.WalksFormat, Version: 1, Seed: 3}
 	// Record numbering counts the header as append 1 through this
 	// handle; crash on the 4th append = entry 3, with 5 torn bytes.
 	inj, err := openFaulted(t, path, hdr, Config{Seed: 1, CrashAtRecord: 4, TearBytes: 5}, 5)
@@ -62,7 +62,7 @@ func TestCrashAtRecordTearsAndAbandons(t *testing.T) {
 
 func TestFlipAtRecordQuarantines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	hdr := runio.Header{Format: runio.CheckpointFormat, Version: 1, Seed: 3}
+	hdr := runio.Header{Format: runio.WalksFormat, Version: 1, Seed: 3}
 	if _, err := openFaulted(t, path, hdr, Config{Seed: 7, FlipAtRecord: 3}, 4); err != nil {
 		t.Fatalf("bit flip must be latent, got %v", err)
 	}
@@ -89,7 +89,7 @@ func TestFlipAtRecordQuarantines(t *testing.T) {
 func TestFlipIsDeterministic(t *testing.T) {
 	read := func(dir string) []byte {
 		path := filepath.Join(dir, "cp.jsonl")
-		hdr := runio.Header{Format: runio.CheckpointFormat, Version: 1, Seed: 3}
+		hdr := runio.Header{Format: runio.WalksFormat, Version: 1, Seed: 3}
 		if _, err := openFaulted(t, path, hdr, Config{Seed: 7, FlipAtRecord: 3}, 4); err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestFlipIsDeterministic(t *testing.T) {
 
 func TestCrashAtSync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	hdr := runio.Header{Format: runio.CheckpointFormat, Version: 1, Seed: 3}
+	hdr := runio.Header{Format: runio.WalksFormat, Version: 1, Seed: 3}
 	// Sync 1 covers the header write during open; crash on the first
 	// entry's fsync.
 	inj := New(Config{Seed: 1, CrashAtSync: 2})
@@ -132,12 +132,12 @@ func TestCrashAtSync(t *testing.T) {
 
 func TestTargetRestrictsFaults(t *testing.T) {
 	dir := t.TempDir()
-	inj := New(Config{Seed: 1, Target: runio.AnalysisFormat, CrashAtRecord: 1})
+	inj := New(Config{Seed: 1, Target: runio.SegmentFormat, CrashAtRecord: 1})
 	runio.SetFault(inj)
 	defer runio.SetFault(nil)
 
-	// A checkpoint-format file is untouched even with the fault armed.
-	hdr := runio.Header{Format: runio.CheckpointFormat, Version: 1, Seed: 3}
+	// A walks-format file is untouched even with the fault armed.
+	hdr := runio.Header{Format: runio.WalksFormat, Version: 1, Seed: 3}
 	lf, _, err := runio.OpenLineFile(filepath.Join(dir, "cp.jsonl"), hdr)
 	if err != nil {
 		t.Fatal(err)

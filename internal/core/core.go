@@ -18,6 +18,7 @@ import (
 	"crumbcruncher/internal/filterlist"
 	"crumbcruncher/internal/publicsuffix"
 	"crumbcruncher/internal/resilience"
+	"crumbcruncher/internal/runstore"
 	"crumbcruncher/internal/telemetry"
 	"crumbcruncher/internal/tokens"
 	"crumbcruncher/internal/uid"
@@ -65,12 +66,12 @@ type Config struct {
 	// RequestDeadline, when > 0, makes the virtual network time out any
 	// request whose latency (including injected spikes) would exceed it.
 	RequestDeadline time.Duration `json:"request_deadline,omitempty"`
-	// Checkpoint, when non-nil, records completed walks incrementally
-	// and resumes an interrupted crawl without redoing finished walks.
-	// The per-walk analysis state is persisted alongside it (in
-	// "<path>.analysis"), so resumed walks skip re-analysis too.
+	// Store, when non-nil, is the run's walk log: the crawl appends each
+	// finished walk to it, a crawl over an unfinalized store resumes the
+	// walks it holds instead of crawling them again, and a successful
+	// run stamps its provenance into the store and finalizes it.
 	// Runtime wiring, not configuration.
-	Checkpoint *crawler.Checkpoint `json:"-"`
+	Store runstore.Store `json:"-"`
 	// OnProgress, when non-nil, receives a progress snapshot every time
 	// a walk completes or is analyzed. Called from crawl and analysis
 	// goroutines (serialized internally); keep it fast. Runtime wiring.
@@ -86,7 +87,7 @@ type Config struct {
 // Hash returns the SHA-256 of the configuration's canonical JSON with
 // every knob that provably cannot change run results normalized away:
 // Parallelism is zeroed (every pipeline stage is bit-identical at any
-// pool size) and the runtime wiring (Telemetry, Checkpoint, OnProgress)
+// pool size) and the runtime wiring (Telemetry, Store, OnProgress)
 // never serializes. Two configs with equal hashes therefore produce
 // byte-identical runs, which is exactly the contract the serve layer's
 // world cache and run provenance need: a scheduling knob must never
@@ -95,7 +96,7 @@ type Config struct {
 func (cfg Config) Hash() string {
 	cfg.Parallelism = 0
 	cfg.Telemetry = nil
-	cfg.Checkpoint = nil
+	cfg.Store = nil
 	cfg.OnProgress = nil
 	// The method-free alias keeps telemetry.ConfigHash on its generic
 	// JSON path instead of recursing back into Hash via the Hasher
@@ -143,9 +144,10 @@ func Execute(cfg Config) (*Run, error) {
 }
 
 // ExecuteContext runs the full pipeline under ctx. Cancelling mid-crawl
-// drains in-flight walks gracefully (recording them to the checkpoint,
-// when one is attached) and returns ctx's error; the analysis stages are
-// skipped for interrupted crawls.
+// drains in-flight walks gracefully (recording them to the run's store,
+// when one is attached, which stays unfinalized and resumable) and
+// returns ctx's error; the analysis stages are skipped for interrupted
+// crawls.
 //
 // Execution streams: completed walks flow straight into token
 // extraction and UID grouping while the crawl is still running, and
@@ -180,7 +182,8 @@ func ExecuteInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, er
 // executeInWorld wires telemetry and deadlines into the world's network
 // and runs the analysis engine fed by a live crawl of it: the crawler's
 // WalkSink delivers each walk as it finishes, and the crawled Dataset is
-// the source the figures aggregate over.
+// the source the figures aggregate over. A successful run finalizes its
+// store.
 func executeInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, error) {
 	// Binds the run's registry (and the virtual clock) to the network;
 	// a nil Telemetry leaves the network on its private registry.
@@ -188,14 +191,7 @@ func executeInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, er
 	if cfg.RequestDeadline > 0 {
 		world.Network().SetRequestDeadline(cfg.RequestDeadline)
 	}
-	rs, err := openResumeState(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if rs.sidecar != nil {
-		defer rs.sidecar.Close()
-	}
-	return analyzeWalks(ctx, cfg, world, cfg.walkCount(world), rs, func(send func(*crawler.Walk)) (analysis.WalkSource, error) {
+	run, err := analyzeWalks(ctx, cfg, world, cfg.walkCount(world), func(send func(*crawler.Walk)) (analysis.WalkSource, error) {
 		ccfg := cfg.crawlConfig(world)
 		ccfg.WalkSink = send
 		csp := cfg.Telemetry.StartSpan("core", "crawl")
@@ -209,6 +205,13 @@ func executeInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, er
 		csp.End()
 		return ds, nil
 	})
+	if err != nil || cfg.Store == nil {
+		return run, err
+	}
+	if err := sealStore(cfg); err != nil {
+		return nil, err
+	}
+	return run, nil
 }
 
 // walkCount resolves the effective number of walks (0 means one per
@@ -227,7 +230,7 @@ func (cfg Config) crawlConfig(world *web.World) crawler.Config {
 	// Walk i seeds from Seeders[i mod len], so a k-walk crawl only ever
 	// consults the first min(k, NumSites) seeders — at million-site
 	// scale the full Tranco-style list is never materialised.
-	return crawler.Config{
+	ccfg := crawler.Config{
 		Seed:         cfg.World.Seed,
 		Network:      world.Network(),
 		Seeders:      world.SeedersN(cfg.walkCount(world)),
@@ -240,8 +243,11 @@ func (cfg Config) crawlConfig(world *web.World) crawler.Config {
 		Telemetry:    cfg.Telemetry,
 		Retry:        cfg.Retry,
 		Breaker:      cfg.Breaker,
-		Checkpoint:   cfg.Checkpoint,
 	}
+	if cfg.Store != nil {
+		ccfg.Log = storeLog{cfg.Store}
+	}
+	return ccfg
 }
 
 // Analyze runs the post-crawl pipeline over an existing dataset (used by

@@ -11,7 +11,7 @@ import (
 
 // TestConfigHashIgnoresSchedulingKnobs pins the world-cache contract:
 // two configurations differing only in Parallelism or in attached
-// runtime wiring (Telemetry, Checkpoint, OnProgress) produce
+// runtime wiring (Telemetry, Store, OnProgress) produce
 // byte-identical runs, so they must hash identically — a scheduling
 // knob must never fragment the serve layer's world cache.
 func TestConfigHashIgnoresSchedulingKnobs(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,8 +12,53 @@ import (
 	"crumbcruncher/internal/analysis"
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runstore"
+	"crumbcruncher/internal/telemetry"
 	"crumbcruncher/internal/web"
 )
+
+// StoreManifest builds the manifest a run store for cfg carries: the
+// crawler roster, the configuration, and the run's provenance — with an
+// attached Telemetry, a snapshot of its registry as of the call.
+func StoreManifest(cfg Config) (runstore.Manifest, error) {
+	blob, err := json.Marshal(cfg)
+	if err != nil {
+		return runstore.Manifest{}, fmt.Errorf("core: encode config: %w", err)
+	}
+	prov := telemetry.NewProvenance(cfg.World.Seed, cfg, cfg.Telemetry)
+	pblob, err := json.Marshal(&prov)
+	if err != nil {
+		return runstore.Manifest{}, fmt.Errorf("core: encode provenance: %w", err)
+	}
+	m := runstore.Manifest{Crawlers: crawler.AllCrawlers, Config: blob, Provenance: pblob}
+	m.Seed = cfg.World.Seed
+	return m, nil
+}
+
+// sealStore stamps a finished run's manifest — its end-of-run
+// provenance included — into the run's store and finalizes it.
+func sealStore(cfg Config) error {
+	m, err := StoreManifest(cfg)
+	if err != nil {
+		return err
+	}
+	cfg.Store.Stamp(m)
+	if err := cfg.Store.Finalize(); err != nil {
+		return fmt.Errorf("core: finalize run store: %w", err)
+	}
+	return nil
+}
+
+// storeLog is a run store serving as the crawler's walk log.
+type storeLog struct{ runstore.Store }
+
+// Recorded reports a walk the store has no record of as not recorded.
+func (l storeLog) Recorded(idx int) (*crawler.Walk, error) {
+	w, err := l.Get(idx)
+	if errors.Is(err, runstore.ErrNoWalk) {
+		return nil, nil
+	}
+	return w, err
+}
 
 // storeSource adapts a runstore.Store to the analysis.WalkSource
 // contract. It keeps no counters: the walk-counting figures read the
@@ -67,7 +113,7 @@ func (s *storeSource) Walk(idx int) *crawler.Walk {
 // need walk records read them back from st.
 func AnalyzeStore(ctx context.Context, cfg Config, world *web.World, st runstore.Store) (*Run, error) {
 	n := st.Walks()
-	return analyzeWalks(ctx, cfg, world, n, resumeState{}, fetchAll(ctx, st, n, cfg.analysisParallelism()))
+	return analyzeWalks(ctx, cfg, world, n, fetchAll(ctx, st, n, cfg.analysisParallelism()))
 }
 
 // fetchAll is the feed of a run store: par goroutines claim indices
@@ -123,5 +169,5 @@ func fetchAll(ctx context.Context, st runstore.Store, n, par int) walkFeed {
 // previously analyzed run (Run.Analysis.Source). The returned Run holds
 // the Dataset when src is one.
 func AnalyzeSource(ctx context.Context, cfg Config, world *web.World, src analysis.WalkSource) (*Run, error) {
-	return analyzeWalks(ctx, cfg, world, src.WalkCount(), resumeState{}, replay(ctx, src))
+	return analyzeWalks(ctx, cfg, world, src.WalkCount(), replay(ctx, src))
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 
 	"crumbcruncher/internal/analysis"
 	"crumbcruncher/internal/crawler"
-	"crumbcruncher/internal/runio"
 	"crumbcruncher/internal/tokens"
 	"crumbcruncher/internal/uid"
 	"crumbcruncher/internal/web"
@@ -51,69 +49,6 @@ func (n *progressNotifier) update(mut func(*Progress)) {
 	n.fn(n.p)
 }
 
-// analysisStateVersion is bumped when the sidecar layout changes.
-const analysisStateVersion = 1
-
-// analysisEntry is one walk's persisted analysis state in the
-// checkpoint's "<path>.analysis" sidecar.
-type analysisEntry struct {
-	Index  int               `json:"index"`
-	Tokens tokens.WalkTokens `json:"tokens"`
-}
-
-func analysisHeader(seed int64) runio.Header {
-	return runio.Header{Format: runio.AnalysisFormat, Version: analysisStateVersion, Seed: seed}
-}
-
-// resumeState carries per-walk analysis across an interrupted live
-// crawl: the token extraction of walks the checkpoint will resume, and
-// the sidecar that persists newly analyzed walks. The zero value — any
-// run without a checkpoint — restores and persists nothing.
-type resumeState struct {
-	sidecar  *runio.LineFile
-	restored map[int]tokens.WalkTokens
-}
-
-// openResumeState opens the checkpoint's analysis sidecar and adopts the
-// state of every walk the checkpoint will resume rather than re-crawl.
-// The checkpoint is read before the crawl starts, so the two sets match
-// exactly. Close the returned sidecar once the engine has drained.
-func openResumeState(cfg Config) (resumeState, error) {
-	cp := cfg.Checkpoint
-	if cp == nil || cp.Path() == "" {
-		return resumeState{}, nil
-	}
-	resumable := map[int]bool{}
-	for _, i := range cp.CompletedIndices() {
-		resumable[i] = true
-	}
-	path := cp.Path() + ".analysis"
-	opts := runio.OpenOptions{Tel: cfg.Telemetry}
-	lf, lines, err := runio.OpenLineFileOpts(path, analysisHeader(cfg.World.Seed), opts)
-	if errors.Is(err, runio.ErrCorrupt) {
-		// The sidecar is a pure cache of per-walk analysis state: with
-		// the corrupt file quarantined, start a fresh one and recompute
-		// the tokens from the checkpointed walks. The run stays
-		// byte-identical — only the restore fast path is lost.
-		cfg.Telemetry.Registry().Counter("core.stream_sidecar_errors").Inc()
-		lf, lines, err = runio.OpenLineFileOpts(path, analysisHeader(cfg.World.Seed), opts)
-	}
-	if err != nil {
-		return resumeState{}, fmt.Errorf("core: analysis state: %w", err)
-	}
-	rs := resumeState{sidecar: lf, restored: map[int]tokens.WalkTokens{}}
-	for _, line := range lines {
-		var e analysisEntry
-		if json.Unmarshal(line, &e) != nil {
-			break // schema mismatch in the tail: stop, like a torn write
-		}
-		if resumable[e.Index] {
-			rs.restored[e.Index] = e.Tokens // last entry wins
-		}
-	}
-	return rs, nil
-}
-
 // walkFeed delivers a walk source to the engine: it calls send once per
 // walk — in any order, from any number of goroutines — returns only
 // after its last send, and returns the source the figures aggregate
@@ -137,7 +72,7 @@ type walkFeed func(send func(*crawler.Walk)) (analysis.WalkSource, error)
 // sets, so its merge is order-free too. A walk without a free slot — nil,
 // out of range or delivered twice — is dropped and fails the run once
 // the feed returns.
-func analyzeWalks(ctx context.Context, cfg Config, world *web.World, total int, rs resumeState, feed walkFeed) (*Run, error) {
+func analyzeWalks(ctx context.Context, cfg Config, world *web.World, total int, feed walkFeed) (*Run, error) {
 	tel := cfg.Telemetry
 	reg := tel.Registry()
 	par := cfg.analysisParallelism()
@@ -159,8 +94,6 @@ func analyzeWalks(ctx context.Context, cfg Config, world *web.World, total int, 
 	queueDepth := reg.Gauge("core.stream_queue_depth")
 	workers := reg.Gauge("core.stream_workers")
 	analyzed := reg.Counter("core.stream_walks_analyzed")
-	restoredCtr := reg.Counter("core.stream_walks_restored")
-	sidecarErrs := reg.Counter("core.stream_sidecar_errors")
 
 	// Bounded at Parallelism: a slow analysis backpressures the feed
 	// instead of buffering the walks a second time.
@@ -182,20 +115,7 @@ func analyzeWalks(ctx context.Context, cfg Config, world *web.World, total int, 
 					Attr("walk", strconv.Itoa(w.Index))
 				tally.Add(w)
 				lifeAcc.AddWalk(w)
-				wt, ok := rs.restored[w.Index]
-				if ok {
-					acc.Restore(w.Index, wt)
-					restoredCtr.Inc()
-					sp.Attr("restored", "true")
-				} else {
-					wt = acc.AddWalk(w)
-					if rs.sidecar != nil && !w.Skipped {
-						if err := rs.sidecar.Append(analysisEntry{Index: w.Index, Tokens: wt}); err != nil {
-							sidecarErrs.Inc()
-						}
-					}
-				}
-				ident.AddWalk(w.Index, wt.Candidates)
+				ident.AddWalk(w.Index, acc.AddWalk(w).Candidates)
 				sp.End()
 				analyzed.Inc()
 				notify.update(func(p *Progress) {

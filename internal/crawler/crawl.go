@@ -73,10 +73,10 @@ type Config struct {
 	// schedule-dependent at Parallelism > 1 (like the real crawl);
 	// dataset byte-determinism with breakers on holds at Parallelism 1.
 	Breaker resilience.BreakerConfig
-	// Checkpoint, when non-nil, records each completed walk and skips
-	// walks it already holds, so interrupted crawls resume without
-	// redoing finished work.
-	Checkpoint *Checkpoint `json:"-"`
+	// Log, when non-nil, records each completed walk, and walks it
+	// already holds are resumed instead of crawled, so an interrupted
+	// crawl continues without redoing finished work. Runtime wiring.
+	Log WalkLog `json:"-"`
 	// BackoffSleep, when non-nil, is additionally invoked with every
 	// backoff delay — a wall-clock hook tests use to prove that
 	// schedules perturbed only in real time leave results identical.
@@ -85,13 +85,26 @@ type Config struct {
 	// recorded (tests use it to cancel crawls at precise points).
 	OnWalkComplete func(*Walk) `json:"-"`
 	// WalkSink, when non-nil, receives every walk the crawl produces —
-	// freshly completed, restored from the checkpoint, and skipped alike
-	// — as soon as it enters the dataset, instead of the caller waiting
-	// for the monolithic dataset. Completed walks are delivered from
-	// their walk goroutines after checkpointing and OnWalkComplete; the
+	// freshly completed, resumed from the log, and skipped alike — as
+	// soon as it enters the dataset, instead of the caller waiting for
+	// the monolithic dataset. Completed walks are delivered from their
+	// walk goroutines after logging and OnWalkComplete; the
 	// call may block, which is how the streaming engine's bounded
 	// channel applies backpressure to the crawl. Runtime wiring.
 	WalkSink func(*Walk) `json:"-"`
+}
+
+// WalkLog is where a crawl records each finished walk and where a
+// resumed crawl finds the walks an interrupted one already finished. A
+// run store is the implementation (see core).
+type WalkLog interface {
+	// Recorded returns walk idx if the log holds it, nil if not.
+	Recorded(idx int) (*Walk, error)
+	// Clock returns the latest virtual instant a recorded walk finished
+	// at (zero for an empty log).
+	Clock() time.Time
+	// Record appends w, finished when the virtual clock read clock.
+	Record(w *Walk, clock time.Time) error
 }
 
 // withDefaults fills zero values.
@@ -173,8 +186,9 @@ func Crawl(cfg Config) (*Dataset, error) {
 
 // CrawlContext runs the crawl under ctx. Cancellation is graceful: no
 // new walks launch, in-flight walks drain to completion (and are
-// checkpointed), unstarted walks are marked Skipped, and the partial
-// dataset is returned alongside ctx's error.
+// logged), unstarted walks are marked Skipped, and the partial dataset
+// is returned alongside ctx's error. A walk log that fails to read or
+// record a walk stops the crawl the same way and its error is returned.
 func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Network == nil {
@@ -215,8 +229,19 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	// Resume: restore the virtual clock to the furthest instant the
 	// interrupted crawl reached, so continued walks replay the
 	// uninterrupted schedule (exactly, at Parallelism 1).
-	if t := cfg.Checkpoint.MaxClock(); !t.IsZero() {
-		cfg.Network.Clock().AdvanceTo(t)
+	if cfg.Log != nil {
+		if t := cfg.Log.Clock(); !t.IsZero() {
+			cfg.Network.Clock().AdvanceTo(t)
+		}
+	}
+	var (
+		logOnce sync.Once
+		logErr  error
+		stop    atomic.Bool
+	)
+	failLog := func(idx int, err error) {
+		logOnce.Do(func() { logErr = fmt.Errorf("crawler: walk log: walk %d: %w", idx, err) })
+		stop.Store(true)
 	}
 
 	// Work-stealing dispatch: a fixed pool of Parallelism workers claims
@@ -224,7 +249,7 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	// goroutine-per-walk + semaphore scheme this spawns min(P, walks)
 	// goroutines instead of one per walk, never blocks a dispatcher
 	// goroutine on a semaphore, and lets a worker that finishes (or hits
-	// a checkpoint-resumed walk) immediately steal the next index.
+	// a resumed walk) immediately steal the next index.
 	// Determinism is untouched: every walk still lands in its pre-sized
 	// ds.Walks[idx] slot, and all intra-walk virtual time flows through
 	// the clockLedger's rendezvous barriers exactly as before.
@@ -245,16 +270,21 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 					return
 				}
 				seeder := cfg.Seeders[idx%len(cfg.Seeders)]
-				if w := cfg.Checkpoint.Completed(idx); w != nil {
-					ds.Walks[idx] = w
-					cm.walksResumed.Inc()
-					cm.walksDone.Inc()
-					if cfg.WalkSink != nil {
-						cfg.WalkSink(w)
+				if cfg.Log != nil && !stop.Load() {
+					w, err := cfg.Log.Recorded(idx)
+					if err != nil {
+						failLog(idx, err)
+					} else if w != nil {
+						ds.Walks[idx] = w
+						cm.walksResumed.Inc()
+						cm.walksDone.Inc()
+						if cfg.WalkSink != nil {
+							cfg.WalkSink(w)
+						}
+						continue
 					}
-					continue
 				}
-				if ctx.Err() != nil {
+				if ctx.Err() != nil || stop.Load() {
 					w := &Walk{Index: idx, Seeder: seeder, Skipped: true}
 					ds.Walks[idx] = w
 					cm.walksSkipped.Inc()
@@ -276,8 +306,10 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				}
 				sp.Attr("steps", strconv.Itoa(len(w.Steps))).End()
 				cm.walksDone.Inc()
-				if err := cfg.Checkpoint.Record(idx, cfg.Network.Clock().Now(), w); err != nil {
-					w.Degraded = appendReason(w.Degraded, "checkpoint: "+err.Error())
+				if cfg.Log != nil {
+					if err := cfg.Log.Record(w, cfg.Network.Clock().Now()); err != nil {
+						failLog(idx, err)
+					}
 				}
 				if cfg.OnWalkComplete != nil {
 					cfg.OnWalkComplete(w)
@@ -289,6 +321,9 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 		}()
 	}
 	wg.Wait()
+	if logErr != nil {
+		return ds, logErr
+	}
 	return ds, ctx.Err()
 }
 
@@ -537,7 +572,7 @@ func runWalk(cfg Config, ctrl *Controller, idx int, seeder string, cm *crawlMetr
 	wg.Wait()
 	// Apply any virtual time still owed (e.g. the last step's dwell, or
 	// backoff from a crawler that exited after the final rendezvous)
-	// before the walk is checkpointed.
+	// before the walk is logged.
 	rt.ledger.drain(idx)
 
 	// Derive step outcomes and the walk's end reason.

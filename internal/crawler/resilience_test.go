@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -294,9 +294,51 @@ func TestWallPerturbedBackoffSameDataset(t *testing.T) {
 	}
 }
 
+// memLog is an in-memory WalkLog. Walks are held as JSON, so a resumed
+// crawl gets decoded copies, as it would from a run store on disk.
+type memLog struct {
+	mu    sync.Mutex
+	walks map[int][]byte
+	clock time.Time
+}
+
+func (l *memLog) Recorded(idx int) (*Walk, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	b, ok := l.walks[idx]
+	if !ok {
+		return nil, nil
+	}
+	var w Walk
+	if err := json.Unmarshal(b, &w); err != nil {
+		return nil, err
+	}
+	return &w, nil
+}
+
+func (l *memLog) Clock() time.Time {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.clock
+}
+
+func (l *memLog) Record(w *Walk, clock time.Time) error {
+	b, err := json.Marshal(w)
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.walks[w.Index] = b
+	if clock.After(l.clock) {
+		l.clock = clock
+	}
+	return nil
+}
+
 // TestCheckpointResumeByteIdentical cancels a crawl after 3 of 6 walks,
-// resumes it from the checkpoint, and proves the combined dataset is
-// byte-identical to an uninterrupted run.
+// resumes it from the walk log the interrupted crawl recorded to, and
+// proves the combined dataset is byte-identical to an uninterrupted run.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	cfg := web.SmallConfig()
 	cfg.TransientFailRate = 0.3
@@ -318,15 +360,11 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 
 	// Interrupted run: cancel after the third walk completes.
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	ckpt, err := OpenCheckpoint(path, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := &memLog{walks: map[int][]byte{}}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := 0
 	icfg := crawlCfg(web.BuildWorld(cfg))
-	icfg.Checkpoint = ckpt
+	icfg.Log = log
 	icfg.OnWalkComplete = func(*Walk) {
 		if done++; done == 3 {
 			cancel()
@@ -337,9 +375,6 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatal("cancelled crawl returned nil error")
 	}
 	cancel()
-	if err := ckpt.Close(); err != nil {
-		t.Fatal(err)
-	}
 	skipped := 0
 	for _, w := range partial.Walks {
 		if w.Skipped {
@@ -349,18 +384,13 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("cancellation skipped no walks; the resume arm would be vacuous")
 	}
+	if n := len(log.walks); n != 3 {
+		t.Fatalf("walk log holds %d walks, want 3", n)
+	}
 
-	// Resume from the checkpoint with a fresh world.
-	ckpt2, err := OpenCheckpoint(path, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ckpt2.Close()
-	if n := ckpt2.CompletedCount(); n != 3 {
-		t.Fatalf("checkpoint holds %d walks, want 3", n)
-	}
+	// Resume from the log with a fresh world.
 	rcfg := crawlCfg(web.BuildWorld(cfg))
-	rcfg.Checkpoint = ckpt2
+	rcfg.Log = log
 	resumed, err := Crawl(rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -370,27 +400,11 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			t.Fatalf("walk %d still skipped after resume", w.Index)
 		}
 	}
+	if n := len(log.walks); n != 6 {
+		t.Fatalf("walk log holds %d walks after the resume, want 6", n)
+	}
 	if a, b := marshalDataset(t, full), marshalDataset(t, resumed); string(a) != string(b) {
 		t.Fatal("resumed dataset differs from the uninterrupted run")
-	}
-}
-
-// TestCheckpointRejectsWrongSeed guards the resume precondition: a
-// checkpoint only makes sense against the world it was recorded in.
-func TestCheckpointRejectsWrongSeed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	ckpt, err := OpenCheckpoint(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ckpt.Record(0, netsim.Epoch, &Walk{Index: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ckpt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(path, 2); err == nil {
-		t.Fatal("checkpoint for seed 1 opened under seed 2")
 	}
 }
 

@@ -225,7 +225,7 @@ func TestBreakerFailFast(t *testing.T) {
 	}
 }
 
-// TestVirtualClockAdvanceTo covers the checkpoint-resume primitive: the
+// TestVirtualClockAdvanceTo covers the crawl-resume primitive: the
 // clock jumps forward to a recorded instant and never backwards.
 func TestVirtualClockAdvanceTo(t *testing.T) {
 	c := NewVirtualClock()

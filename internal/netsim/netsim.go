@@ -817,8 +817,8 @@ func (c *VirtualClock) Advance(d time.Duration) time.Time {
 }
 
 // AdvanceTo moves the clock forward to t if t is in the future (the
-// clock never goes backwards) and returns the current time. Checkpoint
-// resume uses it to restore the instant an interrupted crawl reached.
+// clock never goes backwards) and returns the current time. A resumed
+// crawl uses it to restore the instant an interrupted crawl reached.
 func (c *VirtualClock) AdvanceTo(t time.Time) time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()

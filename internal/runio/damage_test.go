@@ -59,7 +59,7 @@ func seedFile(t *testing.T, dir, format string, n int) (string, []int64) {
 // pre-framing v1 file (bare JSONL) is corrupt from its header on: it is
 // quarantined whole, never truncated.
 func TestDamageMatrix(t *testing.T) {
-	formats := []string{RunFormat, CheckpointFormat, AnalysisFormat, IndexFormat}
+	formats := []string{RunFormat, WalksFormat, SegmentFormat, SegmentIndexFormat, IndexFormat}
 	const entries = 4
 
 	type outcome struct {
@@ -256,7 +256,7 @@ func TestDocumentDamage(t *testing.T) {
 // TestSalvageLineFile recovers the records around a corrupt one.
 func TestSalvageLineFile(t *testing.T) {
 	dir := t.TempDir()
-	path, offsets := seedFile(t, dir, CheckpointFormat, 5)
+	path, offsets := seedFile(t, dir, WalksFormat, 5)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestSalvageLineFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hdr := Header{Format: CheckpointFormat, Version: 1, Seed: 42}
+	hdr := Header{Format: WalksFormat, Version: 1, Seed: 42}
 	entries, dropped, err := SalvageLineFile(path, hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestSalvageLineFile(t *testing.T) {
 // reports earlier Sync errors even when the final sync succeeds.
 func TestCloseIdempotentAndSurfacesSync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f.jsonl")
-	hdr := Header{Format: CheckpointFormat, Version: 1, Seed: 1}
+	hdr := Header{Format: WalksFormat, Version: 1, Seed: 1}
 	lf, _, err := OpenLineFile(path, hdr)
 	if err != nil {
 		t.Fatal(err)

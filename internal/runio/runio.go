@@ -1,9 +1,10 @@
-// Package runio is the shared on-disk codec for every artifact
-// CrumbCruncher persists: saved runs (single JSON documents), walk
-// checkpoints and streaming analysis sidecars (append-only JSONL line
-// files), and the serve layer's run-store index. All artifacts open
-// with the same versioned Header, so format, version and seed
-// validation live in exactly one place. The package depends only on
+// Package runio is the shared on-disk codec for the five artifact
+// formats CrumbCruncher persists: a stored run's configuration document
+// (RunFormat), the run store's line file, segments and segment index
+// (WalksFormat, SegmentFormat, SegmentIndexFormat — append-only JSONL
+// line files), and the serve layer's run-store index (IndexFormat). All
+// artifacts open with the same versioned Header, so format, version and
+// seed validation live in exactly one place. The package depends only on
 // the standard library plus telemetry; any layer — including the
 // crawler — may import it without creating cycles.
 //
@@ -35,11 +36,6 @@ const (
 	// RunFormat is a stored run's configuration and provenance as one
 	// document (the serve layer's GET /runs/{id}).
 	RunFormat = "crumbcruncher/run"
-	// CheckpointFormat is an incremental walk checkpoint.
-	CheckpointFormat = "crumbcruncher/checkpoint"
-	// AnalysisFormat is the streaming engine's per-walk analysis-state
-	// sidecar, persisted next to the walk checkpoint.
-	AnalysisFormat = "crumbcruncher/analysis-state"
 	// IndexFormat is the serve layer's run-store index: one line per
 	// persisted run, appended as jobs complete.
 	IndexFormat = "crumbcruncher/run-index"

@@ -8,18 +8,18 @@ import (
 )
 
 func TestHeaderCheck(t *testing.T) {
-	want := Header{Format: CheckpointFormat, Version: 1, Seed: 7}
+	want := Header{Format: WalksFormat, Version: 1, Seed: 7}
 	cases := []struct {
 		name string
 		h    Header
 		ok   bool
 	}{
-		{"exact", Header{Format: CheckpointFormat, Version: 1, Seed: 7}, true},
+		{"exact", Header{Format: WalksFormat, Version: 1, Seed: 7}, true},
 		{"no format", Header{Version: 1, Seed: 7}, false},
 		{"no header fields", Header{}, false},
 		{"wrong format", Header{Format: RunFormat, Version: 1, Seed: 7}, false},
-		{"wrong version", Header{Format: CheckpointFormat, Version: 2, Seed: 7}, false},
-		{"wrong seed", Header{Format: CheckpointFormat, Version: 1, Seed: 8}, false},
+		{"wrong version", Header{Format: WalksFormat, Version: 2, Seed: 7}, false},
+		{"wrong seed", Header{Format: WalksFormat, Version: 1, Seed: 8}, false},
 	}
 	for _, tc := range cases {
 		if err := tc.h.Check(want); (err == nil) != tc.ok {
@@ -74,7 +74,7 @@ func TestDocumentRoundTrip(t *testing.T) {
 
 func TestLineFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "entries.jsonl")
-	hdr := Header{Format: CheckpointFormat, Version: 1, Seed: 5}
+	hdr := Header{Format: WalksFormat, Version: 1, Seed: 5}
 
 	lf, entries, err := OpenLineFile(path, hdr)
 	if err != nil {
@@ -104,14 +104,14 @@ func TestLineFileRoundTrip(t *testing.T) {
 	if len(entries) != 3 {
 		t.Fatalf("reopened file has %d entries, want 3", len(entries))
 	}
-	if _, _, err := OpenLineFile(path, Header{Format: CheckpointFormat, Version: 1, Seed: 6}); err == nil {
+	if _, _, err := OpenLineFile(path, Header{Format: WalksFormat, Version: 1, Seed: 6}); err == nil {
 		t.Fatal("wrong seed not rejected")
 	}
 }
 
 func TestLineFileDropsTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.jsonl")
-	hdr := Header{Format: AnalysisFormat, Version: 1, Seed: 9}
+	hdr := Header{Format: SegmentFormat, Version: 1, Seed: 9}
 	lf, _, err := OpenLineFile(path, hdr)
 	if err != nil {
 		t.Fatal(err)

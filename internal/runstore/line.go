@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"time"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runio"
@@ -31,6 +32,7 @@ type lineStore struct {
 	path      string
 	manifest  Manifest
 	raw       map[int][]byte // walk index → raw record payload
+	clock     time.Time      // latest completion instant recorded
 	finalized bool
 }
 
@@ -71,6 +73,7 @@ func openLine(path string) (Store, error) {
 	for _, raw := range entries[1:] {
 		var rec struct {
 			Index int             `json:"index"`
+			Clock time.Time       `json:"clock"`
 			Walk  json.RawMessage `json:"walk"`
 		}
 		if err := json.Unmarshal(raw, &rec); err != nil {
@@ -86,7 +89,8 @@ func openLine(path string) (Store, error) {
 			}
 			continue
 		}
-		st.raw[rec.Index] = raw // last record wins, like checkpoint resume
+		st.raw[rec.Index] = raw // last record wins
+		st.clock = later(st.clock, rec.Clock)
 	}
 	st.finalized = st.manifest.Walks > 0 && st.manifest.Walks == len(st.raw)
 	return st, nil
@@ -108,21 +112,30 @@ func (st *lineStore) Walks() int {
 	return len(st.raw)
 }
 
-func (st *lineStore) Append(w *crawler.Walk) error {
+func (st *lineStore) Append(w *crawler.Walk) error { return st.Record(w, time.Time{}) }
+
+func (st *lineStore) Record(w *crawler.Walk, clock time.Time) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.finalized {
 		return ErrFinalized
 	}
-	raw, err := json.Marshal(walkRecord{Index: w.Index, Walk: w})
+	raw, err := encodeWalk(w, clock)
 	if err != nil {
-		return fmt.Errorf("runstore: encode walk %d: %w", w.Index, err)
+		return err
 	}
 	if err := st.lf.Append(json.RawMessage(raw)); err != nil {
 		return err
 	}
 	st.raw[w.Index] = raw
+	st.clock = later(st.clock, clock)
 	return nil
+}
+
+func (st *lineStore) Clock() time.Time {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.clock
 }
 
 func (st *lineStore) Get(idx int) (*crawler.Walk, error) {
@@ -149,6 +162,18 @@ func (st *lineStore) sortedIndices() []int {
 
 func (st *lineStore) Iter() Cursor {
 	return &lineCursor{st: st, order: st.sortedIndices()}
+}
+
+func (st *lineStore) Stamp(m Manifest) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.manifest.stamp(m)
+}
+
+func (st *lineStore) Finalized() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.finalized
 }
 
 func (st *lineStore) Finalize() error {

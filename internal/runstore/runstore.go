@@ -8,14 +8,18 @@
 //
 // Two backends ship (DESIGN.md §13):
 //
-//   - line: a single CRC-framed JSONL file (the runio.LineFile format
-//     the checkpoint layer already uses). Simple and greppable. Random
-//     access decodes from an in-memory raw-record table, so memory is
-//     O(compressed file), not O(decoded dataset).
+//   - line: a single CRC-framed JSONL file (a runio.LineFile). Simple
+//     and greppable. Random access decodes from an in-memory raw-record
+//     table, so memory is O(compressed file), not O(decoded dataset).
 //   - segment: a directory of fixed-size walk segments, gzip-compressed
 //     as they seal, with a sidecar index for random access and an
 //     atomically rewritten manifest. Memory is O(one segment); this is
 //     the backend for 100k-walk datasets.
+//
+// A store is also a crawl's walk log: the crawl records each walk as
+// it finishes, with the virtual instant it finished at, and a crawl
+// resumed over an unfinalized store skips the walks it already holds
+// and restarts the clock from the latest instant recorded (Clock).
 //
 // The package depends only on crawler and runio; analysis layers sit
 // above it.
@@ -28,6 +32,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runio"
@@ -58,6 +63,12 @@ type Store interface {
 	// order (parallel crawls finish out of order); readers always see
 	// index order.
 	Append(w *crawler.Walk) error
+	// Record is Append for a live crawl: the record also carries the
+	// virtual instant the crawl's clock had reached when w finished.
+	Record(w *crawler.Walk, clock time.Time) error
+	// Clock returns the latest completion instant any record carries
+	// (zero when none does): where a resumed crawl restarts its clock.
+	Clock() time.Time
 	// Get returns the walk with the given index, decoding only what
 	// that lookup needs. A missing index returns ErrNoWalk, and a record
 	// that holds another walk than the one asked for an error wrapping
@@ -68,10 +79,16 @@ type Store interface {
 	Get(idx int) (*crawler.Walk, error)
 	// Iter returns a cursor over all walks in ascending index order.
 	Iter() Cursor
+	// Stamp replaces the crawler roster, configuration and provenance
+	// the manifest carries; its header and walk count stay the store's
+	// own. The next Finalize persists them.
+	Stamp(m Manifest)
 	// Finalize seals the store: flushes pending segments, stamps the
 	// final walk count into the manifest, and fsyncs. A finalized store
 	// remains readable; further Appends fail.
 	Finalize() error
+	// Finalized reports whether the store has been sealed.
+	Finalized() bool
 	// Close releases the store's file handles. Closing without
 	// Finalize leaves a resumable (crash-equivalent) store on disk.
 	Close() error
@@ -166,9 +183,37 @@ func Copy(dst Store, src Store) error {
 }
 
 // walkRecord is the on-disk form of one walk, shared by both backends.
+// Clock is set only by Record; an Appended walk has none.
 type walkRecord struct {
 	Index int           `json:"index"`
+	Clock *time.Time    `json:"clock,omitempty"`
 	Walk  *crawler.Walk `json:"walk"`
+}
+
+// encodeWalk encodes w's record, with clock unless it is zero.
+func encodeWalk(w *crawler.Walk, clock time.Time) ([]byte, error) {
+	rec := walkRecord{Index: w.Index, Walk: w}
+	if !clock.IsZero() {
+		rec.Clock = &clock
+	}
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("runstore: encode walk %d: %w", w.Index, err)
+	}
+	return raw, nil
+}
+
+// stamp copies the documents Stamp replaces from src into m.
+func (m *Manifest) stamp(src Manifest) {
+	m.Crawlers, m.Config, m.Provenance = src.Crawlers, src.Config, src.Provenance
+}
+
+// later returns the later of two instants.
+func later(a, b time.Time) time.Time {
+	if b.After(a) {
+		return b
+	}
+	return a
 }
 
 // decodeWalk decodes the raw record of walk idx, failing with

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runio"
@@ -153,6 +154,82 @@ func TestStoreResumeAfterClose(t *testing.T) {
 			}
 			st2.Close()
 		})
+	}
+}
+
+// TestStoreRecordClock pins the walk-log side of a store: Record keeps
+// each walk's completion clock, Clock reports the latest one across a
+// reopen (from sealed segments' index entries and from unsealed
+// records alike), Stamp replaces the manifest's documents at Finalize,
+// and Finalized survives a reopen. A walk Appended without a clock
+// keeps the record layout it always had.
+func TestStoreRecordClock(t *testing.T) {
+	epoch := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+	for backend, path := range backends(t) {
+		t.Run(string(backend), func(t *testing.T) {
+			st, err := Create(path, backend, testManifest(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seg, ok := st.(*segmentStore); ok {
+				seg.segWalks = 2 // walks 0-3 seal, walk 4 stays active
+			}
+			latest := epoch
+			for i, minutes := range []int{3, 9, 4, 1, 6} {
+				clock := epoch.Add(time.Duration(minutes) * time.Minute)
+				latest = later(latest, clock)
+				if err := st.Record(testWalk(i), clock); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err = Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Clock(); !got.Equal(latest) {
+				t.Fatalf("reopened Clock() = %v, want %v", got, latest)
+			}
+			if st.Finalized() {
+				t.Fatal("unfinalized store reopened as finalized")
+			}
+			w, err := st.Get(1)
+			if err != nil || !reflect.DeepEqual(w, testWalk(1)) {
+				t.Fatalf("Get(1) = %+v, %v", w, err)
+			}
+			m := testManifest(3)
+			m.Provenance = json.RawMessage(`{"config_hash":"h"}`)
+			st.Stamp(m)
+			if err := st.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			st, err = Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if !st.Finalized() {
+				t.Fatal("finalized store reopened as unfinalized")
+			}
+			if got := string(st.Manifest().Provenance); got != `{"config_hash":"h"}` {
+				t.Fatalf("stamped provenance = %s", got)
+			}
+		})
+	}
+
+	raw, err := encodeWalk(testWalk(0), time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, _ := json.Marshal(struct {
+		Index int           `json:"index"`
+		Walk  *crawler.Walk `json:"walk"`
+	}{0, testWalk(0)})
+	if !bytes.Equal(raw, old) {
+		t.Fatalf("clockless record changed layout:\n got %s\nwant %s", raw, old)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runio"
@@ -26,9 +27,10 @@ import (
 // CRC framing, fsync policy and chaos fault hooks all apply unchanged —
 // and every segWalks records the segment seals: its bytes are
 // re-framed, gzipped and land via atomic rename, the jsonl is removed,
-// and the sidecar index gains a {seg, indices} record. A crash between
-// any two steps leaves either the jsonl (recovered and re-adopted on
-// open, exactly like a checkpoint) or the sealed sgz — never neither.
+// and the index gains a {seg, indices, clock} record (clock: the latest
+// completion instant the segment's records carry, if any). A crash
+// between any two steps leaves either the jsonl (recovered and
+// re-adopted on open) or the sealed sgz — never neither.
 // Reading is O(one segment) of memory: the index maps a walk to its
 // segment, the segment gunzips, and every record's checksum verifies
 // before a byte of it is decoded. A segment that fails verification is
@@ -49,10 +51,13 @@ func segIndexHeader(seed int64) runio.Header {
 	return runio.Header{Format: runio.SegmentIndexFormat, Version: segVersion, Seed: seed}
 }
 
-// segIndexEntry is one sealed segment in segments.idx.
+// segIndexEntry is one sealed segment in segments.idx. Clock is the
+// latest completion instant its records carry (nil when none does), so
+// reopening a store learns its resume clock without unsealing segments.
 type segIndexEntry struct {
-	Seg     int   `json:"seg"`
-	Indices []int `json:"indices"`
+	Seg     int        `json:"seg"`
+	Indices []int      `json:"indices"`
+	Clock   *time.Time `json:"clock,omitempty"`
 }
 
 // segmentStore is the sharded, compressed backend.
@@ -77,6 +82,8 @@ type segmentStore struct {
 	activeSeg int
 	activeIdx []int          // indices in append order
 	activeRaw map[int][]byte // raw payloads of the active segment
+	activeClk time.Time      // latest completion instant in the active segment
+	clock     time.Time      // latest completion instant in the store
 	nextSeg   int
 	finalized bool
 	// cache holds the most recently decoded sealed segments. Two slots:
@@ -179,12 +186,15 @@ func openSegment(dir string) (Store, error) {
 		for _, wi := range e.Indices {
 			st.walkSeg[wi] = e.Seg
 		}
+		if e.Clock != nil {
+			st.clock = later(st.clock, *e.Clock)
+		}
 		if e.Seg >= st.nextSeg {
 			st.nextSeg = e.Seg + 1
 		}
 	}
 	// Adopt any unsealed segment a crash left behind: reopen it as the
-	// active line file (torn tails recover like any checkpoint) and put
+	// active line file (torn tails recover like any line file) and put
 	// its walks back on the map.
 	leftover, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
 	if err == nil {
@@ -224,21 +234,17 @@ func (st *segmentStore) adoptUnsealed(n int) error {
 			return err
 		}
 	}
-	st.active = lf
-	st.activeSeg = n
-	st.activeIdx = nil
-	st.activeRaw = map[int][]byte{}
+	st.startActive(lf, n)
 	for _, raw := range entries {
 		var rec struct {
-			Index int `json:"index"`
+			Index int       `json:"index"`
+			Clock time.Time `json:"clock"`
 		}
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			lf.Close()
 			return fmt.Errorf("runstore: %s: decode walk record: %w", st.dir, err)
 		}
-		st.activeIdx = append(st.activeIdx, rec.Index)
-		st.activeRaw[rec.Index] = raw
-		st.walkSeg[rec.Index] = n
+		st.addActive(rec.Index, raw, rec.Clock)
 	}
 	if n >= st.nextSeg {
 		st.nextSeg = n + 1
@@ -262,7 +268,28 @@ func (st *segmentStore) Walks() int {
 	return len(st.walkSeg)
 }
 
-func (st *segmentStore) Append(w *crawler.Walk) error {
+// startActive makes lf, segment n, the active segment. Callers hold mu
+// (or own the store during open).
+func (st *segmentStore) startActive(lf *runio.LineFile, n int) {
+	st.active = lf
+	st.activeSeg = n
+	st.activeIdx = nil
+	st.activeRaw = map[int][]byte{}
+	st.activeClk = time.Time{}
+}
+
+// addActive puts a record of the active segment on the maps.
+func (st *segmentStore) addActive(idx int, raw []byte, clock time.Time) {
+	st.activeIdx = append(st.activeIdx, idx)
+	st.activeRaw[idx] = raw
+	st.walkSeg[idx] = st.activeSeg
+	st.activeClk = later(st.activeClk, clock)
+	st.clock = later(st.clock, clock)
+}
+
+func (st *segmentStore) Append(w *crawler.Walk) error { return st.Record(w, time.Time{}) }
+
+func (st *segmentStore) Record(w *crawler.Walk, clock time.Time) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.finalized {
@@ -277,26 +304,27 @@ func (st *segmentStore) Append(w *crawler.Walk) error {
 			lf.Close()
 			return fmt.Errorf("runstore: %s: segment %d not empty", st.dir, st.nextSeg)
 		}
-		st.active = lf
-		st.activeSeg = st.nextSeg
-		st.activeIdx = nil
-		st.activeRaw = map[int][]byte{}
+		st.startActive(lf, st.nextSeg)
 		st.nextSeg++
 	}
-	raw, err := json.Marshal(walkRecord{Index: w.Index, Walk: w})
+	raw, err := encodeWalk(w, clock)
 	if err != nil {
-		return fmt.Errorf("runstore: encode walk %d: %w", w.Index, err)
+		return err
 	}
 	if err := st.active.Append(json.RawMessage(raw)); err != nil {
 		return err
 	}
-	st.activeIdx = append(st.activeIdx, w.Index)
-	st.activeRaw[w.Index] = raw
-	st.walkSeg[w.Index] = st.activeSeg
+	st.addActive(w.Index, raw, clock)
 	if len(st.activeIdx) >= st.segWalks {
 		return st.sealActiveLocked()
 	}
 	return nil
+}
+
+func (st *segmentStore) Clock() time.Time {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.clock
 }
 
 // sealActiveLocked compresses the active segment into its sgz, records
@@ -323,7 +351,11 @@ func (st *segmentStore) sealActiveLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := st.index.Append(segIndexEntry{Seg: st.activeSeg, Indices: st.activeIdx}); err != nil {
+	entry := segIndexEntry{Seg: st.activeSeg, Indices: st.activeIdx}
+	if !st.activeClk.IsZero() {
+		entry.Clock = &st.activeClk
+	}
+	if err := st.index.Append(entry); err != nil {
 		return err
 	}
 	st.sealed[st.activeSeg] = st.activeIdx
@@ -456,6 +488,18 @@ func (st *segmentStore) sortedIndices() []int {
 
 func (st *segmentStore) Iter() Cursor {
 	return &segmentCursor{st: st, order: st.sortedIndices()}
+}
+
+func (st *segmentStore) Stamp(m Manifest) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.manifest.stamp(m)
+}
+
+func (st *segmentStore) Finalized() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.finalized
 }
 
 func (st *segmentStore) Finalize() error {

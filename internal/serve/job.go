@@ -17,7 +17,7 @@ const (
 	StateDone        = "done"
 	StateFailed      = "failed"
 	StateCanceled    = "canceled"    // DELETE /jobs/{id}, or dropped from the queue on drain
-	StateInterrupted = "interrupted" // in-flight during drain; checkpointed for resume
+	StateInterrupted = "interrupted" // in-flight during drain; its run store is left resumable
 )
 
 // JobSpec is the POST /jobs request body. The zero value submits a
@@ -43,12 +43,9 @@ type JobSpec struct {
 	Config *core.Config `json:"config,omitempty"`
 	// RunID names the stored run a "reanalyze" job reads.
 	RunID string `json:"run_id,omitempty"`
-	// NoCheckpoint disables the per-job checkpoint a store-backed
-	// server would otherwise record for drain/resume.
-	NoCheckpoint bool `json:"no_checkpoint,omitempty"`
 	// TimeoutMs, when > 0, bounds the job's execution: a job still
 	// running after this many milliseconds fails with a timeout cause
-	// (its checkpoint keeps the walks completed before the deadline).
+	// (its run store keeps the walks completed before the deadline).
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -108,7 +105,7 @@ type Job struct {
 	report        []byte
 	tel           *telemetry.Telemetry
 	runID         string // run-store entry, once persisted
-	checkpoint    string // checkpoint file path, when recorded
+	runFile       string // run store path, when the server has a store
 	enqueuedMs    int64
 	startedMs     int64
 	finishedMs    int64
@@ -209,7 +206,7 @@ type Status struct {
 	Progress      core.Progress `json:"progress"`
 	Error         string        `json:"error,omitempty"`
 	RunID         string        `json:"run_id,omitempty"`
-	Checkpoint    string        `json:"checkpoint,omitempty"`
+	RunFile       string        `json:"run_file,omitempty"`
 	EnqueuedMs    int64         `json:"enqueued_ms"`
 	StartedMs     int64         `json:"started_ms,omitempty"`
 	FinishedMs    int64         `json:"finished_ms,omitempty"`
@@ -230,7 +227,7 @@ func (j *Job) Status() Status {
 		Progress:      j.progress,
 		Error:         j.errText,
 		RunID:         j.runID,
-		Checkpoint:    j.checkpoint,
+		RunFile:       j.runFile,
 		EnqueuedMs:    j.enqueuedMs,
 		StartedMs:     j.startedMs,
 		FinishedMs:    j.finishedMs,

@@ -47,8 +47,9 @@ type Options struct {
 	// POST /jobs. Zero burst disables limiting.
 	AdmitBurst     int
 	AdmitPerSecond float64
-	// StoreDir, when set, persists completed runs and per-job
-	// checkpoints under this directory.
+	// StoreDir, when set, persists every crawl job's run store under
+	// this directory: written as the job crawls, indexed once it
+	// succeeds.
 	StoreDir string
 	// SpanCapacity sizes each job's span tracer ring
 	// (default telemetry.DefaultSpanCapacity).
@@ -138,7 +139,7 @@ func (s *Server) uptimeMs() int64 { return s.watch.ElapsedMicros() / 1000 }
 
 // Drain performs graceful shutdown: new submissions get 503 +
 // Retry-After, queued jobs are canceled, in-flight jobs are interrupted
-// (their pipelines drain and their checkpoints record completed walks
+// (their pipelines drain and their run files keep the completed walks
 // for resume), and workers exit. It returns when the pool is idle or
 // ctx expires.
 func (s *Server) Drain(ctx context.Context) error {
@@ -235,7 +236,7 @@ func (s *Server) runJob(j *Job) {
 	crumbcruncher.WriteReport(&report, run)
 	runID := ""
 	if s.store != nil && j.Spec.Kind == KindCrawl {
-		entry, err := s.store.Save(j.ID, run, j.configHash, now)
+		entry, err := s.store.Save(j.ID, run.Config, j.configHash, now)
 		if err != nil {
 			j.finish(StateFailed, err.Error(), s.uptimeMs())
 			return
@@ -278,37 +279,44 @@ func (s *Server) execute(ctx context.Context, j *Job) (*core.Run, error) {
 
 	cfg.Telemetry = jt
 	cfg.OnProgress = j.setProgress
-	var cp *crumbcruncher.Checkpoint
-	if s.store != nil && !j.Spec.NoCheckpoint {
-		path := s.store.CheckpointPath(j.ID)
-		var err error
-		cp, err = crumbcruncher.OpenCheckpointTel(path, cfg.World.Seed, s.tel)
+	if s.store != nil {
+		// The job's run file is its walk log: the crawl appends to it,
+		// a drained job leaves it unfinalized, and Store.Save indexes
+		// it once the run has finalized it.
+		path := s.store.JobRunPath(j.ID)
+		st, err := crumbcruncher.OpenWalkLog(path, cfg)
 		if errors.Is(err, runio.ErrCorrupt) {
-			// The damaged checkpoint is quarantined; the job restarts
-			// from an empty one rather than trusting corrupt walks.
-			cp, err = crumbcruncher.OpenCheckpointTel(path, cfg.World.Seed, s.tel)
+			// The damaged store is quarantined; the job restarts from
+			// an empty one rather than trusting corrupt walks.
+			st, err = crumbcruncher.OpenWalkLog(path, cfg)
 		}
 		if err != nil {
 			return nil, err
 		}
-		cfg.Checkpoint = cp
+		cfg.Store = st
 		j.mu.Lock()
-		j.checkpoint = path
+		j.runFile = path
 		j.mu.Unlock()
+	}
+	closeStore := func() error {
+		if cfg.Store == nil {
+			return nil
+		}
+		return cfg.Store.Close()
 	}
 	world, hit, err := s.cache.Fork(j.configHash, cfg.World)
 	if err != nil {
-		cp.Close() //nolint:errcheck // job is already failing
+		closeStore() //nolint:errcheck // job is already failing
 		return nil, err
 	}
 	j.mu.Lock()
 	j.cacheHit = hit
 	j.mu.Unlock()
 	run, err := core.ExecuteInWorld(ctx, cfg, world)
-	// A checkpoint that cannot sync its recorded walks is a durability
+	// A store that cannot sync its recorded walks is a durability
 	// failure even when the run itself succeeded: surface it.
-	if cerr := cp.Close(); cerr != nil && err == nil {
-		return nil, fmt.Errorf("serve: checkpoint close: %w", cerr)
+	if cerr := closeStore(); cerr != nil && err == nil {
+		return nil, fmt.Errorf("serve: close run store: %w", cerr)
 	}
 	return run, err
 }

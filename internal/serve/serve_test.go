@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -216,9 +215,9 @@ func TestReanalyzeMatchesCrawl(t *testing.T) {
 	}
 }
 
-// TestDrain pins graceful shutdown: an in-flight job is interrupted and
-// checkpointed for resume, a queued job is canceled, late submissions
-// get 503 + Retry-After, and Drain returns cleanly.
+// TestDrain pins graceful shutdown: an in-flight job is interrupted with
+// its run file left resumable, a queued job is canceled, late
+// submissions get 503 + Retry-After, and Drain returns cleanly.
 func TestDrain(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := New(Options{Workers: 1, StoreDir: dir})
@@ -235,8 +234,8 @@ func TestDrain(t *testing.T) {
 
 	// Drain only once a walk has been reported done: "running" alone can
 	// mean the job is still building its world, and a drain landing then
-	// leaves nothing to checkpoint. The crawler checkpoints a walk before
-	// it reports the walk done, so from here on the checkpoint is
+	// leaves nothing in the run file. The crawler records a walk before
+	// it reports the walk done, so from here on the run file is
 	// non-empty.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -290,22 +289,25 @@ func TestDrain(t *testing.T) {
 	if st.State != StateInterrupted {
 		t.Errorf("in-flight job state = %s, want %s", st.State, StateInterrupted)
 	}
-	if st.Checkpoint == "" {
-		t.Fatal("interrupted job has no checkpoint path")
+	if st.RunFile == "" {
+		t.Fatal("interrupted job has no run file")
 	}
-	if _, err := os.Stat(st.Checkpoint); err != nil {
-		t.Errorf("checkpoint not written: %v", err)
-	}
-	// The checkpoint must be resumable: reopening it restores the
-	// interrupted job's completed walks.
-	cp, err := crumbcruncher.OpenCheckpoint(st.Checkpoint, 3)
+	// The run file must be resumable: an unfinalized store holding the
+	// interrupted job's completed walks, and left out of the index.
+	rs, err := crumbcruncher.OpenRunStore(st.RunFile)
 	if err != nil {
-		t.Fatalf("reopening checkpoint: %v", err)
+		t.Fatalf("reopening run file: %v", err)
 	}
-	if cp.CompletedCount() == 0 {
-		t.Error("checkpoint recorded no completed walks")
+	if rs.Finalized() {
+		t.Error("drained job's run file is finalized")
 	}
-	cp.Close()
+	if rs.Walks() == 0 {
+		t.Error("run file recorded no completed walks")
+	}
+	rs.Close()
+	if st.RunID != "" {
+		t.Errorf("drained job indexed as run %q", st.RunID)
+	}
 
 	getJSON(t, ts.URL+"/jobs/"+queued.ID, &st)
 	if st.State != StateCanceled {

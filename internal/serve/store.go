@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"crumbcruncher"
 	"crumbcruncher/internal/core"
 	"crumbcruncher/internal/runio"
 	"crumbcruncher/internal/runstore"
@@ -40,8 +39,9 @@ type RunEntry struct {
 // the runio line-file codec, a corrupt index is quarantined and rebuilt
 // from its salvageable records, and entries whose run documents are
 // missing or damaged are dropped (counted on serve.store_dropped_runs,
-// never silently). Checkpoint files for draining jobs live in the same
-// directory.
+// never silently). A crawl job writes its run store in the same
+// directory as it crawls (JobRunPath); a drained job's store stays there
+// unfinalized and unindexed.
 type Store struct {
 	dir     string
 	mu      sync.Mutex
@@ -128,18 +128,15 @@ func (s *Store) verifyRun(e RunEntry) error {
 	return st.Close()
 }
 
-// Save persists a completed run under id and appends its index entry.
-func (s *Store) Save(id string, run *core.Run, configHash string, uptimeMs int64) (RunEntry, error) {
-	file := "run-" + id + ".json"
-	if err := crumbcruncher.SaveRunStore(filepath.Join(s.dir, file), run); err != nil {
-		return RunEntry{}, err
-	}
+// Save indexes job id's run store, which the job's successful run has
+// already written and finalized at JobRunPath(id).
+func (s *Store) Save(id string, cfg core.Config, configHash string, uptimeMs int64) (RunEntry, error) {
 	e := RunEntry{
 		ID:            id,
-		File:          file,
-		Seed:          run.Config.World.Seed,
+		File:          jobRunFile(id),
+		Seed:          cfg.World.Seed,
 		ConfigHash:    configHash,
-		Walks:         run.Config.Walks,
+		Walks:         cfg.Walks,
 		SavedUptimeMs: uptimeMs,
 	}
 	s.mu.Lock()
@@ -172,10 +169,11 @@ func (s *Store) List() []RunEntry {
 // RunPath returns the absolute path of an entry's run document.
 func (s *Store) RunPath(e RunEntry) string { return filepath.Join(s.dir, e.File) }
 
-// CheckpointPath returns where a job's checkpoint file lives.
-func (s *Store) CheckpointPath(jobID string) string {
-	return filepath.Join(s.dir, jobID+".checkpoint")
-}
+// jobRunFile names a job's run store, relative to the store directory.
+func jobRunFile(jobID string) string { return "run-" + jobID + ".json" }
+
+// JobRunPath returns where a crawl job's run store lives.
+func (s *Store) JobRunPath(jobID string) string { return filepath.Join(s.dir, jobRunFile(jobID)) }
 
 // Close closes the index file.
 func (s *Store) Close() error {

@@ -1,9 +1,6 @@
 package tokens
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/intern"
 	"crumbcruncher/internal/telemetry"
@@ -12,78 +9,10 @@ import (
 // WalkTokens is one walk's contribution to the token pipeline: the
 // walk's reconstructed navigation paths and the candidates found on
 // them. It is the unit the streaming engine computes as each walk
-// finishes, persists to the analysis-state sidecar, and merges at drain
-// time. Candidates reference Paths by pointer; the JSON form encodes
-// that reference as an index so decoding restores pointer identity.
+// finishes and merges at drain time.
 type WalkTokens struct {
 	Paths      []*Path
 	Candidates []*Candidate
-}
-
-// walkTokensJSON is the persisted layout of WalkTokens.
-type walkTokensJSON struct {
-	Paths      []*Path           `json:"paths"`
-	Candidates []candidateRecord `json:"candidates"`
-}
-
-// candidateRecord is a Candidate with its Path pointer flattened to an
-// index into the walk's path list.
-type candidateRecord struct {
-	Name      string `json:"name"`
-	Value     string `json:"value"`
-	Walk      int    `json:"walk"`
-	Step      int    `json:"step"`
-	Crawler   string `json:"crawler"`
-	Profile   string `json:"profile"`
-	PathIdx   int    `json:"path_idx"`
-	FirstIdx  int    `json:"first_idx"`
-	LastIdx   int    `json:"last_idx"`
-	Crossings int    `json:"crossings"`
-}
-
-// MarshalJSON encodes the walk's paths and candidates with candidate →
-// path references as indices.
-func (wt WalkTokens) MarshalJSON() ([]byte, error) {
-	pos := make(map[*Path]int, len(wt.Paths))
-	for i, p := range wt.Paths {
-		pos[p] = i
-	}
-	recs := make([]candidateRecord, len(wt.Candidates))
-	for i, c := range wt.Candidates {
-		idx, ok := pos[c.Path]
-		if !ok {
-			return nil, fmt.Errorf("tokens: candidate %s references a path outside its walk", c.Name)
-		}
-		recs[i] = candidateRecord{
-			Name: c.Name, Value: c.Value,
-			Walk: c.Walk, Step: c.Step, Crawler: c.Crawler, Profile: c.Profile,
-			PathIdx: idx, FirstIdx: c.FirstIdx, LastIdx: c.LastIdx, Crossings: c.Crossings,
-		}
-	}
-	return json.Marshal(walkTokensJSON{Paths: wt.Paths, Candidates: recs})
-}
-
-// UnmarshalJSON decodes the persisted layout, restoring candidate →
-// path pointer identity.
-func (wt *WalkTokens) UnmarshalJSON(data []byte) error {
-	var enc walkTokensJSON
-	if err := json.Unmarshal(data, &enc); err != nil {
-		return err
-	}
-	wt.Paths = enc.Paths
-	wt.Candidates = make([]*Candidate, len(enc.Candidates))
-	for i, r := range enc.Candidates {
-		if r.PathIdx < 0 || r.PathIdx >= len(enc.Paths) {
-			return fmt.Errorf("tokens: candidate %s: path index %d out of range", r.Name, r.PathIdx)
-		}
-		wt.Candidates[i] = &Candidate{
-			Name: r.Name, Value: r.Value,
-			Walk: r.Walk, Step: r.Step, Crawler: r.Crawler, Profile: r.Profile,
-			Path: enc.Paths[r.PathIdx], FirstIdx: r.FirstIdx, LastIdx: r.LastIdx,
-			Crossings: r.Crossings,
-		}
-	}
-	return nil
 }
 
 // Accumulator collects per-walk token extraction incrementally for the
@@ -146,12 +75,6 @@ func (a *Accumulator) AddWalk(w *crawler.Walk) WalkTokens {
 	}
 	a.perWalk[w.Index] = wt
 	return wt
-}
-
-// Restore adopts a previously-persisted walk's extraction (the
-// checkpoint-resume path) instead of recomputing it.
-func (a *Accumulator) Restore(index int, wt WalkTokens) {
-	a.perWalk[index] = wt
 }
 
 // Drain concatenates the per-walk paths and candidates in walk-index

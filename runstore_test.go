@@ -212,3 +212,81 @@ func TestStoreReanalysisDecodesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkLogRefusesOtherConfig pins the resume precondition: a walk
+// log resumes only under the configuration it was recorded with. A log
+// recorded with -small -seed 3 -walks 8 must not resume a run with other
+// sites and steps (its walks come from another world), and the error
+// names both config hashes; Parallelism is not part of the hash, so a
+// different pool size still resumes.
+func TestWalkLogRefusesOtherConfig(t *testing.T) {
+	cfg := crumbcruncher.SmallConfig()
+	cfg.World.Seed = 3
+	cfg.Walks = 8
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	st, err := crumbcruncher.OpenWalkLog(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	other := cfg
+	other.World.NumSites = 40
+	other.StepsPerWalk = 4
+	_, err = crumbcruncher.OpenWalkLog(path, other)
+	if err == nil {
+		t.Fatal("walk log recorded under one config resumed under another")
+	}
+	for _, h := range []string{cfg.Hash(), other.Hash()} {
+		if !strings.Contains(err.Error(), h) {
+			t.Errorf("error %q does not name config hash %s", err, h)
+		}
+	}
+
+	par := cfg
+	par.Parallelism = cfg.Parallelism + 3
+	st, err = crumbcruncher.OpenWalkLog(path, par)
+	if err != nil {
+		t.Fatalf("a different Parallelism refused to resume: %v", err)
+	}
+	st.Close()
+}
+
+// TestWalkLogRefusesFinalizedStore pins that a finished run's store is
+// never reopened as a walk log: OpenWalkLog fails on it up front, before
+// any world is built or walk crawled, and leaves it finalized.
+func TestWalkLogRefusesFinalizedStore(t *testing.T) {
+	cfg := crumbcruncher.SmallConfig()
+	cfg.World.Seed = 2
+	cfg.Walks = 10
+	for _, name := range []string{"run.jsonl", "run.crumbs"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), name)
+			st, err := crumbcruncher.CreateRunStore(path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Append(&crawler.Walk{Index: 0}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+
+			if _, err := crumbcruncher.OpenWalkLog(path, cfg); err == nil || !strings.Contains(err.Error(), "finalized") {
+				t.Fatalf("OpenWalkLog over a finalized store: %v, want a finalized-store error", err)
+			}
+			st, err = crumbcruncher.OpenRunStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if !st.Finalized() || st.Walks() != 1 {
+				t.Errorf("refused store changed: finalized %v, %d walks", st.Finalized(), st.Walks())
+			}
+		})
+	}
+}

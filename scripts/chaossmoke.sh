@@ -3,8 +3,9 @@
 # crash-recover-verify loop at three process-level chaos points, plus
 # the in-process seeded chaos matrix under -race.
 #
-#   1. crawl kill: SIGKILL a checkpointed crumbcruncher run mid-crawl,
-#      resume it, and require metrics byte-identical to a clean run.
+#   1. crawl kill: SIGKILL a crumbcruncher run mid-crawl while it
+#      records to its -save run store, resume it from that store, and
+#      require metrics byte-identical to a clean run.
 #   2. server kill: SIGKILL crumbserved (no drain), restart on the same
 #      store, and require the persisted run to survive and reanalyze to
 #      the same metrics.
@@ -42,19 +43,24 @@ echo "--- chaos: crawl kill + resume"
 "$work/crumbcruncher" -small -seed "$SEED" -walks "$WALKS" -parallel 1 \
 	-metrics -out "$work/clean.json" 2>/dev/null
 
-ckpt="$work/ckpt.jsonl"
+store="$work/run.jsonl"
+# walk_records counts the walk records in the line store (each frame's
+# payload of a walk record opens with {"index":).
+walk_records() {
+	if [ -f "$store" ]; then grep -c '!{"index":' "$store" || true; else echo 0; fi
+}
 "$work/crumbcruncher" -small -seed "$SEED" -walks "$WALKS" -parallel 1 \
-	-fsync every-record -resume "$ckpt" \
+	-fsync every-record -save "$store" \
 	-metrics -out "$work/victim.json" 2>"$work/victim.log" &
 CRAWL_PID=$!
 
 # Kill once a handful of walks have hit the disk (every-record fsync
 # makes that prompt), well before the 600-walk crawl can finish.
 i=0
-while [ "$([ -f "$ckpt" ] && wc -l <"$ckpt" || echo 0)" -lt 6 ]; do
+while [ "$(walk_records)" -lt 5 ]; do
 	i=$((i + 1))
 	if [ "$i" -gt 200 ]; then
-		echo "FAIL: checkpoint never accumulated walks" >&2
+		echo "FAIL: run store never accumulated walks" >&2
 		cat "$work/victim.log" >&2
 		exit 1
 	fi
@@ -66,13 +72,13 @@ wait "$CRAWL_PID" 2>/dev/null && {
 	exit 1
 }
 CRAWL_PID=""
-echo "OK: killed mid-crawl with $(wc -l <"$ckpt") checkpoint lines"
+echo "OK: killed mid-crawl with $(walk_records) walk records in the run store"
 
 "$work/crumbcruncher" -small -seed "$SEED" -walks "$WALKS" -parallel 1 \
-	-fsync every-record -resume "$ckpt" \
+	-fsync every-record -save "$store" \
 	-metrics -out "$work/resumed.json" 2>"$work/resume.log"
 grep -q "resuming:" "$work/resume.log" || {
-	echo "FAIL: resumed run did not pick up the checkpoint" >&2
+	echo "FAIL: resumed run did not pick up the run store" >&2
 	cat "$work/resume.log" >&2
 	exit 1
 }

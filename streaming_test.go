@@ -3,6 +3,7 @@ package crumbcruncher_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"sync"
@@ -169,66 +170,89 @@ func TestStreamingCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamingResumeUsesSidecar interrupts a checkpointed streaming run,
-// resumes it, and checks that (a) the resumed run restores per-walk
-// analysis state from the checkpoint's sidecar instead of recomputing it
-// and (b) the final metrics are byte-identical to an uninterrupted run.
-func TestStreamingResumeUsesSidecar(t *testing.T) {
+// TestStoreResumeByteIdentical interrupts a streaming run that records
+// to a run store, resumes it from the store, and requires — on both
+// backends — that the resumed run re-crawls none of the recorded walks
+// and that its dataset and metrics are byte-identical to an
+// uninterrupted run's. Transient faults under a retry policy put
+// backoff on the virtual clock the store's completion clocks restore.
+func TestStoreResumeByteIdentical(t *testing.T) {
 	cfg := crumbcruncher.SmallConfig()
 	cfg.World.Seed = 2
+	cfg.World.TransientFailRate = 0.3
 	cfg.Walks = 20
 	cfg.Parallelism = 1
+	cfg.Retry = crumbcruncher.DefaultRetryPolicy()
 
 	ref, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := metricsBytes(t, ref)
-
-	ckptPath := filepath.Join(t.TempDir(), "ckpt.jsonl")
-
-	ckpt, err := crumbcruncher.OpenCheckpoint(ckptPath, cfg.World.Seed)
+	wantDS, err := json.Marshal(ref.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	_, err = crumbcruncher.NewRunner(cfg,
-		crumbcruncher.WithCheckpoint(ckpt),
-		crumbcruncher.WithProgress(func(p crumbcruncher.Progress) {
-			if p.WalksAnalyzed >= 5 {
-				once.Do(cancel)
+
+	for _, name := range []string{"run.jsonl", "run.crumbs"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), name)
+			st, err := crumbcruncher.OpenWalkLog(path, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}),
-	).Run(ctx)
-	if err == nil {
-		t.Fatal("interrupted run returned no error")
-	}
-	ckpt.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var once sync.Once
+			_, err = crumbcruncher.NewRunner(cfg,
+				crumbcruncher.WithRunStore(st),
+				crumbcruncher.WithProgress(func(p crumbcruncher.Progress) {
+					if p.WalksAnalyzed >= 5 {
+						once.Do(cancel)
+					}
+				}),
+			).Run(ctx)
+			if err == nil {
+				t.Fatal("interrupted run returned no error")
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	ckpt, err = crumbcruncher.OpenCheckpoint(ckptPath, cfg.World.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ckpt.Close()
-	if ckpt.CompletedCount() == 0 {
-		t.Fatal("checkpoint recorded no walks before the interrupt")
-	}
-	tel := crumbcruncher.NewTelemetry()
-	run, err := crumbcruncher.NewRunner(cfg,
-		crumbcruncher.WithCheckpoint(ckpt),
-		crumbcruncher.WithTelemetry(tel),
-	).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+			st, err = crumbcruncher.OpenWalkLog(path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if n := st.Walks(); n == 0 || n >= cfg.Walks {
+				t.Fatalf("interrupted store holds %d of %d walks; the resume would be vacuous", n, cfg.Walks)
+			}
+			tel := crumbcruncher.NewTelemetry()
+			run, err := crumbcruncher.NewRunner(cfg,
+				crumbcruncher.WithRunStore(st),
+				crumbcruncher.WithTelemetry(tel),
+			).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if v := tel.Counter("core.stream_walks_restored").Value(); v == 0 {
-		t.Error("resume recomputed every walk: counter core.stream_walks_restored = 0")
-	}
-	if got := metricsBytes(t, run); !bytes.Equal(got, want) {
-		t.Error("resumed run's metrics differ from an uninterrupted run")
+			if v := tel.Counter("crawler.walks_resumed").Value(); v == 0 {
+				t.Error("resume re-crawled every walk: counter crawler.walks_resumed = 0")
+			}
+			gotDS, err := json.Marshal(run.Dataset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotDS, wantDS) {
+				t.Error("resumed dataset differs from an uninterrupted run's")
+			}
+			if got := metricsBytes(t, run); !bytes.Equal(got, want) {
+				t.Error("resumed run's metrics differ from an uninterrupted run's")
+			}
+			if !st.Finalized() || st.Walks() != cfg.Walks {
+				t.Errorf("store after the resumed run: finalized %v, %d walks; want finalized, %d", st.Finalized(), st.Walks(), cfg.Walks)
+			}
+		})
 	}
 }
 

@@ -67,7 +67,9 @@ func OpenLineFile(path string, want Header) (*LineFile, [][]byte, error) {
 
 // OpenLineFileOpts opens (or creates) the JSONL artifact at path. An
 // existing file's header must pass Check against want; its entry lines
-// are returned raw, in file order, for the caller to decode.
+// are returned raw, in file order, for the caller to decode. The
+// entries alias one buffer holding the file's bytes, which nothing
+// writes again.
 //
 // Damage handling: a torn tail — a final record a crash left
 // incomplete — is dropped and the file truncated back to its last
@@ -88,7 +90,11 @@ func OpenLineFileOpts(path string, want Header, opts OpenOptions) (*LineFile, []
 		return nil, nil, err
 	}
 
-	data, err := io.ReadAll(f)
+	size := 0
+	if fi, err := f.Stat(); err == nil && int64(int(fi.Size())) == fi.Size() {
+		size = int(fi.Size())
+	}
+	data, err := ReadSized(f, size)
 	if err != nil {
 		return fail(fmt.Errorf("runio: %s %s: %w", want.Format, path, err))
 	}
@@ -159,6 +165,8 @@ type scanResult struct {
 // scanLines walks the file's lines, validating each record's frame and
 // classifying the first damage it meets: torn (only possible at the
 // tail) or corrupt. An unframed line is corrupt wherever it appears.
+// Entries are subslices of data, capped so that appending to one
+// copies it rather than overwriting the next.
 func scanLines(data []byte, want Header) scanResult {
 	var res scanResult
 	off := int64(0)
@@ -205,7 +213,7 @@ func scanLines(data []byte, want Header) scanResult {
 				return res
 			}
 		} else {
-			res.entries = append(res.entries, append([]byte(nil), payload...))
+			res.entries = append(res.entries, payload[:len(payload):len(payload)])
 		}
 		res.goodEnd = end
 		off = end
@@ -357,7 +365,8 @@ func (lf *LineFile) Close() error {
 
 // Records parses an in-memory line-file image — a header line followed
 // by entry records — validating every frame and the header against
-// want, and returns the raw entry payloads in order.
+// want, and returns the raw entry payloads in order. The payloads alias
+// data, so the caller must not write to data while it holds them.
 // Unlike OpenLineFile there is no file to repair, so any damage —
 // including a torn tail — surfaces as a *DamageError; callers holding
 // a sealed artifact (e.g. a compressed run segment) treat every kind as
@@ -371,6 +380,30 @@ func Records(data []byte, want Header) ([][]byte, error) {
 		return nil, sc.damage
 	}
 	return sc.entries, nil
+}
+
+// ReadSized reads r to EOF into a buffer with room for size bytes plus
+// the final read that reports EOF, as os.ReadFile sizes its buffer from
+// Stat: a reader that yields size bytes costs one allocation. One that
+// yields more grows the buffer as io.ReadAll does.
+func ReadSized(r io.Reader, size int) ([]byte, error) {
+	if size < 512 {
+		size = 512
+	}
+	b := make([]byte, 0, size+1)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // AppendRecord frames one raw JSON payload exactly as LineFile.Append

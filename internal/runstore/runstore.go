@@ -217,11 +217,15 @@ func later(a, b time.Time) time.Time {
 }
 
 // decodeWalk decodes the raw record of walk idx, failing with
-// runio.ErrCorrupt if the record holds another walk.
+// runio.ErrCorrupt if the record holds another walk. The fast decoder
+// (walkcodec.go) takes every record encodeWalk writes; json.Unmarshal
+// takes any other.
 func decodeWalk(raw []byte, idx int) (*crawler.Walk, error) {
-	var rec walkRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return nil, fmt.Errorf("runstore: decode walk record: %w", err)
+	rec, ok := decodeWalkRecord(raw)
+	if !ok {
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return nil, fmt.Errorf("runstore: decode walk record: %w", err)
+		}
 	}
 	if rec.Index != idx {
 		return nil, fmt.Errorf("runstore: %w: record for walk %d holds walk %d", runio.ErrCorrupt, idx, rec.Index)

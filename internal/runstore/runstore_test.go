@@ -3,6 +3,7 @@ package runstore
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -433,17 +435,34 @@ func TestSegmentDamageMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// The gzip trailer's ISIZE sizes the inflate buffer. A trailer
+		// claiming ~4 GiB must not allocate past the compressed size's
+		// deflate ratio cap, and one understating the size must not
+		// truncate the read: both fail gzip's length check at EOF.
+		{"isize-claims-4GiB", func(t *testing.T, path string) { setISIZE(t, path, 0xfffffff0) }},
+		{"isize-understated", func(t *testing.T, path string) { setISIZE(t, path, 1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := build(t)
 			tc.damage(t, seg0(dir))
+			fi, err := os.Stat(seg0(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
 			st, err := Open(dir)
 			if err != nil {
 				t.Fatal(err) // index and manifest are intact
 			}
 			defer st.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			_, gerr := st.Get(0)
+			runtime.ReadMemStats(&after)
+			if limit := uint64(fi.Size())*maxInflateRatio + 1<<20; after.TotalAlloc-before.TotalAlloc > limit {
+				t.Errorf("reading a %d-byte segment allocated %d bytes, past the inflate cap %d",
+					fi.Size(), after.TotalAlloc-before.TotalAlloc, limit)
+			}
 			if gerr == nil {
 				t.Fatal("damaged segment decoded without error")
 			}
@@ -458,6 +477,20 @@ func TestSegmentDamageMatrix(t *testing.T) {
 				t.Fatalf("healthy segment unreadable after quarantine: %v", err)
 			}
 		})
+	}
+}
+
+// setISIZE overwrites the uncompressed-size field of a gzip file's
+// trailer, its last four bytes.
+func setISIZE(t *testing.T, path string, size uint32) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[len(data)-4:], size)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

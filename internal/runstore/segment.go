@@ -2,6 +2,7 @@ package runstore
 
 import (
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -400,12 +401,18 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 		return nil, fmt.Errorf("runstore: segment %d: %w", n, err)
 	}
 	defer f.Close()
+	size, err := inflatedSize(f)
+	if err != nil {
+		return nil, fmt.Errorf("runstore: segment %d: %w", n, err)
+	}
 	gz, err := gzip.NewReader(f)
 	if err != nil {
 		return corrupt()
 	}
 	defer gz.Close()
-	data, err := io.ReadAll(gz)
+	// Reading to EOF runs gzip's CRC-32 and length checks against the
+	// trailer, so a trailer that misstates the size still fails here.
+	data, err := runio.ReadSized(gz, size)
 	if err != nil {
 		return corrupt()
 	}
@@ -441,6 +448,29 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 	st.cache[n] = walks
 	st.cacheOrder = append(st.cacheOrder, n)
 	return walks, nil
+}
+
+// maxInflateRatio bounds how many bytes deflate can expand one
+// compressed byte into (a 258-byte match per two bits, ~1032:1).
+const maxInflateRatio = 1032
+
+// inflatedSize reads the uncompressed size a sealed segment's gzip
+// trailer records (ISIZE, the size modulo 2^32), capped at what f's
+// compressed size can inflate to, so a damaged trailer never sizes a
+// buffer past what the stream could hold.
+func inflatedSize(f *os.File) (int, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	var trailer [4]byte
+	if fi.Size() < int64(len(trailer)) {
+		return 0, nil
+	}
+	if _, err := f.ReadAt(trailer[:], fi.Size()-int64(len(trailer))); err != nil {
+		return 0, err
+	}
+	return int(min(int64(binary.LittleEndian.Uint32(trailer[:])), fi.Size()*maxInflateRatio)), nil
 }
 
 func (st *segmentStore) Get(idx int) (*crawler.Walk, error) {

@@ -1,0 +1,657 @@
+package runstore
+
+import (
+	"bytes"
+	"time"
+	"unicode/utf16"
+	"unicode/utf8"
+
+	"crumbcruncher/internal/browser"
+	"crumbcruncher/internal/crawler"
+	"crumbcruncher/internal/dom"
+)
+
+// A walk record is decoded by a hand-written decoder for the canonical
+// form json.Marshal writes (encodeWalk), with no reflection. It accepts
+// an input only where encoding/json would decode the same value without
+// error: every key of a struct an exact-case field name, seen once;
+// integers without fraction, exponent, leading zero or '+' that fit an
+// int; string escapes and valid UTF-8, with surrogates only as pairs;
+// nothing after the record but white space. Like encoding/json it turns
+// [] and {} into empty non-nil values, leaves the zero value for null,
+// keeps the last of repeated map keys, and hands times to
+// time.Time.UnmarshalJSON as their quoted bytes.
+// Anything else makes decodeWalkRecord report false, and decodeWalk
+// falls back to json.Unmarshal, so every input keeps the result (and
+// the error) encoding/json gives it.
+
+// walkDecoder reads one record. The first input it cannot decode as
+// encoding/json would sets bad; from then on every read returns a zero
+// value without consuming input.
+type walkDecoder struct {
+	buf     []byte
+	pos     int
+	bad     bool
+	scratch []byte // unescaping buffer, reused across strings
+}
+
+// decodeWalkRecord decodes raw with the fast decoder, reporting false
+// when raw needs encoding/json.
+func decodeWalkRecord(raw []byte) (walkRecord, bool) {
+	d := walkDecoder{buf: raw}
+	var rec walkRecord
+	d.fields(func(key []byte) bool {
+		switch string(key) {
+		case "index":
+			rec.Index = d.int()
+		case "clock":
+			if !d.null() {
+				t := d.time()
+				rec.Clock = &t
+			}
+		case "walk":
+			rec.Walk = d.walk()
+		default:
+			return false
+		}
+		return true
+	})
+	d.skipSpace()
+	if d.bad || d.pos != len(d.buf) {
+		return walkRecord{}, false
+	}
+	return rec, true
+}
+
+func (d *walkDecoder) walk() *crawler.Walk {
+	if d.null() {
+		return nil
+	}
+	w := &crawler.Walk{}
+	d.fields(func(key []byte) bool {
+		switch string(key) {
+		case "index":
+			w.Index = d.int()
+		case "seeder":
+			w.Seeder = d.str()
+		case "steps":
+			w.Steps = sliceOf(d, d.step)
+		case "seed_load":
+			w.SeedLoad = mapOf(d, d.crawlerStep)
+		case "ended":
+			w.Ended = crawler.StepOutcome(d.str())
+		case "degraded":
+			w.Degraded = d.str()
+		case "skipped":
+			w.Skipped = d.bool()
+		default:
+			return false
+		}
+		return true
+	})
+	return w
+}
+
+func (d *walkDecoder) step() *crawler.Step {
+	if d.null() {
+		return nil
+	}
+	s := &crawler.Step{}
+	d.fields(func(key []byte) bool {
+		switch string(key) {
+		case "walk":
+			s.Walk = d.int()
+		case "index":
+			s.Index = d.int()
+		case "outcome":
+			s.Outcome = crawler.StepOutcome(d.str())
+		case "records":
+			s.Records = mapOf(d, d.crawlerStep)
+		default:
+			return false
+		}
+		return true
+	})
+	return s
+}
+
+func (d *walkDecoder) crawlerStep() *crawler.CrawlerStep {
+	if d.null() {
+		return nil
+	}
+	cs := &crawler.CrawlerStep{}
+	d.fields(func(key []byte) bool {
+		switch string(key) {
+		case "crawler":
+			cs.Crawler = d.str()
+		case "profile":
+			cs.Profile = d.str()
+		case "start_url":
+			cs.StartURL = d.str()
+		case "before":
+			cs.Before = d.snapshot()
+		case "click_index":
+			cs.ClickIndex = d.int()
+		case "clicked":
+			cs.Clicked = d.element()
+		case "nav_chain":
+			cs.NavChain = sliceOf(d, d.hop)
+		case "requests":
+			cs.Requests = sliceOf(d, d.request)
+		case "landed_url":
+			cs.LandedURL = d.str()
+		case "after":
+			cs.After = d.snapshot()
+		case "fail":
+			cs.Fail = d.str()
+		default:
+			return false
+		}
+		return true
+	})
+	return cs
+}
+
+func (d *walkDecoder) snapshot() crawler.Snapshot {
+	var s crawler.Snapshot
+	d.fields(func(key []byte) bool {
+		switch string(key) {
+		case "url":
+			s.URL = d.str()
+		case "cookies":
+			s.Cookies = sliceOf(d, d.cookie)
+		case "local":
+			s.Local = mapOf(d, d.str)
+		default:
+			return false
+		}
+		return true
+	})
+	return s
+}
+
+func (d *walkDecoder) cookie() crawler.CookieRecord {
+	var c crawler.CookieRecord
+	d.fields(func(key []byte) bool {
+		switch string(key) {
+		case "name":
+			c.Name = d.str()
+		case "value":
+			c.Value = d.str()
+		case "domain":
+			c.Domain = d.str()
+		case "created":
+			c.Created = d.time()
+		case "expires":
+			c.Expires = d.time()
+		default:
+			return false
+		}
+		return true
+	})
+	return c
+}
+
+func (d *walkDecoder) element() *crawler.Element {
+	if d.null() {
+		return nil
+	}
+	e := &crawler.Element{}
+	d.fields(func(key []byte) bool {
+		switch string(key) {
+		case "index":
+			e.Index = d.int()
+		case "kind":
+			e.Kind = d.str()
+		case "href":
+			e.Href = d.str()
+		case "attr_names":
+			e.AttrNames = sliceOf(d, d.str)
+		case "box":
+			e.Box = d.rect()
+		case "xpath":
+			e.XPath = d.str()
+		case "cross_domain":
+			e.CrossDomain = d.bool()
+		default:
+			return false
+		}
+		return true
+	})
+	return e
+}
+
+func (d *walkDecoder) rect() dom.Rect {
+	var r dom.Rect
+	d.fields(func(key []byte) bool {
+		switch string(key) {
+		case "X":
+			r.X = d.int()
+		case "Y":
+			r.Y = d.int()
+		case "W":
+			r.W = d.int()
+		case "H":
+			r.H = d.int()
+		default:
+			return false
+		}
+		return true
+	})
+	return r
+}
+
+func (d *walkDecoder) hop() browser.Hop {
+	var h browser.Hop
+	d.fields(func(key []byte) bool {
+		switch string(key) {
+		case "URL":
+			h.URL = d.str()
+		case "Status":
+			h.Status = d.int()
+		case "Location":
+			h.Location = d.str()
+		default:
+			return false
+		}
+		return true
+	})
+	return h
+}
+
+func (d *walkDecoder) request() browser.RequestRecord {
+	var r browser.RequestRecord
+	d.fields(func(key []byte) bool {
+		switch string(key) {
+		case "URL":
+			r.URL = d.str()
+		case "Kind":
+			r.Kind = browser.RequestKind(d.str())
+		case "Referer":
+			r.Referer = d.str()
+		case "Status":
+			r.Status = d.int()
+		case "Err":
+			r.Err = d.str()
+		case "Attempt":
+			r.Attempt = d.int()
+		case "Time":
+			r.Time = d.time()
+		default:
+			return false
+		}
+		return true
+	})
+	return r
+}
+
+// sliceOf reads an array of elem values: nil for null, empty and
+// non-nil for [].
+func sliceOf[T any](d *walkDecoder, elem func() T) []T {
+	if d.null() {
+		return nil
+	}
+	out := []T{}
+	d.array(func() { out = append(out, elem()) })
+	return out
+}
+
+// mapOf reads an object into a map, the last of repeated keys winning
+// as with encoding/json: nil for null, empty and non-nil for {}.
+func mapOf[T any](d *walkDecoder, elem func() T) map[string]T {
+	if d.null() {
+		return nil
+	}
+	out := map[string]T{}
+	d.object(func() {
+		k := d.text()
+		d.expect(':')
+		out[k] = elem()
+	})
+	return out
+}
+
+// fields reads an object whose keys name struct fields; null leaves the
+// struct as it is. field decodes the value of one key and reports
+// whether the key names a field at all.
+func (d *walkDecoder) fields(field func(key []byte) bool) {
+	if d.null() {
+		return
+	}
+	var seen [12][]byte
+	n := 0
+	d.object(func() {
+		key, escaped := d.stringToken()
+		d.expect(':')
+		if d.bad || escaped || n == len(seen) {
+			d.fail()
+			return
+		}
+		for _, k := range seen[:n] {
+			if bytes.Equal(k, key) {
+				d.fail()
+				return
+			}
+		}
+		seen[n] = key
+		n++
+		if !field(key) {
+			d.fail()
+		}
+	})
+}
+
+// object reads '{', then calls member at each member until '}'.
+func (d *walkDecoder) object(member func()) {
+	d.expect('{')
+	if d.peek() == '}' {
+		d.pos++
+		return
+	}
+	for !d.bad {
+		member()
+		switch d.peek() {
+		case ',':
+			d.pos++
+		case '}':
+			d.pos++
+			return
+		default:
+			d.fail()
+		}
+	}
+}
+
+// array reads '[', then calls elem at each element until ']'.
+func (d *walkDecoder) array(elem func()) {
+	d.expect('[')
+	if d.peek() == ']' {
+		d.pos++
+		return
+	}
+	for !d.bad {
+		elem()
+		switch d.peek() {
+		case ',':
+			d.pos++
+		case ']':
+			d.pos++
+			return
+		default:
+			d.fail()
+		}
+	}
+}
+
+func (d *walkDecoder) fail() { d.bad = true }
+
+func (d *walkDecoder) skipSpace() {
+	for d.pos < len(d.buf) {
+		switch d.buf[d.pos] {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// peek returns the next byte after white space, or 0 at the end of
+// input or once the decoder has failed.
+func (d *walkDecoder) peek() byte {
+	if d.bad {
+		return 0
+	}
+	d.skipSpace()
+	if d.pos >= len(d.buf) {
+		return 0
+	}
+	return d.buf[d.pos]
+}
+
+func (d *walkDecoder) expect(c byte) {
+	if d.peek() != c {
+		d.fail()
+		return
+	}
+	d.pos++
+}
+
+// literal consumes word, which must come next.
+func (d *walkDecoder) literal(word string) {
+	if !bytes.HasPrefix(d.buf[d.pos:], []byte(word)) {
+		d.fail()
+		return
+	}
+	d.pos += len(word)
+}
+
+// null consumes a null and reports whether there was one.
+func (d *walkDecoder) null() bool {
+	if d.peek() != 'n' {
+		return false
+	}
+	d.literal("null")
+	return true
+}
+
+func (d *walkDecoder) bool() bool {
+	switch d.peek() {
+	case 't':
+		d.literal("true")
+		return !d.bad
+	case 'f':
+		d.literal("false")
+	case 'n':
+		d.literal("null")
+	default:
+		d.fail()
+	}
+	return false
+}
+
+// int reads an integer that strconv.ParseInt accepts and int holds.
+func (d *walkDecoder) int() int {
+	if d.null() || d.bad {
+		return 0
+	}
+	i := d.pos
+	neg := i < len(d.buf) && d.buf[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var n uint64
+	for ; i < len(d.buf) && '0' <= d.buf[i] && d.buf[i] <= '9'; i++ {
+		n = n*10 + uint64(d.buf[i]-'0')
+		if i-start >= 19 { // more digits than any int64
+			d.fail()
+			return 0
+		}
+	}
+	// No digits, a leading zero, a fraction or exponent, or past int64.
+	switch {
+	case i == start, d.buf[start] == '0' && i-start > 1,
+		i < len(d.buf) && (d.buf[i] == '.' || d.buf[i] == 'e' || d.buf[i] == 'E'),
+		n > 1<<63 || n == 1<<63 && !neg:
+		d.fail()
+		return 0
+	}
+	d.pos = i
+	v := int64(n)
+	if neg {
+		v = -v
+	}
+	if int64(int(v)) != v {
+		d.fail()
+		return 0
+	}
+	return int(v)
+}
+
+// time reads a time as encoding/json does: the quoted bytes go to
+// time.Time.UnmarshalJSON.
+func (d *walkDecoder) time() time.Time {
+	var t time.Time
+	if d.null() {
+		return t
+	}
+	body, _ := d.stringToken()
+	if d.bad {
+		return t
+	}
+	if err := t.UnmarshalJSON(d.buf[d.pos-len(body)-2 : d.pos]); err != nil {
+		d.fail()
+	}
+	return t
+}
+
+// str reads a string; null is the empty string.
+func (d *walkDecoder) str() string {
+	if d.null() {
+		return ""
+	}
+	return d.text()
+}
+
+// text reads a string token and unescapes it.
+func (d *walkDecoder) text() string {
+	body, escaped := d.stringToken()
+	if !escaped {
+		return string(body)
+	}
+	b := d.scratch[:0]
+	for i := 0; i < len(body); {
+		if body[i] != '\\' {
+			b = append(b, body[i])
+			i++
+			continue
+		}
+		switch c := body[i+1]; c {
+		case 'u':
+			r := hex4(body[i+2:])
+			i += 6
+			if utf16.IsSurrogate(r) {
+				r = utf16.DecodeRune(r, hex4(body[i+2:]))
+				i += 6
+			}
+			b = utf8.AppendRune(b, r)
+			continue
+		case 'b':
+			b = append(b, '\b')
+		case 'f':
+			b = append(b, '\f')
+		case 'n':
+			b = append(b, '\n')
+		case 'r':
+			b = append(b, '\r')
+		case 't':
+			b = append(b, '\t')
+		default: // '"', '\\', '/'
+			b = append(b, c)
+		}
+		i += 2
+	}
+	d.scratch = b
+	return string(b)
+}
+
+// stringToken consumes a string and returns the bytes between its
+// quotes, reporting whether they hold an escape. It fails on anything
+// encoding/json rejects or decodes lossily: control bytes, bad escapes,
+// invalid UTF-8 and unpaired surrogates.
+func (d *walkDecoder) stringToken() (body []byte, escaped bool) {
+	if d.peek() != '"' {
+		d.fail()
+		return nil, false
+	}
+	start := d.pos + 1
+	i := start
+	for i < len(d.buf) && plainByte[d.buf[i]] {
+		i++
+	}
+	for i < len(d.buf) {
+		switch c := d.buf[i]; {
+		case c == '"':
+			d.pos = i + 1
+			return d.buf[start:i], escaped
+		case c == '\\':
+			n := escapeLen(d.buf[i:])
+			if n == 0 {
+				d.fail()
+				return nil, false
+			}
+			escaped = true
+			i += n
+		case c < 0x20:
+			d.fail()
+			return nil, false
+		case c < utf8.RuneSelf:
+			i++
+		default:
+			r, size := utf8.DecodeRune(d.buf[i:])
+			if r == utf8.RuneError && size == 1 {
+				d.fail()
+				return nil, false
+			}
+			i += size
+		}
+	}
+	d.fail()
+	return nil, false
+}
+
+// plainByte marks the bytes a string holds as they are: printable
+// ASCII other than the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// escapeLen returns the length of the escape sequence that b opens, or
+// 0 if it is invalid or a surrogate without its pair.
+func escapeLen(b []byte) int {
+	if len(b) < 2 {
+		return 0
+	}
+	switch b[1] {
+	case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+		return 2
+	case 'u':
+		r := hex4(b[2:])
+		if r < 0 {
+			return 0
+		}
+		if !utf16.IsSurrogate(r) {
+			return 6
+		}
+		if len(b) >= 12 && b[6] == '\\' && b[7] == 'u' && utf16.DecodeRune(r, hex4(b[8:])) != utf8.RuneError {
+			return 12
+		}
+	}
+	return 0
+}
+
+// hex4 parses the four hex digits b starts with, or returns -1.
+func hex4(b []byte) rune {
+	if len(b) < 4 {
+		return -1
+	}
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
+}

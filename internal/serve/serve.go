@@ -121,6 +121,7 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.store = store
+		s.nextID = store.lastJobNumber()
 	}
 	s.routes()
 	s.wg.Add(opts.Workers)

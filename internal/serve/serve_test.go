@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -378,6 +380,11 @@ func TestStoreSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.Close()
+	// An unindexed run file, as a drained job leaves one.
+	drained := "job-000007"
+	if err := os.WriteFile(filepath.Join(dir, jobRunFile(drained)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	srv2, err := New(Options{Workers: 1, StoreDir: dir})
 	if err != nil {
@@ -389,6 +396,15 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	getJSON(t, ts2.URL+"/runs", &runs)
 	if len(runs) != 1 || runs[0].ID != job.ID {
 		t.Fatalf("restarted store lists %v, want the one saved run %s", runs, job.ID)
+	}
+	// A crawl job of the new process is numbered past every run file,
+	// so it lands on none of an earlier process's.
+	job2 := postJob(t, ts2.URL, `{"small":true,"seed":12,"walks":4}`)
+	if job2.ID != "job-000008" {
+		t.Fatalf("restarted server numbered its first job %s, want job-000008", job2.ID)
+	}
+	if st := waitState(t, ts2.URL, job2.ID); st.State != StateDone {
+		t.Fatalf("crawl job after restart: state %s (%s)", st.State, st.Error)
 	}
 	if err := srv2.Drain(context.Background()); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,8 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 
 	"crumbcruncher/internal/core"
@@ -171,6 +173,30 @@ func (s *Store) RunPath(e RunEntry) string { return filepath.Join(s.dir, e.File)
 
 // jobRunFile names a job's run store, relative to the store directory.
 func jobRunFile(jobID string) string { return "run-" + jobID + ".json" }
+
+// lastJobNumber returns the highest job number among the indexed runs
+// and the run files in the store directory (a drained job's run file is
+// not indexed), so a restarted server numbers new jobs past every job
+// an earlier process ran.
+func (s *Store) lastJobNumber() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids := make([]string, 0, len(s.entries))
+	for _, e := range s.entries {
+		ids = append(ids, e.ID)
+	}
+	files, _ := filepath.Glob(filepath.Join(s.dir, jobRunFile("job-*"))) // the pattern is well-formed
+	for _, f := range files {
+		ids = append(ids, strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "run-"), ".json"))
+	}
+	last := 0
+	for _, id := range ids {
+		if n, err := strconv.Atoi(strings.TrimPrefix(id, "job-")); err == nil && n > last {
+			last = n
+		}
+	}
+	return last
+}
 
 // JobRunPath returns where a crawl job's run store lives.
 func (s *Store) JobRunPath(jobID string) string { return filepath.Join(s.dir, jobRunFile(jobID)) }

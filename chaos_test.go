@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"crumbcruncher"
@@ -172,4 +175,81 @@ func TestChaosCorruptStoreQuarantined(t *testing.T) {
 
 	// A fresh start from the now-clean path reproduces the clean run.
 	resumeAndVerify(t, cfg, path, want)
+}
+
+// TestSealedSegmentDamageStartsFresh is the sealed-segment quarantine
+// sequence: a segment-store run interrupted after two segments sealed,
+// then a byte flipped in the first sealed segment. Reopening the walk
+// log verifies the sealed segments before any crawl trusts them, so it
+// fails with ErrCorrupt and moves the store aside; the retry then
+// starts fresh and converges to clean metrics, and the store it
+// finalized is refused as finalized — not as a missing segment — on a
+// later run.
+func TestSealedSegmentDamageStartsFresh(t *testing.T) {
+	cfg := crumbcruncher.SmallConfig()
+	cfg.World.Seed = 3
+	cfg.Walks = 540
+	cfg.StepsPerWalk = 1
+	cfg.Parallelism = 1
+	ref, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := metricsBytes(t, ref)
+
+	path := filepath.Join(t.TempDir(), "q.crumbs")
+	st, err := crumbcruncher.OpenWalkLog(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	_, err = crumbcruncher.NewRunner(cfg, crumbcruncher.WithRunStore(st),
+		crumbcruncher.WithProgress(func(p crumbcruncher.Progress) {
+			if p.WalksDone >= 520 { // two sealed segments of 256
+				once.Do(cancel)
+			}
+		})).Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v", err)
+	}
+	st.Close()
+	seg := filepath.Join(path, "seg-000000.sgz")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatalf("no sealed segment after the interrupted run: %v", err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = crumbcruncher.OpenWalkLog(path, cfg)
+	var dmg *runio.DamageError
+	if !errors.As(err, &dmg) || !errors.Is(err, runio.ErrCorrupt) {
+		t.Fatalf("reopening a store with a damaged sealed segment = %v, want ErrCorrupt", err)
+	}
+	if dmg.Quarantined != path+".corrupt" {
+		t.Fatalf("store quarantined to %q, want %q", dmg.Quarantined, path+".corrupt")
+	}
+	if msg := err.Error(); strings.Contains(msg, "record -1") || strings.Contains(msg, "offset -1") {
+		t.Errorf("damage message names unknown positions: %s", msg)
+	}
+
+	// The retry finds the path free and starts fresh.
+	st, err = crumbcruncher.OpenWalkLog(path, cfg)
+	if err != nil {
+		t.Fatalf("fresh start after quarantine: %v", err)
+	}
+	if n := st.Walks(); n != 0 {
+		t.Fatalf("fresh store holds %d walks", n)
+	}
+	st.Close()
+	resumeAndVerify(t, cfg, path, want)
+
+	_, err = crumbcruncher.OpenWalkLog(path, cfg)
+	if err == nil || !strings.Contains(err.Error(), "finalized") {
+		t.Fatalf("later run over the finalized store = %v, want the finalized refusal", err)
+	}
 }

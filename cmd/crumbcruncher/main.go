@@ -7,8 +7,8 @@
 //	crumbcruncher [-seed N] [-sites N] [-walks N] [-steps N] [-parallel N]
 //	              [-machines N] [-small] [-lazy] [-save run.jsonl]
 //	              [-out report.txt] [-trace trace.jsonl] [-progress]
-//	              [-pprof localhost:6060] [-retries N] [-breaker N]
-//	              [-deadline D] [-fsync POLICY]
+//	              [-pprof localhost:6060] [-retries N] [-deadline D]
+//	              [-fsync POLICY]
 //	              [-connect-fail R] [-transient-fail R] [-degrade R]
 //	              [-spike R]
 //
@@ -64,7 +64,6 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 
 		retries   = flag.Int("retries", 0, "max attempts per navigation/click with virtual-clock exponential backoff (0: no retries)")
-		breaker   = flag.Int("breaker", 0, "per-domain circuit breaker: open after N consecutive failed retry sequences (0: disabled)")
 		deadline  = flag.Duration("deadline", 0, "per-request virtual-clock deadline (0: none)")
 		fsyncMode = flag.String("fsync", "interval", "fsync policy for the run store: never, interval, every-record")
 		connFail  = flag.Float64("connect-fail", -1, "fraction of domains refusing connections (-1: config default, paper 3.3%)")
@@ -98,9 +97,6 @@ func main() {
 	if *retries > 0 {
 		cfg.Retry = crumbcruncher.DefaultRetryPolicy()
 		cfg.Retry.MaxAttempts = *retries
-	}
-	if *breaker > 0 {
-		cfg.Breaker.Threshold = *breaker
 	}
 	if *deadline > 0 {
 		cfg.RequestDeadline = *deadline

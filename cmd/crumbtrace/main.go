@@ -1,7 +1,7 @@
 // Command crumbtrace summarizes a telemetry trace exported by
 // crumbcruncher -trace: per-layer span counts and wall-time histograms,
-// the slowest spans, and the injected-fault timeline in virtual-clock
-// order.
+// the slowest spans, and the injected-fault timeline (in virtual-clock
+// order when the spans carry virtual time, in trace order otherwise).
 //
 // Usage:
 //

@@ -156,10 +156,6 @@ func (r *Runner) Reanalyze(ctx context.Context, run *Run) (*Run, error) {
 // clicks (Config.Retry). The zero value disables retries.
 type RetryPolicy = resilience.Policy
 
-// BreakerConfig configures the per-registered-domain circuit breakers
-// (Config.Breaker). The zero value disables them.
-type BreakerConfig = resilience.BreakerConfig
-
 // DefaultRetryPolicy returns the standard capped-exponential-backoff
 // policy: 3 attempts, 500ms base, 8s cap, 2x multiplier, 20% jitter.
 // All waiting is virtual-clock time; no wall time is spent.
@@ -184,9 +180,9 @@ func WriteReport(w io.Writer, r *Run) { report.Render(w, r) }
 
 // --- Observability ----------------------------------------------------------
 
-// Telemetry is the pipeline's observability handle: a span tracer stamped
-// from the virtual clock plus a registry of counters, gauges and
-// histograms. Attach one via Config.Telemetry; a nil handle disables all
+// Telemetry is the pipeline's observability handle: a span tracer
+// timing every layer in wall time plus a registry of counters, gauges
+// and histograms. Attach one via Config.Telemetry; a nil handle disables all
 // instrumentation at zero cost, and enabling it never changes run
 // results.
 type Telemetry = telemetry.Telemetry
@@ -200,8 +196,9 @@ type Provenance = telemetry.Provenance
 type TraceSummary = telemetry.TraceSummary
 
 // NewTelemetry returns a telemetry handle with the default span
-// capacity. The virtual clock attaches automatically when a run wires
-// the handle to the network.
+// capacity. Its spans carry no virtual timestamps: every walk of a run
+// keeps its own virtual time, so there is no run-wide clock to stamp
+// them from.
 func NewTelemetry() *Telemetry { return telemetry.New(nil, telemetry.DefaultSpanCapacity) }
 
 // WriteTrace exports a traced run's spans as JSONL for cmd/crumbtrace.
@@ -255,7 +252,8 @@ func CreateRunStore(path string, cfg Config) (RunStore, error) {
 // how many walks it already holds). A finalized store is refused, and so
 // is a store recorded under another configuration: its config hash must
 // be cfg.Hash(), which leaves Parallelism free to change. A torn final
-// record is dropped on open; a corrupt store is quarantined to
+// record is dropped on open. Every record of a reopened store is
+// verified before it is returned; a corrupt store is quarantined to
 // "<path>.corrupt" and an error matching errors.Is(err,
 // runio.ErrCorrupt) is returned, after which the path is free for a
 // fresh start.
@@ -276,6 +274,9 @@ func OpenWalkLog(path string, cfg Config) (RunStore, error) {
 	if want := cfg.Hash(); prov.ConfigHash != want {
 		st.Close()
 		return nil, fmt.Errorf("crumbcruncher: %s was recorded with config hash %q, this run has %q", path, prov.ConfigHash, want)
+	}
+	if err := runstore.Verify(st); err != nil {
+		return nil, err // Verify closed st and quarantined a damaged store
 	}
 	return st, nil
 }

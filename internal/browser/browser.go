@@ -73,6 +73,10 @@ type Config struct {
 	Policy storage.Policy
 	// Network is the virtual network to talk to.
 	Network *netsim.Network
+	// Clock is the virtual clock the browser's requests advance and its
+	// cookies are stamped from. A crawl shares one per walk among the
+	// walk's four browsers; nil gives the browser a fresh clock.
+	Clock *netsim.VirtualClock
 	// MaxRedirects bounds navigation chains; 0 means the default (20).
 	MaxRedirects int
 	// ViewportWidth is used for layout; 0 means 1280.
@@ -127,11 +131,14 @@ func New(cfg Config) *Browser {
 	if cfg.UserAgent == "" {
 		cfg.UserAgent = DefaultChromeUA
 	}
+	if cfg.Clock == nil {
+		cfg.Clock = netsim.NewVirtualClock()
+	}
 	reg := cfg.Telemetry.Registry()
 	return &Browser{
 		cfg:        cfg,
 		store:      storage.New(cfg.Policy),
-		clock:      cfg.Network.Clock(),
+		clock:      cfg.Clock,
 		psl:        publicsuffix.Default(),
 		tel:        cfg.Telemetry,
 		cNavs:      reg.Counter("browser.navigations"),
@@ -301,7 +308,7 @@ func (b *Browser) fetchCtx(u *url.URL, referer string, kind RequestKind, ctx sto
 	// request only to discard it (the browser walks redirect chains
 	// hop by hop). Errors are wrapped exactly as http.Client wraps them,
 	// so the recorded error strings are the client's.
-	resp, err := b.cfg.Network.RoundTrip(req)
+	resp, err := b.cfg.Network.Do(req, b.clock)
 	rec := RequestRecord{URL: u.String(), Kind: kind, Referer: referer, Attempt: b.attempt, Time: now}
 	if err != nil {
 		err = &url.Error{Op: "Get", URL: rec.URL, Err: err}

@@ -140,7 +140,7 @@ func TestLinkDecorationCrossDomainOnly(t *testing.T) {
 	}
 	// The decorating tracker stored its UID as a first-party cookie on
 	// the originator.
-	if c, ok := b.Store().Cookie(storage.Context{FrameHost: "news.com", TopHost: "news.com"}, "_trk", b.cfg.Network.Clock().Now()); !ok || c.Value != want {
+	if c, ok := b.Store().Cookie(storage.Context{FrameHost: "news.com", TopHost: "news.com"}, "_trk", b.clock.Now()); !ok || c.Value != want {
 		t.Fatalf("originator first-party UID cookie missing/wrong: %+v ok=%v", c, ok)
 	}
 }
@@ -187,7 +187,7 @@ func TestFullSmugglingNavigationChain(t *testing.T) {
 	}
 	uid := ident.UID(testSeed, "trk.com", "u1", "news.com")
 	// The redirector stored the smuggled UID as ITS first-party cookie.
-	now := b.cfg.Network.Clock().Now()
+	now := b.clock.Now()
 	c, ok := b.Store().Cookie(storage.Context{FrameHost: "smuggler.net", TopHost: "smuggler.net"}, "aggr", now)
 	if !ok || c.Value != uid {
 		t.Fatalf("redirector first-party cookie: %+v ok=%v", c, ok)
@@ -406,7 +406,7 @@ func TestThirdPartyFrameCookiesPartitioned(t *testing.T) {
 		t.Fatalf("partitioning violated: %q", cookieSeen)
 	}
 	// And the a.com-partition cookie does exist.
-	now := n.Clock().Now()
+	now := b.clock.Now()
 	if _, ok := b.Store().Cookie(storage.Context{FrameHost: "widget.com", TopHost: "a.com"}, "wid", now); !ok {
 		t.Fatal("partition bucket missing")
 	}
@@ -477,7 +477,7 @@ func TestUIDSyncStorageModes(t *testing.T) {
 	if _, err := b.Navigate("http://s.com/", ""); err != nil {
 		t.Fatal(err)
 	}
-	now := n.Clock().Now()
+	now := b.clock.Now()
 	c, ok := b.Store().Cookie(storage.Context{FrameHost: "s.com", TopHost: "s.com"}, "_t1", now)
 	if !ok {
 		t.Fatal("uid-sync cookie missing")
@@ -510,7 +510,7 @@ func TestCollectorPrefersStoredUID(t *testing.T) {
 	if _, err := b.Navigate("http://d.com/?xid=smuggledvalue123", ""); err != nil {
 		t.Fatal(err)
 	}
-	now := n.Clock().Now()
+	now := b.clock.Now()
 	c, ok := b.Store().Cookie(storage.Context{FrameHost: "d.com", TopHost: "d.com"}, "xid", now)
 	if !ok || c.Value != "smuggledvalue123" {
 		t.Fatalf("uid-sync overwrote the smuggled UID: %+v", c)
@@ -568,7 +568,7 @@ func TestCookieSyncDirective(t *testing.T) {
 		t.Fatalf("synced value = %q, want %q", syncedValue, want)
 	}
 	// The partner stored it third-party — partitioned under this page.
-	now := n.Clock().Now()
+	now := b.clock.Now()
 	if c, ok := b.Store().Cookie(storage.Context{FrameHost: "t2.com", TopHost: "pageowner.com"}, "partner_uid", now); !ok || c.Value != want {
 		t.Fatalf("partner partition cookie: %+v ok=%v", c, ok)
 	}
@@ -632,7 +632,7 @@ func TestGAFormatUID(t *testing.T) {
 		t.Fatal("different users must get different GA client ids")
 	}
 	// The cookie stores the same formatted value the link carries.
-	now := n.Clock().Now()
+	now := b1.clock.Now()
 	if c, ok := b1.Store().Cookie(storage.Context{FrameHost: "g.com", TopHost: "g.com"}, "_ga_like", now); !ok || c.Value != v1 {
 		t.Fatalf("cookie/link value mismatch: %+v vs %q", c, v1)
 	}

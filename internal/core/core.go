@@ -36,11 +36,11 @@ type Config struct {
 	// Parallelism bounds concurrency across the whole pipeline: the
 	// number of concurrent walks during the crawl and the worker-pool
 	// size of every post-crawl analysis stage (path reconstruction,
-	// candidate extraction, UID identification, aggregation). Every
-	// post-crawl stage is bit-identical for any value (see Reanalyze);
-	// the crawl itself is only run-repeatable at 1, because concurrent
-	// walks share the virtual clock whose readings reach page URLs. 0
-	// means sequential; DefaultConfig sets 12, the paper's EC2 count.
+	// candidate extraction, UID identification, aggregation). Results
+	// are byte-identical for any value: each walk runs on one goroutine
+	// with its own virtual clock, so even the stored walk records are a
+	// pure function of the configuration and the walk index. 0 means
+	// sequential; DefaultConfig sets 12, the paper's EC2 count.
 	Parallelism int
 	// Machines is the number of simulated crawl machines the walks'
 	// fingerprint surfaces are spread across (§3.8). 0 or 1 keeps every
@@ -57,12 +57,9 @@ type Config struct {
 	// full method).
 	Identify uid.Options
 	// Retry is the crawl's navigation retry policy: capped exponential
-	// backoff with seeded jitter, slept on the virtual clock. The zero
-	// value performs no retries.
+	// backoff with seeded jitter, slept on the walk's virtual clock. The
+	// zero value performs no retries.
 	Retry resilience.Policy `json:"retry,omitempty"`
-	// Breaker configures per-registered-domain circuit breakers for the
-	// crawl; the zero value disables them.
-	Breaker resilience.BreakerConfig `json:"breaker,omitempty"`
 	// RequestDeadline, when > 0, makes the virtual network time out any
 	// request whose latency (including injected spikes) would exceed it.
 	RequestDeadline time.Duration `json:"request_deadline,omitempty"`
@@ -102,7 +99,17 @@ func (cfg Config) Hash() string {
 	// JSON path instead of recursing back into Hash via the Hasher
 	// interface.
 	type canonical Config
-	return telemetry.ConfigHash(canonical(cfg))
+	// Config used to carry a circuit-breaker setting, serialized as
+	// "breaker":{} right before request_deadline in every configuration
+	// this code can run. The hashed form keeps that key in its place
+	// (the outer request_deadline hides the embedded one), so removing
+	// the field re-keys no world cache and no stored run.
+	type hashed struct {
+		canonical
+		Breaker         struct{}      `json:"breaker"`
+		RequestDeadline time.Duration `json:"request_deadline,omitempty"`
+	}
+	return telemetry.ConfigHash(hashed{canonical: canonical(cfg), RequestDeadline: cfg.RequestDeadline})
 }
 
 // analysisParallelism is the worker-pool size for the post-crawl stages.
@@ -169,7 +176,7 @@ func ExecuteContext(ctx context.Context, cfg Config) (*Run, error) {
 // validated, because walk counts and seeds are derived from the config
 // while pages come from the world), and it must be private to this run:
 // a World carries per-run mutable state — the virtual network with its
-// clock, and the deterministic visit counters — so concurrent runs must
+// counters, and the deterministic visit counters — so concurrent runs must
 // each bring their own (see web.World.Fork). Results are byte-identical
 // to ExecuteContext with the same configuration.
 func ExecuteInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, error) {
@@ -185,8 +192,8 @@ func ExecuteInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, er
 // the source the figures aggregate over. A successful run finalizes its
 // store.
 func executeInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, error) {
-	// Binds the run's registry (and the virtual clock) to the network;
-	// a nil Telemetry leaves the network on its private registry.
+	// Binds the run's registry to the network; a nil Telemetry leaves
+	// the network on its private registry.
 	world.Network().SetTelemetry(cfg.Telemetry)
 	if cfg.RequestDeadline > 0 {
 		world.Network().SetRequestDeadline(cfg.RequestDeadline)
@@ -242,7 +249,6 @@ func (cfg Config) crawlConfig(world *web.World) crawler.Config {
 		Machines:     cfg.Machines,
 		Telemetry:    cfg.Telemetry,
 		Retry:        cfg.Retry,
-		Breaker:      cfg.Breaker,
 	}
 	if cfg.Store != nil {
 		ccfg.Log = storeLog{cfg.Store}

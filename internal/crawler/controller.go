@@ -1,51 +1,28 @@
 package crawler
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"crumbcruncher/internal/stats"
 )
 
-// Decision is the controller's answer to an element submission: which of
-// the crawler's own elements to click.
+// Decision is the controller's choice for one crawler: which of the
+// crawler's own elements to click.
 type Decision struct {
 	Found bool
 	Index int
 	Kind  string
 }
 
-// LandingResult is the controller's answer to a landing-FQDN submission.
-type LandingResult struct {
-	Synchronized bool
-}
-
-// ErrBarrierTimeout is returned when the other crawlers never arrive at a
-// rendezvous (a crawler died mid-step).
-var ErrBarrierTimeout = errors.New("crawler: controller barrier timeout")
-
-// Controller synchronizes the three parallel crawlers and picks the
-// element to click, preferring iframes (expected to contain ads) and
-// cross-domain anchors, per §3.1. The paper's controller is a local
-// HTTP server; here the crawlers call it in-process, which keeps the
-// same submit-and-rendezvous protocol without a socket.
+// Controller picks the element the three parallel crawlers click,
+// preferring iframes (expected to contain ads) and cross-domain anchors,
+// per §3.1. The paper's controller is a local HTTP server the crawlers
+// submit to; here a walk drives its crawlers in lockstep and consults
+// the controller in-process between the element and click phases.
 type Controller struct {
 	split      *stats.Splitter
 	heOn       Heuristics
 	iframeBias float64
-	timeout    time.Duration
-
-	mu       sync.Mutex
-	barriers map[string]*barrier
-
-	// afterBarrier, when set, is invoked by the completing arrival of
-	// every rendezvous — while the other crawlers of the walk are still
-	// blocked in their Submit calls — giving the crawl a point where it
-	// can advance the virtual clock with no crawler concurrently
-	// stamping requests (see clockLedger).
-	afterBarrier func(walk int)
 }
 
 // NewController returns a controller. iframeBias is the probability of
@@ -55,81 +32,12 @@ func NewController(seed int64, heur Heuristics, iframeBias float64) *Controller 
 		split:      stats.NewSplitter(stats.DeriveSeed(seed, "controller")),
 		heOn:       heur,
 		iframeBias: iframeBias,
-		timeout:    30 * time.Second,
-		barriers:   make(map[string]*barrier),
 	}
 }
 
-type barrier struct {
-	need   int
-	subs   map[string]interface{}
-	done   chan struct{}
-	result interface{}
-}
-
-// rendezvous registers a submission under key and blocks until need
-// submissions arrived; the last arrival runs compute over all submissions
-// exactly once.
-func (c *Controller) rendezvous(key, crawler string, sub interface{}, need int,
-	compute func(map[string]interface{}) interface{}) (interface{}, error) {
-
-	c.mu.Lock()
-	b, ok := c.barriers[key]
-	if !ok {
-		b = &barrier{need: need, subs: make(map[string]interface{}), done: make(chan struct{})}
-		c.barriers[key] = b
-	}
-	b.subs[crawler] = sub
-	last := len(b.subs) == b.need
-	if last {
-		b.result = compute(b.subs)
-		close(b.done)
-		delete(c.barriers, key)
-	}
-	c.mu.Unlock()
-	if last {
-		return b.result, nil
-	}
-
-	// The guard timer is stopped as soon as the barrier resolves, so a
-	// long crawl does not pile up one pending timer per arrival.
-	guard := time.NewTimer(c.timeout) //crumb:allow wallclock real deadlock guard; never fires on the success path
-	defer guard.Stop()
-	select {
-	case <-b.done:
-		return b.result, nil
-	case <-guard.C:
-		return nil, ErrBarrierTimeout
-	}
-}
-
-// SubmitElements submits a crawler's candidate elements for a step and
-// blocks until all three parallel crawlers have submitted; it returns
-// the crawler's own index of the element to click.
-func (c *Controller) SubmitElements(walk, step int, crawler string, elements []Element) (Decision, error) {
-	key := fmt.Sprintf("el/%d/%d", walk, step)
-	res, err := c.rendezvous(key, crawler, elements, len(ParallelCrawlers),
-		func(subs map[string]interface{}) interface{} {
-			lists := make(map[string][]Element, len(subs))
-			for name, v := range subs {
-				lists[name] = v.([]Element)
-			}
-			res := c.decide(walk, step, lists)
-			if c.afterBarrier != nil {
-				c.afterBarrier(walk)
-			}
-			return res
-		})
-	if err != nil {
-		return Decision{}, err
-	}
-	decisions := res.(map[string]Decision)
-	return decisions[crawler], nil
-}
-
-// decide matches the three element lists and picks the click target. The
-// choice is seeded per (walk, step), so it does not depend on goroutine
-// arrival order.
+// decide matches the three element lists and picks the click target,
+// giving each crawler its own index of it. The choice is seeded per
+// (walk, step).
 func (c *Controller) decide(walk, step int, lists map[string][]Element) map[string]Decision {
 	matches := MatchElements(lists, c.heOn)
 	out := make(map[string]Decision, len(ParallelCrawlers))
@@ -165,35 +73,14 @@ func (c *Controller) decide(walk, step int, lists map[string][]Element) map[stri
 	return out
 }
 
-// SubmitLanding submits a crawler's landing FQDN for a step and blocks
-// until all three parallel crawlers have submitted: all three must agree
-// for the walk to continue (§3.3).
-func (c *Controller) SubmitLanding(walk, step int, crawler, fqdn string) (LandingResult, error) {
-	key := fmt.Sprintf("land/%d/%d", walk, step)
-	res, err := c.rendezvous(key, crawler, fqdn, len(ParallelCrawlers),
-		func(subs map[string]interface{}) interface{} {
-			// An empty FQDN marks a failed click; it must compare like
-			// any other value (a "" sentinel here once let one crawler
-			// sail past two crashed peers and deadlock the next step's
-			// rendezvous).
-			first, started, same := "", false, true
-			for _, v := range subs {
-				f := v.(string)
-				if !started {
-					first, started = f, true
-					continue
-				}
-				if f != first {
-					same = false
-				}
-			}
-			if c.afterBarrier != nil {
-				c.afterBarrier(walk)
-			}
-			return LandingResult{Synchronized: same}
-		})
-	if err != nil {
-		return LandingResult{}, err
+// sameLanding reports whether every crawler landed on the same FQDN:
+// all three must agree for the walk to continue (§3.3). An empty FQDN
+// marks a failed click; it compares like any other value.
+func sameLanding(fqdns []string) bool {
+	for _, f := range fqdns {
+		if f != fqdns[0] {
+			return false
+		}
 	}
-	return res.(LandingResult), nil
+	return true
 }

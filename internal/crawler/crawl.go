@@ -13,7 +13,6 @@ import (
 
 	"crumbcruncher/internal/browser"
 	"crumbcruncher/internal/netsim"
-	"crumbcruncher/internal/publicsuffix"
 	"crumbcruncher/internal/resilience"
 	"crumbcruncher/internal/storage"
 	"crumbcruncher/internal/telemetry"
@@ -36,8 +35,10 @@ type Config struct {
 	// StepsPerWalk is the walk length (paper: 10).
 	StepsPerWalk int
 	// Parallelism is the number of walks crawled concurrently (the
-	// paper's twelve EC2 instances). Results are deterministic
-	// regardless.
+	// paper's twelve EC2 instances). A walk runs on one goroutine with
+	// its own virtual clock, so every walk record — timestamps included
+	// — is a pure function of the configuration and the walk index, at
+	// any Parallelism.
 	Parallelism int
 	// DwellSeconds is the virtual time spent on each landing page
 	// (paper: 10 seconds of request recording).
@@ -66,21 +67,12 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 	// Retry is the navigation retry policy. The zero value performs no
 	// retries (the pre-resilience behaviour); backoff is slept on the
-	// virtual clock, so retries cost no wall time.
+	// walk's virtual clock, so retries cost no wall time.
 	Retry resilience.Policy
-	// Breaker configures per-registered-domain circuit breakers; the
-	// zero value disables them. Breaker short-circuiting is
-	// schedule-dependent at Parallelism > 1 (like the real crawl);
-	// dataset byte-determinism with breakers on holds at Parallelism 1.
-	Breaker resilience.BreakerConfig
 	// Log, when non-nil, records each completed walk, and walks it
 	// already holds are resumed instead of crawled, so an interrupted
 	// crawl continues without redoing finished work. Runtime wiring.
 	Log WalkLog `json:"-"`
-	// BackoffSleep, when non-nil, is additionally invoked with every
-	// backoff delay — a wall-clock hook tests use to prove that
-	// schedules perturbed only in real time leave results identical.
-	BackoffSleep func(time.Duration) `json:"-"`
 	// OnWalkComplete, when non-nil, is invoked after each walk is
 	// recorded (tests use it to cancel crawls at precise points).
 	OnWalkComplete func(*Walk) `json:"-"`
@@ -100,11 +92,8 @@ type Config struct {
 type WalkLog interface {
 	// Recorded returns walk idx if the log holds it, nil if not.
 	Recorded(idx int) (*Walk, error)
-	// Clock returns the latest virtual instant a recorded walk finished
-	// at (zero for an empty log).
-	Clock() time.Time
-	// Record appends w, finished when the virtual clock read clock.
-	Record(w *Walk, clock time.Time) error
+	// Append records a finished walk.
+	Append(w *Walk) error
 }
 
 // withDefaults fills zero values.
@@ -167,16 +156,21 @@ func newCrawlMetrics(t *telemetry.Telemetry) *crawlMetrics {
 	}
 }
 
-// finishStep closes a step span and bumps the step counters from the
-// record's outcome.
-func (cm *crawlMetrics) finishStep(sp *telemetry.Active, rec *CrawlerStep) {
-	cm.steps.Inc()
-	if rec.Fail != "" {
-		cm.stepFailures.Inc()
-		sp.EndErr(errors.New(rec.Fail))
-		return
+// finishStep closes a step span, failed with the first parallel
+// crawler's failure if any, and bumps the step counters once per
+// parallel crawler record.
+func (cm *crawlMetrics) finishStep(sp *telemetry.Active, recs []*CrawlerStep) {
+	var fail error
+	for _, rec := range recs {
+		cm.steps.Inc()
+		if rec.Fail != "" {
+			cm.stepFailures.Inc()
+			if fail == nil {
+				fail = errors.New(rec.Fail)
+			}
+		}
 	}
-	sp.End()
+	sp.EndErr(fail)
 }
 
 // Crawl runs the full measurement crawl and returns the dataset.
@@ -203,37 +197,8 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	cm := newCrawlMetrics(cfg.Telemetry)
 	cfg.Telemetry.Registry().Gauge("crawler.walks_total").Set(int64(cfg.Walks))
 
-	ledger := newClockLedger(cfg.Network.Clock(), cfg.Walks)
-	ctrl.afterBarrier = ledger.drain
+	rm := resilience.NewMetrics(cfg.Telemetry.Registry())
 
-	rt := &retrier{
-		seed:     cfg.Seed,
-		policy:   cfg.Retry,
-		clock:    cfg.Network.Clock(),
-		ledger:   ledger,
-		sleep:    cfg.BackoffSleep,
-		m:        resilience.NewMetrics(cfg.Telemetry.Registry()),
-		breakers: cfg.Network.Breakers(),
-	}
-	if cfg.Breaker.Enabled() && rt.breakers == nil {
-		psl := publicsuffix.Default()
-		rt.breakers = resilience.NewBreakerSet(cfg.Breaker, cfg.Network.Clock(), func(host string) string {
-			if d := psl.RegisteredDomain(host); d != "" {
-				return d
-			}
-			return host
-		}, cfg.Telemetry.Registry())
-		cfg.Network.SetBreakers(rt.breakers)
-	}
-
-	// Resume: restore the virtual clock to the furthest instant the
-	// interrupted crawl reached, so continued walks replay the
-	// uninterrupted schedule (exactly, at Parallelism 1).
-	if cfg.Log != nil {
-		if t := cfg.Log.Clock(); !t.IsZero() {
-			cfg.Network.Clock().AdvanceTo(t)
-		}
-	}
 	var (
 		logOnce sync.Once
 		logErr  error
@@ -245,14 +210,11 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	}
 
 	// Work-stealing dispatch: a fixed pool of Parallelism workers claims
-	// walk indices from a shared atomic counter. Compared with the old
-	// goroutine-per-walk + semaphore scheme this spawns min(P, walks)
-	// goroutines instead of one per walk, never blocks a dispatcher
-	// goroutine on a semaphore, and lets a worker that finishes (or hits
-	// a resumed walk) immediately steal the next index.
-	// Determinism is untouched: every walk still lands in its pre-sized
-	// ds.Walks[idx] slot, and all intra-walk virtual time flows through
-	// the clockLedger's rendezvous barriers exactly as before.
+	// walk indices from a shared atomic counter, so min(P, walks)
+	// goroutines run and a worker that finishes (or hits a resumed walk)
+	// immediately steals the next index. Scheduling cannot reach the
+	// results: every walk lands in its pre-sized ds.Walks[idx] slot and
+	// runs on its worker with its own clock.
 	ds := &Dataset{Seed: cfg.Seed, Crawlers: AllCrawlers, Walks: make([]*Walk, cfg.Walks)}
 	workers := cfg.Parallelism
 	if workers > cfg.Walks {
@@ -299,7 +261,7 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				}
 				sp := cm.tel.StartSpan("crawler", "walk").
 					Attr("walk", strconv.Itoa(idx)).Attr("seeder", seeder)
-				w := runWalk(wcfg, ctrl, idx, seeder, cm, rt)
+				w := runWalk(wcfg, ctrl, idx, seeder, cm, rm)
 				ds.Walks[idx] = w
 				if w.Ended != "" {
 					sp.Attr("ended", string(w.Ended))
@@ -307,7 +269,7 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				sp.Attr("steps", strconv.Itoa(len(w.Steps))).End()
 				cm.walksDone.Inc()
 				if cfg.Log != nil {
-					if err := cfg.Log.Record(w, cfg.Network.Clock().Now()); err != nil {
+					if err := cfg.Log.Append(w); err != nil {
 						failLog(idx, err)
 					}
 				}
@@ -327,140 +289,12 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	return ds, ctx.Err()
 }
 
-// clockLedger makes intra-walk virtual time schedule-independent. The
-// three crawlers of a walk run concurrently and each owes the clock
-// time — dwell after every landing, backoff between retry attempts. If
-// each goroutine advanced the shared clock directly, the timestamps its
-// peers stamp on in-flight requests would depend on goroutine
-// interleaving and no two runs would produce byte-identical datasets.
-// Instead, advances are deposited into a per-walk pending account and
-// applied ("drained") only at points where no crawler of the walk is
-// mid-request: inside the controller's rendezvous (the completing
-// arrival drains while its peers are still blocked in their Submit
-// calls) and at end of walk. The total time applied is the sum of
-// deposits — commutative, hence identical under any schedule.
-type clockLedger struct {
-	clock   resilience.Clock
-	pending []atomic.Int64
-}
-
-func newClockLedger(clock resilience.Clock, walks int) *clockLedger {
-	return &clockLedger{clock: clock, pending: make([]atomic.Int64, walks)}
-}
-
-// drain applies a walk's pending time to the real clock.
-func (l *clockLedger) drain(walk int) {
-	if l == nil || walk < 0 || walk >= len(l.pending) {
-		return
-	}
-	if d := l.pending[walk].Swap(0); d > 0 {
-		l.clock.Advance(time.Duration(d))
-	}
-}
-
-// walkClock is the resilience.Clock handed to one walk's crawlers:
-// Advance defers into the walk's ledger account instead of moving the
-// shared clock.
-type walkClock struct {
-	l    *clockLedger
-	walk int
-}
-
-func (c walkClock) Now() time.Time { return c.l.clock.Now() }
-
-func (c walkClock) Advance(d time.Duration) time.Time {
-	if d > 0 {
-		c.l.pending[c.walk].Add(int64(d))
-	}
-	return c.l.clock.Now()
-}
-
 // appendReason joins quarantine notes.
 func appendReason(existing, add string) string {
 	if existing == "" {
 		return add
 	}
 	return existing + "; " + add
-}
-
-// retrier runs navigations under the crawl's retry policy and reports
-// whole-sequence outcomes to the circuit breakers. Breaker state thus
-// advances only on sequence boundaries — a transient domain that
-// recovers within its sequence can never trip a breaker, keeping breaker
-// decisions independent of how concurrent walks interleave.
-type retrier struct {
-	seed     int64
-	policy   resilience.Policy
-	clock    resilience.Clock
-	ledger   *clockLedger
-	sleep    func(time.Duration)
-	m        *resilience.Metrics
-	breakers *resilience.BreakerSet
-}
-
-// forWalk returns a copy whose clock defers advances into the walk's
-// ledger account, so backoff sleeps never race against peer crawlers'
-// request timestamps.
-func (rt *retrier) forWalk(walk int) *retrier {
-	if rt.ledger == nil {
-		return rt
-	}
-	cp := *rt
-	cp.clock = walkClock{l: rt.ledger, walk: walk}
-	return &cp
-}
-
-// do runs op (which must return the page it produced) under the retry
-// policy, stamping the attempt index on the browser for the fault
-// injector, and reports the sequence outcome to the breakers.
-func (rt *retrier) do(b *browser.Browser, key string, op func() (*browser.Page, error)) (*browser.Page, error) {
-	var page *browser.Page
-	err := resilience.Do(nil, rt.clock, rt.seed, key, rt.policy, rt.sleep, rt.m, func(attempt int) error {
-		b.SetAttempt(attempt)
-		defer b.SetAttempt(0)
-		p, err := op()
-		if err == nil {
-			page = p
-		}
-		return err
-	})
-	rt.report(page, err)
-	return page, err
-}
-
-// navigate is Browser.Navigate under policy.
-func (rt *retrier) navigate(b *browser.Browser, key, rawURL, referer string) (*browser.Page, error) {
-	return rt.do(b, key, func() (*browser.Page, error) { return b.Navigate(rawURL, referer) })
-}
-
-// click is Browser.Click under policy.
-func (rt *retrier) click(b *browser.Browser, key string, page *browser.Page, index int) (*browser.Page, error) {
-	return rt.do(b, key, func() (*browser.Page, error) { return b.Click(page, index) })
-}
-
-// report feeds one sequence outcome to the breakers: the landed host on
-// success, the unreachable host on transport failure. Click-logic
-// failures say nothing about a domain's health, and breaker rejections
-// must not re-count the failure that opened the breaker.
-func (rt *retrier) report(page *browser.Page, err error) {
-	if rt.breakers == nil {
-		return
-	}
-	if err == nil {
-		if page != nil {
-			rt.breakers.ReportHost(page.URL.Hostname(), nil)
-		}
-		return
-	}
-	if resilience.IsBreakerOpen(err) || !isConnectError(err) {
-		return
-	}
-	var nav *browser.NavError
-	if errors.As(err, &nav) && nav.URL != "" {
-		if u, perr := url.Parse(nav.URL); perr == nil && u.Hostname() != "" {
-			rt.breakers.ReportHost(u.Hostname(), err)
-		}
-	}
 }
 
 // uaFor returns the spoofed User-Agent for a crawler (§3.4).
@@ -481,48 +315,27 @@ func policyFor(name string) storage.Policy {
 	return storage.Partitioned
 }
 
-// walkState is the shared per-walk collector.
-type walkState struct {
-	mu   sync.Mutex
-	walk *Walk
-}
-
-func (ws *walkState) putSeed(name string, rec *CrawlerStep) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	ws.walk.SeedLoad[name] = rec
-}
-
-func (ws *walkState) putStep(stepIdx int, name string, rec *CrawlerStep) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	for len(ws.walk.Steps) < stepIdx {
-		ws.walk.Steps = append(ws.walk.Steps, &Step{
-			Walk:    ws.walk.Index,
-			Index:   len(ws.walk.Steps) + 1,
+// putStep stores a crawler's record for step stepIdx (1-based),
+// materialising any steps before it.
+func putStep(w *Walk, stepIdx int, name string, rec *CrawlerStep) {
+	for len(w.Steps) < stepIdx {
+		w.Steps = append(w.Steps, &Step{
+			Walk:    w.Index,
+			Index:   len(w.Steps) + 1,
 			Records: make(map[string]*CrawlerStep),
 		})
 	}
-	ws.walk.Steps[stepIdx-1].Records[name] = rec
+	w.Steps[stepIdx-1].Records[name] = rec
 }
 
-// degrade quarantines the walk with a reason instead of letting it
-// abort silently.
-func (ws *walkState) degrade(reason string) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	ws.walk.Degraded = appendReason(ws.walk.Degraded, reason)
-}
-
-// runWalk executes one walk: three synchronized crawler goroutines, with
-// Safari-1R trailing Safari-1 inside its goroutine.
-func runWalk(cfg Config, ctrl *Controller, idx int, seeder string, cm *crawlMetrics, rt *retrier) *Walk {
+// runWalk executes one walk on the calling goroutine. The walk has its
+// own virtual clock, shared by its four browsers, so its record depends
+// on the configuration and its index alone.
+func runWalk(cfg Config, ctrl *Controller, idx int, seeder string, cm *crawlMetrics, rm *resilience.Metrics) *Walk {
 	w := &Walk{Index: idx, Seeder: seeder, SeedLoad: make(map[string]*CrawlerStep)}
-	ws := &walkState{walk: w}
-	rt = rt.forWalk(idx)
-
-	newBrowser := func(name string) *browser.Browser {
-		return browser.New(browser.Config{
+	wk := &walker{cfg: cfg, ctrl: ctrl, cm: cm, rm: rm, w: w, clock: netsim.NewVirtualClock()}
+	newTab := func(name string) *tab {
+		return &tab{name: name, b: browser.New(browser.Config{
 			Seed:      cfg.Seed,
 			ProfileID: fmt.Sprintf("w%d-%s", idx, ProfileOf(name)),
 			ClientID:  fmt.Sprintf("w%d-%s", idx, name),
@@ -530,50 +343,15 @@ func runWalk(cfg Config, ctrl *Controller, idx int, seeder string, cm *crawlMetr
 			UserAgent: uaFor(name),
 			Policy:    policyFor(name),
 			Network:   cfg.Network,
+			Clock:     wk.clock,
 			Telemetry: cfg.Telemetry,
-		})
+		})}
 	}
-
-	var wg sync.WaitGroup
-	for _, name := range ParallelCrawlers {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			// Quarantine, don't crash: a panicking crawler degrades its
-			// walk; its peers drain via the controller's barrier timeout.
-			defer func() {
-				if p := recover(); p != nil {
-					ws.degrade(fmt.Sprintf("panic in %s: %v", name, p))
-				}
-			}()
-			r := &walkRunner{
-				cfg:  cfg,
-				ctrl: ctrl,
-				ws:   ws,
-				walk: idx,
-				name: name,
-				b:    newBrowser(name),
-				cm:   cm,
-				rt:   rt,
-			}
-			if name == Safari1 {
-				r.trailer = &trailRunner{
-					cfg:  cfg,
-					ws:   ws,
-					walk: idx,
-					b:    newBrowser(Safari1R),
-					cm:   cm,
-					rt:   rt,
-				}
-			}
-			r.run(seeder)
-		}(name)
+	for i, name := range ParallelCrawlers {
+		wk.tabs[i] = newTab(name)
 	}
-	wg.Wait()
-	// Apply any virtual time still owed (e.g. the last step's dwell, or
-	// backoff from a crawler that exited after the final rendezvous)
-	// before the walk is logged.
-	rt.ledger.drain(idx)
+	wk.trail = newTab(Safari1R)
+	wk.run()
 
 	// Derive step outcomes and the walk's end reason.
 	for _, s := range w.Steps {
@@ -639,22 +417,273 @@ func deriveOutcome(s *Step) StepOutcome {
 	}
 }
 
-// walkRunner is one parallel crawler's walk execution.
-type walkRunner struct {
-	cfg     Config
-	ctrl    *Controller
-	ws      *walkState
-	walk    int
-	name    string
-	b       *browser.Browser
-	trailer *trailRunner
-	cm      *crawlMetrics
-	rt      *retrier
+// tab is one crawler within a walk: its browser and its live page.
+type tab struct {
+	name string
+	b    *browser.Browser
+	page *browser.Page
+	// navErr is the navigation failure that most recently left the
+	// crawler without a live page; a step that starts with no page
+	// records it as its own failure.
+	navErr error
 }
 
-// snapshot records the first-party storage of a page.
-func (r *walkRunner) snapshot(b *browser.Browser, pageURL string) Snapshot {
-	return takeSnapshot(b, pageURL)
+// walker drives one walk in lockstep, one phase at a time: the three
+// parallel crawlers in ParallelCrawlers order, and Safari-1R repeating
+// each of Safari-1's loads right after it (§3.2).
+type walker struct {
+	cfg   Config
+	ctrl  *Controller
+	cm    *crawlMetrics
+	rm    *resilience.Metrics
+	w     *Walk
+	clock *netsim.VirtualClock
+	tabs  [3]*tab // ParallelCrawlers order; tabs[0] is Safari-1
+	trail *tab    // Safari-1R
+}
+
+// run crawls the seed loads and then the steps until the walk ends.
+// Quarantine, don't crash: a panic stops the walk and degrades it, and
+// the steps recorded so far are kept.
+func (wk *walker) run() {
+	defer func() {
+		if p := recover(); p != nil {
+			wk.w.Degraded = appendReason(wk.w.Degraded, fmt.Sprintf("panic: %v", p))
+		}
+	}()
+	seedURL := "http://" + wk.w.Seeder + "/"
+	for _, t := range wk.tabs {
+		wk.seedLoad(t, seedURL)
+		if t.name == Safari1 {
+			wk.seedLoad(wk.trail, seedURL)
+		}
+	}
+	for step := 1; step <= wk.cfg.StepsPerWalk; step++ {
+		if !wk.step(step) {
+			return
+		}
+	}
+}
+
+// retry runs op (which must return the page it produced) under the
+// retry policy, stamping the attempt index on the browser for the fault
+// injector; backoff advances the walk's clock.
+func (wk *walker) retry(b *browser.Browser, key string, op func() (*browser.Page, error)) (*browser.Page, error) {
+	var page *browser.Page
+	err := resilience.Do(wk.clock, wk.cfg.Seed, key, wk.cfg.Retry, wk.rm, func(attempt int) error {
+		b.SetAttempt(attempt)
+		defer b.SetAttempt(0)
+		p, err := op()
+		if err == nil {
+			page = p
+		}
+		return err
+	})
+	return page, err
+}
+
+// dwell spends the landing page's recording time (§3.1) on the walk's
+// clock.
+func (wk *walker) dwell() {
+	wk.clock.Advance(time.Duration(wk.cfg.DwellSeconds) * time.Second)
+}
+
+// seedLoad navigates t to the walk's seeder and records the load.
+func (wk *walker) seedLoad(t *tab, seedURL string) {
+	page, err := wk.retry(t.b, fmt.Sprintf("seed/%d/%s", wk.w.Index, t.name), func() (*browser.Page, error) {
+		return t.b.Navigate(seedURL, "")
+	})
+	rec := &CrawlerStep{
+		Crawler:  t.name,
+		Profile:  ProfileOf(t.name),
+		StartURL: seedURL,
+		Requests: t.b.Requests(),
+	}
+	if err != nil {
+		rec.Fail = "connect: " + err.Error()
+		t.navErr = err
+	} else {
+		rec.LandedURL = page.URL.String()
+		rec.After = takeSnapshot(t.b, rec.LandedURL)
+	}
+	t.page = page
+	wk.w.SeedLoad[t.name] = rec
+}
+
+// step runs one synchronized step — every element list, the
+// controller's choice, every click with its dwell, the landing
+// comparison, Safari-1R's repeat — and reports whether the walk goes
+// on.
+func (wk *walker) step(step int) bool {
+	idx := wk.w.Index
+	sp := wk.cm.tel.StartSpan("crawler", "step").
+		Attr("walk", strconv.Itoa(idx)).
+		Attr("step", strconv.Itoa(step))
+	recs := make([]*CrawlerStep, len(wk.tabs))
+	lists := make(map[string][]Element, len(wk.tabs))
+	for i, t := range wk.tabs {
+		rec := &CrawlerStep{Crawler: t.name, Profile: ProfileOf(t.name), ClickIndex: -1}
+		var els []Element
+		switch {
+		case t.page != nil:
+			rec.StartURL = t.page.URL.String()
+			rec.Before = takeSnapshot(t.b, rec.StartURL)
+			cs := t.b.Clickables(t.page)
+			els = make([]Element, 0, len(cs))
+			for _, c := range cs {
+				els = append(els, elementFrom(c, t.b.CrossDomain(t.page, c)))
+			}
+		case t.navErr != nil:
+			rec.Fail = "connect: " + t.navErr.Error()
+		default:
+			rec.Fail = "connect: no live page"
+		}
+		recs[i], lists[t.name] = rec, els
+	}
+
+	dec := wk.ctrl.decide(idx, step, lists)
+	if !dec[Safari1].Found {
+		// A crawler with no page submitted an empty list, which
+		// guarantees no match: the walk ends here for everyone.
+		for i, t := range wk.tabs {
+			if t.page != nil {
+				recs[i].Fail = "no common element"
+			}
+			putStep(wk.w, step, t.name, recs[i])
+		}
+		wk.cm.finishStep(sp, recs)
+		// Safari-1R records Safari-1's failure, so the repeat-crawler
+		// dataset has no holes.
+		wk.trailFail(step, recs[0].Fail)
+		return false
+	}
+
+	fqdns := make([]string, len(wk.tabs))
+	for i, t := range wk.tabs {
+		rec, d := recs[i], dec[t.name]
+		rec.ClickIndex = d.Index
+		if els := lists[t.name]; d.Index >= 0 && d.Index < len(els) {
+			e := els[d.Index]
+			rec.Clicked = &e
+		}
+		wk.cm.clicks.Inc()
+		if rec.Clicked != nil && rec.Clicked.Kind == "iframe" {
+			wk.cm.iframeClicks.Inc()
+		}
+		t.b.ResetRequests()
+		from := t.page
+		next, err := wk.retry(t.b, fmt.Sprintf("click/%d/%d/%s", idx, step, t.name), func() (*browser.Page, error) {
+			return t.b.Click(from, d.Index)
+		})
+		t.page = next
+		if err != nil {
+			if isConnectError(err) {
+				rec.Fail = "connect: " + err.Error()
+				t.navErr = err
+			} else {
+				rec.Fail = "click: " + err.Error()
+			}
+			var nav *browser.NavError
+			if errors.As(err, &nav) {
+				rec.NavChain = nav.Chain
+			}
+			rec.Requests = t.b.Requests()
+			continue
+		}
+		wk.dwell()
+		rec.NavChain = next.Chain
+		rec.LandedURL = next.URL.String()
+		rec.Requests = t.b.Requests()
+		rec.After = takeSnapshot(t.b, rec.LandedURL)
+		fqdns[i] = next.URL.Hostname()
+	}
+	if fqdns[0] != "" {
+		sp.Attr("host", fqdns[0])
+	}
+	for i, t := range wk.tabs {
+		putStep(wk.w, step, t.name, recs[i])
+	}
+
+	// Safari-1R repeats the step right after Safari-1 took it (§3.2).
+	if recs[0].Clicked != nil {
+		wk.repeat(step, recs[0].StartURL, lists[Safari1], dec[Safari1].Index)
+	}
+	wk.cm.finishStep(sp, recs)
+	// A failed click lands nowhere (""), so the walk goes on only when
+	// every click landed on one FQDN (§3.3).
+	return fqdns[0] != "" && sameLanding(fqdns)
+}
+
+// trailFail records Safari-1R's step when Safari-1's step ended before
+// any click.
+func (wk *walker) trailFail(step int, reason string) {
+	rec := &CrawlerStep{Crawler: Safari1R, Profile: ProfileOf(Safari1R), ClickIndex: -1, Fail: reason}
+	if t := wk.trail; t.page != nil {
+		rec.StartURL = t.page.URL.String()
+	}
+	putStep(wk.w, step, Safari1R, rec)
+}
+
+// repeat is Safari-1R repeating Safari-1's step, providing the repeat
+// observations that separate session IDs from UIDs (§3.7.1). It finds
+// Safari-1's clicked element on its own page instance and clicks it.
+// The two element lists are aligned in document order with the
+// controller's matching heuristics — matching the single clicked
+// element in isolation would confuse same-sized anchors, since
+// heuristic 2 ignores the y-coordinate. Safari-1R repeats Safari-1's
+// step, not its own history: if it drifted — say its previous ad click
+// landed on a different site — it first re-navigates to Safari-1's
+// start URL (its profile storage persists, so the revisit observations
+// stay valid).
+func (wk *walker) repeat(step int, startURL string, s1Elements []Element, clickedIdx int) {
+	t, idx := wk.trail, wk.w.Index
+	rec := &CrawlerStep{Crawler: Safari1R, Profile: ProfileOf(Safari1R), ClickIndex: -1}
+	defer putStep(wk.w, step, Safari1R, rec)
+	if t.page == nil || (startURL != "" && !sameURLSansQuery(t.page.URL.String(), startURL)) {
+		wk.cm.renavigations.Inc()
+		page, err := wk.retry(t.b, fmt.Sprintf("renav/%d/%d/%s", idx, step, Safari1R), func() (*browser.Page, error) {
+			return t.b.Navigate(startURL, "")
+		})
+		t.page = page
+		if err != nil {
+			rec.Fail = "connect: " + err.Error()
+			rec.StartURL = startURL
+			return
+		}
+	}
+	rec.StartURL = t.page.URL.String()
+	rec.Before = takeSnapshot(t.b, rec.StartURL)
+
+	cs := t.b.Clickables(t.page)
+	own := make([]Element, 0, len(cs))
+	for _, c := range cs {
+		own = append(own, elementFrom(c, false))
+	}
+	match := -1
+	if aligned := MatchPair(s1Elements, own, AllHeuristics); clickedIdx >= 0 && clickedIdx < len(aligned) {
+		match = aligned[clickedIdx]
+	}
+	if match < 0 {
+		rec.Fail = "repeat: element not found"
+		t.page = nil
+		return
+	}
+	rec.ClickIndex = match
+	t.b.ResetRequests()
+	from := t.page
+	next, err := wk.retry(t.b, fmt.Sprintf("click/%d/%d/%s", idx, step, Safari1R), func() (*browser.Page, error) {
+		return t.b.Click(from, match)
+	})
+	t.page = next
+	rec.Requests = t.b.Requests()
+	if err != nil {
+		rec.Fail = "click: " + err.Error()
+		return
+	}
+	wk.dwell()
+	rec.NavChain = next.Chain
+	rec.LandedURL = next.URL.String()
+	rec.After = takeSnapshot(t.b, rec.LandedURL)
 }
 
 func takeSnapshot(b *browser.Browser, pageURL string) Snapshot {
@@ -673,145 +702,6 @@ func takeSnapshot(b *browser.Browser, pageURL string) Snapshot {
 		})
 	}
 	return snap
-}
-
-// run executes the walk for this crawler.
-func (r *walkRunner) run(seeder string) {
-	seedURL := "http://" + seeder + "/"
-	page, err := r.rt.navigate(r.b, fmt.Sprintf("seed/%d/%s", r.walk, r.name), seedURL, "")
-	seedRec := &CrawlerStep{
-		Crawler:  r.name,
-		Profile:  ProfileOf(r.name),
-		StartURL: seedURL,
-		Requests: r.b.Requests(),
-	}
-	// lastNavErr is the navigation failure that most recently left this
-	// crawler without a live page; steps that start with page == nil
-	// derive their failure from it (their own state, not a variable
-	// captured from the seed navigation steps earlier).
-	var lastNavErr error
-	if err != nil {
-		seedRec.Fail = "connect: " + err.Error()
-		lastNavErr = err
-	} else {
-		seedRec.LandedURL = page.URL.String()
-		seedRec.After = r.snapshot(r.b, page.URL.String())
-	}
-	r.ws.putSeed(r.name, seedRec)
-	if r.trailer != nil {
-		r.trailer.repeatSeed(seedURL)
-	}
-
-	for step := 1; step <= r.cfg.StepsPerWalk; step++ {
-		sp := r.cm.tel.StartSpan("crawler", "step").
-			Attr("crawler", r.name).
-			Attr("walk", strconv.Itoa(r.walk)).
-			Attr("step", strconv.Itoa(step))
-		rec := &CrawlerStep{
-			Crawler:    r.name,
-			Profile:    ProfileOf(r.name),
-			ClickIndex: -1,
-		}
-		var els []Element
-		var clickables []browser.Clickable
-		if page != nil {
-			rec.StartURL = page.URL.String()
-			rec.Before = r.snapshot(r.b, page.URL.String())
-			clickables = r.b.Clickables(page)
-			els = make([]Element, 0, len(clickables))
-			for _, c := range clickables {
-				els = append(els, elementFrom(c, r.b.CrossDomain(page, c)))
-			}
-		} else if lastNavErr != nil {
-			rec.Fail = "connect: " + lastNavErr.Error()
-		} else {
-			rec.Fail = "connect: no live page"
-		}
-
-		dec, derr := r.ctrl.SubmitElements(r.walk, step, r.name, els)
-		if derr != nil {
-			rec.Fail = "controller: " + derr.Error()
-			r.ws.putStep(step, r.name, rec)
-			r.cm.finishStep(sp, rec)
-			return
-		}
-		if !dec.Found {
-			// A crawler with no page submitted an empty list, which
-			// guarantees no match for everyone — so all three crawlers
-			// take this branch together and nobody waits at the landing
-			// rendezvous.
-			if page != nil {
-				rec.Fail = "no common element"
-			}
-			r.ws.putStep(step, r.name, rec)
-			r.cm.finishStep(sp, rec)
-			// Safari-1R records the trailing failure in both branches:
-			// "no common element" when Safari-1 had a page, the connect
-			// failure when it did not — so the repeat-crawler dataset
-			// has no holes.
-			if r.trailer != nil {
-				if page != nil {
-					r.trailer.recordFail(step, "no common element")
-				} else {
-					r.trailer.recordFail(step, rec.Fail)
-				}
-			}
-			return
-		}
-
-		rec.ClickIndex = dec.Index
-		if dec.Index >= 0 && dec.Index < len(els) {
-			e := els[dec.Index]
-			rec.Clicked = &e
-		}
-		r.cm.clicks.Inc()
-		if rec.Clicked != nil && rec.Clicked.Kind == "iframe" {
-			r.cm.iframeClicks.Inc()
-		}
-		r.b.ResetRequests()
-		next, cerr := r.rt.click(r.b, fmt.Sprintf("click/%d/%d/%s", r.walk, step, r.name), page, dec.Index)
-		fqdn := ""
-		if cerr != nil {
-			if isConnectError(cerr) {
-				rec.Fail = "connect: " + cerr.Error()
-				lastNavErr = cerr
-			} else {
-				rec.Fail = "click: " + cerr.Error()
-			}
-			var nav *browser.NavError
-			if errors.As(cerr, &nav) {
-				rec.NavChain = nav.Chain
-			}
-			rec.Requests = r.b.Requests()
-		} else {
-			// Dwell is deferred into the walk ledger; the landing
-			// rendezvous applies it once no peer is mid-request.
-			r.rt.clock.Advance(time.Duration(r.cfg.DwellSeconds) * time.Second)
-			rec.NavChain = next.Chain
-			rec.LandedURL = next.URL.String()
-			rec.Requests = r.b.Requests()
-			rec.After = r.snapshot(r.b, next.URL.String())
-			fqdn = next.URL.Hostname()
-		}
-
-		land, lerr := r.ctrl.SubmitLanding(r.walk, step, r.name, fqdn)
-		if fqdn != "" {
-			sp.Attr("host", fqdn)
-		}
-		r.ws.putStep(step, r.name, rec)
-		r.cm.finishStep(sp, rec)
-
-		// Safari-1R repeats the step right after Safari-1 finishes it
-		// (§3.2).
-		if r.trailer != nil && rec.Clicked != nil {
-			r.trailer.repeatStep(step, rec.StartURL, els, dec.Index)
-		}
-
-		if lerr != nil || cerr != nil || !land.Synchronized {
-			return
-		}
-		page = next
-	}
 }
 
 // sameURLSansQuery compares two URLs by host and path, ignoring query
@@ -835,103 +725,4 @@ func isConnectError(err error) bool {
 		return !errors.As(err, &nt)
 	}
 	return false
-}
-
-// trailRunner is Safari-1R: it repeats each of Safari-1's steps with the
-// same user profile, providing the repeat observations that separate
-// session IDs from UIDs (§3.7.1).
-type trailRunner struct {
-	cfg  Config
-	ws   *walkState
-	walk int
-	b    *browser.Browser
-	page *browser.Page
-	cm   *crawlMetrics
-	rt   *retrier
-}
-
-func (t *trailRunner) repeatSeed(seedURL string) {
-	page, err := t.rt.navigate(t.b, fmt.Sprintf("seed/%d/%s", t.walk, Safari1R), seedURL, "")
-	rec := &CrawlerStep{
-		Crawler:  Safari1R,
-		Profile:  ProfileOf(Safari1R),
-		StartURL: seedURL,
-		Requests: t.b.Requests(),
-	}
-	if err != nil {
-		rec.Fail = "connect: " + err.Error()
-	} else {
-		rec.LandedURL = page.URL.String()
-		rec.After = takeSnapshot(t.b, page.URL.String())
-		t.page = page
-	}
-	t.ws.putSeed(Safari1R, rec)
-}
-
-func (t *trailRunner) recordFail(step int, reason string) {
-	rec := &CrawlerStep{Crawler: Safari1R, Profile: ProfileOf(Safari1R), ClickIndex: -1, Fail: reason}
-	if t.page != nil {
-		rec.StartURL = t.page.URL.String()
-	}
-	t.ws.putStep(step, Safari1R, rec)
-}
-
-// repeatStep finds Safari-1's clicked element on the repeat crawler's own
-// page instance and clicks it. The two element lists are aligned in
-// document order with the same matching heuristics the controller uses —
-// matching the single clicked element in isolation would confuse
-// same-sized anchors, since heuristic 2 ignores the y-coordinate. The
-// repeat crawler repeats Safari-1's step, not its own history: if it
-// drifted — say its previous ad click landed on a different site — it
-// first re-navigates to Safari-1's start URL (its profile storage
-// persists, so the revisit observations stay valid).
-func (t *trailRunner) repeatStep(step int, startURL string, s1Elements []Element, clickedIdx int) {
-	rec := &CrawlerStep{Crawler: Safari1R, Profile: ProfileOf(Safari1R), ClickIndex: -1}
-	if t.page == nil || (startURL != "" && !sameURLSansQuery(t.page.URL.String(), startURL)) {
-		t.cm.renavigations.Inc()
-		page, err := t.rt.navigate(t.b, fmt.Sprintf("renav/%d/%d/%s", t.walk, step, Safari1R), startURL, "")
-		if err != nil {
-			rec.Fail = "connect: " + err.Error()
-			rec.StartURL = startURL
-			t.ws.putStep(step, Safari1R, rec)
-			t.page = nil
-			return
-		}
-		t.page = page
-	}
-	rec.StartURL = t.page.URL.String()
-	rec.Before = takeSnapshot(t.b, t.page.URL.String())
-
-	cs := t.b.Clickables(t.page)
-	own := make([]Element, 0, len(cs))
-	for _, c := range cs {
-		own = append(own, elementFrom(c, false))
-	}
-	match := -1
-	if aligned := MatchPair(s1Elements, own, AllHeuristics); clickedIdx >= 0 && clickedIdx < len(aligned) {
-		match = aligned[clickedIdx]
-	}
-	if match < 0 {
-		rec.Fail = "repeat: element not found"
-		t.ws.putStep(step, Safari1R, rec)
-		t.page = nil
-		return
-	}
-	rec.ClickIndex = match
-	t.b.ResetRequests()
-	next, err := t.rt.click(t.b, fmt.Sprintf("click/%d/%d/%s", t.walk, step, Safari1R), t.page, match)
-	if err != nil {
-		rec.Fail = "click: " + err.Error()
-		rec.Requests = t.b.Requests()
-		t.ws.putStep(step, Safari1R, rec)
-		t.page = nil
-		return
-	}
-	t.rt.clock.Advance(time.Duration(t.cfg.DwellSeconds) * time.Second)
-	rec.NavChain = next.Chain
-	rec.LandedURL = next.URL.String()
-	rec.Requests = t.b.Requests()
-	rec.After = takeSnapshot(t.b, next.URL.String())
-	t.ws.putStep(step, Safari1R, rec)
-	t.page = next
 }

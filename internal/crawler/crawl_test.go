@@ -388,19 +388,19 @@ func TestCrawlNoIframesReducesIframeClicks(t *testing.T) {
 }
 
 func TestPutStepOutOfOrderInsertion(t *testing.T) {
-	// Crawlers report steps concurrently, so putStep must be able to
-	// materialise a later step before earlier ones have records — and
-	// keep indices consistent when the stragglers arrive.
-	ws := &walkState{walk: &Walk{Index: 7}}
-	ws.putStep(3, Safari1, &CrawlerStep{Crawler: Safari1, StartURL: "http://a.com/3"})
-	ws.putStep(1, Chrome3, &CrawlerStep{Crawler: Chrome3, StartURL: "http://a.com/1"})
-	ws.putStep(2, Safari2, &CrawlerStep{Crawler: Safari2, StartURL: "http://a.com/2"})
-	ws.putStep(1, Safari1, &CrawlerStep{Crawler: Safari1, StartURL: "http://a.com/1"})
+	// putStep must be able to materialise a later step before earlier
+	// ones have records — and keep indices consistent when the
+	// stragglers arrive.
+	w := &Walk{Index: 7}
+	putStep(w, 3, Safari1, &CrawlerStep{Crawler: Safari1, StartURL: "http://a.com/3"})
+	putStep(w, 1, Chrome3, &CrawlerStep{Crawler: Chrome3, StartURL: "http://a.com/1"})
+	putStep(w, 2, Safari2, &CrawlerStep{Crawler: Safari2, StartURL: "http://a.com/2"})
+	putStep(w, 1, Safari1, &CrawlerStep{Crawler: Safari1, StartURL: "http://a.com/1"})
 
-	if len(ws.walk.Steps) != 3 {
-		t.Fatalf("steps = %d, want 3", len(ws.walk.Steps))
+	if len(w.Steps) != 3 {
+		t.Fatalf("steps = %d, want 3", len(w.Steps))
 	}
-	for i, s := range ws.walk.Steps {
+	for i, s := range w.Steps {
 		if s.Index != i+1 {
 			t.Fatalf("step %d has Index %d", i, s.Index)
 		}
@@ -411,16 +411,16 @@ func TestPutStepOutOfOrderInsertion(t *testing.T) {
 			t.Fatalf("step %d has nil Records", i)
 		}
 	}
-	if rec := ws.walk.Steps[2].Records[Safari1]; rec == nil || rec.StartURL != "http://a.com/3" {
+	if rec := w.Steps[2].Records[Safari1]; rec == nil || rec.StartURL != "http://a.com/3" {
 		t.Fatalf("step 3 record misplaced: %+v", rec)
 	}
-	if rec := ws.walk.Steps[0].Records[Chrome3]; rec == nil || rec.StartURL != "http://a.com/1" {
+	if rec := w.Steps[0].Records[Chrome3]; rec == nil || rec.StartURL != "http://a.com/1" {
 		t.Fatalf("step 1 Chrome-3 record misplaced: %+v", rec)
 	}
-	if rec := ws.walk.Steps[0].Records[Safari1]; rec == nil || rec.StartURL != "http://a.com/1" {
+	if rec := w.Steps[0].Records[Safari1]; rec == nil || rec.StartURL != "http://a.com/1" {
 		t.Fatalf("step 1 Safari-1 straggler misplaced: %+v", rec)
 	}
-	if rec := ws.walk.Steps[1].Records[Safari2]; rec == nil || rec.StartURL != "http://a.com/2" {
+	if rec := w.Steps[1].Records[Safari2]; rec == nil || rec.StartURL != "http://a.com/2" {
 		t.Fatalf("step 2 record misplaced: %+v", rec)
 	}
 }

@@ -1,13 +1,13 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,22 +226,24 @@ func marshalDataset(t *testing.T, ds *Dataset) []byte {
 	return b
 }
 
-// faultyCrawl runs a transient-fault world with retries at the given
-// parallelism, with an optional wall-clock sleep hook.
-func faultyCrawl(t *testing.T, parallelism int, sleep func(time.Duration)) *Dataset {
+// faultyCrawl runs a world with transient faults, degraded responses
+// and deadline-blowing latency spikes, with retries, at the given
+// parallelism.
+func faultyCrawl(t *testing.T, parallelism int) *Dataset {
 	t.Helper()
 	cfg := web.SmallConfig()
 	cfg.TransientFailRate = 0.3
 	cfg.HTTPDegradeRate = 0.2
+	cfg.LatencySpikeRate = 0.2
 	w := web.BuildWorld(cfg)
+	w.Network().SetRequestDeadline(2 * time.Second)
 	ds, err := Crawl(Config{
-		Seed:         cfg.Seed,
-		Network:      w.Network(),
-		Seeders:      w.Seeders(),
-		Walks:        8,
-		Parallelism:  parallelism,
-		Retry:        resilience.DefaultPolicy(),
-		BackoffSleep: sleep,
+		Seed:        cfg.Seed,
+		Network:     w.Network(),
+		Seeders:     w.Seeders(),
+		Walks:       8,
+		Parallelism: parallelism,
+		Retry:       resilience.DefaultPolicy(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,45 +254,23 @@ func faultyCrawl(t *testing.T, parallelism int, sleep func(time.Duration)) *Data
 // TestCrawlWithRetriesDeterministicAtParallelism1 proves two same-seed
 // crawls with transient faults and retries enabled are byte-identical.
 func TestCrawlWithRetriesDeterministicAtParallelism1(t *testing.T) {
-	a := marshalDataset(t, faultyCrawl(t, 1, nil))
-	b := marshalDataset(t, faultyCrawl(t, 1, nil))
+	a := marshalDataset(t, faultyCrawl(t, 1))
+	b := marshalDataset(t, faultyCrawl(t, 1))
 	if string(a) != string(b) {
 		t.Fatal("datasets differ between identical runs at Parallelism 1")
 	}
 }
 
-// TestCrawlWithRetriesDeterministicAtParallelism8 proves fault and retry
-// decisions are independent of goroutine scheduling: step outcomes match
-// across reruns and across parallelism levels.
+// TestCrawlWithRetriesDeterministicAtParallelism8 proves fault, retry
+// and deadline outcomes — and every timestamp the walks record — are
+// independent of goroutine scheduling: the dataset is byte-identical at
+// parallelism 1, 4 and 16.
 func TestCrawlWithRetriesDeterministicAtParallelism8(t *testing.T) {
-	counts := func(ds *Dataset) map[StepOutcome]int { return ds.OutcomeCounts() }
-	p1 := counts(faultyCrawl(t, 1, nil))
-	a := counts(faultyCrawl(t, 8, nil))
-	b := counts(faultyCrawl(t, 8, nil))
-	for k, v := range a {
-		if b[k] != v {
-			t.Fatalf("outcome %s differs between P8 reruns: %d vs %d", k, v, b[k])
+	ref := marshalDataset(t, faultyCrawl(t, 1))
+	for _, par := range []int{4, 16} {
+		if got := marshalDataset(t, faultyCrawl(t, par)); !bytes.Equal(got, ref) {
+			t.Errorf("dataset at parallelism %d differs from parallelism 1", par)
 		}
-		if p1[k] != v {
-			t.Fatalf("outcome %s differs between P1 and P8: %d vs %d", k, p1[k], v)
-		}
-	}
-}
-
-// TestWallPerturbedBackoffSameDataset retries with a wall-clock sleep
-// injected into every backoff: real time passes differently, virtual
-// time does not, and the dataset must be byte-identical.
-func TestWallPerturbedBackoffSameDataset(t *testing.T) {
-	base := marshalDataset(t, faultyCrawl(t, 1, nil))
-	var i atomic.Int64 // the hook fires from concurrent crawler goroutines
-	perturbed := marshalDataset(t, faultyCrawl(t, 1, func(time.Duration) {
-		time.Sleep(time.Duration(i.Add(1)%3) * time.Millisecond)
-	}))
-	if i.Load() == 0 {
-		t.Fatal("sleep hook never invoked — no retries happened, test proves nothing")
-	}
-	if string(base) != string(perturbed) {
-		t.Fatal("wall-clock perturbation of backoff changed the dataset")
 	}
 }
 
@@ -299,7 +279,6 @@ func TestWallPerturbedBackoffSameDataset(t *testing.T) {
 type memLog struct {
 	mu    sync.Mutex
 	walks map[int][]byte
-	clock time.Time
 }
 
 func (l *memLog) Recorded(idx int) (*Walk, error) {
@@ -316,13 +295,7 @@ func (l *memLog) Recorded(idx int) (*Walk, error) {
 	return &w, nil
 }
 
-func (l *memLog) Clock() time.Time {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.clock
-}
-
-func (l *memLog) Record(w *Walk, clock time.Time) error {
+func (l *memLog) Append(w *Walk) error {
 	b, err := json.Marshal(w)
 	if err != nil {
 		return err
@@ -330,9 +303,6 @@ func (l *memLog) Record(w *Walk, clock time.Time) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.walks[w.Index] = b
-	if clock.After(l.clock) {
-		l.clock = clock
-	}
 	return nil
 }
 
@@ -408,74 +378,34 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCircuitBreakerFailsFast crawls repeatedly into a permanently-dead
-// seeder with retries and a breaker: the first sequences trip the
-// breaker, later walks are rejected without consuming retry attempts,
-// and the rejections are visible in the netsim.breaker_open counter.
-//
-// Walk 0's crawlers start their seed sequences concurrently and the
-// breaker only sees whole-sequence outcomes, so how many of them retry
-// before it opens depends on the interleaving. The test pins what holds
-// under every interleaving instead of one retry count.
-func TestCircuitBreakerFailsFast(t *testing.T) {
-	tel := telemetry.New(nil, 256)
-	n := deadNetwork(7)
-	// Bind the network's counters (breaker_open et al.) to the registry;
-	// core.Execute does this wiring, Crawl alone does not.
-	n.SetTelemetry(tel)
-	reg := tel.Registry()
-	// At Parallelism 1 walks run one after another, so the counter read
-	// as each walk completes splits the retries by walk.
-	var retriesAfter []int64
+// TestPanicDegradesWalk: a panic inside a walk — here a handler that
+// panics on the seeder's page — quarantines that walk with the panic as
+// its reason instead of crashing the crawl, and the other walks are
+// crawled as usual.
+func TestPanicDegradesWalk(t *testing.T) {
+	n := netsim.New()
+	n.HandleFunc("boom.example.com", func(http.ResponseWriter, *http.Request) { panic("handler exploded") })
+	n.HandleFunc("calm.example.com", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "<html><body>calm</body></html>")
+	})
 	ds, err := Crawl(Config{
-		Seed:         7,
+		Seed:         9,
 		Network:      n,
-		Seeders:      []string{"dead.example.com"},
-		Walks:        6,
-		StepsPerWalk: 1,
-		Parallelism:  1,
-		Telemetry:    tel,
-		Retry:        resilience.Policy{MaxAttempts: 3, BaseDelay: time.Second},
-		Breaker:      resilience.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
-		OnWalkComplete: func(*Walk) {
-			retriesAfter = append(retriesAfter, reg.Counter("resilience.retries").Value())
-		},
+		Seeders:      []string{"boom.example.com", "calm.example.com"},
+		Walks:        4,
+		StepsPerWalk: 2,
+		Parallelism:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := n.Breakers().State("dead.example.com"); st != resilience.BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", st)
-	}
-	if v := reg.Counter("netsim.breaker_opened").Value(); v != 1 {
-		t.Errorf("breaker_opened = %d, want exactly 1", v)
-	}
-	if v := reg.Counter("netsim.breaker_open").Value(); v == 0 {
-		t.Error("no fail-fast rejections counted in netsim.breaker_open")
-	}
-	if len(retriesAfter) != len(ds.Walks) {
-		t.Fatalf("OnWalkComplete ran %d times for %d walks", len(retriesAfter), len(ds.Walks))
-	}
-	// Retries come only from walk 0, whose seed sequences — one per
-	// crawler with a seed record — ran before the breaker opened. With
-	// threshold 2 and 3 attempts per sequence, the two sequences that
-	// tripped it retried twice each; any other walk-0 sequence retries
-	// at most twice.
-	seqs := int64(len(ds.Walks[0].SeedLoad))
-	if r0 := retriesAfter[0]; r0 < 4 || r0 > 2*seqs {
-		t.Errorf("walk 0 retries = %d, want 4..%d (2 per tripping sequence, at most 2 per each of %d sequences)",
-			r0, 2*seqs, seqs)
-	}
-	// Breaker-open is permanent here, so later walks fail fast.
-	for i, v := range retriesAfter[1:] {
-		if v != retriesAfter[0] {
-			t.Errorf("walk %d added %d retries after the breaker opened", i+1, v-retriesAfter[0])
-		}
-	}
-	// Every walk still fails — fast, but recorded.
 	for _, w := range ds.Walks {
-		if w.Ended != OutcomeConnectError {
-			t.Fatalf("walk %d ended %q, want connect-error", w.Index, w.Ended)
+		boom := w.Seeder == "boom.example.com"
+		if got := strings.Contains(w.Degraded, "panic: handler exploded"); got != boom {
+			t.Errorf("walk %d (%s): Degraded = %q", w.Index, w.Seeder, w.Degraded)
+		}
+		if !boom && w.SeedLoad[Safari1R] == nil {
+			t.Errorf("walk %d: calm walk lost its seed loads", w.Index)
 		}
 	}
 }

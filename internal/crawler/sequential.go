@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"crumbcruncher/internal/browser"
+	"crumbcruncher/internal/netsim"
 	"crumbcruncher/internal/stats"
 )
 
@@ -66,6 +67,7 @@ func SequentialCrawl(cfg Config, users int) (*Dataset, error) {
 // only — the same script every user runs, which still diverges wherever
 // content is dynamic.
 func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile string) {
+	clock := netsim.NewVirtualClock()
 	b := browser.New(browser.Config{
 		Seed:      cfg.Seed,
 		ProfileID: profile,
@@ -74,6 +76,7 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 		UserAgent: browser.DefaultSafariUA,
 		Policy:    policyFor(Safari1),
 		Network:   cfg.Network,
+		Clock:     clock,
 	})
 	seedURL := "http://" + w.Seeder + "/"
 	page, err := b.Navigate(seedURL, "")
@@ -93,7 +96,7 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 		idx := pickSequential(cfg, split, w.Index, step, b, page)
 		if idx < 0 {
 			srec.Fail = "no clickable element"
-			putSequentialStep(w, step, name, srec)
+			putStep(w, step, name, srec)
 			return
 		}
 		srec.ClickIndex = idx
@@ -102,15 +105,15 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 		if cerr != nil {
 			srec.Fail = "click: " + cerr.Error()
 			srec.Requests = b.Requests()
-			putSequentialStep(w, step, name, srec)
+			putStep(w, step, name, srec)
 			return
 		}
-		cfg.Network.Clock().Advance(time.Duration(cfg.DwellSeconds) * time.Second)
+		clock.Advance(time.Duration(cfg.DwellSeconds) * time.Second)
 		srec.NavChain = next.Chain
 		srec.LandedURL = next.URL.String()
 		srec.Requests = b.Requests()
 		srec.After = takeSnapshot(b, next.URL.String())
-		putSequentialStep(w, step, name, srec)
+		putStep(w, step, name, srec)
 		page = next
 	}
 }
@@ -143,15 +146,4 @@ func pickSequential(cfg Config, split *stats.Splitter, walk, step int, b *browse
 	default:
 		return all[rng.Intn(len(all))]
 	}
-}
-
-func putSequentialStep(w *Walk, stepIdx int, name string, rec *CrawlerStep) {
-	for len(w.Steps) < stepIdx {
-		w.Steps = append(w.Steps, &Step{
-			Walk:    w.Index,
-			Index:   len(w.Steps) + 1,
-			Records: map[string]*CrawlerStep{},
-		})
-	}
-	w.Steps[stepIdx-1].Records[name] = rec
 }

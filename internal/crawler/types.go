@@ -1,6 +1,6 @@
 // Package crawler implements CrumbCruncher's measurement crawl: four
-// synchronized crawlers (Safari-1, Safari-2, Chrome-3 in parallel plus the
-// trailing repeat crawler Safari-1R), a central HTTP controller that picks
+// synchronized crawlers (Safari-1, Safari-2, Chrome-3 in lockstep plus the
+// trailing repeat crawler Safari-1R), a central controller that picks
 // the element all crawlers click using the paper's three matching
 // heuristics (§3.3), ten-step random walks from seeder domains (§3.1), and
 // the dataset of cookies, localStorage and web requests the analysis
@@ -21,8 +21,9 @@ const (
 	Safari1R = "Safari-1R"
 )
 
-// ParallelCrawlers are the three crawlers the controller synchronizes;
-// Safari-1R trails Safari-1 and is not part of the rendezvous.
+// ParallelCrawlers are the three crawlers the controller synchronizes,
+// in the order a walk drives them; Safari-1R trails Safari-1 and is not
+// part of the controller's choice.
 var ParallelCrawlers = []string{Safari1, Safari2, Chrome3}
 
 // AllCrawlers lists all four crawlers.

@@ -156,14 +156,12 @@ func TestDegradedResponsesEndToEnd(t *testing.T) {
 	if body, _ := ReadBody(resp); body != "real content" {
 		t.Fatalf("attempt 1 body = %q, handler not reached", body)
 	}
-	if got := n.Clock().Now(); got.Before(Epoch) {
-		t.Fatalf("clock went backwards: %v", got)
-	}
 }
 
 // TestDeadlineExceeded proves a latency spike beyond the request
-// deadline consumes exactly the deadline of virtual time and fails with
-// a retryable timeout.
+// deadline consumes exactly the deadline of the caller's virtual clock
+// and fails with a retryable timeout, while RoundTrip, which has no
+// clock, consumes none.
 func TestDeadlineExceeded(t *testing.T) {
 	n := New()
 	tel := telemetry.New(nil, 8)
@@ -172,71 +170,35 @@ func TestDeadlineExceeded(t *testing.T) {
 	n.SetRequestDeadline(5 * time.Second)
 	n.Handle("spiky.com", okHandler("ok"))
 
-	before := n.Clock().Now()
-	_, err := n.Client().Get("http://spiky.com/")
+	clock := NewVirtualClock()
+	req, _ := http.NewRequest("GET", "http://spiky.com/", nil)
+	_, err := n.Do(req, clock)
 	if err == nil {
 		t.Fatal("expected deadline timeout")
 	}
 	if !resilience.Retryable(err) {
 		t.Errorf("deadline timeout %v should be retryable", err)
 	}
-	if got := n.Clock().Now().Sub(before); got != 5*time.Second {
+	if got := clock.Now().Sub(Epoch); got != 5*time.Second {
 		t.Errorf("request consumed %v of virtual time, want exactly the 5s deadline", got)
 	}
-	if v := tel.Registry().Counter("netsim.deadline_exceeded").Value(); v != 1 {
-		t.Errorf("deadline_exceeded = %d, want 1", v)
+	if _, err := n.Client().Get("http://spiky.com/"); err == nil {
+		t.Fatal("expected deadline timeout through http.Client")
+	}
+	if v := tel.Registry().Counter("netsim.deadline_exceeded").Value(); v != 2 {
+		t.Errorf("deadline_exceeded = %d, want 2", v)
 	}
 
 	// The retry (attempt 1) misses the spike and completes under the
 	// deadline.
-	req, _ := http.NewRequest("GET", "http://spiky.com/", nil)
+	req, _ = http.NewRequest("GET", "http://spiky.com/", nil)
 	req.Header.Set(HeaderAttempt, "1")
-	resp, err := n.Client().Do(req)
+	resp, err := n.Do(req, clock)
 	if err != nil {
 		t.Fatalf("attempt 1: %v", err)
 	}
 	resp.Body.Close()
-}
-
-// TestBreakerFailFast wires a breaker set into the network and proves an
-// open breaker rejects requests before fault injection or latency.
-func TestBreakerFailFast(t *testing.T) {
-	n := New()
-	tel := telemetry.New(nil, 8)
-	n.SetTelemetry(tel)
-	n.Handle("dead.com", okHandler("ok"))
-	set := resilience.NewBreakerSet(resilience.BreakerConfig{Threshold: 1, Cooldown: time.Hour}, n.Clock(), nil, tel.Registry())
-	n.SetBreakers(set)
-
-	set.ReportHost("dead.com", fmt.Errorf("sequence failed"))
-	before := n.Clock().Now()
-	_, err := n.Client().Get("http://dead.com/")
-	if err == nil {
-		t.Fatal("open breaker admitted a request")
-	}
-	if !resilience.IsBreakerOpen(err) {
-		t.Fatalf("error %v is not a breaker rejection", err)
-	}
-	if !n.Clock().Now().Equal(before) {
-		t.Error("breaker rejection consumed virtual time; fail-fast must not")
-	}
-	if v := tel.Registry().Counter("netsim.breaker_open").Value(); v != 1 {
-		t.Errorf("breaker_open = %d, want 1", v)
-	}
-}
-
-// TestVirtualClockAdvanceTo covers the crawl-resume primitive: the
-// clock jumps forward to a recorded instant and never backwards.
-func TestVirtualClockAdvanceTo(t *testing.T) {
-	c := NewVirtualClock()
-	target := Epoch.Add(42 * time.Minute)
-	if got := c.AdvanceTo(target); !got.Equal(target) {
-		t.Fatalf("AdvanceTo = %v, want %v", got, target)
-	}
-	if got := c.AdvanceTo(Epoch); !got.Equal(target) {
-		t.Fatalf("AdvanceTo moved the clock backwards to %v", got)
-	}
-	if !c.Now().Equal(target) {
-		t.Fatalf("Now = %v, want %v", c.Now(), target)
+	if got := clock.Now().Sub(Epoch); got != 5*time.Second {
+		t.Errorf("clock at %v after the retry, want still 5s", got)
 	}
 }

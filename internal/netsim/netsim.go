@@ -13,9 +13,11 @@
 //     wrapping syscall errnos, decided deterministically per registered
 //     domain so that synchronized crawlers observe identical failures.
 //
-//   - Latency. Requests are assigned log-normally distributed latencies on
-//     a virtual clock (no real sleeping), so timing-derived statistics are
-//     reproducible and fast.
+//   - Time. A request consumes virtual time — an injected latency spike,
+//     or the request deadline it blows — on the clock its caller passes
+//     to Do (no real sleeping), so timing-derived data is reproducible
+//     and fast. The network owns no clock: a crawl gives every walk its
+//     own, so no walk's time depends on another's.
 package netsim
 
 import (
@@ -32,7 +34,6 @@ import (
 	"time"
 
 	"crumbcruncher/internal/publicsuffix"
-	"crumbcruncher/internal/resilience"
 	"crumbcruncher/internal/stats"
 	"crumbcruncher/internal/telemetry"
 )
@@ -43,8 +44,8 @@ import (
 // of goroutine interleaving and identical at any Parallelism.
 const HeaderAttempt = "X-Crumb-Attempt"
 
-// Network is a virtual Internet: a host registry plus fault and latency
-// models. It is safe for concurrent use by multiple crawlers.
+// Network is a virtual Internet: a host registry plus a fault model. It
+// is safe for concurrent use by multiple crawlers.
 type Network struct {
 	mu    sync.RWMutex
 	hosts map[string]http.Handler
@@ -57,9 +58,6 @@ type Network struct {
 	resolver func(host string)
 
 	faults   *FaultInjector
-	latency  *LatencyModel
-	clock    *VirtualClock
-	breakers *resilience.BreakerSet
 	deadline time.Duration
 
 	// Request accounting lives in a telemetry registry: a private one
@@ -72,7 +70,6 @@ type Network struct {
 	faultsInjected   *telemetry.Counter
 	unknownHosts     *telemetry.Counter
 	latencyHist      *telemetry.Histogram
-	breakerOpen      *telemetry.Counter
 	deadlineExceeded *telemetry.Counter
 	degradedResps    *telemetry.Counter
 
@@ -82,13 +79,11 @@ type Network struct {
 	observers []*Subscription
 }
 
-// New returns an empty Network with no faults and zero latency.
+// New returns an empty Network with no faults.
 func New() *Network {
 	n := &Network{
-		hosts:   make(map[string]http.Handler),
-		faults:  NewFaultInjector(0, 0),
-		latency: NewLatencyModel(0, 0, 0),
-		clock:   NewVirtualClock(),
+		hosts:  make(map[string]http.Handler),
+		faults: NewFaultInjector(0, 0),
 	}
 	n.bindInstruments(telemetry.NewRegistry())
 	return n
@@ -101,23 +96,20 @@ func (n *Network) bindInstruments(reg *telemetry.Registry) {
 	n.faultsInjected = reg.Counter("netsim.faults_injected")
 	n.unknownHosts = reg.Counter("netsim.unknown_hosts")
 	n.latencyHist = reg.Histogram("netsim.latency_us")
-	n.breakerOpen = reg.Counter("netsim.breaker_open")
 	n.deadlineExceeded = reg.Counter("netsim.deadline_exceeded")
 	n.degradedResps = reg.Counter("netsim.degraded_responses")
 }
 
-// SetTelemetry attaches the run's telemetry: per-request spans stamped
-// from the network's virtual clock, and the request/failure counters
-// rebound into the shared registry. Must be called before the network
-// is shared with concurrent users; passing nil reverts to a private
-// registry (counting continues, spans stop).
+// SetTelemetry attaches the run's telemetry: per-request spans, and the
+// request/failure counters rebound into the shared registry. Must be
+// called before the network is shared with concurrent users; passing
+// nil reverts to a private registry (counting continues, spans stop).
 func (n *Network) SetTelemetry(t *telemetry.Telemetry) {
 	n.tel = t
 	if t == nil {
 		n.bindInstruments(telemetry.NewRegistry())
 		return
 	}
-	t.SetClock(n.clock)
 	n.bindInstruments(t.Registry())
 }
 
@@ -133,31 +125,11 @@ func (n *Network) SetFaults(f *FaultInjector) {
 // Faults returns the active fault injector.
 func (n *Network) Faults() *FaultInjector { return n.faults }
 
-// SetLatency installs a latency model. Passing nil disables latency.
-func (n *Network) SetLatency(l *LatencyModel) {
-	if l == nil {
-		l = NewLatencyModel(0, 0, 0)
-	}
-	n.latency = l
-}
-
-// SetBreakers installs the crawl's circuit-breaker table; RoundTrip
-// fails fast (without dispatching) on hosts whose breaker is open.
-// Passing nil disables breaker checks. Must be called before the
-// network is shared with concurrent users.
-func (n *Network) SetBreakers(b *resilience.BreakerSet) { n.breakers = b }
-
-// Breakers returns the installed breaker table (nil when disabled).
-func (n *Network) Breakers() *resilience.BreakerSet { return n.breakers }
-
 // SetRequestDeadline enforces a per-request deadline: any request whose
-// sampled latency (including injected spikes) would exceed d instead
-// consumes exactly d of virtual time and fails with a timeout. Zero
-// disables deadlines. Must be called before the network is shared.
+// latency (an injected spike) would exceed d instead consumes exactly d
+// of virtual time and fails with a timeout. Zero disables deadlines.
+// Must be called before the network is shared.
 func (n *Network) SetRequestDeadline(d time.Duration) { n.deadline = d }
-
-// Clock returns the network's virtual clock.
-func (n *Network) Clock() *VirtualClock { return n.clock }
 
 // SetResolver installs a lazy host resolver, called (outside the
 // registry lock) when a request targets an unregistered host. The
@@ -261,8 +233,17 @@ func (e *ErrUnknownHost) Error() string {
 // now never will inside one simulated crawl.
 func (e *ErrUnknownHost) Permanent() bool { return true }
 
-// RoundTrip implements http.RoundTripper.
+// RoundTrip implements http.RoundTripper for http.Client users. It is Do
+// without a clock: the request consumes no virtual time.
 func (n *Network) RoundTrip(req *http.Request) (*http.Response, error) {
+	return n.Do(req, nil)
+}
+
+// Do dispatches req and advances clock by the virtual time the request
+// consumes; a nil clock consumes none. The clock is an argument rather
+// than network state so that concurrent walks, each with its own clock,
+// never see each other's time.
+func (n *Network) Do(req *http.Request, clock *VirtualClock) (*http.Response, error) {
 	n.requests.Inc()
 	host := hostOnly(req.URL.Host)
 	sp := n.tel.StartSpan("netsim", "roundtrip").Attr("host", host)
@@ -272,15 +253,6 @@ func (n *Network) RoundTrip(req *http.Request) (*http.Response, error) {
 	n.obsMu.RUnlock()
 	for _, s := range obs {
 		s.fn(req)
-	}
-
-	// Fail fast before fault injection or latency: an open breaker
-	// models the client refusing to dial at all.
-	if err, ok := n.breakers.Allow(host); !ok {
-		n.failures.Inc()
-		n.breakerOpen.Inc()
-		sp.Attr("fault", "breaker-open").EndErr(err)
-		return nil, err
 	}
 
 	attempt := 0
@@ -315,11 +287,11 @@ func (n *Network) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 
-	lat := n.latency.Sample(host) + ft.ExtraLatency
+	lat := ft.ExtraLatency
 	if n.deadline > 0 && lat > n.deadline {
 		// The client hangs up at the deadline: the request consumes
 		// exactly the deadline of virtual time, then times out.
-		n.clock.Advance(n.deadline)
+		clock.Advance(n.deadline)
 		n.latencyHist.Observe(n.deadline.Microseconds())
 		n.failures.Inc()
 		n.deadlineExceeded.Inc()
@@ -327,7 +299,7 @@ func (n *Network) RoundTrip(req *http.Request) (*http.Response, error) {
 		sp.Attr("fault", "deadline").EndErr(err)
 		return nil, err
 	}
-	n.clock.Advance(lat)
+	clock.Advance(lat)
 	n.latencyHist.Observe(lat.Microseconds())
 
 	if ft.Status != 0 {
@@ -753,39 +725,10 @@ func (*timeoutError) Error() string   { return "i/o timeout" }
 func (*timeoutError) Timeout() bool   { return true }
 func (*timeoutError) Temporary() bool { return true }
 
-// LatencyModel assigns log-normal latencies per host on the virtual
-// clock.
-type LatencyModel struct {
-	mu    sync.Mutex
-	rng   *stats.RNG
-	mu_   float64
-	sigma float64
-}
-
-// NewLatencyModel returns a model drawing latencies (in milliseconds) from
-// LogNormal(mu, sigma). A sigma of 0 with mu of 0 disables latency.
-func NewLatencyModel(seed int64, mu, sigma float64) *LatencyModel {
-	return &LatencyModel{
-		rng:   stats.NewRNG(stats.DeriveSeed(seed, "netsim/latency")),
-		mu_:   mu,
-		sigma: sigma,
-	}
-}
-
-// Sample draws the latency for a request to host.
-func (l *LatencyModel) Sample(host string) time.Duration {
-	if l.mu_ == 0 && l.sigma == 0 {
-		return 0
-	}
-	l.mu.Lock()
-	ms := l.rng.LogNormal(l.mu_, l.sigma)
-	l.mu.Unlock()
-	return time.Duration(ms * float64(time.Millisecond))
-}
-
 // VirtualClock is a monotonically advancing simulated clock. Crawl
 // timestamps (cookie creation, expiry horizons) come from here, so runs are
-// instant in wall time yet produce realistic-looking time data.
+// instant in wall time yet produce realistic-looking time data. A crawl
+// gives each walk its own clock, shared by the walk's four browsers.
 type VirtualClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -806,24 +749,15 @@ func (c *VirtualClock) Now() time.Time {
 }
 
 // Advance moves the clock forward by d (ignoring non-positive values) and
-// returns the new time.
+// returns the new time. A nil clock ignores every advance.
 func (c *VirtualClock) Advance(d time.Duration) time.Time {
+	if c == nil {
+		return time.Time{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if d > 0 {
 		c.now = c.now.Add(d)
-	}
-	return c.now
-}
-
-// AdvanceTo moves the clock forward to t if t is in the future (the
-// clock never goes backwards) and returns the current time. A resumed
-// crawl uses it to restore the instant an interrupted crawl reached.
-func (c *VirtualClock) AdvanceTo(t time.Time) time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.After(c.now) {
-		c.now = t
 	}
 	return c.now
 }

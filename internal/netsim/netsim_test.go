@@ -194,20 +194,33 @@ func TestVirtualClockAdvances(t *testing.T) {
 	}
 }
 
+// TestLatencyAdvancesClock: a request's latency — a first-attempt
+// spike under no deadline — advances exactly the clock passed to Do,
+// and RoundTrip, which has none, consumes no virtual time.
 func TestLatencyAdvancesClock(t *testing.T) {
 	n := New()
-	n.SetLatency(NewLatencyModel(1, 3.5, 0.5)) // ~33ms median
+	n.SetFaults(NewFaultInjectorConfig(1, FaultConfig{SpikeRate: 1, SpikeLatency: 3 * time.Second}))
 	n.Handle("a.com", okHandler("x"))
-	before := n.Clock().Now()
-	for i := 0; i < 10; i++ {
-		resp, err := n.Client().Get("http://a.com/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	clock, other := NewVirtualClock(), NewVirtualClock()
+	req, _ := http.NewRequest("GET", "http://a.com/", nil)
+	resp, err := n.Do(req, clock)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !n.Clock().Now().After(before) {
-		t.Fatal("virtual clock did not advance")
+	resp.Body.Close()
+	if got := clock.Now().Sub(Epoch); got != 3*time.Second {
+		t.Fatalf("clock advanced %v, want the 3s spike", got)
+	}
+	if !other.Now().Equal(Epoch) {
+		t.Fatal("a request advanced a clock it was not given")
+	}
+	resp, err = n.Client().Get("http://a.com/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := clock.Now().Sub(Epoch); got != 3*time.Second {
+		t.Fatalf("RoundTrip moved the walk clock to %v", got)
 	}
 }
 
@@ -426,9 +439,10 @@ func TestTelemetryCountersAndSpans(t *testing.T) {
 	if spans[1].Err == "" || spans[1].Attrs["fault"] != "unknown-host" {
 		t.Fatalf("fault span = %+v", spans[1])
 	}
-	// Spans are stamped from the network's virtual clock.
-	if spans[0].Start.Before(Epoch) {
-		t.Fatalf("span start %v predates the virtual epoch", spans[0].Start)
+	// The network owns no clock, so it attaches none to the telemetry:
+	// spans carry zero virtual time.
+	if !spans[0].Start.IsZero() {
+		t.Fatalf("span start %v, want the zero time", spans[0].Start)
 	}
 
 	// Detaching telemetry keeps counting in a fresh private registry.

@@ -1,20 +1,16 @@
 // Package resilience is the pipeline's failure-handling layer: a generic
 // retry policy (capped exponential backoff with seeded jitter, slept on
-// the simulation's virtual clock so retries cost zero wall time), a
-// retryable-vs-permanent error classifier, and per-registered-domain
-// circuit breakers that stop retry storms against hosts that are down for
-// good.
+// the simulation's virtual clock so retries cost zero wall time) and a
+// retryable-vs-permanent error classifier.
 //
 // Everything here is deterministic: backoff delays are a pure function of
-// (seed, key, attempt), fault recovery in netsim is a pure function of
-// (domain, attempt), and breaker state advances only on explicit
-// sequence-level reports — so a crawl with retries enabled produces the
-// same dataset for a given seed regardless of wall-clock scheduling or
+// (seed, key, attempt) and fault recovery in netsim is a pure function of
+// (domain, attempt), so a crawl with retries enabled produces the same
+// dataset for a given seed regardless of wall-clock scheduling or
 // Parallelism.
 package resilience
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -128,11 +124,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 // Do runs op under the policy: up to MaxAttempts attempts, backing off
 // on the virtual clock between retryable failures. Permanent errors
 // (per Retryable) stop immediately. A response's Retry-After hint, when
-// longer than the computed backoff, replaces it. sleep, when non-nil,
-// is additionally invoked with each backoff delay — a wall-clock hook
-// used by tests to prove schedules perturbed only in real time leave
-// results identical. m may be nil.
-func Do(ctx context.Context, clock Clock, seed int64, key string, p Policy, sleep func(time.Duration), m *Metrics, op func(attempt int) error) error {
+// longer than the computed backoff, replaces it. m may be nil.
+func Do(clock Clock, seed int64, key string, p Policy, m *Metrics, op func(attempt int) error) error {
 	if m == nil {
 		m = &Metrics{}
 	}
@@ -142,9 +135,6 @@ func Do(ctx context.Context, clock Clock, seed int64, key string, p Policy, slee
 	}
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
-		if ctx != nil && ctx.Err() != nil && err != nil {
-			return err // cancelled mid-sequence: surface the real failure
-		}
 		if attempt > 0 {
 			m.Retries.Inc()
 		}
@@ -161,9 +151,6 @@ func Do(ctx context.Context, clock Clock, seed int64, key string, p Policy, slee
 		d := p.Backoff(seed, key, attempt)
 		if hint, ok := RetryAfterHint(err); ok && hint > d {
 			d = hint
-		}
-		if sleep != nil {
-			sleep(d)
 		}
 		clock.Advance(d)
 		m.Backoff.Observe(d.Microseconds())
@@ -198,7 +185,7 @@ func (e *HTTPError) Temporary() bool {
 
 // Permanenter lets error types declare themselves non-retryable
 // regardless of their transport shape (e.g. netsim's unknown-host
-// NXDOMAIN, breaker-open fail-fasts).
+// NXDOMAIN).
 type Permanenter interface{ Permanent() bool }
 
 // Retryable classifies an error as transient (worth retrying) or

@@ -110,8 +110,8 @@ func OpenLineFileOpts(path string, want Header, opts OpenOptions) (*LineFile, []
 			// Quarantine: move the damaged file aside so nothing ever
 			// reads past the corruption, and surface where it went.
 			f.Close()
-			q := path + ".corrupt"
-			if rerr := os.Rename(path, q); rerr != nil {
+			q, rerr := Quarantine(path)
+			if rerr != nil {
 				return nil, nil, fmt.Errorf("runio: quarantine %s: %v (damage: %w)", path, rerr, sc.damage)
 			}
 			sc.damage.Quarantined = q

@@ -100,10 +100,11 @@ var ErrCorrupt = errors.New("runio: corrupt record")
 type DamageError struct {
 	Format string // artifact format identifier
 	Path   string // original path ("" when reading a stream)
-	// Offset is the byte offset of the damaged frame within the file.
+	// Offset is the byte offset of the damaged frame within the file
+	// (-1: unknown).
 	Offset int64
 	// Record is the damaged record's index; the header line is record 0,
-	// entries count from 1.
+	// entries count from 1 (-1: unknown).
 	Record int
 	// Quarantined is where the damaged file was moved ("" if it was not).
 	Quarantined string
@@ -118,7 +119,13 @@ func (e *DamageError) Error() string {
 	if e.kind == ErrCorrupt {
 		what = "corrupt"
 	}
-	msg := fmt.Sprintf("runio: %s: %s record %d at byte offset %d", e.Format, what, e.Record, e.Offset)
+	msg := fmt.Sprintf("runio: %s: %s", e.Format, what)
+	if e.Record >= 0 {
+		msg += fmt.Sprintf(" record %d", e.Record)
+	}
+	if e.Offset >= 0 {
+		msg += fmt.Sprintf(" at byte offset %d", e.Offset)
+	}
 	if e.Path != "" {
 		msg += " in " + e.Path
 	}
@@ -130,6 +137,21 @@ func (e *DamageError) Error() string {
 
 // Unwrap exposes the ErrTorn / ErrCorrupt sentinel for errors.Is.
 func (e *DamageError) Unwrap() error { return e.kind }
+
+// Quarantine moves the damaged artifact at path — a file, or a whole
+// store directory — aside to "<path>.corrupt", replacing an earlier
+// quarantine there, so nothing reads past the damage and path is free
+// for a fresh start. It returns where the artifact went.
+func Quarantine(path string) (string, error) {
+	q := path + ".corrupt"
+	if err := os.RemoveAll(q); err != nil {
+		return "", err
+	}
+	if err := os.Rename(path, q); err != nil {
+		return "", err
+	}
+	return q, nil
+}
 
 // NewCorruptError builds a DamageError wrapping ErrCorrupt for damage
 // detected outside this package's own readers — e.g. a compressed run

@@ -7,7 +7,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"time"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runio"
@@ -32,7 +31,6 @@ type lineStore struct {
 	path      string
 	manifest  Manifest
 	raw       map[int][]byte // walk index → raw record payload
-	clock     time.Time      // latest completion instant recorded
 	finalized bool
 }
 
@@ -73,7 +71,6 @@ func openLine(path string) (Store, error) {
 	for _, raw := range entries[1:] {
 		var rec struct {
 			Index int             `json:"index"`
-			Clock time.Time       `json:"clock"`
 			Walk  json.RawMessage `json:"walk"`
 		}
 		if err := json.Unmarshal(raw, &rec); err != nil {
@@ -90,7 +87,6 @@ func openLine(path string) (Store, error) {
 			continue
 		}
 		st.raw[rec.Index] = raw // last record wins
-		st.clock = later(st.clock, rec.Clock)
 	}
 	st.finalized = st.manifest.Walks > 0 && st.manifest.Walks == len(st.raw)
 	return st, nil
@@ -112,15 +108,13 @@ func (st *lineStore) Walks() int {
 	return len(st.raw)
 }
 
-func (st *lineStore) Append(w *crawler.Walk) error { return st.Record(w, time.Time{}) }
-
-func (st *lineStore) Record(w *crawler.Walk, clock time.Time) error {
+func (st *lineStore) Append(w *crawler.Walk) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.finalized {
 		return ErrFinalized
 	}
-	raw, err := encodeWalk(w, clock)
+	raw, err := encodeWalk(w)
 	if err != nil {
 		return err
 	}
@@ -128,14 +122,7 @@ func (st *lineStore) Record(w *crawler.Walk, clock time.Time) error {
 		return err
 	}
 	st.raw[w.Index] = raw
-	st.clock = later(st.clock, clock)
 	return nil
-}
-
-func (st *lineStore) Clock() time.Time {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.clock
 }
 
 func (st *lineStore) Get(idx int) (*crawler.Walk, error) {

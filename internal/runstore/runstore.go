@@ -16,10 +16,10 @@
 //     atomically rewritten manifest. Memory is O(one segment); this is
 //     the backend for 100k-walk datasets.
 //
-// A store is also a crawl's walk log: the crawl records each walk as
-// it finishes, with the virtual instant it finished at, and a crawl
-// resumed over an unfinalized store skips the walks it already holds
-// and restarts the clock from the latest instant recorded (Clock).
+// A store is also a crawl's walk log: the crawl appends each walk as it
+// finishes, and a crawl resumed over an unfinalized store skips the
+// walks it already holds. A walk depends only on the configuration and
+// its index, so nothing else needs restoring.
 //
 // The package depends only on crawler and runio; analysis layers sit
 // above it.
@@ -32,7 +32,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runio"
@@ -63,12 +62,6 @@ type Store interface {
 	// order (parallel crawls finish out of order); readers always see
 	// index order.
 	Append(w *crawler.Walk) error
-	// Record is Append for a live crawl: the record also carries the
-	// virtual instant the crawl's clock had reached when w finished.
-	Record(w *crawler.Walk, clock time.Time) error
-	// Clock returns the latest completion instant any record carries
-	// (zero when none does): where a resumed crawl restarts its clock.
-	Clock() time.Time
 	// Get returns the walk with the given index, decoding only what
 	// that lookup needs. A missing index returns ErrNoWalk, and a record
 	// that holds another walk than the one asked for an error wrapping
@@ -183,20 +176,17 @@ func Copy(dst Store, src Store) error {
 }
 
 // walkRecord is the on-disk form of one walk, shared by both backends.
-// Clock is set only by Record; an Appended walk has none.
+// Records written before walks had their own clocks also carry a
+// "clock" key (the crawl-wide virtual instant the walk finished at);
+// readers skip it.
 type walkRecord struct {
 	Index int           `json:"index"`
-	Clock *time.Time    `json:"clock,omitempty"`
 	Walk  *crawler.Walk `json:"walk"`
 }
 
-// encodeWalk encodes w's record, with clock unless it is zero.
-func encodeWalk(w *crawler.Walk, clock time.Time) ([]byte, error) {
-	rec := walkRecord{Index: w.Index, Walk: w}
-	if !clock.IsZero() {
-		rec.Clock = &clock
-	}
-	raw, err := json.Marshal(rec)
+// encodeWalk encodes w's record.
+func encodeWalk(w *crawler.Walk) ([]byte, error) {
+	raw, err := json.Marshal(walkRecord{Index: w.Index, Walk: w})
 	if err != nil {
 		return nil, fmt.Errorf("runstore: encode walk %d: %w", w.Index, err)
 	}
@@ -206,14 +196,6 @@ func encodeWalk(w *crawler.Walk, clock time.Time) ([]byte, error) {
 // stamp copies the documents Stamp replaces from src into m.
 func (m *Manifest) stamp(src Manifest) {
 	m.Crawlers, m.Config, m.Provenance = src.Crawlers, src.Config, src.Provenance
-}
-
-// later returns the later of two instants.
-func later(a, b time.Time) time.Time {
-	if b.After(a) {
-		return b
-	}
-	return a
 }
 
 // decodeWalk decodes the raw record of walk idx, failing with

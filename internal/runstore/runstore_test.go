@@ -8,10 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,14 +161,11 @@ func TestStoreResumeAfterClose(t *testing.T) {
 	}
 }
 
-// TestStoreRecordClock pins the walk-log side of a store: Record keeps
-// each walk's completion clock, Clock reports the latest one across a
-// reopen (from sealed segments' index entries and from unsealed
-// records alike), Stamp replaces the manifest's documents at Finalize,
-// and Finalized survives a reopen. A walk Appended without a clock
-// keeps the record layout it always had.
-func TestStoreRecordClock(t *testing.T) {
-	epoch := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+// TestStoreStampFinalize pins the walk-log side of a store across
+// reopens (from sealed segments and unsealed records alike): Stamp
+// replaces the manifest's documents at Finalize, Finalized survives a
+// reopen, and a walk record keeps the layout it always had.
+func TestStoreStampFinalize(t *testing.T) {
 	for backend, path := range backends(t) {
 		t.Run(string(backend), func(t *testing.T) {
 			st, err := Create(path, backend, testManifest(3))
@@ -176,11 +175,8 @@ func TestStoreRecordClock(t *testing.T) {
 			if seg, ok := st.(*segmentStore); ok {
 				seg.segWalks = 2 // walks 0-3 seal, walk 4 stays active
 			}
-			latest := epoch
-			for i, minutes := range []int{3, 9, 4, 1, 6} {
-				clock := epoch.Add(time.Duration(minutes) * time.Minute)
-				latest = later(latest, clock)
-				if err := st.Record(testWalk(i), clock); err != nil {
+			for _, i := range []int{3, 1, 4, 0, 2} {
+				if err := st.Append(testWalk(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -190,9 +186,6 @@ func TestStoreRecordClock(t *testing.T) {
 			st, err = Open(path)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if got := st.Clock(); !got.Equal(latest) {
-				t.Fatalf("reopened Clock() = %v, want %v", got, latest)
 			}
 			if st.Finalized() {
 				t.Fatal("unfinalized store reopened as finalized")
@@ -222,7 +215,7 @@ func TestStoreRecordClock(t *testing.T) {
 		})
 	}
 
-	raw, err := encodeWalk(testWalk(0), time.Time{})
+	raw, err := encodeWalk(testWalk(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +224,85 @@ func TestStoreRecordClock(t *testing.T) {
 		Walk  *crawler.Walk `json:"walk"`
 	}{0, testWalk(0)})
 	if !bytes.Equal(raw, old) {
-		t.Fatalf("clockless record changed layout:\n got %s\nwant %s", raw, old)
+		t.Fatalf("record changed layout:\n got %s\nwant %s", raw, old)
+	}
+}
+
+// clockedRecord is walk i's record as stores written before walks had
+// their own clocks hold it: with the crawl's virtual instant under
+// "clock".
+func clockedRecord(t *testing.T, i int) json.RawMessage {
+	t.Helper()
+	raw, err := json.Marshal(struct {
+		Index int           `json:"index"`
+		Clock time.Time     `json:"clock"`
+		Walk  *crawler.Walk `json:"walk"`
+	}{i, time.Date(2022, 3, 1, 0, i, 0, 0, time.UTC), testWalk(i)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestStoreReadsClockedRecords opens stores whose walk records carry
+// the "clock" key older crawls wrote: a line file, and a segment store
+// whose unsealed segment is adopted on open and then sealed. Every
+// walk reads back intact, on the fast decoder.
+func TestStoreReadsClockedRecords(t *testing.T) {
+	const walks = 3
+	for backend, path := range backends(t) {
+		t.Run(string(backend), func(t *testing.T) {
+			var (
+				lf  *runio.LineFile
+				err error
+			)
+			switch backend {
+			case BackendLine:
+				m := testManifest(4)
+				m.Header = lineHeader(4)
+				lf, _, err = runio.OpenLineFile(path, m.Header)
+				if err == nil {
+					err = lf.Append(m)
+				}
+			case BackendSegment:
+				var st Store
+				if st, err = Create(path, backend, testManifest(4)); err == nil {
+					st.Close()
+					lf, _, err = runio.OpenLineFile(segJSONLPath(path, 0), segHeader(4))
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < walks; i++ {
+				raw := clockedRecord(t, i)
+				if _, ok := decodeWalkRecord(raw); !ok {
+					t.Fatalf("fast decoder refused clocked record %s", raw)
+				}
+				if err := lf.Append(raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lf.Close()
+
+			st, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if err := st.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			got := drain(t, st)
+			if len(got) != walks {
+				t.Fatalf("read %d walks, want %d", len(got), walks)
+			}
+			for i, w := range got {
+				if !reflect.DeepEqual(w, testWalk(i)) {
+					t.Fatalf("walk %d = %+v", i, w)
+				}
+			}
+		})
 	}
 }
 
@@ -635,4 +706,99 @@ func TestConcurrentGet(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSealedSegmentDamageVerify covers a sealed segment that is damaged
+// or gone. A segment the index lists whose file is missing — as an
+// earlier read's quarantine leaves it — reads as damage, not as a
+// file-system error. Verify finds damage before any Get does, and moves
+// the whole store aside so its path is free for a fresh store.
+func TestSealedSegmentDamageVerify(t *testing.T) {
+	sealedStore := func(t *testing.T) string {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "run.crumbs")
+		st, err := Create(dir, BackendSegment, testManifest(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.(*segmentStore).segWalks = 2
+		for i := 0; i < 5; i++ { // segments 0 and 1 seal, walk 4 stays active
+			if err := st.Append(testWalk(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	t.Run("missing", func(t *testing.T) {
+		dir := sealedStore(t)
+		if err := os.Remove(segSealedPath(dir, 0)); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for i := 0; i < 2; i++ {
+			_, err := st.Get(i)
+			if !errors.Is(err, runio.ErrCorrupt) || errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("Get(%d) from a missing segment = %v, want ErrCorrupt", i, err)
+			}
+			if msg := err.Error(); strings.Contains(msg, "record -1") || strings.Contains(msg, "offset -1") {
+				t.Errorf("damage message names unknown positions: %v", err)
+			}
+		}
+		if w, err := st.Get(2); err != nil || !reflect.DeepEqual(w, testWalk(2)) {
+			t.Fatalf("Get(2) from an intact segment = %+v, %v", w, err)
+		}
+	})
+
+	t.Run("verify", func(t *testing.T) {
+		dir := sealedStore(t)
+		path := segSealedPath(dir, 1)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x01
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatalf("open leaves sealed segments to their first read: %v", err)
+		}
+		err = Verify(st)
+		var de *runio.DamageError
+		if !errors.As(err, &de) || !errors.Is(err, runio.ErrCorrupt) {
+			t.Fatalf("Verify = %v, want a DamageError wrapping ErrCorrupt", err)
+		}
+		if de.Quarantined != dir+".corrupt" {
+			t.Fatalf("store quarantined to %q, want %q", de.Quarantined, dir+".corrupt")
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("damaged store still at its path: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir+".corrupt", "seg-000001.sgz.corrupt")); err != nil {
+			t.Fatalf("damaged segment not quarantined inside the store: %v", err)
+		}
+	})
+
+	t.Run("intact", func(t *testing.T) {
+		st, err := Open(sealedStore(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if err := Verify(st); err != nil {
+			t.Fatalf("Verify on an intact store: %v", err)
+		}
+		if got := drain(t, st); len(got) != 5 {
+			t.Fatalf("walks after Verify = %d, want 5", len(got))
+		}
+	})
 }

@@ -7,11 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runio"
@@ -28,15 +28,15 @@ import (
 // CRC framing, fsync policy and chaos fault hooks all apply unchanged —
 // and every segWalks records the segment seals: its bytes are
 // re-framed, gzipped and land via atomic rename, the jsonl is removed,
-// and the index gains a {seg, indices, clock} record (clock: the latest
-// completion instant the segment's records carry, if any). A crash
+// and the index gains a {seg, indices} record. A crash
 // between any two steps leaves either the jsonl (recovered and
 // re-adopted on open) or the sealed sgz — never neither.
 // Reading is O(one segment) of memory: the index maps a walk to its
 // segment, the segment gunzips, and every record's checksum verifies
 // before a byte of it is decoded. A segment that fails verification is
 // quarantined to "<seg>.corrupt" and surfaces a DamageError, matching
-// the line-file damage contract.
+// the line-file damage contract; a segment the index lists whose file
+// is gone reads as the same damage.
 
 // segWalksDefault is how many walks a segment holds before sealing.
 const segWalksDefault = 256
@@ -52,13 +52,12 @@ func segIndexHeader(seed int64) runio.Header {
 	return runio.Header{Format: runio.SegmentIndexFormat, Version: segVersion, Seed: seed}
 }
 
-// segIndexEntry is one sealed segment in segments.idx. Clock is the
-// latest completion instant its records carry (nil when none does), so
-// reopening a store learns its resume clock without unsealing segments.
+// segIndexEntry is one sealed segment in segments.idx. Entries written
+// before walks had their own clocks also carry a "clock" key, which
+// decoding ignores.
 type segIndexEntry struct {
-	Seg     int        `json:"seg"`
-	Indices []int      `json:"indices"`
-	Clock   *time.Time `json:"clock,omitempty"`
+	Seg     int   `json:"seg"`
+	Indices []int `json:"indices"`
 }
 
 // segmentStore is the sharded, compressed backend.
@@ -83,8 +82,6 @@ type segmentStore struct {
 	activeSeg int
 	activeIdx []int          // indices in append order
 	activeRaw map[int][]byte // raw payloads of the active segment
-	activeClk time.Time      // latest completion instant in the active segment
-	clock     time.Time      // latest completion instant in the store
 	nextSeg   int
 	finalized bool
 	// cache holds the most recently decoded sealed segments. Two slots:
@@ -187,9 +184,6 @@ func openSegment(dir string) (Store, error) {
 		for _, wi := range e.Indices {
 			st.walkSeg[wi] = e.Seg
 		}
-		if e.Clock != nil {
-			st.clock = later(st.clock, *e.Clock)
-		}
 		if e.Seg >= st.nextSeg {
 			st.nextSeg = e.Seg + 1
 		}
@@ -238,14 +232,13 @@ func (st *segmentStore) adoptUnsealed(n int) error {
 	st.startActive(lf, n)
 	for _, raw := range entries {
 		var rec struct {
-			Index int       `json:"index"`
-			Clock time.Time `json:"clock"`
+			Index int `json:"index"`
 		}
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			lf.Close()
 			return fmt.Errorf("runstore: %s: decode walk record: %w", st.dir, err)
 		}
-		st.addActive(rec.Index, raw, rec.Clock)
+		st.addActive(rec.Index, raw)
 	}
 	if n >= st.nextSeg {
 		st.nextSeg = n + 1
@@ -276,21 +269,16 @@ func (st *segmentStore) startActive(lf *runio.LineFile, n int) {
 	st.activeSeg = n
 	st.activeIdx = nil
 	st.activeRaw = map[int][]byte{}
-	st.activeClk = time.Time{}
 }
 
 // addActive puts a record of the active segment on the maps.
-func (st *segmentStore) addActive(idx int, raw []byte, clock time.Time) {
+func (st *segmentStore) addActive(idx int, raw []byte) {
 	st.activeIdx = append(st.activeIdx, idx)
 	st.activeRaw[idx] = raw
 	st.walkSeg[idx] = st.activeSeg
-	st.activeClk = later(st.activeClk, clock)
-	st.clock = later(st.clock, clock)
 }
 
-func (st *segmentStore) Append(w *crawler.Walk) error { return st.Record(w, time.Time{}) }
-
-func (st *segmentStore) Record(w *crawler.Walk, clock time.Time) error {
+func (st *segmentStore) Append(w *crawler.Walk) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.finalized {
@@ -308,24 +296,18 @@ func (st *segmentStore) Record(w *crawler.Walk, clock time.Time) error {
 		st.startActive(lf, st.nextSeg)
 		st.nextSeg++
 	}
-	raw, err := encodeWalk(w, clock)
+	raw, err := encodeWalk(w)
 	if err != nil {
 		return err
 	}
 	if err := st.active.Append(json.RawMessage(raw)); err != nil {
 		return err
 	}
-	st.addActive(w.Index, raw, clock)
+	st.addActive(w.Index, raw)
 	if len(st.activeIdx) >= st.segWalks {
 		return st.sealActiveLocked()
 	}
 	return nil
-}
-
-func (st *segmentStore) Clock() time.Time {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.clock
 }
 
 // sealActiveLocked compresses the active segment into its sgz, records
@@ -352,11 +334,7 @@ func (st *segmentStore) sealActiveLocked() error {
 	if err != nil {
 		return err
 	}
-	entry := segIndexEntry{Seg: st.activeSeg, Indices: st.activeIdx}
-	if !st.activeClk.IsZero() {
-		entry.Clock = &st.activeClk
-	}
-	if err := st.index.Append(entry); err != nil {
+	if err := st.index.Append(segIndexEntry{Seg: st.activeSeg, Indices: st.activeIdx}); err != nil {
 		return err
 	}
 	st.sealed[st.activeSeg] = st.activeIdx
@@ -384,19 +362,29 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 		return nil, err
 	}
 	path := segSealedPath(st.dir, n)
-	corrupt := func() (map[int][]byte, error) {
-		q := path + ".corrupt"
-		if rerr := os.Rename(path, q); rerr != nil { //crumb:allow fsyncpolicy quarantine move of a damaged segment, mirroring runio's own quarantine; not an atomic-replace
-			q = ""
-		}
-		derr := runio.NewCorruptError(runio.SegmentFormat, path, q)
+	damaged := func(quarantined string) (map[int][]byte, error) {
+		derr := runio.NewCorruptError(runio.SegmentFormat, path, quarantined)
 		if st.damaged == nil {
 			st.damaged = map[int]error{}
 		}
 		st.damaged[n] = derr
 		return nil, derr
 	}
+	corrupt := func() (map[int][]byte, error) {
+		q, _ := runio.Quarantine(path) // "" when the move failed
+		return damaged(q)
+	}
 	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		// The index lists the segment but its file is gone, most likely
+		// quarantined by an earlier read: its walks are lost, which is
+		// damage, not an I/O error.
+		q := path + ".corrupt"
+		if _, serr := os.Stat(q); serr != nil {
+			q = ""
+		}
+		return damaged(q)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("runstore: segment %d: %w", n, err)
 	}
@@ -448,6 +436,45 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 	st.cache[n] = walks
 	st.cacheOrder = append(st.cacheOrder, n)
 	return walks, nil
+}
+
+// Verify reads back every record of st that opening it left unchecked
+// — a segment store's sealed segments; a line store and an unsealed
+// segment verify on open — against its checksums, quarantining a
+// damaged segment as Get does. A store about to be resumed is verified
+// first, so damage surfaces before the crawl trusts its walks. On damage
+// Verify closes st and moves the whole store aside to "<path>.corrupt"
+// (replacing an earlier quarantine there), so its path is free for a
+// fresh start, and returns the DamageError, which names where it went.
+func Verify(st Store) error {
+	seg, ok := st.(*segmentStore)
+	if !ok {
+		return nil
+	}
+	seg.mu.Lock()
+	segs := make([]int, 0, len(seg.sealed))
+	for n := range seg.sealed {
+		segs = append(segs, n)
+	}
+	sort.Ints(segs)
+	var err error
+	for _, n := range segs {
+		if _, err = seg.loadSealedLocked(n); err != nil {
+			break
+		}
+	}
+	seg.mu.Unlock()
+	if err == nil {
+		return nil
+	}
+	st.Close()
+	var de *runio.DamageError
+	if errors.As(err, &de) {
+		if q, qerr := runio.Quarantine(seg.dir); qerr == nil {
+			de.Quarantined = q
+		}
+	}
+	return err
 }
 
 // maxInflateRatio bounds how many bytes deflate can expand one

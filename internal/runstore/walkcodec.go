@@ -45,9 +45,11 @@ func decodeWalkRecord(raw []byte) (walkRecord, bool) {
 		case "index":
 			rec.Index = d.int()
 		case "clock":
+			// Records written before walks had their own clocks carry
+			// the crawl's virtual instant here. walkRecord has no such
+			// field, so encoding/json skips the value, and so does this.
 			if !d.null() {
-				t := d.time()
-				rec.Clock = &t
+				d.stringToken()
 			}
 		case "walk":
 			rec.Walk = d.walk()

@@ -98,7 +98,7 @@ var crawlRecords = sync.OnceValues(func() ([][]byte, error) {
 	}
 	added = append(added, local)
 	for _, w := range added {
-		raw, err := runstore.EncodeWalk(w, time.Time{})
+		raw, err := runstore.EncodeWalk(w)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +163,7 @@ func TestDecodeWalkMatchesJSON(t *testing.T) {
 		sameDecode(t, raw, want.Index)
 		cover(seen, want)
 	}
-	for _, part := range []string{"Err", "Degraded", "Ended", "Skipped", "SeedLoad", "Local", "Expires", "Clock", "Escape"} {
+	for _, part := range []string{"Err", "Degraded", "Ended", "Skipped", "SeedLoad", "Local", "Expires", "Escape"} {
 		if !seen[part] {
 			t.Errorf("no stored record holds %s", part)
 		}
@@ -173,7 +173,6 @@ func TestDecodeWalkMatchesJSON(t *testing.T) {
 // cover marks which optional parts of a walk record rec holds.
 func cover(seen map[string]bool, rec runstore.WalkRecord) {
 	w := rec.Walk
-	seen["Clock"] = seen["Clock"] || rec.Clock != nil
 	seen["Degraded"] = seen["Degraded"] || w.Degraded != ""
 	seen["Ended"] = seen["Ended"] || w.Ended != ""
 	seen["Skipped"] = seen["Skipped"] || w.Skipped
@@ -217,7 +216,7 @@ func TestDecodeWalkFallback(t *testing.T) {
 		{"lone-surrogate", `{"index":3,"walk":{"index":3,"seeder":"a\ud800.example"}}`},
 		{"invalid-utf8", "{\"index\":3,\"walk\":{\"index\":3,\"seeder\":\"a\xff.example\"}}"},
 		{"trailing-bytes", `{"index":3,` + walk + `} x`},
-		{"bad-time", `{"index":3,"clock":"yesterday",` + walk + `}`},
+		{"bad-time", `{"index":3,"walk":{"index":3,"seed_load":{"a":{"requests":[{"Time":"yesterday"}]}}}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -244,6 +243,10 @@ func TestDecodeWalkNonCanonical(t *testing.T) {
 		{"negative", `{"index":-9223372036854775808,"walk":{"index":-0}}`},
 		{"element", `{"index":3,"walk":{"index":3,"steps":[{"records":{"a":{"clicked":{"attr_names":[],"box":{"X":-1,"H":2},"cross_domain":false}}}}]}}`},
 		{"null-record", `null`},
+		// Records written before walks had their own clocks carry one;
+		// nothing decodes it, so any string is skipped.
+		{"clock", `{"index":3,"clock":"2022-03-01T00:10:00Z","walk":{"index":3,"seeder":"a.example"}}`},
+		{"clock-unparsed", `{"walk":{"index":3},"clock":"yesterday","index":3}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"runtime"
 	"runtime/debug"
-	"time"
 )
 
 // Provenance makes an archived run self-describing: the inputs that
@@ -25,9 +24,6 @@ type Provenance struct {
 	GitRevision string `json:"git_revision"`
 	// GoVersion is the toolchain that built the producing binary.
 	GoVersion string `json:"go_version"`
-	// VirtualEnd is the virtual-clock reading when the provenance block
-	// was assembled — the simulated duration of the whole crawl.
-	VirtualEnd time.Time `json:"virtual_end"`
 	// SpansRecorded/SpansDropped account for the tracer ring.
 	SpansRecorded int64 `json:"spans_recorded,omitempty"`
 	SpansDropped  int64 `json:"spans_dropped,omitempty"`
@@ -97,7 +93,6 @@ func NewProvenance(seed int64, cfg any, t *Telemetry) Provenance {
 		GoVersion:   runtime.Version(),
 	}
 	if t != nil {
-		p.VirtualEnd = t.now()
 		p.SpansRecorded = t.Tracer().Total()
 		p.SpansDropped = t.Tracer().Dropped()
 		snap := t.Registry().Snapshot()

@@ -1,5 +1,5 @@
 // Package telemetry is the pipeline's observability subsystem: tracing
-// spans stamped from the simulation's virtual clock, a registry of named
+// spans with wall-time durations, a registry of named
 // counters, gauges and log-bucketed histograms, and run provenance blocks
 // that make archived crawls self-describing.
 //
@@ -17,17 +17,14 @@
 //     and pay nothing — no allocation, no branching beyond one nil
 //     check, no lock.
 //
-// Span timestamps come from a Clock (netsim's VirtualClock in the real
-// pipeline), so traces of the simulated activity are deterministic for a
-// given seed. Each span additionally carries a wall-clock duration for
-// the quantities that exist only in real time — the analysis stages do
-// not advance the virtual clock, so their cost is only visible in wall
-// nanoseconds.
+// Span timestamps come from the Clock passed to New, if any. A pipeline
+// run has no run-wide clock to pass — each walk keeps its own virtual
+// time — so its spans carry zero virtual timestamps. Each span carries a
+// wall-clock duration, which is where the cost of every stage shows.
 package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -45,46 +42,25 @@ const DefaultSpanCapacity = 1 << 16
 type Telemetry struct {
 	tracer *Tracer
 	reg    *Registry
-
-	// clock is set atomically: the handle is typically created before
-	// the virtual clock exists (the network owning the clock is built
-	// inside Execute) and wired when instrumentation attaches.
-	clock atomic.Value // Clock
+	clock  Clock // nil: spans carry zero virtual timestamps
 }
 
 // New returns a Telemetry with a tracer of the given span capacity
-// (<= 0: DefaultSpanCapacity) and a fresh registry. The clock may be nil
-// and attached later with SetClock; until then spans carry zero virtual
-// timestamps.
+// (<= 0: DefaultSpanCapacity) and a fresh registry. Spans are stamped
+// from clock; a nil clock leaves them at zero virtual time.
 func New(clock Clock, spanCapacity int) *Telemetry {
 	if spanCapacity <= 0 {
 		spanCapacity = DefaultSpanCapacity
 	}
-	t := &Telemetry{tracer: NewTracer(spanCapacity), reg: NewRegistry()}
-	if clock != nil {
-		t.clock.Store(clock)
-	}
-	return t
-}
-
-// SetClock attaches the clock spans are stamped from. Instrumented
-// layers that own a clock (netsim) call this when telemetry attaches.
-func (t *Telemetry) SetClock(c Clock) {
-	if t == nil || c == nil {
-		return
-	}
-	t.clock.Store(c)
+	return &Telemetry{tracer: NewTracer(spanCapacity), reg: NewRegistry(), clock: clock}
 }
 
 // now returns the current virtual time, or the zero time with no clock.
 func (t *Telemetry) now() time.Time {
-	if t == nil {
+	if t == nil || t.clock == nil {
 		return time.Time{}
 	}
-	if c, ok := t.clock.Load().(Clock); ok {
-		return c.Now()
-	}
-	return time.Time{}
+	return t.clock.Now()
 }
 
 // Tracer returns the span collector (nil for a nil Telemetry).

@@ -24,7 +24,6 @@ func (c *stepClock) Now() time.Time {
 
 func TestNilSafety(t *testing.T) {
 	var tel *Telemetry
-	tel.SetClock(&stepClock{})
 	tel.Counter("x").Add(3)
 	tel.Gauge("g").Set(9)
 	tel.Histogram("h").Observe(42)

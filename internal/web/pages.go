@@ -378,11 +378,9 @@ func benignQuery(rng *stats.RNG) string {
 			parts = append(parts, fmt.Sprintf("geo=%d.%d,-%d.%d",
 				rng.Intn(80), rng.Intn(9999), rng.Intn(170), rng.Intn(9999)))
 		case 4:
-			// Epoch-era timestamp drawn from the page RNG, not the shared
-			// virtual clock: the clock's reading depends on how concurrent
-			// walks interleave their dwell drains, and a live read here
-			// made the page bytes — and every downstream metric —
-			// schedule-dependent at Parallelism > 1.
+			// Epoch-era timestamp drawn from the page RNG: page bytes
+			// must not depend on when, in any walk's time, a page is
+			// served.
 			parts = append(parts, fmt.Sprintf("ts=%d",
 				netsim.Epoch.Unix()+int64(rng.Intn(45*24*3600))))
 		default:

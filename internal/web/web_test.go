@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"crumbcruncher/internal/browser"
+	"crumbcruncher/internal/netsim"
 	"crumbcruncher/internal/storage"
 )
 
@@ -407,7 +408,7 @@ func TestSessionCookieDiffersAcrossClients(t *testing.T) {
 	if _, err := b2.Navigate("http://"+s.Domain+"/", ""); err != nil {
 		t.Fatal(err)
 	}
-	now := w.Network().Clock().Now()
+	now := netsim.Epoch // both browsers' clocks start there
 	c1, ok1 := b1.Store().Cookie(storage.Context{FrameHost: s.Domain, TopHost: s.Domain}, "PSESSID", now)
 	c2, ok2 := b2.Store().Cookie(storage.Context{FrameHost: s.Domain, TopHost: s.Domain}, "PSESSID", now)
 	if !ok1 || !ok2 {

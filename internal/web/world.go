@@ -351,7 +351,7 @@ func newWorldFrom(cfg Config, gen *worldGen, cache *siteCache) *World {
 // generation — the plan, materialised sites, the ground-truth registry —
 // is shared with the receiver, all of it immutable (or internally
 // locked). The per-run mutable substrate is rebuilt fresh: a new virtual
-// network with its own clock and fault injector, and zeroed visit
+// network with its own fault injector and counters, and zeroed visit
 // counters. Lazily materialised sites accumulate in the shared cache, so
 // concurrent forks of a lazy world pay each site's derivation once.
 //

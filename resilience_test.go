@@ -96,7 +96,6 @@ func TestFaultMatrixSmoke(t *testing.T) {
 	cfg := faultyConfig(1, 4)
 	cfg.Walks = 30
 	cfg.World.ConnectFailRate = rate
-	cfg.Breaker = crumbcruncher.BreakerConfig{Threshold: 3}
 	run, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("pipeline errored instead of degrading (connect-fail %v): %v", rate, err)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"crumbcruncher"
 	"crumbcruncher/internal/analysis"
@@ -283,26 +284,99 @@ func TestRunnerOptions(t *testing.T) {
 
 // TestWorkStealingCrawlDeterminism pins the crawl's work-stealing
 // dispatch (a fixed worker pool claiming walk indices from a shared
-// counter): runs must produce byte-identical metrics JSON at
-// parallelism 1, 4 and 16.
+// counter) on a world with faults, retries and a request deadline.
+// Each run records to a run store: runs at parallelism 1, 4 and 16 must
+// produce byte-identical metrics JSON and byte-identical stored walk
+// records, matched by index — every walk is a pure function of the
+// configuration and its index — and so must every walk a parallelism-4
+// run cancelled partway recorded.
 func TestWorkStealingCrawlDeterminism(t *testing.T) {
 	base := crumbcruncher.SmallConfig()
 	base.World.Seed = 5
 	base.Walks = 36
+	base.World.ConnectFailRate = 0.033
+	base.World.TransientFailRate = 0.2
+	base.World.HTTPDegradeRate = 0.1
+	base.World.LatencySpikeRate = 0.2
+	base.Retry = crumbcruncher.DefaultRetryPolicy()
+	base.RequestDeadline = 2 * time.Second
 
-	var ref []byte
+	// crawl runs cfg into a fresh store and returns the run's metrics
+	// (nil when cancelled) and the JSON of every walk the store holds.
+	crawl := func(cfg crumbcruncher.Config, cancelAfter int) ([]byte, map[int][]byte) {
+		st, err := crumbcruncher.OpenWalkLog(filepath.Join(t.TempDir(), "run.crumbs"), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		opts := []crumbcruncher.Option{crumbcruncher.WithRunStore(st)}
+		if cancelAfter > 0 {
+			var once sync.Once
+			opts = append(opts, crumbcruncher.WithProgress(func(p crumbcruncher.Progress) {
+				if p.WalksDone >= cancelAfter {
+					once.Do(cancel)
+				}
+			}))
+		}
+		run, err := crumbcruncher.NewRunner(cfg, opts...).Run(ctx)
+		var metrics []byte
+		switch {
+		case cancelAfter > 0 && !errors.Is(err, context.Canceled):
+			t.Fatalf("parallelism %d: cancelled run returned %v", cfg.Parallelism, err)
+		case cancelAfter == 0 && err != nil:
+			t.Fatalf("parallelism %d: %v", cfg.Parallelism, err)
+		case cancelAfter == 0:
+			metrics = metricsBytes(t, run)
+		}
+		walks := map[int][]byte{}
+		for idx := 0; idx < cfg.Walks; idx++ {
+			w, err := st.Get(idx)
+			if err != nil {
+				continue // not recorded: a walk the cancellation skipped
+			}
+			b, err := json.Marshal(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walks[idx] = b
+		}
+		return metrics, walks
+	}
+
+	var refMetrics []byte
+	var refWalks map[int][]byte
 	for _, par := range []int{1, 4, 16} {
 		cfg := base
 		cfg.Parallelism = par
-		run, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+		metrics, walks := crawl(cfg, 0)
+		if refMetrics == nil {
+			refMetrics, refWalks = metrics, walks
+			if len(walks) != cfg.Walks {
+				t.Fatalf("store holds %d of %d walks", len(walks), cfg.Walks)
+			}
+			continue
 		}
-		got := metricsBytes(t, run)
-		if ref == nil {
-			ref = got
-		} else if !bytes.Equal(got, ref) {
+		if !bytes.Equal(metrics, refMetrics) {
 			t.Errorf("parallelism %d: metrics differ from parallelism 1", par)
+		}
+		for idx, b := range refWalks {
+			if !bytes.Equal(walks[idx], b) {
+				t.Errorf("parallelism %d: stored walk %d differs from parallelism 1", par, idx)
+			}
+		}
+	}
+
+	cfg := base
+	cfg.Parallelism = 4
+	_, walks := crawl(cfg, 12)
+	if len(walks) == 0 || len(walks) == cfg.Walks {
+		t.Fatalf("cancelled run recorded %d of %d walks; the check would be vacuous", len(walks), cfg.Walks)
+	}
+	for idx, b := range walks {
+		if !bytes.Equal(b, refWalks[idx]) {
+			t.Errorf("cancelled parallelism-4 run: stored walk %d differs from parallelism 1", idx)
 		}
 	}
 }

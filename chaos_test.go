@@ -90,10 +90,10 @@ func resumeAndVerify(t *testing.T, cfg crumbcruncher.Config, path string, want [
 }
 
 // TestChaosCrashRecoverVerify kills a streaming run at seeded chaos
-// points in its run store — torn walk records of varying severity in a
-// line store and in a segment store's active segment, an fsync-time
-// crash — then resumes from the surviving disk state and requires
-// metrics byte-identical to a clean run.
+// points in its run store's active segment — torn walk records of
+// varying severity, an fsync-time crash — then resumes from the
+// surviving disk state and requires metrics byte-identical to a clean
+// run.
 func TestChaosCrashRecoverVerify(t *testing.T) {
 	cfg := chaosConfig()
 	ref, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
@@ -102,25 +102,26 @@ func TestChaosCrashRecoverVerify(t *testing.T) {
 	}
 	want := metricsBytes(t, ref)
 
+	// The store exists before the injector is installed, and its active
+	// segment opens at the first walk: the segment's header is append 1
+	// (and, under -fsync every-record, sync 1), so append or sync N is
+	// walk N-2's record.
 	points := []struct {
 		name string
-		// store names the run store: a line file or a ".crumbs"
-		// segment directory.
+		// store names the run store's path.
 		store string
 		cfg   chaos.Config
 		// sync overrides the process fsync policy for the scenario
 		// (zero: leave the default interval policy).
 		sync runio.SyncPolicy
 	}{
-		{name: "torn walk record, nothing lands", store: "run.jsonl", cfg: chaos.Config{Seed: 1, Target: runio.WalksFormat, CrashAtRecord: 4, TearBytes: 0}},
-		{name: "torn walk record, partial frame", store: "run.jsonl", cfg: chaos.Config{Seed: 2, Target: runio.WalksFormat, CrashAtRecord: 6, TearBytes: 11}},
-		{name: "torn walk record, partial payload", store: "run.jsonl", cfg: chaos.Config{Seed: 3, Target: runio.WalksFormat, CrashAtRecord: 3, TearBytes: 40}},
-		// The active segment's header is its first append, so append 5
-		// is its fourth walk.
+		{name: "torn walk record, nothing lands", store: "run.jsonl", cfg: chaos.Config{Seed: 1, Target: runio.SegmentFormat, CrashAtRecord: 5, TearBytes: 0}},
+		{name: "torn walk record, partial frame", store: "run.jsonl", cfg: chaos.Config{Seed: 2, Target: runio.SegmentFormat, CrashAtRecord: 7, TearBytes: 11}},
+		{name: "torn walk record, partial payload", store: "run.jsonl", cfg: chaos.Config{Seed: 3, Target: runio.SegmentFormat, CrashAtRecord: 4, TearBytes: 40}},
 		{name: "torn segment record", store: "run.crumbs", cfg: chaos.Config{Seed: 4, Target: runio.SegmentFormat, CrashAtRecord: 5, TearBytes: 25}},
-		// Under -fsync every-record each append syncs, so sync 2 is the
-		// second walk record's fsync — a crash point mid-run.
-		{name: "crash at store fsync", store: "run.jsonl", cfg: chaos.Config{Seed: 5, Target: runio.WalksFormat, CrashAtSync: 2}, sync: runio.SyncEveryRecord},
+		// Sync 3 is the second walk record's fsync — a crash point
+		// mid-run.
+		{name: "crash at store fsync", store: "run.jsonl", cfg: chaos.Config{Seed: 5, Target: runio.SegmentFormat, CrashAtSync: 3}, sync: runio.SyncEveryRecord},
 	}
 	for _, p := range points {
 		t.Run(p.name, func(t *testing.T) {
@@ -135,10 +136,11 @@ func TestChaosCrashRecoverVerify(t *testing.T) {
 	}
 }
 
-// TestChaosCorruptStoreQuarantined flips a bit in a recorded walk of a
-// run store (latent damage: the run never notices), then verifies that
-// reopening refuses the corrupt walks — quarantine, typed error — and
-// that a fresh start still converges to clean metrics.
+// TestChaosCorruptStoreQuarantined flips a bit in a recorded walk of an
+// interrupted run's active segment (latent damage: the run never
+// notices), then verifies that reopening refuses the corrupt walks —
+// quarantine, typed error — and that the retry still converges to
+// clean metrics.
 func TestChaosCorruptStoreQuarantined(t *testing.T) {
 	cfg := chaosConfig()
 	ref, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
@@ -147,33 +149,47 @@ func TestChaosCorruptStoreQuarantined(t *testing.T) {
 	}
 	want := metricsBytes(t, ref)
 
-	path := filepath.Join(t.TempDir(), "run.jsonl")
+	path := filepath.Join(t.TempDir(), "run.crumbs")
 	st, err := crumbcruncher.OpenWalkLog(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runio.SetFault(chaos.New(chaos.Config{Seed: 9, Target: runio.WalksFormat, FlipAtRecord: 3}))
-	// The flip is latent: the run completes normally, with the damage
-	// sitting in the store.
-	_, err = crumbcruncher.NewRunner(cfg, crumbcruncher.WithRunStore(st)).Run(context.Background())
+	// Append 1 is the active segment's header, so append 4 is the third
+	// walk's record. The flip is latent: the run goes on normally, with
+	// the damage sitting in the store, until it is interrupted with the
+	// damaged record mid-segment.
+	runio.SetFault(chaos.New(chaos.Config{Seed: 9, Target: runio.SegmentFormat, FlipAtRecord: 4}))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	_, err = crumbcruncher.NewRunner(cfg, crumbcruncher.WithRunStore(st),
+		crumbcruncher.WithProgress(func(p crumbcruncher.Progress) {
+			if p.WalksDone >= 10 {
+				once.Do(cancel)
+			}
+		})).Run(ctx)
 	runio.SetFault(nil)
 	st.Close()
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v", err)
 	}
 
-	// Reopen: never silently skip the corrupt record. The store is
-	// quarantined and the open reports exactly where the damage is.
+	// Reopen: never silently skip the corrupt record. The damaged
+	// segment is quarantined and the open reports exactly where the
+	// damage is.
 	_, err = crumbcruncher.OpenWalkLog(path, cfg)
 	var dmg *runio.DamageError
 	if !errors.As(err, &dmg) || !errors.Is(err, runio.ErrCorrupt) {
 		t.Fatalf("corrupt store not classified: %v", err)
 	}
 	if dmg.Quarantined == "" {
-		t.Fatal("corrupt store not quarantined")
+		t.Fatal("corrupt segment not quarantined")
+	}
+	if dmg.Record != 3 {
+		t.Errorf("damage pinned to record %d, want 3 (the third walk)", dmg.Record)
 	}
 
-	// A fresh start from the now-clean path reproduces the clean run.
+	// The retry finds no intact walks left and reproduces the clean run.
 	resumeAndVerify(t, cfg, path, want)
 }
 

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crumbcruncher [-seed N] [-sites N] [-walks N] [-steps N] [-parallel N]
-//	              [-machines N] [-small] [-lazy] [-save run.jsonl]
+//	              [-machines N] [-small] [-lazy] [-save run.crumbs]
 //	              [-out report.txt] [-trace trace.jsonl] [-progress]
 //	              [-pprof localhost:6060] [-retries N] [-deadline D]
 //	              [-fsync POLICY]
@@ -16,10 +16,13 @@
 // appends each walk to it as the walk finishes, and the store is
 // finalized when the run succeeds. An interrupted run (Ctrl-C or a
 // crash) leaves the store unfinalized, and re-running with the same
-// flags and -save path resumes it. A store torn by a crash mid-write
-// recovers automatically (the partial record is dropped); a corrupt one
-// is quarantined to "<path>.corrupt" and the run restarts from scratch
-// rather than trust damaged walks. A finalized store, or one recorded
+// flags and -save path resumes it. A store is a directory; a regular
+// file at the -save path is refused, never overwritten. A store torn by
+// a crash mid-write recovers automatically (the partial record is
+// dropped). Damage is moved aside rather than trusted: a damaged
+// sealed segment sends the whole store to "<path>.corrupt" and the run
+// restarts from scratch, a damaged active segment goes to
+// "<segment>.corrupt" and the run re-crawls its walks. A finalized store, or one recorded
 // with other flags, is refused before the crawl starts. -fsync bounds
 // how much a crash can lose: "never", "interval" (default: every 32
 // records or 1 MiB) or "every-record".
@@ -56,7 +59,7 @@ func main() {
 		machines  = flag.Int("machines", 0, "simulated crawl machines walks are spread across (0: config default)")
 		small     = flag.Bool("small", false, "use the small demo configuration")
 		lazy      = flag.Bool("lazy", false, "generate sites on first visit instead of upfront (identical results; million-domain worlds in laptop memory)")
-		savePath  = flag.String("save", "", "record the crawl to this run store as it runs, resuming it if an interrupted run left it (.crumbs: sharded gzip segment store; otherwise one line file)")
+		savePath  = flag.String("save", "", "record the crawl to this run store (a directory of gzip segments, e.g. run.crumbs) as it runs, resuming it if an interrupted run left it")
 		outPath   = flag.String("out", "", "write the report here instead of stdout")
 		metrics   = flag.Bool("metrics", false, "emit machine-readable JSON metrics instead of the text report")
 		traceOut  = flag.String("trace", "", "enable telemetry and export the span trace to this JSONL file (inspect with crumbtrace)")
@@ -176,7 +179,7 @@ func main() {
 		if *savePath != "" {
 			fmt.Fprintf(os.Stderr, "re-run with -save %s to continue\n", *savePath)
 		} else {
-			fmt.Fprintln(os.Stderr, "hint: run with -save run.jsonl to make interrupted crawls resumable")
+			fmt.Fprintln(os.Stderr, "hint: run with -save run.crumbs to make interrupted crawls resumable")
 		}
 		os.Exit(1)
 	}

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	crumbreport -in crawl.json [-metrics] [-parallel N] [-two-crawlers]
+//	crumbreport -in crawl.crumbs [-metrics] [-parallel N] [-two-crawlers]
 //	            [-no-repeat] [-lifetime-days N] [-ratcliff-slack F]
 //	            [-skip-manual]
 //	crumbreport -in crawl.crumbs -walk 17        # dump one walk as JSON
@@ -34,7 +34,7 @@ func main() {
 	log.SetPrefix("crumbreport: ")
 
 	var (
-		in       = flag.String("in", "", "saved crawl: line file or .crumbs segment dir (required)")
+		in       = flag.String("in", "", "saved crawl: the run-store directory crumbcruncher -save wrote (required)")
 		metrics  = flag.Bool("metrics", false, "emit metrics JSON instead of the text report")
 		walkIdx  = flag.Int("walk", -1, "dump walk N as JSON and exit (no analysis)")
 		limit    = flag.Int("limit", 0, "with -walk: dump N consecutive walks; alone: dump the first N walks")

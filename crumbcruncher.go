@@ -208,12 +208,11 @@ func WriteTrace(path string, t *Telemetry) error {
 
 // --- Run storage (RunStore API) ----------------------------------------------
 
-// RunStore is one recorded crawl behind a pluggable storage backend:
-// append walks as they complete, fetch one walk by index, or stream
-// the whole run through a cursor without ever materialising the
-// decoded dataset in memory. Two backends ship — a single CRC-framed
-// line file and a sharded, gzip-compressed segment directory with a
-// sidecar index (see internal/runstore).
+// RunStore is one recorded crawl: append walks as they complete, fetch
+// one walk by index, or stream the whole run through a cursor without
+// ever materialising the decoded dataset in memory. Every store is a
+// directory of gzip-compressed walk segments with a sidecar index (see
+// internal/runstore).
 type RunStore = runstore.Store
 
 // RunCursor iterates a RunStore's walks in ascending index order; Next
@@ -224,26 +223,16 @@ type RunCursor = runstore.Cursor
 // count, and the raw configuration and provenance documents.
 type RunManifest = runstore.Manifest
 
-// StoreBackend names a RunStore storage backend.
-type StoreBackend = runstore.Backend
-
-// The available RunStore backends. CreateRunStore picks the segment
-// backend for paths ending in ".crumbs" (or a path separator) and the
-// line backend otherwise.
-const (
-	BackendLine    = runstore.BackendLine
-	BackendSegment = runstore.BackendSegment
-)
-
-// CreateRunStore makes a new, empty run store at path for a crawl with
-// the given configuration. The backend follows the path: ".crumbs"
-// directories get the segment backend, plain files the line backend.
+// CreateRunStore makes a new, empty run store — a segment directory —
+// at path for a crawl with the given configuration. The tools name
+// stores "*.crumbs", but any path works; an existing regular file there
+// is refused, never overwritten.
 func CreateRunStore(path string, cfg Config) (RunStore, error) {
 	m, err := core.StoreManifest(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runstore.Create(path, runstore.DetectBackend(path), m)
+	return runstore.Create(path, m)
 }
 
 // OpenWalkLog opens the walk log for a crawl with cfg: it creates a run
@@ -253,10 +242,12 @@ func CreateRunStore(path string, cfg Config) (RunStore, error) {
 // is a store recorded under another configuration: its config hash must
 // be cfg.Hash(), which leaves Parallelism free to change. A torn final
 // record is dropped on open. Every record of a reopened store is
-// verified before it is returned; a corrupt store is quarantined to
-// "<path>.corrupt" and an error matching errors.Is(err,
-// runio.ErrCorrupt) is returned, after which the path is free for a
-// fresh start.
+// verified before it is returned. Damage returns an error matching
+// errors.Is(err, runio.ErrCorrupt) and moves the damage aside: the
+// whole store to "<path>.corrupt" for a damaged sealed segment, the
+// unsealed segment alone otherwise, after which a retry starts fresh
+// or resumes from the intact segments. A path that is not a directory
+// is refused and left unchanged.
 func OpenWalkLog(path string, cfg Config) (RunStore, error) {
 	st, err := runstore.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -281,13 +272,13 @@ func OpenWalkLog(path string, cfg Config) (RunStore, error) {
 	return st, nil
 }
 
-// OpenRunStore opens an existing run store: a directory is a segment
-// store, anything else a line store.
+// OpenRunStore opens an existing run store. A path that is not a
+// directory, such as a line-file store from before every store was a
+// segment directory, is refused and left unchanged.
 func OpenRunStore(path string) (RunStore, error) { return runstore.Open(path) }
 
 // SaveRunStore writes a completed run's crawl to a new store at path
-// and finalizes it. Pick the segment backend (a ".crumbs" path) for
-// large runs.
+// and finalizes it.
 func SaveRunStore(path string, r *Run) error {
 	st, err := CreateRunStore(path, r.Config)
 	if err != nil {

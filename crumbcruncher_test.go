@@ -35,12 +35,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "crawl.json")
+	path := filepath.Join(t.TempDir(), "crawl.crumbs")
 	if err := crumbcruncher.SaveRunStore(path, run); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		t.Fatalf("saved file: %v %v", fi, err)
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Fatalf("saved store: %v %v", fi, err)
 	}
 	loaded, err := crumbcruncher.LoadRunStore(path)
 	if err != nil {

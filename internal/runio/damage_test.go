@@ -13,7 +13,7 @@ import (
 // seedFile writes a framed line file with a header and n small entries,
 // returning its path and the byte offsets where each record's frame
 // starts (offsets[0] is the header).
-func seedFile(t *testing.T, dir, format string, n int) (string, []int64) {
+func seedFile(t testing.TB, dir, format string, n int) (string, []int64) {
 	t.Helper()
 	path := filepath.Join(dir, "artifact.jsonl")
 	hdr := Header{Format: format, Version: 1, Seed: 42}
@@ -51,6 +51,109 @@ func seedFile(t *testing.T, dir, format string, n int) (string, []int64) {
 	return path, offsets
 }
 
+// damageFormats is every line-file artifact format TestDamageMatrix
+// damages.
+var damageFormats = []string{RunFormat, WalksFormat, SegmentFormat, SegmentIndexFormat, IndexFormat}
+
+// damageEntries is how many entries each damaged file holds.
+const damageEntries = 4
+
+// damageCase is one row of the damage matrix.
+type damageCase struct {
+	name string
+	// damage mutates the intact file bytes.
+	damage func(data []byte, offsets []int64) []byte
+	// wantEntries is how many entries survive a recovering open
+	// (-1: the open must quarantine instead).
+	wantEntries int
+	// wantRecord is the damaged record index a quarantine reports.
+	wantRecord int
+}
+
+// damageCases are the damage matrix's rows, shared with FuzzRecords as
+// its seed corpus. Offsets index damageEntries+1 records.
+var damageCases = []damageCase{
+	{
+		name:        "truncate mid final frame prefix",
+		damage:      func(d []byte, off []int64) []byte { return d[:off[damageEntries]+3] },
+		wantEntries: damageEntries - 1,
+	},
+	{
+		name:        "truncate mid final payload",
+		damage:      func(d []byte, off []int64) []byte { return d[:off[damageEntries]+framePrefixLen+4] },
+		wantEntries: damageEntries - 1,
+	},
+	{
+		name:        "truncate exactly before final newline",
+		damage:      func(d []byte, off []int64) []byte { return d[:len(d)-1] },
+		wantEntries: damageEntries - 1,
+	},
+	{
+		name:        "truncate mid second entry",
+		damage:      func(d []byte, off []int64) []byte { return d[:off[2]+5] },
+		wantEntries: 1,
+	},
+	{
+		name:        "truncate into header",
+		damage:      func(d []byte, off []int64) []byte { return d[:7] },
+		wantEntries: 0,
+	},
+	{
+		name: "flip payload bit of entry 2",
+		damage: func(d []byte, off []int64) []byte {
+			out := append([]byte(nil), d...)
+			out[off[2]+framePrefixLen+2] ^= 0x10
+			return out
+		},
+		wantEntries: -1,
+		wantRecord:  2,
+	},
+	{
+		name: "flip checksum hex digit of entry 1",
+		damage: func(d []byte, off []int64) []byte {
+			out := append([]byte(nil), d...)
+			out[off[1]+3] = 'x' // not a hex digit: frame structure broken
+			return out
+		},
+		wantEntries: -1,
+		wantRecord:  1,
+	},
+	{
+		name: "flip header payload bit",
+		damage: func(d []byte, off []int64) []byte {
+			out := append([]byte(nil), d...)
+			out[framePrefixLen+1] ^= 0x02
+			return out
+		},
+		wantEntries: -1,
+		wantRecord:  0,
+	},
+	{
+		name: "overwrite mid-file frame mark",
+		damage: func(d []byte, off []int64) []byte {
+			out := append([]byte(nil), d...)
+			out[off[3]] = '{' // record 3 no longer opens with the mark
+			return out
+		},
+		wantEntries: -1,
+		wantRecord:  3,
+	},
+	{
+		name: "bare-JSONL v1 file",
+		damage: func(d []byte, off []int64) []byte {
+			var out []byte
+			for _, line := range bytes.SplitAfter(d, []byte("\n")) {
+				if len(line) > framePrefixLen {
+					out = append(out, line[framePrefixLen:]...)
+				}
+			}
+			return out
+		},
+		wantEntries: -1,
+		wantRecord:  0,
+	},
+}
+
 // TestDamageMatrix drives the torn-vs-corrupt classification across
 // every artifact format and every frame boundary: truncations inside
 // the final record recover (torn tail), truncations that amputate whole
@@ -59,106 +162,11 @@ func seedFile(t *testing.T, dir, format string, n int) (string, []int64) {
 // pre-framing v1 file (bare JSONL) is corrupt from its header on: it is
 // quarantined whole, never truncated.
 func TestDamageMatrix(t *testing.T) {
-	formats := []string{RunFormat, WalksFormat, SegmentFormat, SegmentIndexFormat, IndexFormat}
-	const entries = 4
-
-	type outcome struct {
-		name string
-		// damage mutates the intact file bytes.
-		damage func(data []byte, offsets []int64) []byte
-		// wantEntries is how many entries survive a recovering open
-		// (-1: the open must quarantine instead).
-		wantEntries int
-		// wantRecord is the damaged record index a quarantine reports.
-		wantRecord int
-	}
-	cases := []outcome{
-		{
-			name:        "truncate mid final frame prefix",
-			damage:      func(d []byte, off []int64) []byte { return d[:off[entries]+3] },
-			wantEntries: entries - 1,
-		},
-		{
-			name:        "truncate mid final payload",
-			damage:      func(d []byte, off []int64) []byte { return d[:off[entries]+framePrefixLen+4] },
-			wantEntries: entries - 1,
-		},
-		{
-			name:        "truncate exactly before final newline",
-			damage:      func(d []byte, off []int64) []byte { return d[:len(d)-1] },
-			wantEntries: entries - 1,
-		},
-		{
-			name:        "truncate mid second entry",
-			damage:      func(d []byte, off []int64) []byte { return d[:off[2]+5] },
-			wantEntries: 1,
-		},
-		{
-			name:        "truncate into header",
-			damage:      func(d []byte, off []int64) []byte { return d[:7] },
-			wantEntries: 0,
-		},
-		{
-			name: "flip payload bit of entry 2",
-			damage: func(d []byte, off []int64) []byte {
-				out := append([]byte(nil), d...)
-				out[off[2]+framePrefixLen+2] ^= 0x10
-				return out
-			},
-			wantEntries: -1,
-			wantRecord:  2,
-		},
-		{
-			name: "flip checksum hex digit of entry 1",
-			damage: func(d []byte, off []int64) []byte {
-				out := append([]byte(nil), d...)
-				out[off[1]+3] = 'x' // not a hex digit: frame structure broken
-				return out
-			},
-			wantEntries: -1,
-			wantRecord:  1,
-		},
-		{
-			name: "flip header payload bit",
-			damage: func(d []byte, off []int64) []byte {
-				out := append([]byte(nil), d...)
-				out[framePrefixLen+1] ^= 0x02
-				return out
-			},
-			wantEntries: -1,
-			wantRecord:  0,
-		},
-		{
-			name: "overwrite mid-file frame mark",
-			damage: func(d []byte, off []int64) []byte {
-				out := append([]byte(nil), d...)
-				out[off[3]] = '{' // record 3 no longer opens with the mark
-				return out
-			},
-			wantEntries: -1,
-			wantRecord:  3,
-		},
-		{
-			name: "bare-JSONL v1 file",
-			damage: func(d []byte, off []int64) []byte {
-				var out []byte
-				for _, line := range bytes.SplitAfter(d, []byte("\n")) {
-					if len(line) > framePrefixLen {
-						out = append(out, line[framePrefixLen:]...)
-					}
-				}
-				return out
-			},
-			wantEntries: -1,
-			wantRecord:  0,
-		},
-	}
-
-	for _, format := range formats {
-		for _, tc := range cases {
+	for _, format := range damageFormats {
+		for _, tc := range damageCases {
 			t.Run(format+"/"+tc.name, func(t *testing.T) {
 				dir := t.TempDir()
-				path, offsets := seedFile(t, dir, format, entries)
+				path, offsets := seedFile(t, dir, format, damageEntries)
 				data, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)

@@ -370,8 +370,11 @@ func (lf *LineFile) Close() error {
 // Unlike OpenLineFile there is no file to repair, so any damage —
 // including a torn tail — surfaces as a *DamageError; callers holding
 // a sealed artifact (e.g. a compressed run segment) treat every kind as
-// corruption.
+// corruption. An empty image lacks even its header, so it is torn.
 func Records(data []byte, want Header) ([][]byte, error) {
+	if len(data) == 0 {
+		return nil, &DamageError{Format: want.Format, Offset: 0, Record: 0, kind: ErrTorn}
+	}
 	sc := scanLines(data, want)
 	if sc.damage != nil {
 		if sc.damage.check != nil {

@@ -1,8 +1,9 @@
-// Package runio is the shared on-disk codec for the five artifact
-// formats CrumbCruncher persists: a stored run's configuration document
-// (RunFormat), the run store's line file, segments and segment index
-// (WalksFormat, SegmentFormat, SegmentIndexFormat — append-only JSONL
-// line files), and the serve layer's run-store index (IndexFormat). All
+// Package runio is the shared on-disk codec for the artifact formats
+// CrumbCruncher persists: a stored run as one document (RunFormat, the
+// serve layer's GET /runs/{id}), a run store's manifest document
+// (WalksFormat), its walk segments and segment index (SegmentFormat,
+// SegmentIndexFormat — append-only JSONL line files), and the serve
+// layer's run-store index (IndexFormat, a line file). All
 // artifacts open with the same versioned Header, so format, version and
 // seed validation live in exactly one place. The package depends only on
 // the standard library plus telemetry; any layer — including the
@@ -39,13 +40,15 @@ const (
 	// IndexFormat is the serve layer's run-store index: one line per
 	// persisted run, appended as jobs complete.
 	IndexFormat = "crumbcruncher/run-index"
-	// WalksFormat is a runstore line-file backend: a manifest record
-	// followed by one framed record per walk.
+	// WalksFormat is a run store's manifest document. (Before every
+	// store was a segment directory it also named a line-file store: a
+	// manifest record followed by one framed record per walk. Those
+	// files are no longer read.)
 	WalksFormat = "crumbcruncher/run-walks"
-	// SegmentFormat is one walk segment of a runstore segment backend.
+	// SegmentFormat is one walk segment of a run store.
 	SegmentFormat = "crumbcruncher/run-segment"
-	// SegmentIndexFormat is the segment backend's sidecar index: one
-	// record per sealed segment, mapping walk indices to segment files.
+	// SegmentIndexFormat is a run store's sidecar index: one record per
+	// sealed segment, mapping walk indices to segment files.
 	SegmentIndexFormat = "crumbcruncher/run-segment-index"
 )
 

@@ -22,7 +22,7 @@ import (
 // torn one, and the store finishes the run normally.
 func TestSegmentChaosTornAppend(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run.crumbs")
-	st, err := Create(dir, BackendSegment, testManifest(5))
+	st, err := Create(dir, testManifest(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSegmentChaosTornAppend(t *testing.T) {
 // run completes with every walk intact.
 func TestSegmentChaosSealCrash(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run.crumbs")
-	st, err := Create(dir, BackendSegment, testManifest(6))
+	st, err := Create(dir, testManifest(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSegmentChaosSealCrash(t *testing.T) {
 // clean with the damaged segment's walks dropped — never silently read.
 func TestSegmentChaosBitFlip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run.crumbs")
-	st, err := Create(dir, BackendSegment, testManifest(7))
+	st, err := Create(dir, testManifest(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,14 @@
-// Package runstore is the pluggable storage API in front of
-// internal/runio for recorded crawls. A Store holds one crawl — a
-// manifest (seed, config, provenance) plus the walk records — behind a
-// backend-neutral interface: append walks as they complete, fetch a
-// single walk by index, or iterate the whole run in walk order through
-// a cursor, all without ever materialising the complete dataset in
-// memory.
+// Package runstore stores recorded crawls on top of internal/runio. A
+// Store holds one crawl — a manifest (seed, config, provenance) plus the
+// walk records: append walks as they complete, fetch a single walk by
+// index, or iterate the whole run in walk order through a cursor, all
+// without ever materialising the complete dataset in memory.
 //
-// Two backends ship (DESIGN.md §13):
-//
-//   - line: a single CRC-framed JSONL file (a runio.LineFile). Simple
-//     and greppable. Random access decodes from an in-memory raw-record
-//     table, so memory is O(compressed file), not O(decoded dataset).
-//   - segment: a directory of fixed-size walk segments, gzip-compressed
-//     as they seal, with a sidecar index for random access and an
-//     atomically rewritten manifest. Memory is O(one segment); this is
-//     the backend for 100k-walk datasets.
+// Every store is a segment directory (DESIGN.md §13): fixed-size walk
+// segments, gzip-compressed as they seal, with a sidecar index for
+// random access and an atomically rewritten manifest. Memory is
+// O(one segment), whatever the run's size. Create makes one at any path;
+// the ".crumbs" suffix the tools use is a convention, not a switch.
 //
 // A store is also a crawl's walk log: the crawl appends each walk as it
 // finishes, and a crawl resumed over an unfinalized store skips the
@@ -27,11 +21,8 @@ package runstore
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runio"
@@ -50,7 +41,9 @@ type Manifest struct {
 	Provenance json.RawMessage `json:"provenance,omitempty"`
 }
 
-// Store is one recorded crawl behind a pluggable backend.
+// Store is one recorded crawl. The segment directory is its only
+// implementation; tests and benchmarks wrap or fake it through this
+// interface.
 type Store interface {
 	// Manifest returns the run's identity. Walks is authoritative only
 	// after Finalize; on a store being appended to it reports the count
@@ -100,82 +93,32 @@ var ErrNoWalk = fmt.Errorf("runstore: no such walk")
 // ErrFinalized is returned by Append on a store that has been sealed.
 var ErrFinalized = fmt.Errorf("runstore: store is finalized")
 
-// Backend names a storage backend.
-type Backend string
-
-const (
-	// BackendLine is the single CRC-framed line-file backend.
-	BackendLine Backend = "line"
-	// BackendSegment is the sharded, compressed segment-file backend.
-	BackendSegment Backend = "segment"
-)
-
-// SegmentSuffix marks a path as a segment-backend directory. DetectBackend
-// picks the segment backend for any path ending in it.
-const SegmentSuffix = ".crumbs"
-
-// DetectBackend picks the backend a fresh store at path should use:
-// segment for directory-style paths (trailing separator or the
-// SegmentSuffix), line otherwise.
-func DetectBackend(path string) Backend {
-	if strings.HasSuffix(path, "/") || strings.HasSuffix(path, SegmentSuffix) {
-		return BackendSegment
-	}
-	return BackendLine
-}
-
-// Create makes a new, empty store at path with the given backend and
-// manifest. The manifest's Walks field is ignored (stamped at
-// Finalize). Creating over an existing run fails rather than
-// truncating it.
-func Create(path string, backend Backend, m Manifest) (Store, error) {
+// Create makes a new, empty store at path — a segment directory,
+// whatever the path's suffix — with the given manifest. The manifest's
+// Walks field is ignored (stamped at Finalize). Creating over an
+// existing run fails rather than truncating it, and so does creating
+// over a regular file.
+func Create(path string, m Manifest) (Store, error) {
 	m.Walks = 0
-	switch backend {
-	case BackendLine:
-		return createLine(path, m)
-	case BackendSegment:
-		return createSegment(path, m)
-	default:
-		return nil, fmt.Errorf("runstore: unknown backend %q", backend)
-	}
+	return createSegment(path, m)
 }
 
-// Open opens an existing store at path: a directory is a segment
-// store, anything else a line store.
+// Open opens the existing store at path. A path that is not a
+// directory — a line-file store written before every store was a
+// segment directory, say — is refused as a caller mistake: it is left
+// where it is, unread and unchanged.
 func Open(path string) (Store, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("runstore: open %s: %w", path, err)
 	}
-	if fi.IsDir() {
-		return openSegment(path)
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("runstore: %s is not a run-store directory", path)
 	}
-	return openLine(path)
+	return openSegment(path)
 }
 
-// Copy streams every walk of src into dst and finalizes dst. It is the
-// cross-backend migration path (line → segment and back); the copied
-// walks are byte-identical records, so analyses over the two stores
-// agree exactly.
-func Copy(dst Store, src Store) error {
-	cur := src.Iter()
-	defer cur.Close()
-	for {
-		w, err := cur.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return err
-		}
-		if err := dst.Append(w); err != nil {
-			return err
-		}
-	}
-	return dst.Finalize()
-}
-
-// walkRecord is the on-disk form of one walk, shared by both backends.
+// walkRecord is the on-disk form of one walk.
 // Records written before walks had their own clocks also carry a
 // "clock" key (the crawl-wide virtual instant the walk finished at);
 // readers skip it.

@@ -59,20 +59,45 @@ func drain(t *testing.T, st Store) []*crawler.Walk {
 	}
 }
 
-func backends(t *testing.T) map[Backend]string {
-	return map[Backend]string{
-		BackendLine:    filepath.Join(t.TempDir(), "run.walks"),
-		BackendSegment: filepath.Join(t.TempDir(), "run.crumbs"),
+// storeShape is one way a store lays its records out on disk.
+type storeShape struct {
+	name string
+	path string
+	// sealing makes segments small enough that the test's walks seal
+	// into gzip segments as they append. Without it every record stays
+	// in the active segment, a runio line file, until Finalize.
+	sealing bool
+}
+
+// shapes returns the two record layouts every table below runs over:
+// "line", all records in the active line-file segment of a store at a
+// plain file-style path, and "segment", records sealed as they append
+// into a ".crumbs" store.
+func shapes(t *testing.T) []storeShape {
+	return []storeShape{
+		{name: "line", path: filepath.Join(t.TempDir(), "run.walks")},
+		{name: "segment", path: filepath.Join(t.TempDir(), "run.crumbs"), sealing: true},
 	}
 }
 
+// create makes a store of the given shape, sealing every segWalks walks
+// when the shape seals.
+func (sh storeShape) create(t *testing.T, m Manifest, segWalks int) Store {
+	t.Helper()
+	st, err := Create(sh.path, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.sealing {
+		st.(*segmentStore).segWalks = segWalks
+	}
+	return st
+}
+
 func TestStoreRoundTrip(t *testing.T) {
-	for backend, path := range backends(t) {
-		t.Run(string(backend), func(t *testing.T) {
-			st, err := Create(path, backend, testManifest(7))
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, sh := range shapes(t) {
+		t.Run(sh.name, func(t *testing.T) {
+			st := sh.create(t, testManifest(7), 2)
 			// Out-of-order appends: parallel crawls finish out of order.
 			for _, i := range []int{2, 0, 4, 1, 3} {
 				if err := st.Append(testWalk(i)); err != nil {
@@ -92,7 +117,10 @@ func TestStoreRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ro, err := Open(path)
+			if fi, err := os.Stat(sh.path); err != nil || !fi.IsDir() {
+				t.Fatalf("store at %s is not a directory: %v", sh.path, err)
+			}
+			ro, err := Open(sh.path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,12 +150,9 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 func TestStoreResumeAfterClose(t *testing.T) {
-	for backend, path := range backends(t) {
-		t.Run(string(backend), func(t *testing.T) {
-			st, err := Create(path, backend, testManifest(3))
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, sh := range shapes(t) {
+		t.Run(sh.name, func(t *testing.T) {
+			st := sh.create(t, testManifest(3), 2) // segment: walks 0-1 seal, walk 2 stays active
 			for i := 0; i < 3; i++ {
 				if err := st.Append(testWalk(i)); err != nil {
 					t.Fatal(err)
@@ -137,7 +162,7 @@ func TestStoreResumeAfterClose(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			st2, err := Open(path)
+			st2, err := Open(sh.path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,15 +191,9 @@ func TestStoreResumeAfterClose(t *testing.T) {
 // replaces the manifest's documents at Finalize, Finalized survives a
 // reopen, and a walk record keeps the layout it always had.
 func TestStoreStampFinalize(t *testing.T) {
-	for backend, path := range backends(t) {
-		t.Run(string(backend), func(t *testing.T) {
-			st, err := Create(path, backend, testManifest(3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seg, ok := st.(*segmentStore); ok {
-				seg.segWalks = 2 // walks 0-3 seal, walk 4 stays active
-			}
+	for _, sh := range shapes(t) {
+		t.Run(sh.name, func(t *testing.T) {
+			st := sh.create(t, testManifest(3), 2) // segment: walks 0-3 seal, walk 4 stays active
 			for _, i := range []int{3, 1, 4, 0, 2} {
 				if err := st.Append(testWalk(i)); err != nil {
 					t.Fatal(err)
@@ -183,7 +202,7 @@ func TestStoreStampFinalize(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			st, err = Open(path)
+			st, err := Open(sh.path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +220,7 @@ func TestStoreStampFinalize(t *testing.T) {
 				t.Fatal(err)
 			}
 			st.Close()
-			st, err = Open(path)
+			st, err = Open(sh.path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,32 +264,21 @@ func clockedRecord(t *testing.T, i int) json.RawMessage {
 }
 
 // TestStoreReadsClockedRecords opens stores whose walk records carry
-// the "clock" key older crawls wrote: a line file, and a segment store
-// whose unsealed segment is adopted on open and then sealed. Every
-// walk reads back intact, on the fast decoder.
+// the "clock" key older crawls wrote, in an unsealed segment that open
+// adopts. "line" reads them from that active line-file segment, then
+// finalizes; "segment" finalizes first, sealing them, and reads them
+// from the sealed segment. Every walk reads back intact, on the fast
+// decoder.
 func TestStoreReadsClockedRecords(t *testing.T) {
 	const walks = 3
-	for backend, path := range backends(t) {
-		t.Run(string(backend), func(t *testing.T) {
-			var (
-				lf  *runio.LineFile
-				err error
-			)
-			switch backend {
-			case BackendLine:
-				m := testManifest(4)
-				m.Header = lineHeader(4)
-				lf, _, err = runio.OpenLineFile(path, m.Header)
-				if err == nil {
-					err = lf.Append(m)
-				}
-			case BackendSegment:
-				var st Store
-				if st, err = Create(path, backend, testManifest(4)); err == nil {
-					st.Close()
-					lf, _, err = runio.OpenLineFile(segJSONLPath(path, 0), segHeader(4))
-				}
+	for _, sh := range shapes(t) {
+		t.Run(sh.name, func(t *testing.T) {
+			st, err := Create(sh.path, testManifest(4))
+			if err != nil {
+				t.Fatal(err)
 			}
+			st.Close()
+			lf, _, err := runio.OpenLineFile(segJSONLPath(sh.path, 0), segHeader(4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,13 +293,15 @@ func TestStoreReadsClockedRecords(t *testing.T) {
 			}
 			lf.Close()
 
-			st, err := Open(path)
+			st, err = Open(sh.path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			if err := st.Finalize(); err != nil {
-				t.Fatal(err)
+			if sh.sealing {
+				if err := st.Finalize(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			got := drain(t, st)
 			if len(got) != walks {
@@ -302,13 +312,16 @@ func TestStoreReadsClockedRecords(t *testing.T) {
 					t.Fatalf("walk %d = %+v", i, w)
 				}
 			}
+			if err := st.Finalize(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
 
 func TestSegmentSealing(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "big.crumbs")
-	st, err := Create(dir, BackendSegment, testManifest(5))
+	st, err := Create(dir, testManifest(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,101 +360,92 @@ func TestSegmentSealing(t *testing.T) {
 	}
 }
 
-func TestCrossBackendCopy(t *testing.T) {
-	// line → segment → line must preserve every walk byte-for-byte.
-	lpath := filepath.Join(t.TempDir(), "src.walks")
-	src, err := Create(lpath, BackendLine, testManifest(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 9; i++ {
-		if err := src.Append(testWalk(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := src.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-
-	spath := filepath.Join(t.TempDir(), "mid.crumbs")
-	mid, err := Create(spath, BackendSegment, src.Manifest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Copy(mid, src); err != nil {
-		t.Fatal(err)
-	}
-	src.Close()
-
-	back, err := Create(filepath.Join(t.TempDir(), "back.walks"), BackendLine, mid.Manifest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Copy(back, mid); err != nil {
-		t.Fatal(err)
-	}
-	mid.Close()
-
-	a, b := drain(t, back), func() []*crawler.Walk {
-		out := make([]*crawler.Walk, 0, 9)
-		for i := 0; i < 9; i++ {
-			out = append(out, testWalk(i))
-		}
-		return out
-	}()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("walks changed across line → segment → line")
-	}
-	if m := back.Manifest(); m.Walks != 9 || m.Seed != 11 {
-		t.Fatalf("manifest after double copy: %+v", m)
-	}
-	back.Close()
-}
-
+// TestOpenSingleDocumentRejected opens regular files that are not
+// stores: a single-document run (one framed RunFormat document) and a
+// line-file store as releases before segment-only stores wrote it.
+// Open names the path as not a run-store directory, and Create refuses
+// the path too. A file is a caller mistake, not damage: it is neither
+// quarantined nor rewritten.
 func TestOpenSingleDocumentRejected(t *testing.T) {
-	// A single-document run (one framed RunFormat document) is not a
-	// store: Open fails the line backend's header check, and the file is
-	// a caller mistake, not damage — it is neither quarantined nor
-	// rewritten.
-	path := filepath.Join(t.TempDir(), "run.json")
-	doc := struct {
-		runio.Header
-		Config  json.RawMessage  `json:"config"`
-		Dataset *crawler.Dataset `json:"dataset"`
+	cases := []struct {
+		name  string
+		write func(path string) error
 	}{
-		Header:  runio.Header{Format: runio.RunFormat, Version: runio.RunVersion, Seed: 21},
-		Config:  json.RawMessage(`{"walks":1}`),
-		Dataset: &crawler.Dataset{Seed: 21, Walks: []*crawler.Walk{testWalk(0)}},
+		{"single document", func(path string) error {
+			doc := struct {
+				runio.Header
+				Config  json.RawMessage  `json:"config"`
+				Dataset *crawler.Dataset `json:"dataset"`
+			}{
+				Header:  runio.Header{Format: runio.RunFormat, Version: runio.RunVersion, Seed: 21},
+				Config:  json.RawMessage(`{"walks":1}`),
+				Dataset: &crawler.Dataset{Seed: 21, Walks: []*crawler.Walk{testWalk(0)}},
+			}
+			return runio.WriteFileAtomic(path, func(w io.Writer) error {
+				return runio.WriteDocument(w, doc)
+			})
+		}},
+		{"line store", func(path string) error {
+			// The line-file store layout: a WalksFormat header, the
+			// manifest, walk records, and the finalized manifest.
+			m := testManifest(21)
+			m.Header = manifestHeader(21)
+			lf, _, err := runio.OpenLineFile(path, m.Header)
+			if err != nil {
+				return err
+			}
+			defer lf.Close()
+			if err := lf.Append(m); err != nil {
+				return err
+			}
+			raw, err := encodeWalk(testWalk(0))
+			if err != nil {
+				return err
+			}
+			if err := lf.Append(json.RawMessage(raw)); err != nil {
+				return err
+			}
+			m.Walks = 1
+			return lf.Append(m)
+		}},
 	}
-	err := runio.WriteFileAtomic(path, func(w io.Writer) error {
-		return runio.WriteDocument(w, doc)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(path)
-	if err == nil {
-		st.Close()
-		t.Fatal("single-document run opened as a store")
-	}
-	want := runio.Header{Format: runio.WalksFormat, Version: lineWalksVersion}
-	if herr := doc.Header.Check(want); herr == nil || err.Error() != herr.Error() {
-		t.Fatalf("Open error = %v, want the header-check error %v", err, herr)
-	}
-	var dmg *runio.DamageError
-	if errors.As(err, &dmg) {
-		t.Fatalf("header mismatch reported as damage: %v", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("document moved: %v", err)
-	}
-	if string(after) != string(before) {
-		t.Fatal("document rewritten by a failed Open")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.json")
+			if err := tc.write(path); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(path)
+			if err == nil {
+				st.Close()
+				t.Fatal("regular file opened as a store")
+			}
+			if want := path + " is not a run-store directory"; !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open error = %v, want it to say %q", err, want)
+			}
+			var dmg *runio.DamageError
+			if errors.As(err, &dmg) || errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("a regular file reported as damage or as missing: %v", err)
+			}
+			if st, err := Create(path, testManifest(21)); err == nil {
+				st.Close()
+				t.Fatal("Create made a store over a regular file")
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("file moved: %v", err)
+			}
+			if string(after) != string(before) {
+				t.Fatal("file rewritten by a failed Open or Create")
+			}
+			if _, err := os.Stat(path + ".corrupt"); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("file quarantined: %v", err)
+			}
+		})
 	}
 }
 
@@ -451,7 +455,7 @@ func TestOpenSingleDocumentRejected(t *testing.T) {
 func TestSegmentDamageMatrix(t *testing.T) {
 	build := func(t *testing.T) string {
 		dir := filepath.Join(t.TempDir(), "dmg.crumbs")
-		st, err := Create(dir, BackendSegment, testManifest(5))
+		st, err := Create(dir, testManifest(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -600,7 +604,7 @@ func rewriteSegment(t *testing.T, path string, edit func(lines [][]byte) [][]byt
 // where the index puts the other walk. Get must refuse both.
 func TestSegmentSwappedRecords(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "swap.crumbs")
-	st, err := Create(dir, BackendSegment, testManifest(5))
+	st, err := Create(dir, testManifest(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,22 +640,19 @@ func TestSegmentSwappedRecords(t *testing.T) {
 }
 
 // TestConcurrentGet fetches every walk from 8 goroutines at once, each
-// in its own order, on both backends. The segment store holds 4 walks a
-// segment, so the goroutines cross segment boundaries and evict from
-// the two-slot cache while others decode. Every walk must come back
-// under its own index and re-encode to the bytes that were appended.
+// in its own order, from both shapes. "line" is reopened unfinalized,
+// so every walk comes from the adopted active segment. "segment" holds
+// 4 walks a sealed segment, so the goroutines cross segment boundaries
+// and evict from the two-slot cache while others decode. Every walk
+// must come back under its own index and re-encode to the bytes that
+// were appended.
 func TestConcurrentGet(t *testing.T) {
 	const n, readers = 37, 8
-	for backend, path := range backends(t) {
-		t.Run(string(backend), func(t *testing.T) {
-			st, err := Create(path, backend, testManifest(11))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seg, ok := st.(*segmentStore); ok {
-				seg.segWalks = 4
-			}
+	for _, sh := range shapes(t) {
+		t.Run(sh.name, func(t *testing.T) {
+			st := sh.create(t, testManifest(11), 4)
 			want := make([][]byte, n)
+			var err error
 			for i := 0; i < n; i++ {
 				idx := (i * 7) % n // out of order, as a parallel crawl appends
 				w := testWalk(idx)
@@ -662,12 +663,14 @@ func TestConcurrentGet(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := st.Finalize(); err != nil {
-				t.Fatal(err)
+			if sh.sealing {
+				if err := st.Finalize(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			st.Close()
 
-			ro, err := Open(path)
+			ro, err := Open(sh.path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -717,7 +720,7 @@ func TestSealedSegmentDamageVerify(t *testing.T) {
 	sealedStore := func(t *testing.T) string {
 		t.Helper()
 		dir := filepath.Join(t.TempDir(), "run.crumbs")
-		st, err := Create(dir, BackendSegment, testManifest(8))
+		st, err := Create(dir, testManifest(8))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 	"crumbcruncher/internal/runio"
 )
 
-// Segment backend layout: a directory holding
+// Store layout: a directory holding
 //
 //	manifest.json     framed manifest document, atomically rewritten
 //	segments.idx      line file: one record per sealed segment
@@ -44,6 +44,15 @@ const segWalksDefault = 256
 // segVersion is bumped when the segment layout changes.
 const segVersion = 1
 
+// manifestVersion is the manifest document's header version. The
+// manifest keeps the runio.WalksFormat header it has always carried, so
+// every store written since segment stores began still opens.
+const manifestVersion = 1
+
+func manifestHeader(seed int64) runio.Header {
+	return runio.Header{Format: runio.WalksFormat, Version: manifestVersion, Seed: seed}
+}
+
 func segHeader(seed int64) runio.Header {
 	return runio.Header{Format: runio.SegmentFormat, Version: segVersion, Seed: seed}
 }
@@ -60,7 +69,7 @@ type segIndexEntry struct {
 	Indices []int `json:"indices"`
 }
 
-// segmentStore is the sharded, compressed backend.
+// segmentStore is the store: sharded, compressed walk segments.
 type segmentStore struct {
 	mu       sync.Mutex
 	dir      string
@@ -121,8 +130,7 @@ func readManifest(dir string) (Manifest, error) {
 	}
 	defer f.Close()
 	var m Manifest
-	want := runio.Header{Format: runio.WalksFormat, Version: lineWalksVersion}
-	if err := runio.ReadDocument(f, want, &m); err != nil {
+	if err := runio.ReadDocument(f, manifestHeader(0), &m); err != nil {
 		return Manifest{}, fmt.Errorf("runstore: %s: manifest: %w", dir, err)
 	}
 	return m, nil
@@ -135,7 +143,7 @@ func createSegment(path string, m Manifest) (Store, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: create %s: %w", path, err)
 	}
-	m.Header = runio.Header{Format: runio.WalksFormat, Version: lineWalksVersion, Seed: m.Seed}
+	m.Header = manifestHeader(m.Seed)
 	if err := writeManifest(path, m); err != nil {
 		return nil, err
 	}
@@ -439,10 +447,10 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 }
 
 // Verify reads back every record of st that opening it left unchecked
-// — a segment store's sealed segments; a line store and an unsealed
-// segment verify on open — against its checksums, quarantining a
-// damaged segment as Get does. A store about to be resumed is verified
-// first, so damage surfaces before the crawl trusts its walks. On damage
+// — the sealed segments; the index and an unsealed segment verify on
+// open — against its checksums, quarantining a damaged segment as Get
+// does. A store about to be resumed is verified first, so damage
+// surfaces before the crawl trusts its walks. On damage
 // Verify closes st and moves the whole store aside to "<path>.corrupt"
 // (replacing an earlier quarantine there), so its path is free for a
 // fresh start, and returns the DamageError, which names where it went.

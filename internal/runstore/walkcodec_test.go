@@ -20,7 +20,7 @@ import (
 	"crumbcruncher/internal/runstore"
 )
 
-// crawlRecords crawls a small faulty world into a line store — retries,
+// crawlRecords crawls a small faulty world into a run store — retries,
 // a request deadline, latency spikes and a crawl cancelled part-way —
 // and returns the raw walk records the store holds. Two kinds of record
 // no crawl logs are added, encoded as encodeWalk encodes any walk: one
@@ -44,7 +44,7 @@ var crawlRecords = sync.OnceValues(func() ([][]byte, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "run.walks")
+	path := filepath.Join(dir, "run.crumbs")
 	st, err := crumbcruncher.OpenWalkLog(path, cfg)
 	if err != nil {
 		return nil, err
@@ -64,12 +64,13 @@ var crawlRecords = sync.OnceValues(func() ([][]byte, error) {
 		return nil, err
 	}
 
-	lf, entries, err := runio.OpenLineFile(path, runio.Header{Format: runio.WalksFormat, Version: 1})
+	// Fewer walks than a segment holds: every record is in the active
+	// segment, in completion order.
+	lf, records, err := runio.OpenLineFile(filepath.Join(path, "seg-000000.jsonl"), runio.Header{Format: runio.SegmentFormat, Version: 1})
 	if err != nil {
 		return nil, err
 	}
 	lf.Close()
-	records := entries[1:] // entry 0 is the manifest
 	logged := map[int]bool{}
 	first := -1
 	for _, raw := range records {

@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"crumbcruncher/internal/core"
+	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runio"
+	"crumbcruncher/internal/runstore"
 	"crumbcruncher/internal/telemetry"
 	"crumbcruncher/internal/web"
 )
@@ -126,7 +129,7 @@ func TestJobTimeout(t *testing.T) {
 
 // TestStoreBootRepair: a server booting on a damaged store heals it —
 // a corrupt index is quarantined and rebuilt from salvageable records,
-// entries whose run files are gone or are not run stores are dropped,
+// entries whose run stores are gone or are not run stores are dropped,
 // and the surviving runs stay listable and reanalyzable.
 func TestStoreBootRepair(t *testing.T) {
 	dir := t.TempDir()
@@ -152,13 +155,16 @@ func TestStoreBootRepair(t *testing.T) {
 	ts.Close()
 
 	// Damage: flip a byte inside one run's index entry (mid-file
-	// corruption) and delete another run's document outright.
-	if err := os.Remove(filepath.Join(dir, "run-"+missing.ID+".json")); err != nil {
+	// corruption) and delete another run's store outright.
+	if err := os.RemoveAll(filepath.Join(dir, jobRunFile(missing.ID))); err != nil {
 		t.Fatal(err)
 	}
 	// A single-document run (the pre-RunStore file shape) is not a run
 	// store: its entry is dropped, and the file is left where it is.
-	singlePath := filepath.Join(dir, "run-"+single.ID+".json")
+	singlePath := filepath.Join(dir, jobRunFile(single.ID))
+	if err := os.RemoveAll(singlePath); err != nil {
+		t.Fatal(err)
+	}
 	err = runio.WriteFileAtomic(singlePath, func(w io.Writer) error {
 		return runio.WriteDocument(w, runio.Header{Format: runio.RunFormat, Version: runio.RunVersion, Seed: 4})
 	})
@@ -231,6 +237,74 @@ func TestStoreBootRepair(t *testing.T) {
 	}
 	if err := srv3.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreBootVerifiesSealedSegments: a boot reads back every sealed
+// segment of every indexed run, not just what opening a store checks.
+// A run whose first sealed segment has one byte flipped is dropped from
+// the index, counted, and moved aside whole; an intact run stays listed.
+func TestStoreBootVerifiesSealedSegments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Walks: 600, World: web.Config{Seed: 9}}
+	for _, id := range []string{"job-000001", "job-000002"} {
+		st, err := runstore.Create(s.JobRunPath(id), runstore.Manifest{Header: runio.Header{Seed: 9}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < cfg.Walks; i++ { // two full segments seal, Finalize seals the third
+			if err := st.Append(&crawler.Walk{Index: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Save(id, cfg, "h", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	damaged := s.JobRunPath("job-000002")
+	seg := filepath.Join(damaged, "seg-000000.sgz")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tel := telemetry.New(nil, 1)
+	s, err = OpenStore(dir, tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if runs := s.List(); len(runs) != 1 || runs[0].ID != "job-000001" {
+		t.Fatalf("store lists %+v, want only job-000001", runs)
+	}
+	if n := tel.Counter("serve.store_dropped_runs").Value(); n != 1 {
+		t.Fatalf("serve.store_dropped_runs = %d, want 1", n)
+	}
+	if _, err := os.Stat(damaged); !os.IsNotExist(err) {
+		t.Fatalf("damaged store still at its path: %v", err)
+	}
+	if _, err := os.Stat(damaged + ".corrupt"); err != nil {
+		t.Fatalf("damaged store not moved aside: %v", err)
+	}
+	if n := s.lastJobNumber(); n != 2 {
+		t.Fatalf("lastJobNumber = %d, want 2 (the quarantined job's number)", n)
 	}
 }
 

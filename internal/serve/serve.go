@@ -556,9 +556,9 @@ func (s *Server) handleRunFetch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown run")
 		return
 	}
-	// Stored runs live behind the RunStore codec (line or segment
-	// backend); clients get one checksum-verified JSON document
-	// in the stable single-document shape regardless of the backend.
+	// Stored runs are segment directories; clients get one
+	// checksum-verified JSON document in the stable single-document
+	// shape.
 	st, err := crumbcruncher.OpenRunStore(s.store.RunPath(entry))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())

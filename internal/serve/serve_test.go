@@ -363,50 +363,65 @@ func TestCancelRunningJob(t *testing.T) {
 
 // TestStoreSurvivesRestart pins the persistence contract: a second
 // server over the same store directory lists the first server's runs
-// and can reanalyze them.
+// and can reanalyze them, and numbers its jobs past every run-job-*
+// entry an earlier server left, whatever its suffix.
 func TestStoreSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	srv, err := New(Options{Workers: 1, StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		// leave makes the unindexed job-000007 entry.
+		leave func(path string) error
+	}{
+		// A run file an older server, which named runs ".json", left.
+		{"old .json file", func(path string) error {
+			return os.WriteFile(strings.TrimSuffix(path, ".crumbs")+".json", nil, 0o644)
+		}},
+		// A drained job's unfinalized store.
+		{".crumbs directory", func(path string) error { return os.Mkdir(path, 0o755) }},
 	}
-	ts := httptest.NewServer(srv.Handler())
-	job := postJob(t, ts.URL, `{"small":true,"seed":11,"walks":8}`)
-	st := waitState(t, ts.URL, job.ID)
-	if st.State != StateDone {
-		t.Fatalf("state %s (%s)", st.State, st.Error)
-	}
-	if err := srv.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ts.Close()
-	// An unindexed run file, as a drained job leaves one.
-	drained := "job-000007"
-	if err := os.WriteFile(filepath.Join(dir, jobRunFile(drained)), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, err := New(Options{Workers: 1, StoreDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			job := postJob(t, ts.URL, `{"small":true,"seed":11,"walks":8}`)
+			st := waitState(t, ts.URL, job.ID)
+			if st.State != StateDone {
+				t.Fatalf("state %s (%s)", st.State, st.Error)
+			}
+			if err := srv.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			ts.Close()
+			if err := tc.leave(filepath.Join(dir, jobRunFile("job-000007"))); err != nil {
+				t.Fatal(err)
+			}
 
-	srv2, err := New(Options{Workers: 1, StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	var runs []RunEntry
-	getJSON(t, ts2.URL+"/runs", &runs)
-	if len(runs) != 1 || runs[0].ID != job.ID {
-		t.Fatalf("restarted store lists %v, want the one saved run %s", runs, job.ID)
-	}
-	// A crawl job of the new process is numbered past every run file,
-	// so it lands on none of an earlier process's.
-	job2 := postJob(t, ts2.URL, `{"small":true,"seed":12,"walks":4}`)
-	if job2.ID != "job-000008" {
-		t.Fatalf("restarted server numbered its first job %s, want job-000008", job2.ID)
-	}
-	if st := waitState(t, ts2.URL, job2.ID); st.State != StateDone {
-		t.Fatalf("crawl job after restart: state %s (%s)", st.State, st.Error)
-	}
-	if err := srv2.Drain(context.Background()); err != nil {
-		t.Fatal(err)
+			srv2, err := New(Options{Workers: 1, StoreDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts2 := httptest.NewServer(srv2.Handler())
+			defer ts2.Close()
+			var runs []RunEntry
+			getJSON(t, ts2.URL+"/runs", &runs)
+			if len(runs) != 1 || runs[0].ID != job.ID {
+				t.Fatalf("restarted store lists %v, want the one saved run %s", runs, job.ID)
+			}
+			// A crawl job of the new process is numbered past every run
+			// file, so it lands on none of an earlier process's.
+			job2 := postJob(t, ts2.URL, `{"small":true,"seed":12,"walks":4}`)
+			if job2.ID != "job-000008" {
+				t.Fatalf("restarted server numbered its first job %s, want job-000008", job2.ID)
+			}
+			if st := waitState(t, ts2.URL, job2.ID); st.State != StateDone {
+				t.Fatalf("crawl job after restart: state %s (%s)", st.State, st.Error)
+			}
+			if err := srv2.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

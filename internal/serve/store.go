@@ -21,10 +21,10 @@ import (
 const indexVersion = 1
 
 // RunEntry is one line of the store's index: enough to list, locate and
-// identify a persisted run without opening its (large) document.
+// identify a persisted run without opening its (large) run store.
 type RunEntry struct {
 	ID string `json:"id"`
-	// File is the run document's path, relative to the store directory.
+	// File is the run store's path, relative to the store directory.
 	File       string `json:"file"`
 	Seed       int64  `json:"seed"`
 	ConfigHash string `json:"config_hash"`
@@ -33,13 +33,13 @@ type RunEntry struct {
 	SavedUptimeMs int64 `json:"saved_uptime_ms"`
 }
 
-// Store persists completed runs under one directory: full run documents
-// (re-analyzable with cmd/crumbreport or a "reanalyze" job) plus an
-// append-only JSONL index that survives restarts — reopening a store
+// Store persists completed runs under one directory: one run store per
+// crawl job (re-analyzable with cmd/crumbreport or a "reanalyze" job)
+// plus an append-only JSONL index that survives restarts — reopening a store
 // replays the index, so GET /runs lists runs saved by earlier server
 // processes. Opening scans and repairs: torn index tails are dropped by
 // the runio line-file codec, a corrupt index is quarantined and rebuilt
-// from its salvageable records, and entries whose run documents are
+// from its salvageable records, and entries whose run stores are
 // missing or damaged are dropped (counted on serve.store_dropped_runs,
 // never silently). A crawl job writes its run store in the same
 // directory as it crawls (JobRunPath); a drained job's store stays there
@@ -56,7 +56,7 @@ type Store struct {
 // repairing the index on the way up. tel (optional) counts the repairs:
 // runio.recovered_records / runio.quarantined_files from the line-file
 // layer, serve.store_dropped_runs for index entries that no longer
-// resolve to a readable run document.
+// resolve to a readable run store.
 func OpenStore(dir string, tel *telemetry.Telemetry) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: store: %w", err)
@@ -67,7 +67,7 @@ func OpenStore(dir string, tel *telemetry.Telemetry) (*Store, error) {
 	index, lines, err := runio.OpenLineFile(path, want)
 	if errors.Is(err, runio.ErrCorrupt) {
 		// The damaged index is quarantined; salvage what still verifies
-		// and rebuild. The run documents themselves are untouched.
+		// and rebuild. The run stores themselves are untouched.
 		var dmg *runio.DamageError
 		errors.As(err, &dmg)
 		tel.Counter("runio.quarantined_files").Inc()
@@ -118,14 +118,19 @@ func OpenStore(dir string, tel *telemetry.Telemetry) (*Store, error) {
 }
 
 // verifyRun checks that an index entry still points at a readable run
-// store: the file opens through the runstore codec, which re-verifies
-// every record's checksum. A file that is not a run store — such as a
-// single-document run saved before the RunStore format — fails the
-// check and its entry is dropped.
+// store: it opens, and every record of every segment verifies against
+// its checksum (runstore.Verify). A damaged store is moved aside to
+// "<path>.corrupt"; a path that is not a run store — such as a
+// single-document run or a line-file store saved by an older server —
+// fails the open and is left where it is. Either way the entry is
+// dropped.
 func (s *Store) verifyRun(e RunEntry) error {
 	st, err := runstore.Open(s.RunPath(e))
 	if err != nil {
 		return err
+	}
+	if err := runstore.Verify(st); err != nil {
+		return err // Verify closed st
 	}
 	return st.Close()
 }
@@ -168,16 +173,18 @@ func (s *Store) List() []RunEntry {
 	return out
 }
 
-// RunPath returns the absolute path of an entry's run document.
+// RunPath returns the absolute path of an entry's run store.
 func (s *Store) RunPath(e RunEntry) string { return filepath.Join(s.dir, e.File) }
 
 // jobRunFile names a job's run store, relative to the store directory.
-func jobRunFile(jobID string) string { return "run-" + jobID + ".json" }
+func jobRunFile(jobID string) string { return "run-" + jobID + ".crumbs" }
 
 // lastJobNumber returns the highest job number among the indexed runs
-// and the run files in the store directory (a drained job's run file is
-// not indexed), so a restarted server numbers new jobs past every job
-// an earlier process ran.
+// and the run-job-* entries in the store directory, whatever their
+// suffix (a drained job's store is not indexed, a quarantined one ends
+// in ".corrupt", and an older server named its runs ".json"), so a
+// restarted server numbers new jobs past every job an earlier process
+// ran.
 func (s *Store) lastJobNumber() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -185,9 +192,10 @@ func (s *Store) lastJobNumber() int {
 	for _, e := range s.entries {
 		ids = append(ids, e.ID)
 	}
-	files, _ := filepath.Glob(filepath.Join(s.dir, jobRunFile("job-*"))) // the pattern is well-formed
+	files, _ := filepath.Glob(filepath.Join(s.dir, "run-job-*")) // the pattern is well-formed
 	for _, f := range files {
-		ids = append(ids, strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "run-"), ".json"))
+		id, _, _ := strings.Cut(strings.TrimPrefix(filepath.Base(f), "run-"), ".")
+		ids = append(ids, id)
 	}
 	last := 0
 	for _, id := range ids {

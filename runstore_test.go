@@ -15,10 +15,9 @@ import (
 )
 
 // TestRunStoreMetricsIdentical pins the RunStore acceptance bar: a
-// crawl saved to the line backend and to the segment backend, then
-// re-analysed by cursor through AnalyzeStore, reproduces the in-memory
-// run's metrics JSON byte for byte — at analysis parallelism 1, 4 and
-// 16.
+// crawl saved to a run store, then re-analysed by cursor through
+// AnalyzeStore, reproduces the in-memory run's metrics JSON byte for
+// byte — at analysis parallelism 1, 4 and 16.
 func TestRunStoreMetricsIdentical(t *testing.T) {
 	cfg := crumbcruncher.SmallConfig()
 	cfg.World.Seed = 7
@@ -32,56 +31,47 @@ func TestRunStoreMetricsIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	paths := map[string]string{
-		"line":    filepath.Join(dir, "crawl.json"),
-		"segment": filepath.Join(dir, "crawl.crumbs"),
+	// A store is a segment directory at whatever path it is given.
+	path := filepath.Join(t.TempDir(), "crawl.json")
+	if err := crumbcruncher.SaveRunStore(path, base); err != nil {
+		t.Fatalf("save: %v", err)
 	}
-	for name, path := range paths {
-		if err := crumbcruncher.SaveRunStore(path, base); err != nil {
-			t.Fatalf("%s: save: %v", name, err)
-		}
-	}
-	if fi, err := os.Stat(paths["segment"]); err != nil || !fi.IsDir() {
-		t.Fatalf("segment store is not a directory: %v %v", fi, err)
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Fatalf("run store is not a directory: %v %v", fi, err)
 	}
 
-	for name, path := range paths {
-		st, err := crumbcruncher.OpenRunStore(path)
+	st, err := crumbcruncher.OpenRunStore(path)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close()
+	if st.Walks() != cfg.Walks {
+		t.Fatalf("store holds %d walks, want %d", st.Walks(), cfg.Walks)
+	}
+	run, err := crumbcruncher.AnalyzeStore(context.Background(), st)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	var got strings.Builder
+	if err := crumbcruncher.WriteMetricsJSON(&got, run); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Error("store-analysed metrics diverge from the in-memory run")
+	}
+	for _, par := range []int{1, 4, 16} {
+		pcfg := run.Config
+		pcfg.Parallelism = par
+		rerun, err := crumbcruncher.ReanalyzeContext(context.Background(), pcfg, run)
 		if err != nil {
-			t.Fatalf("%s: open: %v", name, err)
+			t.Fatalf("reanalyze par=%d: %v", par, err)
 		}
-		if st.Walks() != cfg.Walks {
-			t.Fatalf("%s: store holds %d walks, want %d", name, st.Walks(), cfg.Walks)
-		}
-		run, err := crumbcruncher.AnalyzeStore(context.Background(), st)
-		if err != nil {
-			t.Fatalf("%s: analyze: %v", name, err)
-		}
-		var got strings.Builder
-		if err := crumbcruncher.WriteMetricsJSON(&got, run); err != nil {
+		var pgot strings.Builder
+		if err := crumbcruncher.WriteMetricsJSON(&pgot, rerun); err != nil {
 			t.Fatal(err)
 		}
-		if got.String() != want.String() {
-			t.Errorf("%s: store-analysed metrics diverge from the in-memory run", name)
-		}
-		for _, par := range []int{1, 4, 16} {
-			pcfg := run.Config
-			pcfg.Parallelism = par
-			rerun, err := crumbcruncher.ReanalyzeContext(context.Background(), pcfg, run)
-			if err != nil {
-				t.Fatalf("%s: reanalyze par=%d: %v", name, par, err)
-			}
-			var pgot strings.Builder
-			if err := crumbcruncher.WriteMetricsJSON(&pgot, rerun); err != nil {
-				t.Fatal(err)
-			}
-			if pgot.String() != want.String() {
-				t.Errorf("%s: metrics diverge at parallelism %d", name, par)
-			}
-		}
-		if err := st.Close(); err != nil {
-			t.Fatalf("%s: close: %v", name, err)
+		if pgot.String() != want.String() {
+			t.Errorf("metrics diverge at parallelism %d", par)
 		}
 	}
 }
@@ -288,5 +278,31 @@ func TestWalkLogRefusesFinalizedStore(t *testing.T) {
 				t.Errorf("refused store changed: finalized %v, %d walks", st.Finalized(), st.Walks())
 			}
 		})
+	}
+}
+
+// TestWalkLogRefusesRegularFile pins what -save does over a regular
+// file, such as a line-file store from before every store was a
+// directory: OpenWalkLog refuses it, naming the path, and leaves the
+// file as it was — never overwritten, quarantined or moved.
+func TestWalkLogRefusesRegularFile(t *testing.T) {
+	cfg := crumbcruncher.SmallConfig()
+	cfg.Walks = 4
+	path := filepath.Join(t.TempDir(), "old.jsonl")
+	before := []byte("!00000000!00000000!\n")
+	if err := os.WriteFile(path, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := crumbcruncher.OpenWalkLog(path, cfg)
+	if err == nil {
+		st.Close()
+		t.Fatal("OpenWalkLog made a walk log over a regular file")
+	}
+	if !strings.Contains(err.Error(), path+" is not a run-store directory") {
+		t.Fatalf("OpenWalkLog over a regular file: %v", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("file changed by the refused open: %q, %v", after, err)
 	}
 }

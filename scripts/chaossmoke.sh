@@ -43,11 +43,12 @@ echo "--- chaos: crawl kill + resume"
 "$work/crumbcruncher" -small -seed "$SEED" -walks "$WALKS" -parallel 1 \
 	-metrics -out "$work/clean.json" 2>/dev/null
 
-store="$work/run.jsonl"
-# walk_records counts the walk records in the line store (each frame's
-# payload of a walk record opens with {"index":).
+store="$work/run.crumbs"
+# walk_records counts the walk records in the store's active segment,
+# seg-NNNNNN.jsonl (each frame's payload of a walk record opens with
+# {"index":). The kill lands long before the first segment seals.
 walk_records() {
-	if [ -f "$store" ]; then grep -c '!{"index":' "$store" || true; else echo 0; fi
+	cat "$store"/seg-*.jsonl 2>/dev/null | grep -c '!{"index":' || true
 }
 "$work/crumbcruncher" -small -seed "$SEED" -walks "$WALKS" -parallel 1 \
 	-fsync every-record -save "$store" \

@@ -3,7 +3,7 @@
 # submit two concurrent jobs, poll to completion, and diff each job's
 # metrics against the crumbcruncher CLI running the same seed solo —
 # the end-to-end form of the multi-tenant determinism guarantee. Then
-# exercise SIGTERM drain: an in-flight job must leave its run file
+# exercise SIGTERM drain: an in-flight job must leave its run store
 # unfinalized and resumable, a late submission must see 503 +
 # Retry-After, and the process must exit 0.
 #
@@ -98,7 +98,7 @@ for pair in "5 $JOB5" "6 $JOB6"; do
 done
 
 # Drain: start a job too big to finish, SIGTERM, then expect 503 on a
-# late submission and an unfinalized run file for the interrupted job.
+# late submission and an unfinalized run store for the interrupted job.
 JOBBIG="$(submit '{"small":true,"seed":3,"walks":5000,"parallelism":2}')"
 i=0
 while [ "$(job_state "$JOBBIG")" != "running" ]; do
@@ -146,17 +146,17 @@ fi
 SRV_PID=""
 echo "OK: crumbserved drained and exited 0"
 
-runfile="$work/runs/run-$JOBBIG.json"
-if [ ! -s "$runfile" ]; then
-	echo "FAIL: no run file for interrupted job $JOBBIG" >&2
+runfile="$work/runs/run-$JOBBIG.crumbs"
+if [ ! -s "$runfile/manifest.json" ]; then
+	echo "FAIL: no run store for interrupted job $JOBBIG" >&2
 	ls -la "$work/runs" >&2
 	exit 1
 fi
-# Finalizing a line store appends a closing manifest record, so an
-# unfinalized store still ends with a walk record ({"index": payload).
-if ! tail -n 1 "$runfile" | grep -q '!{"index":'; then
-	echo "FAIL: interrupted job's run file is finalized" >&2
+# Finalize stamps the walk count into the manifest; an unfinalized
+# store's manifest still records 0 walks.
+if ! grep -q '"walks":0[,}]' "$runfile/manifest.json"; then
+	echo "FAIL: interrupted job's run store is finalized" >&2
 	exit 1
 fi
-echo "OK: interrupted job left an unfinalized run file at runs/run-$JOBBIG.json"
+echo "OK: interrupted job left an unfinalized run store at runs/run-$JOBBIG.crumbs"
 echo "PASS: servesmoke"

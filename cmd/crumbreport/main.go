@@ -66,16 +66,13 @@ func main() {
 		return
 	}
 
-	run, err := crumbcruncher.AnalyzeStore(context.Background(), st)
+	var opts []crumbcruncher.Option
+	if *par > 0 {
+		opts = append(opts, func(c *crumbcruncher.Config) { c.Parallelism = *par })
+	}
+	run, err := crumbcruncher.AnalyzeStore(context.Background(), st, opts...)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *par > 0 && *par != run.Config.Parallelism {
-		cfg := run.Config
-		cfg.Parallelism = *par
-		if run, err = crumbcruncher.ReanalyzeContext(context.Background(), cfg, run); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	opt := crumbcruncher.IdentifyOptions{

@@ -306,8 +306,10 @@ func SaveRunStore(path string, r *Run) error {
 // for the report figures that need walk records — close st only after
 // the Run is no longer used. The synthetic world is rebuilt lazily from the stored
 // configuration; results are byte-identical to re-analysing the same
-// walks from a resident dataset.
-func AnalyzeStore(ctx context.Context, st RunStore) (*Run, error) {
+// walks from a resident dataset. opts apply to the stored configuration
+// before the analysis, e.g. to fetch and analyse at another Parallelism
+// than the crawl's, still in one pass.
+func AnalyzeStore(ctx context.Context, st RunStore, opts ...Option) (*Run, error) {
 	m := st.Manifest()
 	var cfg Config
 	if len(m.Config) > 0 {
@@ -317,6 +319,9 @@ func AnalyzeStore(ctx context.Context, st RunStore) (*Run, error) {
 	}
 	if cfg.World.Seed == 0 {
 		cfg.World.Seed = m.Seed
+	}
+	for _, o := range opts {
+		o(&cfg)
 	}
 	// Lazy world: figures only consult the world's ground truth and
 	// lists, which are byte-identical in both modes, and a million-site

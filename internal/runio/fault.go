@@ -97,7 +97,8 @@ type Fault interface {
 	// artifact format. It may return different bytes to write instead
 	// (torn or flipped), and/or an error: a non-nil error abandons the
 	// writer after the returned bytes land — the in-process equivalent
-	// of the process dying mid-write.
+	// of the process dying mid-write. The writer reuses frame's buffer
+	// after the call, so the hook must not keep it.
 	BeforeAppend(format string, seq uint64, frame []byte) ([]byte, error)
 	// BeforeSync runs before each fsync; a non-nil error abandons the
 	// writer without syncing (a crash at the fsync point).

@@ -1,6 +1,9 @@
 package runio
 
-import "hash/crc32"
+import (
+	"hash/crc32"
+	"slices"
+)
 
 // Frame layout (format v2). Every record — the header line included —
 // is one line of the shape
@@ -36,9 +39,9 @@ const (
 	frameBad
 )
 
-// buildFrame wraps a JSON payload in a v2 frame line.
-func buildFrame(payload []byte) []byte {
-	buf := make([]byte, 0, len(payload)+framePrefixLen+1)
+// appendFrame appends payload's v2 frame line to buf.
+func appendFrame(buf, payload []byte) []byte {
+	buf = slices.Grow(buf, framePrefixLen+len(payload)+1)
 	buf = append(buf, frameMark)
 	buf = appendHex32(buf, crc32.ChecksumIEEE(payload))
 	buf = append(buf, frameMark)

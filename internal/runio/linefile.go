@@ -30,6 +30,8 @@ type LineFile struct {
 	recsAcc  int    // records since the last fsync (SyncInterval)
 	bytesAcc int    // bytes since the last fsync (SyncInterval)
 
+	frame []byte // the frame being written, reused across appends
+
 	syncErr  error // sticky: first fsync failure, surfaced by Close
 	crashed  error // sticky: the fault hook abandoned this writer
 	closed   bool
@@ -248,14 +250,40 @@ func (lf *LineFile) Append(v any) error {
 	}
 	lf.mu.Lock()
 	defer lf.mu.Unlock()
-	if lf.closed || lf.f == nil {
-		return errors.New("runio: append to closed line file")
+	if err := lf.openLocked(); err != nil {
+		return err
 	}
 	return lf.appendValue(v)
 }
 
-// appendValue writes one record; callers hold mu (or own lf
-// exclusively during open).
+// AppendRaw appends payload, one JSON value that is already encoded and
+// holds no raw newline, as one record line: the line Append writes for
+// a value json.Marshal encodes to exactly these bytes. The payload is
+// framed as it is, neither validated nor re-encoded. Crash hooks, record
+// numbering and the sync policy apply as in Append. Safe for concurrent
+// use and on a nil receiver.
+func (lf *LineFile) AppendRaw(payload []byte) error {
+	if lf == nil {
+		return nil
+	}
+	lf.mu.Lock()
+	defer lf.mu.Unlock()
+	if err := lf.openLocked(); err != nil {
+		return err
+	}
+	return lf.appendPayload(payload)
+}
+
+// openLocked fails once the file is closed. Callers hold mu.
+func (lf *LineFile) openLocked() error {
+	if lf.closed || lf.f == nil {
+		return errors.New("runio: append to closed line file")
+	}
+	return nil
+}
+
+// appendValue encodes and writes one record; callers hold mu (or own
+// lf exclusively during open).
 func (lf *LineFile) appendValue(v any) error {
 	if lf.crashed != nil {
 		return lf.crashed
@@ -264,7 +292,18 @@ func (lf *LineFile) appendValue(v any) error {
 	if err != nil {
 		return fmt.Errorf("runio: %s: encode record: %w", lf.format, err)
 	}
-	line := buildFrame(payload)
+	return lf.appendPayload(payload)
+}
+
+// appendPayload frames and writes one encoded record, then applies the
+// sync policy; callers hold mu (or own lf exclusively during open). The
+// frame is built in lf.frame, which each append reuses.
+func (lf *LineFile) appendPayload(payload []byte) error {
+	if lf.crashed != nil {
+		return lf.crashed
+	}
+	lf.frame = appendFrame(lf.frame[:0], payload)
+	line := lf.frame
 
 	var crash error
 	if fault := currentFault(); fault != nil {
@@ -409,22 +448,6 @@ func ReadSized(r io.Reader, size int) ([]byte, error) {
 	}
 }
 
-// AppendRecord frames one raw JSON payload exactly as LineFile.Append
-// would and appends it to buf — the writer-side counterpart of Records
-// for building sealed artifacts in memory.
-func AppendRecord(buf []byte, payload []byte) []byte {
-	return append(buf, buildFrame(payload)...)
-}
-
-// HeaderRecord frames a header line for a sealed artifact image.
-func HeaderRecord(h Header) ([]byte, error) {
-	payload, err := json.Marshal(h)
-	if err != nil {
-		return nil, err
-	}
-	return buildFrame(payload), nil
-}
-
 // SalvageLineFile reads as many intact records as possible out of a
 // damaged (typically quarantined) line file: records that fail their
 // checksum or framing are skipped — counted, never silently — and
@@ -481,11 +504,11 @@ func ReplaceLineFile(path string, want Header, entries [][]byte, opts OpenOption
 		if err != nil {
 			return err
 		}
-		if _, err := w.Write(buildFrame(hdr)); err != nil {
+		if _, err := w.Write(appendFrame(nil, hdr)); err != nil {
 			return err
 		}
 		for _, e := range entries {
-			if _, err := w.Write(buildFrame(e)); err != nil {
+			if _, err := w.Write(appendFrame(nil, e)); err != nil {
 				return err
 			}
 		}

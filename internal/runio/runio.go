@@ -22,6 +22,14 @@
 // and finalized documents land via temp-file + atomic rename
 // (WriteFileAtomic), so a saved run is either completely present or
 // absent — never half-written.
+//
+// Raw appends: LineFile.Append encodes a value with json.Marshal;
+// LineFile.AppendRaw takes a payload its caller has already encoded and
+// frames it as it is. The payload must be one JSON value with no raw
+// newline (encoding/json never writes one), for the frame is a line and
+// readers split on newlines; nothing checks this. A payload equal to
+// json.Marshal's bytes for v gives exactly the line Append(v) writes,
+// and raw appends are numbered, hooked and fsynced like any other.
 package runio
 
 import (
@@ -173,7 +181,7 @@ func WriteDocument(w io.Writer, v any) error {
 	if err != nil {
 		return fmt.Errorf("runio: encode document: %w", err)
 	}
-	_, err = w.Write(buildFrame(payload))
+	_, err = w.Write(appendFrame(nil, payload))
 	return err
 }
 

@@ -20,9 +20,11 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"sync"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runio"
@@ -127,14 +129,29 @@ type walkRecord struct {
 	Walk  *crawler.Walk `json:"walk"`
 }
 
-// encodeWalk encodes w's record.
+// encodeWalk encodes w's record: by hand (walkcodec.go), or through
+// json.Marshal when the record holds a value the hand encoder leaves to
+// it, so that the error is encoding/json's. The bytes are json.Marshal's
+// either way.
 func encodeWalk(w *crawler.Walk) ([]byte, error) {
-	raw, err := json.Marshal(walkRecord{Index: w.Index, Walk: w})
+	rec := walkRecord{Index: w.Index, Walk: w}
+	scratch := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(scratch)
+	raw, ok := encodeWalkRecord((*scratch)[:0], rec)
+	*scratch = raw[:0]
+	if ok {
+		return bytes.Clone(raw), nil
+	}
+	raw, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("runstore: encode walk %d: %w", w.Index, err)
 	}
 	return raw, nil
 }
+
+// encodeBufs holds encoding buffers: a record is encoded into one and
+// copied out at its exact size, as json.Marshal does.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // stamp copies the documents Stamp replaces from src into m.
 func (m *Manifest) stamp(src Manifest) {

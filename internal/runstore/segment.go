@@ -287,6 +287,12 @@ func (st *segmentStore) addActive(idx int, raw []byte) {
 }
 
 func (st *segmentStore) Append(w *crawler.Walk) error {
+	// Encoding is a pure function of the walk, so concurrent appends
+	// encode in parallel and hold the lock only to write.
+	raw, err := encodeWalk(w)
+	if err != nil {
+		return err
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.finalized {
@@ -304,11 +310,7 @@ func (st *segmentStore) Append(w *crawler.Walk) error {
 		st.startActive(lf, st.nextSeg)
 		st.nextSeg++
 	}
-	raw, err := encodeWalk(w)
-	if err != nil {
-		return err
-	}
-	if err := st.active.Append(json.RawMessage(raw)); err != nil {
+	if err := st.active.AppendRaw(raw); err != nil {
 		return err
 	}
 	st.addActive(w.Index, raw)

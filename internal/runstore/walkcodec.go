@@ -2,6 +2,9 @@ package runstore
 
 import (
 	"bytes"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -657,3 +660,337 @@ func hex4(b []byte) rune {
 	}
 	return r
 }
+
+// A walk record is encoded by hand too, with no reflection, to exactly
+// the bytes json.Marshal writes for it: struct fields in declaration
+// order under their tag names; omitempty as encoding/json applies it,
+// which never omits a time.Time (a struct) and writes a nil slice or
+// map without omitempty as null; map keys in sorted order; strings with
+// encoding/json's HTML-safe escaping (<, >, & and U+2028/U+2029 as \u
+// escapes, invalid UTF-8 as \ufffd, control bytes as \b \f \n \r \t or
+// \u00XX); and times as time.Time.MarshalJSON writes them. The one value
+// json.Marshal refuses is a time RFC 3339 cannot write; encodeWalkRecord
+// reports false for it, and encodeWalk falls back to json.Marshal, so
+// the error is encoding/json's.
+
+// walkEncoder appends one record to buf. A value json.Marshal would
+// refuse sets bad; encoding carries on, and the caller discards buf.
+type walkEncoder struct {
+	buf []byte
+	bad bool
+}
+
+// encodeWalkRecord appends rec's JSON to buf, reporting false when rec
+// holds a value json.Marshal refuses.
+func encodeWalkRecord(buf []byte, rec walkRecord) ([]byte, bool) {
+	e := walkEncoder{buf: buf}
+	e.raw(`{"index":`)
+	e.int(rec.Index)
+	e.raw(`,"walk":`)
+	e.walk(rec.Walk)
+	e.raw(`}`)
+	return e.buf, !e.bad
+}
+
+func (e *walkEncoder) walk(w *crawler.Walk) {
+	if w == nil {
+		e.raw("null")
+		return
+	}
+	e.raw(`{"index":`)
+	e.int(w.Index)
+	e.raw(`,"seeder":`)
+	e.str(w.Seeder)
+	e.raw(`,"steps":`)
+	encodeSlice(e, w.Steps, e.step)
+	if len(w.SeedLoad) > 0 {
+		e.raw(`,"seed_load":`)
+		encodeMap(e, w.SeedLoad, e.crawlerStep)
+	}
+	if w.Ended != "" {
+		e.raw(`,"ended":`)
+		e.str(string(w.Ended))
+	}
+	if w.Degraded != "" {
+		e.raw(`,"degraded":`)
+		e.str(w.Degraded)
+	}
+	if w.Skipped {
+		e.raw(`,"skipped":true`)
+	}
+	e.raw(`}`)
+}
+
+func (e *walkEncoder) step(s *crawler.Step) {
+	if s == nil {
+		e.raw("null")
+		return
+	}
+	e.raw(`{"walk":`)
+	e.int(s.Walk)
+	e.raw(`,"index":`)
+	e.int(s.Index)
+	e.raw(`,"outcome":`)
+	e.str(string(s.Outcome))
+	e.raw(`,"records":`)
+	encodeMap(e, s.Records, e.crawlerStep)
+	e.raw(`}`)
+}
+
+func (e *walkEncoder) crawlerStep(cs *crawler.CrawlerStep) {
+	if cs == nil {
+		e.raw("null")
+		return
+	}
+	e.raw(`{"crawler":`)
+	e.str(cs.Crawler)
+	e.raw(`,"profile":`)
+	e.str(cs.Profile)
+	e.raw(`,"start_url":`)
+	e.str(cs.StartURL)
+	e.raw(`,"before":`)
+	e.snapshot(cs.Before)
+	e.raw(`,"click_index":`)
+	e.int(cs.ClickIndex)
+	if cs.Clicked != nil {
+		e.raw(`,"clicked":`)
+		e.element(cs.Clicked)
+	}
+	if len(cs.NavChain) > 0 {
+		e.raw(`,"nav_chain":`)
+		encodeSlice(e, cs.NavChain, e.hop)
+	}
+	if len(cs.Requests) > 0 {
+		e.raw(`,"requests":`)
+		encodeSlice(e, cs.Requests, e.request)
+	}
+	if cs.LandedURL != "" {
+		e.raw(`,"landed_url":`)
+		e.str(cs.LandedURL)
+	}
+	e.raw(`,"after":`)
+	e.snapshot(cs.After)
+	if cs.Fail != "" {
+		e.raw(`,"fail":`)
+		e.str(cs.Fail)
+	}
+	e.raw(`}`)
+}
+
+func (e *walkEncoder) snapshot(s crawler.Snapshot) {
+	e.raw(`{"url":`)
+	e.str(s.URL)
+	if len(s.Cookies) > 0 {
+		e.raw(`,"cookies":`)
+		encodeSlice(e, s.Cookies, e.cookie)
+	}
+	if len(s.Local) > 0 {
+		e.raw(`,"local":`)
+		encodeMap(e, s.Local, e.str)
+	}
+	e.raw(`}`)
+}
+
+func (e *walkEncoder) cookie(c crawler.CookieRecord) {
+	e.raw(`{"name":`)
+	e.str(c.Name)
+	e.raw(`,"value":`)
+	e.str(c.Value)
+	e.raw(`,"domain":`)
+	e.str(c.Domain)
+	e.raw(`,"created":`)
+	e.time(c.Created)
+	e.raw(`,"expires":`) // omitempty never omits a struct
+	e.time(c.Expires)
+	e.raw(`}`)
+}
+
+func (e *walkEncoder) element(el *crawler.Element) {
+	e.raw(`{"index":`)
+	e.int(el.Index)
+	e.raw(`,"kind":`)
+	e.str(el.Kind)
+	if el.Href != "" {
+		e.raw(`,"href":`)
+		e.str(el.Href)
+	}
+	if len(el.AttrNames) > 0 {
+		e.raw(`,"attr_names":`)
+		encodeSlice(e, el.AttrNames, e.str)
+	}
+	e.raw(`,"box":`)
+	e.rect(el.Box)
+	e.raw(`,"xpath":`)
+	e.str(el.XPath)
+	e.raw(`,"cross_domain":`)
+	e.bool(el.CrossDomain)
+	e.raw(`}`)
+}
+
+func (e *walkEncoder) rect(r dom.Rect) {
+	e.raw(`{"X":`)
+	e.int(r.X)
+	e.raw(`,"Y":`)
+	e.int(r.Y)
+	e.raw(`,"W":`)
+	e.int(r.W)
+	e.raw(`,"H":`)
+	e.int(r.H)
+	e.raw(`}`)
+}
+
+func (e *walkEncoder) hop(h browser.Hop) {
+	e.raw(`{"URL":`)
+	e.str(h.URL)
+	e.raw(`,"Status":`)
+	e.int(h.Status)
+	e.raw(`,"Location":`)
+	e.str(h.Location)
+	e.raw(`}`)
+}
+
+func (e *walkEncoder) request(r browser.RequestRecord) {
+	e.raw(`{"URL":`)
+	e.str(r.URL)
+	e.raw(`,"Kind":`)
+	e.str(string(r.Kind))
+	e.raw(`,"Referer":`)
+	e.str(r.Referer)
+	e.raw(`,"Status":`)
+	e.int(r.Status)
+	e.raw(`,"Err":`)
+	e.str(r.Err)
+	e.raw(`,"Attempt":`)
+	e.int(r.Attempt)
+	e.raw(`,"Time":`)
+	e.time(r.Time)
+	e.raw(`}`)
+}
+
+// encodeSlice writes s as an array of elem values, null when s is nil.
+func encodeSlice[T any](e *walkEncoder, s []T, elem func(T)) {
+	if s == nil {
+		e.raw("null")
+		return
+	}
+	e.buf = append(e.buf, '[')
+	for i, v := range s {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		elem(v)
+	}
+	e.buf = append(e.buf, ']')
+}
+
+// encodeMap writes m as an object with its keys in sorted order, as
+// encoding/json orders them, null when m is nil.
+func encodeMap[T any](e *walkEncoder, m map[string]T, elem func(T)) {
+	if m == nil {
+		e.raw("null")
+		return
+	}
+	var arr [8]string
+	keys := arr[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e.buf = append(e.buf, '{')
+	for i, k := range keys {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		e.str(k)
+		e.buf = append(e.buf, ':')
+		elem(m[k])
+	}
+	e.buf = append(e.buf, '}')
+}
+
+func (e *walkEncoder) raw(s string) { e.buf = append(e.buf, s...) }
+
+func (e *walkEncoder) int(v int) { e.buf = strconv.AppendInt(e.buf, int64(v), 10) }
+
+func (e *walkEncoder) bool(v bool) { e.buf = strconv.AppendBool(e.buf, v) }
+
+// time writes t as time.Time.MarshalJSON does: quoted RFC 3339 with
+// nanoseconds. The checks are MarshalJSON's own: the year must be four
+// digits wide and the zone offset under 24 hours.
+func (e *walkEncoder) time(t time.Time) {
+	e.buf = append(e.buf, '"')
+	n0 := len(e.buf)
+	e.buf = t.AppendFormat(e.buf, time.RFC3339Nano)
+	b := e.buf
+	switch {
+	case b[n0+len("9999")] != '-':
+		e.bad = true
+	case b[len(b)-1] != 'Z':
+		c := b[len(b)-len("Z07:00")]
+		if ('0' <= c && c <= '9') || 10*(b[len(b)-5]-'0')+(b[len(b)-4]-'0') >= 24 {
+			e.bad = true
+		}
+	}
+	e.buf = append(e.buf, '"')
+}
+
+// str writes s as encoding/json writes a string with HTML escaping on.
+func (e *walkEncoder) str(s string) {
+	b := append(e.buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if htmlSafe[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default: // other control bytes, '<', '>' and '&'
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	e.buf = append(b, '"')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// htmlSafe marks the ASCII bytes encoding/json writes as they are:
+// printable ASCII (and DEL) other than '"', '\\', '<', '>' and '&'.
+var htmlSafe = func() (t [utf8.RuneSelf]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, rune(c))
+	}
+	return t
+}()

@@ -148,8 +148,9 @@ func (c *countingCursor) Next() (*crawler.Walk, error) {
 
 // TestStoreReanalysisDecodesOnce pins the one-pass re-analysis:
 // AnalyzeStore followed by WriteMetricsJSON decodes every stored walk
-// exactly once, at analysis parallelism 1 and 4, and reproduces the
-// crawl's metrics; under a cancelled context it fails with the
+// exactly once, at stored parallelism 1 and 4 and at an analysis
+// parallelism an option sets apart from the stored one, and reproduces
+// the crawl's metrics; under a cancelled context it fails with the
 // context's error.
 func TestStoreReanalysisDecodesOnce(t *testing.T) {
 	cfg := crumbcruncher.SmallConfig()
@@ -174,21 +175,33 @@ func TestStoreReanalysisDecodesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counted := &decodeCounter{RunStore: st, decodes: map[int]int{}}
-		run, err := crumbcruncher.AnalyzeStore(context.Background(), counted)
-		if err != nil {
-			st.Close()
-			t.Fatalf("parallelism %d: analyze: %v", par, err)
-		}
-		if got := metricsBytes(t, run); !bytes.Equal(got, want) {
-			t.Errorf("parallelism %d: store metrics differ from the crawl's", par)
-		}
-		if len(counted.decodes) != cfg.Walks {
-			t.Errorf("parallelism %d: decoded %d distinct walks, want %d", par, len(counted.decodes), cfg.Walks)
-		}
-		for idx, n := range counted.decodes {
-			if n != 1 {
-				t.Errorf("parallelism %d: walk %d decoded %d times, want once", par, idx, n)
+		// At the stored parallelism, and at another one set by an
+		// option as crumbreport -parallel sets it: one pass either way.
+		other := 5 - par
+		for _, apar := range []int{par, other} {
+			var opts []crumbcruncher.Option
+			if apar != par {
+				opts = append(opts, func(c *crumbcruncher.Config) { c.Parallelism = apar })
+			}
+			counted := &decodeCounter{RunStore: st, decodes: map[int]int{}}
+			run, err := crumbcruncher.AnalyzeStore(context.Background(), counted, opts...)
+			if err != nil {
+				st.Close()
+				t.Fatalf("stored parallelism %d, analysis %d: analyze: %v", par, apar, err)
+			}
+			if run.Config.Parallelism != apar {
+				t.Errorf("stored parallelism %d: analysed at %d, want %d", par, run.Config.Parallelism, apar)
+			}
+			if got := metricsBytes(t, run); !bytes.Equal(got, want) {
+				t.Errorf("stored parallelism %d, analysis %d: store metrics differ from the crawl's", par, apar)
+			}
+			if len(counted.decodes) != cfg.Walks {
+				t.Errorf("stored parallelism %d, analysis %d: decoded %d distinct walks, want %d", par, apar, len(counted.decodes), cfg.Walks)
+			}
+			for idx, n := range counted.decodes {
+				if n != 1 {
+					t.Errorf("stored parallelism %d, analysis %d: walk %d decoded %d times, want once", par, apar, idx, n)
+				}
 			}
 		}
 		// A cancelled re-analysis stops its fetchers and reports why.

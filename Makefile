@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the gate every change must
 # pass: it builds everything, vets, runs crumblint (the project's own
-# determinism/telemetry/resource-discipline analyzers, via the same
-# cached driver CI uses),
+# determinism/telemetry/resource-discipline analyzers, exactly as CI
+# runs them),
 # runs the full test suite with the race detector on — which exercises
 # the parallel analysis pipeline's determinism tests (Parallelism
 # 1/4/16) under -race — and finishes with the chaos smoke (kill,
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-sarif test race bench bench-all chaos scale
+.PHONY: check build vet lint test race bench bench-all chaos scale
 
 check: build vet lint race chaos
 
@@ -26,18 +26,11 @@ vet:
 
 # crumblint: wallclock, seededrand, maporder, spanend, fsyncpolicy,
 # plus the interprocedural resource-discipline suite (mustclose,
-# poolreset, ctxflow, sharedwrite). The driver runs analyzers in
-# parallel per package with content-hash result caching under
-# bin/.lintcache and suppresses findings recorded in the checked-in
-# baseline; anything new fails the build.
+# poolreset, ctxflow, sharedwrite), over every package and its tests.
+# It prints one `file:line:col: message [analyzer]` line per finding;
+# any finding fails the build.
 lint: bin/crumblint
-	./bin/crumblint -cache bin/.lintcache -baseline .crumblint-baseline.json ./...
-
-# SARIF export for code-scanning upload (CI attaches this as an
-# artifact). The baseline is not applied: the report carries every
-# finding, baselined or not.
-lint-sarif: bin/crumblint
-	./bin/crumblint -cache bin/.lintcache -sarif ./... > crumblint.sarif || true
+	./bin/crumblint ./...
 
 bin/crumblint: FORCE
 	$(GO) build -o bin/crumblint ./cmd/crumblint

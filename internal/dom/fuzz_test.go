@@ -1,0 +1,75 @@
+package dom_test
+
+import (
+	"net/http"
+	"reflect"
+	"strings"
+	"testing"
+
+	"crumbcruncher/internal/dom"
+	"crumbcruncher/internal/ident"
+	"crumbcruncher/internal/netsim"
+	"crumbcruncher/internal/web"
+)
+
+// FuzzParse feeds arbitrary bytes to Parse. Page bodies come off the
+// simulated network, so the parser must take anything: no input may
+// panic it, and two parses of one input must build deep-equal trees.
+// The seeds are pages a small world serves (landing, content, account
+// and ad-slot pages), each also truncated mid-document and with a byte
+// flipped.
+func FuzzParse(f *testing.F) {
+	cfg := web.SmallConfig()
+	cfg.Seed = 4
+	cfg.ConnectFailRate = 0
+	w := web.BuildWorld(cfg)
+	var urls []string
+	for _, d := range w.SeedersN(2) {
+		urls = append(urls, "http://"+d+"/", "http://"+d+"/p/3")
+	}
+	for _, s := range w.Sites() {
+		if s.HasAccount {
+			urls = append(urls, "http://"+s.Domain+"/account?atok=tok123")
+			break
+		}
+	}
+	for _, tr := range w.Trackers() {
+		if tr.ServeHost != "" {
+			urls = append(urls, "http://"+tr.ServeHost+"/slot?pub="+w.SeedersN(1)[0]+"&sl=1")
+			break
+		}
+	}
+	for _, u := range urls {
+		req, err := http.NewRequest(http.MethodGet, u, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		req.Header.Set(ident.HeaderProfile, "u1")
+		req.Header.Set(ident.HeaderClient, "c1")
+		resp, err := w.Network().RoundTrip(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		body, err := netsim.ReadBody(resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if !strings.Contains(body, "<") {
+			f.Fatalf("%s served no markup: %q", u, body)
+		}
+		flipped := []byte(body)
+		flipped[len(flipped)/3] ^= 0xff
+		f.Add(body)
+		f.Add(body[:len(body)/2])
+		f.Add(string(flipped))
+	}
+	f.Fuzz(func(t *testing.T, html string) {
+		a, b := dom.Parse(html), dom.Parse(html)
+		if a == nil {
+			t.Fatal("Parse returned nil")
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("two parses of %q differ", html)
+		}
+	})
+}

@@ -35,15 +35,9 @@ type Analyzer struct {
 	// optionally followed by a blank line and further paragraphs.
 	Doc string
 
-	// Version participates in the driver's cache key: bumping it
-	// invalidates every cached result and fact the analyzer has
-	// produced. Bump it whenever the analyzer's diagnostics or fact
-	// semantics change. Empty means "v0".
-	Version string
-
 	// UsesFacts declares that Run exports and/or imports object facts.
-	// The driver only plumbs dependency fact sets (and hashes them into
-	// cache keys) for analyzers that ask.
+	// The driver only plumbs dependency fact sets for analyzers that
+	// ask.
 	UsesFacts bool
 
 	// Run applies the analyzer to a single type-checked package.
@@ -135,16 +129,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// ReportRangef reports a diagnostic over the node's source extent.
-func (p *Pass) ReportRangef(n ast.Node, format string, args ...interface{}) {
-	p.Report(Diagnostic{Pos: n.Pos(), End: n.End(), Message: fmt.Sprintf(format, args...)})
-}
-
 // A Diagnostic is one finding of an analyzer, anchored at a position of
 // the Pass's FileSet.
 type Diagnostic struct {
 	Pos     token.Pos
-	End     token.Pos // optional: end of the offending extent
 	Message string
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -17,23 +16,22 @@ import (
 // without seeing the callee's body, because the callee's package
 // exported the answer as a fact.
 //
-// Facts must be JSON-serializable (they travel alongside export data in
-// the driver's result cache) and must be pure functions of the declaring
-// package's source: the driver keys its cache on the serialized fact
-// set, so nondeterministic facts would defeat caching and, worse,
-// flip diagnostics between runs.
+// Facts must be JSON-serializable (a FactSet stores each one encoded,
+// so an importing pass decodes its own copy) and must be pure functions
+// of the declaring package's source: a fact that varied between runs
+// would flip its dependents' diagnostics between runs.
 type Fact interface {
 	// AFact is a marker method; it has no behavior. Implementing it
 	// states the type is intended to cross the package boundary.
 	AFact()
 }
 
-// factName returns the stable wire name of a fact type.
+// factName returns the stable key name of a fact type.
 func factName(f Fact) string {
 	t := fmt.Sprintf("%T", f)
 	// Strip the package qualifier and any pointer marker: the analyzer
 	// name already namespaces the fact, and "lint.closeFact" vs
-	// "*lint.closeFact" must not bifurcate the wire format.
+	// "*lint.closeFact" must name the same fact.
 	t = strings.TrimPrefix(t, "*")
 	if i := strings.LastIndexByte(t, '.'); i >= 0 {
 		t = t[i+1:]
@@ -72,9 +70,10 @@ func ObjectPath(obj types.Object) string {
 }
 
 // A FactSet holds the facts of one package, keyed by analyzer, object
-// path and fact type. Values live as raw JSON so a set can be moved
-// between processes (through the driver cache) without knowing the
-// concrete fact types, and decoded lazily on import.
+// path and fact type. The driver hands a finished set to the package's
+// dependents in memory. Values live as raw JSON, so the set needs no
+// knowledge of the concrete fact types and every lookup decodes a fresh
+// copy that the importer cannot use to alter the exporter's fact.
 type FactSet struct {
 	// facts maps "analyzer\x00objpath\x00factname" -> serialized fact.
 	facts map[string]json.RawMessage
@@ -110,63 +109,4 @@ func (s *FactSet) lookup(analyzer, objPath string, f Fact) bool {
 		return false
 	}
 	return json.Unmarshal(raw, f) == nil
-}
-
-// Len returns the number of facts in the set.
-func (s *FactSet) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.facts)
-}
-
-// wireFacts is the on-disk shape: a sorted map keyed by the printable
-// form "analyzer/objpath/factname". encoding/json writes map keys in
-// sorted order, so Encode is deterministic for a given fact set — the
-// property the driver's cache keying relies on.
-type wireFacts map[string]json.RawMessage
-
-// wireKey converts the internal NUL-separated key to the on-disk form.
-func wireKey(k string) string { return strings.ReplaceAll(k, "\x00", "/") }
-
-// Encode serializes the set. The encoding is deterministic: equal sets
-// produce equal bytes.
-func (s *FactSet) Encode() ([]byte, error) {
-	w := make(wireFacts, len(s.facts))
-	for k, v := range s.facts {
-		w[wireKey(k)] = v
-	}
-	return json.Marshal(w)
-}
-
-// DecodeFactSet reads a set produced by Encode. Empty input decodes to
-// an empty set.
-func DecodeFactSet(data []byte) (*FactSet, error) {
-	s := NewFactSet()
-	if len(data) == 0 {
-		return s, nil
-	}
-	var w wireFacts
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("analysis: decode fact set: %w", err)
-	}
-	for k, v := range w {
-		parts := strings.SplitN(k, "/", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("analysis: malformed fact key %q", k)
-		}
-		s.facts[factKey(parts[0], parts[1], parts[2])] = v
-	}
-	return s, nil
-}
-
-// Keys lists the set's printable keys in sorted order (for tests and
-// debugging output).
-func (s *FactSet) Keys() []string {
-	out := make([]string, 0, len(s.facts))
-	for k := range s.facts {
-		out = append(out, wireKey(k))
-	}
-	sort.Strings(out)
-	return out
 }

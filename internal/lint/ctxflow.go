@@ -24,7 +24,6 @@ var CtxFlow = &analysis.Analyzer{
 		"context-accepting callees with context.Background()/TODO() or call " +
 		"Background-wrapper convenience entry points instead of the " +
 		"context-aware variant",
-	Version:   "v1",
 	UsesFacts: true,
 	Run:       runCtxFlow,
 }

@@ -55,19 +55,11 @@ func sameFactDomain(a, b string) bool {
 	return cut(a) == cut(b)
 }
 
-// finding pairs a diagnostic with the analyzer that produced it.
-type finding struct {
-	analyzer string
-	pos      token.Position
-	end      token.Position
-	message  string
-}
-
 // checkUnit parses, type-checks and analyzes one unit, returning
 // directive-filtered findings sorted by position plus the facts the
 // analyzers exported about the unit's own package. A parse or type
 // error is returned as-is.
-func checkUnit(fset *token.FileSet, u unit, analyzers []*analysis.Analyzer) ([]finding, *analysis.FactSet, error) {
+func checkUnit(fset *token.FileSet, u unit, analyzers []*analysis.Analyzer) ([]Finding, *analysis.FactSet, error) {
 	var files []*ast.File
 	for _, name := range u.goFiles {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -104,7 +96,7 @@ func checkUnit(fset *token.FileSet, u unit, analyzers []*analysis.Analyzer) ([]f
 	}
 
 	// One fact set per unit: facts are namespaced by analyzer name, so
-	// every analyzer's exports land in the same encodable set.
+	// every analyzer's exports land in the same set.
 	facts := analysis.NewFactSet()
 	depFacts := func(path string) *analysis.FactSet {
 		if u.depFacts == nil || !sameFactDomain(path, u.importPath) {
@@ -114,7 +106,7 @@ func checkUnit(fset *token.FileSet, u unit, analyzers []*analysis.Analyzer) ([]f
 	}
 
 	allows := directive.Collect(fset, files)
-	var out []finding
+	var out []Finding
 	for _, a := range analyzers {
 		var diags []analysis.Diagnostic
 		pass := &analysis.Pass{
@@ -136,33 +128,28 @@ func checkUnit(fset *token.FileSet, u unit, analyzers []*analysis.Analyzer) ([]f
 			if allows.Allowed(a.Name, d.Pos) {
 				continue
 			}
-			f := finding{analyzer: a.Name, pos: fset.Position(d.Pos), message: d.Message}
-			if d.End.IsValid() {
-				f.end = fset.Position(d.End)
-			}
-			out = append(out, f)
+			pos := fset.Position(d.Pos)
+			out = append(out, Finding{
+				Analyzer: a.Name,
+				File:     pos.Filename,
+				Line:     pos.Line,
+				Column:   pos.Column,
+				Message:  d.Message,
+			})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if a.pos.Filename != b.pos.Filename {
-			return a.pos.Filename < b.pos.Filename
+		if a.File != b.File {
+			return a.File < b.File
 		}
-		if a.pos.Line != b.pos.Line {
-			return a.pos.Line < b.pos.Line
+		if a.Line != b.Line {
+			return a.Line < b.Line
 		}
-		if a.pos.Column != b.pos.Column {
-			return a.pos.Column < b.pos.Column
+		if a.Column != b.Column {
+			return a.Column < b.Column
 		}
-		return a.analyzer < b.analyzer
+		return a.Analyzer < b.Analyzer
 	})
 	return out, facts, nil
-}
-
-// printPlain writes findings in the canonical file:line:col form the
-// acceptance tests (and editors) expect.
-func printPlain(w io.Writer, fs []finding) {
-	for _, f := range fs {
-		fmt.Fprintf(w, "%s: %s [%s]\n", f.pos, f.message, f.analyzer)
-	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,7 +18,7 @@ import (
 // fact-driven mustclose cases: the dep package exports dispositions
 // (Drain releases, Count borrows) and the root package leaks a cursor
 // that only the borrow fact makes visible.
-const testModGomod = "module cachemod\n\ngo 1.22\n"
+const testModGomod = "module factmod\n\ngo 1.22\n"
 
 const testModDep = `package runstore
 
@@ -49,7 +51,7 @@ func Count(c *Cursor) int {
 
 const testModMain = `package main
 
-import "cachemod/internal/runstore"
+import "factmod/internal/runstore"
 
 func main() {
 	st, err := runstore.Open("x")
@@ -82,8 +84,9 @@ func writeTestModule(t *testing.T) string {
 }
 
 // runIn runs Run over the module at dir with the given options filled
-// in (Patterns defaults to ./...).
-func runIn(t *testing.T, dir string, opts Options) *Result {
+// in (Patterns defaults to ./..., Analyzers to mustclose) and returns
+// the findings and what Run printed.
+func runIn(t *testing.T, dir string, opts Options) ([]Finding, string) {
 	t.Helper()
 	t.Chdir(dir)
 	if len(opts.Patterns) == 0 {
@@ -93,215 +96,90 @@ func runIn(t *testing.T, dir string, opts Options) *Result {
 		opts.Analyzers = []*analysis.Analyzer{lint.MustClose}
 	}
 	var buf bytes.Buffer
-	res, err := Run(&buf, opts)
+	findings, err := Run(&buf, opts)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return res
+	return findings, buf.String()
 }
 
-func findingStrings(res *Result) []string {
+func findingStrings(fs []Finding) []string {
 	var out []string
-	for _, f := range res.Findings {
+	for _, f := range fs {
 		out = append(out, filepath.ToSlash(f.File)+": "+f.Message+" ["+f.Analyzer+"]")
 	}
 	return out
 }
 
-// TestFactDrivenFinding is the cross-package baseline for everything
-// below: the leak in main.go is only visible because runstore.Count's
-// borrow fact crosses the package boundary.
+// TestFactDrivenFinding is the cross-package case: the leak in main.go
+// is only visible because runstore.Count's borrow fact crosses the
+// package boundary.
 func TestFactDrivenFinding(t *testing.T) {
 	dir := writeTestModule(t)
-	res := runIn(t, dir, Options{})
-	if len(res.Findings) != 1 {
-		t.Fatalf("want exactly the fact-driven cursor leak, got %v", findingStrings(res))
+	findings, _ := runIn(t, dir, Options{})
+	if len(findings) != 1 {
+		t.Fatalf("want exactly the fact-driven cursor leak, got %v", findingStrings(findings))
 	}
-	f := res.Findings[0]
+	f := findings[0]
 	if f.Analyzer != "mustclose" || !strings.Contains(f.Message, "cursor cur") {
 		t.Fatalf("unexpected finding: %+v", f)
 	}
 }
 
-func TestCacheHitOnUnchangedPackages(t *testing.T) {
-	dir := writeTestModule(t)
-	cache := filepath.Join(dir, "lintcache")
-
-	cold := runIn(t, dir, Options{CacheDir: cache})
-	if cold.UnitsCached != 0 {
-		t.Fatalf("cold run: UnitsCached = %d, want 0", cold.UnitsCached)
-	}
-	if cold.AnalyzersRun != cold.UnitsTotal {
-		t.Fatalf("cold run: AnalyzersRun = %d, want %d", cold.AnalyzersRun, cold.UnitsTotal)
-	}
-
-	warm := runIn(t, dir, Options{CacheDir: cache})
-	if warm.UnitsCached != warm.UnitsTotal {
-		t.Fatalf("warm run: UnitsCached = %d, want %d (all)", warm.UnitsCached, warm.UnitsTotal)
-	}
-	if warm.AnalyzersRun != 0 {
-		t.Fatalf("warm run re-ran %d analyzers, want 0", warm.AnalyzersRun)
-	}
-	if got, want := findingStrings(warm), findingStrings(cold); !equalStrings(got, want) {
-		t.Fatalf("cached findings diverge:\ncold: %v\nwarm: %v", want, got)
-	}
-}
-
-func TestCacheInvalidationOnSourceEdit(t *testing.T) {
-	dir := writeTestModule(t)
-	cache := filepath.Join(dir, "lintcache")
-	runIn(t, dir, Options{CacheDir: cache})
-
-	// Fix the leak; only the edited unit re-runs.
-	fixed := strings.Replace(testModMain, "cur := st.Iter()", "cur := st.Iter()\n\tdefer cur.Close()", 1)
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(fixed), 0o666); err != nil {
+// TestOutputMatchesProblemMatcher pins crumblint's one output format to
+// its one consumer: CI's problem matcher must parse the printed line
+// back into the finding's file, line, column, message and analyzer, or
+// findings fail the job without an inline annotation.
+func TestOutputMatchesProblemMatcher(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "..", ".github", "crumblint-matcher.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	res := runIn(t, dir, Options{CacheDir: cache})
-	if res.AnalyzersRun != 1 {
-		t.Fatalf("after editing main.go: AnalyzersRun = %d, want 1 (dep stays cached)", res.AnalyzersRun)
-	}
-	if res.UnitsCached != res.UnitsTotal-1 {
-		t.Fatalf("after editing main.go: UnitsCached = %d, want %d", res.UnitsCached, res.UnitsTotal-1)
-	}
-	if len(res.Findings) != 0 {
-		t.Fatalf("leak fixed but still reported: %v", findingStrings(res))
-	}
-}
-
-func TestCacheInvalidationOnDependencyFactChange(t *testing.T) {
-	dir := writeTestModule(t)
-	cache := filepath.Join(dir, "lintcache")
-	runIn(t, dir, Options{CacheDir: cache})
-
-	// A comment-only dep edit changes the dep's source hash but not its
-	// facts: the dep re-runs, the dependent stays cached.
-	depFile := filepath.Join(dir, "internal", "runstore", "runstore.go")
-	if err := os.WriteFile(depFile, []byte(testModDep+"\n// trailing comment\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	res := runIn(t, dir, Options{CacheDir: cache})
-	if res.AnalyzersRun != 1 {
-		t.Fatalf("comment-only dep edit: AnalyzersRun = %d, want 1 (dependent keyed on fact hash, not source)", res.AnalyzersRun)
-	}
-
-	// Making Count close the cursor changes the exported disposition, so
-	// the dependent's fact-hash key misses too — and its finding dies.
-	changed := strings.Replace(testModDep,
-		"func Count(c *Cursor) int {",
-		"func Count(c *Cursor) int {\n\tdefer c.Close()", 1)
-	if err := os.WriteFile(depFile, []byte(changed), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	res = runIn(t, dir, Options{CacheDir: cache})
-	if res.UnitsCached != 0 {
-		t.Fatalf("fact change: UnitsCached = %d, want 0 (dependent invalidated)", res.UnitsCached)
-	}
-	if len(res.Findings) != 0 {
-		t.Fatalf("Count now closes the cursor, but the stale finding survived: %v", findingStrings(res))
-	}
-}
-
-func TestCacheInvalidationOnAnalyzerVersionBump(t *testing.T) {
-	dir := writeTestModule(t)
-	cache := filepath.Join(dir, "lintcache")
-	runIn(t, dir, Options{CacheDir: cache})
-
-	bumped := *lint.MustClose
-	bumped.Version = "v1-test-bump"
-	res := runIn(t, dir, Options{CacheDir: cache, Analyzers: []*analysis.Analyzer{&bumped}})
-	if res.UnitsCached != 0 {
-		t.Fatalf("version bump: UnitsCached = %d, want 0", res.UnitsCached)
-	}
-}
-
-func TestBaselineSuppression(t *testing.T) {
-	dir := writeTestModule(t)
-	baseline := filepath.Join(dir, "baseline.json")
-
-	res := runIn(t, dir, Options{WriteBaselinePath: baseline})
-	if len(res.Findings) != 0 {
-		t.Fatalf("write-baseline mode still reported findings: %v", findingStrings(res))
-	}
-
-	res = runIn(t, dir, Options{BaselinePath: baseline})
-	if len(res.Findings) != 0 || res.Suppressed != 1 {
-		t.Fatalf("baselined run: findings=%v suppressed=%d, want none/1", findingStrings(res), res.Suppressed)
-	}
-
-	// A new finding in a baselined tree still fails.
-	extra := testModMain + "\nfunc leak2() {\n\tst, _ := runstore.Open(\"y\")\n\t_ = st.Len()\n}\n"
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(extra), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	// st.Len does not exist in the test dep; add it.
-	dep := strings.Replace(testModDep, "func (s *Store) Close() error { s.open = false; return nil }",
-		"func (s *Store) Close() error { s.open = false; return nil }\n\nfunc (s *Store) Len() int { return 0 }", 1)
-	if err := os.WriteFile(filepath.Join(dir, "internal", "runstore", "runstore.go"), []byte(dep), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	res = runIn(t, dir, Options{BaselinePath: baseline})
-	if len(res.Findings) != 1 || res.Suppressed != 1 {
-		t.Fatalf("new finding should surface past the baseline: findings=%v suppressed=%d",
-			findingStrings(res), res.Suppressed)
-	}
-}
-
-func TestJSONAndSARIFOutput(t *testing.T) {
-	dir := writeTestModule(t)
-	t.Chdir(dir)
-
-	var buf bytes.Buffer
-	if _, err := Run(&buf, Options{Patterns: []string{"./..."}, Analyzers: []*analysis.Analyzer{lint.MustClose}, Format: "json"}); err != nil {
-		t.Fatal(err)
-	}
-	var arr []Finding
-	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, buf.String())
-	}
-	if len(arr) != 1 || arr[0].Analyzer != "mustclose" {
-		t.Fatalf("unexpected JSON findings: %+v", arr)
-	}
-
-	buf.Reset()
-	if _, err := Run(&buf, Options{Patterns: []string{"./..."}, Analyzers: []*analysis.Analyzer{lint.MustClose}, Format: "sarif"}); err != nil {
-		t.Fatal(err)
-	}
-	var sarif struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &sarif); err != nil {
-		t.Fatalf("-sarif output does not parse: %v\n%s", err, buf.String())
-	}
-	if sarif.Version != "2.1.0" || len(sarif.Runs) != 1 || sarif.Runs[0].Tool.Driver.Name != "crumblint" {
-		t.Fatalf("malformed SARIF envelope: %s", buf.String())
-	}
-	if len(sarif.Runs[0].Results) != 1 || sarif.Runs[0].Results[0].RuleID != "mustclose" {
-		t.Fatalf("unexpected SARIF results: %s", buf.String())
-	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	var matcher struct {
+		ProblemMatcher []struct {
+			Pattern []struct {
+				Regexp                            string
+				File, Line, Column, Message, Code int
+			}
 		}
 	}
-	return true
+	if err := json.Unmarshal(data, &matcher); err != nil {
+		t.Fatalf("crumblint-matcher.json: %v", err)
+	}
+	if len(matcher.ProblemMatcher) != 1 || len(matcher.ProblemMatcher[0].Pattern) != 1 {
+		t.Fatalf("want one matcher with one pattern, got %s", data)
+	}
+	pat := matcher.ProblemMatcher[0].Pattern[0]
+	rx, err := regexp.Compile(pat.Regexp)
+	if err != nil {
+		t.Fatalf("matcher regexp: %v", err)
+	}
+
+	findings, out := runIn(t, writeTestModule(t), Options{})
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(findings) != 1 || len(lines) != 1 {
+		t.Fatalf("want one finding on one line, got %d findings and output %q", len(findings), out)
+	}
+	m := rx.FindStringSubmatch(lines[0])
+	if m == nil {
+		t.Fatalf("matcher regexp %q does not match %q", pat.Regexp, lines[0])
+	}
+	f := findings[0]
+	for _, c := range []struct {
+		field string
+		group int
+		want  string
+	}{
+		{"file", pat.File, f.File},
+		{"line", pat.Line, strconv.Itoa(f.Line)},
+		{"column", pat.Column, strconv.Itoa(f.Column)},
+		{"message", pat.Message, f.Message},
+		{"code", pat.Code, f.Analyzer},
+	} {
+		if c.group <= 0 || c.group >= len(m) {
+			t.Errorf("matcher %s group %d out of range", c.field, c.group)
+		} else if m[c.group] != c.want {
+			t.Errorf("matcher %s = %q, want %q", c.field, m[c.group], c.want)
+		}
+	}
 }

@@ -11,9 +11,10 @@ import (
 	"crumbcruncher/internal/lint/analysis"
 )
 
-// Main is cmd/crumblint's entry point: it parses the command line and
-// analyzes the packages named by its patterns, resolved through
-// `go list`.
+// Main is cmd/crumblint's entry point: it parses the command line,
+// analyzes the packages named by its patterns (test files included),
+// resolved through `go list`, and prints every finding. It exits 1
+// when there is a finding and 2 when the run itself fails.
 func Main(analyzers ...*analysis.Analyzer) {
 	log.SetFlags(0)
 	log.SetPrefix(progname() + ": ")
@@ -21,35 +22,20 @@ func Main(analyzers ...*analysis.Analyzer) {
 		log.Fatal(err)
 	}
 
-	testsFlag := flag.Bool("tests", true, "also analyze test files")
-	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array")
-	sarifFlag := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	baselineFlag := flag.String("baseline", "", "suppress findings listed in this baseline file")
-	writeBaselineFlag := flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
-	cacheFlag := flag.String("cache", "", "directory for the content-hash result cache (e.g. bin/.lintcache)")
-	parallelFlag := flag.Int("parallel", 0, "max concurrent units (0 = GOMAXPROCS)")
 	selected := make(map[string]*bool, len(analyzers))
 	for _, a := range analyzers {
-		usage := a.Doc
-		if i := strings.IndexByte(usage, '\n'); i >= 0 {
-			usage = usage[:i]
-		}
-		selected[a.Name] = flag.Bool(a.Name, false, "enable only the "+a.Name+" analyzer: "+usage)
+		selected[a.Name] = flag.Bool(a.Name, false, "enable only the "+a.Name+" analyzer: "+summary(a))
 	}
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `%[1]s machine-checks crumbcruncher's determinism, clock and telemetry invariants.
 
 Usage:
-	%[1]s [flags] [-NAME...] package...	# e.g. %[1]s ./...
+	%[1]s [-NAME...] package...	# e.g. %[1]s ./...
 
 Analyzers (all run by default; -NAME selects a subset):
 `, progname())
 		for _, a := range analyzers {
-			doc := a.Doc
-			if i := strings.IndexByte(doc, '\n'); i >= 0 {
-				doc = doc[:i]
-			}
-			fmt.Fprintf(os.Stderr, "	%-12s %s\n", a.Name, doc)
+			fmt.Fprintf(os.Stderr, "	%-12s %s\n", a.Name, summary(a))
 		}
 		os.Exit(2)
 	}
@@ -71,23 +57,20 @@ Analyzers (all run by default; -NAME selects a subset):
 	if len(args) == 0 {
 		flag.Usage()
 	}
-	format := "plain"
-	if *jsonFlag {
-		format = "json"
+	findings, err := Run(os.Stdout, Options{Patterns: args, Analyzers: enabled})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", progname(), err)
+		os.Exit(2)
 	}
-	if *sarifFlag {
-		format = "sarif"
+	if len(findings) > 0 {
+		os.Exit(1)
 	}
-	runStandaloneMain(os.Stdout, Options{
-		Patterns:          args,
-		IncludeTests:      *testsFlag,
-		Analyzers:         enabled,
-		CacheDir:          *cacheFlag,
-		Format:            format,
-		BaselinePath:      *baselineFlag,
-		WriteBaselinePath: *writeBaselineFlag,
-		Parallel:          *parallelFlag,
-	})
+}
+
+// summary is the first line of an analyzer's Doc.
+func summary(a *analysis.Analyzer) string {
+	doc, _, _ := strings.Cut(a.Doc, "\n")
+	return doc
 }
 
 func progname() string { return filepath.Base(os.Args[0]) }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"go/token"
 	"io"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
@@ -42,16 +41,13 @@ func baseImportPath(id string) string {
 	return id
 }
 
-// loadPackages shells out to `go list -export -deps -json` (plus -test
-// when includeTests is set) and returns the analysis units among the
-// listed patterns, with import resolution backed by the export data the
-// build cache produced.
-func loadPackages(patterns []string, includeTests bool) ([]unit, error) {
-	args := []string{"list", "-export", "-deps",
+// loadPackages shells out to `go list -export -deps -test -json` and
+// returns the analysis units among the listed patterns, test files
+// included, with import resolution backed by the export data the build
+// cache produced.
+func loadPackages(patterns []string) ([]unit, error) {
+	args := []string{"list", "-export", "-deps", "-test",
 		"-json=ImportPath,Name,Dir,GoFiles,CgoFiles,Export,DepOnly,ForTest,Deps,ImportMap,Module,Error"}
-	if includeTests {
-		args = append(args, "-test")
-	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	var stdout, stderr bytes.Buffer
@@ -166,94 +162,45 @@ func loadPackages(patterns []string, includeTests bool) ([]unit, error) {
 	return units, nil
 }
 
-// Options configures a standalone run.
+// Options configures a run.
 type Options struct {
-	Patterns     []string
-	IncludeTests bool
-	Analyzers    []*analysis.Analyzer
-
-	// CacheDir enables content-hash result caching when non-empty
-	// (bin/.lintcache in the Makefile). A cached unit re-runs zero
-	// analyzers.
-	CacheDir string
-
-	// Format selects the output written to w by Run: "plain" (default),
-	// "json" or "sarif".
-	Format string
-
-	// BaselinePath, when non-empty, names a JSON baseline file; known
-	// findings are suppressed from output and from the returned
-	// Findings slice.
-	BaselinePath string
-
-	// WriteBaselinePath, when non-empty, records the run's findings as
-	// the new baseline instead of reporting them.
-	WriteBaselinePath string
-
-	// Parallel caps concurrent units; 0 means GOMAXPROCS.
-	Parallel int
+	Patterns  []string
+	Analyzers []*analysis.Analyzer
 }
 
-// Result reports what a standalone run did — the counters exist so
-// tests can assert cache behavior ("warm cache re-runs zero
-// analyzers") rather than trusting it.
-type Result struct {
-	Findings     []Finding // after baseline filtering, deterministic order
-	Suppressed   int       // findings matched by the baseline
-	UnitsTotal   int
-	UnitsCached  int
-	AnalyzersRun int // analyzer executions (UnitsTotal-UnitsCached per-unit sets)
-}
-
-// Run loads, schedules and analyzes the packages matched by
-// opts.Patterns, writes findings to w in opts.Format, and returns the
-// run's Result. Units run in parallel in dependency order (a unit
-// starts only after the units it imports have finished, so their facts
-// are available), with per-unit result caching when CacheDir is set.
-func Run(w io.Writer, opts Options) (*Result, error) {
+// Run loads and analyzes the packages matched by opts.Patterns, test
+// files included, prints each finding to w, and returns the findings in
+// unit order, each unit's sorted by position. Units run in parallel, up
+// to GOMAXPROCS at a time, in dependency order: a unit starts only after
+// the units it imports have finished, so their facts are available.
+func Run(w io.Writer, opts Options) ([]Finding, error) {
 	if err := analysis.Validate(opts.Analyzers); err != nil {
 		return nil, err
 	}
-	units, err := loadPackages(opts.Patterns, opts.IncludeTests)
+	units, err := loadPackages(opts.Patterns)
 	if err != nil {
 		return nil, err
 	}
-
-	var cache *lintCache
-	if opts.CacheDir != "" {
-		cache, err = openCache(opts.CacheDir, opts.Analyzers)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{UnitsTotal: len(units)}
 
 	// Dependency-ordered parallel execution: repeatedly run every unit
 	// whose module deps are done, as one parallel wave. The wave shape
 	// keeps completion deterministic without a work-stealing scheduler;
 	// package DAGs are shallow enough that waves saturate the pool.
 	type unitResult struct {
-		findings []finding
+		findings []Finding
 		facts    *analysis.FactSet
-		cached   bool
 		err      error
 	}
 	done := make(map[string]*unitResult, len(units))
 	factsFor := func(path string) *analysis.FactSet {
-		if r, ok := done[path]; ok && r != nil {
+		if r, ok := done[path]; ok {
 			return r.facts
 		}
 		return nil
 	}
 
-	par := opts.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-
-	pending := make([]unit, len(units))
-	copy(pending, units)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	pending := units
 	for len(pending) > 0 {
 		var wave []unit
 		var next []unit
@@ -277,8 +224,7 @@ func Run(w io.Writer, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("crumblint: dependency deadlock among %d units", len(next))
 		}
 
-		results := make([]*unitResult, len(wave))
-		sem := make(chan struct{}, par)
+		results := make([]unitResult, len(wave))
 		var wg sync.WaitGroup
 		for i := range wave {
 			wg.Add(1)
@@ -287,92 +233,28 @@ func Run(w io.Writer, opts Options) (*Result, error) {
 				sem <- struct{}{}
 				defer func() { <-sem }()
 				u := wave[i]
-				r := &unitResult{}
-				var key string
-				if cache != nil {
-					var hit bool
-					key, hit, r.findings, r.facts = cache.lookup(u, factsFor)
-					if hit {
-						r.cached = true
-						results[i] = r
-						return
-					}
-				}
 				u.depFacts = factsFor
-				fset := token.NewFileSet()
-				r.findings, r.facts, r.err = checkUnit(fset, u, opts.Analyzers)
-				if r.err == nil && cache != nil && key != "" {
-					cache.store(key, r.findings, r.facts)
-				}
-				results[i] = r
+				r := &results[i]
+				r.findings, r.facts, r.err = checkUnit(token.NewFileSet(), u, opts.Analyzers)
 			}(i)
 		}
 		wg.Wait()
 
 		for i, u := range wave {
-			r := results[i]
-			if r.err != nil {
-				return nil, fmt.Errorf("%s: %w", u.id, r.err)
+			if results[i].err != nil {
+				return nil, fmt.Errorf("%s: %w", u.id, results[i].err)
 			}
-			done[u.importPath] = r
-			if r.cached {
-				res.UnitsCached++
-			} else {
-				res.AnalyzersRun += len(opts.Analyzers)
-			}
+			done[u.importPath] = &results[i]
 		}
 		pending = next
 	}
 
 	// Deterministic output order: unit id order, findings pre-sorted.
-	var all []finding
+	var findings []Finding
 	for _, u := range units {
-		all = append(all, done[u.importPath].findings...)
+		findings = append(findings, done[u.importPath].findings...)
 	}
-	findings := exportFindings(all)
-
-	if opts.WriteBaselinePath != "" {
-		if err := writeBaseline(opts.WriteBaselinePath, findings); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %d baseline entries to %s\n", len(findings), opts.WriteBaselinePath)
-		return res, nil
-	}
-
-	if opts.BaselinePath != "" {
-		base, err := loadBaseline(opts.BaselinePath)
-		if err != nil {
-			return nil, err
-		}
-		findings, res.Suppressed = base.filter(findings)
-	}
-	res.Findings = findings
-
-	switch opts.Format {
-	case "", "plain":
-		printFindings(w, findings)
-	case "json":
-		if err := writeJSON(w, findings); err != nil {
-			return nil, err
-		}
-	case "sarif":
-		if err := writeSARIF(w, opts.Analyzers, findings); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown output format %q (want plain, json or sarif)", opts.Format)
-	}
-	return res, nil
-}
-
-// runStandaloneMain is Run with command-line semantics.
-func runStandaloneMain(w io.Writer, opts Options) {
-	res, err := Run(w, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progname(), err)
-		os.Exit(2)
-	}
-	if len(res.Findings) > 0 {
-		os.Exit(1)
-	}
+	relativize(findings)
+	printFindings(w, findings)
+	return findings, nil
 }

@@ -44,7 +44,6 @@ func runFsyncpolicy(pass *analysis.Pass) (interface{}, error) {
 			if path, name, ok := pkgFunc(pass.TypesInfo, sel); ok && path == "os" && name == "Rename" {
 				pass.Report(analysis.Diagnostic{
 					Pos: sel.Pos(),
-					End: sel.End(),
 					Message: "os.Rename outside internal/runio: atomic replacement must go through " +
 						"runio.WriteFileAtomic (or runio.ReplaceLineFile) so a crash never exposes a half-written artifact",
 				})
@@ -57,7 +56,6 @@ func runFsyncpolicy(pass *analysis.Pass) (interface{}, error) {
 					named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "os" {
 					pass.Report(analysis.Diagnostic{
 						Pos: sel.Pos(),
-						End: sel.End(),
 						Message: "os.File.Sync outside internal/runio: fsync cadence is a runio.SyncPolicy decision; " +
 							"write through runio.LineFile or runio.WriteFileAtomic so sync failures are tracked and surfaced",
 					})

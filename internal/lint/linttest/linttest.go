@@ -61,9 +61,7 @@ type loader struct {
 	std    types.Importer
 
 	// facts memoizes per analyzer+package the fact set a fact-using
-	// analyzer exported for a fixture package, after a serialization
-	// round trip (Encode/DecodeFactSet) so fixtures also prove the facts
-	// survive the wire format the real drivers use.
+	// analyzer exported for a fixture package.
 	facts map[string]*analysis.FactSet
 }
 
@@ -272,7 +270,7 @@ func (l *loader) check(a *analysis.Analyzer, path string) {
 // depFacts returns the facts analyzer a exports for the fixture
 // package at dep, running a over it (and, recursively, its fixture
 // dependencies) on first use. Non-fixture packages have no facts —
-// exactly like the real drivers, which keep facts inside the module.
+// exactly like the real driver, which keeps facts inside the module.
 func (l *loader) depFacts(a *analysis.Analyzer, dep string) *analysis.FactSet {
 	l.t.Helper()
 	if fi, err := os.Stat(filepath.Join(l.srcDir, filepath.FromSlash(dep))); err != nil || !fi.IsDir() {
@@ -301,18 +299,8 @@ func (l *loader) depFacts(a *analysis.Analyzer, dep string) *analysis.FactSet {
 	if _, err := a.Run(pass); err != nil {
 		l.t.Fatalf("%s on fact dependency %s: %v", a.Name, dep, err)
 	}
-	// Round-trip through the wire format so a fact that would not
-	// survive the driver cache's encoding fails loudly here.
-	enc, err := facts.Encode()
-	if err != nil {
-		l.t.Fatalf("encoding facts of %s: %v", dep, err)
-	}
-	decoded, err := analysis.DecodeFactSet(enc)
-	if err != nil {
-		l.t.Fatalf("decoding facts of %s: %v", dep, err)
-	}
-	l.facts[key] = decoded
-	return decoded
+	l.facts[key] = facts
+	return facts
 }
 
 // consume removes the first diagnostic at k matching rx.

@@ -138,7 +138,6 @@ func checkMapRangeAppend(pass *analysis.Pass, r *ast.RangeStmt, funcBody *ast.Bl
 		}
 		pass.Report(analysis.Diagnostic{
 			Pos: call.Pos(),
-			End: call.End(),
 			Message: "append to " + target.Name + " inside range over a map records map-iteration order; " +
 				"sort " + target.Name + " after the loop, or iterate sorted keys",
 		})
@@ -152,7 +151,6 @@ func checkMapRangeCall(pass *analysis.Pass, r *ast.RangeStmt, call *ast.CallExpr
 		if path == "fmt" && mapPrintFuncs[name] {
 			pass.Report(analysis.Diagnostic{
 				Pos:     call.Pos(),
-				End:     call.End(),
 				Message: "fmt." + name + " inside range over a map emits output in map-iteration order; iterate sorted keys",
 			})
 		}
@@ -166,7 +164,6 @@ func checkMapRangeCall(pass *analysis.Pass, r *ast.RangeStmt, call *ast.CallExpr
 	if fromTelemetry(recv) && telemetryOrdered[sel.Sel.Name] {
 		pass.Report(analysis.Diagnostic{
 			Pos: call.Pos(),
-			End: call.End(),
 			Message: recv.Obj().Name() + "." + sel.Sel.Name + " inside range over a map is order-sensitive telemetry " +
 				"(span sequence / last write); iterate sorted keys",
 		})
@@ -184,7 +181,6 @@ func checkMapRangeCall(pass *analysis.Pass, r *ast.RangeStmt, call *ast.CallExpr
 	}
 	pass.Report(analysis.Diagnostic{
 		Pos: call.Pos(),
-		End: call.End(),
 		Message: sel.Sel.Name + " inside range over a map writes in map-iteration order; " +
 			"iterate sorted keys or buffer per key and join deterministically",
 	})

@@ -23,7 +23,6 @@ var MustClose = &analysis.Analyzer{
 	Name: "mustclose",
 	Doc: "report run-store handles, cursors, line files and gzip readers " +
 		"that are not closed on every path, including error paths",
-	Version:   "v1",
 	UsesFacts: true,
 	Run: func(pass *analysis.Pass) (interface{}, error) {
 		return runAcqRel(pass, engineConfig{

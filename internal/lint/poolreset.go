@@ -21,7 +21,6 @@ var PoolReset = &analysis.Analyzer{
 	Doc: "report sync.Pool values that are not returned to their pool on " +
 		"every path, maps returned without clear, and pooled fields not " +
 		"nilled after Put",
-	Version:   "v1",
 	UsesFacts: true,
 	Run:       runPoolReset,
 }

@@ -52,7 +52,6 @@ func runSeededRand(pass *analysis.Pass) (interface{}, error) {
 			reported = true
 			pass.Report(analysis.Diagnostic{
 				Pos: sel.Pos(),
-				End: sel.End(),
 				Message: "rand." + name + " draws from " + path + ", outside the seeded stats.RNG lineage; " +
 					"derive randomness from stats.NewRNG/Splitter so runs stay a pure function of the seed",
 			})
@@ -70,7 +69,6 @@ func runSeededRand(pass *analysis.Pass) (interface{}, error) {
 			}
 			pass.Report(analysis.Diagnostic{
 				Pos:     imp.Pos(),
-				End:     imp.End(),
 				Message: "import of " + path + " outside internal/stats; use the seeded stats.RNG lineage instead",
 			})
 		}

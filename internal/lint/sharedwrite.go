@@ -25,7 +25,6 @@ var SharedWrite = &analysis.Analyzer{
 	Name: "sharedwrite",
 	Doc: "report writes to captured shared state inside parallel.ForEach* " +
 		"bodies that bypass the slot-per-index merge discipline",
-	Version:   "v1",
 	UsesFacts: true,
 	Run:       runSharedWrite,
 }

@@ -36,7 +36,6 @@ var SpanEnd = &analysis.Analyzer{
 	Doc: "require telemetry spans to be ended on all paths (defer or all-return coverage)\n\n" +
 		"Un-ended spans never reach the tracer ring, so traces silently lose\n" +
 		"the work they were supposed to account for.",
-	Version: "v1",
 	Run: func(pass *analysis.Pass) (interface{}, error) {
 		return runAcqRel(pass, engineConfig{classes: []*resourceClass{spanClass}})
 	},

@@ -55,7 +55,6 @@ func runWallclock(pass *analysis.Pass) (interface{}, error) {
 			}
 			pass.Report(analysis.Diagnostic{
 				Pos: sel.Pos(),
-				End: sel.End(),
 				Message: "time." + name + " reads the wall clock, making results depend on the host and schedule; " +
 					"use the virtual clock or a seeded RNG, or annotate a legitimately-wall site with //crumb:allow wallclock",
 			})

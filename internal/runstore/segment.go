@@ -330,17 +330,20 @@ func (st *segmentStore) sealActiveLocked() error {
 	if err := st.active.Close(); err != nil {
 		return err
 	}
-	data, err := os.ReadFile(jsonl)
+	// Stream the closed segment through gzip rather than reading it
+	// whole: a full segment is megabytes of record JSON.
+	src, err := os.Open(jsonl)
 	if err != nil {
 		return fmt.Errorf("runstore: seal segment %d: %w", st.activeSeg, err)
 	}
 	err = runio.WriteFileAtomic(segSealedPath(st.dir, st.activeSeg), func(w io.Writer) error {
 		gz := gzip.NewWriter(w)
-		if _, werr := gz.Write(data); werr != nil {
-			return werr
+		if _, werr := io.Copy(gz, src); werr != nil {
+			return fmt.Errorf("runstore: seal segment %d: %w", st.activeSeg, werr)
 		}
 		return gz.Close()
 	})
+	src.Close()
 	if err != nil {
 		return err
 	}

@@ -17,6 +17,7 @@ package browser
 import (
 	"fmt"
 	"net/http"
+	"net/textproto"
 	"net/url"
 	"strconv"
 	"strings"
@@ -208,7 +209,26 @@ func (e *NavError) Unwrap() error { return e.Err }
 func (b *Browser) Navigate(rawURL, referer string) (*Page, error) {
 	sp := b.tel.StartSpan("browser", "navigate").Attr("url", rawURL)
 	b.cNavs.Inc()
-	page, err := b.navigate(rawURL, referer)
+	cur, err := url.Parse(rawURL)
+	if err != nil {
+		return b.endNavigate(sp, nil, &NavError{URL: rawURL, Err: err})
+	}
+	page, err := b.navigate(cur, cur.String(), referer)
+	return b.endNavigate(sp, page, err)
+}
+
+// navigateURL is Navigate to an already parsed URL, which it does not
+// modify.
+func (b *Browser) navigateURL(u *url.URL, referer string) (*Page, error) {
+	s := u.String()
+	sp := b.tel.StartSpan("browser", "navigate").Attr("url", s)
+	b.cNavs.Inc()
+	page, err := b.navigate(u, s, referer)
+	return b.endNavigate(sp, page, err)
+}
+
+// endNavigate closes a navigation's span.
+func (b *Browser) endNavigate(sp *telemetry.Active, page *Page, err error) (*Page, error) {
 	if err != nil {
 		sp.EndErr(err)
 		return nil, err
@@ -218,66 +238,78 @@ func (b *Browser) Navigate(rawURL, referer string) (*Page, error) {
 	return page, nil
 }
 
-func (b *Browser) navigate(rawURL, referer string) (*Page, error) {
-	cur, err := url.Parse(rawURL)
-	if err != nil {
-		return nil, &NavError{URL: rawURL, Err: err}
-	}
+// navigate follows the redirect chain from cur, whose string form is
+// curStr. Each hop's URL is printed once and shared by its Hop, its
+// request record and, for the last hop, the Page.
+func (b *Browser) navigate(cur *url.URL, curStr, referer string) (*Page, error) {
 	var chain []Hop
 	for hop := 0; hop <= b.cfg.MaxRedirects; hop++ {
-		resp, err := b.fetch(cur, referer, KindNavigation)
+		resp, err := b.fetch(cur, curStr, referer, KindNavigation)
 		if err != nil {
-			chain = append(chain, Hop{URL: cur.String()})
-			return nil, &NavError{URL: cur.String(), Chain: chain, Err: err}
+			chain = append(chain, Hop{URL: curStr})
+			return nil, &NavError{URL: curStr, Chain: chain, Err: err}
 		}
-		h := Hop{URL: cur.String(), Status: resp.StatusCode, Location: resp.Header.Get("Location")}
+		h := Hop{URL: curStr, Status: resp.StatusCode, Location: resp.Header.Get("Location")}
 		chain = append(chain, h)
 		if isRedirect(resp.StatusCode) && h.Location != "" {
 			netsim.ReadBody(resp) // drain
 			next, err := cur.Parse(h.Location)
 			if err != nil {
-				return nil, &NavError{URL: cur.String(), Chain: chain, Err: err}
+				return nil, &NavError{URL: curStr, Chain: chain, Err: err}
 			}
-			cur = next
+			cur, curStr = next, next.String()
 			continue
 		}
 		body, err := netsim.ReadBody(resp)
 		if err != nil {
-			return nil, &NavError{URL: cur.String(), Chain: chain, Err: err}
+			return nil, &NavError{URL: curStr, Chain: chain, Err: err}
 		}
 		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
 			// Degraded response: surface it as an error carrying the
 			// Retry-After hint so the retry layer can classify and pace.
-			he := &resilience.HTTPError{Status: resp.StatusCode, URL: cur.String()}
+			he := &resilience.HTTPError{Status: resp.StatusCode, URL: curStr}
 			if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
 				he.RetryAfter = time.Duration(s) * time.Second
 			}
-			return nil, &NavError{URL: cur.String(), Chain: chain, Err: he}
+			return nil, &NavError{URL: curStr, Chain: chain, Err: he}
 		}
 		page := &Page{
-			URL:   cur,
-			Doc:   dom.Parse(body),
-			Chain: chain,
+			URL:    cur,
+			urlStr: curStr,
+			Doc:    dom.Parse(body),
+			Chain:  chain,
 		}
 		dom.Layout(page.Doc, b.cfg.ViewportWidth)
 		b.runScripts(page)
 		b.loadFrames(page)
 		return page, nil
 	}
-	return nil, &NavError{URL: cur.String(), Chain: chain, Err: fmt.Errorf("too many redirects (%d)", b.cfg.MaxRedirects)}
+	return nil, &NavError{URL: curStr, Chain: chain, Err: fmt.Errorf("too many redirects (%d)", b.cfg.MaxRedirects)}
 }
 
 // fetch issues one request with the browser's identity headers and the
 // cookies visible to (target-as-frame, top). For top-level navigations the
 // target is its own top. Set-Cookie headers on the response are stored
-// under the same context.
-func (b *Browser) fetch(u *url.URL, referer string, kind RequestKind) (*http.Response, error) {
-	return b.fetchCtx(u, referer, kind, storage.Context{FrameHost: u.Hostname(), TopHost: u.Hostname()})
+// under the same context. rawURL is u.String(), which the caller has
+// already printed.
+func (b *Browser) fetch(u *url.URL, rawURL, referer string, kind RequestKind) (*http.Response, error) {
+	host := u.Hostname()
+	return b.fetchCtx(u, rawURL, referer, kind, storage.Context{FrameHost: host, TopHost: host})
 }
+
+// Canonical forms of the request headers fetchCtx sets directly.
+var (
+	hdrUserAgent = textproto.CanonicalMIMEHeaderKey("User-Agent")
+	hdrProfile   = textproto.CanonicalMIMEHeaderKey(HeaderProfile)
+	hdrClient    = textproto.CanonicalMIMEHeaderKey(HeaderClient)
+	hdrMachine   = textproto.CanonicalMIMEHeaderKey(HeaderMachine)
+	hdrAttempt   = textproto.CanonicalMIMEHeaderKey(netsim.HeaderAttempt)
+	hdrReferer   = textproto.CanonicalMIMEHeaderKey("Referer")
+)
 
 // fetchCtx is fetch with an explicit storage context (used for iframe and
 // beacon subrequests, whose cookie access is third-party).
-func (b *Browser) fetchCtx(u *url.URL, referer string, kind RequestKind, ctx storage.Context) (*http.Response, error) {
+func (b *Browser) fetchCtx(u *url.URL, rawURL, referer string, kind RequestKind, ctx storage.Context) (*http.Response, error) {
 	// Build the request directly: http.NewRequest would re-parse the URL
 	// string we already hold parsed. The URL struct is copied so neither
 	// handlers nor the transport can alias the caller's value.
@@ -288,15 +320,20 @@ func (b *Browser) fetchCtx(u *url.URL, referer string, kind RequestKind, ctx sto
 		Header: make(http.Header, 8),
 		Host:   u.Host,
 	}
-	req.Header.Set("User-Agent", b.cfg.UserAgent)
-	req.Header.Set(HeaderProfile, b.cfg.ProfileID)
-	req.Header.Set(HeaderClient, b.cfg.ClientID)
-	req.Header.Set(HeaderMachine, b.cfg.Machine)
+	// The identity headers' one-element value slices share one backing
+	// array rather than a Header.Set allocation each; a full slice
+	// expression caps each at its own element, so an Add appends into a
+	// fresh array.
+	vals := [...]string{b.cfg.UserAgent, b.cfg.ProfileID, b.cfg.ClientID, b.cfg.Machine, strconv.Itoa(b.attempt), referer}
+	req.Header[hdrUserAgent] = vals[0:1:1]
+	req.Header[hdrProfile] = vals[1:2:2]
+	req.Header[hdrClient] = vals[2:3:3]
+	req.Header[hdrMachine] = vals[3:4:4]
 	if b.attempt > 0 {
-		req.Header.Set(netsim.HeaderAttempt, strconv.Itoa(b.attempt))
+		req.Header[hdrAttempt] = vals[4:5:5]
 	}
 	if referer != "" {
-		req.Header.Set("Referer", referer)
+		req.Header[hdrReferer] = vals[5:6:6]
 	}
 	now := b.clock.Now()
 	for _, c := range b.store.Cookies(ctx, now) {
@@ -309,7 +346,7 @@ func (b *Browser) fetchCtx(u *url.URL, referer string, kind RequestKind, ctx sto
 	// hop by hop). Errors are wrapped exactly as http.Client wraps them,
 	// so the recorded error strings are the client's.
 	resp, err := b.cfg.Network.Do(req, b.clock)
-	rec := RequestRecord{URL: u.String(), Kind: kind, Referer: referer, Attempt: b.attempt, Time: now}
+	rec := RequestRecord{URL: rawURL, Kind: kind, Referer: referer, Attempt: b.attempt, Time: now}
 	if err != nil {
 		err = &url.Error{Op: "Get", URL: rec.URL, Err: err}
 		rec.Err = err.Error()
@@ -370,11 +407,11 @@ func resolveHref(page *url.URL, href string) *url.URL {
 		return nil
 	}
 	u, err := page.Parse(href)
-	if err != nil {
-		return nil
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
+	if err != nil || !isHTTP(u) {
 		return nil
 	}
 	return u
 }
+
+// isHTTP reports whether u is an http or https URL.
+func isHTTP(u *url.URL) bool { return u.Scheme == "http" || u.Scheme == "https" }

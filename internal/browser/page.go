@@ -12,11 +12,17 @@ import (
 )
 
 // Page is a loaded top-level document plus the iframes it embeds and the
-// navigation chain that produced it.
+// navigation chain that produced it. A page is immutable after load, so
+// facts derived from it — its URL string, its clickables — are computed
+// once and kept.
 type Page struct {
 	URL   *url.URL
 	Doc   *dom.Node
 	Chain []Hop
+
+	// urlStr is URL.String(), printed once when the last hop was
+	// fetched.
+	urlStr string
 
 	// Frames maps iframe elements (by identity) to their loaded
 	// subdocuments.
@@ -41,10 +47,16 @@ type Frame struct {
 	SrcURL string
 	Doc    *dom.Node
 	Err    string
+
+	// src is SrcURL parsed; nil when the src did not resolve.
+	src *url.URL
 }
 
 // FinalHost returns the host of the page URL.
 func (p *Page) FinalHost() string { return p.URL.Hostname() }
+
+// URLString returns the page URL's string form, URL.String().
+func (p *Page) URLString() string { return p.urlStr }
 
 // Clickable describes one element the crawler may click — an anchor or an
 // iframe — together with the identification signals the central controller
@@ -59,6 +71,10 @@ type Clickable struct {
 	// Href is the anchor target (empty for iframes, whose destination is
 	// opaque until clicked — the paper's motivating difficulty).
 	Href string
+	// HrefKey is Href parsed with its query and fragment cleared, then
+	// printed: the comparison form of the controller's matching
+	// heuristic 1 (empty for iframes).
+	HrefKey string
 	// AttrNames are the element's attribute names in document order.
 	AttrNames []string
 	// Box is the layout bounding box.
@@ -80,14 +96,26 @@ func (b *Browser) Clickables(p *Page) []Clickable {
 	if p.clickablesDone {
 		return p.clickables
 	}
-	var out []Clickable
-	for _, n := range p.Doc.FindAll(func(e *dom.Node) bool { return e.Tag == "a" || e.Tag == "iframe" }) {
+	nodes := p.Doc.FindAll(func(e *dom.Node) bool { return e.Tag == "a" || e.Tag == "iframe" })
+	out := make([]Clickable, 0, len(nodes))
+	for _, n := range nodes {
 		c := Clickable{Kind: n.Tag, node: n}
 		if n.Tag == "a" {
 			c.Href = n.AttrOr("href", "")
-			if c.target = resolveHref(p.URL, c.Href); c.target == nil {
+			// One parse of the href yields both the resolved target
+			// (what p.URL.Parse(href) computes) and the heuristic-1 key.
+			if strings.TrimSpace(c.Href) == "" {
 				continue
 			}
+			ref, err := url.Parse(c.Href)
+			if err != nil {
+				continue
+			}
+			if c.target = p.URL.ResolveReference(ref); !isHTTP(c.target) {
+				continue
+			}
+			ref.RawQuery, ref.Fragment = "", ""
+			c.HrefKey = ref.String()
 		}
 		c.Index, c.AttrNames, c.Box, c.XPath = len(out), n.AttrNames(), n.Box, n.XPath()
 		out = append(out, c)
@@ -132,11 +160,7 @@ func (b *Browser) ClickURL(p *Page, index int) (*url.URL, error) {
 	if len(anchors) == 0 {
 		return nil, &ErrNoTarget{Reason: "iframe has no link"}
 	}
-	frameURL, err := url.Parse(frame.SrcURL)
-	if err != nil {
-		return nil, &ErrNoTarget{Reason: "bad frame URL"}
-	}
-	target := resolveHref(frameURL, anchors[0].AttrOr("href", ""))
+	target := resolveHref(frame.src, anchors[0].AttrOr("href", ""))
 	if target == nil {
 		return nil, &ErrNoTarget{Reason: "unresolvable ad href"}
 	}
@@ -152,12 +176,15 @@ func (b *Browser) Click(p *Page, index int) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.Navigate(target.String(), b.outgoingReferer(p))
+	return b.navigateURL(target, b.outgoingReferer(p))
 }
 
 // outgoingReferer computes the Referer for navigations leaving p,
 // applying any referrer decorators.
 func (b *Browser) outgoingReferer(p *Page) string {
+	if len(p.refererDecorators) == 0 {
+		return p.urlStr
+	}
 	ref := *p.URL
 	q := ref.Query()
 	changed := false
@@ -242,18 +269,19 @@ func (b *Browser) loadFrames(p *Page) {
 			p.Frames[n] = &Frame{SrcURL: src, Err: "bad src"}
 			continue
 		}
+		us := u.String()
 		ctx := storage.Context{FrameHost: u.Hostname(), TopHost: p.URL.Hostname()}
-		resp, err := b.fetchCtx(u, p.URL.String(), KindSubframe, ctx)
+		resp, err := b.fetchCtx(u, us, p.urlStr, KindSubframe, ctx)
 		if err != nil {
-			p.Frames[n] = &Frame{SrcURL: u.String(), Err: err.Error()}
+			p.Frames[n] = &Frame{SrcURL: us, Err: err.Error(), src: u}
 			continue
 		}
 		body, err := netsim.ReadBody(resp)
 		if err != nil {
-			p.Frames[n] = &Frame{SrcURL: u.String(), Err: err.Error()}
+			p.Frames[n] = &Frame{SrcURL: us, Err: err.Error(), src: u}
 			continue
 		}
-		p.Frames[n] = &Frame{SrcURL: u.String(), Doc: dom.Parse(body)}
+		p.Frames[n] = &Frame{SrcURL: us, Doc: dom.Parse(body), src: u}
 		b.cIframes.Inc()
 	}
 }

@@ -234,7 +234,7 @@ func (b *Browser) scriptBeacon(p *Page, s *dom.Node, _ string) {
 	}
 	vals := url.Values{}
 	if s.AttrOr("data-include-url", "") == "1" {
-		vals.Set("url", p.URL.String())
+		vals.Set("url", p.urlStr)
 	}
 	if uidParam := s.AttrOr("data-uid-param", ""); uidParam != "" {
 		tracker := s.AttrOr("data-tracker", "")
@@ -308,7 +308,7 @@ func (b *Browser) fireBeacon(p *Page, endpoint string, vals url.Values) {
 	}
 	u.RawQuery = encodeQueryStable(q)
 	ctx := storage.Context{FrameHost: u.Hostname(), TopHost: p.URL.Hostname()}
-	resp, err := b.fetchCtx(u, p.URL.String(), KindBeacon, ctx)
+	resp, err := b.fetchCtx(u, u.String(), p.urlStr, KindBeacon, ctx)
 	if err != nil {
 		return
 	}

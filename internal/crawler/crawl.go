@@ -503,8 +503,8 @@ func (wk *walker) seedLoad(t *tab, seedURL string) {
 		rec.Fail = "connect: " + err.Error()
 		t.navErr = err
 	} else {
-		rec.LandedURL = page.URL.String()
-		rec.After = takeSnapshot(t.b, rec.LandedURL)
+		rec.LandedURL = page.URLString()
+		rec.After = takeSnapshot(t.b, page)
 	}
 	t.page = page
 	wk.w.SeedLoad[t.name] = rec
@@ -526,8 +526,8 @@ func (wk *walker) step(step int) bool {
 		var els []Element
 		switch {
 		case t.page != nil:
-			rec.StartURL = t.page.URL.String()
-			rec.Before = takeSnapshot(t.b, rec.StartURL)
+			rec.StartURL = t.page.URLString()
+			rec.Before = takeSnapshot(t.b, t.page)
 			cs := t.b.Clickables(t.page)
 			els = make([]Element, 0, len(cs))
 			for _, c := range cs {
@@ -592,9 +592,9 @@ func (wk *walker) step(step int) bool {
 		}
 		wk.dwell()
 		rec.NavChain = next.Chain
-		rec.LandedURL = next.URL.String()
+		rec.LandedURL = next.URLString()
 		rec.Requests = t.b.Requests()
-		rec.After = takeSnapshot(t.b, rec.LandedURL)
+		rec.After = takeSnapshot(t.b, next)
 		fqdns[i] = next.URL.Hostname()
 	}
 	if fqdns[0] != "" {
@@ -619,7 +619,7 @@ func (wk *walker) step(step int) bool {
 func (wk *walker) trailFail(step int, reason string) {
 	rec := &CrawlerStep{Crawler: Safari1R, Profile: ProfileOf(Safari1R), ClickIndex: -1, Fail: reason}
 	if t := wk.trail; t.page != nil {
-		rec.StartURL = t.page.URL.String()
+		rec.StartURL = t.page.URLString()
 	}
 	putStep(wk.w, step, Safari1R, rec)
 }
@@ -639,7 +639,7 @@ func (wk *walker) repeat(step int, startURL string, s1Elements []Element, clicke
 	t, idx := wk.trail, wk.w.Index
 	rec := &CrawlerStep{Crawler: Safari1R, Profile: ProfileOf(Safari1R), ClickIndex: -1}
 	defer putStep(wk.w, step, Safari1R, rec)
-	if t.page == nil || (startURL != "" && !sameURLSansQuery(t.page.URL.String(), startURL)) {
+	if t.page == nil || (startURL != "" && !sameURLSansQuery(t.page, startURL)) {
 		wk.cm.renavigations.Inc()
 		page, err := wk.retry(t.b, fmt.Sprintf("renav/%d/%d/%s", idx, step, Safari1R), func() (*browser.Page, error) {
 			return t.b.Navigate(startURL, "")
@@ -651,8 +651,8 @@ func (wk *walker) repeat(step int, startURL string, s1Elements []Element, clicke
 			return
 		}
 	}
-	rec.StartURL = t.page.URL.String()
-	rec.Before = takeSnapshot(t.b, rec.StartURL)
+	rec.StartURL = t.page.URLString()
+	rec.Before = takeSnapshot(t.b, t.page)
 
 	cs := t.b.Clickables(t.page)
 	own := make([]Element, 0, len(cs))
@@ -682,17 +682,14 @@ func (wk *walker) repeat(step int, startURL string, s1Elements []Element, clicke
 	}
 	wk.dwell()
 	rec.NavChain = next.Chain
-	rec.LandedURL = next.URL.String()
-	rec.After = takeSnapshot(t.b, rec.LandedURL)
+	rec.LandedURL = next.URLString()
+	rec.After = takeSnapshot(t.b, next)
 }
 
-func takeSnapshot(b *browser.Browser, pageURL string) Snapshot {
-	u, err := url.Parse(pageURL)
-	if err != nil {
-		return Snapshot{URL: pageURL}
-	}
-	host := u.Hostname()
-	snap := Snapshot{URL: pageURL, Local: b.Store().FirstPartyLocal(host)}
+// takeSnapshot records the first-party storage of page's host.
+func takeSnapshot(b *browser.Browser, page *browser.Page) Snapshot {
+	host := page.URL.Hostname()
+	snap := Snapshot{URL: page.URLString(), Local: b.Store().FirstPartyLocal(host)}
 	// Snapshot at the virtual epoch so no cookie is hidden by expiry; the
 	// records carry real creation/expiry times for lifetime analysis.
 	for _, c := range b.Store().FirstPartyCookies(host, netsim.Epoch) {
@@ -704,16 +701,15 @@ func takeSnapshot(b *browser.Browser, pageURL string) Snapshot {
 	return snap
 }
 
-// sameURLSansQuery compares two URLs by host and path, ignoring query
-// strings: the repeat crawler's landing URL legitimately differs from
-// Safari-1's by its own UID values.
-func sameURLSansQuery(a, b string) bool {
-	ua, erra := url.Parse(a)
-	ub, errb := url.Parse(b)
-	if erra != nil || errb != nil {
-		return a == b
+// sameURLSansQuery compares page's URL with rawURL by host and path,
+// ignoring query strings: the repeat crawler's landing URL legitimately
+// differs from Safari-1's by its own UID values.
+func sameURLSansQuery(page *browser.Page, rawURL string) bool {
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return page.URLString() == rawURL
 	}
-	return ua.Host == ub.Host && ua.Path == ub.Path
+	return page.URL.Host == u.Host && page.URL.Path == u.Path
 }
 
 // isConnectError distinguishes transport failures from click logic

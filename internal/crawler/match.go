@@ -19,6 +19,11 @@ type Element struct {
 	Box         dom.Rect `json:"box"`
 	XPath       string   `json:"xpath"`
 	CrossDomain bool     `json:"cross_domain"`
+
+	// hrefKey is hrefSansQuery(Href) as the browser derived it while
+	// enumerating the page; empty when unknown (elements decoded from a
+	// store or built by hand), and never stored.
+	hrefKey string
 }
 
 // elementFrom converts a browser clickable.
@@ -31,6 +36,7 @@ func elementFrom(c browser.Clickable, crossDomain bool) Element {
 		Box:         c.Box,
 		XPath:       c.XPath,
 		CrossDomain: crossDomain,
+		hrefKey:     c.HrefKey,
 	}
 }
 
@@ -115,11 +121,14 @@ func sameKeyed(a, b Element, ka, kb string, h Heuristics) bool {
 	return false
 }
 
-// hrefKeys computes each element's heuristic-1 key once.
+// hrefKeys returns each element's heuristic-1 key: the one the browser
+// derived, or hrefSansQuery of its href when it has none.
 func hrefKeys(list []Element) []string {
 	keys := make([]string, len(list))
 	for i, e := range list {
-		keys[i] = hrefSansQuery(e.Href)
+		if keys[i] = e.hrefKey; keys[i] == "" {
+			keys[i] = hrefSansQuery(e.Href)
+		}
 	}
 	return keys
 }

@@ -2,12 +2,16 @@ package crawler
 
 import (
 	"fmt"
+	"net/http"
 	"net/url"
 	"reflect"
 	"testing"
 
+	"crumbcruncher/internal/browser"
 	"crumbcruncher/internal/dom"
+	"crumbcruncher/internal/netsim"
 	"crumbcruncher/internal/stats"
+	"crumbcruncher/internal/web"
 )
 
 func anchor(href string, box dom.Rect, xpath string) Element {
@@ -202,5 +206,73 @@ func TestListMatchingEqualsPairwise(t *testing.T) {
 				t.Fatalf("round %d mask %03b: MatchElements = %+v, pairwise %+v", round, mask, got, wantTriples)
 			}
 		}
+	}
+}
+
+// TestHrefKeyMatchesHrefSansQuery checks that the heuristic-1 key the
+// browser derives while enumerating a page equals hrefSansQuery of the
+// element's href, for every anchor on a small world's seeder pages and
+// for hand-written hrefs covering the URL forms the seeders lack.
+func TestHrefKeyMatchesHrefSansQuery(t *testing.T) {
+	check := func(c browser.Clickable) {
+		t.Helper()
+		if want := hrefSansQuery(c.Href); c.HrefKey != want {
+			t.Errorf("href %q: browser key %q, hrefSansQuery %q", c.Href, c.HrefKey, want)
+		}
+		if got, want := hrefKeys([]Element{elementFrom(c, false)})[0], hrefSansQuery(c.Href); got != want {
+			t.Errorf("href %q: hrefKeys %q, hrefSansQuery %q", c.Href, got, want)
+		}
+	}
+
+	cfg := web.SmallConfig()
+	cfg.ConnectFailRate = 0
+	w := web.BuildWorld(cfg)
+	b := browser.New(browser.Config{Seed: cfg.Seed, ProfileID: "p", ClientID: "c", Network: w.Network()})
+	anchors := 0
+	for _, d := range w.Seeders() {
+		page, err := b.Navigate("http://"+d+"/", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range b.Clickables(page) {
+			if c.Kind == "a" {
+				anchors++
+				check(c)
+			}
+		}
+	}
+	if anchors == 0 {
+		t.Fatal("no anchors on the seeder pages")
+	}
+
+	rows := []string{
+		"next/page?uid=1",                   // relative path
+		"//other.example/p?uid=2",           // network-path reference
+		"?q=3",                              // query only
+		"#frag",                             // fragment only
+		"HTTP://Upper.Example/Path?uid=4",   // upper-case scheme
+		"http://rows.example:8080/p?uid=5",  // port
+		"/a%20b/c%2Fd?uid=6#fr%20ag",        // escapes in path and fragment
+		"http://rows.example/x?uid=7#f%2Fg", // escaped fragment with a query
+	}
+	n := netsim.New()
+	n.HandleFunc("rows.example", func(rw http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(rw, "<html><body>")
+		for _, h := range rows {
+			fmt.Fprintf(rw, "<a href=%q>x</a>", h)
+		}
+		fmt.Fprint(rw, "</body></html>")
+	})
+	rb := browser.New(browser.Config{ProfileID: "p", ClientID: "c", Network: n})
+	page, err := rb.Navigate("http://rows.example/dir/page?x=1", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := rb.Clickables(page)
+	if len(cs) != len(rows) {
+		t.Fatalf("page lists %d clickables, want %d", len(cs), len(rows))
+	}
+	for _, c := range cs {
+		check(c)
 	}
 }

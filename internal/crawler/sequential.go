@@ -86,13 +86,13 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 		w.SeedLoad[name] = rec
 		return
 	}
-	rec.LandedURL = page.URL.String()
-	rec.After = takeSnapshot(b, page.URL.String())
+	rec.LandedURL = page.URLString()
+	rec.After = takeSnapshot(b, page)
 	w.SeedLoad[name] = rec
 
 	for step := 1; step <= cfg.StepsPerWalk; step++ {
-		srec := &CrawlerStep{Crawler: name, Profile: profile, StartURL: page.URL.String(), ClickIndex: -1}
-		srec.Before = takeSnapshot(b, page.URL.String())
+		srec := &CrawlerStep{Crawler: name, Profile: profile, StartURL: page.URLString(), ClickIndex: -1}
+		srec.Before = takeSnapshot(b, page)
 		idx := pickSequential(cfg, split, w.Index, step, b, page)
 		if idx < 0 {
 			srec.Fail = "no clickable element"
@@ -110,9 +110,9 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 		}
 		clock.Advance(time.Duration(cfg.DwellSeconds) * time.Second)
 		srec.NavChain = next.Chain
-		srec.LandedURL = next.URL.String()
+		srec.LandedURL = next.URLString()
 		srec.Requests = b.Requests()
-		srec.After = takeSnapshot(b, next.URL.String())
+		srec.After = takeSnapshot(b, next)
 		putStep(w, step, name, srec)
 		page = next
 	}

@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
+	"strconv"
 
 	"crumbcruncher/internal/lint/analysis"
 )
@@ -79,11 +81,20 @@ type resourceClass struct {
 	// Diagnostics. msgDiscard is reported when a source call's result
 	// is dropped (`_ =` or bare expression statement); the rest follow
 	// spanend's vocabulary.
+	// The acq argument is the acquire site as acqSite prints it.
 	msgDiscard    string
-	msgLeakReturn func(name string, acq token.Position) string
+	msgLeakReturn func(name string, acq string) string
 	msgLeakEnd    func(name string) string
-	msgReassign   func(name string, acq token.Position) string
-	msgOverwrite  func(name string, acq token.Position) string
+	msgReassign   func(name string, acq string) string
+	msgOverwrite  func(name string, acq string) string
+}
+
+// acqSite prints an acquire site as file base name and line. A finding
+// already carries its own full position; the site in its message is
+// for the reader, and a full path would tie the message's text to
+// where the tree is checked out.
+func acqSite(pos token.Position) string {
+	return filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line)
 }
 
 // dispFact is the disposition summary the engine exports per function:
@@ -842,7 +853,7 @@ func (w *acqWalker) stmt(s ast.Stmt, st acqState) (acqState, bool) {
 			st = w.scanRelease(r, st)
 		}
 		if st.active && !st.closureDef {
-			w.report(s.Pos(), w.class.msgLeakReturn(w.obj.Name(), w.eng.pass.Fset.Position(st.acqPos)))
+			w.report(s.Pos(), w.class.msgLeakReturn(w.obj.Name(), acqSite(w.eng.pass.Fset.Position(st.acqPos))))
 		}
 		return st, true
 
@@ -947,7 +958,7 @@ func (w *acqWalker) assignShape(lhs, rhs []ast.Expr, _ token.Token, st acqState)
 				st = w.acquire(st, rhs[i].Pos())
 				st.errObj = nil
 			} else if st.active && !st.closureDef {
-				w.report(l.Pos(), w.class.msgOverwrite(w.obj.Name(), w.eng.pass.Fset.Position(st.acqPos)))
+				w.report(l.Pos(), w.class.msgOverwrite(w.obj.Name(), acqSite(w.eng.pass.Fset.Position(st.acqPos))))
 				st.active = false
 			}
 			continue
@@ -980,7 +991,7 @@ func (w *acqWalker) acquire(st acqState, pos token.Pos) acqState {
 		return st
 	}
 	if st.active {
-		w.report(pos, w.class.msgReassign(w.obj.Name(), w.eng.pass.Fset.Position(st.acqPos)))
+		w.report(pos, w.class.msgReassign(w.obj.Name(), acqSite(w.eng.pass.Fset.Position(st.acqPos))))
 	}
 	st.active = true
 	st.acqPos = pos

@@ -183,3 +183,59 @@ func TestOutputMatchesProblemMatcher(t *testing.T) {
 		}
 	}
 }
+
+// testModLeaks leaks a run store on a return path and loses one to a
+// reassignment: both findings name the acquire site in their message.
+const testModLeaks = `package main
+
+import "factmod/internal/runstore"
+
+func leak(early bool) error {
+	st, err := runstore.Open("x")
+	if err != nil {
+		return err
+	}
+	if early {
+		return nil
+	}
+	return st.Close()
+}
+
+func reassign() {
+	st, _ := runstore.Open("a")
+	st, _ = runstore.Open("b")
+	st.Close()
+}
+
+func main() {
+	_ = leak(true)
+	reassign()
+}
+`
+
+// TestFindingMessagesNameNoCheckoutPath checks that a finding's message
+// names its acquire site by file base name and line, never by the
+// module's absolute directory, so the text does not depend on where
+// the tree is checked out.
+func TestFindingMessagesNameNoCheckoutPath(t *testing.T) {
+	dir := writeTestModule(t)
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(testModLeaks), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	real, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, _ := runIn(t, dir, Options{})
+	if len(findings) != 2 {
+		t.Fatalf("want the return-path leak and the reassignment, got %v", findingStrings(findings))
+	}
+	for _, f := range findings {
+		if strings.Contains(f.Message, dir) || strings.Contains(f.Message, real) {
+			t.Errorf("message names the module directory: %s", f.Message)
+		}
+		if !strings.Contains(f.Message, "acquired at main.go:") {
+			t.Errorf("message does not name its acquire site as main.go:LINE: %s", f.Message)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -83,7 +82,7 @@ func closableClass(noun string, methodSources bool, match func(types.Type) bool)
 		factParam:      match,
 		msgDiscard: fmt.Sprintf("%s discarded; Close will never run and the %s leaks",
 			noun, noun),
-		msgLeakReturn: func(name string, acq token.Position) string {
+		msgLeakReturn: func(name string, acq string) string {
 			return fmt.Sprintf("%s %s acquired at %s is not closed on this return path",
 				noun, name, acq)
 		},
@@ -91,11 +90,11 @@ func closableClass(noun string, methodSources bool, match func(types.Type) bool)
 			return fmt.Sprintf("%s %s is not closed before the function returns; "+
 				"add defer %s.Close() or close it on every path", noun, name, name)
 		},
-		msgReassign: func(name string, acq token.Position) string {
+		msgReassign: func(name string, acq string) string {
 			return fmt.Sprintf("%s %s reassigned before Close; the %s acquired at %s is lost",
 				noun, name, noun, acq)
 		},
-		msgOverwrite: func(name string, acq token.Position) string {
+		msgOverwrite: func(name string, acq string) string {
 			return fmt.Sprintf("%s %s overwritten before Close; the %s acquired at %s is lost",
 				noun, name, noun, acq)
 		},

@@ -71,7 +71,7 @@ var poolClass = &resourceClass{
 		return false
 	},
 	msgDiscard: "pooled value discarded; it will never return to its pool",
-	msgLeakReturn: func(name string, acq token.Position) string {
+	msgLeakReturn: func(name string, acq string) string {
 		return fmt.Sprintf("pooled value %s from the Get at %s is not returned "+
 			"to the pool on this return path", name, acq)
 	},
@@ -79,11 +79,11 @@ var poolClass = &resourceClass{
 		return fmt.Sprintf("pooled value %s is never returned to the pool; "+
 			"add a deferred Put or a Release call on every path", name)
 	},
-	msgReassign: func(name string, acq token.Position) string {
+	msgReassign: func(name string, acq string) string {
 		return fmt.Sprintf("pooled value %s reassigned before Put; the value "+
 			"from the Get at %s never returns to the pool", name, acq)
 	},
-	msgOverwrite: func(name string, acq token.Position) string {
+	msgOverwrite: func(name string, acq string) string {
 		return fmt.Sprintf("pooled value %s overwritten before Put; the value "+
 			"from the Get at %s never returns to the pool", name, acq)
 	},

@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"crumbcruncher/internal/lint/analysis"
@@ -54,17 +53,17 @@ var spanClass = &resourceClass{
 	releaseMethods: map[string]bool{"End": true, "EndErr": true},
 	chainMethods:   map[string]bool{"Attr": true},
 	msgDiscard:     "span handle discarded; End will never run and the span never reaches the tracer",
-	msgLeakReturn: func(name string, acq token.Position) string {
+	msgLeakReturn: func(name string, acq string) string {
 		return fmt.Sprintf("span %s started at %s is not ended on this return path", name, acq)
 	},
 	msgLeakEnd: func(name string) string {
 		return fmt.Sprintf("span %s is not ended before the function returns; "+
 			"add defer %s.End() or end it on every path", name, name)
 	},
-	msgReassign: func(name string, acq token.Position) string {
+	msgReassign: func(name string, acq string) string {
 		return fmt.Sprintf("span %s reassigned before End/EndErr; the span started at %s is lost", name, acq)
 	},
-	msgOverwrite: func(name string, acq token.Position) string {
+	msgOverwrite: func(name string, acq string) string {
 		return fmt.Sprintf("span %s overwritten before End/EndErr; the span started at %s is lost", name, acq)
 	},
 }

@@ -30,7 +30,7 @@ func leakBranch(dir string, bail bool) error {
 		return err
 	}
 	if bail {
-		return nil // want `run store st acquired at .* is not closed on this return path`
+		return nil // want `run store st acquired at a\.go:[0-9]+ is not closed on this return path`
 	}
 	return st.Close()
 }
@@ -62,7 +62,7 @@ func reassign(dir string) error {
 	if err != nil {
 		return err
 	}
-	st, err = runstore.Open(dir) // want `run store st reassigned before Close; the run store acquired at .* is lost`
+	st, err = runstore.Open(dir) // want `run store st reassigned before Close; the run store acquired at a\.go:[0-9]+ is lost`
 	if err != nil {
 		return err
 	}
@@ -105,9 +105,9 @@ func crossBorrowLeak(dir string) error {
 	defer st.Close()
 	cur := st.Iter()
 	if runstore.Count(cur) == 0 {
-		return errEmpty // want `cursor cur acquired at .* is not closed on this return path`
+		return errEmpty // want `cursor cur acquired at a\.go:[0-9]+ is not closed on this return path`
 	}
-	return nil // want `cursor cur acquired at .* is not closed on this return path`
+	return nil // want `cursor cur acquired at a\.go:[0-9]+ is not closed on this return path`
 }
 
 // Same shape, closed properly.
@@ -133,9 +133,9 @@ func gzLeak(raw []byte) ([]byte, error) {
 	}
 	data, err := io.ReadAll(gz)
 	if err != nil {
-		return nil, err // want `gzip reader gz acquired at .* is not closed on this return path`
+		return nil, err // want `gzip reader gz acquired at a\.go:[0-9]+ is not closed on this return path`
 	}
-	return data, nil // want `gzip reader gz acquired at .* is not closed on this return path`
+	return data, nil // want `gzip reader gz acquired at a\.go:[0-9]+ is not closed on this return path`
 }
 
 func gzOK(raw []byte) ([]byte, error) {

@@ -29,7 +29,7 @@ func straightOK() {
 func branchLeak(n int) {
 	b := bufPool.Get().(*buffer)
 	if n > 0 {
-		return // want `pooled value b from the Get at .* is not returned to the pool on this return path`
+		return // want `pooled value b from the Get at a\.go:[0-9]+ is not returned to the pool on this return path`
 	}
 	bufPool.Put(b)
 }

@@ -68,7 +68,7 @@ func leakBranch(tel *telemetry.Telemetry, b bool) {
 		sp.End()
 		return
 	}
-	return // want `span sp started at .* is not ended on this return path`
+	return // want `span sp started at a\.go:[0-9]+ is not ended on this return path`
 }
 
 func discarded(tel *telemetry.Telemetry) {

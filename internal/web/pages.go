@@ -312,12 +312,14 @@ func (w *World) addVolatileContent(s *Site, dw *dom.Writer, drng *stats.RNG) {
 // resolve from the generation plan alone, so a lazy world never
 // materialises a partner just to learn it has no sign-in host.
 func (w *World) ssoPartner(s *Site, rng *stats.RNG) (ssoRef, bool) {
-	var candidates []ssoRef
-	for _, d := range s.Partners {
-		if info, ok := w.gen.ssoInfo(d); ok {
-			candidates = append(candidates, info)
+	s.ssoOnce.Do(func() {
+		for _, d := range s.Partners {
+			if info, ok := w.gen.ssoInfo(d); ok {
+				s.ssoCands = append(s.ssoCands, info)
+			}
 		}
-	}
+	})
+	candidates := s.ssoCands
 	if len(candidates) == 0 || !rng.Bool(0.12) {
 		return ssoRef{}, false
 	}

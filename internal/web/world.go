@@ -161,6 +161,13 @@ type Site struct {
 	// this site, harvesting their own smuggled parameters into
 	// first-party cookies with the tracker's own cookie lifetime.
 	Collectors []*Tracker
+
+	// ssoCands are the Partners with an SSO host, resolved from the plan
+	// on the site's first page build (not at derivation, which would
+	// move the work into world build) and shared by every world forked
+	// from the plan.
+	ssoOnce  sync.Once
+	ssoCands []ssoRef
 }
 
 // World is a built synthetic web: an immutable generation plan plus the

@@ -5,7 +5,8 @@
 # the end-to-end form of the multi-tenant determinism guarantee. Then
 # exercise SIGTERM drain: an in-flight job must leave its run store
 # unfinalized and resumable, a late submission must see 503 +
-# Retry-After, and the process must exit 0.
+# Retry-After, and the process must exit 0. Between the two, restart
+# the server on the same store: GET /runs must list the same runs.
 #
 # Usage: scripts/servesmoke.sh
 set -eu
@@ -26,21 +27,24 @@ trap cleanup EXIT
 go build -o "$work/crumbserved" ./cmd/crumbserved
 go build -o "$work/crumbcruncher" ./cmd/crumbcruncher
 
-"$work/crumbserved" -addr "$ADDR" -workers 2 -store "$work/runs" \
-	-drain-grace 60s 2>"$work/served.log" &
-SRV_PID=$!
+start_server() {
+	"$work/crumbserved" -addr "$ADDR" -workers 2 -store "$work/runs" \
+		-drain-grace 60s 2>>"$work/served.log" &
+	SRV_PID=$!
 
-# Wait for the API to come up.
-i=0
-until curl -sf "$BASE/healthz" >/dev/null 2>&1; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "FAIL: server did not come up" >&2
-		cat "$work/served.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
+	# Wait for the API to come up.
+	i=0
+	until curl -sf "$BASE/healthz" >/dev/null 2>&1; do
+		i=$((i + 1))
+		if [ "$i" -gt 100 ]; then
+			echo "FAIL: server did not come up" >&2
+			cat "$work/served.log" >&2
+			exit 1
+		fi
+		sleep 0.1
+	done
+}
+start_server
 
 submit() { # submit BODY -> job id
 	curl -sf -X POST "$BASE/jobs" -d "$1" |
@@ -96,6 +100,32 @@ for pair in "5 $JOB5" "6 $JOB6"; do
 	fi
 	echo "OK: seed $seed metrics byte-identical between crumbserved and crumbcruncher"
 done
+
+# Restart on the same store: the run list is the store directory's
+# finalized runs, so a new process lists exactly the runs the old one
+# did.
+curl -sf "$BASE/runs" >"$work/runs-before.json"
+kill -TERM "$SRV_PID"
+wait "$SRV_PID" || {
+	echo "FAIL: crumbserved exited non-zero after SIGTERM" >&2
+	cat "$work/served.log" >&2
+	exit 1
+}
+start_server
+curl -sf "$BASE/runs" >"$work/runs-after.json"
+if ! diff -q "$work/runs-before.json" "$work/runs-after.json" >/dev/null; then
+	echo "FAIL: the restarted server lists other runs" >&2
+	diff "$work/runs-before.json" "$work/runs-after.json" >&2 || true
+	exit 1
+fi
+for job in "$JOB5" "$JOB6"; do
+	grep -q "\"$job\"" "$work/runs-after.json" || {
+		echo "FAIL: the restarted server does not list $job" >&2
+		cat "$work/runs-after.json" >&2
+		exit 1
+	}
+done
+echo "OK: the restarted server lists the same runs"
 
 # Drain: start a job too big to finish, SIGTERM, then expect 503 on a
 # late submission and an unfinalized run store for the interrupted job.

@@ -243,7 +243,7 @@ func CreateRunStore(path string, cfg Config) (RunStore, error) {
 // be cfg.Hash(), which leaves Parallelism free to change. A torn final
 // record is dropped on open. Every record of a reopened store is
 // verified before it is returned. Damage returns an error matching
-// errors.Is(err, runio.ErrCorrupt) and moves the damage aside: the
+// errors.Is(err, runstore.ErrCorrupt) and moves the damage aside: the
 // whole store to "<path>.corrupt" for a damaged sealed segment, the
 // unsealed segment alone otherwise, after which a retry starts fresh
 // or resumes from the intact segments. A path that is not a directory

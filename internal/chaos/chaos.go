@@ -1,7 +1,7 @@
 // Package chaos is the deterministic fault harness behind the
-// crash-recover-verify tests (DESIGN.md §12). An Injector implements
-// runio.Fault: installed with runio.SetFault it intercepts every record
-// append and fsync at the write boundary and — as a pure function of
+// crash-recover-verify tests (DESIGN.md §12). An Injector is a
+// write-boundary hook: installed with runstore.SetFault it intercepts
+// every record append and fsync and — as a pure function of
 // its configuration and the write sequence number, never of wall clock
 // or goroutine scheduling — tears a chosen write short, flips a bit in
 // a chosen frame, or "crashes" the process at a chosen append or fsync
@@ -25,13 +25,13 @@ var ErrCrash = errors.New("chaos: crash point reached")
 
 // Config pins an Injector's faults. The zero value injects nothing.
 // Record sequence numbers count per matching file: the header is record
-// 0, entries from 1 — the same numbering runio reports in DamageError.
+// 0, entries from 1 — the same numbering runstore reports in DamageError.
 type Config struct {
 	// Seed feeds the deterministic choices the config leaves open (which
 	// bit a flip lands on). Independent from the run's world seed.
 	Seed int64
 	// Target restricts faults to files of one artifact format (e.g.
-	// runio.WalksFormat). Empty matches every format.
+	// runstore.SegmentFormat). Empty matches every format.
 	Target string
 	// CrashAtRecord, when > 0, crashes at the Nth matching append
 	// (1-based count across the process): the record's frame is cut to
@@ -50,8 +50,9 @@ type Config struct {
 	CrashAtSync int
 }
 
-// Injector is a deterministic runio.Fault. Create with New, install
-// with runio.SetFault(inj), and always clear the hook afterwards.
+// Injector is a deterministic write-boundary hook. Create with New,
+// install with runstore.SetFault(inj), and always clear the hook
+// afterwards.
 type Injector struct {
 	cfg Config
 
@@ -65,7 +66,7 @@ type Injector struct {
 }
 
 // New returns an Injector for cfg. Nothing fires until the injector is
-// installed with runio.SetFault.
+// installed with runstore.SetFault.
 func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, crashedCh: make(chan struct{})}
 }
@@ -80,7 +81,7 @@ func (in *Injector) matches(format string) bool {
 	return in.cfg.Target == "" || in.cfg.Target == format
 }
 
-// BeforeAppend implements runio.Fault.
+// BeforeAppend is the hook runstore calls before each record append.
 func (in *Injector) BeforeAppend(format string, seq uint64, frame []byte) ([]byte, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -105,7 +106,7 @@ func (in *Injector) BeforeAppend(format string, seq uint64, frame []byte) ([]byt
 	return frame, nil
 }
 
-// BeforeSync implements runio.Fault.
+// BeforeSync is the hook runstore calls before each fsync.
 func (in *Injector) BeforeSync(format string, syncSeq uint64) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -136,7 +137,7 @@ func (in *Injector) crashErr() error {
 // are spared so the damage reads as a checksum mismatch (mid-file
 // corruption), not a framing tear.
 func flipBit(seed int64, seq uint64, frame []byte) []byte {
-	const prefix = 19 // runio frame prefix: '!' + 8 hex + '!' + 8 hex + '!'
+	const prefix = 19 // runstore frame prefix: '!' + 8 hex + '!' + 8 hex + '!'
 	out := append([]byte(nil), frame...)
 	region := len(out) - prefix - 1 // spare the trailing '\n'
 	if region <= 0 {

@@ -28,7 +28,7 @@ func TestSpanEnd(t *testing.T) {
 }
 
 func TestFsyncpolicy(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Fsyncpolicy, "fsyncpolicy", "fsyncpolicy/internal/runio")
+	linttest.Run(t, "testdata", lint.Fsyncpolicy, "fsyncpolicy", "fsyncpolicy/internal/runstore")
 }
 
 // The interprocedural analyzers list their fact-exporting dependency

@@ -8,27 +8,28 @@ import (
 )
 
 // Fsyncpolicy forbids raw durability primitives — (*os.File).Sync and
-// os.Rename — outside internal/runio. PR 8 routed all crash safety
-// through the framed layer: fsync cadence is a policy decision
-// (runio.SyncPolicy), atomic replacement is runio.WriteFileAtomic, and
-// a bare Sync or Rename elsewhere reopens exactly the torn-write and
-// half-rename windows the frame format exists to close.
+// os.Rename — outside internal/runstore, the package that owns the
+// on-disk format. There the rule is one: appends never fsync, while
+// LineFile.Sync, LineFile.Close and WriteFileAtomic (temp file, fsync,
+// atomic rename) do. A bare Sync or Rename elsewhere bypasses the frame
+// checksums, the sticky sync errors and the crash hooks, and reopens
+// the half-rename window WriteFileAtomic exists to close.
 var Fsyncpolicy = &analysis.Analyzer{
 	Name: "fsyncpolicy",
-	Doc: "forbid os.File.Sync / os.Rename outside internal/runio\n\n" +
-		"Durability goes through the framed runio layer: SyncPolicy for fsync\n" +
-		"cadence, WriteFileAtomic for atomic replacement. Raw primitives\n" +
-		"bypass frame checksums, sync accounting and quarantine handling.",
+	Doc: "forbid os.File.Sync / os.Rename outside internal/runstore\n\n" +
+		"Durability goes through internal/runstore: LineFile.Sync/Close to\n" +
+		"fsync a line file, WriteFileAtomic for atomic replacement. Raw\n" +
+		"primitives bypass frame checksums, sync accounting and crash hooks.",
 	Run: runFsyncpolicy,
 }
 
-// runioPkg reports whether path is the sanctioned durability layer.
-func runioPkg(path string) bool {
-	return path == "crumbcruncher/internal/runio" || strings.HasSuffix(path, "/internal/runio")
+// durabilityPkg reports whether path is the sanctioned durability layer.
+func durabilityPkg(path string) bool {
+	return path == "crumbcruncher/internal/runstore" || strings.HasSuffix(path, "/internal/runstore")
 }
 
 func runFsyncpolicy(pass *analysis.Pass) (interface{}, error) {
-	if runioPkg(pass.Pkg.Path()) {
+	if durabilityPkg(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
@@ -44,8 +45,8 @@ func runFsyncpolicy(pass *analysis.Pass) (interface{}, error) {
 			if path, name, ok := pkgFunc(pass.TypesInfo, sel); ok && path == "os" && name == "Rename" {
 				pass.Report(analysis.Diagnostic{
 					Pos: sel.Pos(),
-					Message: "os.Rename outside internal/runio: atomic replacement must go through " +
-						"runio.WriteFileAtomic (or runio.ReplaceLineFile) so a crash never exposes a half-written artifact",
+					Message: "os.Rename outside internal/runstore: atomic replacement must go through " +
+						"runstore.WriteFileAtomic so a crash never exposes a half-written artifact",
 				})
 				return true
 			}
@@ -56,8 +57,8 @@ func runFsyncpolicy(pass *analysis.Pass) (interface{}, error) {
 					named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "os" {
 					pass.Report(analysis.Diagnostic{
 						Pos: sel.Pos(),
-						Message: "os.File.Sync outside internal/runio: fsync cadence is a runio.SyncPolicy decision; " +
-							"write through runio.LineFile or runio.WriteFileAtomic so sync failures are tracked and surfaced",
+						Message: "os.File.Sync outside internal/runstore: fsync through " +
+							"runstore.LineFile or runstore.WriteFileAtomic so sync failures are tracked and surfaced",
 					})
 				}
 			}

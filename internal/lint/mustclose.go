@@ -11,7 +11,7 @@ import (
 
 // MustClose reports resource handles that are acquired but not closed
 // on every path out of the acquiring function: runstore Stores and
-// Cursors, runio line files, and gzip segment readers. It is built on
+// Cursors, runstore line files, and gzip segment readers. It is built on
 // the acquire/release engine (acqrel.go) and is interprocedural: when a
 // handle is passed to another function, a disposition fact exported by
 // that function's package decides whether the callee closed it,
@@ -47,7 +47,7 @@ func buildMustCloseClasses() []*resourceClass {
 		return namedFrom(t, "runstore", "Cursor")
 	})
 	lineFile := closableClass("line file", false, func(t types.Type) bool {
-		return namedFrom(t, "runio", "LineFile")
+		return namedFrom(t, "runstore", "LineFile")
 	})
 	gz := closableClass("gzip reader", false, func(t types.Type) bool {
 		return namedFrom(t, "compress/gzip", "Reader")

@@ -3,16 +3,16 @@ package fsyncpolicy
 import "os"
 
 func bad(f *os.File) error {
-	if err := f.Sync(); err != nil { // want `os\.File\.Sync outside internal/runio`
+	if err := f.Sync(); err != nil { // want `os\.File\.Sync outside internal/runstore`
 		return err
 	}
-	return os.Rename("a.tmp", "a") // want `os\.Rename outside internal/runio`
+	return os.Rename("a.tmp", "a") // want `os\.Rename outside internal/runstore`
 }
 
 type wrapper struct{ f *os.File }
 
 func badThroughField(w wrapper) error {
-	return w.f.Sync() // want `os\.File\.Sync outside internal/runio`
+	return w.f.Sync() // want `os\.File\.Sync outside internal/runstore`
 }
 
 // Sync on a non-os type stays legal: the rule keys on the receiver's
@@ -38,5 +38,5 @@ func allowedByDoc() error {
 
 func wrongDirectiveName(f *os.File) error {
 	//crumb:allow wallclock a directive for another analyzer does not cover fsyncpolicy
-	return f.Sync() // want `os\.File\.Sync outside internal/runio`
+	return f.Sync() // want `os\.File\.Sync outside internal/runstore`
 }

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"crumbcruncher/internal/crawler"
-	"crumbcruncher/internal/runio"
 )
 
 func testWalk(i int) *crawler.Walk {
@@ -36,7 +35,7 @@ func testWalk(i int) *crawler.Walk {
 
 func testManifest(seed int64) Manifest {
 	return Manifest{
-		Header:   runio.Header{Seed: seed},
+		Header:   Header{Seed: seed},
 		Crawlers: []string{"safari1", "safari2"},
 		Config:   json.RawMessage(`{"walks":5}`),
 	}
@@ -65,7 +64,7 @@ type storeShape struct {
 	path string
 	// sealing makes segments small enough that the test's walks seal
 	// into gzip segments as they append. Without it every record stays
-	// in the active segment, a runio line file, until Finalize.
+	// in the active segment, a line file, until Finalize.
 	sealing bool
 }
 
@@ -278,7 +277,7 @@ func TestStoreReadsClockedRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			st.Close()
-			lf, _, err := runio.OpenLineFile(segJSONLPath(sh.path, 0), segHeader(4))
+			lf, _, err := OpenLineFile(segJSONLPath(sh.path, 0), segHeader(4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +360,8 @@ func TestSegmentSealing(t *testing.T) {
 }
 
 // TestOpenSingleDocumentRejected opens regular files that are not
-// stores: a single-document run (one framed RunFormat document) and a
+// stores: a single-document run (one framed "crumbcruncher/run"
+// document, the shape the server's GET /runs/{id} still serves) and a
 // line-file store as releases before segment-only stores wrote it.
 // Open names the path as not a run-store directory, and Create refuses
 // the path too. A file is a caller mistake, not damage: it is neither
@@ -373,16 +373,16 @@ func TestOpenSingleDocumentRejected(t *testing.T) {
 	}{
 		{"single document", func(path string) error {
 			doc := struct {
-				runio.Header
+				Header
 				Config  json.RawMessage  `json:"config"`
 				Dataset *crawler.Dataset `json:"dataset"`
 			}{
-				Header:  runio.Header{Format: runio.RunFormat, Version: runio.RunVersion, Seed: 21},
+				Header:  Header{Format: "crumbcruncher/run", Version: 1, Seed: 21},
 				Config:  json.RawMessage(`{"walks":1}`),
 				Dataset: &crawler.Dataset{Seed: 21, Walks: []*crawler.Walk{testWalk(0)}},
 			}
-			return runio.WriteFileAtomic(path, func(w io.Writer) error {
-				return runio.WriteDocument(w, doc)
+			return WriteFileAtomic(path, func(w io.Writer) error {
+				return WriteDocument(w, doc)
 			})
 		}},
 		{"line store", func(path string) error {
@@ -390,7 +390,7 @@ func TestOpenSingleDocumentRejected(t *testing.T) {
 			// manifest, walk records, and the finalized manifest.
 			m := testManifest(21)
 			m.Header = manifestHeader(21)
-			lf, _, err := runio.OpenLineFile(path, m.Header)
+			lf, _, err := OpenLineFile(path, m.Header)
 			if err != nil {
 				return err
 			}
@@ -427,7 +427,7 @@ func TestOpenSingleDocumentRejected(t *testing.T) {
 			if want := path + " is not a run-store directory"; !strings.Contains(err.Error(), want) {
 				t.Fatalf("Open error = %v, want it to say %q", err, want)
 			}
-			var dmg *runio.DamageError
+			var dmg *DamageError
 			if errors.As(err, &dmg) || errors.Is(err, fs.ErrNotExist) {
 				t.Fatalf("a regular file reported as damage or as missing: %v", err)
 			}
@@ -499,7 +499,7 @@ func TestSegmentDamageMatrix(t *testing.T) {
 		}},
 		{"valid-gzip-corrupt-frames", func(t *testing.T, path string) {
 			// Re-gzip garbage: decompression succeeds, frame CRCs fail.
-			err := runio.WriteFileAtomic(path, func(w io.Writer) error {
+			err := WriteFileAtomic(path, func(w io.Writer) error {
 				gz := gzip.NewWriter(w)
 				if _, werr := gz.Write([]byte("!deadbeef!00000010!{\"not\":\"valid\"}\n")); werr != nil {
 					return werr
@@ -541,7 +541,7 @@ func TestSegmentDamageMatrix(t *testing.T) {
 			if gerr == nil {
 				t.Fatal("damaged segment decoded without error")
 			}
-			if !errors.Is(gerr, runio.ErrCorrupt) {
+			if !errors.Is(gerr, ErrCorrupt) {
 				t.Fatalf("damage not classified corrupt: %v", gerr)
 			}
 			if _, serr := os.Stat(seg0(dir) + ".corrupt"); serr != nil {
@@ -587,7 +587,7 @@ func rewriteSegment(t *testing.T, path string, edit func(lines [][]byte) [][]byt
 		t.Fatal(err)
 	}
 	lines := edit(bytes.SplitAfter(data, []byte("\n")))
-	err = runio.WriteFileAtomic(path, func(w io.Writer) error {
+	err = WriteFileAtomic(path, func(w io.Writer) error {
 		gz := gzip.NewWriter(w)
 		if _, werr := gz.Write(bytes.Join(lines, nil)); werr != nil {
 			return werr
@@ -630,7 +630,7 @@ func TestSegmentSwappedRecords(t *testing.T) {
 	}
 	defer ro.Close()
 	for _, idx := range []int{0, 1} {
-		if _, err := ro.Get(idx); !errors.Is(err, runio.ErrCorrupt) {
+		if _, err := ro.Get(idx); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("Get(%d) over a swapped record = %v, want ErrCorrupt", idx, err)
 		}
 	}
@@ -748,7 +748,7 @@ func TestSealedSegmentDamageVerify(t *testing.T) {
 		defer st.Close()
 		for i := 0; i < 2; i++ {
 			_, err := st.Get(i)
-			if !errors.Is(err, runio.ErrCorrupt) || errors.Is(err, fs.ErrNotExist) {
+			if !errors.Is(err, ErrCorrupt) || errors.Is(err, fs.ErrNotExist) {
 				t.Fatalf("Get(%d) from a missing segment = %v, want ErrCorrupt", i, err)
 			}
 			if msg := err.Error(); strings.Contains(msg, "record -1") || strings.Contains(msg, "offset -1") {
@@ -776,8 +776,8 @@ func TestSealedSegmentDamageVerify(t *testing.T) {
 			t.Fatalf("open leaves sealed segments to their first read: %v", err)
 		}
 		err = Verify(st)
-		var de *runio.DamageError
-		if !errors.As(err, &de) || !errors.Is(err, runio.ErrCorrupt) {
+		var de *DamageError
+		if !errors.As(err, &de) || !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("Verify = %v, want a DamageError wrapping ErrCorrupt", err)
 		}
 		if de.Quarantined != dir+".corrupt" {

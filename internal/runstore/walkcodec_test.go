@@ -19,7 +19,6 @@ import (
 	"crumbcruncher/internal/browser"
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/dom"
-	"crumbcruncher/internal/runio"
 	"crumbcruncher/internal/runstore"
 )
 
@@ -69,7 +68,7 @@ var crawlRecords = sync.OnceValues(func() ([][]byte, error) {
 
 	// Fewer walks than a segment holds: every record is in the active
 	// segment, in completion order.
-	lf, records, err := runio.OpenLineFile(filepath.Join(path, "seg-000000.jsonl"), runio.Header{Format: runio.SegmentFormat, Version: 1})
+	lf, records, err := runstore.OpenLineFile(filepath.Join(path, "seg-000000.jsonl"), runstore.Header{Format: runstore.SegmentFormat, Version: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +117,7 @@ func referenceDecode(raw []byte, idx int) (*crawler.Walk, error) {
 		return nil, fmt.Errorf("runstore: decode walk record: %w", err)
 	}
 	if rec.Index != idx {
-		return nil, fmt.Errorf("runstore: %w: record for walk %d holds walk %d", runio.ErrCorrupt, idx, rec.Index)
+		return nil, fmt.Errorf("runstore: %w: record for walk %d holds walk %d", runstore.ErrCorrupt, idx, rec.Index)
 	}
 	if rec.Walk == nil {
 		return nil, fmt.Errorf("runstore: walk record %d has no walk", rec.Index)
@@ -514,7 +513,7 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 	dir := t.TempDir()
 	create := func(name string) runstore.Store {
-		st, err := runstore.Create(filepath.Join(dir, name), runstore.Manifest{Header: runio.Header{Seed: 3}})
+		st, err := runstore.Create(filepath.Join(dir, name), runstore.Manifest{Header: runstore.Header{Seed: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -204,22 +204,32 @@ func RegisteredDomain(host string) string { return defaultList.RegisteredDomain(
 // SameSite applies the default list.
 func SameSite(a, b string) bool { return defaultList.SameSite(a, b) }
 
-// normalize lowercases, strips a trailing dot and any port.
+// normalize lowercases, strips surrounding space, a trailing dot and
+// any port, repeating the strip until nothing changes, so that it is
+// idempotent: "a.com:80." and "a.com.:80" both give "a.com".
 func normalize(host string) string {
-	host = strings.ToLower(strings.TrimSpace(host))
-	if i := strings.LastIndexByte(host, ':'); i >= 0 && !strings.Contains(host[i+1:], ".") {
-		// Only strip when the tail looks like a port, not an IPv6 segment
-		// (the synthetic web never uses IPv6 hosts, but be safe).
-		allDigits := len(host[i+1:]) > 0
-		for _, c := range host[i+1:] {
-			if c < '0' || c > '9' {
-				allDigits = false
-				break
-			}
+	host = strings.ToLower(host)
+	for {
+		h := stripPort(strings.TrimSuffix(strings.TrimSpace(host), "."))
+		if h == host {
+			return h
 		}
-		if allDigits {
-			host = host[:i]
+		host = h
+	}
+}
+
+// stripPort drops a trailing ":digits" port. A tail holding a dot or a
+// non-digit is kept: that is no port (an IPv6 segment, say; the
+// synthetic web never uses IPv6 hosts, but be safe).
+func stripPort(host string) string {
+	i := strings.LastIndexByte(host, ':')
+	if i < 0 || i == len(host)-1 {
+		return host
+	}
+	for _, c := range host[i+1:] {
+		if c < '0' || c > '9' {
+			return host
 		}
 	}
-	return strings.TrimSuffix(host, ".")
+	return host[:i]
 }

@@ -44,6 +44,7 @@ func TestRegisteredDomain(t *testing.T) {
 		{"sub.www.ck", "www.ck"},
 		{"Example.COM.", "example.com"},     // normalization
 		{"example.com:8080", "example.com"}, // port stripping
+		{"a.com:80.", "a.com"},              // a port before a trailing dot
 	}
 	for _, c := range cases {
 		if got := RegisteredDomain(c.host); got != c.want {
@@ -237,12 +238,15 @@ func FuzzRegisteredDomain(f *testing.F) {
 		if ps, want := memo.PublicSuffix(host), fresh.PublicSuffix(host); ps != want {
 			t.Fatalf("PublicSuffix(%q): memoized %q, fresh %q", host, ps, want)
 		}
+		n := normalize(host)
+		if nn := normalize(n); nn != n {
+			t.Fatalf("normalize is not idempotent: normalize(%q) = %q, normalize of that = %q", host, n, nn)
+		}
 		if got == "" {
 			return
 		}
-		n := normalize(host)
 		if !strings.HasSuffix(n, got) || (len(got) < len(n) && n[len(n)-len(got)-1] != '.') {
-			t.Fatalf("RegisteredDomain(%q) = %q, not a dot-boundary suffix of %q", host, got, n)
+			t.Fatalf("RegisteredDomain(%q) = %q, not a label-boundary suffix of %q", host, got, n)
 		}
 	})
 }

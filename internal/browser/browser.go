@@ -92,6 +92,13 @@ type Config struct {
 // Browser is one simulated browser with its own profile storage. It is
 // used by a single crawler goroutine; the request log is nevertheless
 // mutex-guarded so tests may inspect it concurrently.
+//
+// Every fetch reuses one http.Request, with its URL, header map and
+// header values, for the browser's whole life: a request is live only
+// until Network.Do returns, so a handler or observer on the network must
+// not keep the request, its URL or its header past its return (strings
+// read from them are safe to keep), and the Request of a returned
+// response must not be read.
 type Browser struct {
 	cfg   Config
 	store *storage.Store
@@ -107,6 +114,14 @@ type Browser struct {
 	// can recover deterministically per (domain, attempt). The browser
 	// is single-goroutine, so no lock is needed.
 	attempt int
+
+	// The request every fetch reuses (see the type's doc): its URL, the
+	// header values its one-element header slices point into, and the
+	// buffer the Cookie header is built in.
+	req       http.Request
+	reqURL    url.URL
+	reqVals   [7]string
+	cookieBuf []byte
 
 	// Cached telemetry instruments (all nil-safe no-ops when
 	// cfg.Telemetry is nil).
@@ -141,6 +156,7 @@ func New(cfg Config) *Browser {
 		store:      storage.New(cfg.Policy),
 		clock:      cfg.Clock,
 		psl:        publicsuffix.Default(),
+		req:        http.Request{Header: make(http.Header, 8)},
 		tel:        cfg.Telemetry,
 		cNavs:      reg.Counter("browser.navigations"),
 		cScripts:   reg.Counter("browser.scripts_run"),
@@ -299,6 +315,7 @@ func (b *Browser) fetch(u *url.URL, rawURL, referer string, kind RequestKind) (*
 
 // Canonical forms of the request headers fetchCtx sets directly.
 var (
+	hdrCookie    = textproto.CanonicalMIMEHeaderKey("Cookie")
 	hdrUserAgent = textproto.CanonicalMIMEHeaderKey("User-Agent")
 	hdrProfile   = textproto.CanonicalMIMEHeaderKey(HeaderProfile)
 	hdrClient    = textproto.CanonicalMIMEHeaderKey(HeaderClient)
@@ -311,33 +328,36 @@ var (
 // beacon subrequests, whose cookie access is third-party).
 func (b *Browser) fetchCtx(u *url.URL, rawURL, referer string, kind RequestKind, ctx storage.Context) (*http.Response, error) {
 	// Build the request directly: http.NewRequest would re-parse the URL
-	// string we already hold parsed. The URL struct is copied so neither
-	// handlers nor the transport can alias the caller's value.
-	reqURL := *u
-	req := &http.Request{
-		Method: http.MethodGet,
-		URL:    &reqURL,
-		Header: make(http.Header, 8),
-		Host:   u.Host,
-	}
-	// The identity headers' one-element value slices share one backing
-	// array rather than a Header.Set allocation each; a full slice
-	// expression caps each at its own element, so an Add appends into a
-	// fresh array.
-	vals := [...]string{b.cfg.UserAgent, b.cfg.ProfileID, b.cfg.ClientID, b.cfg.Machine, strconv.Itoa(b.attempt), referer}
-	req.Header[hdrUserAgent] = vals[0:1:1]
-	req.Header[hdrProfile] = vals[1:2:2]
-	req.Header[hdrClient] = vals[2:3:3]
-	req.Header[hdrMachine] = vals[3:4:4]
+	// string we already hold parsed. The request, its URL and header map
+	// are the browser's own, reused by every fetch and reset here whole,
+	// so nothing a previous fetch or its handler left on them survives.
+	// The URL is copied so neither handlers nor the transport can alias
+	// the caller's value.
+	b.reqURL = *u
+	h := b.req.Header
+	clear(h)
+	b.req = http.Request{Method: http.MethodGet, URL: &b.reqURL, Header: h, Host: u.Host}
+	req := &b.req
+	// The header values' one-element slices point into one array rather
+	// than a Header.Set allocation each; a full slice expression caps
+	// each at its own element, so an Add appends into a fresh array.
+	vals := &b.reqVals
+	*vals = [...]string{b.cfg.UserAgent, b.cfg.ProfileID, b.cfg.ClientID, b.cfg.Machine, strconv.Itoa(b.attempt), referer, ""}
+	h[hdrUserAgent] = vals[0:1:1]
+	h[hdrProfile] = vals[1:2:2]
+	h[hdrClient] = vals[2:3:3]
+	h[hdrMachine] = vals[3:4:4]
 	if b.attempt > 0 {
-		req.Header[hdrAttempt] = vals[4:5:5]
+		h[hdrAttempt] = vals[4:5:5]
 	}
 	if referer != "" {
-		req.Header[hdrReferer] = vals[5:6:6]
+		h[hdrReferer] = vals[5:6:6]
 	}
 	now := b.clock.Now()
-	for _, c := range b.store.Cookies(ctx, now) {
-		req.AddCookie(&http.Cookie{Name: c.Name, Value: c.Value})
+	if cs := b.store.Cookies(ctx, now); len(cs) > 0 {
+		b.cookieBuf = appendCookieHeader(b.cookieBuf[:0], cs)
+		vals[6] = string(b.cookieBuf)
+		h[hdrCookie] = vals[6:7:7]
 	}
 
 	// The network is the transport itself: an http.Client would clone
@@ -357,6 +377,48 @@ func (b *Browser) fetchCtx(u *url.URL, rawURL, referer string, kind RequestKind,
 	b.record(rec)
 	b.storeSetCookies(resp, ctx)
 	return resp, nil
+}
+
+// appendCookieHeader appends to dst the Cookie header value that one
+// http.Request.AddCookie call per cookie, in order, would build:
+// "name=value" pairs joined by "; ", each name with CR and LF replaced by
+// '-', each value stripped of bytes outside RFC 6265's cookie-octet set
+// (loosened to allow space and comma) and double-quoted when non-empty
+// and holding a space or comma. AddCookie also logs each invalid byte it
+// drops; this does not.
+func appendCookieHeader(dst []byte, cs []storage.Cookie) []byte {
+	for i, c := range cs {
+		if i > 0 {
+			dst = append(dst, "; "...)
+		}
+		for j := 0; j < len(c.Name); j++ {
+			ch := c.Name[j]
+			if ch == '\r' || ch == '\n' {
+				ch = '-'
+			}
+			dst = append(dst, ch)
+		}
+		dst = append(dst, '=')
+		quote := false
+		for j := 0; j < len(c.Value); j++ {
+			if ch := c.Value[j]; ch == ' ' || ch == ',' {
+				quote = true
+				break
+			}
+		}
+		if quote {
+			dst = append(dst, '"')
+		}
+		for j := 0; j < len(c.Value); j++ {
+			if ch := c.Value[j]; 0x20 <= ch && ch < 0x7f && ch != '"' && ch != ';' && ch != '\\' {
+				dst = append(dst, ch)
+			}
+		}
+		if quote {
+			dst = append(dst, '"')
+		}
+	}
+	return dst
 }
 
 // storeSetCookies applies a response's Set-Cookie headers to the store

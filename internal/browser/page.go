@@ -3,7 +3,7 @@ package browser
 import (
 	"fmt"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 
 	"crumbcruncher/internal/dom"
@@ -238,22 +238,72 @@ func hasClass(classAttr, token string) bool {
 // URLs are byte-stable.
 func encodeQueryStable(q url.Values) string {
 	keys := make([]string, 0, len(q))
-	for k := range q {
+	n := 0
+	for k, vs := range q {
 		keys = append(keys, k)
+		for _, v := range vs {
+			n += queryEscapedLen(k) + queryEscapedLen(v) + 2
+		}
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	var b strings.Builder
+	b.Grow(n)
 	for _, k := range keys {
 		for _, v := range q[k] {
-			if b.Len() > 0 {
-				b.WriteByte('&')
-			}
-			b.WriteString(url.QueryEscape(k))
-			b.WriteByte('=')
-			b.WriteString(url.QueryEscape(v))
+			writeQueryPair(&b, k, v)
 		}
 	}
 	return b.String()
+}
+
+// queryParam is one name/value pair of a query a beacon sends.
+type queryParam struct{ name, value string }
+
+// encodeParamsStable encodes params as encodeQueryStable encodes the
+// url.Values that Set-ting each param in order builds: sorted by name,
+// the last value of a repeated name kept. It sorts params in place.
+func encodeParamsStable(params []queryParam) string {
+	slices.SortStableFunc(params, func(a, b queryParam) int { return strings.Compare(a.name, b.name) })
+	n := 0
+	for _, kv := range params {
+		n += queryEscapedLen(kv.name) + queryEscapedLen(kv.value) + 2
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, kv := range params {
+		if i+1 < len(params) && params[i+1].name == kv.name {
+			continue // a later Set of the name replaced this value
+		}
+		writeQueryPair(&b, kv.name, kv.value)
+	}
+	return b.String()
+}
+
+// writeQueryPair appends "name=value", query-escaped, to b, preceded by
+// '&' unless b is empty.
+func writeQueryPair(b *strings.Builder, name, value string) {
+	if b.Len() > 0 {
+		b.WriteByte('&')
+	}
+	b.WriteString(url.QueryEscape(name))
+	b.WriteByte('=')
+	b.WriteString(url.QueryEscape(value))
+}
+
+// queryEscapedLen returns len(url.QueryEscape(s)): a space becomes '+',
+// ASCII letters, digits and "-_.~" stay, and every other byte becomes a
+// three-byte %XX escape.
+func queryEscapedLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '-', c == '_', c == '.', c == '~', c == ' ':
+		default:
+			n += 2
+		}
+	}
+	return n
 }
 
 // loadFrames fetches every iframe's document. Iframe loads are sub_frame

@@ -1,7 +1,6 @@
 package browser
 
 import (
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -169,7 +168,7 @@ func (b *Browser) scriptUIDSync(p *Page, s *dom.Node, ctx storage.Context) {
 		b.store.SetLocal(ctx, cookie, v)
 	}
 	if ep := s.AttrOr("data-beacon", ""); ep != "" {
-		b.fireBeacon(p, ep, url.Values{"uid": {v}})
+		b.fireBeacon(p, ep, queryParam{"uid", v})
 	}
 }
 
@@ -205,7 +204,8 @@ func (b *Browser) scriptCollector(p *Page, s *dom.Node, ctx storage.Context) {
 	ttl := atoiOr(s.AttrOr("data-ttl-days", ""), 390)
 	q := p.URL.Query()
 	now := b.clock.Now()
-	collected := url.Values{}
+	var buf [8]queryParam
+	collected := buf[:0]
 	for _, name := range params {
 		v := q.Get(name)
 		if v == "" {
@@ -217,13 +217,13 @@ func (b *Browser) scriptCollector(p *Page, s *dom.Node, ctx storage.Context) {
 			Created: now,
 			Expires: now.Add(time.Duration(ttl) * 24 * time.Hour),
 		})
-		collected.Set(name, v)
+		collected = append(collected, queryParam{name, v})
 	}
 	if ep := s.AttrOr("data-beacon", ""); ep != "" && len(collected) > 0 {
 		if tracker != "" {
-			collected.Set("tuid", b.trackerUID(tracker, p.URL.Hostname(), false))
+			collected = append(collected, queryParam{"tuid", b.trackerUID(tracker, p.URL.Hostname(), false)})
 		}
-		b.fireBeacon(p, ep, collected)
+		b.fireBeacon(p, ep, collected...)
 	}
 }
 
@@ -232,17 +232,18 @@ func (b *Browser) scriptBeacon(p *Page, s *dom.Node, _ string) {
 	if ep == "" {
 		return
 	}
-	vals := url.Values{}
+	var buf [2]queryParam
+	params := buf[:0]
 	if s.AttrOr("data-include-url", "") == "1" {
-		vals.Set("url", p.urlStr)
+		params = append(params, queryParam{"url", p.urlStr})
 	}
 	if uidParam := s.AttrOr("data-uid-param", ""); uidParam != "" {
 		tracker := s.AttrOr("data-tracker", "")
 		if tracker != "" {
-			vals.Set(uidParam, b.trackerUID(tracker, p.URL.Hostname(), false))
+			params = append(params, queryParam{uidParam, b.trackerUID(tracker, p.URL.Hostname(), false)})
 		}
 	}
-	b.fireBeacon(p, ep, vals)
+	b.fireBeacon(p, ep, params...)
 }
 
 func (b *Browser) scriptLocalToken(p *Page, s *dom.Node, ctx storage.Context) {
@@ -290,23 +291,30 @@ func (b *Browser) scriptCookieSync(p *Page, s *dom.Node) {
 		return
 	}
 	v := b.trackerUID(tracker, p.URL.Hostname(), false)
-	b.fireBeacon(p, ep, url.Values{"puid": {v}, "from": {tracker}})
+	b.fireBeacon(p, ep, queryParam{"puid", v}, queryParam{"from", tracker})
 }
 
-// fireBeacon sends a third-party GET to endpoint with extra query values
-// merged in. Beacon cookie access is third-party under the page.
-func (b *Browser) fireBeacon(p *Page, endpoint string, vals url.Values) {
+// fireBeacon sends a third-party GET to endpoint with params merged into
+// its query the way url.Values.Set merges them: a param replaces any
+// earlier value of its name, and a later param wins over an earlier one
+// of the same name. The query is encoded with sorted names
+// (encodeQueryStable); an endpoint without a query of its own, the
+// common case, is encoded straight from params. fireBeacon may reorder
+// params. Beacon cookie access is third-party under the page.
+func (b *Browser) fireBeacon(p *Page, endpoint string, params ...queryParam) {
 	u := resolveHref(p.URL, endpoint)
 	if u == nil {
 		return
 	}
-	q := u.Query()
-	for k, vs := range vals {
-		for _, v := range vs {
-			q.Set(k, v)
+	if u.RawQuery == "" {
+		u.RawQuery = encodeParamsStable(params)
+	} else {
+		q := u.Query()
+		for _, kv := range params {
+			q.Set(kv.name, kv.value)
 		}
+		u.RawQuery = encodeQueryStable(q)
 	}
-	u.RawQuery = encodeQueryStable(q)
 	ctx := storage.Context{FrameHost: u.Hostname(), TopHost: p.URL.Hostname()}
 	resp, err := b.fetchCtx(u, u.String(), p.urlStr, KindBeacon, ctx)
 	if err != nil {

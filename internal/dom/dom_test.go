@@ -140,8 +140,8 @@ func TestParseBooleanAttr(t *testing.T) {
 
 // TestParseAttrsOwnBacking: attribute slices share one block per
 // document, so each must have cap == len — appending to one element's
-// Attrs must never overwrite its sibling's. Boolean attributes, which the
-// '=' count does not cover, spill into an overflow block.
+// Attrs must never overwrite its sibling's. Boolean attributes share the
+// block with valued ones.
 func TestParseAttrsOwnBacking(t *testing.T) {
 	doc := Parse(`<div><a href="/1" class="x">a</a><a href="/2" id="y">b</a>` +
 		`<input disabled checked readonly><input required autofocus></div>`)

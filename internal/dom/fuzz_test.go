@@ -14,7 +14,8 @@ import (
 
 // FuzzParse feeds arbitrary bytes to Parse. Page bodies come off the
 // simulated network, so the parser must take anything: no input may
-// panic it, and two parses of one input must build deep-equal trees.
+// panic it, two parses of one input must build deep-equal trees, and the
+// tree must be well formed (checkTree).
 // The seeds are pages a small world serves (landing, content, account
 // and ad-slot pages), each also truncated mid-document and with a byte
 // flipped.
@@ -71,5 +72,40 @@ func FuzzParse(f *testing.F) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("two parses of %q differ", html)
 		}
+		checkTree(t, a)
 	})
+}
+
+// checkTree checks the structure of a parsed tree: the root has no
+// parent, every child's Parent is the node that lists it, every node is
+// reachable exactly once, and every non-nil Children and Attrs slice
+// has cap == len. Nodes, children and attributes each share one block
+// per document, so a slice with spare capacity would let an append to
+// one node write into its neighbour's.
+func checkTree(t *testing.T, root *dom.Node) {
+	t.Helper()
+	if root.Parent != nil {
+		t.Fatalf("root has parent %p", root.Parent)
+	}
+	seen := map[*dom.Node]bool{}
+	var visit func(n *dom.Node)
+	visit = func(n *dom.Node) {
+		if seen[n] {
+			t.Fatalf("node %p (%q) reached twice", n, n.Tag+n.Text)
+		}
+		seen[n] = true
+		if n.Children != nil && cap(n.Children) != len(n.Children) {
+			t.Fatalf("<%s> Children len %d cap %d", n.Tag, len(n.Children), cap(n.Children))
+		}
+		if n.Attrs != nil && cap(n.Attrs) != len(n.Attrs) {
+			t.Fatalf("<%s> Attrs len %d cap %d", n.Tag, len(n.Attrs), cap(n.Attrs))
+		}
+		for _, c := range n.Children {
+			if c.Parent != n {
+				t.Fatalf("child %q of <%s> has parent %p, want %p", c.Tag+c.Text, n.Tag, c.Parent, n)
+			}
+			visit(c)
+		}
+	}
+	visit(root)
 }

@@ -87,10 +87,9 @@ func (n *Node) AttrNames() []string {
 }
 
 // AppendChild adds c as the last child of n and sets its parent. The
-// child slice starts at capacity 4: growing 1→2→4 cost three heap
-// objects per parent across the document, and parents with more than a
-// couple of children are the common case in both parsed and generated
-// trees.
+// child slice starts at capacity 4, so a parent with a few children
+// costs one heap object. Parse does not use it: a parsed document's
+// children share one exactly-sized block.
 func (n *Node) AppendChild(c *Node) {
 	c.Parent = n
 	if n.Children == nil {

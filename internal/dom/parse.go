@@ -2,6 +2,7 @@ package dom
 
 import (
 	"strings"
+	"sync"
 )
 
 // voidElements never have children and need no closing tag.
@@ -11,48 +12,86 @@ var voidElements = map[string]bool{
 	"source": true, "track": true, "wbr": true,
 }
 
-// nodeArena hands out tree nodes and attribute slices in blocks, so
-// parsing a page costs one heap object per block of nodes instead of
-// one per node, and one attribute block per document instead of a
-// growing slice per element (the parser was the crawl's densest source
-// of small allocations). Nodes in a block share a backing array, so a
-// single retained node keeps its whole block alive — fine here, because
-// the crawler discards pages wholesale. Every attribute slice has cap ==
-// len, so appending to one element's Attrs reallocates instead of
-// overwriting its neighbour's. The arena is per-Parse call, never pooled
-// or shared: trees built from it are identical to individually-allocated
-// ones in every observable way.
-type nodeArena struct {
-	blk   []Node
+// parseScratch is the working table Parse builds a document in before
+// materializing it: one row per node in document order, linked by
+// parent index, with each element's attributes as a range of one shared
+// attribute list. Parse copies the finished table into three blocks
+// sized exactly — the nodes, every node's children, every element's
+// attributes — so a parsed document costs three allocations plus its
+// decoded strings, and no block carries slack. Scratch tables are
+// pooled; the reset contract (DESIGN.md §10) is that release clears
+// every row and attribute before Put, so a pooled table holds no
+// string of the last page it parsed and is indistinguishable from a
+// fresh one.
+type parseScratch struct {
+	nodes []scratchNode
 	attrs []Attr
+	stack []int // open elements, innermost last; stack[0] is the root
 }
 
-// arenaOverflowBlock sizes the blocks handed out after the initial
-// estimate (see Parse) runs dry.
-const arenaOverflowBlock = 32
-
-func (a *nodeArena) node() *Node {
-	if len(a.blk) == 0 {
-		a.blk = make([]Node, arenaOverflowBlock)
-	}
-	n := &a.blk[0]
-	a.blk = a.blk[1:]
-	return n
+// scratchNode is one row of the table.
+type scratchNode struct {
+	typ            NodeType
+	tag, text      string
+	parent         int
+	attrLo, attrHi int // the element's range of parseScratch.attrs
+	children       int
 }
 
-// attrList copies src into the attribute block and returns the copy.
-func (a *nodeArena) attrList(src []Attr) []Attr {
-	n := len(src)
-	if n == 0 {
-		return nil
+var scratchPool = sync.Pool{New: func() any { return new(parseScratch) }}
+
+// add appends a node as the last child of parent and returns its index.
+func (sc *parseScratch) add(parent int, typ NodeType, tag, text string) int {
+	sc.nodes[parent].children++
+	sc.nodes = append(sc.nodes, scratchNode{typ: typ, tag: tag, text: text, parent: parent})
+	return len(sc.nodes) - 1
+}
+
+func (sc *parseScratch) top() int { return sc.stack[len(sc.stack)-1] }
+
+// materialize builds the tree the table describes. Rows are in document
+// order, so filling each parent's children in row order keeps them in
+// document order. Every Children and Attrs slice has cap == len:
+// appending to one node's reallocates instead of writing into its
+// neighbour's.
+func (sc *parseScratch) materialize() *Node {
+	nodes := make([]Node, len(sc.nodes))
+	var attrs []Attr
+	if len(sc.attrs) > 0 {
+		attrs = make([]Attr, len(sc.attrs))
+		copy(attrs, sc.attrs)
 	}
-	if len(a.attrs) < n {
-		a.attrs = make([]Attr, max(n, arenaOverflowBlock))
+	var kids []*Node
+	if len(sc.nodes) > 1 {
+		kids = make([]*Node, len(sc.nodes)-1)
 	}
-	out := a.attrs[:n:n]
-	a.attrs = a.attrs[n:]
-	copy(out, src)
-	return out
+	off := 0
+	for i := range sc.nodes {
+		r := &sc.nodes[i]
+		n := &nodes[i]
+		n.Type, n.Tag, n.Text = r.typ, r.tag, r.text
+		if r.attrHi > r.attrLo {
+			n.Attrs = attrs[r.attrLo:r.attrHi:r.attrHi]
+		}
+		if r.children > 0 {
+			n.Children = kids[off : off : off+r.children]
+			off += r.children
+		}
+		if i > 0 {
+			p := &nodes[r.parent]
+			n.Parent = p
+			p.Children = append(p.Children, n)
+		}
+	}
+	return &nodes[0]
+}
+
+// release clears the table and returns it to the pool.
+func (sc *parseScratch) release() {
+	clear(sc.nodes)
+	clear(sc.attrs)
+	sc.nodes, sc.attrs, sc.stack = sc.nodes[:0], sc.attrs[:0], sc.stack[:0]
+	scratchPool.Put(sc)
 }
 
 // Parse parses an HTML document into a tree rooted at a synthetic
@@ -62,28 +101,17 @@ func (a *nodeArena) attrList(src []Attr) []Attr {
 // at end of input. Parse never fails; like a browser, it always produces a
 // tree.
 func Parse(html string) *Node {
-	// Every node begins at a '<' (open tag, comment) or follows one
-	// (text run), and close tags consume a '<' without producing a
-	// node, so the '<' count is a tight upper bound on the node count.
-	// One counting pass sizes the arena's first block so a typical
-	// document costs a single node allocation with little slack.
-	// Likewise every valued attribute holds an '=', so the '=' count
-	// bounds the attribute count (boolean attributes, which have none,
-	// spill into an overflow block).
-	arena := nodeArena{
-		blk:   make([]Node, strings.Count(html, "<")+2),
-		attrs: make([]Attr, strings.Count(html, "=")),
-	}
-	newText := func(text string) *Node {
-		n := arena.node()
-		n.Type, n.Text = TextNode, text
-		return n
-	}
-	root := arena.node()
-	root.Type, root.Tag = ElementNode, "#document"
-	stack := []*Node{root}
-	top := func() *Node { return stack[len(stack)-1] }
+	sc := scratchPool.Get().(*parseScratch)
+	sc.parse(html)
+	root := sc.materialize()
+	sc.release()
+	return root
+}
 
+// parse fills the table from html.
+func (sc *parseScratch) parse(html string) {
+	sc.nodes = append(sc.nodes, scratchNode{typ: ElementNode, tag: "#document"})
+	sc.stack = append(sc.stack, 0)
 	i := 0
 	for i < len(html) {
 		if html[i] != '<' {
@@ -94,7 +122,7 @@ func Parse(html string) *Node {
 			}
 			text := html[i : i+j]
 			if strings.TrimSpace(text) != "" {
-				top().AppendChild(newText(decodeEntities(text)))
+				sc.add(sc.top(), TextNode, "", decodeEntities(text))
 			}
 			i += j
 			continue
@@ -103,14 +131,10 @@ func Parse(html string) *Node {
 		if strings.HasPrefix(html[i:], "<!--") {
 			end := strings.Index(html[i+4:], "-->")
 			if end < 0 {
-				c := arena.node()
-				c.Type, c.Text = CommentNode, html[i+4:]
-				top().AppendChild(c)
+				sc.add(sc.top(), CommentNode, "", html[i+4:])
 				break
 			}
-			c := arena.node()
-			c.Type, c.Text = CommentNode, html[i+4:i+4+end]
-			top().AppendChild(c)
+			sc.add(sc.top(), CommentNode, "", html[i+4:i+4+end])
 			i += 4 + end + 3
 			continue
 		}
@@ -131,9 +155,9 @@ func Parse(html string) *Node {
 			}
 			name := strings.ToLower(strings.TrimSpace(html[i+2 : i+end]))
 			// Pop to the matching open element if one exists.
-			for d := len(stack) - 1; d >= 1; d-- {
-				if stack[d].Tag == name {
-					stack = stack[:d]
+			for d := len(sc.stack) - 1; d >= 1; d-- {
+				if sc.nodes[sc.stack[d]].tag == name {
+					sc.stack = sc.stack[:d]
 					break
 				}
 			}
@@ -151,20 +175,20 @@ func Parse(html string) *Node {
 		if selfClose {
 			raw = strings.TrimSuffix(raw, "/")
 		}
-		el := parseTag(raw, &arena)
-		if el == nil {
+		el, ok := sc.parseTag(raw)
+		if !ok {
 			continue
 		}
-		top().AppendChild(el)
-		if el.Tag == "script" || el.Tag == "style" {
+		tag := sc.nodes[el].tag
+		if tag == "script" || tag == "style" {
 			// Raw-text elements: consume to the closing tag verbatim.
-			idx := indexCloser(html[i:], el.Tag)
+			idx := indexCloser(html[i:], tag)
 			if idx < 0 {
-				el.AppendChild(newText(html[i:]))
+				sc.add(el, TextNode, "", html[i:])
 				break
 			}
 			if idx > 0 {
-				el.AppendChild(newText(html[i : i+idx]))
+				sc.add(el, TextNode, "", html[i:i+idx])
 			}
 			gt := strings.IndexByte(html[i+idx:], '>')
 			if gt < 0 {
@@ -173,11 +197,10 @@ func Parse(html string) *Node {
 			i += idx + gt + 1
 			continue
 		}
-		if !selfClose && !voidElements[el.Tag] {
-			stack = append(stack, el)
+		if !selfClose && !voidElements[tag] {
+			sc.stack = append(sc.stack, el)
 		}
 	}
-	return root
 }
 
 // indexCloser returns the offset of the first "</" in s that is followed
@@ -199,22 +222,20 @@ func indexCloser(s, tag string) int {
 	}
 }
 
-// parseTag parses "name attr=val attr2="v2" flag" into an element
-// allocated from the parse arena. Attributes collect in a stack buffer
-// and move to the arena's attribute block once the tag is complete.
-func parseTag(raw string, a *nodeArena) *Node {
+// parseTag parses "name attr=val attr2="v2" flag" into an element row
+// appended under the current open element, its attributes appended to
+// the table's attribute list. It reports false for an empty tag.
+func (sc *parseScratch) parseTag(raw string) (int, bool) {
 	raw = strings.TrimSpace(raw)
 	if raw == "" {
-		return nil
+		return 0, false
 	}
 	nameEnd := 0
 	for nameEnd < len(raw) && !isSpace(raw[nameEnd]) {
 		nameEnd++
 	}
-	el := a.node()
-	el.Type, el.Tag = ElementNode, strings.ToLower(raw[:nameEnd])
-	var buf [16]Attr
-	attrs := buf[:0]
+	el := sc.add(sc.top(), ElementNode, strings.ToLower(raw[:nameEnd]), "")
+	lo := len(sc.attrs)
 	rest := raw[nameEnd:]
 	for {
 		rest = strings.TrimLeft(rest, " \t\r\n")
@@ -234,7 +255,7 @@ func parseTag(raw string, a *nodeArena) *Node {
 		rest = strings.TrimLeft(rest, " \t\r\n")
 		if !strings.HasPrefix(rest, "=") {
 			// Boolean attribute.
-			attrs = append(attrs, Attr{Name: name})
+			sc.attrs = append(sc.attrs, Attr{Name: name})
 			continue
 		}
 		rest = strings.TrimLeft(rest[1:], " \t\r\n")
@@ -261,10 +282,10 @@ func parseTag(raw string, a *nodeArena) *Node {
 			}
 			value, rest = rest[:j], rest[j:]
 		}
-		attrs = append(attrs, Attr{Name: name, Value: decodeEntities(value)})
+		sc.attrs = append(sc.attrs, Attr{Name: name, Value: decodeEntities(value)})
 	}
-	el.Attrs = a.attrList(attrs)
-	return el
+	sc.nodes[el].attrLo, sc.nodes[el].attrHi = lo, len(sc.attrs)
+	return el, true
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

@@ -27,10 +27,16 @@ import (
 // importer for everything it references.
 type unit struct {
 	importPath string // canonical path, test-variant suffix stripped
-	id         string // display identity (may carry " [pkg.test]")
+	id         string // go list identity (may carry " [pkg.test]")
 	goFiles    []string
-	goVersion  string   // e.g. "go1.22"; empty means the toolchain default
-	deps       []string // module-internal dependency import paths
+	goVersion  string            // e.g. "go1.22"; empty means the toolchain default
+	deps       []string          // ids of the units this one imports
+	depUnits   map[string]string // import path -> id of the unit analyzing it
+
+	// factsOnly runs only the fact-using analyzers and drops their
+	// findings: the unit is a package whose test variant, another unit,
+	// reports them.
+	factsOnly bool
 
 	// resolve maps a source-level import path to the export-data file
 	// of the package it denotes in this unit's build.
@@ -108,6 +114,9 @@ func checkUnit(fset *token.FileSet, u unit, analyzers []*analysis.Analyzer) ([]F
 	allows := directive.Collect(fset, files)
 	var out []Finding
 	for _, a := range analyzers {
+		if u.factsOnly && !a.UsesFacts {
+			continue
+		}
 		var diags []analysis.Diagnostic
 		pass := &analysis.Pass{
 			Analyzer:  a,
@@ -123,6 +132,9 @@ func checkUnit(fset *token.FileSet, u unit, analyzers []*analysis.Analyzer) ([]F
 		}
 		if _, err := a.Run(pass); err != nil {
 			return nil, nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, u.id, err)
+		}
+		if u.factsOnly {
+			continue
 		}
 		for _, d := range diags {
 			if allows.Allowed(a.Name, d.Pos) {

@@ -239,3 +239,72 @@ func TestFindingMessagesNameNoCheckoutPath(t *testing.T) {
 		}
 	}
 }
+
+// TestInPackageTestsImportEachOther is the module shape where each of
+// two packages' in-package tests imports the other package, which is
+// valid Go: the test variants depend on each other's plain packages,
+// never on each other. The fact-driven leak in main.go needs runstore's
+// facts from its plain package, and the leak in runstore.go, a file
+// both the plain package and its test variant hold, is reported once.
+func TestInPackageTestsImportEachOther(t *testing.T) {
+	dir := writeTestModule(t)
+	for rel, content := range map[string]string{
+		"internal/runstore/leak.go": `package runstore
+
+func leakInside(early bool) error {
+	st, err := Open("y")
+	if err != nil {
+		return err
+	}
+	if early {
+		return nil
+	}
+	return st.Close()
+}
+`,
+		"internal/runstore/runstore_test.go": `package runstore
+
+import (
+	"testing"
+
+	"factmod/internal/chaos"
+)
+
+func TestFaults(t *testing.T) { _ = chaos.Faults() }
+`,
+		"internal/chaos/chaos.go": `package chaos
+
+func Faults() int { return 0 }
+`,
+		"internal/chaos/chaos_test.go": `package chaos
+
+import (
+	"testing"
+
+	"factmod/internal/runstore"
+)
+
+func TestStore(t *testing.T) {
+	st, err := runstore.Open("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+}
+`,
+	} {
+		path := filepath.Join(dir, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, _ := runIn(t, dir, Options{})
+	got := findingStrings(findings)
+	if len(got) != 2 || !strings.HasSuffix(findings[0].File, "main.go") || !strings.Contains(findings[0].Message, "cursor cur") ||
+		!strings.HasSuffix(findings[1].File, "leak.go") {
+		t.Fatalf("want the leak in leak.go and the fact-driven cursor leak in main.go, once each; got %v", got)
+	}
+}

@@ -77,27 +77,34 @@ func loadPackages(patterns []string) ([]unit, error) {
 	}
 
 	// A package with in-package test files appears twice: as itself and
-	// as "p [p.test]" whose GoFiles additionally include the test files.
-	// Analyze the variant and skip the plain entry so shared files are
-	// checked exactly once.
+	// as "p [p.test]", whose GoFiles add the test files. The variant is
+	// analyzed with every analyzer and reports the findings, so shared
+	// files are reported exactly once; the plain package is analyzed
+	// again by the fact-using analyzers alone, for the facts its
+	// importers need. Units are keyed by go list's own identities, so
+	// the unit graph is the build graph: a variant's test imports are
+	// its own dependencies, not its package's, and two packages whose
+	// in-package tests import each other do not wait on each other.
 	hasVariant := make(map[string]bool)
 	for _, p := range order {
 		if p.ForTest != "" && baseImportPath(p.ImportPath) == p.ForTest {
 			hasVariant[p.ForTest] = true
 		}
 	}
-
-	// The analyzed set, keyed by canonical import path — dependency
-	// edges and fact lookups are both expressed against it.
-	analyzed := make(map[string]bool)
+	isUnit := make(map[string]bool)
 	for _, p := range order {
-		if p.DepOnly || strings.HasSuffix(p.ImportPath, ".test") || len(p.GoFiles) == 0 {
-			continue
+		if !p.DepOnly && !strings.HasSuffix(p.ImportPath, ".test") && len(p.GoFiles) > 0 {
+			isUnit[p.ImportPath] = true
 		}
-		if hasVariant[p.ImportPath] && p.ForTest == "" {
-			continue
+	}
+	// unitOf maps a dependency to the unit that analyzes it: itself, or
+	// for a package recompiled for another package's test, which is
+	// never a unit, the plain package.
+	unitOf := func(id string) (string, bool) {
+		if !isUnit[id] {
+			id = baseImportPath(id)
 		}
-		analyzed[baseImportPath(p.ImportPath)] = true
+		return id, isUnit[id]
 	}
 
 	var units []unit
@@ -107,9 +114,6 @@ func loadPackages(patterns []string) ([]unit, error) {
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if hasVariant[p.ImportPath] && p.ForTest == "" {
-			continue
 		}
 		if len(p.CgoFiles) > 0 {
 			// cgo units cannot be type-checked without the generated
@@ -128,24 +132,26 @@ func loadPackages(patterns []string) ([]unit, error) {
 		if p.Module != nil && p.Module.GoVersion != "" {
 			goVersion = "go" + p.Module.GoVersion
 		}
-		self := baseImportPath(p.ImportPath)
 		var deps []string
-		seenDep := map[string]bool{}
+		depUnits := map[string]string{} // import path -> unit id
 		for _, d := range p.Deps {
-			d = baseImportPath(d)
-			if d != self && analyzed[d] && !seenDep[d] {
-				seenDep[d] = true
-				deps = append(deps, d)
+			if d, ok := unitOf(d); ok && d != p.ImportPath {
+				if _, dup := depUnits[baseImportPath(d)]; !dup {
+					depUnits[baseImportPath(d)] = d
+					deps = append(deps, d)
+				}
 			}
 		}
 		sort.Strings(deps)
 		importMap := p.ImportMap
 		units = append(units, unit{
-			importPath: self,
+			importPath: baseImportPath(p.ImportPath),
 			id:         p.ImportPath,
 			goFiles:    files,
 			goVersion:  goVersion,
 			deps:       deps,
+			depUnits:   depUnits,
+			factsOnly:  hasVariant[p.ImportPath] && p.ForTest == "",
 			resolve: func(path string) (string, error) {
 				if mapped, ok := importMap[path]; ok {
 					path = mapped
@@ -192,8 +198,8 @@ func Run(w io.Writer, opts Options) ([]Finding, error) {
 		err      error
 	}
 	done := make(map[string]*unitResult, len(units))
-	factsFor := func(path string) *analysis.FactSet {
-		if r, ok := done[path]; ok {
+	factsFor := func(id string) *analysis.FactSet {
+		if r, ok := done[id]; ok {
 			return r.facts
 		}
 		return nil
@@ -233,7 +239,7 @@ func Run(w io.Writer, opts Options) ([]Finding, error) {
 				sem <- struct{}{}
 				defer func() { <-sem }()
 				u := wave[i]
-				u.depFacts = factsFor
+				u.depFacts = func(path string) *analysis.FactSet { return factsFor(u.depUnits[path]) }
 				r := &results[i]
 				r.findings, r.facts, r.err = checkUnit(token.NewFileSet(), u, opts.Analyzers)
 			}(i)
@@ -244,7 +250,7 @@ func Run(w io.Writer, opts Options) ([]Finding, error) {
 			if results[i].err != nil {
 				return nil, fmt.Errorf("%s: %w", u.id, results[i].err)
 			}
-			done[u.importPath] = &results[i]
+			done[u.id] = &results[i]
 		}
 		pending = next
 	}
@@ -252,7 +258,7 @@ func Run(w io.Writer, opts Options) ([]Finding, error) {
 	// Deterministic output order: unit id order, findings pre-sorted.
 	var findings []Finding
 	for _, u := range units {
-		findings = append(findings, done[u.importPath].findings...)
+		findings = append(findings, done[u.id].findings...)
 	}
 	relativize(findings)
 	printFindings(w, findings)

@@ -183,7 +183,9 @@ func (s *Subscription) Cancel() {
 }
 
 // Observe registers fn to be called for every request entering the
-// network and returns a handle that Unobserve accepts.
+// network and returns a handle that Unobserve accepts. The request is
+// lent to fn for the call only (see Do): fn must not keep it, its URL
+// or its header.
 func (n *Network) Observe(fn func(*http.Request)) *Subscription {
 	s := &Subscription{n: n, fn: fn}
 	n.obsMu.Lock()
@@ -243,6 +245,12 @@ func (n *Network) RoundTrip(req *http.Request) (*http.Response, error) {
 // consumes; a nil clock consumes none. The clock is an argument rather
 // than network state so that concurrent walks, each with its own clock,
 // never see each other's time.
+//
+// The caller may reuse req once Do returns, as the browser does for
+// every fetch. So a handler or observer must not keep req, its URL or
+// its header past its return (a string read from them is safe to keep),
+// and the returned response's Request, which is req, must not be read
+// after the caller's next request.
 func (n *Network) Do(req *http.Request, clock *VirtualClock) (*http.Response, error) {
 	n.requests.Inc()
 	host := hostOnly(req.URL.Host)
@@ -430,8 +438,13 @@ func (n *Network) Client() *http.Client {
 	}
 }
 
-// hostOnly strips a port from a host:port string.
+// hostOnly strips a port from a host:port string. A host without a
+// colon has no port to strip; it skips net.SplitHostPort, whose
+// missing-port error would be an allocation on nearly every request.
 func hostOnly(hostport string) string {
+	if !strings.Contains(hostport, ":") {
+		return hostport
+	}
 	if host, _, err := net.SplitHostPort(hostport); err == nil {
 		return host
 	}

@@ -20,6 +20,22 @@ func okHandler(body string) http.Handler {
 	})
 }
 
+// TestHostOnly: skipping net.SplitHostPort for a host without a colon
+// must not change what hostOnly returns.
+func TestHostOnly(t *testing.T) {
+	split := func(hostport string) string {
+		if host, _, err := net.SplitHostPort(hostport); err == nil {
+			return host
+		}
+		return hostport
+	}
+	for _, h := range []string{"", "a.com", "a.com:80", "a.com:", ":80", "[::1]:8080", "::1", "[::1]", "a:b:c", "xn--bcher-kva.example"} {
+		if got, want := hostOnly(h), split(h); got != want {
+			t.Errorf("hostOnly(%q) = %q, want %q", h, got, want)
+		}
+	}
+}
+
 func TestDispatchByHost(t *testing.T) {
 	n := New()
 	n.Handle("a.com", okHandler("site-a"))

@@ -21,7 +21,8 @@
 package storage
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -194,7 +195,7 @@ func (s *Store) Cookies(ctx Context, now time.Time) []Cookie {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b Cookie) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -318,6 +319,6 @@ func (s *Store) Domains() []string {
 	for d := range set {
 		out = append(out, d)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }

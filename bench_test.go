@@ -105,7 +105,10 @@ func BenchmarkManualFilter(b *testing.B) {
 	var stats uid.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, stats = uid.Identify(r.Candidates, uid.Options{LifetimeOf: r.Lifetimes.Lifetime})
+		var err error
+		if _, stats, err = uid.IdentifyCtx(context.Background(), r.Candidates, uid.Options{LifetimeOf: r.Lifetimes.Lifetime}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(stats.AfterProgrammatic), "reachedManual(paper:1581)")
 	b.ReportMetric(float64(stats.ManuallyRemoved), "manuallyRemoved(paper:577)")
@@ -464,8 +467,7 @@ func BenchmarkPathCandidates(b *testing.B) {
 
 // BenchmarkCrawl runs the full small-config pipeline per iteration —
 // world build, four-crawler crawl and post-crawl analysis. It is the
-// end-to-end number scripts/bench.sh archives, and the one an
-// instrumentation change would regress first.
+// end-to-end number an instrumentation change would regress first.
 func BenchmarkCrawl(b *testing.B) {
 	cfg := crumbcruncher.SmallConfig()
 	var run *crumbcruncher.Run
@@ -488,7 +490,7 @@ func BenchmarkCrawlWalk(b *testing.B) {
 	w := web.BuildWorld(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := crawler.Crawl(crawler.Config{
+		_, err := crawler.CrawlContext(context.Background(), crawler.Config{
 			Seed:    cfg.Seed,
 			Network: w.Network(),
 			Seeders: w.Seeders(),
@@ -549,7 +551,7 @@ func syncFailureRate(b *testing.B, h crawler.Heuristics) float64 {
 	}
 	cfg := web.SmallConfig()
 	w := web.BuildWorld(cfg)
-	ds, err := crawler.Crawl(crawler.Config{
+	ds, err := crawler.CrawlContext(context.Background(), crawler.Config{
 		Seed:       cfg.Seed,
 		Network:    w.Network(),
 		Seeders:    w.Seeders(),
@@ -719,26 +721,42 @@ func BenchmarkAblationSequentialBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		seqPaths := tokens.PathsFromDataset(seqDS)
 		seqIdx := uid.BuildLifetimeIndex(seqDS)
 		seqCases, seqStats = uid.SequentialIdentify(
-			tokens.AllCandidates(seqPaths), seqIdx.Lifetime, 90*24*time.Hour)
+			candidates(b, seqDS), seqIdx.Lifetime, 90*24*time.Hour)
 
 		// The synchronized system on a fresh identical world.
 		world2 := web.BuildWorld(cfg)
 		ccfg.Network = world2.Network()
 		ccfg.Seeders = world2.Seeders()
-		syncDS, err := crawler.Crawl(ccfg)
+		syncDS, err := crawler.CrawlContext(context.Background(), ccfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		syncPaths := tokens.PathsFromDataset(syncDS)
-		cases, _ := uid.Identify(tokens.AllCandidates(syncPaths), uid.Options{})
+		cases, _, err := uid.IdentifyCtx(context.Background(), candidates(b, syncDS), uid.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		syncCases = len(cases)
 	}
 	b.ReportMetric(float64(len(seqCases)), "sequentialUIDs")
 	b.ReportMetric(float64(syncCases), "synchronizedUIDs")
 	b.ReportMetric(float64(seqStats.SingleUser), "unconfirmableSingleUser")
+}
+
+// candidates reconstructs ds's navigation paths and extracts their
+// token candidates on one worker.
+func candidates(b *testing.B, ds *crawler.Dataset) []*tokens.Candidate {
+	b.Helper()
+	paths, err := tokens.PathsFromDatasetCtx(context.Background(), ds, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands, err := tokens.AllCandidatesCtx(context.Background(), paths, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cands
 }
 
 // --- §6: referer-based smuggling (the pipeline's designed blind spot) -----------
@@ -763,8 +781,7 @@ func BenchmarkLimitationRefererSmuggling(b *testing.B) {
 // BenchmarkExecuteStreaming times the full pipeline — the crawl with
 // every finished walk flowing into the analysis engine — on the same
 // seed at worker-pool sizes 1 and 4, and reports peak live residency
-// per pool size as a metric; scripts/bench.sh archives the series in
-// BENCH_*.json.
+// per pool size as a metric.
 func BenchmarkExecuteStreaming(b *testing.B) {
 	base := crumbcruncher.SmallConfig()
 	base.Walks = 120

@@ -1,12 +1,13 @@
 // Command crumbserved runs CrumbCruncher as a resident multi-tenant
 // service: a long-lived process accepting crawl and reanalysis jobs
-// over an HTTP/JSON API, executing them on a worker pool with a shared
-// world cache, and serving results, telemetry and persisted runs.
+// over an HTTP/JSON API, running each on a worker pool fed by a FIFO
+// queue exactly as the crumbcruncher and crumbreport CLIs would, and
+// serving results, telemetry and persisted runs. A submission that
+// finds the queue full gets 503 + Retry-After.
 //
 // Usage:
 //
 //	crumbserved [-addr :8080] [-workers N] [-queue N] [-store DIR]
-//	            [-rate N] [-burst N] [-retry-after S] [-span-cap N]
 //	            [-pprof localhost:6060] [-drain-grace D]
 //
 // Quickstart:
@@ -46,25 +47,23 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		workers    = flag.Int("workers", 2, "concurrent job executors")
-		queueCap   = flag.Int("queue", 64, "job queue capacity (-1: unbounded)")
+		queueCap   = flag.Int("queue", 64, "jobs that may wait for a worker; a submission beyond them gets 503")
 		storeDir   = flag.String("store", "", "record each crawl job's run store under this directory and list completed runs")
-		rate       = flag.Float64("rate", 0, "token-bucket admission: jobs per second (0: unlimited)")
-		burst      = flag.Int("burst", 0, "token-bucket admission: burst size (0: unlimited)")
-		retryAfter = flag.Int("retry-after", 5, "Retry-After seconds on 503/429 responses")
-		spanCap    = flag.Int("span-cap", 0, "per-job span tracer capacity (0: default)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "maximum time to wait for in-flight jobs to drain on shutdown")
 	)
 	flag.Parse()
+	if *queueCap < 1 {
+		// The queue is always bounded. serve.New would take a
+		// non-positive size as its default of 64, while the
+		// "listening" line printed the flag's value.
+		log.Fatalf("-queue must be at least 1, got %d", *queueCap)
+	}
 
 	srv, err := serve.New(serve.Options{
-		Workers:           *workers,
-		QueueCapacity:     *queueCap,
-		AdmitBurst:        *burst,
-		AdmitPerSecond:    *rate,
-		StoreDir:          *storeDir,
-		SpanCapacity:      *spanCap,
-		RetryAfterSeconds: *retryAfter,
+		Workers:       *workers,
+		QueueCapacity: *queueCap,
+		StoreDir:      *storeDir,
 	})
 	if err != nil {
 		log.Fatal(err)

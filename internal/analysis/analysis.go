@@ -74,12 +74,6 @@ type redirectorAgg struct {
 	domainPaths   map[string]bool
 }
 
-// New builds the analysis indexes sequentially.
-func New(ds *crawler.Dataset, paths []*tokens.Path, cases []*uid.Case) *Analysis {
-	a, _ := NewFromSource(context.Background(), ds, paths, cases, 1, nil)
-	return a
-}
-
 // pathPartial is one chunk's contribution to the unique-URL-path index:
 // per-key aggregates plus the chunk's first-occurrence key order, so the
 // ordered reduce can keep the globally-first path as each key's

@@ -15,6 +15,16 @@ import (
 	"crumbcruncher/internal/uid"
 )
 
+// sequential builds the analysis indexes on one worker.
+func sequential(t *testing.T, ds *crawler.Dataset, paths []*tokens.Path, cases []*uid.Case) *Analysis {
+	t.Helper()
+	a, err := NewContext(context.Background(), ds, paths, cases, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // path builds a tokens.Path from URLs.
 func path(t *testing.T, crawlerName string, walk, step int, urls ...string) *tokens.Path {
 	t.Helper()
@@ -90,7 +100,7 @@ func testAnalysis(t *testing.T) (*Analysis, []*tokens.Path, []*uid.Case) {
 		caseOn(p8, "atok", 1, 2, uid.BucketSingle),
 	}
 	ds := &crawler.Dataset{} // figures under test here don't need records
-	return New(ds, paths, cases), paths, cases
+	return sequential(t, ds, paths, cases), paths, cases
 }
 
 func TestSummarize(t *testing.T) {
@@ -323,7 +333,7 @@ func dsWithRecords(t *testing.T) (*Analysis, []*uid.Case) {
 			}},
 		}},
 	}
-	return New(ds, []*tokens.Path{p1}, []*uid.Case{c1}), []*uid.Case{c1}
+	return sequential(t, ds, []*tokens.Path{p1}, []*uid.Case{c1}), []*uid.Case{c1}
 }
 
 func TestThirdPartyReceivers(t *testing.T) {

@@ -51,7 +51,7 @@ func tallyWalks() []*crawler.Walk {
 func TestTallyMergeMatchesOnePass(t *testing.T) {
 	walks := tallyWalks()
 	ds := &crawler.Dataset{Walks: walks}
-	whole := New(ds, nil, nil)
+	whole := sequential(t, ds, nil, nil)
 
 	parts := []*Tally{NewTally(), NewTally(), NewTally()}
 	for i := len(walks) - 1; i >= 0; i-- {

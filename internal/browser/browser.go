@@ -189,11 +189,13 @@ func (b *Browser) Requests() []RequestRecord {
 	return out
 }
 
-// ResetRequests clears the request log (called at crawl-step boundaries).
+// ResetRequests clears the request log (called at crawl-step
+// boundaries). The log keeps its backing array for the next step:
+// Requests hands out copies, so no caller holds the old records.
 func (b *Browser) ResetRequests() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.requests = nil
+	b.requests = b.requests[:0]
 }
 
 func (b *Browser) record(r RequestRecord) {

@@ -86,10 +86,10 @@ type Config struct {
 // Parallelism is zeroed (every pipeline stage is bit-identical at any
 // pool size) and the runtime wiring (Telemetry, Store, OnProgress)
 // never serializes. Two configs with equal hashes therefore produce
-// byte-identical runs, which is exactly the contract the serve layer's
-// world cache and run provenance need: a scheduling knob must never
-// fragment the world cache or make two reruns of the same study look
-// like different studies.
+// byte-identical runs, which is exactly the contract run provenance and
+// the walk log's resume check need: a scheduling knob must never make
+// two reruns of the same study look like different studies, or refuse
+// to resume a crawl at another Parallelism.
 func (cfg Config) Hash() string {
 	cfg.Parallelism = 0
 	cfg.Telemetry = nil
@@ -103,7 +103,7 @@ func (cfg Config) Hash() string {
 	// "breaker":{} right before request_deadline in every configuration
 	// this code can run. The hashed form keeps that key in its place
 	// (the outer request_deadline hides the embedded one), so removing
-	// the field re-keys no world cache and no stored run.
+	// the field re-keys no stored run.
 	type hashed struct {
 		canonical
 		Breaker         struct{}      `json:"breaker"`
@@ -145,11 +145,6 @@ type Run struct {
 	Lifetimes  *uid.LifetimeIndex
 }
 
-// Execute runs the full pipeline.
-func Execute(cfg Config) (*Run, error) {
-	return ExecuteContext(context.Background(), cfg)
-}
-
 // ExecuteContext runs the full pipeline under ctx. Cancelling mid-crawl
 // drains in-flight walks gracefully (recording them to the run's store,
 // when one is attached, which stays unfinalized and resumable) and
@@ -168,17 +163,16 @@ func ExecuteContext(ctx context.Context, cfg Config) (*Run, error) {
 
 // ExecuteInWorld is ExecuteContext over a pre-built world: the crawl
 // runs against the supplied world instead of constructing one from
-// cfg.World. This is the serve layer's entry point — its world cache
-// builds one template per distinct configuration and hands every job a
-// run-private fork.
+// cfg.World, so a benchmark can time the world build apart from the
+// run.
 //
 // The world must have been built from exactly cfg.World (the pair is
 // validated, because walk counts and seeds are derived from the config
 // while pages come from the world), and it must be private to this run:
 // a World carries per-run mutable state — the virtual network with its
-// counters, and the deterministic visit counters — so concurrent runs must
-// each bring their own (see web.World.Fork). Results are byte-identical
-// to ExecuteContext with the same configuration.
+// counters, and the deterministic visit counters — so each run needs a
+// freshly built one. Results are byte-identical to ExecuteContext with
+// the same configuration.
 func ExecuteInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, error) {
 	if world.Config() != cfg.World {
 		return nil, fmt.Errorf("core: world was built from a different configuration than cfg.World")
@@ -256,21 +250,6 @@ func (cfg Config) crawlConfig(world *web.World) crawler.Config {
 	return ccfg
 }
 
-// Analyze runs the post-crawl pipeline over an existing dataset (used by
-// cmd/crumbreport to re-analyse saved crawls and by ablations to re-run
-// identification with different options).
-func Analyze(cfg Config, world *web.World, ds *crawler.Dataset) (*Run, error) {
-	return AnalyzeContext(context.Background(), cfg, world, ds)
-}
-
-// AnalyzeContext is Analyze bounded by ctx: the dataset's walks feed the
-// engine a live crawl uses, at cfg.Parallelism workers, so the output is
-// bit-identical to the crawl's own analysis. Cancellation stops the feed
-// between walks and returns ctx's error.
-func AnalyzeContext(ctx context.Context, cfg Config, world *web.World, ds *crawler.Dataset) (*Run, error) {
-	return AnalyzeSource(ctx, cfg, world, ds)
-}
-
 // Reidentify re-runs UID identification with different options over the
 // run's candidates (ablation benchmarks) and returns a fresh analysis.
 // The walks are unchanged, so the fresh analysis reuses the run's walk
@@ -283,7 +262,8 @@ func (r *Run) Reidentify(opt uid.Options) ([]*uid.Case, uid.Stats, *analysis.Ana
 	if opt.Parallelism == 0 {
 		opt.Parallelism = par
 	}
-	cases, stats := uid.Identify(r.Candidates, opt)
+	// A background context never cancels, so IdentifyCtx cannot fail.
+	cases, stats, _ := uid.IdentifyCtx(context.Background(), r.Candidates, opt)
 	agg, _ := analysis.NewFromTally(context.Background(), r.Analysis.Source(), r.Analysis.Tally(), r.Paths, cases, par, nil)
 	return cases, stats, agg
 }
@@ -369,19 +349,6 @@ func (r *Run) MissedRefererTransfers() int {
 		count += countWalkRefererTransfers(w, truth.IsUIDParam, seen)
 		return nil
 	})
-	return count
-}
-
-// CountRefererTransfers counts cross-site navigations whose Referer query
-// string carried a UID parameter (per isUID) that the navigation URL
-// itself did not. Every distinct value of a repeated parameter counts,
-// deduplicated per (walk, step, crawler, param, value).
-func CountRefererTransfers(ds *crawler.Dataset, isUID func(param string) bool) int {
-	seen := map[string]bool{}
-	count := 0
-	for _, w := range ds.Walks {
-		count += countWalkRefererTransfers(w, isUID, seen)
-	}
 	return count
 }
 

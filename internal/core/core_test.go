@@ -24,7 +24,7 @@ func sharedRun(t *testing.T) *Run {
 	runOnce.Do(func() {
 		cfg := SmallConfig()
 		cfg.Walks = 60
-		testRun, runErr = Execute(cfg)
+		testRun, runErr = ExecuteContext(context.Background(), cfg)
 	})
 	if runErr != nil {
 		t.Fatal(runErr)
@@ -67,9 +67,9 @@ func TestAnalyzeRejectsMisindexedWalks(t *testing.T) {
 	cfg.Parallelism = 2
 	for _, tc := range cases {
 		ds := &crawler.Dataset{Seed: r.Dataset.Seed, Crawlers: r.Dataset.Crawlers, Walks: tc.walks}
-		run, err := AnalyzeContext(context.Background(), cfg, r.World, ds)
+		run, err := AnalyzeSource(context.Background(), cfg, r.World, ds)
 		if err == nil || run != nil {
-			t.Errorf("%s: AnalyzeContext returned run %t, err %v; want only an error", tc.name, run != nil, err)
+			t.Errorf("%s: AnalyzeSource returned run %t, err %v; want only an error", tc.name, run != nil, err)
 		}
 	}
 }
@@ -428,16 +428,16 @@ func TestCountRefererTransfersMultiValuedParams(t *testing.T) {
 			},
 		},
 	}
-	ds := &crawler.Dataset{Walks: []*crawler.Walk{{
+	walk := &crawler.Walk{
 		Index: 0,
 		Steps: []*crawler.Step{{
 			Walk: 0, Index: 1,
 			Records: map[string]*crawler.CrawlerStep{crawler.Safari1: rec},
 		}},
-	}}}
+	}
 	isUID := func(param string) bool { return param == "uid" }
-	if got := CountRefererTransfers(ds, isUID); got != 2 {
-		t.Fatalf("CountRefererTransfers = %d, want 2 (both values of the repeated param)", got)
+	if got := countWalkRefererTransfers(walk, isUID, map[string]bool{}); got != 2 {
+		t.Fatalf("countWalkRefererTransfers = %d, want 2 (both values of the repeated param)", got)
 	}
 }
 

@@ -2,18 +2,19 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
 
 	"crumbcruncher/internal/telemetry"
 	"crumbcruncher/internal/web"
 )
 
-// TestConfigHashIgnoresSchedulingKnobs pins the world-cache contract:
+// TestConfigHashIgnoresSchedulingKnobs pins the hash's contract:
 // two configurations differing only in Parallelism or in attached
 // runtime wiring (Telemetry, Store, OnProgress) produce
-// byte-identical runs, so they must hash identically — a scheduling
-// knob must never fragment the serve layer's world cache.
+// byte-identical runs, so they must hash identically. The hash is a
+// run's provenance and the resume check: a walk log recorded at one
+// Parallelism must resume at another, and a saved run must report the
+// same identity however it was scheduled.
 func TestConfigHashIgnoresSchedulingKnobs(t *testing.T) {
 	base := SmallConfig()
 	want := base.Hash()
@@ -66,44 +67,13 @@ func TestConfigHashPinned(t *testing.T) {
 }
 
 // TestProvenanceUsesConfigHash pins that run provenance routes through
-// the same canonical hash as the world cache (via telemetry.Hasher), so
-// a saved run and the server agree on a configuration's identity.
+// the same canonical hash as Config.Hash (via telemetry.Hasher), so a
+// saved run, the resume check and the server agree on a
+// configuration's identity.
 func TestProvenanceUsesConfigHash(t *testing.T) {
 	cfg := SmallConfig()
 	if got, want := telemetry.ConfigHash(cfg), cfg.Hash(); got != want {
 		t.Errorf("telemetry.ConfigHash(cfg) = %s, want cfg.Hash() = %s", got, want)
-	}
-}
-
-// TestExecuteInWorldForkMatchesFresh proves a forked world is a perfect
-// stand-in for a freshly built one: the full pipeline over a fork of a
-// never-crawled template produces the same results as ExecuteContext
-// building its own world — and the template stays reusable afterwards.
-// Parallelism 1 makes the comparison maximally strict: at 1 the whole
-// dataset (virtual timestamps included) is byte-reproducible, so any
-// state leaking through a fork would surface here. The serve tests
-// cover the parallel/multi-tenant case at the metrics level.
-func TestExecuteInWorldForkMatchesFresh(t *testing.T) {
-	cfg := SmallConfig()
-	cfg.Walks = 10
-	cfg.Parallelism = 1
-	ref, err := ExecuteContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	template := web.BuildWorld(cfg.World)
-	for i := 0; i < 2; i++ {
-		run, err := ExecuteInWorld(context.Background(), cfg, template.Fork())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := jsonBytes(t, run.Stats), jsonBytes(t, ref.Stats); string(got) != string(want) {
-			t.Fatalf("fork %d: stats diverge from fresh build:\n%s\n%s", i, got, want)
-		}
-		if got, want := jsonBytes(t, run.Dataset), jsonBytes(t, ref.Dataset); string(got) != string(want) {
-			t.Fatalf("fork %d: dataset diverges from fresh build", i)
-		}
 	}
 }
 
@@ -117,13 +87,4 @@ func TestExecuteInWorldRejectsMismatchedWorld(t *testing.T) {
 	if _, err := ExecuteInWorld(context.Background(), cfg, web.BuildWorld(other)); err == nil {
 		t.Fatal("ExecuteInWorld accepted a world built from a different configuration")
 	}
-}
-
-func jsonBytes(t *testing.T, v any) []byte {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

@@ -173,12 +173,8 @@ func (cm *crawlMetrics) finishStep(sp *telemetry.Active, recs []*CrawlerStep) {
 	sp.EndErr(fail)
 }
 
-// Crawl runs the full measurement crawl and returns the dataset.
-func Crawl(cfg Config) (*Dataset, error) {
-	return CrawlContext(context.Background(), cfg)
-}
-
-// CrawlContext runs the crawl under ctx. Cancellation is graceful: no
+// CrawlContext runs the full measurement crawl under ctx and returns
+// the dataset. Cancellation is graceful: no
 // new walks launch, in-flight walks drain to completion (and are
 // logged), unstarted walks are marked Skipped, and the partial dataset
 // is returned alongside ctx's error. A walk log that fails to read or

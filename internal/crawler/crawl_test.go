@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"context"
 	"net/url"
 	"testing"
 
@@ -12,7 +13,7 @@ func smallCrawl(t *testing.T) (*web.World, *Dataset) {
 	t.Helper()
 	cfg := web.SmallConfig()
 	w := web.BuildWorld(cfg)
-	ds, err := Crawl(Config{
+	ds, err := CrawlContext(context.Background(), Config{
 		Seed:    cfg.Seed,
 		Network: w.Network(),
 		Seeders: w.Seeders(),
@@ -128,7 +129,7 @@ func TestCrawlDeterministic(t *testing.T) {
 	cfg := web.SmallConfig()
 	run := func() []StepOutcome {
 		w := web.BuildWorld(cfg)
-		ds, err := Crawl(Config{
+		ds, err := CrawlContext(context.Background(), Config{
 			Seed:    cfg.Seed,
 			Network: w.Network(),
 			Seeders: w.Seeders(),
@@ -160,7 +161,7 @@ func TestCrawlParallelWalksMatchSequential(t *testing.T) {
 	cfg := web.SmallConfig()
 	run := func(parallelism int) map[StepOutcome]int {
 		w := web.BuildWorld(cfg)
-		ds, err := Crawl(Config{
+		ds, err := CrawlContext(context.Background(), Config{
 			Seed:        cfg.Seed,
 			Network:     w.Network(),
 			Seeders:     w.Seeders(),
@@ -184,7 +185,7 @@ func TestCrawlConnectFailures(t *testing.T) {
 	cfg := web.SmallConfig()
 	cfg.ConnectFailRate = 0.5
 	w := web.BuildWorld(cfg)
-	ds, err := Crawl(Config{
+	ds, err := CrawlContext(context.Background(), Config{
 		Seed:    cfg.Seed,
 		Network: w.Network(),
 		Seeders: w.Seeders(),
@@ -306,7 +307,7 @@ func TestWalksSpreadAcrossMachines(t *testing.T) {
 	cfg := web.SmallConfig()
 	cfg.ConnectFailRate = 0
 	w := web.BuildWorld(cfg)
-	ds, err := Crawl(Config{
+	ds, err := CrawlContext(context.Background(), Config{
 		Seed:         cfg.Seed,
 		Network:      w.Network(),
 		Seeders:      w.Seeders(),
@@ -355,7 +356,7 @@ func TestCrawlNoIframesReducesIframeClicks(t *testing.T) {
 		cfg.Seed = seed
 		cfg.ConnectFailRate = 0
 		w := web.BuildWorld(cfg)
-		ds, err := Crawl(Config{
+		ds, err := CrawlContext(context.Background(), Config{
 			Seed:      cfg.Seed,
 			Network:   w.Network(),
 			Seeders:   w.Seeders(),

@@ -100,7 +100,7 @@ func deadNetwork(seed int64) *netsim.Network {
 // step record — all three parallel crawlers AND Safari-1R — must exist
 // and carry a connect failure derived from that crawler's own state.
 func TestSeedFailureRecordsEveryCrawler(t *testing.T) {
-	ds, err := Crawl(Config{
+	ds, err := CrawlContext(context.Background(), Config{
 		Seed:         3,
 		Network:      deadNetwork(3),
 		Seeders:      []string{"dead.example.com"},
@@ -160,7 +160,7 @@ func TestRetryRecoversTransientSeeder(t *testing.T) {
 		fmt.Fprint(w, "<html><body>hello</body></html>")
 	})
 	tel := telemetry.New(nil, 64)
-	ds, err := Crawl(Config{
+	ds, err := CrawlContext(context.Background(), Config{
 		Seed:         5,
 		Network:      n,
 		Seeders:      []string{"flaky.example.com"},
@@ -201,7 +201,7 @@ func TestRetryRecoversTransientSeeder(t *testing.T) {
 	n2.HandleFunc("flaky.example.com", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "<html><body>hello</body></html>")
 	})
-	ds2, err := Crawl(Config{
+	ds2, err := CrawlContext(context.Background(), Config{
 		Seed:         5,
 		Network:      n2,
 		Seeders:      []string{"flaky.example.com"},
@@ -237,7 +237,7 @@ func faultyCrawl(t *testing.T, parallelism int) *Dataset {
 	cfg.LatencySpikeRate = 0.2
 	w := web.BuildWorld(cfg)
 	w.Network().SetRequestDeadline(2 * time.Second)
-	ds, err := Crawl(Config{
+	ds, err := CrawlContext(context.Background(), Config{
 		Seed:        cfg.Seed,
 		Network:     w.Network(),
 		Seeders:     w.Seeders(),
@@ -324,7 +324,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 
 	// The uninterrupted reference run.
-	full, err := Crawl(crawlCfg(web.BuildWorld(cfg)))
+	full, err := CrawlContext(context.Background(), crawlCfg(web.BuildWorld(cfg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	// Resume from the log with a fresh world.
 	rcfg := crawlCfg(web.BuildWorld(cfg))
 	rcfg.Log = log
-	resumed, err := Crawl(rcfg)
+	resumed, err := CrawlContext(context.Background(), rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestPanicDegradesWalk(t *testing.T) {
 	n.HandleFunc("calm.example.com", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "<html><body>calm</body></html>")
 	})
-	ds, err := Crawl(Config{
+	ds, err := CrawlContext(context.Background(), Config{
 		Seed:         9,
 		Network:      n,
 		Seeders:      []string{"boom.example.com", "calm.example.com"},

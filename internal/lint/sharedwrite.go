@@ -261,9 +261,8 @@ func scanMutations(pass *analysis.Pass, n ast.Node, bareWrites bool, report func
 // --- parallel-body checking -------------------------------------------------
 
 // isParallelForEach matches calls to the parallel package's fan-out
-// functions (ForEach, ForEachCtx, ForEachTimed, ForEachTimedCtx, and
-// whatever siblings grow later — any parallel.* function taking a body
-// literal counts).
+// functions (ForEachTimedCtx, and whatever siblings grow later — any
+// parallel.* function taking a body literal counts).
 func isParallelForEach(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := staticCallee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {

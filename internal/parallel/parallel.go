@@ -45,13 +45,26 @@ func blockFor(n, p int) int {
 	return b
 }
 
-// run is the shared implementation: fn(i) for every i in [0, n) over at
-// most p workers, items handed out in contiguous index blocks. observe,
-// when non-nil, receives one wall-clock duration per completed block
-// (the pipeline's "shard" timing histograms). A cancellable ctx is
-// polled once per block, never per item.
-func run(ctx context.Context, n, p int, fn func(i int), observe func(d time.Duration)) error {
-	cancellable := ctx != nil && ctx.Done() != nil
+// ForEachTimedCtx invokes fn(i) for every i in [0, n) using at most p
+// concurrent workers. Items are handed out in index order, in
+// contiguous blocks, from a shared counter, so the pool stays busy even
+// when item costs are skewed. With p <= 1 it degenerates to a plain
+// loop on the calling goroutine.
+//
+// observe, when non-nil, is called once per completed handout block
+// (the unit a worker claims — a shard) with its wall duration, possibly
+// concurrently from several workers (telemetry histograms are atomic,
+// so they are valid sinks). Per-block rather than per-item timing keeps
+// the two clock reads off the hot path when items are cheap; a nil
+// observe costs nothing.
+//
+// A cancellable ctx is polled once per block, never per item: once it
+// is cancelled the pool stops handing out new blocks (in-flight blocks
+// finish) and ctx's error is returned. A context that can never be
+// cancelled adds no per-item cost. Callers must treat any non-nil error
+// as "slots are partially filled" and abandon the reduce.
+func ForEachTimedCtx(ctx context.Context, n, p int, fn func(i int), observe func(d time.Duration)) error {
+	cancellable := ctx.Done() != nil
 	ctxErr := func() error {
 		if cancellable {
 			return ctx.Err()
@@ -112,42 +125,6 @@ func run(ctx context.Context, n, p int, fn func(i int), observe func(d time.Dura
 	}
 	wg.Wait()
 	return ctxErr()
-}
-
-// ForEach invokes fn(i) for every i in [0, n) using at most p concurrent
-// workers. Items are handed out in index order, in contiguous blocks,
-// from a shared counter, so the pool stays busy even when item costs are
-// skewed. With p <= 1 it degenerates to a plain loop on the calling
-// goroutine.
-func ForEach(n, p int, fn func(i int)) {
-	run(nil, n, p, fn, nil) //nolint:errcheck // nil ctx never errors
-}
-
-// ForEachCtx is ForEach bounded by ctx: once ctx is cancelled the pool
-// stops handing out new blocks (in-flight blocks finish) and ctx's error
-// is returned. A completed run returns nil and is bit-identical to
-// ForEach; a context that can never be cancelled adds no per-item cost.
-// Callers must treat any non-nil error as "slots are partially filled"
-// and abandon the reduce.
-func ForEachCtx(ctx context.Context, n, p int, fn func(i int)) error {
-	return run(ctx, n, p, fn, nil)
-}
-
-// ForEachTimedCtx is ForEachCtx with the per-block duration hook of
-// ForEachTimed.
-func ForEachTimedCtx(ctx context.Context, n, p int, fn func(i int), observe func(d time.Duration)) error {
-	return run(ctx, n, p, fn, observe)
-}
-
-// ForEachTimed is ForEach with a wall-duration hook: observe is called
-// once per completed handout block (the unit a worker claims — a shard),
-// possibly concurrently from several workers (telemetry histograms are
-// atomic, so they are valid sinks). Per-block rather than per-item
-// timing keeps the two clock reads off the hot path when items are
-// cheap. A nil observe degrades to plain ForEach — timing costs nothing
-// when nobody is watching.
-func ForEachTimed(n, p int, fn func(i int), observe func(d time.Duration)) {
-	run(nil, n, p, fn, observe) //nolint:errcheck // nil ctx never errors
 }
 
 // Chunk is a half-open index range [Lo, Hi) of the input slice.

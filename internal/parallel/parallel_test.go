@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -16,23 +17,28 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+// forEach runs the pool with no context to cancel and no timing hook.
+func forEach(n, p int, fn func(i int)) {
+	ForEachTimedCtx(context.Background(), n, p, fn, nil) //nolint:errcheck // a background context never cancels
+}
+
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, p := range []int{0, 1, 4, 16, 100} {
 		const n = 500
 		var hits [n]atomic.Int32
-		ForEach(n, p, func(i int) { hits[i].Add(1) })
+		forEach(n, p, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("p=%d: index %d visited %d times", p, i, got)
 			}
 		}
 	}
-	ForEach(0, 4, func(int) { t.Fatal("fn called for n=0") })
+	forEach(0, 4, func(int) { t.Fatal("fn called for n=0") })
 }
 
 func TestForEachSequentialOrder(t *testing.T) {
 	var order []int
-	ForEach(5, 1, func(i int) { order = append(order, i) })
+	forEach(5, 1, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if i != v {
 			t.Fatalf("sequential order broken: %v", order)

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestRenderFullReport(t *testing.T) {
 	}
 	cfg := core.SmallConfig()
 	cfg.Walks = 40
-	r, err := core.Execute(cfg)
+	r, err := core.ExecuteContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

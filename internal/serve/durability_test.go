@@ -65,45 +65,6 @@ func TestJobPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestWorldCachePanicEvictsKey: a panic inside the world build fails
-// the building job, releases any waiters with an error, evicts the key,
-// and lets the next job rebuild successfully.
-func TestWorldCachePanicEvictsKey(t *testing.T) {
-	srv, err := New(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := true
-	srv.cache.buildFn = func(wc web.Config) *web.World {
-		if boom {
-			boom = false
-			panic("chaos: world build panic")
-		}
-		return web.BuildWorld(wc)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	first := postJob(t, ts.URL, `{"small":true,"seed":21,"walks":4}`)
-	st := waitState(t, ts.URL, first.ID)
-	if st.State != StateFailed || !strings.Contains(st.Error, "world build panic") {
-		t.Fatalf("building job: state %s (%s)", st.State, st.Error)
-	}
-	if srv.cache.Len() != 0 {
-		t.Fatalf("failed build left %d cache entries, want 0 (evicted)", srv.cache.Len())
-	}
-
-	// Same config hash, same key: the retry rebuilds instead of
-	// inheriting the wedge.
-	second := postJob(t, ts.URL, `{"small":true,"seed":21,"walks":4}`)
-	if st := waitState(t, ts.URL, second.ID); st.State != StateDone {
-		t.Fatalf("retry after build panic: state %s (%s)", st.State, st.Error)
-	}
-	if err := srv.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestJobTimeout: a job still running past its timeout_ms fails with a
 // timeout cause, not a cancellation.
 func TestJobTimeout(t *testing.T) {

@@ -21,14 +21,12 @@ const (
 )
 
 // JobSpec is the POST /jobs request body. The zero value submits a
-// default-configuration crawl at priority 0; Config overrides the whole
+// default-configuration crawl; Config overrides the whole
 // configuration when the shorthand knobs are not enough.
 type JobSpec struct {
 	// Kind selects the work: "crawl" (default) runs the full pipeline;
 	// "reanalyze" re-runs the post-crawl analysis over a stored run.
 	Kind string `json:"kind,omitempty"`
-	// Priority orders the queue: higher pops first, FIFO within a band.
-	Priority int `json:"priority,omitempty"`
 	// Small starts from core.SmallConfig instead of core.DefaultConfig.
 	Small bool `json:"small,omitempty"`
 	// Seed overrides the world seed when non-zero.
@@ -97,7 +95,6 @@ type Job struct {
 	state         string
 	cfg           core.Config
 	configHash    string
-	cacheHit      bool
 	progress      core.Progress
 	cancel        context.CancelFunc
 	errText       string
@@ -196,20 +193,18 @@ func (j *Job) setResults(metrics, report []byte, runID string) {
 // GET /jobs/{id}. Timing fields are milliseconds since server start,
 // measured on the server's telemetry stopwatch.
 type Status struct {
-	ID            string        `json:"id"`
-	Kind          string        `json:"kind"`
-	State         string        `json:"state"`
-	Priority      int           `json:"priority"`
-	Seed          int64         `json:"seed"`
-	ConfigHash    string        `json:"config_hash,omitempty"`
-	WorldCacheHit bool          `json:"world_cache_hit,omitempty"`
-	Progress      core.Progress `json:"progress"`
-	Error         string        `json:"error,omitempty"`
-	RunID         string        `json:"run_id,omitempty"`
-	RunFile       string        `json:"run_file,omitempty"`
-	EnqueuedMs    int64         `json:"enqueued_ms"`
-	StartedMs     int64         `json:"started_ms,omitempty"`
-	FinishedMs    int64         `json:"finished_ms,omitempty"`
+	ID         string        `json:"id"`
+	Kind       string        `json:"kind"`
+	State      string        `json:"state"`
+	Seed       int64         `json:"seed"`
+	ConfigHash string        `json:"config_hash,omitempty"`
+	Progress   core.Progress `json:"progress"`
+	Error      string        `json:"error,omitempty"`
+	RunID      string        `json:"run_id,omitempty"`
+	RunFile    string        `json:"run_file,omitempty"`
+	EnqueuedMs int64         `json:"enqueued_ms"`
+	StartedMs  int64         `json:"started_ms,omitempty"`
+	FinishedMs int64         `json:"finished_ms,omitempty"`
 }
 
 // Status snapshots the job for the HTTP layer.
@@ -217,20 +212,18 @@ func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Status{
-		ID:            j.ID,
-		Kind:          j.Spec.Kind,
-		State:         j.state,
-		Priority:      j.Spec.Priority,
-		Seed:          j.cfg.World.Seed,
-		ConfigHash:    j.configHash,
-		WorldCacheHit: j.cacheHit,
-		Progress:      j.progress,
-		Error:         j.errText,
-		RunID:         j.runID,
-		RunFile:       j.runFile,
-		EnqueuedMs:    j.enqueuedMs,
-		StartedMs:     j.startedMs,
-		FinishedMs:    j.finishedMs,
+		ID:         j.ID,
+		Kind:       j.Spec.Kind,
+		State:      j.state,
+		Seed:       j.cfg.World.Seed,
+		ConfigHash: j.configHash,
+		Progress:   j.progress,
+		Error:      j.errText,
+		RunID:      j.runID,
+		RunFile:    j.runFile,
+		EnqueuedMs: j.enqueuedMs,
+		StartedMs:  j.startedMs,
+		FinishedMs: j.finishedMs,
 	}
 }
 

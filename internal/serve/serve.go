@@ -1,15 +1,17 @@
 // Package serve is the resident multi-tenant service shape of
 // CrumbCruncher: a long-lived process accepting crawl and reanalysis
 // jobs over an HTTP/JSON API, executing them on a bounded worker pool
-// fed by a priority queue, and serving their results, telemetry and
+// fed by a FIFO queue, and serving their results, telemetry and
 // persisted artifacts. Determinism survives multi-tenancy by
-// construction: every job runs the ordinary core pipeline over a
-// private world fork (see worldCache), so N concurrent jobs produce
-// metrics byte-identical to the same jobs run solo.
+// construction: a crawl job runs exactly the CLI's pipeline
+// (core.ExecuteContext), which builds the job its own world, and a
+// reanalysis job runs exactly crumbreport's (crumbcruncher.AnalyzeStore),
+// so N concurrent jobs share no mutable state and produce metrics
+// byte-identical to the same jobs run solo.
 //
 // Timing discipline: run results are functions of the virtual clock,
-// but a server also needs real timestamps (job queue/start/finish, rate
-// limiting). Those route exclusively through telemetry.Stopwatch — the
+// but a server also needs real timestamps (job queue/start/finish).
+// Those route exclusively through telemetry.Stopwatch — the
 // repo's one sanctioned wall-clock origin — and are reported as
 // milliseconds since server start, never absolute times.
 package serve
@@ -31,32 +33,25 @@ import (
 	"crumbcruncher"
 	"crumbcruncher/internal/core"
 	"crumbcruncher/internal/runstore"
-	"crumbcruncher/internal/serve/queue"
 	"crumbcruncher/internal/telemetry"
 	"crumbcruncher/internal/web"
 )
 
+// retryAfterSeconds is the Retry-After header on every 503.
+const retryAfterSeconds = 5
+
 // Options configures a Server. The zero value is usable: 2 workers, a
-// 64-deep queue, no admission limiting, no run store.
+// 64-deep queue, no run store.
 type Options struct {
 	// Workers is the number of concurrent job executors (default 2).
 	Workers int
-	// QueueCapacity bounds the job queue (default 64; < 0: unbounded).
+	// QueueCapacity bounds the jobs waiting for a worker (default 64).
+	// A submission that finds the queue full gets 503 + Retry-After.
 	QueueCapacity int
-	// AdmitBurst/AdmitPerSecond configure token-bucket admission on
-	// POST /jobs. Zero burst disables limiting.
-	AdmitBurst     int
-	AdmitPerSecond float64
 	// StoreDir, when set, persists every crawl job's run store under
 	// this directory: written as the job crawls, listed once it
 	// succeeds.
 	StoreDir string
-	// SpanCapacity sizes each job's span tracer ring
-	// (default telemetry.DefaultSpanCapacity).
-	SpanCapacity int
-	// RetryAfterSeconds is the Retry-After header on 503/429 responses
-	// (default 5).
-	RetryAfterSeconds int
 	// Hooks are test-only chaos points; zero in production.
 	Hooks Hooks
 }
@@ -73,20 +68,20 @@ type Hooks struct {
 // Server executes jobs and serves the HTTP API. Create with New, mount
 // Handler, and call Drain on shutdown.
 type Server struct {
-	opts   Options
-	watch  telemetry.Stopwatch
-	tel    *telemetry.Telemetry // server-level registry (serve.* metrics)
-	queue  *queue.Queue
-	bucket *queue.Bucket
-	cache  *worldCache
-	store  *Store // nil without StoreDir
-	mux    *http.ServeMux
+	opts  Options
+	watch telemetry.Stopwatch
+	tel   *telemetry.Telemetry // server-level registry (serve.* metrics)
+	store *Store               // nil without StoreDir
+	mux   *http.ServeMux
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	order  []string // submission order, for GET /jobs
 	nextID int
-
+	// queue holds the jobs waiting for a worker, in submission order.
+	// It is sent to only under mu while not draining, and Drain closes
+	// it under mu, so no send ever meets a closed channel.
+	queue    chan *Job
 	draining atomic.Bool
 	busy     atomic.Int64
 	wg       sync.WaitGroup
@@ -97,24 +92,16 @@ func New(opts Options) (*Server, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 2
 	}
-	if opts.QueueCapacity == 0 {
+	if opts.QueueCapacity <= 0 {
 		opts.QueueCapacity = 64
-	}
-	if opts.SpanCapacity <= 0 {
-		opts.SpanCapacity = telemetry.DefaultSpanCapacity
-	}
-	if opts.RetryAfterSeconds <= 0 {
-		opts.RetryAfterSeconds = 5
 	}
 	s := &Server{
 		opts:  opts,
 		watch: telemetry.StartStopwatch(),
 		tel:   telemetry.New(nil, 1),
-		queue: queue.New(opts.QueueCapacity),
+		queue: make(chan *Job, opts.QueueCapacity),
 		jobs:  make(map[string]*Job),
 	}
-	s.bucket = queue.NewBucket(opts.AdmitBurst, opts.AdmitPerSecond)
-	s.cache = newWorldCache(s.tel)
 	if opts.StoreDir != "" {
 		store, err := OpenStore(opts.StoreDir, s.tel)
 		if err != nil {
@@ -144,10 +131,13 @@ func (s *Server) uptimeMs() int64 { return s.watch.ElapsedMicros() / 1000 }
 // for resume), and workers exit. It returns when the pool is idle or
 // ctx expires.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
-	for _, v := range s.queue.Drain() {
-		v.(*Job).markCanceled(true, s.uptimeMs())
+	s.mu.Lock()
+	if !s.draining.Swap(true) {
+		close(s.queue)
 	}
+	s.mu.Unlock()
+	// A canceled queued job fails begin, so the workers skip what is
+	// left in the queue and exit once it is empty.
 	for _, j := range s.snapshotJobs() {
 		j.markCanceled(true, s.uptimeMs())
 	}
@@ -179,12 +169,8 @@ func (s *Server) snapshotJobs() []*Job {
 
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		v, ok := s.queue.Pop()
-		if !ok {
-			return
-		}
-		s.runJob(v.(*Job))
+	for j := range s.queue {
+		s.runJob(j)
 	}
 }
 
@@ -264,8 +250,10 @@ func (s *Server) executeGuarded(ctx context.Context, j *Job) (run *core.Run, err
 }
 
 // execute runs the job's pipeline under its private telemetry handle.
+// A crawl job runs crumbcruncher -save's pipeline: core.ExecuteContext
+// builds the job its own world.
 func (s *Server) execute(ctx context.Context, j *Job) (*core.Run, error) {
-	jt := telemetry.New(nil, s.opts.SpanCapacity)
+	jt := telemetry.New(nil, telemetry.DefaultSpanCapacity)
 	j.mu.Lock()
 	j.tel = jt
 	cfg := j.cfg
@@ -277,53 +265,40 @@ func (s *Server) execute(ctx context.Context, j *Job) (*core.Run, error) {
 
 	cfg.Telemetry = jt
 	cfg.OnProgress = j.setProgress
-	if s.store != nil {
-		// The job's run file is its walk log: the crawl appends to it,
-		// a drained job leaves it unfinalized, and Store.Add lists it
-		// once the run has finalized it.
-		path := s.store.JobRunPath(j.ID)
-		st, err := crumbcruncher.OpenWalkLog(path, cfg)
-		if errors.Is(err, runstore.ErrCorrupt) {
-			// The damaged store is quarantined; the job restarts from
-			// an empty one rather than trusting corrupt walks.
-			st, err = crumbcruncher.OpenWalkLog(path, cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		cfg.Store = st
-		j.mu.Lock()
-		j.runFile = path
-		j.mu.Unlock()
+	if s.store == nil {
+		return core.ExecuteContext(ctx, cfg)
 	}
-	closeStore := func() error {
-		if cfg.Store == nil {
-			return nil
-		}
-		return cfg.Store.Close()
+	// The job's run file is its walk log: the crawl appends to it, a
+	// drained job leaves it unfinalized, and Store.Add lists it once
+	// the run has finalized it.
+	path := s.store.JobRunPath(j.ID)
+	st, err := crumbcruncher.OpenWalkLog(path, cfg)
+	if errors.Is(err, runstore.ErrCorrupt) {
+		// The damaged store is quarantined; the job restarts from an
+		// empty one rather than trusting corrupt walks.
+		st, err = crumbcruncher.OpenWalkLog(path, cfg)
 	}
-	world, hit, err := s.cache.Fork(j.configHash, cfg.World)
 	if err != nil {
-		closeStore() //nolint:errcheck // job is already failing
 		return nil, err
 	}
+	cfg.Store = st
 	j.mu.Lock()
-	j.cacheHit = hit
+	j.runFile = path
 	j.mu.Unlock()
-	run, err := core.ExecuteInWorld(ctx, cfg, world)
+	run, err := core.ExecuteContext(ctx, cfg)
 	// A store that cannot sync its recorded walks is a durability
 	// failure even when the run itself succeeded: surface it.
-	if cerr := closeStore(); cerr != nil && err == nil {
+	if cerr := st.Close(); cerr != nil && err == nil {
 		return nil, fmt.Errorf("serve: close run store: %w", cerr)
 	}
 	return run, err
 }
 
-// reanalyze re-runs the post-crawl pipeline over a stored run in one
-// pass of parallel Gets (core.AnalyzeStore) — the decoded dataset is
-// never resident all at once. The world is rebuilt (or fetched) through the
-// same cache the crawl used, keyed by the stored run's own
-// configuration hash.
+// reanalyze runs crumbreport's pipeline over a stored run:
+// crumbcruncher.AnalyzeStore re-analyzes it in one pass of parallel
+// Gets, so the decoded dataset is never resident all at once. The job
+// takes the stored configuration, with its own Parallelism and
+// telemetry applied on top.
 func (s *Server) reanalyze(ctx context.Context, j *Job, jt *telemetry.Telemetry) (*core.Run, error) {
 	if s.store == nil {
 		return nil, errors.New("serve: reanalysis needs a run store (-store)")
@@ -336,31 +311,16 @@ func (s *Server) reanalyze(ctx context.Context, j *Job, jt *telemetry.Telemetry)
 	if err != nil {
 		return nil, err
 	}
-	var cfg core.Config
-	if m := st.Manifest(); len(m.Config) > 0 {
-		if err := json.Unmarshal(m.Config, &cfg); err != nil {
-			st.Close() //nolint:errcheck // job is already failing
-			return nil, fmt.Errorf("serve: stored config: %w", err)
+	run, err := crumbcruncher.AnalyzeStore(ctx, st, func(cfg *crumbcruncher.Config) {
+		if j.Spec.Parallelism > 0 {
+			cfg.Parallelism = j.Spec.Parallelism
 		}
-	}
-	if j.Spec.Parallelism > 0 {
-		cfg.Parallelism = j.Spec.Parallelism
-	}
-	cfg.Telemetry = jt
-	hash := cfg.Hash()
-	j.mu.Lock()
-	j.cfg = cfg
-	j.configHash = hash
-	j.mu.Unlock()
-	world, hit, err := s.cache.Fork(hash, cfg.World)
-	if err != nil {
-		st.Close() //nolint:errcheck // job is already failing
-		return nil, err
-	}
-	j.mu.Lock()
-	j.cacheHit = hit
-	j.mu.Unlock()
-	run, err := core.AnalyzeStore(ctx, cfg, world, st)
+		cfg.Telemetry = jt
+		j.mu.Lock()
+		j.cfg = *cfg
+		j.configHash = cfg.Hash()
+		j.mu.Unlock()
+	})
 	// Closing releases the store's file handles; the run's lazy walk
 	// replay (figures, referer scans) reads the store's in-memory or
 	// sealed bytes, which outlive the handles.
@@ -399,21 +359,14 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func (s *Server) unavailable(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.opts.RetryAfterSeconds))
-	writeError(w, code, msg)
+// unavailable answers 503 + Retry-After: the server is draining or its
+// queue is full, and the client should try again later.
+func unavailable(w http.ResponseWriter, msg string) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+	writeError(w, http.StatusServiceUnavailable, msg)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.unavailable(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if !s.bucket.Take() {
-		s.tel.Counter("serve.admission_rejected").Inc()
-		s.unavailable(w, http.StatusTooManyRequests, "admission rate exceeded")
-		return
-	}
 	var spec JobSpec
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
@@ -426,8 +379,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if cfg.World.NumSites <= 0 {
 		// BuildWorld substitutes the default world for a zero config;
-		// make that substitution explicit here so the cache key, the
-		// built world and the job's reported seed all agree.
+		// make that substitution explicit here so the job's config
+		// hash, reported seed and stored config all describe the world
+		// it crawls.
 		cfg.World = web.DefaultConfig()
 	}
 	if spec.Kind == KindReanalyze && s.store == nil {
@@ -441,12 +395,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	j := newJob(id, spec, cfg, s.uptimeMs())
 
-	if err := s.queue.Push(j, spec.Priority); err != nil {
-		s.tel.Counter("serve.queue_rejected").Inc()
-		s.unavailable(w, http.StatusServiceUnavailable, err.Error())
+	s.mu.Lock()
+	if s.draining.Load() {
+		s.mu.Unlock()
+		unavailable(w, "server is draining")
 		return
 	}
-	s.mu.Lock()
+	select {
+	case s.queue <- j:
+	default:
+		s.mu.Unlock()
+		s.tel.Counter("serve.queue_rejected").Inc()
+		unavailable(w, "job queue is full")
+		return
+	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.mu.Unlock()
@@ -601,28 +563,26 @@ func (s *Server) handleRunFetch(w http.ResponseWriter, r *http.Request) {
 // gauges, the server-level metrics registry, and per-job span
 // summaries for every job that has run.
 type debugVars struct {
-	UptimeMs       int64                             `json:"uptime_ms"`
-	Draining       bool                              `json:"draining"`
-	Workers        int                               `json:"workers"`
-	WorkersBusy    int64                             `json:"workers_busy"`
-	QueueDepth     int                               `json:"queue_depth"`
-	WorldCacheSize int                               `json:"world_cache_size"`
-	Jobs           map[string]int                    `json:"jobs"`
-	Metrics        telemetry.Snapshot                `json:"metrics"`
-	JobSpans       map[string]telemetry.TraceSummary `json:"job_spans,omitempty"`
+	UptimeMs    int64                             `json:"uptime_ms"`
+	Draining    bool                              `json:"draining"`
+	Workers     int                               `json:"workers"`
+	WorkersBusy int64                             `json:"workers_busy"`
+	QueueDepth  int                               `json:"queue_depth"`
+	Jobs        map[string]int                    `json:"jobs"`
+	Metrics     telemetry.Snapshot                `json:"metrics"`
+	JobSpans    map[string]telemetry.TraceSummary `json:"job_spans,omitempty"`
 }
 
 func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 	v := debugVars{
-		UptimeMs:       s.uptimeMs(),
-		Draining:       s.draining.Load(),
-		Workers:        s.opts.Workers,
-		WorkersBusy:    s.busy.Load(),
-		QueueDepth:     s.queue.Len(),
-		WorldCacheSize: s.cache.Len(),
-		Jobs:           make(map[string]int),
-		Metrics:        s.tel.Registry().Snapshot(),
-		JobSpans:       make(map[string]telemetry.TraceSummary),
+		UptimeMs:    s.uptimeMs(),
+		Draining:    s.draining.Load(),
+		Workers:     s.opts.Workers,
+		WorkersBusy: s.busy.Load(),
+		QueueDepth:  len(s.queue),
+		Jobs:        make(map[string]int),
+		Metrics:     s.tel.Registry().Snapshot(),
+		JobSpans:    make(map[string]telemetry.TraceSummary),
 	}
 	for _, j := range s.snapshotJobs() {
 		v.Jobs[j.State()]++

@@ -109,11 +109,10 @@ func fetchBody(t *testing.T, url string) []byte {
 }
 
 // TestConcurrentJobsDeterministic is the multi-tenancy backstop: three
-// concurrent jobs — two sharing a world config (and therefore one
-// cached world template), one on a different seed — must each produce
-// metrics byte-identical to the same jobs run solo through the Runner
-// API. Run under -race this also proves the shared world template is
-// free of data races across tenants.
+// concurrent jobs — two with the same config, one on a different seed —
+// must each produce metrics byte-identical to the same jobs run solo
+// through the Runner API. Run under -race this also proves concurrent
+// jobs share no racy state.
 func TestConcurrentJobsDeterministic(t *testing.T) {
 	const walks, par = 12, 2
 	wantA := soloMetrics(t, 5, walks, par)
@@ -155,20 +154,6 @@ func TestConcurrentJobsDeterministic(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("job %s (%d): metrics diverge from solo run", id, i)
 		}
-	}
-
-	// The two seed-5 jobs share one template: exactly 2 cache misses
-	// (one per distinct config) and 1 hit across the three jobs.
-	var vars debugVars
-	getJSON(t, ts.URL+"/debug/vars", &vars)
-	if got := vars.Metrics.Counters["serve.world_cache_misses"]; got != 2 {
-		t.Errorf("world cache misses = %d, want 2", got)
-	}
-	if got := vars.Metrics.Counters["serve.world_cache_hits"]; got != 1 {
-		t.Errorf("world cache hits = %d, want 1", got)
-	}
-	if vars.WorldCacheSize != 2 {
-		t.Errorf("world cache size = %d, want 2", vars.WorldCacheSize)
 	}
 
 	// All three runs persisted to the store.
@@ -423,5 +408,88 @@ func TestStoreSurvivesRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestQueueFullAndFIFO pins the job queue: with the one worker held
+// busy, submissions fill the queue up to QueueCapacity, the next one
+// gets 503 + Retry-After without becoming a job, and once the worker is
+// free the queued jobs start in submission order.
+func TestQueueFullAndFIFO(t *testing.T) {
+	const capacity = 3
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var started []string
+	srv, err := New(Options{Workers: 1, QueueCapacity: capacity, Hooks: Hooks{
+		BeforeJob: func(jobID string, spec JobSpec) {
+			mu.Lock()
+			started = append(started, jobID)
+			mu.Unlock()
+			if spec.Seed == 1 {
+				<-release
+			}
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	blocker := postJob(t, ts.URL, `{"small":true,"seed":1,"walks":2}`)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var st Status
+		getJSON(t, ts.URL+"/jobs/"+blocker.ID, &st)
+		if st.State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("blocking job never started (state %s)", st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var queued []string
+	for i := 0; i < capacity; i++ {
+		queued = append(queued, postJob(t, ts.URL, fmt.Sprintf(`{"small":true,"seed":%d,"walks":2}`, 10+i)).ID)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"small":true,"seed":20,"walks":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST to a full queue = %d, want 503", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "5" {
+		t.Errorf("Retry-After = %q, want 5", got)
+	}
+	var vars debugVars
+	getJSON(t, ts.URL+"/debug/vars", &vars)
+	if vars.QueueDepth != capacity {
+		t.Errorf("queue depth = %d, want %d", vars.QueueDepth, capacity)
+	}
+	var list []Status
+	getJSON(t, ts.URL+"/jobs", &list)
+	if len(list) != 1+capacity {
+		t.Errorf("GET /jobs lists %d jobs, want %d: a rejected submission is not a job", len(list), 1+capacity)
+	}
+
+	close(release)
+	for _, id := range append([]string{blocker.ID}, queued...) {
+		if st := waitState(t, ts.URL, id); st.State != StateDone {
+			t.Fatalf("job %s: state %s (%s)", id, st.State, st.Error)
+		}
+	}
+	mu.Lock()
+	got := strings.Join(started, " ")
+	mu.Unlock()
+	if want := strings.Join(append([]string{blocker.ID}, queued...), " "); got != want {
+		t.Errorf("jobs started in order %s, want submission order %s", got, want)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

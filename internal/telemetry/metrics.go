@@ -125,7 +125,7 @@ func (h *Histogram) Max() int64 {
 
 // Microseconds adapts the histogram into a duration hook recording in
 // microseconds, or nil when the histogram is nil — shaped for
-// parallel.ForEachTimed, which skips timing entirely on a nil hook.
+// parallel.ForEachTimedCtx, which skips timing entirely on a nil hook.
 func (h *Histogram) Microseconds() func(d time.Duration) {
 	if h == nil {
 		return nil

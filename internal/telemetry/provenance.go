@@ -34,7 +34,7 @@ type Provenance struct {
 // Hasher lets a configuration type supply its own canonical hash.
 // core.Config implements it to normalize scheduling-only knobs
 // (Parallelism, runtime wiring) out of the digest, so provenance blocks
-// and the serve layer's world cache agree on one identity for every
+// and the walk log's resume check agree on one identity for every
 // configuration that provably produces byte-identical results.
 type Hasher interface {
 	Hash() string

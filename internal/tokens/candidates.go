@@ -104,20 +104,14 @@ func regDomain(host string) string {
 	return host
 }
 
-// PathsFromDataset reconstructs every navigation path in the crawl: one
-// per (walk, step, crawler) whose click produced at least one hop. Data
-// from unsynchronized (divergent) steps is included, as in the paper
-// (§3.3: "We still include data from this unsynchronized step in our
-// analyses").
-func PathsFromDataset(ds *crawler.Dataset) []*Path {
-	out, _ := PathsFromDatasetCtx(context.Background(), ds, 1, nil)
-	return out
-}
-
-// PathsFromDatasetCtx is PathsFromDataset sharded across walks over a
-// bounded worker pool and bounded by ctx. Each walk's paths are
-// reconstructed independently and concatenated in walk-slice order, so
-// the output is identical to the sequential pass for any parallelism.
+// PathsFromDatasetCtx reconstructs every navigation path in the crawl:
+// one per (walk, step, crawler) whose click produced at least one hop.
+// Data from unsynchronized (divergent) steps is included, as in the
+// paper (§3.3: "We still include data from this unsynchronized step in
+// our analyses"). The work is sharded across walks over a bounded
+// worker pool and bounded by ctx. Each walk's paths are reconstructed
+// independently and concatenated in walk-slice order, so the output is
+// identical to a sequential pass for any parallelism.
 // Per-walk shard wall times land in the tokens.path_shard_us histogram
 // and the path total in the tokens.paths counter; a nil Telemetry
 // records nothing. Cancellation stops the shard pool from taking new
@@ -261,15 +255,9 @@ func FindCandidates(p *Path) []*Candidate {
 	return out
 }
 
-// AllCandidates runs FindCandidates over every path.
-func AllCandidates(paths []*Path) []*Candidate {
-	out, _ := AllCandidatesCtx(context.Background(), paths, 1, nil)
-	return out
-}
-
-// AllCandidatesCtx is AllCandidates over a bounded worker pool, bounded
-// by ctx. Per-path results merge in path order, so the output is
-// identical to the sequential pass for any parallelism. Per-path
+// AllCandidatesCtx runs FindCandidates over every path on a bounded
+// worker pool, bounded by ctx. Per-path results merge in path order, so
+// the output is identical to a sequential pass for any parallelism. Per-path
 // candidate counts land in the tokens.candidates_per_path histogram (a
 // deterministic distribution), shard wall times in
 // tokens.candidate_shard_us, and the candidate total in the

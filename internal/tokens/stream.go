@@ -19,7 +19,7 @@ type WalkTokens struct {
 // streaming engine. Each walk is processed independently (AddWalk on
 // distinct indices may run concurrently from several workers) and Drain
 // merges the per-walk results in walk-index order — the same order the
-// batch entry points (PathsFromDataset*, AllCandidates*) produce, so
+// batch entry points (PathsFromDatasetCtx, AllCandidatesCtx) produce, so
 // the merged output is bit-identical to the batch pass.
 type Accumulator struct {
 	names       []string

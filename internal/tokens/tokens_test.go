@@ -1,6 +1,7 @@
 package tokens
 
 import (
+	"context"
 	"net/url"
 	"sort"
 	"testing"
@@ -290,17 +291,17 @@ func TestPathsFromDatasetRespectsCrawlerList(t *testing.T) {
 			}},
 		}},
 	}
-	paths := PathsFromDataset(ds)
-	if len(paths) != 2 {
-		t.Fatalf("paths = %d, want 2 (custom crawler names)", len(paths))
+	paths, err := PathsFromDatasetCtx(context.Background(), ds, 1, nil)
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("paths = %d (%v), want 2 (custom crawler names)", len(paths), err)
 	}
-	cands := AllCandidates(paths)
-	if len(cands) != 2 {
-		t.Fatalf("candidates = %d", len(cands))
+	cands, err := AllCandidatesCtx(context.Background(), paths, 1, nil)
+	if err != nil || len(cands) != 2 {
+		t.Fatalf("candidates = %d (%v)", len(cands), err)
 	}
 	// Records without a navigation chain are skipped.
 	ds.Walks[0].Steps[0].Records["Seq-1"].NavChain = nil
-	if got := PathsFromDataset(ds); len(got) != 1 {
-		t.Fatalf("paths after chain removal = %d", len(got))
+	if got, err := PathsFromDatasetCtx(context.Background(), ds, 1, nil); err != nil || len(got) != 1 {
+		t.Fatalf("paths after chain removal = %d (%v)", len(got), err)
 	}
 }

@@ -200,17 +200,11 @@ type groupVerdict struct {
 	c      *Case               // set for verdictKeep
 }
 
-// Identify runs the full §3.7 procedure and returns the confirmed UID
-// cases with bookkeeping statistics. Per-group work runs concurrently
-// when opt.Parallelism > 1; the result is bit-identical regardless.
-func Identify(cands []*tokens.Candidate, opt Options) ([]*Case, Stats) {
-	cases, stats, _ := IdentifyCtx(context.Background(), cands, opt)
-	return cases, stats
-}
-
-// IdentifyCtx is Identify bounded by ctx: cancellation stops the
-// classification pool from taking new groups and returns ctx's error
-// with unusable partial results.
+// IdentifyCtx runs the full §3.7 procedure and returns the confirmed
+// UID cases with bookkeeping statistics. Per-group work runs
+// concurrently when opt.Parallelism > 1; the result is bit-identical
+// regardless. Cancelling ctx stops the classification pool from taking
+// new groups and returns ctx's error with unusable partial results.
 func IdentifyCtx(ctx context.Context, cands []*tokens.Candidate, opt Options) ([]*Case, Stats, error) {
 	include := opt.crawlerSet()
 	stats := Stats{Programmatic: map[tokens.FilterReason]int{}}

@@ -48,7 +48,7 @@ func (a *LifetimeAccumulator) Drain() *LifetimeIndex {
 // streaming engine. Each walk's candidates are grouped (and, when the
 // options permit, classified) as the walk finishes; Drain performs the
 // ordered reduce over all walks and returns exactly what a batch
-// Identify over the concatenated candidate list would.
+// IdentifyCtx over the concatenated candidate list would.
 //
 // Classification is eager unless the prior-work lifetime heuristic is
 // enabled without a lifetime function: that rule needs the full
@@ -106,7 +106,7 @@ func (s *StreamIdentifier) AddWalk(index int, cands []*tokens.Candidate) {
 // sorts by (walk, step, name), so the concatenation equals the batch
 // grouping of the full candidate list — classifies any deferred groups
 // against the now-complete lifetime index, and performs the same
-// ordered reduce as Identify.
+// ordered reduce as IdentifyCtx.
 func (s *StreamIdentifier) Drain(ctx context.Context, lifetimes *LifetimeIndex) ([]*Case, Stats, error) {
 	stats := Stats{Programmatic: map[tokens.FilterReason]int{}}
 	totalGroups := 0

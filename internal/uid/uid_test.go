@@ -12,6 +12,16 @@ import (
 	"crumbcruncher/internal/tokens"
 )
 
+// identify runs IdentifyCtx under a context that is never cancelled.
+func identify(t *testing.T, cands []*tokens.Candidate, opt Options) ([]*Case, Stats) {
+	t.Helper()
+	cases, stats, err := IdentifyCtx(context.Background(), cands, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cases, stats
+}
+
 // cand builds a minimal candidate.
 func cand(walk, step int, crawlerName, name, value string) *tokens.Candidate {
 	return &tokens.Candidate{
@@ -34,7 +44,7 @@ func fullStaticGroup(name string) []*tokens.Candidate {
 }
 
 func TestIdentifyStaticUID(t *testing.T) {
-	cases, stats := Identify(fullStaticGroup("zclid"), Options{})
+	cases, stats := identify(t, fullStaticGroup("zclid"), Options{})
 	if len(cases) != 1 {
 		t.Fatalf("cases = %d, want 1 (stats %+v)", len(cases), stats)
 	}
@@ -52,7 +62,7 @@ func TestIdentifyDiscardsSameAcrossProfiles(t *testing.T) {
 		cand(0, 1, crawler.Safari1, "fpid", "samevalue11112222"),
 		cand(0, 1, crawler.Safari2, "fpid", "samevalue11112222"),
 	}
-	cases, stats := Identify(cands, Options{})
+	cases, stats := identify(t, cands, Options{})
 	if len(cases) != 0 || stats.SameAcrossUsers != 1 {
 		t.Fatalf("cases=%d stats=%+v", len(cases), stats)
 	}
@@ -64,13 +74,13 @@ func TestIdentifyDiscardsSessionViaRepeatCrawler(t *testing.T) {
 		cand(0, 1, crawler.Safari1R, "sid", "sessvalue33334444"),
 		cand(0, 1, crawler.Safari2, "sid", "sessvalue55556666"),
 	}
-	cases, stats := Identify(cands, Options{})
+	cases, stats := identify(t, cands, Options{})
 	if len(cases) != 0 || stats.SessionByRepeat != 1 {
 		t.Fatalf("cases=%d stats=%+v", len(cases), stats)
 	}
 	// With the repeat crawler disabled, the session ID slips through —
 	// the ablation the paper motivates.
-	cases, _ = Identify(cands, Options{DisableRepeatCrawler: true})
+	cases, _ = identify(t, cands, Options{DisableRepeatCrawler: true})
 	if len(cases) != 1 {
 		t.Fatalf("repeat-crawler-off should retain the token: %d", len(cases))
 	}
@@ -82,7 +92,7 @@ func TestIdentifyProgrammaticFilters(t *testing.T) {
 		cand(0, 2, crawler.Safari1, "u", "http://x.com/"), // URL
 		cand(0, 3, crawler.Safari1, "s", "abc"),           // short
 	}
-	cases, stats := Identify(cands, Options{})
+	cases, stats := identify(t, cands, Options{})
 	if len(cases) != 0 {
 		t.Fatalf("cases = %d", len(cases))
 	}
@@ -98,12 +108,12 @@ func TestIdentifyManualReview(t *testing.T) {
 		cand(0, 1, crawler.Safari1, "topic", "Dental_internal_whitepaper_topic"),
 		cand(0, 2, crawler.Safari1, "x", "4f2a9c1b7d8e0011"),
 	}
-	cases, stats := Identify(cands, Options{})
+	cases, stats := identify(t, cands, Options{})
 	if len(cases) != 1 || stats.ManuallyRemoved != 1 || stats.AfterProgrammatic != 2 {
 		t.Fatalf("cases=%d stats=%+v", len(cases), stats)
 	}
 	// SkipManual keeps both.
-	cases, _ = Identify(cands, Options{SkipManual: true})
+	cases, _ = identify(t, cands, Options{SkipManual: true})
 	if len(cases) != 2 {
 		t.Fatalf("SkipManual cases = %d", len(cases))
 	}
@@ -111,7 +121,7 @@ func TestIdentifyManualReview(t *testing.T) {
 
 func TestBuckets(t *testing.T) {
 	mk := func(cands ...*tokens.Candidate) Bucket {
-		cases, _ := Identify(cands, Options{})
+		cases, _ := identify(t, cands, Options{})
 		if len(cases) != 1 {
 			t.Fatalf("expected 1 case, got %d", len(cases))
 		}
@@ -149,8 +159,8 @@ func TestTwoCrawlerBaselineLosesSingles(t *testing.T) {
 		cand(0, 1, crawler.Safari1, "both", "aaaa1111bbbb2222"),
 		cand(0, 1, crawler.Safari2, "both", "cccc3333dddd4444"),
 	}
-	full, _ := Identify(cands, Options{})
-	two, _ := Identify(cands, Options{Crawlers: []string{crawler.Safari1, crawler.Safari2}})
+	full, _ := identify(t, cands, Options{})
+	two, _ := identify(t, cands, Options{Crawlers: []string{crawler.Safari1, crawler.Safari2}})
 	if len(full) != 2 {
 		t.Fatalf("full = %d", len(full))
 	}
@@ -166,11 +176,11 @@ func TestRatcliffSlackOverDiscards(t *testing.T) {
 		cand(0, 1, crawler.Safari1, "pfx", "user-aaaa-bbbb-cccc-0001"),
 		cand(0, 1, crawler.Safari2, "pfx", "user-aaaa-bbbb-cccc-0002"),
 	}
-	exact, _ := Identify(cands, Options{})
+	exact, _ := identify(t, cands, Options{})
 	if len(exact) != 1 {
 		t.Fatalf("exact = %d", len(exact))
 	}
-	fuzzy, stats := Identify(cands, Options{SameSlack: 0.33})
+	fuzzy, stats := identify(t, cands, Options{SameSlack: 0.33})
 	if len(fuzzy) != 0 || stats.SameAcrossUsers != 1 {
 		t.Fatalf("fuzzy = %d, stats = %+v", len(fuzzy), stats)
 	}
@@ -192,12 +202,12 @@ func TestLifetimeThresholdBaseline(t *testing.T) {
 		cand(0, 1, crawler.Safari1, "a", "shortlivedvalue1"),
 		cand(0, 2, crawler.Safari1, "b", "longlivedvalue22"),
 	}
-	cases, stats := Identify(cands, opt)
+	cases, stats := identify(t, cands, opt)
 	if len(cases) != 1 || cases[0].Group.Name != "b" || stats.SessionByTTL != 1 {
 		t.Fatalf("cases=%d stats=%+v", len(cases), stats)
 	}
 	// CrumbCruncher's method (no threshold) keeps both.
-	cases, _ = Identify(cands, Options{})
+	cases, _ = identify(t, cands, Options{})
 	if len(cases) != 2 {
 		t.Fatalf("no-threshold cases = %d", len(cases))
 	}
@@ -331,7 +341,7 @@ func TestIdentifyOrderInvariant(t *testing.T) {
 		cand(2, 3, crawler.Safari1, "p3", "ffff6666gggg7777"),
 	)
 	fingerprint := func(cands []*tokens.Candidate) string {
-		cases, _ := Identify(cands, Options{})
+		cases, _ := identify(t, cands, Options{})
 		out := ""
 		for _, c := range cases {
 			out += c.Group.Name + "/" + string(c.Bucket) + ";"

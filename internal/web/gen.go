@@ -42,8 +42,7 @@ type orgPlan struct {
 	breakage map[int]int
 }
 
-// worldGen is the immutable generation plan shared by a world and all
-// its forks.
+// worldGen is a world's immutable generation plan.
 type worldGen struct {
 	cfg   Config
 	truth *Truth
@@ -649,8 +648,8 @@ func (g *worldGen) registerParams() {
 	}
 }
 
-// siteCache lazily materialised sites, shared between a world and its
-// forks (sites are immutable once derived).
+// siteCache holds a world's materialised sites, each derived once on
+// first use (sites are immutable once derived).
 type siteCache struct {
 	mu    sync.RWMutex
 	byIdx map[int]*Site

@@ -115,20 +115,3 @@ func TestLazyWorldServesIdenticalPages(t *testing.T) {
 		}
 	}
 }
-
-func TestLazyForkSharesCache(t *testing.T) {
-	cfg := SmallConfig()
-	cfg.Lazy = true
-	w := BuildWorld(cfg)
-	f := w.Fork()
-	if f.cache != w.cache {
-		t.Fatal("fork should share the site cache")
-	}
-	if f.gen != w.gen {
-		t.Fatal("fork should share the generation plan")
-	}
-	d := w.SeedersN(1)[0]
-	if w.Site(d) != f.Site(d) {
-		t.Fatal("forked world returned a different *Site for the same domain")
-	}
-}

@@ -164,8 +164,7 @@ type Site struct {
 
 	// ssoCands are the Partners with an SSO host, resolved from the plan
 	// on the site's first page build (not at derivation, which would
-	// move the work into world build) and shared by every world forked
-	// from the plan.
+	// move the work into world build).
 	ssoOnce  sync.Once
 	ssoCands []ssoRef
 }
@@ -175,6 +174,11 @@ type Site struct {
 // (the default) every site is materialised and registered up front; with
 // Config.Lazy sites derive and register on first visit through the
 // network's resolver, so an unvisited world holds only its plan.
+//
+// A world serves one run: its network counts the run's requests and its
+// visit counters advance with the run's page loads, so two runs over
+// one world would see each other's state. A caller that runs several
+// studies builds a world for each; BuildWorld is cheap next to a crawl.
 type World struct {
 	cfg   Config
 	net   *netsim.Network
@@ -309,22 +313,16 @@ func (w *World) visit(key string) int {
 	return w.visits[key]
 }
 
-// BuildWorld constructs the synthetic web on a fresh network. It is now a
-// thin wrapper over the demand-driven plan: eager mode materialises and
-// registers every site immediately, lazy mode (Config.Lazy) installs a
-// resolver and leaves sites to derive on first visit.
+// BuildWorld constructs the synthetic web on a fresh network: the
+// demand-driven plan plus the per-run substrate (network, handlers,
+// faults, visit counters). Eager mode materialises and registers every
+// site immediately; lazy mode (Config.Lazy) installs a resolver and
+// leaves sites to derive on first visit.
 func BuildWorld(cfg Config) *World {
 	if cfg.NumSites <= 0 {
 		cfg = DefaultConfig()
 	}
 	gen := newWorldGen(cfg)
-	return newWorldFrom(cfg, gen, newSiteCache())
-}
-
-// newWorldFrom assembles a world (or fork) around a shared plan and site
-// cache, wiring the per-run substrate: network, handlers, faults,
-// visit counters.
-func newWorldFrom(cfg Config, gen *worldGen, cache *siteCache) *World {
 	w := &World{
 		cfg:             cfg,
 		net:             netsim.New(),
@@ -332,7 +330,7 @@ func newWorldFrom(cfg Config, gen *worldGen, cache *siteCache) *World {
 		psl:             publicsuffix.Default(),
 		split:           stats.NewSplitter(cfg.Seed),
 		gen:             gen,
-		cache:           cache,
+		cache:           newSiteCache(),
 		trackers:        gen.trackers,
 		adNetworks:      gen.adNetworks,
 		affiliates:      gen.affiliates,
@@ -347,28 +345,11 @@ func newWorldFrom(cfg Config, gen *worldGen, cache *siteCache) *World {
 		w.net.SetResolver(w.resolveHost)
 	} else {
 		for i := 0; i < cfg.NumSites; i++ {
-			w.registerSiteHandlers(cache.site(gen, i))
+			w.registerSiteHandlers(w.cache.site(gen, i))
 		}
 	}
 	w.installFaults()
 	return w
-}
-
-// Fork returns a run-private view of the world. The expensive seeded
-// generation — the plan, materialised sites, the ground-truth registry —
-// is shared with the receiver, all of it immutable (or internally
-// locked). The per-run mutable substrate is rebuilt fresh: a new virtual
-// network with its own fault injector and counters, and zeroed visit
-// counters. Lazily materialised sites accumulate in the shared cache, so
-// concurrent forks of a lazy world pay each site's derivation once.
-//
-// A template world that is never crawled directly can therefore serve
-// any number of concurrent runs, each fork producing results
-// byte-identical to a world built from scratch with the same Config
-// (the serve layer's world cache relies on exactly this). Fork is safe
-// to call concurrently on the same receiver.
-func (w *World) Fork() *World {
-	return newWorldFrom(w.cfg, w.gen, w.cache)
 }
 
 // resolveHost is the lazy network resolver: on the first request to an

@@ -411,36 +411,37 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestQueueFullAndFIFO pins the job queue: with the one worker held
-// busy, submissions fill the queue up to QueueCapacity, the next one
-// gets 503 + Retry-After without becoming a job, and once the worker is
-// free the queued jobs start in submission order.
-func TestQueueFullAndFIFO(t *testing.T) {
-	const capacity = 3
-	release := make(chan struct{})
+// busyQueue starts a one-worker server whose worker is held busy by a
+// blocking job, then fills its queue of the given capacity with jobs.
+// It returns the server, the blocker's and the queued jobs' IDs in
+// submission order, the IDs in the order jobs started, and a release
+// func that frees the worker and waits for every job to finish.
+func busyQueue(t *testing.T, capacity int) (ts *httptest.Server, blocker string, queued []string, started func() []string, release func()) {
+	t.Helper()
+	hold := make(chan struct{})
 	var mu sync.Mutex
-	var started []string
+	var order []string
 	srv, err := New(Options{Workers: 1, QueueCapacity: capacity, Hooks: Hooks{
 		BeforeJob: func(jobID string, spec JobSpec) {
 			mu.Lock()
-			started = append(started, jobID)
+			order = append(order, jobID)
 			mu.Unlock()
 			if spec.Seed == 1 {
-				<-release
+				<-hold
 			}
 		},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts = httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 
-	blocker := postJob(t, ts.URL, `{"small":true,"seed":1,"walks":2}`)
+	blocker = postJob(t, ts.URL, `{"small":true,"seed":1,"walks":2}`).ID
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var st Status
-		getJSON(t, ts.URL+"/jobs/"+blocker.ID, &st)
+		getJSON(t, ts.URL+"/jobs/"+blocker, &st)
 		if st.State == StateRunning {
 			break
 		}
@@ -449,11 +450,35 @@ func TestQueueFullAndFIFO(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-
-	var queued []string
 	for i := 0; i < capacity; i++ {
 		queued = append(queued, postJob(t, ts.URL, fmt.Sprintf(`{"small":true,"seed":%d,"walks":2}`, 10+i)).ID)
 	}
+	started = func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), order...)
+	}
+	release = func() {
+		close(hold)
+		for _, id := range append([]string{blocker}, queued...) {
+			if st := waitState(t, ts.URL, id); st.State != StateDone {
+				t.Fatalf("job %s: state %s (%s)", id, st.State, st.Error)
+			}
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ts, blocker, queued, started, release
+}
+
+// TestQueueBoundedPush pins the queue bound: with the one worker held
+// busy and the queue filled to QueueCapacity, the next submission gets
+// 503 + Retry-After without becoming a job.
+func TestQueueBoundedPush(t *testing.T) {
+	const capacity = 3
+	ts, _, _, _, release := busyQueue(t, capacity)
+
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"small":true,"seed":20,"walks":2}`))
 	if err != nil {
 		t.Fatal(err)
@@ -476,20 +501,16 @@ func TestQueueFullAndFIFO(t *testing.T) {
 	if len(list) != 1+capacity {
 		t.Errorf("GET /jobs lists %d jobs, want %d: a rejected submission is not a job", len(list), 1+capacity)
 	}
+	release()
+}
 
-	close(release)
-	for _, id := range append([]string{blocker.ID}, queued...) {
-		if st := waitState(t, ts.URL, id); st.State != StateDone {
-			t.Fatalf("job %s: state %s (%s)", id, st.State, st.Error)
-		}
-	}
-	mu.Lock()
-	got := strings.Join(started, " ")
-	mu.Unlock()
-	if want := strings.Join(append([]string{blocker.ID}, queued...), " "); got != want {
+// TestQueueFIFO pins the queue order: jobs queued behind a busy worker
+// start in submission order once it is free.
+func TestQueueFIFO(t *testing.T) {
+	_, blocker, queued, started, release := busyQueue(t, 3)
+	release()
+	got := strings.Join(started(), " ")
+	if want := strings.Join(append([]string{blocker}, queued...), " "); got != want {
 		t.Errorf("jobs started in order %s, want submission order %s", got, want)
-	}
-	if err := srv.Drain(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }

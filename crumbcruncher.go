@@ -142,12 +142,15 @@ func (r *Runner) Run(ctx context.Context) (*Run, error) {
 	return core.ExecuteContext(ctx, r.cfg)
 }
 
-// Reanalyze re-runs the post-crawl pipeline over run's recorded walks —
-// its dataset, or the store it was loaded from — under the Runner's
-// configuration, through the same engine Run uses. The crawl is not
-// repeated.
+// Reanalyze re-runs the post-crawl pipeline (path reconstruction,
+// candidate extraction, UID identification, aggregation) over run's
+// recorded walks — its dataset, or the store it was loaded from — under
+// the Runner's configuration, e.g. a different Parallelism or
+// identification options, through the same engine Run uses. The crawl
+// is not repeated; results are bit-identical for any Parallelism.
+// Cancelling ctx stops the walk feed and returns ctx's error.
 func (r *Runner) Reanalyze(ctx context.Context, run *Run) (*Run, error) {
-	return ReanalyzeContext(ctx, r.cfg, run)
+	return core.AnalyzeSource(ctx, r.cfg, run.World, run.Analysis.Source())
 }
 
 // --- Resilience -------------------------------------------------------------
@@ -160,19 +163,6 @@ type RetryPolicy = resilience.Policy
 // policy: 3 attempts, 500ms base, 8s cap, 2x multiplier, 20% jitter.
 // All waiting is virtual-clock time; no wall time is spent.
 func DefaultRetryPolicy() RetryPolicy { return resilience.DefaultPolicy() }
-
-// ReanalyzeContext re-runs the post-crawl analysis pipeline (path
-// reconstruction, candidate extraction, UID identification,
-// aggregation) over an existing run's recorded walks under a new
-// configuration — e.g. a different Parallelism or identification
-// options. The crawl is not repeated; results are bit-identical for
-// any Parallelism. Cancelling ctx stops the walk feed and returns
-// ctx's error. The walks come from the run's analysis source — the
-// resident dataset, or a replay of the store a store-loaded run was
-// analyzed from.
-func ReanalyzeContext(ctx context.Context, cfg Config, r *Run) (*Run, error) {
-	return core.AnalyzeSource(ctx, cfg, r.World, r.Analysis.Source())
-}
 
 // WriteReport renders the full evaluation report — every table and figure
 // — as text.
@@ -241,7 +231,9 @@ func CreateRunStore(path string, cfg Config) (RunStore, error) {
 // how many walks it already holds). A finalized store is refused, and so
 // is a store recorded under another configuration: its config hash must
 // be cfg.Hash(), which leaves Parallelism free to change. A torn final
-// record is dropped on open. Every record of a reopened store is
+// record is left out of the walks the store holds, and truncated away
+// by its first write; a refused store is left as it was. Every record
+// of a reopened store is
 // verified before it is returned. Damage returns an error matching
 // errors.Is(err, runstore.ErrCorrupt) and moves the damage aside: the
 // whole store to "<path>.corrupt" for a damaged sealed segment, the
@@ -330,19 +322,6 @@ func AnalyzeStore(ctx context.Context, st RunStore, opts ...Option) (*Run, error
 	wcfg.Lazy = true
 	world := web.BuildWorld(wcfg)
 	return core.AnalyzeStore(ctx, cfg, world, st)
-}
-
-// LoadRunStore opens the store at path and re-runs the analysis over
-// it (see AnalyzeStore). The returned Run reads walk records from the store
-// lazily for the figures that need them; the store is closed when the
-// process exits (use OpenRunStore + AnalyzeStore to manage the handle
-// explicitly).
-func LoadRunStore(path string) (*Run, error) {
-	st, err := OpenRunStore(path)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeStore(context.Background(), st)
 }
 
 // --- Countermeasures (§7) ---------------------------------------------------

@@ -42,7 +42,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
 		t.Fatalf("saved store: %v %v", fi, err)
 	}
-	loaded, err := crumbcruncher.LoadRunStore(path)
+	st, err := crumbcruncher.OpenRunStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	loaded, err := crumbcruncher.AnalyzeStore(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +65,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRunMissingFile(t *testing.T) {
-	if _, err := crumbcruncher.LoadRunStore(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := crumbcruncher.OpenRunStore(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("expected error")
 	}
 }

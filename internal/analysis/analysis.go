@@ -254,9 +254,6 @@ func NewFromTally(ctx context.Context, src WalkSource, tally *Tally, paths []*to
 	return a, nil
 }
 
-// Cases returns the confirmed UID cases.
-func (a *Analysis) Cases() []*uid.Case { return a.cases }
-
 // Source returns the walk source the analysis was built over.
 func (a *Analysis) Source() WalkSource { return a.src }
 
@@ -359,10 +356,6 @@ func (a *Analysis) BounceRate() float64 {
 	}
 	return float64(n) / float64(len(a.urlPaths))
 }
-
-// IsDedicated reports the dedicated-smuggler classification of a
-// redirector FQDN.
-func (a *Analysis) IsDedicated(host string) bool { return a.dedicated[host] }
 
 // DedicatedSmugglers returns the classified dedicated-smuggler FQDNs,
 // sorted.

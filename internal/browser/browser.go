@@ -174,12 +174,6 @@ func (b *Browser) SetAttempt(n int) { b.attempt = n }
 // Store exposes the profile's storage (tests and countermeasures).
 func (b *Browser) Store() *storage.Store { return b.store }
 
-// ProfileID returns the simulated user identity.
-func (b *Browser) ProfileID() string { return b.cfg.ProfileID }
-
-// ClientID returns the crawler instance identity.
-func (b *Browser) ClientID() string { return b.cfg.ClientID }
-
 // Requests returns a copy of the request log.
 func (b *Browser) Requests() []RequestRecord {
 	b.mu.Lock()

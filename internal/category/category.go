@@ -3,8 +3,6 @@
 // (§5.2.1, Figure 5).
 package category
 
-import "sort"
-
 // Unknown is the category for domains the taxonomy does not cover (the
 // paper had 32 of 339 domains categorised as unknown).
 const Unknown = "Unknown"
@@ -29,20 +27,6 @@ func (t *Taxonomy) CategoryOf(domain string) string {
 		return c
 	}
 	return Unknown
-}
-
-// Categories returns the distinct categories present, sorted.
-func (t *Taxonomy) Categories() []string {
-	set := map[string]bool{}
-	for _, c := range t.byDomain {
-		set[c] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CountByCategory tallies the number of distinct domains per category

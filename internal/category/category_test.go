@@ -29,11 +29,3 @@ func TestCountByCategoryDedupes(t *testing.T) {
 		t.Fatalf("Unknown = %d", counts[Unknown])
 	}
 }
-
-func TestCategoriesSorted(t *testing.T) {
-	tax := New(map[string]string{"a.com": "Z", "b.com": "A"})
-	cats := tax.Categories()
-	if len(cats) != 2 || cats[0] != "A" || cats[1] != "Z" {
-		t.Fatalf("cats = %v", cats)
-	}
-}

@@ -48,9 +48,9 @@ func TestConfigHashIgnoresSchedulingKnobs(t *testing.T) {
 }
 
 // TestConfigHashPinned pins the stock configurations' hashes. The hash
-// keys the serve layer's world cache and every saved run's provenance,
-// so removing a Config field, or changing how one serializes, must
-// leave these values alone unless the change means to re-key them.
+// is every saved run's provenance identity and what the resume check
+// compares, so removing a Config field, or changing how one serializes,
+// must leave these values alone unless the change means to re-key them.
 func TestConfigHashPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -12,8 +12,6 @@
 //   - An ITP-style heuristic classifier (Safari): label a host a tracker
 //     when it only ever auto-redirects, and propagate guilt through
 //     shared navigation paths.
-//   - Blocklist purge (Firefox): clear the storage of listed tracker
-//     domains unless the user visited them as a first party.
 package countermeasures
 
 import (
@@ -23,7 +21,6 @@ import (
 	"strings"
 
 	"crumbcruncher/internal/publicsuffix"
-	"crumbcruncher/internal/storage"
 	"crumbcruncher/internal/tokens"
 )
 
@@ -276,22 +273,4 @@ func (c *ITPClassifier) Classified() []string {
 	}
 	sort.Strings(hosts)
 	return hosts
-}
-
-// --- Blocklist purge (Firefox, §7.1) -------------------------------------------
-
-// PurgeListed clears the storage of every listed domain the user has not
-// recently visited as a first party — Firefox's 24-hour Disconnect-list
-// purge. It returns the purged domains.
-func PurgeListed(store *storage.Store, listed []string, visitedFirstParty func(domain string) bool) []string {
-	var purged []string
-	for _, d := range listed {
-		if visitedFirstParty != nil && visitedFirstParty(d) {
-			continue
-		}
-		store.ClearDomain(d)
-		purged = append(purged, d)
-	}
-	sort.Strings(purged)
-	return purged
 }

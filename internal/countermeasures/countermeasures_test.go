@@ -150,24 +150,6 @@ func TestITPClassifier(t *testing.T) {
 	}
 }
 
-func TestPurgeListed(t *testing.T) {
-	s := storage.New(storage.Partitioned)
-	ctx := storage.Context{FrameHost: "tracker.net", TopHost: "tracker.net"}
-	s.SetCookie(ctx, storage.Cookie{Name: "uid", Value: "x"})
-	visited := storage.Context{FrameHost: "visited.com", TopHost: "visited.com"}
-	s.SetCookie(visited, storage.Cookie{Name: "uid", Value: "y"})
-
-	purged := PurgeListed(s, []string{"tracker.net", "visited.com"}, func(d string) bool {
-		return d == "visited.com"
-	})
-	if len(purged) != 1 || purged[0] != "tracker.net" {
-		t.Fatalf("purged = %v", purged)
-	}
-	if s.CookieCount() != 1 {
-		t.Fatalf("cookies left = %d", s.CookieCount())
-	}
-}
-
 // TestBreakageExperiment reproduces §6: strip the auth token from account
 // pages and observe the breakage classes the world was built with.
 func TestBreakageExperiment(t *testing.T) {

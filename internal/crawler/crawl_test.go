@@ -63,7 +63,7 @@ func TestCrawlAllFourCrawlersRecorded(t *testing.T) {
 
 func TestCrawlOKStepsSynchronized(t *testing.T) {
 	_, ds := smallCrawl(t)
-	for _, s := range ds.Steps() {
+	for _, s := range allSteps(ds) {
 		if s.Outcome != OutcomeOK {
 			continue
 		}
@@ -89,7 +89,7 @@ func TestCrawlOKStepsSynchronized(t *testing.T) {
 func TestCrawlRecordsNavigationChains(t *testing.T) {
 	_, ds := smallCrawl(t)
 	foundChain := false
-	for _, s := range ds.Steps() {
+	for _, s := range allSteps(ds) {
 		rec := s.Records[Safari1]
 		if rec == nil {
 			continue
@@ -111,7 +111,7 @@ func TestCrawlRecordsNavigationChains(t *testing.T) {
 
 func TestCrawlProfilesCorrect(t *testing.T) {
 	_, ds := smallCrawl(t)
-	for _, s := range ds.Steps() {
+	for _, s := range allSteps(ds) {
 		if r1, r1r := s.Records[Safari1], s.Records[Safari1R]; r1 != nil && r1r != nil {
 			if r1.Profile != r1r.Profile {
 				t.Fatal("Safari-1 and Safari-1R must share a profile")
@@ -204,7 +204,7 @@ func TestCrawlSmugglingObservable(t *testing.T) {
 	// At least one recorded navigation URL must carry a ground-truth UID
 	// parameter: the raw material of the whole study.
 	found := false
-	for _, s := range ds.Steps() {
+	for _, s := range allSteps(ds) {
 		for _, rec := range s.Records {
 			for _, hop := range rec.NavChain {
 				u, err := url.Parse(hop.URL)
@@ -227,7 +227,7 @@ func TestCrawlSmugglingObservable(t *testing.T) {
 func TestCrawlStorageSnapshots(t *testing.T) {
 	_, ds := smallCrawl(t)
 	cookies := 0
-	for _, s := range ds.Steps() {
+	for _, s := range allSteps(ds) {
 		for _, rec := range s.Records {
 			cookies += len(rec.After.Cookies)
 		}
@@ -239,7 +239,7 @@ func TestCrawlStorageSnapshots(t *testing.T) {
 
 func TestDatasetHelpers(t *testing.T) {
 	_, ds := smallCrawl(t)
-	if got := len(ds.Steps()); got != ds.StepCount() {
+	if got := len(allSteps(ds)); got != ds.StepCount() {
 		t.Fatalf("Steps()=%d StepCount()=%d", got, ds.StepCount())
 	}
 	total := 0
@@ -424,4 +424,13 @@ func TestPutStepOutOfOrderInsertion(t *testing.T) {
 	if rec := w.Steps[1].Records[Safari2]; rec == nil || rec.StartURL != "http://a.com/2" {
 		t.Fatalf("step 2 record misplaced: %+v", rec)
 	}
+}
+
+// allSteps returns all steps across all walks in order.
+func allSteps(d *Dataset) []*Step {
+	var out []*Step
+	for _, w := range d.Walks {
+		out = append(out, w.Steps...)
+	}
+	return out
 }

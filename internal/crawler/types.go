@@ -78,8 +78,6 @@ const (
 	// registered FQDNs (the paper's 1.8%); the step's data is still
 	// analysed.
 	OutcomeDivergent StepOutcome = "divergent_landing"
-	// OutcomeNoClickables means the page offered nothing to click.
-	OutcomeNoClickables StepOutcome = "no_clickables"
 	// OutcomeClickFailed means a crawler's click could not produce a
 	// navigation (e.g. an iframe without a loadable ad).
 	OutcomeClickFailed StepOutcome = "click_failed"
@@ -175,15 +173,6 @@ func (d *Dataset) Walk(idx int) *Walk {
 	return nil
 }
 
-// Steps returns all steps across all walks in order.
-func (d *Dataset) Steps() []*Step {
-	var out []*Step
-	for _, w := range d.Walks {
-		out = append(out, w.Steps...)
-	}
-	return out
-}
-
 // StepCount returns the total number of attempted steps.
 func (d *Dataset) StepCount() int {
 	n := 0
@@ -196,8 +185,10 @@ func (d *Dataset) StepCount() int {
 // OutcomeCounts tallies step outcomes — the failure-rate table of §3.3.
 func (d *Dataset) OutcomeCounts() map[StepOutcome]int {
 	out := make(map[StepOutcome]int)
-	for _, s := range d.Steps() {
-		out[s.Outcome]++
+	for _, w := range d.Walks {
+		for _, s := range w.Steps {
+			out[s.Outcome]++
+		}
 	}
 	return out
 }

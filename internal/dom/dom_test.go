@@ -23,6 +23,31 @@ const samplePage = `<!DOCTYPE html>
 </body>
 </html>`
 
+// byID returns the first element in document order whose id attribute
+// is id, or nil.
+func byID(n *Node, id string) *Node {
+	if m := n.FindAll(func(e *Node) bool { return e.AttrOr("id", "") == id }); len(m) > 0 {
+		return m[0]
+	}
+	return nil
+}
+
+// innerText concatenates the text content beneath n.
+func innerText(n *Node) string {
+	var b strings.Builder
+	var rec func(*Node)
+	rec = func(m *Node) {
+		if m.Type == TextNode {
+			b.WriteString(m.Text)
+		}
+		for _, c := range m.Children {
+			rec(c)
+		}
+	}
+	rec(n)
+	return b.String()
+}
+
 func TestParseBasicStructure(t *testing.T) {
 	doc := Parse(samplePage)
 	anchors := doc.ElementsByTag("a")
@@ -36,8 +61,8 @@ func TestParseBasicStructure(t *testing.T) {
 	if got := iframes[0].AttrOr("src", ""); got != "https://ads.example/slot/1" {
 		t.Fatalf("iframe src = %q", got)
 	}
-	if nav := doc.ByID("top"); nav == nil || nav.Tag != "nav" {
-		t.Fatal("ByID failed to find nav#top")
+	if nav := byID(doc, "top"); nav == nil || nav.Tag != "nav" {
+		t.Fatal("byID failed to find nav#top")
 	}
 }
 
@@ -47,7 +72,7 @@ func TestParseEntities(t *testing.T) {
 	if v, _ := p.Attr("title"); v != "a&b" {
 		t.Fatalf("attr entity: %q", v)
 	}
-	if got := strings.TrimSpace(p.InnerText()); got != "x < y" {
+	if got := strings.TrimSpace(innerText(p)); got != "x < y" {
 		t.Fatalf("text entity: %q", got)
 	}
 }
@@ -58,8 +83,8 @@ func TestParseScriptRawText(t *testing.T) {
 	if len(scripts) != 1 {
 		t.Fatalf("scripts = %d", len(scripts))
 	}
-	if !strings.Contains(scripts[0].InnerText(), "a < b && c > d") {
-		t.Fatalf("script body mangled: %q", scripts[0].InnerText())
+	if !strings.Contains(innerText(scripts[0]), "a < b && c > d") {
+		t.Fatalf("script body mangled: %q", innerText(scripts[0]))
 	}
 	if len(doc.ElementsByTag("p")) != 1 {
 		t.Fatal("content after script lost")
@@ -190,7 +215,7 @@ func TestRenderParseRoundTrip(t *testing.T) {
 func TestLayoutVerticalStacking(t *testing.T) {
 	doc := Parse(`<html><body><div id="a" height="100"></div><div id="b" height="50"></div></body></html>`)
 	Layout(doc, 1280)
-	a, b := doc.ByID("a"), doc.ByID("b")
+	a, b := byID(doc, "a"), byID(doc, "b")
 	if a.Box.H != 100 {
 		t.Fatalf("a height = %d", a.Box.H)
 	}
@@ -210,7 +235,7 @@ func TestLayoutDynamicContentShiftsOnlyY(t *testing.T) {
 		return doc
 	}
 	p1, p2 := page(60), page(200)
-	ad1, ad2 := p1.ByID("ad"), p2.ByID("ad")
+	ad1, ad2 := byID(p1, "ad"), byID(p2, "ad")
 	if ad1.Box.X != ad2.Box.X || ad1.Box.W != ad2.Box.W || ad1.Box.H != ad2.Box.H {
 		t.Fatalf("x/w/h changed: %v vs %v", ad1.Box, ad2.Box)
 	}

@@ -86,32 +86,6 @@ func (n *Node) AttrNames() []string {
 	return names
 }
 
-// AppendChild adds c as the last child of n and sets its parent. The
-// child slice starts at capacity 4, so a parent with a few children
-// costs one heap object. Parse does not use it: a parsed document's
-// children share one exactly-sized block.
-func (n *Node) AppendChild(c *Node) {
-	c.Parent = n
-	if n.Children == nil {
-		n.Children = make([]*Node, 0, 4)
-	}
-	n.Children = append(n.Children, c)
-}
-
-// Find returns the first element (depth-first, document order) for which
-// pred returns true, or nil.
-func (n *Node) Find(pred func(*Node) bool) *Node {
-	if n.Type == ElementNode && pred(n) {
-		return n
-	}
-	for _, c := range n.Children {
-		if m := c.Find(pred); m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
 // FindAll appends every matching element in document order.
 func (n *Node) FindAll(pred func(*Node) bool) []*Node {
 	var out []*Node
@@ -129,11 +103,6 @@ func (n *Node) ElementsByTag(tag string) []*Node {
 	return n.FindAll(func(e *Node) bool { return e.Tag == tag })
 }
 
-// ByID returns the element with the given id attribute, or nil.
-func (n *Node) ByID(id string) *Node {
-	return n.Find(func(e *Node) bool { return e.AttrOr("id", "") == id })
-}
-
 // walk visits every element node depth-first.
 func (n *Node) walk(visit func(*Node)) {
 	if n.Type == ElementNode {
@@ -142,22 +111,6 @@ func (n *Node) walk(visit func(*Node)) {
 	for _, c := range n.Children {
 		c.walk(visit)
 	}
-}
-
-// InnerText concatenates the text content beneath n.
-func (n *Node) InnerText() string {
-	var b strings.Builder
-	var rec func(*Node)
-	rec = func(m *Node) {
-		if m.Type == TextNode {
-			b.WriteString(m.Text)
-		}
-		for _, c := range m.Children {
-			rec(c)
-		}
-	}
-	rec(n)
-	return b.String()
 }
 
 // XPath returns a simple positional x-path for the element, e.g.

@@ -96,7 +96,7 @@ func TestWriterEscaping(t *testing.T) {
 	if got := a.AttrOr("href", ""); got != `/x?a=1&b="q"<>` {
 		t.Fatalf("attr round trip: %q", got)
 	}
-	if got := a.InnerText(); got != `5 < 6 & 7 > 2 "q"` {
+	if got := innerText(a); got != `5 < 6 & 7 > 2 "q"` {
 		t.Fatalf("text round trip: %q", got)
 	}
 }

@@ -5,8 +5,6 @@
 // mirrors that two-stage process.
 package entity
 
-import "sort"
-
 // List maps registered domains to organisations.
 type List struct {
 	byDomain map[string]string
@@ -29,16 +27,6 @@ func (l *List) OrgOf(domain string) (string, bool) {
 
 // Len returns the number of entries.
 func (l *List) Len() int { return len(l.byDomain) }
-
-// Domains returns the covered domains, sorted.
-func (l *List) Domains() []string {
-	out := make([]string, 0, len(l.byDomain))
-	for d := range l.byDomain {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Attributor resolves domain ownership the way the paper did: first the
 // entity list, then a manual-research map, else unattributed.
@@ -71,15 +59,4 @@ func (a *Attributor) OrgOf(domain string) string {
 		return o
 	}
 	return Unattributed
-}
-
-// ListCoverage reports how many of the given domains the entity list
-// alone covers — the paper's 45-of-436 observation.
-func (a *Attributor) ListCoverage(domains []string) (covered, total int) {
-	for _, d := range domains {
-		if _, ok := a.list.OrgOf(d); ok {
-			covered++
-		}
-	}
-	return covered, len(domains)
 }

@@ -9,7 +9,6 @@ package filterlist
 
 import (
 	"net/url"
-	"sort"
 	"strings"
 
 	"crumbcruncher/internal/publicsuffix"
@@ -28,7 +27,6 @@ type rule struct {
 	kind   ruleKind
 	domain string   // domainAnchor: the anchored domain
 	parts  []string // substring: wildcard-split parts
-	raw    string
 }
 
 // List is a compiled EasyList-style filter list.
@@ -61,26 +59,17 @@ func Parse(lines []string) *List {
 				domain = domain[:i]
 			}
 			if domain != "" {
-				l.rules = append(l.rules, rule{kind: domainAnchor, domain: strings.ToLower(domain), raw: raw})
+				l.rules = append(l.rules, rule{kind: domainAnchor, domain: strings.ToLower(domain)})
 			}
 			continue
 		}
-		l.rules = append(l.rules, rule{kind: substring, parts: strings.Split(line, "*"), raw: raw})
+		l.rules = append(l.rules, rule{kind: substring, parts: strings.Split(line, "*")})
 	}
 	return l
 }
 
 // Len returns the number of compiled rules.
 func (l *List) Len() int { return len(l.rules) }
-
-// Rules returns the raw text of the compiled rules.
-func (l *List) Rules() []string {
-	out := make([]string, len(l.rules))
-	for i, r := range l.rules {
-		out[i] = r.raw
-	}
-	return out
-}
 
 // Matches reports whether the URL is blocked by any rule.
 func (l *List) Matches(rawURL string) bool {
@@ -164,16 +153,6 @@ func (l *DomainList) Contains(host string) bool { return l.domains[reg(host)] }
 
 // Len returns the number of listed domains.
 func (l *DomainList) Len() int { return len(l.domains) }
-
-// Domains returns the listed domains, sorted.
-func (l *DomainList) Domains() []string {
-	out := make([]string, 0, len(l.domains))
-	for d := range l.domains {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // MissingFraction reports the fraction of hosts NOT covered by the list —
 // the paper's 41%-of-dedicated-smugglers gap.

@@ -96,11 +96,3 @@ func TestMissingFraction(t *testing.T) {
 		t.Fatalf("missing = %f, want %f", got, want)
 	}
 }
-
-func TestRulesRoundTrip(t *testing.T) {
-	in := []string{"||a.com^", "/banner/*"}
-	l := Parse(in)
-	if got := l.Rules(); len(got) != 2 || got[0] != "||a.com^" {
-		t.Fatalf("Rules() = %v", got)
-	}
-}

@@ -116,10 +116,6 @@ func (*dispFact) AFact() {}
 func (d *dispFact) releasesParam(i int) bool { return containsInt(d.Releases, i) }
 func (d *dispFact) retainsParam(i int) bool  { return containsInt(d.Retains, i) }
 
-func (d *dispFact) empty() bool {
-	return !d.ReleasesRecv && !d.RetainsRecv && len(d.Releases) == 0 && len(d.Retains) == 0
-}
-
 func (d *dispFact) equal(o *dispFact) bool {
 	return d.ReleasesRecv == o.ReleasesRecv && d.RetainsRecv == o.RetainsRecv &&
 		equalInts(d.Releases, o.Releases) && equalInts(d.Retains, o.Retains)

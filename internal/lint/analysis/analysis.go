@@ -110,20 +110,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 	return p.DepFacts(obj.Pkg().Path()).lookup(p.Analyzer.Name, path, f)
 }
 
-// PkgHasFacts reports whether facts exist for pkg: the pass's own
-// package, or a dependency the driver analyzed. When true, the absence
-// of a fact about one of pkg's objects is evidence (the analyzer looked
-// and proved nothing), so callers may be less conservative.
-func (p *Pass) PkgHasFacts(pkg *types.Package) bool {
-	if pkg == nil {
-		return false
-	}
-	if pkg == p.Pkg {
-		return p.Facts != nil
-	}
-	return p.DepFacts != nil && p.DepFacts(pkg.Path()) != nil
-}
-
 // Reportf reports a diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
@@ -156,13 +142,4 @@ func Validate(analyzers []*Analyzer) error {
 		seen[a.Name] = true
 	}
 	return nil
-}
-
-// Inspect walks every file of the pass in depth-first order, calling fn
-// for each node. If fn returns false the node's children are skipped.
-// It is the moral equivalent of the upstream inspect.Analyzer pass.
-func (p *Pass) Inspect(fn func(ast.Node) bool) {
-	for _, f := range p.Files {
-		ast.Inspect(f, fn)
-	}
 }

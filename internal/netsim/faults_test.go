@@ -12,27 +12,24 @@ import (
 )
 
 // TestFlavourStableAcrossCalls locks in that a failed domain's error
-// flavour is a pure function of the domain: repeated Check (and At)
-// calls return the identical transport error, so all four synchronized
-// crawlers record the same failure.
+// flavour is a pure function of the domain: repeated At calls, at any
+// attempt, return the identical transport error, so all four
+// synchronized crawlers record the same failure.
 func TestFlavourStableAcrossCalls(t *testing.T) {
 	f := NewFaultInjector(11, 1.0)
 	for i := 0; i < 50; i++ {
 		host := fmt.Sprintf("site%d.com", i)
-		first := f.Check(host)
+		first := f.At(host, 0).Err
 		if first == nil {
 			t.Fatalf("%s: rate 1.0 must fail", host)
 		}
 		for call := 0; call < 5; call++ {
-			if got := f.Check(host); got.Error() != first.Error() {
+			if got := f.At(host, call).Err; got == nil || got.Error() != first.Error() {
 				t.Fatalf("%s: flavour changed between calls: %v vs %v", host, first, got)
-			}
-			if got := f.At(host, 0).Err; got == nil || got.Error() != first.Error() {
-				t.Fatalf("%s: At flavour %v disagrees with Check %v", host, got, first)
 			}
 		}
 		// Subdomains share the registered domain's flavour.
-		if got := f.Check("www." + host); got.Error() != first.Error() {
+		if got := f.At("www."+host, 0).Err; got == nil || got.Error() != first.Error() {
 			t.Fatalf("%s: subdomain flavour %v disagrees with %v", host, got, first)
 		}
 	}
@@ -50,17 +47,11 @@ func TestExemptCoversRegisteredDomain(t *testing.T) {
 		if f.Unreachable(h) {
 			t.Errorf("%s unreachable despite sibling exemption", h)
 		}
-		if k := f.TransientFails(h); k != 0 {
-			t.Errorf("%s transient (k=%d) despite exemption", h, k)
-		}
-		if k := f.DegradeFails(h); k != 0 {
-			t.Errorf("%s degraded (k=%d) despite exemption", h, k)
-		}
-		if f.Spiky(h) {
-			t.Errorf("%s spiky despite exemption", h)
-		}
-		if ft := f.At(h, 0); ft != (Fault{}) {
-			t.Errorf("At(%s, 0) = %+v, want zero fault", h, ft)
+		// A transient, degraded or spiky domain faults on attempt 0.
+		for attempt := 0; attempt < 4; attempt++ {
+			if ft := f.At(h, attempt); ft != (Fault{}) {
+				t.Errorf("At(%s, %d) = %+v, want zero fault", h, attempt, ft)
+			}
 		}
 	}
 	if !f.Unreachable("other.com") {
@@ -74,7 +65,7 @@ func TestFaultRateEdges(t *testing.T) {
 	zero := NewFaultInjectorConfig(5, FaultConfig{})
 	for i := 0; i < 100; i++ {
 		h := fmt.Sprintf("h%d.com", i)
-		if zero.Unreachable(h) || zero.TransientFails(h) != 0 || zero.DegradeFails(h) != 0 || zero.Spiky(h) {
+		if zero.Unreachable(h) {
 			t.Fatalf("zero config injected a fault for %s", h)
 		}
 		for attempt := 0; attempt < 4; attempt++ {
@@ -87,8 +78,8 @@ func TestFaultRateEdges(t *testing.T) {
 	all := NewFaultInjectorConfig(5, FaultConfig{TransientRate: 1})
 	for i := 0; i < 100; i++ {
 		h := fmt.Sprintf("h%d.com", i)
-		if k := all.TransientFails(h); k < 1 || k > 2 {
-			t.Fatalf("TransientFails(%s) = %d, want in [1, 2]", h, k)
+		if k := all.transientFails(all.domainOf(h)); k < 1 || k > 2 {
+			t.Fatalf("transientFails(%s) = %d, want in [1, 2]", h, k)
 		}
 	}
 }
@@ -100,9 +91,9 @@ func TestTransientRecoveryByAttempt(t *testing.T) {
 	f := NewFaultInjectorConfig(3, FaultConfig{TransientRate: 1, TransientMaxFails: 3})
 	for i := 0; i < 50; i++ {
 		h := fmt.Sprintf("flaky%d.com", i)
-		k := f.TransientFails(h)
+		k := f.transientFails(f.domainOf(h))
 		if k < 1 || k > 3 {
-			t.Fatalf("TransientFails(%s) = %d, want in [1, 3]", h, k)
+			t.Fatalf("transientFails(%s) = %d, want in [1, 3]", h, k)
 		}
 		// Query attempts out of order to prove there is no hidden state.
 		for _, attempt := range []int{k, k - 1, 0, k + 5, k - 1, k} {

@@ -569,12 +569,6 @@ func NewFaultInjectorConfig(seed int64, cfg FaultConfig) *FaultInjector {
 	}
 }
 
-// Rate returns the configured permanent failure rate.
-func (f *FaultInjector) Rate() float64 { return f.cfg.ConnectFailRate }
-
-// Config returns the injector's full fault model.
-func (f *FaultInjector) Config() FaultConfig { return f.cfg }
-
 // Exempt excludes the registered domains of the given hosts from fault
 // injection. The synthetic web exempts tracker infrastructure so that the
 // connect-failure rate applies to content sites, matching the paper's
@@ -633,21 +627,8 @@ func (f *FaultInjector) flavour(domain string) error {
 	}
 }
 
-// Check returns the injected permanent error for host, or nil if the
-// host is reachable. Transient behaviour is attempt-dependent; use At.
-func (f *FaultInjector) Check(host string) error {
-	if !f.Unreachable(host) {
-		return nil
-	}
-	return f.flavour(f.domainOf(host))
-}
-
-// TransientFails returns how many leading attempts of a retry sequence
-// fail for host's domain (0: the domain is not transient).
-func (f *FaultInjector) TransientFails(host string) int {
-	return f.transientFails(f.domainOf(host))
-}
-
+// transientFails returns how many leading attempts of a retry sequence
+// fail for domain (0: the domain is not transient).
 func (f *FaultInjector) transientFails(domain string) int {
 	if f.exempt[domain] || !f.in(domain, saltTransient, f.cfg.TransientRate) {
 		return 0
@@ -655,24 +636,13 @@ func (f *FaultInjector) transientFails(domain string) int {
 	return 1 + int(f.hash(domain, saltTransientFails)%uint64(f.cfg.TransientMaxFails))
 }
 
-// DegradeFails returns how many leading attempts are answered with an
-// injected 502/503 for host's domain (0: never degraded).
-func (f *FaultInjector) DegradeFails(host string) int {
-	return f.degradeFails(f.domainOf(host))
-}
-
+// degradeFails returns how many leading attempts are answered with an
+// injected 502/503 for domain (0: never degraded).
 func (f *FaultInjector) degradeFails(domain string) int {
 	if f.exempt[domain] || !f.in(domain, saltDegrade, f.cfg.DegradeRate) {
 		return 0
 	}
 	return 1 + int(f.hash(domain, saltDegradeFails)%uint64(f.cfg.DegradeMaxFails))
-}
-
-// Spiky reports whether host's domain suffers a first-attempt latency
-// spike.
-func (f *FaultInjector) Spiky(host string) bool {
-	domain := f.domainOf(host)
-	return !f.exempt[domain] && f.in(domain, saltSpike, f.cfg.SpikeRate)
 }
 
 // At returns the injected fault for the given attempt (0-based) against

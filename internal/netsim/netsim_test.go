@@ -150,7 +150,7 @@ func TestFaultInjectorErrorFlavours(t *testing.T) {
 	f := NewFaultInjector(3, 1.0) // everything fails
 	flavours := map[string]bool{}
 	for i := 0; i < 60; i++ {
-		err := f.Check(fmt.Sprintf("h%d.com", i))
+		err := f.At(fmt.Sprintf("h%d.com", i), 0).Err
 		if err == nil {
 			t.Fatal("rate 1.0 must fail")
 		}
@@ -179,7 +179,7 @@ func TestFaultInjectorErrorFlavours(t *testing.T) {
 
 func TestFaultInjectorZeroRate(t *testing.T) {
 	f := NewFaultInjector(3, 0)
-	if f.Unreachable("any.com") || f.Check("any.com") != nil {
+	if f.Unreachable("any.com") || f.At("any.com", 0) != (Fault{}) {
 		t.Fatal("zero rate must never fail")
 	}
 }

@@ -69,9 +69,6 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Enabled reports whether the policy performs any retries.
-func (p Policy) Enabled() bool { return p.MaxAttempts > 1 }
-
 // Backoff returns the deterministic delay before attempt+1, i.e. after
 // attempt (0-based) failed: min(Base·Multiplier^attempt, Max) spread by
 // seeded jitter. It is a pure function of (seed, key, attempt).

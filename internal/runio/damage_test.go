@@ -1,7 +1,8 @@
 // Package runio holds the black-box conformance tests of the framed
 // line-file format that internal/runstore owns: the damage matrix over
-// every frame boundary and the FuzzRecords frame-decoder target. They
-// drive the codec only through runstore's exported surface.
+// every frame boundary, the FuzzRecords frame-decoder target and the
+// FuzzOpenReadOnly store-open target. They drive the codec only
+// through runstore's exported surface.
 package runio_test
 
 import (
@@ -43,6 +44,16 @@ func seedFile(t testing.TB, dir, format string, n int) (string, []int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	offsets := recordOffsets(data)
+	if len(offsets) != n+1 {
+		t.Fatalf("seeded %d records, found %d offsets", n+1, len(offsets))
+	}
+	return path, offsets
+}
+
+// recordOffsets returns the byte offsets where each line of data
+// starts: offsets[0] is the header.
+func recordOffsets(data []byte) []int64 {
 	offsets := []int64{0}
 	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
@@ -54,10 +65,7 @@ func seedFile(t testing.TB, dir, format string, n int) (string, []int64) {
 			offsets = append(offsets, int64(off))
 		}
 	}
-	if len(offsets) != n+1 {
-		t.Fatalf("seeded %d records, found %d offsets", n+1, len(offsets))
-	}
-	return path, offsets
+	return offsets
 }
 
 // damageFormats are the header formats TestDamageMatrix damages (and

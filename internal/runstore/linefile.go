@@ -79,25 +79,11 @@ func OpenLineFile(path string, want Header) (*LineFile, [][]byte, error) {
 	if err != nil {
 		return fail(fmt.Errorf("runstore: %s %s: %w", want.Format, path, err))
 	}
-	sc := scanLines(data, want)
+	sc, err := scanFile(data, path, want)
+	if err != nil {
+		return fail(err)
+	}
 	if sc.damage != nil {
-		sc.damage.Path = path
-		if sc.damage.check != nil {
-			// Intact bytes, wrong artifact (format/version/seed): the
-			// caller's mistake, never quarantine material.
-			return fail(sc.damage.check)
-		}
-		if errors.Is(sc.damage, ErrCorrupt) {
-			// Quarantine: move the damaged file aside so nothing ever
-			// reads past the corruption, and surface where it went.
-			f.Close()
-			q, rerr := quarantine(path)
-			if rerr != nil {
-				return nil, nil, fmt.Errorf("runstore: quarantine %s: %v (damage: %w)", path, rerr, sc.damage)
-			}
-			sc.damage.Quarantined = q
-			return nil, nil, sc.damage
-		}
 		// Torn tail: recover by truncating back to the last complete
 		// record; everything before it is intact and kept.
 		if err := f.Truncate(sc.goodEnd); err != nil {
@@ -130,6 +116,50 @@ func OpenLineFile(path string, want Header) (*LineFile, [][]byte, error) {
 		lf.seq = uint64(len(sc.entries)) + 1 // header + replayed entries
 	}
 	return lf, sc.entries, nil
+}
+
+// readLineFile reads the line file at path without writing it: a torn
+// tail is left on disk and out of the returned entries, which are
+// OpenLineFile's for the same bytes. Corruption and a wrong header fail
+// as they do in OpenLineFile, quarantine included.
+func readLineFile(path string, want Header) ([][]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("runstore: %s %s: %w", want.Format, path, err)
+	}
+	sc, err := scanFile(data, path, want)
+	if err != nil {
+		return nil, err
+	}
+	return sc.entries, nil
+}
+
+// scanFile scans the bytes of the line file at path. A wrong header
+// returns the plain check error. Mid-file corruption quarantines the
+// file to "<path>.corrupt" — so nothing ever reads past it — and
+// returns the DamageError naming where it went. A torn tail is no
+// error: the result's damage reports it, and its entries are the
+// intact records before it.
+func scanFile(data []byte, path string, want Header) (scanResult, error) {
+	sc := scanLines(data, want)
+	if sc.damage == nil {
+		return sc, nil
+	}
+	sc.damage.Path = path
+	if sc.damage.check != nil {
+		// Intact bytes, wrong artifact (format/version/seed): the
+		// caller's mistake, never quarantine material.
+		return sc, sc.damage.check
+	}
+	if errors.Is(sc.damage, ErrCorrupt) {
+		q, rerr := quarantine(path)
+		if rerr != nil {
+			return sc, fmt.Errorf("runstore: quarantine %s: %v (damage: %w)", path, rerr, sc.damage)
+		}
+		sc.damage.Quarantined = q
+		return sc, sc.damage
+	}
+	return sc, nil
 }
 
 // scanResult is one pass over a line file's bytes.

@@ -105,7 +105,11 @@ func Create(path string, m Manifest) (Store, error) {
 	return createSegment(path, m)
 }
 
-// Open opens the existing store at path. A path that is not a
+// Open opens the existing store at path, reading it without writing: a
+// torn tail a crash left is left out of the walks the store serves, and
+// the repairs a crash calls for wait for the store's first Append or
+// Finalize. Only damage moves anything: a corrupt index or unsealed
+// segment is quarantined, as every reader does. A path that is not a
 // directory — a line-file store written before every store was a
 // segment directory, say — is refused as a caller mistake: it is left
 // where it is, unread and unchanged.

@@ -185,6 +185,128 @@ func TestStoreResumeAfterClose(t *testing.T) {
 	}
 }
 
+// dirFiles returns the regular files of dir by name, with their bytes.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(des))
+	for _, de := range des {
+		data, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[de.Name()] = string(data)
+	}
+	return files
+}
+
+// sameFiles fails t unless got holds exactly want's files and bytes.
+func sameFiles(t *testing.T, label string, got, want map[string]string) {
+	t.Helper()
+	for name, data := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("%s: %s is gone", label, name)
+		} else if g != data {
+			t.Errorf("%s: %s holds %d bytes, want %d", label, name, len(g), len(data))
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: %s appeared", label, name)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// TestOpenDoesNotWrite pins that reading a store leaves it as it was:
+// Open, a scan, a Get and Close change no byte of a store whose active
+// segment ends in a torn record, and create or remove no file. The
+// first write makes the repair instead, so the resumed store finalizes
+// to the bytes of one that never tore.
+func TestOpenDoesNotWrite(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run.crumbs")
+	st, err := Create(dir, testManifest(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := st.Append(testWalk(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.OpenFile(segJSONLPath(dir, 0), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.WriteString("!0000"); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(t, st); len(got) != 3 {
+		t.Fatalf("scanned %d walks, want 3", len(got))
+	}
+	if w, err := st.Get(1); err != nil || !reflect.DeepEqual(w, testWalk(1)) {
+		t.Fatalf("Get(1) = %v, %v", w, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameFiles(t, "after reading", dirFiles(t, dir), before)
+
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Append(testWalk(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	got := drain(t, st)
+	if len(got) != 4 {
+		t.Fatalf("walks after resume = %d, want 4", len(got))
+	}
+	for i, w := range got {
+		if !reflect.DeepEqual(w, testWalk(i)) {
+			t.Fatalf("walk %d changed across the resume", i)
+		}
+	}
+
+	ref := filepath.Join(t.TempDir(), "ref.crumbs")
+	clean, err := Create(ref, testManifest(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	for i := 0; i < 4; i++ {
+		if err := clean.Append(testWalk(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := clean.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	sameFiles(t, "resumed, against a clean store", dirFiles(t, dir), dirFiles(t, ref))
+}
+
 // TestStoreStampFinalize pins the walk-log side of a store across
 // reopens (from sealed segments and unsealed records alike): Stamp
 // replaces the manifest's documents at Finalize, Finalized survives a

@@ -28,8 +28,10 @@ import (
 // and every segWalks records the segment seals: its bytes are
 // re-framed, gzipped and land via atomic rename, the jsonl is removed,
 // and the index gains a {seg, indices} record. A crash
-// between any two steps leaves either the jsonl (recovered and
-// re-adopted on open) or the sealed sgz — never neither.
+// between any two steps leaves either the jsonl (read on open, and
+// recovered and re-adopted by the first write) or the sealed sgz —
+// never neither. Opening a store writes nothing: every repair a crash
+// calls for waits for the first Append or Finalize (openForWriteLocked).
 // Reading is O(one segment) of memory: the index maps a walk to its
 // segment, the segment gunzips, and every record's checksum verifies
 // before a byte of it is decoded. A segment that fails verification is
@@ -75,7 +77,14 @@ type segmentStore struct {
 	manifest Manifest
 	segWalks int
 
-	index *LineFile // segments.idx, open for appends for the store's lifetime
+	// index is segments.idx, open for appends from the store's first
+	// write (at Create, or the first Append or Finalize after Open) to
+	// Close.
+	index *LineFile
+	// leftover lists the seg-*.jsonl files Open found, by ascending
+	// segment number: the first write removes those the index lists as
+	// sealed and adopts the others as line files.
+	leftover []int
 
 	// walkSeg maps every known walk index to its segment number.
 	walkSeg map[int]int
@@ -83,13 +92,16 @@ type segmentStore struct {
 	// the order of the segment's records, so record k is walk
 	// sealed[seg][k].
 	sealed map[int][]int
+	// unsealed holds the raw records of every segment not yet sealed —
+	// the active one, and any Open found that the first write has not
+	// adopted yet — by segment number, then walk index.
+	unsealed map[int]map[int][]byte
 
 	// active is the open, unsealed segment (nil until the first append
 	// after open or a seal).
 	active    *LineFile
 	activeSeg int
-	activeIdx []int          // indices in append order
-	activeRaw map[int][]byte // raw payloads of the active segment
+	activeIdx []int // indices in append order
 	nextSeg   int
 	finalized bool
 	// cache holds the most recently decoded sealed segments. Two slots:
@@ -165,30 +177,34 @@ func createSegment(path string, m Manifest) (Store, error) {
 		index:    idx,
 		walkSeg:  map[int]int{},
 		sealed:   map[int][]int{},
+		unsealed: map[int]map[int][]byte{},
 	}, nil
 }
 
+// openSegment opens the store at dir with plain reads: nothing on disk
+// changes, except that a corrupt index or unsealed segment is
+// quarantined as OpenLineFile would. A torn tail is left in place and
+// out of the walks the store serves.
 func openSegment(dir string) (Store, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	idx, entries, err := OpenLineFile(indexPath(dir), segIndexHeader(m.Seed))
-	if err != nil {
+	entries, err := readLineFile(indexPath(dir), segIndexHeader(m.Seed))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
 	st := &segmentStore{
 		dir:      dir,
 		manifest: m,
 		segWalks: segWalksDefault,
-		index:    idx,
 		walkSeg:  map[int]int{},
 		sealed:   map[int][]int{},
+		unsealed: map[int]map[int][]byte{},
 	}
 	for _, raw := range entries {
 		var e segIndexEntry
 		if err := json.Unmarshal(raw, &e); err != nil {
-			idx.Close()
 			return nil, fmt.Errorf("runstore: %s: decode index record: %w", dir, err)
 		}
 		st.sealed[e.Seg] = e.Indices
@@ -199,9 +215,9 @@ func openSegment(dir string) (Store, error) {
 			st.nextSeg = e.Seg + 1
 		}
 	}
-	// Adopt any unsealed segment a crash left behind: reopen it as the
-	// active line file (torn tails recover like any line file) and put
-	// its walks back on the map.
+	// Put the walks of any unsealed segment a crash left behind on the
+	// map. A jsonl whose segment the index lists as sealed is what a
+	// crash between rename and remove leaves; the sgz is authoritative.
 	leftover, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
 	if err == nil {
 		sort.Strings(leftover)
@@ -210,20 +226,46 @@ func openSegment(dir string) (Store, error) {
 			if _, serr := fmt.Sscanf(filepath.Base(p), "seg-%06d.jsonl", &n); serr != nil {
 				continue
 			}
+			st.leftover = append(st.leftover, n)
 			if _, isSealed := st.sealed[n]; isSealed {
-				// Sealed and the jsonl still present: the crash landed
-				// between rename and remove. The sgz is authoritative.
-				os.Remove(p)
 				continue
 			}
-			if err := st.adoptUnsealed(n); err != nil {
-				idx.Close()
+			entries, err := readLineFile(p, segHeader(m.Seed))
+			if err != nil {
+				return nil, err
+			}
+			if _, err := st.addUnsealed(n, entries); err != nil {
 				return nil, err
 			}
 		}
 	}
 	st.finalized = m.Walks > 0 && m.Walks == len(st.walkSeg)
 	return st, nil
+}
+
+// openForWriteLocked makes the repairs opening the store left to the
+// first write, in the order an open once made them: it opens the
+// index, removes the jsonl of every leftover segment the index lists as
+// sealed, and adopts the others as line files (torn tails truncated),
+// sealing each but the newest. Callers hold mu.
+func (st *segmentStore) openForWriteLocked() error {
+	if st.index == nil {
+		idx, _, err := OpenLineFile(indexPath(st.dir), segIndexHeader(st.manifest.Seed))
+		if err != nil {
+			return err
+		}
+		st.index = idx
+	}
+	for len(st.leftover) > 0 {
+		n := st.leftover[0]
+		if _, isSealed := st.sealed[n]; isSealed {
+			os.Remove(segJSONLPath(st.dir, n))
+		} else if err := st.adoptUnsealed(n); err != nil {
+			return err
+		}
+		st.leftover = st.leftover[1:]
+	}
+	return nil
 }
 
 // adoptUnsealed reopens an unsealed segment file for continued appends.
@@ -240,21 +282,36 @@ func (st *segmentStore) adoptUnsealed(n int) error {
 			return err
 		}
 	}
-	st.startActive(lf, n)
+	indices, err := st.addUnsealed(n, entries)
+	if err != nil {
+		lf.Close()
+		return err
+	}
+	st.active, st.activeSeg, st.activeIdx = lf, n, indices
+	return nil
+}
+
+// addUnsealed puts the records of unsealed segment n on the maps and
+// returns their walk indices in record order.
+func (st *segmentStore) addUnsealed(n int, entries [][]byte) ([]int, error) {
+	walks := make(map[int][]byte, len(entries))
+	indices := make([]int, 0, len(entries))
 	for _, raw := range entries {
 		var rec struct {
 			Index int `json:"index"`
 		}
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			lf.Close()
-			return fmt.Errorf("runstore: %s: decode walk record: %w", st.dir, err)
+			return nil, fmt.Errorf("runstore: %s: decode walk record: %w", st.dir, err)
 		}
-		st.addActive(rec.Index, raw)
+		walks[rec.Index] = raw
+		st.walkSeg[rec.Index] = n
+		indices = append(indices, rec.Index)
 	}
+	st.unsealed[n] = walks
 	if n >= st.nextSeg {
 		st.nextSeg = n + 1
 	}
-	return nil
+	return indices, nil
 }
 
 func (st *segmentStore) Manifest() Manifest {
@@ -273,22 +330,6 @@ func (st *segmentStore) Walks() int {
 	return len(st.walkSeg)
 }
 
-// startActive makes lf, segment n, the active segment. Callers hold mu
-// (or own the store during open).
-func (st *segmentStore) startActive(lf *LineFile, n int) {
-	st.active = lf
-	st.activeSeg = n
-	st.activeIdx = nil
-	st.activeRaw = map[int][]byte{}
-}
-
-// addActive puts a record of the active segment on the maps.
-func (st *segmentStore) addActive(idx int, raw []byte) {
-	st.activeIdx = append(st.activeIdx, idx)
-	st.activeRaw[idx] = raw
-	st.walkSeg[idx] = st.activeSeg
-}
-
 func (st *segmentStore) Append(w *crawler.Walk) error {
 	// Encoding is a pure function of the walk, so concurrent appends
 	// encode in parallel and hold the lock only to write.
@@ -301,6 +342,9 @@ func (st *segmentStore) Append(w *crawler.Walk) error {
 	if st.finalized {
 		return ErrFinalized
 	}
+	if err := st.openForWriteLocked(); err != nil {
+		return err
+	}
 	if st.active == nil {
 		lf, entries, err := OpenLineFile(segJSONLPath(st.dir, st.nextSeg), segHeader(st.manifest.Seed))
 		if err != nil {
@@ -310,13 +354,16 @@ func (st *segmentStore) Append(w *crawler.Walk) error {
 			lf.Close()
 			return fmt.Errorf("runstore: %s: segment %d not empty", st.dir, st.nextSeg)
 		}
-		st.startActive(lf, st.nextSeg)
+		st.active, st.activeSeg, st.activeIdx = lf, st.nextSeg, nil
+		st.unsealed[st.nextSeg] = map[int][]byte{}
 		st.nextSeg++
 	}
 	if err := st.active.appendRaw(raw); err != nil {
 		return err
 	}
-	st.addActive(w.Index, raw)
+	st.activeIdx = append(st.activeIdx, w.Index)
+	st.unsealed[st.activeSeg][w.Index] = raw
+	st.walkSeg[w.Index] = st.activeSeg
 	if len(st.activeIdx) >= st.segWalks {
 		return st.sealActiveLocked()
 	}
@@ -354,10 +401,10 @@ func (st *segmentStore) sealActiveLocked() error {
 		return err
 	}
 	st.sealed[st.activeSeg] = st.activeIdx
+	delete(st.unsealed, st.activeSeg)
 	os.Remove(jsonl)
 	st.active = nil
 	st.activeIdx = nil
-	st.activeRaw = nil
 	return nil
 }
 
@@ -534,8 +581,8 @@ func (st *segmentStore) rawRecord(idx int) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: index %d", ErrNoWalk, idx)
 	}
-	if st.active != nil && seg == st.activeSeg {
-		return st.activeRaw[idx], nil
+	if walks, ok := st.unsealed[seg]; ok {
+		return walks[idx], nil
 	}
 	walks, err := st.loadSealedLocked(seg)
 	if err != nil {
@@ -580,6 +627,9 @@ func (st *segmentStore) Finalize() error {
 	defer st.mu.Unlock()
 	if st.finalized {
 		return nil
+	}
+	if err := st.openForWriteLocked(); err != nil {
+		return err
 	}
 	if err := st.sealActiveLocked(); err != nil {
 		return err

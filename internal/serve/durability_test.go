@@ -142,8 +142,8 @@ func TestStoreBootRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A directory with no manifest, and a drained job's store whose
-	// unsealed segment ends in a torn record: opening that store would
-	// truncate the tear, so a boot must not open it.
+	// unsealed segment ends in a torn record: neither holds a finalized
+	// run, so a boot leaves both as they are.
 	if err := os.Mkdir(filepath.Join(dir, jobRunFile("job-000010")), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 )
@@ -141,12 +140,6 @@ func (s *Splitter) Child(label string) *Splitter {
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a uniform non-negative int64.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
-// Uint64 returns a uniform uint64.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
@@ -160,12 +153,6 @@ func (g *RNG) Bool(p float64) bool {
 	}
 	return g.r.Float64() < p
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Pick returns a uniformly chosen element of xs. It panics on an empty
 // slice.
@@ -220,37 +207,4 @@ func (g *RNG) Geometric(p float64, max int) int {
 		n++
 	}
 	return n
-}
-
-// Token returns a random lowercase hex token of n characters, the shape of
-// a typical smuggled UID.
-func (g *RNG) Token(n int) string {
-	const hexdigits = "0123456789abcdef"
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = hexdigits[g.Intn(16)]
-	}
-	return string(b)
-}
-
-// AlphaNum returns a random alphanumeric string of n characters.
-func (g *RNG) AlphaNum(n int) string {
-	const alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = alphabet[g.Intn(len(alphabet))]
-	}
-	return string(b)
-}
-
-// Normal returns a normally distributed float64 with the given mean and
-// standard deviation.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return g.r.NormFloat64()*stddev + mean
-}
-
-// LogNormal returns a log-normally distributed value whose underlying
-// normal has the given mu and sigma. Used for latency simulation.
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(g.r.NormFloat64()*sigma + mu)
 }

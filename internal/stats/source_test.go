@@ -26,22 +26,23 @@ func referenceRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
-// draw runs op number i of a fixed mix that calls every RNG method, and
-// returns what it drew as comparable values.
+// draw runs op number i of a fixed mix that calls every RNG method and
+// the other math/rand draws (Int63, Uint64, Perm, Shuffle, NormFloat64)
+// the source serves, and returns what it drew as comparable values.
 func draw(g *RNG, i int) []any {
-	switch i % 14 {
+	switch i % 11 {
 	case 0:
 		return []any{g.Intn(10), g.Intn(1 << 20), g.Intn(1<<40 + 3)}
 	case 1:
-		return []any{g.Int63()}
+		return []any{g.r.Int63()}
 	case 2:
-		return []any{g.Uint64()}
+		return []any{g.r.Uint64()}
 	case 3:
 		return []any{g.Float64()}
 	case 4:
 		return []any{g.Bool(0.3), g.Bool(0), g.Bool(1)}
 	case 5:
-		p := g.Perm(i%9 + 1)
+		p := g.r.Perm(i%9 + 1)
 		out := make([]any, len(p))
 		for j, v := range p {
 			out[j] = v
@@ -49,20 +50,14 @@ func draw(g *RNG, i int) []any {
 		return out
 	case 6:
 		xs := []int{0, 1, 2, 3, 4, 5, 6}
-		g.Shuffle(len(xs), func(a, b int) { xs[a], xs[b] = xs[b], xs[a] })
+		g.r.Shuffle(len(xs), func(a, b int) { xs[a], xs[b] = xs[b], xs[a] })
 		return []any{xs[0], xs[1], xs[2], xs[3], xs[4], xs[5], xs[6]}
 	case 7:
 		return []any{g.WeightedIndex([]float64{0.5, 0, 2, -1, 1.5})}
 	case 8:
 		return []any{g.Geometric(0.35, 12)}
 	case 9:
-		return []any{g.Token(12)}
-	case 10:
-		return []any{g.AlphaNum(9)}
-	case 11:
-		return []any{g.Normal(3, 2)}
-	case 12:
-		return []any{g.LogNormal(0.5, 0.8)}
+		return []any{g.r.NormFloat64()}
 	default:
 		return []any{Pick(g, []string{"a", "b", "c", "d", "e"})}
 	}
@@ -120,7 +115,7 @@ func TestSourceReseedMidStream(t *testing.T) {
 		// Draw part of the stream (some words filled, some not), or
 		// enough to have filled and overwritten the whole register.
 		for j := 0; j < (i%3)*500+i; j++ {
-			g.Uint64()
+			g.r.Uint64()
 		}
 		g.r.Seed(seed)
 		sameDraws(t, "reseeded", g, referenceRNG(seed), 200)
@@ -132,7 +127,7 @@ func TestSourceReseedMidStream(t *testing.T) {
 	for _, seed := range seeds[:20] {
 		g := AcquireRNG(seed ^ 0x5bd1e995)
 		for j := 0; j < 321; j++ {
-			g.Int63()
+			g.r.Int63()
 		}
 		g.Release()
 		g = AcquireRNG(seed)

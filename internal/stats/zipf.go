@@ -1,63 +1,15 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Zipf samples ranks 1..N with probability proportional to 1/rank^s. It is
-// used to give the synthetic web a realistic popularity skew: a handful of
-// hyper-popular sites (the Sports-Reference- and Facebook-alikes of the
-// paper's Figure 4) and a long tail.
-//
-// The implementation precomputes the CDF and answers draws with a binary
-// search, so sampling is O(log N) and allocation-free after construction.
-type Zipf struct {
-	cdf []float64 // cdf[i] = P(rank <= i+1)
-}
-
-// NewZipf builds a Zipf distribution over ranks 1..n with exponent s.
-// It panics if n <= 0 or s < 0.
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic(fmt.Sprintf("stats: NewZipf n=%d, want > 0", n))
-	}
-	if s < 0 {
-		panic(fmt.Sprintf("stats: NewZipf s=%g, want >= 0", s))
-	}
-	cdf := make([]float64, n)
-	var total float64
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = total
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	cdf[n-1] = 1 // guard against FP drift
-	return &Zipf{cdf: cdf}
-}
-
-// Rank draws a rank in [1, N].
-func (z *Zipf) Rank(g *RNG) int {
-	x := g.Float64()
-	i := sort.SearchFloat64s(z.cdf, x)
-	if i >= len(z.cdf) {
-		i = len(z.cdf) - 1
-	}
-	return i + 1
-}
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
+import "math"
 
 // ZipfRank maps a uniform u in [0, 1) to a rank in [1, n] with density
 // approximately proportional to 1/rank^s, by inverting the CDF of the
-// continuous Zipf approximation in closed form. Unlike NewZipf it holds
-// no per-rank state, so popularity-biased sampling over a million-site
-// lazy world costs O(1) memory instead of an 8 MB CDF table. s must not
-// equal 1 (the skews used here are well below it).
+// continuous Zipf approximation in closed form. It gives the synthetic
+// web a realistic popularity skew: a handful of hyper-popular sites (the
+// Sports-Reference- and Facebook-alikes of the paper's Figure 4) and a
+// long tail. It holds no per-rank state, so popularity-biased sampling
+// over a million-site lazy world costs O(1) memory instead of an 8 MB
+// CDF table. s must not equal 1 (the skews used here are well below it).
 func ZipfRank(n int, s, u float64) int {
 	if n <= 1 {
 		return 1
@@ -71,15 +23,4 @@ func ZipfRank(n int, s, u float64) int {
 		r = n
 	}
 	return r
-}
-
-// P returns the probability of drawing rank r (1-based).
-func (z *Zipf) P(r int) float64 {
-	if r < 1 || r > len(z.cdf) {
-		return 0
-	}
-	if r == 1 {
-		return z.cdf[0]
-	}
-	return z.cdf[r-1] - z.cdf[r-2]
 }

@@ -33,10 +33,6 @@ type ZTestResult struct {
 	Diff float64
 }
 
-// Significant reports whether the difference is significant at level alpha
-// (two-tailed).
-func (r ZTestResult) Significant(alpha float64) bool { return r.PValue < alpha }
-
 // ErrDegenerateSample is returned when a Z test cannot be computed (empty
 // groups, or a pooled proportion of exactly 0 or 1, which makes the
 // standard error zero).

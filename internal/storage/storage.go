@@ -80,16 +80,6 @@ func (c Cookie) Expired(now time.Time) bool {
 	return !c.Expires.IsZero() && !now.Before(c.Expires)
 }
 
-// Lifetime returns the configured lifetime, or 0 for session cookies. The
-// paper's prior-work baselines classify tokens by this value (< 30 or < 90
-// days ⇒ "session ID").
-func (c Cookie) Lifetime() time.Duration {
-	if c.Expires.IsZero() {
-		return 0
-	}
-	return c.Expires.Sub(c.Created)
-}
-
 // partitionKey identifies one storage bucket.
 type partitionKey struct {
 	domain string // registered domain of the storing party
@@ -115,11 +105,6 @@ func New(policy Policy) *Store {
 		cookies: make(map[partitionKey]map[string]Cookie),
 		local:   make(map[partitionKey]map[string]string),
 	}
-}
-
-// Policy returns the store's third-party policy.
-func (s *Store) Policy() Policy {
-	return s.policy
 }
 
 // key resolves the storage bucket for ctx, applying the policy. The second
@@ -272,25 +257,6 @@ func (s *Store) FirstPartyLocal(topHost string) map[string]string {
 	return s.Local(Context{FrameHost: topHost, TopHost: topHost})
 }
 
-// ClearDomain removes every bucket owned by the registered domain of host
-// — the primitive behind Firefox's 24-hour purge of blocklisted trackers
-// and Brave's ephemeral storage for smugglers (§7.1).
-func (s *Store) ClearDomain(host string) {
-	d := s.registered(host)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.cookies {
-		if k.domain == d {
-			delete(s.cookies, k)
-		}
-	}
-	for k := range s.local {
-		if k.domain == d {
-			delete(s.local, k)
-		}
-	}
-}
-
 // CookieCount returns the total number of stored cookies across all
 // buckets (diagnostics and tests).
 func (s *Store) CookieCount() int {
@@ -301,24 +267,4 @@ func (s *Store) CookieCount() int {
 		n += len(m)
 	}
 	return n
-}
-
-// Domains returns the sorted set of registered domains that own at least
-// one bucket.
-func (s *Store) Domains() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	set := make(map[string]bool)
-	for k := range s.cookies {
-		set[k.domain] = true
-	}
-	for k := range s.local {
-		set[k.domain] = true
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	slices.Sort(out)
-	return out
 }

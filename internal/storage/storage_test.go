@@ -87,16 +87,6 @@ func TestCookieExpiry(t *testing.T) {
 	}
 }
 
-func TestCookieLifetime(t *testing.T) {
-	c := Cookie{Created: now, Expires: now.Add(90 * 24 * time.Hour)}
-	if got := c.Lifetime(); got != 90*24*time.Hour {
-		t.Fatalf("lifetime = %v", got)
-	}
-	if (Cookie{Created: now}).Lifetime() != 0 {
-		t.Fatal("session cookie lifetime should be 0")
-	}
-}
-
 func TestCookieOverwrite(t *testing.T) {
 	s := New(Flat)
 	ctx := firstParty("a.com")
@@ -172,33 +162,11 @@ func TestFirstPartySnapshotHelpers(t *testing.T) {
 	}
 }
 
-func TestClearDomain(t *testing.T) {
-	s := New(Partitioned)
-	s.SetCookie(firstParty("smuggler.net"), Cookie{Name: "uid", Value: "u", Created: now})
-	s.SetCookie(Context{FrameHost: "smuggler.net", TopHost: "a.com"}, Cookie{Name: "p", Value: "x", Created: now})
-	s.SetLocal(firstParty("smuggler.net"), "k", "v")
-	s.SetCookie(firstParty("innocent.com"), Cookie{Name: "keep", Value: "k", Created: now})
-
-	s.ClearDomain("www.smuggler.net")
-	if len(s.Cookies(firstParty("smuggler.net"), now)) != 0 {
-		t.Fatal("first-party cookies survived ClearDomain")
-	}
-	if len(s.Local(firstParty("smuggler.net"))) != 0 {
-		t.Fatal("localStorage survived ClearDomain")
-	}
-	if len(s.Cookies(firstParty("innocent.com"), now)) != 1 {
-		t.Fatal("ClearDomain removed an unrelated domain")
-	}
-}
-
-func TestDomainsAndCount(t *testing.T) {
+func TestCookieCount(t *testing.T) {
 	s := New(Flat)
 	s.SetCookie(firstParty("b.com"), Cookie{Name: "x", Created: now})
 	s.SetCookie(firstParty("a.com"), Cookie{Name: "y", Created: now})
 	s.SetLocal(firstParty("c.com"), "k", "v")
-	if got := s.Domains(); len(got) != 3 || got[0] != "a.com" || got[2] != "c.com" {
-		t.Fatalf("Domains = %v", got)
-	}
 	if s.CookieCount() != 2 {
 		t.Fatalf("CookieCount = %d", s.CookieCount())
 	}

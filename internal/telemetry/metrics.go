@@ -279,18 +279,3 @@ func snapshotHistogram(h *Histogram) HistogramSnapshot {
 	sort.Slice(hs.Buckets, func(a, b int) bool { return hs.Buckets[a].Le < hs.Buckets[b].Le })
 	return hs
 }
-
-// CounterNames returns the registered counter names in sorted order.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

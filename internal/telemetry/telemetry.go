@@ -85,9 +85,6 @@ func (t *Telemetry) Counter(name string) *Counter { return t.Registry().Counter(
 // Gauge is shorthand for Registry().Gauge(name); nil-safe.
 func (t *Telemetry) Gauge(name string) *Gauge { return t.Registry().Gauge(name) }
 
-// Histogram is shorthand for Registry().Histogram(name); nil-safe.
-func (t *Telemetry) Histogram(name string) *Histogram { return t.Registry().Histogram(name) }
-
 // Span is one completed trace record. Start and End are virtual-clock
 // timestamps (deterministic per seed); Wall is the real elapsed time
 // (diagnostic only, excluded from any determinism guarantee).
@@ -100,9 +97,6 @@ type Span struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 	Err   string            `json:"err,omitempty"`
 }
-
-// VirtualDuration is the span's extent on the virtual clock.
-func (s Span) VirtualDuration() time.Duration { return s.End.Sub(s.Start) }
 
 // Stopwatch measures real elapsed time for telemetry enrichment. It is
 // the pipeline's only sanctioned wall-clock observation point: results

@@ -1,17 +1,13 @@
-// Package tranco reads and writes Tranco-style top-site lists — the
-// "rank,domain" CSV format of the research-oriented ranking the paper
-// draws its 10,000 seeder domains from (§3.1). The synthetic world
-// publishes its popularity ranking in this format, and the crawler can be
-// seeded from any such file, so real Tranco snapshots plug in directly
-// when crawling outside the simulation.
+// Package tranco writes Tranco-style top-site lists — the "rank,domain"
+// CSV format of the research-oriented ranking the paper draws its 10,000
+// seeder domains from (§3.1). The synthetic world publishes its
+// popularity ranking in this format (crumbweb -tranco).
 package tranco
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Entry is one ranked domain.
@@ -20,27 +16,9 @@ type Entry struct {
 	Domain string
 }
 
-// List is a parsed ranking, ordered by rank.
+// List is a ranking, ordered by rank.
 type List struct {
 	Entries []Entry
-}
-
-// Domains returns the domains in rank order.
-func (l *List) Domains() []string {
-	out := make([]string, len(l.Entries))
-	for i, e := range l.Entries {
-		out[i] = e.Domain
-	}
-	return out
-}
-
-// Top returns the n highest-ranked domains (all if n exceeds the list).
-func (l *List) Top(n int) []string {
-	d := l.Domains()
-	if n < len(d) {
-		d = d[:n]
-	}
-	return d
 }
 
 // FromDomains builds a list from domains already in rank order.
@@ -61,42 +39,4 @@ func Write(w io.Writer, l *List) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Parse reads a Tranco-style CSV. Blank lines and #-comments are skipped.
-// Ranks must be positive and strictly increasing; domains must be
-// non-empty.
-func Parse(r io.Reader) (*List, error) {
-	l := &List{}
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	prevRank := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rankStr, domain, ok := strings.Cut(line, ",")
-		if !ok {
-			return nil, fmt.Errorf("tranco: line %d: want rank,domain, got %q", lineNo, line)
-		}
-		rank, err := strconv.Atoi(strings.TrimSpace(rankStr))
-		if err != nil || rank <= 0 {
-			return nil, fmt.Errorf("tranco: line %d: bad rank %q", lineNo, rankStr)
-		}
-		if rank <= prevRank {
-			return nil, fmt.Errorf("tranco: line %d: rank %d not increasing", lineNo, rank)
-		}
-		prevRank = rank
-		domain = strings.ToLower(strings.TrimSpace(domain))
-		if domain == "" {
-			return nil, fmt.Errorf("tranco: line %d: empty domain", lineNo)
-		}
-		l.Entries = append(l.Entries, Entry{Rank: rank, Domain: domain})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tranco: %w", err)
-	}
-	return l, nil
 }

@@ -2,7 +2,6 @@ package uid
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"crumbcruncher/internal/tokens"
@@ -129,13 +128,4 @@ func firstObservation(byProfile map[string][]*tokens.Candidate) *tokens.Candidat
 	}
 	sort.Strings(profiles)
 	return byProfile[profiles[0]][0]
-}
-
-// TrueParamNames extracts the underlying parameter name from a sequential
-// case's synthetic group name ("origin|param").
-func (c *Case) TrueParamName() string {
-	if i := strings.LastIndexByte(c.Group.Name, '|'); i >= 0 {
-		return c.Group.Name[i+1:]
-	}
-	return c.Group.Name
 }

@@ -311,8 +311,8 @@ func TestSequentialIdentify(t *testing.T) {
 	if len(cases) != 1 {
 		t.Fatalf("cases = %d, want 1 (stats %+v)", len(cases), stats)
 	}
-	if got := cases[0].TrueParamName(); got != "zid" {
-		t.Fatalf("param = %q", got)
+	if got := cases[0].Group.Name; got != "news.com|zid" {
+		t.Fatalf("group = %q, want news.com|zid", got)
 	}
 	if stats.SingleUser != 1 || stats.SameAcrossUsers != 1 {
 		t.Fatalf("stats = %+v", stats)

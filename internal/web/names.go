@@ -40,19 +40,6 @@ func (f *nameForge) unique(gen func() string) string {
 var siteTLDs = []string{".com", ".com", ".com", ".net", ".org", ".co", ".io", ".ru", ".de"}
 var trackerTLDs = []string{".com", ".net", ".net", ".io", ".link", ".world"}
 
-// siteDomain coins a content-site domain like "brightvalleynews.com".
-func (f *nameForge) siteDomain(categoryHint string) string {
-	return f.unique(func() string {
-		a := stats.Pick(f.rng, words.Common)
-		b := stats.Pick(f.rng, words.Common)
-		if a == b {
-			b = stats.Pick(f.rng, words.Brandish)
-		}
-		tld := stats.Pick(f.rng, siteTLDs)
-		return a + b + tld
-	})
-}
-
 // trackerDomain coins an ad-tech domain like "clickmetrix.net".
 func (f *nameForge) trackerDomain() string {
 	return f.unique(func() string {

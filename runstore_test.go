@@ -62,7 +62,7 @@ func TestRunStoreMetricsIdentical(t *testing.T) {
 	for _, par := range []int{1, 4, 16} {
 		pcfg := run.Config
 		pcfg.Parallelism = par
-		rerun, err := crumbcruncher.ReanalyzeContext(context.Background(), pcfg, run)
+		rerun, err := crumbcruncher.NewRunner(pcfg).Reanalyze(context.Background(), run)
 		if err != nil {
 			t.Fatalf("reanalyze par=%d: %v", par, err)
 		}

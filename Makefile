@@ -4,14 +4,15 @@
 # runs them),
 # runs the full test suite with the race detector on — which exercises
 # the parallel analysis pipeline's determinism tests (Parallelism
-# 1/4/16) under -race — and finishes with the chaos smoke (kill,
-# corrupt, recover, diff against a clean run; DESIGN.md §12).
+# 1/4/16) under -race — then the allocation ceilings without it, and
+# finishes with the chaos smoke (kill, corrupt, recover, diff against a
+# clean run; DESIGN.md §12).
 
 GO ?= go
 
-.PHONY: check build vet lint test race bench bench-all chaos scale
+.PHONY: check build vet lint test race ceilings bench bench-all chaos scale
 
-check: build vet lint race chaos
+check: build vet lint race ceilings chaos
 
 build:
 	$(GO) build ./...
@@ -43,6 +44,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The page-load and beacon allocation ceilings skip under -race, whose
+# sync.Pool drops recycled values at random, so they run here without
+# it.
+ceilings:
+	$(GO) test -count=1 -run 'TestPageAllocsCeiling|TestPageBytesCeiling|TestBeaconFetchAllocsCeiling' ./internal/web ./internal/browser
 
 # Crash-safety smoke: SIGKILL + bit-flip chaos at three process-level
 # points, recovered metrics diffed byte-for-byte against clean runs.

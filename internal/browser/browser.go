@@ -116,11 +116,12 @@ type Browser struct {
 	attempt int
 
 	// The request every fetch reuses (see the type's doc): its URL, the
-	// header values its one-element header slices point into, and the
-	// buffer the Cookie header is built in.
+	// header values its one-element header slices point into, the list
+	// of cookies a fetch sends and the buffer their header is built in.
 	req       http.Request
 	reqURL    url.URL
 	reqVals   [7]string
+	cookies   []storage.Cookie
 	cookieBuf []byte
 
 	// Cached telemetry instruments (all nil-safe no-ops when
@@ -285,11 +286,13 @@ func (b *Browser) navigate(cur *url.URL, curStr, referer string) (*Page, error) 
 			}
 			return nil, &NavError{URL: curStr, Chain: chain, Err: he}
 		}
+		doc := dom.ParseDocument(body)
 		page := &Page{
 			URL:    cur,
 			urlStr: curStr,
-			Doc:    dom.Parse(body),
+			Doc:    doc.Root(),
 			Chain:  chain,
+			doc:    doc,
 		}
 		dom.Layout(page.Doc, b.cfg.ViewportWidth)
 		b.runScripts(page)
@@ -350,10 +353,11 @@ func (b *Browser) fetchCtx(u *url.URL, rawURL, referer string, kind RequestKind,
 		h[hdrReferer] = vals[5:6:6]
 	}
 	now := b.clock.Now()
-	if cs := b.store.Cookies(ctx, now); len(cs) > 0 {
+	if cs := b.store.AppendCookies(b.cookies[:0], ctx, now); len(cs) > 0 {
 		b.cookieBuf = appendCookieHeader(b.cookieBuf[:0], cs)
 		vals[6] = string(b.cookieBuf)
 		h[hdrCookie] = vals[6:7:7]
+		b.cookies = cs
 	}
 
 	// The network is the transport itself: an http.Client would clone

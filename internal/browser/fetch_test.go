@@ -151,12 +151,14 @@ func TestRequestIsolation(t *testing.T) {
 
 // beaconAllocCeiling bounds the heap allocations of one beacon fetch
 // with one cookie through fireBeacon: resolving the endpoint, encoding
-// its query, printing its URL, listing the cookies and building their
-// header, the round trip through the network (response, status line,
-// body) and the request record. It measured 16 on go1.24 linux/amd64,
-// where a fresh request and header map per fetch and a url.Values round
-// trip per beacon measured 35; the ceiling leaves about 10% headroom.
-const beaconAllocCeiling = 18
+// its query, printing its URL, listing the cookies into the browser's
+// reused list and building their header, the round trip through the
+// network (response, body) and the request record. It measured 12 on
+// go1.24 linux/amd64. A fresh cookie list per fetch and a printed
+// status line per response measured 15, and a fresh request and header
+// map per fetch and a url.Values round trip per beacon 35 before that.
+// The ceiling leaves about 10% headroom.
+const beaconAllocCeiling = 13
 
 func TestBeaconFetchAllocsCeiling(t *testing.T) {
 	if raceEnabled {

@@ -15,6 +15,12 @@ import (
 // navigation chain that produced it. A page is immutable after load, so
 // facts derived from it — its URL string, its clickables — are computed
 // once and kept.
+//
+// A page owns the pooled documents its tree and its frames' trees live
+// in (dom.Document), and Release gives them back. Release ends the page:
+// neither a released page nor any *dom.Node reached from it may be used
+// again. Strings read from it (URLs, attribute values, Clickable and
+// Hop fields) stay valid. A page nobody releases is simply collected.
 type Page struct {
 	URL   *url.URL
 	Doc   *dom.Node
@@ -24,9 +30,12 @@ type Page struct {
 	// fetched.
 	urlStr string
 
-	// Frames maps iframe elements (by identity) to their loaded
-	// subdocuments.
-	Frames map[*dom.Node]*Frame
+	// doc holds Doc's blocks.
+	doc *dom.Document
+
+	// frames are the loaded subdocuments of the page's iframe elements,
+	// in document order.
+	frames []*Frame
 
 	// decorators are the click-time link decorators registered by this
 	// page's scripts.
@@ -50,6 +59,26 @@ type Frame struct {
 
 	// src is SrcURL parsed; nil when the src did not resolve.
 	src *url.URL
+	// doc holds Doc's blocks; nil when the frame did not load.
+	doc *dom.Document
+}
+
+// Release returns the page's documents, its own and its frames', to the
+// dom pool (see the type's doc). It may be called on a nil or an already
+// released page.
+func (p *Page) Release() {
+	if p == nil || p.doc == nil {
+		return
+	}
+	for _, f := range p.frames {
+		if f.doc != nil {
+			f.doc.Release()
+			f.doc, f.Doc = nil, nil
+		}
+	}
+	p.doc.Release()
+	p.doc, p.Doc, p.frames = nil, nil, nil
+	p.clickables, p.clickablesDone = nil, false
 }
 
 // FinalHost returns the host of the page URL.
@@ -82,25 +111,35 @@ type Clickable struct {
 	// XPath is the positional x-path.
 	XPath string
 
-	node *dom.Node
+	// class is an anchor's class attribute, which link decorators
+	// match on.
+	class string
 	// target is an anchor's href resolved against the page URL, once,
 	// when the clickables are enumerated (nil for iframes). It is shared
 	// by every copy of the Clickable, so it is never handed out.
 	target *url.URL
+	// frame is an iframe's loaded subdocument (nil for anchors).
+	frame *Frame
 }
 
 // Clickables enumerates the page's candidate elements in document order.
 // The result is memoized on the page (which is immutable after load);
-// callers must not modify the returned slice.
+// callers must not modify the returned slice. A Clickable holds no
+// *dom.Node, and its Kind is a constant rather than the element's tag,
+// but its Href and AttrNames are substrings of the page body.
 func (b *Browser) Clickables(p *Page) []Clickable {
 	if p.clickablesDone {
 		return p.clickables
 	}
 	nodes := p.Doc.FindAll(func(e *dom.Node) bool { return e.Tag == "a" || e.Tag == "iframe" })
 	out := make([]Clickable, 0, len(nodes))
+	frames := p.frames // iframes in document order, as nodes lists them
 	for _, n := range nodes {
-		c := Clickable{Kind: n.Tag, node: n}
-		if n.Tag == "a" {
+		var c Clickable
+		if n.Tag == "iframe" {
+			c.Kind, c.frame, frames = "iframe", frames[0], frames[1:]
+		} else {
+			c.Kind, c.class = "a", n.AttrOr("class", "")
 			c.Href = n.AttrOr("href", "")
 			// One parse of the href yields both the resolved target
 			// (what p.URL.Parse(href) computes) and the heuristic-1 key.
@@ -150,10 +189,10 @@ func (b *Browser) ClickURL(p *Page, index int) (*url.URL, error) {
 	c := cs[index]
 	if c.Kind == "a" {
 		target := *c.target // a fresh copy: callers may modify the result
-		return b.decorate(p, c.node, &target), nil
+		return b.decorate(p, c.class, &target), nil
 	}
-	frame := p.Frames[c.node]
-	if frame == nil || frame.Doc == nil {
+	frame := c.frame
+	if frame.Doc == nil {
 		return nil, &ErrNoTarget{Reason: "iframe not loaded"}
 	}
 	anchors := frame.Doc.ElementsByTag("a")
@@ -199,12 +238,12 @@ func (b *Browser) outgoingReferer(p *Page) string {
 }
 
 // decorate applies the page's registered link decorators to a navigation
-// target, returning a decorated copy (the original URL is not modified).
-func (b *Browser) decorate(p *Page, anchor *dom.Node, target *url.URL) *url.URL {
+// target of an anchor with the given class attribute, returning a
+// decorated copy (the original URL is not modified).
+func (b *Browser) decorate(p *Page, class string, target *url.URL) *url.URL {
 	if len(p.decorators) == 0 {
 		return target
 	}
-	class := anchor.AttrOr("class", "")
 	out := *target
 	q := out.Query()
 	changed := false
@@ -311,27 +350,30 @@ func queryEscapedLen(s string) int {
 // third-party (partitioned or blocked per policy) unless the frame is
 // same-site.
 func (b *Browser) loadFrames(p *Page) {
-	p.Frames = make(map[*dom.Node]*Frame)
-	for _, n := range p.Doc.ElementsByTag("iframe") {
-		src := n.AttrOr("src", "")
-		u := resolveHref(p.URL, src)
-		if u == nil {
-			p.Frames[n] = &Frame{SrcURL: src, Err: "bad src"}
-			continue
-		}
-		us := u.String()
-		ctx := storage.Context{FrameHost: u.Hostname(), TopHost: p.URL.Hostname()}
-		resp, err := b.fetchCtx(u, us, p.urlStr, KindSubframe, ctx)
-		if err != nil {
-			p.Frames[n] = &Frame{SrcURL: us, Err: err.Error(), src: u}
-			continue
-		}
-		body, err := netsim.ReadBody(resp)
-		if err != nil {
-			p.Frames[n] = &Frame{SrcURL: us, Err: err.Error(), src: u}
-			continue
-		}
-		p.Frames[n] = &Frame{SrcURL: us, Doc: dom.Parse(body), src: u}
-		b.cIframes.Inc()
+	iframes := p.Doc.ElementsByTag("iframe")
+	p.frames = make([]*Frame, len(iframes))
+	for i, n := range iframes {
+		p.frames[i] = b.loadFrame(p, n.AttrOr("src", ""))
 	}
+}
+
+// loadFrame fetches one iframe's document from src.
+func (b *Browser) loadFrame(p *Page, src string) *Frame {
+	u := resolveHref(p.URL, src)
+	if u == nil {
+		return &Frame{SrcURL: src, Err: "bad src"}
+	}
+	us := u.String()
+	ctx := storage.Context{FrameHost: u.Hostname(), TopHost: p.URL.Hostname()}
+	resp, err := b.fetchCtx(u, us, p.urlStr, KindSubframe, ctx)
+	if err != nil {
+		return &Frame{SrcURL: us, Err: err.Error(), src: u}
+	}
+	body, err := netsim.ReadBody(resp)
+	if err != nil {
+		return &Frame{SrcURL: us, Err: err.Error(), src: u}
+	}
+	b.cIframes.Inc()
+	doc := dom.ParseDocument(body)
+	return &Frame{SrcURL: us, Doc: doc.Root(), src: u, doc: doc}
 }

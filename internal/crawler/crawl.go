@@ -348,6 +348,10 @@ func runWalk(cfg Config, ctrl *Controller, idx int, seeder string, cm *crawlMetr
 	}
 	wk.trail = newTab(Safari1R)
 	wk.run()
+	for _, t := range wk.tabs {
+		t.setPage(nil)
+	}
+	wk.trail.setPage(nil)
 
 	// Derive step outcomes and the walk's end reason.
 	for _, s := range w.Steps {
@@ -422,6 +426,14 @@ type tab struct {
 	// crawler without a live page; a step that starts with no page
 	// records it as its own failure.
 	navErr error
+}
+
+// setPage makes p (nil for none) the tab's live page and releases the
+// page it replaces, which nothing of the walk uses again: what the
+// records keep of a page are strings, and Elements hold no DOM node.
+func (t *tab) setPage(p *browser.Page) {
+	t.page.Release()
+	t.page = p
 }
 
 // walker drives one walk in lockstep, one phase at a time: the three
@@ -502,7 +514,7 @@ func (wk *walker) seedLoad(t *tab, seedURL string) {
 		rec.LandedURL = page.URLString()
 		rec.After = takeSnapshot(t.b, page)
 	}
-	t.page = page
+	t.setPage(page)
 	wk.w.SeedLoad[t.name] = rec
 }
 
@@ -559,8 +571,7 @@ func (wk *walker) step(step int) bool {
 		rec, d := recs[i], dec[t.name]
 		rec.ClickIndex = d.Index
 		if els := lists[t.name]; d.Index >= 0 && d.Index < len(els) {
-			e := els[d.Index]
-			rec.Clicked = &e
+			rec.Clicked = recorded(els[d.Index])
 		}
 		wk.cm.clicks.Inc()
 		if rec.Clicked != nil && rec.Clicked.Kind == "iframe" {
@@ -571,7 +582,7 @@ func (wk *walker) step(step int) bool {
 		next, err := wk.retry(t.b, fmt.Sprintf("click/%d/%d/%s", idx, step, t.name), func() (*browser.Page, error) {
 			return t.b.Click(from, d.Index)
 		})
-		t.page = next
+		t.setPage(next)
 		if err != nil {
 			if isConnectError(err) {
 				rec.Fail = "connect: " + err.Error()
@@ -640,7 +651,7 @@ func (wk *walker) repeat(step int, startURL string, s1Elements []Element, clicke
 		page, err := wk.retry(t.b, fmt.Sprintf("renav/%d/%d/%s", idx, step, Safari1R), func() (*browser.Page, error) {
 			return t.b.Navigate(startURL, "")
 		})
-		t.page = page
+		t.setPage(page)
 		if err != nil {
 			rec.Fail = "connect: " + err.Error()
 			rec.StartURL = startURL
@@ -661,7 +672,7 @@ func (wk *walker) repeat(step int, startURL string, s1Elements []Element, clicke
 	}
 	if match < 0 {
 		rec.Fail = "repeat: element not found"
-		t.page = nil
+		t.setPage(nil)
 		return
 	}
 	rec.ClickIndex = match
@@ -670,7 +681,7 @@ func (wk *walker) repeat(step int, startURL string, s1Elements []Element, clicke
 	next, err := wk.retry(t.b, fmt.Sprintf("click/%d/%d/%s", idx, step, Safari1R), func() (*browser.Page, error) {
 		return t.b.Click(from, match)
 	})
-	t.page = next
+	t.setPage(next)
 	rec.Requests = t.b.Requests()
 	if err != nil {
 		rec.Fail = "click: " + err.Error()

@@ -40,6 +40,22 @@ func elementFrom(c browser.Clickable, crossDomain bool) Element {
 	}
 }
 
+// recorded returns a copy of e for a step record, with its Href and
+// AttrNames copied out of the page body they are substrings of: a record
+// outlives its page, and one substring would keep the whole body alive.
+// Kind is a constant and XPath a string of its own already.
+func recorded(e Element) *Element {
+	e.Href = strings.Clone(e.Href)
+	if len(e.AttrNames) > 0 {
+		names := make([]string, len(e.AttrNames))
+		for i, n := range e.AttrNames {
+			names[i] = strings.Clone(n)
+		}
+		e.AttrNames = names
+	}
+	return &e
+}
+
 // hrefSansQuery strips the query string and fragment from an href: the
 // comparison form of matching heuristic 1, which must ignore query
 // parameters precisely because decorated UIDs differ across crawlers.

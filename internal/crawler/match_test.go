@@ -5,7 +5,9 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"crumbcruncher/internal/browser"
 	"crumbcruncher/internal/dom"
@@ -274,5 +276,51 @@ func TestHrefKeyMatchesHrefSansQuery(t *testing.T) {
 	}
 	for _, c := range cs {
 		check(c)
+	}
+}
+
+// TestRecordedClickLeavesBodyFree checks that the element a step record
+// keeps of a click holds no substring of the clicked page's body: its
+// strings' bytes lie outside the body, where the enumerated element's
+// href and attribute names lie inside it.
+func TestRecordedClickLeavesBodyFree(t *testing.T) {
+	const marker = "body-marker"
+	const body = `<html><body><p id="` + marker + `">x</p>` +
+		`<a id="m" class="ad" href="http://b.example/x?u=1">x</a></body></html>`
+	n := netsim.New()
+	n.HandleFunc("a.example", func(rw http.ResponseWriter, r *http.Request) { fmt.Fprint(rw, body) })
+	b := browser.New(browser.Config{ProfileID: "p", ClientID: "c", Network: n})
+	page, err := b.Navigate("http://a.example/", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The body's bytes, located through the marker, a substring of it.
+	p, ok := page.Doc.ElementsByTag("p")[0].Attr("id")
+	if !ok || p != marker {
+		t.Fatalf("page has no marker paragraph: %q", p)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(p))) - uintptr(strings.Index(body, marker))
+	hi := lo + uintptr(len(body))
+	inBody := func(s string) bool {
+		at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return len(s) > 0 && lo <= at && at < hi
+	}
+	cs := b.Clickables(page)
+	if len(cs) != 1 {
+		t.Fatalf("page lists %d clickables, want 1", len(cs))
+	}
+	e := elementFrom(cs[0], true)
+	if !inBody(e.Href) || !inBody(e.AttrNames[0]) {
+		t.Fatal("the enumerated element's strings are not substrings of the body; the check below would prove nothing")
+	}
+	rec := recorded(e)
+	if !reflect.DeepEqual(*rec, e) {
+		t.Fatalf("recorded element %+v differs from the enumerated %+v", *rec, e)
+	}
+	strs := append([]string{rec.Kind, rec.Href, rec.XPath}, rec.AttrNames...)
+	for _, s := range strs {
+		if inBody(s) {
+			t.Errorf("recorded string %q lies inside the page body", s)
+		}
 	}
 }

@@ -89,6 +89,9 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 	rec.LandedURL = page.URLString()
 	rec.After = takeSnapshot(b, page)
 	w.SeedLoad[name] = rec
+	// The live page is released when the next replaces it, and the last
+	// one when the walk ends; records keep only strings of it.
+	defer func() { page.Release() }()
 
 	for step := 1; step <= cfg.StepsPerWalk; step++ {
 		srec := &CrawlerStep{Crawler: name, Profile: profile, StartURL: page.URLString(), ClickIndex: -1}
@@ -114,6 +117,7 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 		srec.Requests = b.Requests()
 		srec.After = takeSnapshot(b, next)
 		putStep(w, step, name, srec)
+		page.Release()
 		page = next
 	}
 }

@@ -2,6 +2,7 @@ package dom
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -308,5 +309,48 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReleaseClearsBlocks: a released document's blocks hold no string
+// or pointer of the page it held, up to their full capacity, so a pooled
+// document keeps no page body alive and fills as a fresh one. The
+// document first holds a larger page, so the smaller one's blocks have
+// capacity beyond their length.
+func TestReleaseClearsBlocks(t *testing.T) {
+	d := ParseDocument(samplePage + samplePage)
+	d.reset()
+	d.fill(samplePage)
+	nodes, kids, attrs := d.nodes[:cap(d.nodes)], d.kids[:cap(d.kids)], d.attrs[:cap(d.attrs)]
+	if len(d.nodes) == len(nodes) || len(d.attrs) == 0 {
+		t.Fatalf("blocks: %d of %d nodes, %d attributes; want spare node capacity and attributes", len(d.nodes), len(nodes), len(d.attrs))
+	}
+	d.Release()
+	for i := range nodes {
+		if !reflect.ValueOf(nodes[i]).IsZero() {
+			t.Fatalf("released node %d = %+v", i, nodes[i])
+		}
+	}
+	for i, k := range kids {
+		if k != nil {
+			t.Fatalf("released child pointer %d is set", i)
+		}
+	}
+	for i, a := range attrs {
+		if a != (Attr{}) {
+			t.Fatalf("released attribute %d = %+v", i, a)
+		}
+	}
+}
+
+// TestParseDocumentMatchesParse: the pooled parse builds the tree Parse
+// builds, also after the pool recycled a document.
+func TestParseDocumentMatchesParse(t *testing.T) {
+	for _, html := range []string{samplePage + samplePage, samplePage, "", "<p>x"} {
+		d := ParseDocument(html)
+		if !reflect.DeepEqual(d.Root(), Parse(html)) {
+			t.Errorf("ParseDocument(%q) differs from Parse", html)
+		}
+		d.Release()
 	}
 }

@@ -15,7 +15,12 @@ import (
 // FuzzParse feeds arbitrary bytes to Parse. Page bodies come off the
 // simulated network, so the parser must take anything: no input may
 // panic it, two parses of one input must build deep-equal trees, and the
-// tree must be well formed (checkTree).
+// tree must be well formed (checkTree). A crawl parses each page into
+// the blocks of a released one, so the input is also parsed into a
+// document that held the largest seed page, and its first half into one
+// that held the input: each result must deep-equal a fresh Parse and be
+// well formed, so nothing of the earlier page survives in the reused
+// blocks.
 // The seeds are pages a small world serves (landing, content, account
 // and ad-slot pages), each also truncated mid-document and with a byte
 // flipped.
@@ -25,6 +30,7 @@ func FuzzParse(f *testing.F) {
 	cfg.ConnectFailRate = 0
 	w := web.BuildWorld(cfg)
 	var urls []string
+	var largest string // the largest seed page
 	for _, d := range w.SeedersN(2) {
 		urls = append(urls, "http://"+d+"/", "http://"+d+"/p/3")
 	}
@@ -63,6 +69,9 @@ func FuzzParse(f *testing.F) {
 		f.Add(body)
 		f.Add(body[:len(body)/2])
 		f.Add(string(flipped))
+		if len(body) > len(largest) {
+			largest = body
+		}
 	}
 	f.Fuzz(func(t *testing.T, html string) {
 		a, b := dom.Parse(html), dom.Parse(html)
@@ -73,6 +82,17 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("two parses of %q differ", html)
 		}
 		checkTree(t, a)
+		d := new(dom.Document)
+		for _, pair := range [][2]string{{largest, html}, {html, html[:len(html)/2]}} {
+			dom.FillDocument(d, pair[0])
+			dom.ResetDocument(d)
+			dom.FillDocument(d, pair[1])
+			if !reflect.DeepEqual(d.Root(), dom.Parse(pair[1])) {
+				t.Fatalf("%.200q parsed into the blocks of %.200q differs from a fresh parse", pair[1], pair[0])
+			}
+			checkTree(t, d.Root())
+			dom.ResetDocument(d)
+		}
 	})
 }
 

@@ -12,17 +12,13 @@ var voidElements = map[string]bool{
 	"source": true, "track": true, "wbr": true,
 }
 
-// parseScratch is the working table Parse builds a document in before
-// materializing it: one row per node in document order, linked by
-// parent index, with each element's attributes as a range of one shared
-// attribute list. Parse copies the finished table into three blocks
-// sized exactly — the nodes, every node's children, every element's
-// attributes — so a parsed document costs three allocations plus its
-// decoded strings, and no block carries slack. Scratch tables are
-// pooled; the reset contract (DESIGN.md §10) is that release clears
-// every row and attribute before Put, so a pooled table holds no
-// string of the last page it parsed and is indistinguishable from a
-// fresh one.
+// parseScratch is the working table a parse builds a document in
+// before materializing it: one row per node in document order, linked
+// by parent index, with each element's attributes as a range of one
+// shared attribute list. Scratch tables are pooled; the reset contract
+// (DESIGN.md §10) is that release clears every row and attribute before
+// Put, so a pooled table holds no string of the last page it parsed and
+// is indistinguishable from a fresh one.
 type parseScratch struct {
 	nodes []scratchNode
 	attrs []Attr
@@ -49,22 +45,98 @@ func (sc *parseScratch) add(parent int, typ NodeType, tag, text string) int {
 
 func (sc *parseScratch) top() int { return sc.stack[len(sc.stack)-1] }
 
-// materialize builds the tree the table describes. Rows are in document
-// order, so filling each parent's children in row order keeps them in
-// document order. Every Children and Attrs slice has cap == len:
-// appending to one node's reallocates instead of writing into its
-// neighbour's.
-func (sc *parseScratch) materialize() *Node {
-	nodes := make([]Node, len(sc.nodes))
-	var attrs []Attr
-	if len(sc.attrs) > 0 {
-		attrs = make([]Attr, len(sc.attrs))
-		copy(attrs, sc.attrs)
-	}
-	var kids []*Node
-	if len(sc.nodes) > 1 {
-		kids = make([]*Node, len(sc.nodes)-1)
-	}
+// release clears the table and returns it to the pool.
+func (sc *parseScratch) release() {
+	clear(sc.nodes)
+	clear(sc.attrs)
+	sc.nodes, sc.attrs, sc.stack = sc.nodes[:0], sc.attrs[:0], sc.stack[:0]
+	scratchPool.Put(sc)
+}
+
+// Document is a parsed document together with the three blocks its tree
+// lives in: the nodes, every node's children and every element's
+// attributes. ParseDocument takes a Document from a pool and fills it;
+// Release gives it back, so a crawl in steady state parses each page
+// into blocks an earlier page has released instead of allocating a tree
+// per load.
+//
+// Release ends the document: neither it nor any *Node, Children or Attrs
+// slice reached from Root may be used afterwards, since the next parse
+// overwrites them. Strings read from the tree stay valid; they are
+// substrings of the parsed html (or decoded copies), never of the
+// blocks.
+type Document struct {
+	nodes []Node
+	kids  []*Node
+	attrs []Attr
+}
+
+// docPool recycles released documents. The reset contract (DESIGN.md
+// §10): Release clears every node, child pointer and attribute before
+// Put, so a pooled document holds nothing of the page it last held.
+var docPool = sync.Pool{New: func() any { return new(Document) }}
+
+// ParseDocument parses html as Parse does, into a pooled Document for
+// the caller to Release when it drops the tree. An unreleased document
+// is simply collected.
+func ParseDocument(html string) *Document {
+	d := docPool.Get().(*Document)
+	d.fill(html)
+	return d
+}
+
+// Root returns the document's synthetic #document node.
+func (d *Document) Root() *Node { return &d.nodes[0] }
+
+// Release clears the document's blocks and returns it to the pool. See
+// the type's doc for what it ends.
+func (d *Document) Release() {
+	d.reset()
+	docPool.Put(d)
+}
+
+// reset clears the blocks and empties them, keeping their capacity.
+func (d *Document) reset() {
+	clear(d.nodes)
+	clear(d.kids)
+	clear(d.attrs)
+	d.nodes, d.kids, d.attrs = d.nodes[:0], d.kids[:0], d.attrs[:0]
+}
+
+// Parse parses an HTML document into a tree rooted at a synthetic
+// #document node. The parser accepts the well-formed subset the synthetic
+// web emits and degrades gracefully on the rest: unknown entities pass
+// through, stray close tags are ignored, and unclosed elements are closed
+// at end of input. Parse never fails; like a browser, it always produces a
+// tree. The tree's blocks are freshly allocated and never recycled;
+// ParseDocument is the pooled form.
+func Parse(html string) *Node {
+	var d Document
+	d.fill(html)
+	return d.Root()
+}
+
+// fill parses html into d, whose blocks are empty: their elements up to
+// cap are zero, as a fresh or released document's are.
+func (d *Document) fill(html string) {
+	sc := scratchPool.Get().(*parseScratch)
+	sc.parse(html)
+	sc.materialize(d)
+	sc.release()
+}
+
+// materialize builds the tree the table describes in d's blocks, each
+// reused when its capacity suffices and allocated at the exact size
+// otherwise, so a parsed page costs at most three allocations plus its
+// decoded strings. Rows are in document order, so filling each parent's
+// children in row order keeps them in document order. Every Children
+// and Attrs slice has cap == len: appending to one node's reallocates
+// instead of writing into its neighbour's.
+func (sc *parseScratch) materialize(d *Document) {
+	nodes := resize(d.nodes, len(sc.nodes))
+	attrs := resize(d.attrs, len(sc.attrs))
+	copy(attrs, sc.attrs)
+	kids := resize(d.kids, len(sc.nodes)-1)
 	off := 0
 	for i := range sc.nodes {
 		r := &sc.nodes[i]
@@ -83,29 +155,16 @@ func (sc *parseScratch) materialize() *Node {
 			p.Children = append(p.Children, n)
 		}
 	}
-	return &nodes[0]
+	d.nodes, d.kids, d.attrs = nodes, kids, attrs
 }
 
-// release clears the table and returns it to the pool.
-func (sc *parseScratch) release() {
-	clear(sc.nodes)
-	clear(sc.attrs)
-	sc.nodes, sc.attrs, sc.stack = sc.nodes[:0], sc.attrs[:0], sc.stack[:0]
-	scratchPool.Put(sc)
-}
-
-// Parse parses an HTML document into a tree rooted at a synthetic
-// #document node. The parser accepts the well-formed subset the synthetic
-// web emits and degrades gracefully on the rest: unknown entities pass
-// through, stray close tags are ignored, and unclosed elements are closed
-// at end of input. Parse never fails; like a browser, it always produces a
-// tree.
-func Parse(html string) *Node {
-	sc := scratchPool.Get().(*parseScratch)
-	sc.parse(html)
-	root := sc.materialize()
-	sc.release()
-	return root
+// resize returns s with length n, reusing its backing array when it is
+// large enough. An empty result of a nil s stays nil.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // parse fills the table from html.

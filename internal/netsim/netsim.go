@@ -397,7 +397,7 @@ func (r *recorder) response(req *http.Request) *http.Response {
 	r.body.Reset()
 	recorderPool.Put(r)
 	return &http.Response{
-		Status:        strconv.Itoa(code) + " " + http.StatusText(code),
+		Status:        statusLine(code),
 		StatusCode:    code,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
@@ -407,6 +407,26 @@ func (r *recorder) response(req *http.Request) *http.Response {
 		ContentLength: int64(len(body)),
 		Request:       req,
 	}
+}
+
+// statusLine returns a response's Status for code, "200 OK" for 200:
+// the codes the synthetic web and the fault injector write come from a
+// table rather than being printed per response, and any other code is
+// printed as strconv.Itoa(code) + " " + http.StatusText(code).
+func statusLine(code int) string {
+	switch code {
+	case http.StatusOK:
+		return "200 OK"
+	case http.StatusFound:
+		return "302 Found"
+	case http.StatusBadRequest:
+		return "400 Bad Request"
+	case http.StatusBadGateway:
+		return "502 Bad Gateway"
+	case http.StatusServiceUnavailable:
+		return "503 Service Unavailable"
+	}
+	return strconv.Itoa(code) + " " + http.StatusText(code)
 }
 
 // stringBody is the body of every response this network serves: a

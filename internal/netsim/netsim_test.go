@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -18,6 +19,16 @@ func okHandler(body string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, body)
 	})
+}
+
+// TestStatusLine: a tabled status line equals the printed one for
+// every code from 100 to 599.
+func TestStatusLine(t *testing.T) {
+	for code := 100; code < 600; code++ {
+		if got, want := statusLine(code), strconv.Itoa(code)+" "+http.StatusText(code); got != want {
+			t.Errorf("statusLine(%d) = %q, want %q", code, got, want)
+		}
+	}
 }
 
 // TestHostOnly: skipping net.SplitHostPort for a host without a colon

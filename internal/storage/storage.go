@@ -167,21 +167,29 @@ func (s *Store) SetCookie(ctx Context, c Cookie) {
 // Cookies returns the unexpired cookies visible to ctx at time now, sorted
 // by name for determinism.
 func (s *Store) Cookies(ctx Context, now time.Time) []Cookie {
+	return s.AppendCookies(nil, ctx, now)
+}
+
+// AppendCookies appends the cookies Cookies returns to dst and returns
+// the extended slice, so a caller that lists cookies per request can
+// reuse one slice.
+func (s *Store) AppendCookies(dst []Cookie, ctx Context, now time.Time) []Cookie {
 	k, ok := s.key(ctx, true)
 	if !ok {
-		return nil
+		return dst
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	m := s.cookies[k]
-	out := make([]Cookie, 0, len(m))
+	dst = slices.Grow(dst, len(m))
+	n := len(dst)
 	for _, c := range m {
 		if !c.Expired(now) {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	slices.SortFunc(out, func(a, b Cookie) int { return strings.Compare(a.Name, b.Name) })
-	return out
+	slices.SortFunc(dst[n:], func(a, b Cookie) int { return strings.Compare(a.Name, b.Name) })
+	return dst
 }
 
 // Cookie returns the named cookie visible to ctx, if present and

@@ -130,7 +130,7 @@ func checkUnit(fset *token.FileSet, u unit, analyzers []*analysis.Analyzer) ([]F
 		if a.UsesFacts {
 			pass.DepFacts = depFacts
 		}
-		if _, err := a.Run(pass); err != nil {
+		if err := a.Run(pass); err != nil {
 			return nil, nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, u.id, err)
 		}
 		if u.factsOnly {

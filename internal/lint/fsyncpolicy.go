@@ -28,9 +28,9 @@ func durabilityPkg(path string) bool {
 	return path == "crumbcruncher/internal/runstore" || strings.HasSuffix(path, "/internal/runstore")
 }
 
-func runFsyncpolicy(pass *analysis.Pass) (interface{}, error) {
+func runFsyncpolicy(pass *analysis.Pass) error {
 	if durabilityPkg(pass.Pkg.Path()) {
-		return nil, nil
+		return nil
 	}
 	for _, f := range pass.Files {
 		if isTestFile(pass, f) {
@@ -65,5 +65,5 @@ func runFsyncpolicy(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }

@@ -223,7 +223,7 @@ func (l *loader) check(a *analysis.Analyzer, path string) {
 	if a.UsesFacts {
 		pass.DepFacts = func(dep string) *analysis.FactSet { return l.depFacts(a, dep) }
 	}
-	if _, err := a.Run(pass); err != nil {
+	if err := a.Run(pass); err != nil {
 		l.t.Fatalf("%s on %s: %v", a.Name, path, err)
 	}
 	allows := directive.Collect(l.fset, p.files)
@@ -296,7 +296,7 @@ func (l *loader) depFacts(a *analysis.Analyzer, dep string) *analysis.FactSet {
 		Facts:     facts,
 		DepFacts:  func(d string) *analysis.FactSet { return l.depFacts(a, d) },
 	}
-	if _, err := a.Run(pass); err != nil {
+	if err := a.Run(pass); err != nil {
 		l.t.Fatalf("%s on fact dependency %s: %v", a.Name, dep, err)
 	}
 	l.facts[key] = facts

@@ -53,7 +53,7 @@ var telemetryOrdered = map[string]bool{
 	"Record": true, "Set": true,
 }
 
-func runMapOrder(pass *analysis.Pass) (interface{}, error) {
+func runMapOrder(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if r, ok := n.(*ast.RangeStmt); ok && isMapRange(pass.TypesInfo, r) {
@@ -62,7 +62,7 @@ func runMapOrder(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // enclosingBody returns the body of the innermost function containing

@@ -35,8 +35,9 @@ var SpanEnd = &analysis.Analyzer{
 	Doc: "require telemetry spans to be ended on all paths (defer or all-return coverage)\n\n" +
 		"Un-ended spans never reach the tracer ring, so traces silently lose\n" +
 		"the work they were supposed to account for.",
-	Run: func(pass *analysis.Pass) (interface{}, error) {
-		return runAcqRel(pass, engineConfig{classes: []*resourceClass{spanClass}})
+	Run: func(pass *analysis.Pass) error {
+		runAcqRel(pass, engineConfig{classes: []*resourceClass{spanClass}})
+		return nil
 	},
 }
 

@@ -26,7 +26,7 @@ const (
 type rule struct {
 	kind   ruleKind
 	domain string   // domainAnchor: the anchored domain
-	parts  []string // substring: wildcard-split parts
+	parts  []string // substring: wildcard-split parts, lowercased
 }
 
 // List is a compiled EasyList-style filter list.
@@ -63,13 +63,10 @@ func Parse(lines []string) *List {
 			}
 			continue
 		}
-		l.rules = append(l.rules, rule{kind: substring, parts: strings.Split(line, "*")})
+		l.rules = append(l.rules, rule{kind: substring, parts: strings.Split(strings.ToLower(line), "*")})
 	}
 	return l
 }
-
-// Len returns the number of compiled rules.
-func (l *List) Len() int { return len(l.rules) }
 
 // Matches reports whether the URL is blocked by any rule.
 func (l *List) Matches(rawURL string) bool {
@@ -96,12 +93,15 @@ func (l *List) Matches(rawURL string) bool {
 
 // wildcardContains checks that the parts appear in order in s (a "*"
 // wildcard separates parts; a single part is a plain substring match).
+// Parts and s are lowercased already: lowercasing can change a string's
+// length (the Kelvin sign K is 3 bytes, its "k" one), so the part
+// searched for must be the part skipped over.
 func wildcardContains(s string, parts []string) bool {
 	for _, p := range parts {
 		if p == "" {
 			continue
 		}
-		idx := strings.Index(s, strings.ToLower(p))
+		idx := strings.Index(s, p)
 		if idx < 0 {
 			return false
 		}
@@ -150,9 +150,6 @@ func reg(host string) string {
 
 // Contains reports whether the host's registered domain is listed.
 func (l *DomainList) Contains(host string) bool { return l.domains[reg(host)] }
-
-// Len returns the number of listed domains.
-func (l *DomainList) Len() int { return len(l.domains) }
 
 // MissingFraction reports the fraction of hosts NOT covered by the list —
 // the paper's 41%-of-dedicated-smugglers gap.

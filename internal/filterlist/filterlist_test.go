@@ -1,6 +1,10 @@
 package filterlist
 
-import "testing"
+import (
+	"net/url"
+	"strings"
+	"testing"
+)
 
 func TestParseSkipsCommentsAndCosmetic(t *testing.T) {
 	l := Parse([]string{
@@ -10,8 +14,8 @@ func TestParseSkipsCommentsAndCosmetic(t *testing.T) {
 		"",
 		"||tracker.net^",
 	})
-	if l.Len() != 1 {
-		t.Fatalf("rules = %d, want 1", l.Len())
+	if len(l.rules) != 1 {
+		t.Fatalf("rules = %d, want 1", len(l.rules))
 	}
 }
 
@@ -45,6 +49,12 @@ func TestSubstringAndWildcard(t *testing.T) {
 	}
 	if l.Matches("http://x.com/uid?adclick") {
 		t.Fatal("out-of-order parts must not match")
+	}
+	// The Kelvin sign U+212A is 3 bytes and lowercases to the 1-byte
+	// "k": a match must skip the lowercased part, not the rule's.
+	kelvin := Parse([]string{"\u212Aa*zz"})
+	if kelvin.Matches("http://x.com/ka") || !kelvin.Matches("http://x.com/ka/zz") {
+		t.Fatal("a rule must match by its lowercased parts")
 	}
 }
 
@@ -82,8 +92,8 @@ func TestDomainList(t *testing.T) {
 	if l.Contains("other.org") {
 		t.Fatal("unlisted domain contained")
 	}
-	if l.Len() != 2 {
-		t.Fatalf("len = %d", l.Len())
+	if len(l.domains) != 2 {
+		t.Fatalf("len = %d", len(l.domains))
 	}
 }
 
@@ -95,4 +105,54 @@ func TestMissingFraction(t *testing.T) {
 	if got < want-0.01 || got > want+0.01 {
 		t.Fatalf("missing = %f, want %f", got, want)
 	}
+}
+
+// FuzzParse compiles arbitrary rule lines and matches them against an
+// arbitrary URL: nothing may panic, and a rule that is a plain ASCII
+// substring of the lowercased URL must match it. The seeds are the
+// rules and URLs of the tests above.
+func FuzzParse(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"! comment\n[Adblock Plus 2.0]\nexample.com##.ad-banner\n\n||tracker.net^", "http://tracker.net/"},
+		{"||doubleclick.net^", "http://adclick.g.doubleclick.net/c?d=x"},
+		{"||doubleclick.net^", "http://doubleclick.net.evil.com/"},
+		{"||tracker.com/click", "http://tracker.com/click?x=1"},
+		{"/adclick?*uid=", "http://x.com/adclick?a=1&uid=abc"},
+		{"/adclick?*uid=", "http://x.com/uid?adclick"},
+		{"||ads.example.com^$third-party", "http://ads.example.com/x"},
+		{"\u212Aa*zz", "http://x.com/ka"},
+		{"/AdClick", "http://x.com/adclick"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, rules, rawURL string) {
+		lines := strings.Split(rules, "\n")
+		l := Parse(lines)
+		got := l.Matches(rawURL)
+		if _, err := url.Parse(rawURL); err != nil {
+			return
+		}
+		lower := strings.ToLower(rawURL)
+		for _, line := range lines {
+			if plainSubstringRule(line) && strings.Contains(lower, line) && !got {
+				t.Fatalf("rule %q is a substring of %q but does not match it", line, lower)
+			}
+		}
+	})
+}
+
+// plainSubstringRule reports whether Parse takes line, as is, for a
+// one-part substring rule: printable ASCII with none of the filter
+// syntax's special characters.
+func plainSubstringRule(line string) bool {
+	if line == "" || strings.HasPrefix(line, "!") || strings.HasPrefix(line, "[") ||
+		strings.HasPrefix(line, "||") || strings.Contains(line, "##") || strings.Contains(line, "#@#") {
+		return false
+	}
+	for i := 0; i < len(line); i++ {
+		if c := line[i]; c <= ' ' || c > '~' || c == '*' || c == '$' {
+			return false
+		}
+	}
+	return true
 }

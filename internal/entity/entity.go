@@ -25,9 +25,6 @@ func (l *List) OrgOf(domain string) (string, bool) {
 	return o, ok
 }
 
-// Len returns the number of entries.
-func (l *List) Len() int { return len(l.byDomain) }
-
 // Attributor resolves domain ownership the way the paper did: first the
 // entity list, then a manual-research map, else unattributed.
 type Attributor struct {

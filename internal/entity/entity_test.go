@@ -10,8 +10,8 @@ func TestListLookup(t *testing.T) {
 	if _, ok := l.OrgOf("unknown.com"); ok {
 		t.Fatal("unknown domain resolved")
 	}
-	if l.Len() != 2 {
-		t.Fatalf("len = %d", l.Len())
+	if o, ok := l.OrgOf("instagram.com"); !ok || o != "Facebook" {
+		t.Fatalf("second entry: got %q ok=%v", o, ok)
 	}
 }
 

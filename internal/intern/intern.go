@@ -87,21 +87,6 @@ func (in *Interner) Intern(s string) string {
 	return c
 }
 
-// Len returns the number of canonical strings held.
-func (in *Interner) Len() int {
-	if in == nil {
-		return 0
-	}
-	n := 0
-	for i := range in.shards {
-		sh := &in.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // shardOf hashes s with seeded FNV-1a and masks down to a shard index.
 func (in *Interner) shardOf(s string) uint64 {
 	h := uint64(offset64) ^ in.seed

@@ -14,9 +14,6 @@ func NewCounter() *Counter { return &Counter{counts: make(map[string]int)} }
 // Inc increments key by one.
 func (c *Counter) Inc(key string) { c.counts[key]++ }
 
-// Len returns the number of distinct keys.
-func (c *Counter) Len() int { return len(c.counts) }
-
 // Entry is a key with its tally.
 type Entry struct {
 	Key   string

@@ -39,3 +39,19 @@ func lookupDetached(ctx context.Context, q string) (string, error) {
 func entry(q string) (string, error) {
 	return core.Resolve(q)
 }
+
+// The DESIGN.md §9 mutation rows no test catches, as fixture cases.
+
+// uid's streaming identifier handing its parallel classification a
+// fresh Background.
+func classifyGroups(ctx context.Context, groups []string, out []int) error {
+	return core.ForEachCtx(context.Background(), len(groups), func(i int) { // want `passed to ForEachCtx inside a context-aware function; propagate ctx instead`
+		out[i] = len(groups[i])
+	})
+}
+
+// serve's reanalysis job re-identifying through the run's wrapper
+// method, whose fact crosses the package boundary.
+func reanalyze(ctx context.Context, run *core.Run) (string, error) {
+	return run.Reidentify() // want `Reidentify drops ctx: it delegates to ResolveCtx`
+}

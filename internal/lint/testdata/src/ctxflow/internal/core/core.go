@@ -18,3 +18,22 @@ func ResolveCtx(ctx context.Context, q string) (string, error) {
 func Resolve(q string) (string, error) {
 	return ResolveCtx(context.Background(), q)
 }
+
+// ForEachCtx is a context-aware fan-out, like parallel.ForEachTimedCtx.
+func ForEachCtx(ctx context.Context, n int, body func(i int)) error {
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		body(i)
+	}
+	return nil
+}
+
+// Run is a finished run whose Reidentify method is a Background
+// wrapper: exports a ctxWrapFact naming ResolveCtx.
+type Run struct{ Q string }
+
+func (r *Run) Reidentify() (string, error) {
+	return ResolveCtx(context.Background(), r.Q)
+}

@@ -96,3 +96,43 @@ func sliceRange(xs []string) []string {
 	}
 	return out
 }
+
+// The DESIGN.md §9 mutation rows no test catches, as fixture cases.
+
+type pathAgg struct{ smuggling bool }
+
+// analysis.smugglingAggs with its sort.Strings(keys) dropped.
+func unsortedAggs(paths map[string]*pathAgg) []*pathAgg {
+	keys := make([]string, 0, len(paths))
+	for k, agg := range paths {
+		if agg.smuggling {
+			keys = append(keys, k) // want `append to keys inside range over a map`
+		}
+	}
+	out := make([]*pathAgg, len(keys))
+	for i, k := range keys {
+		out[i] = paths[k]
+	}
+	return out
+}
+
+// crumbtrace's attrString printing span attributes straight from the
+// map.
+func attrString(attrs map[string]string) string {
+	var sb strings.Builder
+	for k, v := range attrs {
+		fmt.Fprintf(&sb, " %s=%s", k, v) // want `fmt\.Fprintf inside range over a map`
+	}
+	return " {" + sb.String() + "}"
+}
+
+// uid's verdict reduce reporting a per-reason gauge from a deferred
+// closure.
+func lastFilterGauge(tel *telemetry.Telemetry, programmatic map[string]int) {
+	reg := tel.Registry()
+	defer func() {
+		for _, n := range programmatic {
+			reg.Gauge("uid.programmatic_last").Set(int64(n)) // want `Gauge\.Set inside range over a map is order-sensitive telemetry`
+		}
+	}()
+}

@@ -155,3 +155,17 @@ func allowLeak(dir string) {
 	}
 	_ = st.Len()
 }
+
+// The DESIGN.md §9 mutation row no test catches, as a fixture case:
+// core's storeSource.ForEachWalk without its deferred cur.Close().
+func forEachWalk(st *runstore.Store, fn func() error) error {
+	cur := st.Iter() // want `cursor cur is not closed before the function returns`
+	for {
+		if !cur.Next() {
+			return nil // want `cursor cur acquired at a\.go:[0-9]+ is not closed on this return path`
+		}
+		if err := fn(); err != nil {
+			return err // want `cursor cur acquired at a\.go:[0-9]+ is not closed on this return path`
+		}
+	}
+}

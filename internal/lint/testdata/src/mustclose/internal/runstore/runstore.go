@@ -38,7 +38,7 @@ func (c *Cursor) Next() bool {
 func (c *Cursor) Close() error { return nil }
 
 // Drain consumes and closes the cursor: callers hand off ownership and
-// must not close it again. Exports Releases=[0].
+// must not close it again. Exports Releases={0}.
 func Drain(c *Cursor) (int, error) {
 	defer c.Close()
 	n := 0
@@ -51,7 +51,7 @@ func Drain(c *Cursor) (int, error) {
 var kept *Cursor
 
 // Keep parks the cursor for later use: ownership transfers to the
-// package. Exports Retains=[0].
+// package. Exports Retains={0}.
 func Keep(c *Cursor) { kept = c }
 
 // Count borrows the cursor: the caller keeps its Close obligation.

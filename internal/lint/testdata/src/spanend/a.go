@@ -126,3 +126,12 @@ func leakLoop(tel *telemetry.Telemetry, n int) {
 		sp.End()
 	}
 }
+
+// The DESIGN.md §9 mutation row no test catches, as a fixture case:
+// core.ExecuteContext's build_world span tagged instead of ended.
+func buildWorldNotEnded(tel *telemetry.Telemetry) int {
+	sp := tel.StartSpan("core", "build_world")
+	sites := 800
+	sp.Attr("sites", "built")
+	return sites // want `span sp started at a\.go:[0-9]+ is not ended on this return path`
+}

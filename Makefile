@@ -25,9 +25,9 @@ vet:
 	@drift=$$(gofmt -l . | grep -v '^internal/lint/testdata/'); \
 	if [ -n "$$drift" ]; then echo "gofmt -l reports unformatted files:"; echo "$$drift"; exit 1; fi
 
-# crumblint: wallclock, seededrand, maporder, spanend, fsyncpolicy,
-# plus the interprocedural resource-discipline suite (mustclose,
-# poolreset, ctxflow, sharedwrite), over every package and its tests.
+# crumblint: maporder, spanend, fsyncpolicy, plus the interprocedural
+# resource-discipline suite (mustclose, poolreset, ctxflow,
+# sharedwrite), over every package and its tests.
 # It prints one `file:line:col: message [analyzer]` line per finding;
 # any finding fails the build.
 lint: bin/crumblint

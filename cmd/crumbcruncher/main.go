@@ -147,7 +147,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/\n", bound)
 	}
 
-	start := time.Now() //crumb:allow wallclock CLI progress line; stderr only, never in results
+	start := time.Now() // CLI progress line; stderr only, never in results
 	fmt.Fprintf(os.Stderr, "crawling %d walks over %d sites (seed %d)...\n",
 		cfg.Walks, cfg.World.NumSites, cfg.World.Seed)
 	stopProgress := func() {}
@@ -179,7 +179,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "crawl + analysis finished in %v: %d steps, %d candidate tokens, %d confirmed UIDs\n",
-		time.Since(start).Round(time.Millisecond), run.Dataset.StepCount(), len(run.Candidates), len(run.Cases)) //crumb:allow wallclock CLI progress line; stderr only, never in results
+		time.Since(start).Round(time.Millisecond), run.Dataset.StepCount(), len(run.Candidates), len(run.Cases))
 	if *savePath != "" {
 		fmt.Fprintf(os.Stderr, "run saved to %s\n", *savePath)
 	}
@@ -216,7 +216,7 @@ func reportProgress(tel *crumbcruncher.Telemetry, latest *atomic.Value) (stop fu
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		tick := time.NewTicker(time.Second) //crumb:allow wallclock real once-a-second progress cadence on stderr
+		tick := time.NewTicker(time.Second) // real once-a-second progress cadence on stderr
 		defer tick.Stop()
 		for {
 			select {

@@ -1,7 +1,8 @@
-// Crumblint machine-checks the invariants crumbcruncher's determinism
-// guarantee rests on: no wall-clock reads outside annotated sites, no
-// unseeded randomness, no order-dependent emission from map iteration,
-// no leaked telemetry spans, and no leaked or mis-pooled resources.
+// Crumblint machine-checks the invariants no test of crumbcruncher can
+// see: no order-dependent emission from map iteration, no leaked
+// telemetry spans, no raw fsync or rename outside the run store, no
+// leaked or mis-pooled resources, no dropped cancellation and no
+// shared writes in parallel bodies.
 //
 // Run it over the tree (test files included):
 //

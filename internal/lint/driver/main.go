@@ -27,7 +27,7 @@ func Main(analyzers ...*analysis.Analyzer) {
 		selected[a.Name] = flag.Bool(a.Name, false, "enable only the "+a.Name+" analyzer: "+summary(a))
 	}
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, `%[1]s machine-checks crumbcruncher's determinism, clock and telemetry invariants.
+		fmt.Fprintf(os.Stderr, `%[1]s machine-checks crumbcruncher's ordering, telemetry and resource invariants.
 
 Usage:
 	%[1]s [-NAME...] package...	# e.g. %[1]s ./...

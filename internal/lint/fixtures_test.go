@@ -11,14 +11,6 @@ import (
 // positive hits, idiomatic negatives, and //crumb:allow directive
 // handling asserted line by line.
 
-func TestWallclock(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Wallclock, "wallclock")
-}
-
-func TestSeededRand(t *testing.T) {
-	linttest.Run(t, "testdata", lint.SeededRand, "seededrand", "seededrand/internal/stats")
-}
-
 func TestMapOrder(t *testing.T) {
 	linttest.Run(t, "testdata", lint.MapOrder, "maporder")
 }

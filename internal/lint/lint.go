@@ -15,8 +15,6 @@ import (
 // All returns every crumblint analyzer, in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Wallclock,
-		SeededRand,
 		MapOrder,
 		SpanEnd,
 		Fsyncpolicy,

@@ -36,7 +36,33 @@ func allowedByDoc() error {
 	return os.Rename("b.tmp", "b")
 }
 
+func allowedNextLine() error {
+	//crumb:allow fsyncpolicy fixture: standalone directive exempts the next line
+	return os.Rename("c.tmp", "c")
+}
+
 func wrongDirectiveName(f *os.File) error {
-	//crumb:allow wallclock a directive for another analyzer does not cover fsyncpolicy
+	//crumb:allow maporder a directive for another analyzer does not cover fsyncpolicy
 	return f.Sync() // want `os\.File\.Sync outside internal/runstore`
+}
+
+// The DESIGN.md §9 mutation rows no test catches, as fixture cases.
+
+// crumbcruncher -out fsyncing its output file on the way out.
+func syncOnClose(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() { f.Sync(); f.Close() }() // want `os\.File\.Sync outside internal/runstore`
+	_, err = f.WriteString("{}")
+	return err
+}
+
+// The telemetry trace writer replacing its file by hand.
+func writeThenRename(path string, data []byte) error {
+	if err := os.WriteFile(path+".tmp", data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(path+".tmp", path) // want `os\.Rename outside internal/runstore`
 }

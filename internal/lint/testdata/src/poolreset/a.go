@@ -1,6 +1,6 @@
 // Fixture for the poolreset analyzer: Get/Put pairing on all paths,
-// reset hygiene (cleared maps, nilled fields), and fact-driven release
-// through cross-package helpers.
+// pooled fields nilled after Put, and fact-driven release through
+// cross-package helpers.
 package poolreset
 
 import (
@@ -41,33 +41,6 @@ func deferOK() {
 	b.data = append(b.data, 0)
 }
 
-var mapPool = sync.Pool{New: func() any { return map[string]int{} }}
-
-// A map must be cleared before it goes back, or stale entries survive
-// into the next Get.
-func mapNoClear(k string) {
-	m := mapPool.Get().(map[string]int)
-	m[k]++
-	mapPool.Put(m) // want `pooled map returned to the pool without clear`
-}
-
-func mapClearOK(k string) {
-	m := mapPool.Get().(map[string]int)
-	m[k]++
-	clear(m)
-	mapPool.Put(m)
-}
-
-// A range-delete loop counts as clearing too.
-func mapRangeClearOK(k string) {
-	m := mapPool.Get().(map[string]int)
-	m[k]++
-	for key := range m {
-		delete(m, key)
-	}
-	mapPool.Put(m)
-}
-
 type holder struct{ buf *buffer }
 
 // A pooled value parked in a field must be nilled after Put, or the
@@ -102,4 +75,30 @@ func rngRecycleOK(seed uint64) uint64 {
 	n := r.Next()
 	stats.Recycle(r)
 	return n
+}
+
+// The DESIGN.md §9 mutation rows no test catches, as fixture cases.
+
+var candPool = sync.Pool{New: func() any { return map[string]int{} }}
+
+// tokens.FindCandidates' deferred closure clearing its pooled map but
+// no longer putting it back.
+func findCandidates(keys []string) int {
+	found := candPool.Get().(map[string]int)
+	defer func() {
+		clear(found)
+	}()
+	for _, k := range keys {
+		found[k]++
+	}
+	return len(found) // want `pooled value found from the Get at a\.go:[0-9]+ is not returned to the pool on this return path`
+}
+
+// stats.RNG.Release putting its source back without dropping it.
+type rng struct{ src *buffer }
+
+func (g *rng) release() {
+	if g.src != nil {
+		bufPool.Put(g.src) // want `pooled field g.src is not set to nil after Put`
+	}
 }

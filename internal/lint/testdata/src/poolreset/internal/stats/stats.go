@@ -1,6 +1,6 @@
 // Package stats is a fixture stand-in for the pooled-RNG helpers:
 // AcquireRNG hands out pooled values, Release returns them, Recycle
-// releases on the caller's behalf (exporting Releases=[0]).
+// releases on the caller's behalf (exporting Releases={0}).
 package stats
 
 import "sync"

@@ -102,21 +102,20 @@ type Span struct {
 // the pipeline's only sanctioned wall-clock observation point: results
 // must be a pure function of the seed, but traces and shard-timing
 // histograms legitimately record how long real work took. Everything
-// that wants wall time goes through here so the crumblint wallclock
-// analyzer has exactly one allowlisted origin to audit.
+// in the pipeline that wants wall time goes through here, so there is
+// one origin to audit; a wall-clock read that reached results would
+// fail the determinism pins (TestPageBytesPinned, TestWalkRecordsPinned).
 type Stopwatch struct {
 	start time.Time
 }
 
 // StartStopwatch begins measuring wall time.
 func StartStopwatch() Stopwatch {
-	//crumb:allow wallclock telemetry wall-stamping is observability, never an input to results
 	return Stopwatch{start: time.Now()}
 }
 
 // Elapsed returns the wall time since the stopwatch started.
 func (s Stopwatch) Elapsed() time.Duration {
-	//crumb:allow wallclock paired read for the sanctioned stopwatch origin
 	return time.Since(s.start)
 }
 

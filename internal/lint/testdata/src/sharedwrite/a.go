@@ -4,6 +4,8 @@
 package sharedwrite
 
 import (
+	"sync"
+
 	"sharedwrite/internal/agg"
 	"sharedwrite/internal/intern"
 	"sharedwrite/internal/parallel"
@@ -78,4 +80,18 @@ func localOK(items []string) []int {
 		out[i] = n
 	})
 	return out
+}
+
+// The DESIGN.md §9 mutation row no test catches, as a fixture case:
+// tokens.AllCandidatesCtx appending each path's candidates to one
+// slice under a mutex — no data race, but merged in scheduler order.
+func lockedAppend(items []string) []int {
+	var mu sync.Mutex
+	var all []int
+	parallel.ForEach(len(items), func(i int) {
+		mu.Lock()
+		all = append(all, len(items[i])) // want `write to captured all inside a parallel body`
+		mu.Unlock()
+	})
+	return all
 }

@@ -45,11 +45,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The page-load and beacon allocation ceilings skip under -race, whose
-# sync.Pool drops recycled values at random, so they run here without
-# it.
+# The page-load, beacon and store-read allocation ceilings skip under
+# -race, whose sync.Pool drops recycled values at random, so they run
+# here without it.
 ceilings:
-	$(GO) test -count=1 -run 'TestPageAllocsCeiling|TestPageBytesCeiling|TestBeaconFetchAllocsCeiling' ./internal/web ./internal/browser
+	$(GO) test -count=1 -run 'TestPageAllocsCeiling|TestPageBytesCeiling|TestBeaconFetchAllocsCeiling|TestReadAllocsCeiling' ./internal/web ./internal/browser ./internal/runstore
 
 # Crash-safety smoke: SIGKILL + bit-flip chaos at three process-level
 # points, recovered metrics diffed byte-for-byte against clean runs.

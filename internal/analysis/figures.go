@@ -3,6 +3,7 @@ package analysis
 import (
 	"net/url"
 	"sort"
+	"strings"
 
 	"crumbcruncher/internal/browser"
 	"crumbcruncher/internal/category"
@@ -98,16 +99,73 @@ func (a *Analysis) ThirdPartyReceivers(n int) []stats.Entry {
 	return counter.Top(n)
 }
 
+// regOf returns the registered domain of raw's host, or the host when
+// it has none, and "" when url.Parse rejects raw.
 func regOf(raw string) string {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return ""
+	host, ok := httpHost(raw)
+	if !ok {
+		u, err := url.Parse(raw)
+		if err != nil {
+			return ""
+		}
+		host = u.Hostname()
 	}
-	if rd := publicsuffix.RegisteredDomain(u.Hostname()); rd != "" {
+	if rd := publicsuffix.RegisteredDomain(host); rd != "" {
 		return rd
 	}
-	return u.Hostname()
+	return host
 }
+
+// httpHost reads the host of an http or https URL with a byte scan. It
+// takes only inputs whose host url.Parse(raw).Hostname() provably
+// returns unchanged: the lowercase scheme and "://", then a host of
+// letters, digits and ".-_~" (so no userinfo, port or IP literal) up to
+// the first '/', '?' or '#' or the end; no ASCII control byte anywhere
+// (url.Parse rejects them all); and no '%' outside the query, which
+// url.Parse keeps raw, since an escape in the path or fragment may fail
+// to unescape. Every other input reports false and is left to url.Parse.
+func httpHost(raw string) (string, bool) {
+	rest, ok := strings.CutPrefix(raw, "http://")
+	if !ok {
+		if rest, ok = strings.CutPrefix(raw, "https://"); !ok {
+			return "", false
+		}
+	}
+	end := len(rest)
+	for i := 0; i < len(rest); i++ {
+		c := rest[i]
+		if c == '/' || c == '?' || c == '#' {
+			end = i
+			break
+		}
+		if !hostByte[c] {
+			return "", false
+		}
+	}
+	// As url.Parse splits what follows the host: the fragment after the
+	// first '#', then the query after the first '?' before it.
+	path, frag, _ := strings.Cut(rest[end:], "#")
+	path, _, _ = strings.Cut(path, "?")
+	if strings.IndexByte(path, '%') >= 0 || strings.IndexByte(frag, '%') >= 0 {
+		return "", false
+	}
+	for i := end; i < len(rest); i++ {
+		if c := rest[i]; c < 0x20 || c == 0x7f {
+			return "", false
+		}
+	}
+	return rest[:end], true
+}
+
+// hostByte marks the bytes httpHost takes in a host: those url.Parse
+// accepts there as they are, and that never open a port or userinfo.
+var hostByte = func() (t [256]bool) {
+	for c := 0; c < 256; c++ {
+		t[c] = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			c == '.' || c == '-' || c == '_' || c == '~'
+	}
+	return t
+}()
 
 // requestCarriesUID reports whether any confirmed UID value appears in
 // the request URL (as a parameter value, or embedded in a leaked full

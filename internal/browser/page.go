@@ -5,6 +5,7 @@ import (
 	"net/url"
 	"slices"
 	"strings"
+	"sync"
 
 	"crumbcruncher/internal/dom"
 	"crumbcruncher/internal/netsim"
@@ -131,37 +132,50 @@ func (b *Browser) Clickables(p *Page) []Clickable {
 	if p.clickablesDone {
 		return p.clickables
 	}
-	nodes := p.Doc.FindAll(func(e *dom.Node) bool { return e.Tag == "a" || e.Tag == "iframe" })
-	out := make([]Clickable, 0, len(nodes))
-	frames := p.frames // iframes in document order, as nodes lists them
-	for _, n := range nodes {
+	scratch := clickScratch.Get().(*[]Clickable)
+	out := (*scratch)[:0]
+	frames := p.frames // iframes in document order, as the walk meets them
+	p.Doc.Walk(func(n *dom.Node) {
 		var c Clickable
-		if n.Tag == "iframe" {
+		switch n.Tag {
+		case "iframe":
 			c.Kind, c.frame, frames = "iframe", frames[0], frames[1:]
-		} else {
+		case "a":
 			c.Kind, c.class = "a", n.AttrOr("class", "")
 			c.Href = n.AttrOr("href", "")
 			// One parse of the href yields both the resolved target
 			// (what p.URL.Parse(href) computes) and the heuristic-1 key.
 			if strings.TrimSpace(c.Href) == "" {
-				continue
+				return
 			}
 			ref, err := url.Parse(c.Href)
 			if err != nil {
-				continue
+				return
 			}
 			if c.target = p.URL.ResolveReference(ref); !isHTTP(c.target) {
-				continue
+				return
 			}
 			ref.RawQuery, ref.Fragment = "", ""
 			c.HrefKey = ref.String()
+		default:
+			return
 		}
 		c.Index, c.AttrNames, c.Box, c.XPath = len(out), n.AttrNames(), n.Box, n.XPath()
 		out = append(out, c)
-	}
-	p.clickables, p.clickablesDone = out, true
-	return out
+	})
+	p.clickables, p.clickablesDone = make([]Clickable, len(out)), true
+	copy(p.clickables, out)
+	clear(out)
+	*scratch = out[:0]
+	clickScratch.Put(scratch)
+	return p.clickables
 }
+
+// clickScratch holds the slices Clickables gathers a page's clickables
+// in before it copies them out at their count. Browsers live for one
+// walk, so the slices are pooled across browsers; each goes back
+// cleared, holding no string or pointer of the page it listed.
+var clickScratch = sync.Pool{New: func() any { return new([]Clickable) }}
 
 // CrossDomain reports whether the clickable is known to navigate off the
 // current registered domain. Iframes report false: their destination is

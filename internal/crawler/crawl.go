@@ -448,6 +448,8 @@ type walker struct {
 	clock *netsim.VirtualClock
 	tabs  [3]*tab // ParallelCrawlers order; tabs[0] is Safari-1
 	trail *tab    // Safari-1R
+	// cookies is the slice every snapshot lists its cookies into.
+	cookies []storage.Cookie
 }
 
 // run crawls the seed loads and then the steps until the walk ends.
@@ -512,7 +514,7 @@ func (wk *walker) seedLoad(t *tab, seedURL string) {
 		t.navErr = err
 	} else {
 		rec.LandedURL = page.URLString()
-		rec.After = takeSnapshot(t.b, page)
+		rec.After = takeSnapshot(t.b, page, &wk.cookies)
 	}
 	t.setPage(page)
 	wk.w.SeedLoad[t.name] = rec
@@ -535,7 +537,7 @@ func (wk *walker) step(step int) bool {
 		switch {
 		case t.page != nil:
 			rec.StartURL = t.page.URLString()
-			rec.Before = takeSnapshot(t.b, t.page)
+			rec.Before = takeSnapshot(t.b, t.page, &wk.cookies)
 			cs := t.b.Clickables(t.page)
 			els = make([]Element, 0, len(cs))
 			for _, c := range cs {
@@ -601,7 +603,7 @@ func (wk *walker) step(step int) bool {
 		rec.NavChain = next.Chain
 		rec.LandedURL = next.URLString()
 		rec.Requests = t.b.Requests()
-		rec.After = takeSnapshot(t.b, next)
+		rec.After = takeSnapshot(t.b, next, &wk.cookies)
 		fqdns[i] = next.URL.Hostname()
 	}
 	if fqdns[0] != "" {
@@ -659,7 +661,7 @@ func (wk *walker) repeat(step int, startURL string, s1Elements []Element, clicke
 		}
 	}
 	rec.StartURL = t.page.URLString()
-	rec.Before = takeSnapshot(t.b, t.page)
+	rec.Before = takeSnapshot(t.b, t.page, &wk.cookies)
 
 	cs := t.b.Clickables(t.page)
 	own := make([]Element, 0, len(cs))
@@ -690,21 +692,31 @@ func (wk *walker) repeat(step int, startURL string, s1Elements []Element, clicke
 	wk.dwell()
 	rec.NavChain = next.Chain
 	rec.LandedURL = next.URLString()
-	rec.After = takeSnapshot(t.b, next)
+	rec.After = takeSnapshot(t.b, next, &wk.cookies)
 }
 
-// takeSnapshot records the first-party storage of page's host.
-func takeSnapshot(b *browser.Browser, page *browser.Page) Snapshot {
+// takeSnapshot records the first-party storage of page's host: "all
+// first-party cookies, local storage values" (§3.1). The cookies are
+// listed into *cookies, a slice the caller reuses across snapshots, and
+// the snapshot's own slice is allocated at their count, or left nil
+// when there are none.
+func takeSnapshot(b *browser.Browser, page *browser.Page, cookies *[]storage.Cookie) Snapshot {
 	host := page.URL.Hostname()
 	snap := Snapshot{URL: page.URLString(), Local: b.Store().FirstPartyLocal(host)}
 	// Snapshot at the virtual epoch so no cookie is hidden by expiry; the
 	// records carry real creation/expiry times for lifetime analysis.
-	for _, c := range b.Store().FirstPartyCookies(host, netsim.Epoch) {
-		snap.Cookies = append(snap.Cookies, CookieRecord{
-			Name: c.Name, Value: c.Value, Domain: c.Domain,
-			Created: c.Created, Expires: c.Expires,
-		})
+	cs := b.Store().AppendCookies((*cookies)[:0], storage.Context{FrameHost: host, TopHost: host}, netsim.Epoch)
+	if len(cs) > 0 {
+		snap.Cookies = make([]CookieRecord, len(cs))
+		for i, c := range cs {
+			snap.Cookies[i] = CookieRecord{
+				Name: c.Name, Value: c.Value, Domain: c.Domain,
+				Created: c.Created, Expires: c.Expires,
+			}
+		}
 	}
+	clear(cs)
+	*cookies = cs[:0]
 	return snap
 }
 

@@ -8,6 +8,7 @@ import (
 	"crumbcruncher/internal/browser"
 	"crumbcruncher/internal/netsim"
 	"crumbcruncher/internal/stats"
+	"crumbcruncher/internal/storage"
 )
 
 // SequentialCrawl implements the prior-work crawling strategy the paper
@@ -78,6 +79,7 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 		Network:   cfg.Network,
 		Clock:     clock,
 	})
+	var cookies []storage.Cookie // every snapshot's cookie list
 	seedURL := "http://" + w.Seeder + "/"
 	page, err := b.Navigate(seedURL, "")
 	rec := &CrawlerStep{Crawler: name, Profile: profile, StartURL: seedURL, Requests: b.Requests()}
@@ -87,7 +89,7 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 		return
 	}
 	rec.LandedURL = page.URLString()
-	rec.After = takeSnapshot(b, page)
+	rec.After = takeSnapshot(b, page, &cookies)
 	w.SeedLoad[name] = rec
 	// The live page is released when the next replaces it, and the last
 	// one when the walk ends; records keep only strings of it.
@@ -95,7 +97,7 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 
 	for step := 1; step <= cfg.StepsPerWalk; step++ {
 		srec := &CrawlerStep{Crawler: name, Profile: profile, StartURL: page.URLString(), ClickIndex: -1}
-		srec.Before = takeSnapshot(b, page)
+		srec.Before = takeSnapshot(b, page, &cookies)
 		idx := pickSequential(cfg, split, w.Index, step, b, page)
 		if idx < 0 {
 			srec.Fail = "no clickable element"
@@ -115,7 +117,7 @@ func runSequentialWalk(cfg Config, split *stats.Splitter, w *Walk, name, profile
 		srec.NavChain = next.Chain
 		srec.LandedURL = next.URLString()
 		srec.Requests = b.Requests()
-		srec.After = takeSnapshot(b, next)
+		srec.After = takeSnapshot(b, next, &cookies)
 		putStep(w, step, name, srec)
 		page.Release()
 		page = next

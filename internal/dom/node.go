@@ -89,7 +89,7 @@ func (n *Node) AttrNames() []string {
 // FindAll appends every matching element in document order.
 func (n *Node) FindAll(pred func(*Node) bool) []*Node {
 	var out []*Node
-	n.walk(func(e *Node) {
+	n.Walk(func(e *Node) {
 		if pred(e) {
 			out = append(out, e)
 		}
@@ -103,13 +103,13 @@ func (n *Node) ElementsByTag(tag string) []*Node {
 	return n.FindAll(func(e *Node) bool { return e.Tag == tag })
 }
 
-// walk visits every element node depth-first.
-func (n *Node) walk(visit func(*Node)) {
+// Walk visits every element node depth-first, in document order.
+func (n *Node) Walk(visit func(*Node)) {
 	if n.Type == ElementNode {
 		visit(n)
 	}
 	for _, c := range n.Children {
-		c.walk(visit)
+		c.Walk(visit)
 	}
 }
 

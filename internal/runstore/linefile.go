@@ -409,13 +409,14 @@ func Records(data []byte, want Header) ([][]byte, error) {
 
 // readSized reads r to EOF into a buffer with room for size bytes plus
 // the final read that reports EOF, as os.ReadFile sizes its buffer from
-// Stat: a reader that yields size bytes costs one allocation. One that
-// yields more grows the buffer as io.ReadAll does.
+// Stat: a reader that yields size bytes costs one allocation.
 func readSized(r io.Reader, size int) ([]byte, error) {
-	if size < 512 {
-		size = 512
-	}
-	b := make([]byte, 0, size+1)
+	return readInto(r, make([]byte, 0, max(size, 512)+1))
+}
+
+// readInto reads r to EOF into b's spare capacity, growing b as
+// io.ReadAll does only when r yields more than that.
+func readInto(r io.Reader, b []byte) ([]byte, error) {
 	for {
 		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]

@@ -62,8 +62,8 @@ type Store interface {
 	// that holds another walk than the one asked for an error wrapping
 	// ErrCorrupt. Get is safe for concurrent use: it holds the
 	// store lock only to find (and, for a sealed segment, load) the raw
-	// record and decodes it after unlocking, so concurrent Gets decode
-	// in parallel.
+	// record and copy it out, and decodes the copy after unlocking, so
+	// concurrent Gets decode in parallel.
 	Get(idx int) (*crawler.Walk, error)
 	// Iter returns a cursor over all walks in ascending index order.
 	Iter() Cursor
@@ -162,12 +162,12 @@ func (m *Manifest) stamp(src Manifest) {
 	m.Crawlers, m.Config, m.Provenance = src.Crawlers, src.Config, src.Provenance
 }
 
-// decodeWalk decodes the raw record of walk idx, failing with
+// decodeWalk decodes the raw record of walk idx with d, failing with
 // ErrCorrupt if the record holds another walk. The fast decoder
 // (walkcodec.go) takes every record encodeWalk writes; json.Unmarshal
 // takes any other.
-func decodeWalk(raw []byte, idx int) (*crawler.Walk, error) {
-	rec, ok := decodeWalkRecord(raw)
+func decodeWalk(d *walkDecoder, raw []byte, idx int) (*crawler.Walk, error) {
+	rec, ok := d.record(raw)
 	if !ok {
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return nil, fmt.Errorf("runstore: decode walk record: %w", err)
@@ -180,4 +180,22 @@ func decodeWalk(raw []byte, idx int) (*crawler.Walk, error) {
 		return nil, fmt.Errorf("runstore: walk record %d has no walk", rec.Index)
 	}
 	return rec.Walk, nil
+}
+
+// readState is what one Get reads with: its copy of the record and the
+// decoder with its scratch slices, pooled in readStates across Gets.
+type readState struct {
+	rec []byte
+	dec walkDecoder
+}
+
+var readStates = sync.Pool{New: func() any { return new(readState) }}
+
+// release returns rs to readStates. The decoder clears every scratch
+// slice as it copies the slice out, so what goes back holds no string or
+// pointer of the walk it decoded, only bytes of its record.
+func (rs *readState) release() {
+	rs.rec = rs.rec[:0]
+	rs.dec.buf = nil
+	readStates.Put(rs)
 }

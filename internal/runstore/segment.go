@@ -32,12 +32,14 @@ import (
 // recovered and re-adopted by the first write) or the sealed sgz —
 // never neither. Opening a store writes nothing: every repair a crash
 // calls for waits for the first Append or Finalize (openForWriteLocked).
-// Reading is O(one segment) of memory: the index maps a walk to its
-// segment, the segment gunzips, and every record's checksum verifies
-// before a byte of it is decoded. A segment that fails verification is
-// quarantined to "<seg>.corrupt" and surfaces a DamageError, matching
-// the line-file damage contract; a segment the index lists whose file
-// is gone reads as the same damage.
+// Reading is O(one segment) of memory, and of allocation too: the index
+// maps a walk to its segment, the segment gunzips into the buffer of
+// the cache slot it evicts, and every record's checksum verifies before
+// a byte of it is decoded, so a pass over any number of segments
+// allocates at most two inflate buffers. A segment that fails
+// verification is quarantined to "<seg>.corrupt" and surfaces a
+// DamageError, matching the line-file damage contract; a segment the
+// index lists whose file is gone reads as the same damage.
 
 // segWalksDefault is how many walks a segment holds before sealing.
 const segWalksDefault = 256
@@ -104,12 +106,16 @@ type segmentStore struct {
 	activeIdx []int // indices in append order
 	nextSeg   int
 	finalized bool
-	// cache holds the most recently decoded sealed segments. Two slots:
+	// cache holds the most recently loaded sealed segments. Two slots:
 	// a parallel crawl interleaves walk indices across at most a
 	// parallelism-sized window, so an index-order scan touches at most
-	// two adjacent segments at a time.
-	cache      map[int]map[int][]byte
-	cacheOrder []int // LRU, most recent last
+	// two adjacent segments at a time. A segment inflates into the buffer
+	// of the slot it evicts, so a record is only ever read under mu: Get
+	// copies it out before it decodes.
+	cache    [segCacheSlots]segSlot
+	cacheUse uint64 // the last segSlot.used stamp handed out
+	// gz inflates every sealed segment, Reset per segment.
+	gz *gzip.Reader
 	// damaged holds the error of every sealed segment quarantined since
 	// open, so later reads of its walks fail the same way instead of
 	// finding the file gone.
@@ -118,6 +124,18 @@ type segmentStore struct {
 
 // segCacheSlots bounds the sealed-segment cache.
 const segCacheSlots = 2
+
+// segSlot is one slot of the sealed-segment cache: a segment's inflated
+// bytes, and its records by walk index as sub-slices of them. Loading
+// another segment into the slot reuses both.
+type segSlot struct {
+	seg int
+	// used stamps the slot's last use, for least-recently-used
+	// eviction; 0 means it holds no segment.
+	used  uint64
+	buf   []byte
+	walks map[int][]byte
+}
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
 func indexPath(dir string) string    { return filepath.Join(dir, "segments.idx") }
@@ -408,18 +426,22 @@ func (st *segmentStore) sealActiveLocked() error {
 	return nil
 }
 
-// loadSealedLocked gunzips and verifies one sealed segment, returning
-// its raw payloads by walk index. Damage quarantines the segment file
-// and surfaces a DamageError wrapping ErrCorrupt. Callers hold mu.
+// loadSealedLocked gunzips and verifies one sealed segment into the
+// cache, returning its raw payloads by walk index; they stay valid until
+// mu is released. Damage quarantines the segment file and surfaces a
+// DamageError wrapping ErrCorrupt. Callers hold mu.
 func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
-	if walks, ok := st.cache[n]; ok {
-		for i, s := range st.cacheOrder {
-			if s == n {
-				st.cacheOrder = append(append(st.cacheOrder[:i:i], st.cacheOrder[i+1:]...), n)
-				break
-			}
+	st.cacheUse++
+	slot := &st.cache[0]
+	for i := range st.cache {
+		s := &st.cache[i]
+		if s.used != 0 && s.seg == n {
+			s.used = st.cacheUse
+			return s.walks, nil
 		}
-		return walks, nil
+		if s.used < slot.used {
+			slot = s
+		}
 	}
 	if err := st.damaged[n]; err != nil {
 		return nil, err
@@ -456,14 +478,27 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstore: segment %d: %w", n, err)
 	}
-	gz, err := gzip.NewReader(f)
+	if st.gz == nil {
+		st.gz, err = gzip.NewReader(f)
+	} else {
+		err = st.gz.Reset(f)
+	}
 	if err != nil {
 		return corrupt()
 	}
-	defer gz.Close()
+	// The evicted segment's bytes are overwritten from here on. Its
+	// buffer is reused when it holds this segment (and the read that
+	// reports EOF); sealed segments differ in size by a few percent, so a
+	// new one gets 1/16 to spare.
+	slot.used = 0
+	buf := slot.buf[:0]
+	if cap(buf) <= size {
+		buf = make([]byte, 0, max(size+size/16, 512)+1)
+	}
 	// Reading to EOF runs gzip's CRC-32 and length checks against the
 	// trailer, so a trailer that misstates the size still fails here.
-	data, err := readSized(gz, size)
+	data, err := readInto(st.gz, buf)
+	slot.buf = data
 	if err != nil {
 		return corrupt()
 	}
@@ -484,21 +519,15 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 	if len(entries) != len(indices) {
 		return corrupt()
 	}
-	walks := make(map[int][]byte, len(entries))
+	if slot.walks == nil {
+		slot.walks = make(map[int][]byte, len(entries))
+	}
+	clear(slot.walks)
 	for k, raw := range entries {
-		walks[indices[k]] = raw
+		slot.walks[indices[k]] = raw
 	}
-	if st.cache == nil {
-		st.cache = map[int]map[int][]byte{}
-	}
-	if len(st.cacheOrder) >= segCacheSlots {
-		evict := st.cacheOrder[0]
-		st.cacheOrder = st.cacheOrder[1:]
-		delete(st.cache, evict)
-	}
-	st.cache[n] = walks
-	st.cacheOrder = append(st.cacheOrder, n)
-	return walks, nil
+	slot.seg, slot.used = n, st.cacheUse
+	return slot.walks, nil
 }
 
 // Verify reads back every record of st that opening it left unchecked
@@ -564,35 +593,38 @@ func inflatedSize(f *os.File) (int, error) {
 }
 
 func (st *segmentStore) Get(idx int) (*crawler.Walk, error) {
-	raw, err := st.rawRecord(idx)
-	if err != nil {
+	rs := readStates.Get().(*readState)
+	defer rs.release()
+	var err error
+	if rs.rec, err = st.appendRecord(rs.rec[:0], idx); err != nil {
 		return nil, err
 	}
-	return decodeWalk(raw, idx)
+	return decodeWalk(&rs.dec, rs.rec, idx)
 }
 
-// rawRecord returns walk idx's raw record, loading its sealed segment
-// if need be. It holds mu only while it looks; the returned bytes are
-// never written again, so the caller decodes them without the lock.
-func (st *segmentStore) rawRecord(idx int) ([]byte, error) {
+// appendRecord appends walk idx's raw record to dst, loading its sealed
+// segment if need be. It holds mu while it copies: a sealed record's
+// bytes are the cache's, which the next segment load overwrites, so the
+// caller decodes its copy without the lock.
+func (st *segmentStore) appendRecord(dst []byte, idx int) ([]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	seg, ok := st.walkSeg[idx]
 	if !ok {
-		return nil, fmt.Errorf("%w: index %d", ErrNoWalk, idx)
+		return dst, fmt.Errorf("%w: index %d", ErrNoWalk, idx)
 	}
 	if walks, ok := st.unsealed[seg]; ok {
-		return walks[idx], nil
+		return append(dst, walks[idx]...), nil
 	}
 	walks, err := st.loadSealedLocked(seg)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	raw, ok := walks[idx]
 	if !ok {
-		return nil, fmt.Errorf("%w: index %d missing from segment %d", ErrNoWalk, idx, seg)
+		return dst, fmt.Errorf("%w: index %d missing from segment %d", ErrNoWalk, idx, seg)
 	}
-	return raw, nil
+	return append(dst, raw...), nil
 }
 
 func (st *segmentStore) sortedIndices() []int {
@@ -656,6 +688,9 @@ func (st *segmentStore) Close() error {
 	if cerr := st.index.Close(); err == nil {
 		err = cerr
 	}
+	// Drop the cached segments and their buffers; a later Get loads its
+	// segment afresh.
+	st.cache, st.gz = [segCacheSlots]segSlot{}, nil
 	return err
 }
 

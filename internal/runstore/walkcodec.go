@@ -24,24 +24,34 @@ import (
 // [] and {} into empty non-nil values, leaves the zero value for null,
 // keeps the last of repeated map keys, and hands times to
 // time.Time.UnmarshalJSON as their quoted bytes.
-// Anything else makes decodeWalkRecord report false, and decodeWalk
+// Anything else makes walkDecoder.record report false, and decodeWalk
 // falls back to json.Unmarshal, so every input keeps the result (and
 // the error) encoding/json gives it.
 
-// walkDecoder reads one record. The first input it cannot decode as
-// encoding/json would sets bad; from then on every read returns a zero
-// value without consuming input.
+// walkDecoder reads one record at a time. The first input it cannot
+// decode as encoding/json would sets bad; from then on every read
+// returns a zero value without consuming input.
 type walkDecoder struct {
 	buf     []byte
 	pos     int
 	bad     bool
 	scratch []byte // unescaping buffer, reused across strings
+
+	// An array's elements gather in the scratch slice of their type,
+	// reused across arrays and records, and are copied out into a slice
+	// of the array's exact length (sliceOf). No type's elements hold an
+	// array of that type, so one slice per type suffices.
+	steps   []*crawler.Step
+	hops    []browser.Hop
+	reqs    []browser.RequestRecord
+	cookies []crawler.CookieRecord
+	names   []string
 }
 
-// decodeWalkRecord decodes raw with the fast decoder, reporting false
-// when raw needs encoding/json.
-func decodeWalkRecord(raw []byte) (walkRecord, bool) {
-	d := walkDecoder{buf: raw}
+// record decodes raw with the fast decoder, reporting false when raw
+// needs encoding/json.
+func (d *walkDecoder) record(raw []byte) (walkRecord, bool) {
+	d.buf, d.pos, d.bad = raw, 0, false
 	var rec walkRecord
 	d.fields(func(key []byte) bool {
 		switch string(key) {
@@ -80,7 +90,7 @@ func (d *walkDecoder) walk() *crawler.Walk {
 		case "seeder":
 			w.Seeder = d.str()
 		case "steps":
-			w.Steps = sliceOf(d, d.step)
+			w.Steps = sliceOf(d, &d.steps, d.step)
 		case "seed_load":
 			w.SeedLoad = mapOf(d, d.crawlerStep)
 		case "ended":
@@ -140,9 +150,9 @@ func (d *walkDecoder) crawlerStep() *crawler.CrawlerStep {
 		case "clicked":
 			cs.Clicked = d.element()
 		case "nav_chain":
-			cs.NavChain = sliceOf(d, d.hop)
+			cs.NavChain = sliceOf(d, &d.hops, d.hop)
 		case "requests":
-			cs.Requests = sliceOf(d, d.request)
+			cs.Requests = sliceOf(d, &d.reqs, d.request)
 		case "landed_url":
 			cs.LandedURL = d.str()
 		case "after":
@@ -164,7 +174,7 @@ func (d *walkDecoder) snapshot() crawler.Snapshot {
 		case "url":
 			s.URL = d.str()
 		case "cookies":
-			s.Cookies = sliceOf(d, d.cookie)
+			s.Cookies = sliceOf(d, &d.cookies, d.cookie)
 		case "local":
 			s.Local = mapOf(d, d.str)
 		default:
@@ -211,7 +221,7 @@ func (d *walkDecoder) element() *crawler.Element {
 		case "href":
 			e.Href = d.str()
 		case "attr_names":
-			e.AttrNames = sliceOf(d, d.str)
+			e.AttrNames = sliceOf(d, &d.names, d.str)
 		case "box":
 			e.Box = d.rect()
 		case "xpath":
@@ -291,13 +301,19 @@ func (d *walkDecoder) request() browser.RequestRecord {
 }
 
 // sliceOf reads an array of elem values: nil for null, empty and
-// non-nil for [].
-func sliceOf[T any](d *walkDecoder, elem func() T) []T {
+// non-nil for []. The elements gather in *scratch, and the result is
+// allocated once, at their count; *scratch goes back cleared, so it
+// keeps nothing of the record alive.
+func sliceOf[T any](d *walkDecoder, scratch *[]T, elem func() T) []T {
 	if d.null() {
 		return nil
 	}
-	out := []T{}
-	d.array(func() { out = append(out, elem()) })
+	buf := (*scratch)[:0]
+	d.array(func() { buf = append(buf, elem()) })
+	out := make([]T, len(buf))
+	copy(out, buf)
+	clear(buf)
+	*scratch = buf[:0]
 	return out
 }
 

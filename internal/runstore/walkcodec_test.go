@@ -202,6 +202,64 @@ func cover(seen map[string]bool, rec runstore.WalkRecord) {
 	}
 }
 
+// TestDecoderReuse decodes every stored record, forwards and then
+// backwards, with one decoder whose scratch slices carry over from
+// record to record, as a pooled Get's do, and fallback inputs between
+// them: each result must deep-equal a fresh decoder's, and every
+// decoded slice must be exactly as long as its capacity.
+func TestDecoderReuse(t *testing.T) {
+	records, err := crawlRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order [][]byte
+	for i := range records {
+		order = append(order, records[i], []byte(`{"index":1,"walk":{"index":1,"steps":[{"records":{"a":{"requests":[{}],"x":1}}}]}}`))
+	}
+	for i := len(records) - 1; i >= 0; i-- {
+		order = append(order, records[i])
+	}
+	var d runstore.Decoder
+	for _, raw := range order {
+		got, gok := d.DecodeWalkRecord(raw)
+		want, wok := runstore.DecodeWalkRecord(raw)
+		if gok != wok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("reused decoder (ok %v) and fresh decoder (ok %v) disagree on %.200s", gok, wok, raw)
+		}
+		if gok {
+			exactSlices(t, got.Walk)
+		}
+	}
+}
+
+// exactSlices fails if any slice w holds has capacity to spare.
+func exactSlices(t *testing.T, w *crawler.Walk) {
+	t.Helper()
+	check := func(what string, n, c int) {
+		if n != c {
+			t.Fatalf("walk %d: %s has len %d, cap %d", w.Index, what, n, c)
+		}
+	}
+	visit := func(cs *crawler.CrawlerStep) {
+		check("requests", len(cs.Requests), cap(cs.Requests))
+		check("nav chain", len(cs.NavChain), cap(cs.NavChain))
+		check("cookies before", len(cs.Before.Cookies), cap(cs.Before.Cookies))
+		check("cookies after", len(cs.After.Cookies), cap(cs.After.Cookies))
+		if cs.Clicked != nil {
+			check("attribute names", len(cs.Clicked.AttrNames), cap(cs.Clicked.AttrNames))
+		}
+	}
+	check("steps", len(w.Steps), cap(w.Steps))
+	for _, cs := range w.SeedLoad {
+		visit(cs)
+	}
+	for _, s := range w.Steps {
+		for _, cs := range s.Records {
+			visit(cs)
+		}
+	}
+}
+
 // TestDecodeWalkFallback feeds decodeWalk one input per fallback
 // trigger: the fast path must refuse it, and decodeWalk must return
 // what encoding/json returns, the same value or the same error.

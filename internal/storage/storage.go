@@ -252,13 +252,6 @@ func (s *Store) GetLocal(ctx Context, key string) (string, bool) {
 	return v, ok
 }
 
-// FirstPartyCookies returns the first-party cookies of the top-level host,
-// which is what CrumbCruncher records at each crawl step ("all first-party
-// cookies, local storage values" — §3.1).
-func (s *Store) FirstPartyCookies(topHost string, now time.Time) []Cookie {
-	return s.Cookies(Context{FrameHost: topHost, TopHost: topHost}, now)
-}
-
 // FirstPartyLocal returns the first-party localStorage of the top-level
 // host.
 func (s *Store) FirstPartyLocal(topHost string) map[string]string {

@@ -152,7 +152,7 @@ func TestFirstPartySnapshotHelpers(t *testing.T) {
 	s.SetLocal(firstParty("a.com"), "ls", "lv")
 	// Third-party bucket must not appear in the first-party snapshot.
 	s.SetCookie(Context{FrameHost: "t.com", TopHost: "a.com"}, Cookie{Name: "tp", Value: "x", Created: now})
-	cookies := s.FirstPartyCookies("www.a.com", now)
+	cookies := s.Cookies(firstParty("www.a.com"), now)
 	if len(cookies) != 1 || cookies[0].Name != "uid" {
 		t.Fatalf("snapshot cookies = %v", cookies)
 	}
